@@ -23,6 +23,7 @@ otherwise, so all arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -265,8 +266,10 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient f / g of Laurent polynomials.
 
-    Division proceeds from the lowest exponent upward.  Raises
-    ``ExactDivisionError`` if g is zero or the remainder is nonzero.
+    Division proceeds from the lowest exponent upward, subtracting
+    each quotient term's multiple of g from one working remainder in
+    place.  Raises ``ExactDivisionError`` if g is zero or the
+    remainder is nonzero.
     """
     if not isinstance(f, LaurentPoly) or not isinstance(g, LaurentPoly):
         raise TypeError("exact_div expects two LaurentPoly arguments")
@@ -276,14 +279,20 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return LaurentPoly()
     g_min, g_max = g.min_degree(), g.max_degree()
     g_lead = g.terms[g_min]
-    max_t = f.max_degree() - g_max
+    g_rest = [(e - g_min, c) for e, c in g.terms.items() if e != g_min]
+    f_min, f_max = f.min_degree(), f.max_degree()
+    max_t = f_max - g_max
+    # every exponent the remainder can reach lies on f_min + step * Z
+    step = math.gcd(*(e - f_min for e in f.terms), *(off for off, _ in g_rest))
+    rem = dict(f.terms)
     quo: dict[int, Coeff] = {}
-    rem = f
-    while rem.terms:
-        t = rem.min_degree() - g_min
+    for e in range(f_min, f_max + 1, step or 1):
+        c = rem.pop(e, 0)
+        if not c:
+            continue
+        t = e - g_min
         if t > max_t:
             raise ExactDivisionError(f"{f} is not divisible by {g}")
-        c = rem.terms[rem.min_degree()]
         if g_lead == 1:
             q = c
         elif g_lead == -1:
@@ -291,7 +300,13 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         else:
             q = _norm_coeff(Fraction(c) / Fraction(g_lead))
         quo[t] = q
-        rem = rem - g.shifted(t).scaled(q)
+        for off, gc in g_rest:
+            k = e + off
+            v = rem.get(k, 0) - q * gc
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
     return LaurentPoly(quo)
 
 
@@ -803,16 +818,16 @@ def quantum_int(k: int) -> LaurentPoly:
     return LaurentPoly({2 * (k - 1) - 4 * j: 1 for j in range(k)})
 
 
-_QFACT: list[LaurentPoly] = [ONE]
-
-
+@functools.lru_cache(maxsize=None)
 def quantum_fact(k: int) -> LaurentPoly:
-    """Quantum factorial [k]! = [1][2]...[k], with [0]! = 1.  Cached."""
+    """Quantum factorial [k]! = [1][2]...[k], with [0]! = 1.  Cached.
+
+    Each entry is a pure function of k, so threads racing on a cold
+    cache at worst compute an entry twice; they never store a wrong one.
+    """
     if k < 0:
         raise ValueError(f"quantum_fact needs k >= 0, got {k}")
-    while len(_QFACT) <= k:
-        _QFACT.append(_QFACT[-1] * quantum_int(len(_QFACT)))
-    return _QFACT[k]
+    return quantum_fact(k - 1) * quantum_int(k) if k else ONE
 
 
 def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:

@@ -924,3 +924,7 @@ def verify(suite, threads):
     )
     if not passed:
         raise SystemExit(1)
+
+
+if __name__ == "__main__":
+    main(prog_name="skein")

@@ -8,7 +8,9 @@ Three independent routes to the same exact values:
   cable crossing into weighted clasped turnbacks.
 * ``colored_bracket_fused``: the twist-region fast path, collapsing
   each labeled region into a sum over colored channels whose k-fold
-  twisting is plain exponent arithmetic.
+  twisting is plain exponent arithmetic.  It is pure closed-form
+  algebra (loop values, theta, tetrahedral coefficients and twist
+  monomials); the Temperley-Lieb networks here only check it.
 
 On top of these sit reduced polynomial extraction, the closed-form
 minimum-degree predictors, and the channel probe network that replaces
@@ -17,8 +19,8 @@ one region by a single colored channel.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +35,7 @@ from .algebra import (
     delta,
     exact_div,
     fusion_coeff,
+    poly_gcd,
     substitute_quarter,
     tet,
     theta,
@@ -260,11 +263,116 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
 # -- fused fast path -----------------------------------------------------------
 
 
+def _twist_power(n: int, p: int, k: int) -> LaurentPoly:
+    # k crossings on the 2p channel: a monomial power, never an
+    # iterated expansion
+    mu = twist_coeff(n, n, 2 * p)
+    e = mu.min_degree()
+    sign = mu.terms[e]
+    return LaurentPoly.monomial(e * k, sign**k)
+
+
+def _lcm(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    try:
+        exact_div(f, g)
+        return f
+    except ExactDivisionError:
+        return f * exact_div(g, poly_gcd(f, g))
+
+
+@functools.lru_cache(maxsize=None)
+def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], LaurentPoly]:
+    """The color-n channel-mixing coefficients over one denominator.
+
+    Returns (num, D) with num[q][p] / D equal to
+    delta(2p) * tet(n, n, 2p, n, n, 2q) / (theta_p * theta_q), the
+    weight of channel p in a column read over the exit channel q.  The
+    tetrahedral coefficient is symmetric in p and q, so each unordered
+    pair costs one ``tet``.
+    """
+    thetas = [theta(n, n, 2 * p) for p in range(n + 1)]
+    mix: dict[tuple[int, int], RationalFn] = {}
+    for q in range(n + 1):
+        for p in range(q + 1):
+            t = tet(n, n, 2 * p, n, n, 2 * q) / (thetas[p] * thetas[q])
+            mix[p, q] = mix[q, p] = t.reduce()
+    den = ONE
+    for t in mix.values():
+        den = _lcm(den, t.den)
+    num = tuple(
+        tuple(
+            delta(2 * p) * mix[q, p].num * exact_div(den, mix[q, p].den)
+            for p in range(n + 1)
+        )
+        for q in range(n + 1)
+    )
+    return num, den
+
+
+def colored_bracket_fused(
+    diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
+) -> BracketValue:
+    """Color-n bracket with every twist region fused into channels.
+
+    Each region of k crossings becomes a sum over channels p with
+    weight [loop(2p)/theta(n,n,2p)] * twist(n,n,2p)^k.  A region closed
+    around the side leaves one theta network per channel, so its total
+    is sum_p loop(2p) * twist^k.  A ring of r regions is grouped by its
+    common exit channel q: the total is sum_q loop(2q) times the product
+    over columns of sum_p c[q][p] * twist^k, with c from the memoized
+    per-color table.  Its entries share one denominator D, so each
+    member costs Laurent adds and multiplies and one exact division by
+    D^r; the budget counts the r * (n+1)^2 column terms this takes.
+    """
+    if n < 1:
+        raise ValueError(f"cable color must be >= 1, got {n}")
+    if diagram.crossing_count == 0:
+        return BracketValue(delta(n) ** diagram.free_loops)
+    layout = _ring_layout(diagram)
+    twists = [col.region.count for col in layout.columns]
+    r = len(twists)
+    if r * (n + 1) ** 2 > max_networks:
+        raise BudgetError(
+            f"{r * (n + 1) ** 2} fusion column terms exceed the configured "
+            f"cap of {max_networks}"
+        )
+    if layout.style == "trace":
+        value = ZERO
+        for p in range(n + 1):
+            value = value + delta(2 * p) * _twist_power(n, p, twists[0])
+    else:
+        num, den = _channel_table(n)
+        total = ZERO
+        for q in range(n + 1):
+            prod = delta(2 * q)
+            for k in twists:
+                col = ZERO
+                for p in range(n + 1):
+                    col = col + num[q][p] * _twist_power(n, p, k)
+                prod = prod * col
+            total = total + prod
+        try:
+            value = exact_div(total, den**r)
+        except ExactDivisionError as err:
+            raise ExactDivisionError(
+                "fused bracket is not a Laurent polynomial; this signals a "
+                f"convention bug upstream: {err}"
+            ) from None
+    if diagram.free_loops:
+        value = value * delta(n) ** diagram.free_loops
+    return BracketValue(value)
+
+
+# -- oracles: literal channel networks and the colored state sum ---------------
+
+
 @dataclass(frozen=True)
 class FusedTemplate:
     """A diagram reduced to its ring of channel sockets.
 
-    ``base`` is the closed network program with every socket holding
+    This is the literal network the fused evaluator's closed forms
+    stand for; the tests evaluate it channel by channel as an oracle,
+    the evaluator itself never builds it.  ``base`` is the closed network program with every socket holding
     the channel of color 0; the i-th region's socket is the slice at
     index ``sockets[i]``.  ``twists`` lists the region crossing
     counts in the same order, ``rids`` the region labels.  ``style``
@@ -325,101 +433,6 @@ def build_fused_template(diagram: LinkDiagram, n: int) -> FusedTemplate:
         prog.morphism(zero, 2 * n * i)
     prog.morphism(plat_caps(r, n), 0)
     return FusedTemplate(prog, tuple(range(1, r + 1)), n, twists, rids, "ring")
-
-
-def _twist_power(n: int, p: int, k: int) -> LaurentPoly:
-    # k crossings on the 2p channel: a monomial power, never an
-    # iterated expansion
-    mu = twist_coeff(n, n, 2 * p)
-    e = mu.min_degree()
-    sign = mu.terms[e]
-    return LaurentPoly.monomial(e * k, sign**k)
-
-
-def _as_ratfn(x) -> RationalFn:
-    return x if isinstance(x, RationalFn) else RationalFn.from_poly(x)
-
-
-def colored_bracket_fused(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    max_networks: int = 100_000,
-    threads: int | None = None,
-) -> BracketValue:
-    """Color-n bracket with every twist region fused into channels.
-
-    Each region of k crossings becomes a sum over channels p with
-    weight [loop(2p)/theta(n,n,2p)] * twist(n,n,2p)^k; the remaining
-    closed networks are resolved through the channel-mixing closed
-    form, grouping the (n+1)^r fusion terms by their common exit
-    channel so members of large families cost the same as small ones.
-    The grouped sums are exact, so evaluation order (and the optional
-    thread pool) cannot change the result.
-    """
-    if n < 1:
-        raise ValueError(f"cable color must be >= 1, got {n}")
-    if diagram.crossing_count == 0:
-        return BracketValue(delta(n) ** diagram.free_loops)
-    template = build_fused_template(diagram, n)
-    r = len(template.twists)
-    if (n + 1) ** r > max_networks:
-        raise BudgetError(
-            f"{(n + 1) ** r} fusion terms exceed the configured cap of "
-            f"{max_networks}"
-        )
-    weights = [
-        _as_ratfn(delta(2 * p)) / _as_ratfn(theta(n, n, 2 * p))
-        for p in range(n + 1)
-    ]
-    if template.style == "trace":
-        k = template.twists[0]
-        total = _as_ratfn(ZERO)
-        for p in range(n + 1):
-            term = weights[p] * _twist_power(n, p, k)
-            total = total + term * closure(channel_element(n, p))
-    else:
-        # mix[p][q]: the p-channel column re-expressed over the common
-        # exit channel q
-        mix = [
-            [
-                tet(n, n, 2 * p, n, n, 2 * q) / _as_ratfn(theta(n, n, 2 * q))
-                for q in range(n + 1)
-            ]
-            for p in range(n + 1)
-        ]
-
-        def exit_channel_total(q: int) -> RationalFn:
-            prod = _as_ratfn(delta(2 * q))
-            for k in template.twists:
-                col = _as_ratfn(ZERO)
-                for p in range(n + 1):
-                    col = col + weights[p] * _twist_power(n, p, k) * mix[p][q]
-                prod = prod * col
-            return prod
-
-        qs = range(n + 1)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(exit_channel_total, qs))
-        else:
-            parts = [exit_channel_total(q) for q in qs]
-        total = _as_ratfn(ZERO)
-        for part in parts:
-            total = total + part
-    try:
-        value = total.reduce().to_poly()
-    except ExactDivisionError as err:
-        raise ExactDivisionError(
-            "fused bracket is not a Laurent polynomial; this signals a "
-            f"convention bug upstream: {err}"
-        ) from None
-    if diagram.free_loops:
-        value = value * delta(n) ** diagram.free_loops
-    return BracketValue(value)
-
-
-# -- colored state-sum oracle ---------------------------------------------------
 
 
 def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
@@ -503,7 +516,6 @@ def unreduced_colored_jones(
     *,
     max_crossings: int = 20,
     max_networks: int = 100_000,
-    threads: int | None = None,
 ) -> BracketValue:
     """Bracket of the diagram with every component cabled by color n.
 
@@ -522,9 +534,7 @@ def unreduced_colored_jones(
         covered.update(reg.crossings)
     if len(covered) == diagram.crossing_count:
         try:
-            return colored_bracket_fused(
-                diagram, n, max_networks=max_networks, threads=threads
-            )
+            return colored_bracket_fused(diagram, n, max_networks=max_networks)
         except LayoutError:
             pass
     if n == 1:
@@ -538,7 +548,6 @@ def reduced_jones(
     *,
     max_crossings: int = 20,
     max_networks: int = 100_000,
-    threads: int | None = None,
 ) -> QPoly:
     """The reduced polynomial indexed N >= 2: cable color N-1, one loop
     factor divided out, exponents read in the quarter-power variable.
@@ -554,7 +563,6 @@ def reduced_jones(
         n,
         max_crossings=max_crossings,
         max_networks=max_networks,
-        threads=threads,
     )
     quotient = exact_div(unreduced.value, delta(n))
     return substitute_quarter(quotient)

@@ -28,6 +28,7 @@ first-principles oracle for the closed-form evaluations elsewhere.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -193,13 +194,10 @@ class Matching:
         return [(i, j) for i, j in enumerate(self.pair) if i < j]
 
 
-_DELTA_POWS = [ONE, DELTA]
-
-
+@functools.lru_cache(maxsize=None)
 def _delta_pow(k: int) -> LaurentPoly:
-    while len(_DELTA_POWS) <= k:
-        _DELTA_POWS.append(_DELTA_POWS[-1] * DELTA)
-    return _DELTA_POWS[k]
+    # a pure function of k, so a cold cache is safe to share across threads
+    return DELTA**k
 
 
 class TLMorphism:

@@ -1,17 +1,13 @@
 """Acceptance gates, one test per published criterion.
 
 Every test prints one PASS/FAIL line with its elapsed time and checks
-the stated time budget alongside the result.  The two slow rows of the
-color-locked family gate only run when SKEIN_STRETCH=1 is set.
+the stated time budget alongside the result.
 """
 
 import json
-import os
 import time
 
 from click.testing import CliRunner
-
-import pytest
 
 from skeinkit.algebra import LaurentPoly, RationalFn, delta, min_degree, theta, twist_coeff
 from skeinkit.cli import main as cli_main
@@ -21,8 +17,6 @@ from skeinkit.planar import set_cache_dir
 from skeinkit.stability import normalize, stable_prefix, window_from_reduced
 
 set_cache_dir("")
-
-STRETCH = os.environ.get("SKEIN_STRETCH", "") not in ("", "0")
 
 # published coefficient tables; every shorter row is a prefix of the last one
 T1 = (1, -1, 3, -4, 6, -8, 10, -11, 13, -13, 14)
@@ -99,7 +93,6 @@ def test_criterion_04_color_locked_table():
                900, rows, T4)
 
 
-@pytest.mark.skipif(not STRETCH, reason="set SKEIN_STRETCH=1 to run the slow rows")
 def test_criterion_04_color_locked_table_stretch_rows():
     rows = [(k, [2, 5, k], k + 1, k + 1) for k in (6, 7)]
     table_gate(4, "stretch rows 6 and 7 of the color-locked family",

@@ -1,6 +1,8 @@
 """Exact-arithmetic layer: Laurent polynomials, rational functions,
 closed-form network values, windows, and the q-substitution."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,10 @@ from skeinkit.algebra import (
     mirror,
     poly_gcd,
     qpoch4,
+    quantum_fact,
+    quantum_int,
     substitute_quarter,
+    tet,
     theta,
     twist_coeff,
 )
@@ -236,6 +241,42 @@ class TestClosedForms:
     def test_twist_coeff_admissibility(self):
         with pytest.raises(AdmissibilityError):
             twist_coeff(1, 1, 4)
+
+    def test_channel_tet_is_symmetric(self):
+        # the fused evaluator computes one tet per unordered channel pair
+        for n in range(1, 5):
+            for p in range(n + 1):
+                for q in range(p):
+                    assert tet(n, n, 2 * p, n, n, 2 * q) == tet(
+                        n, n, 2 * q, n, n, 2 * p
+                    ), (n, p, q)
+
+
+class TestQuantumFactorialCache:
+    def test_cold_cache_shared_by_threads(self):
+        quantum_fact.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(4, timeout=60)
+
+        def work():
+            start.wait()
+            quantum_fact(39)
+
+        try:
+            pool = [threading.Thread(target=work) for _ in range(4)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        serial = LaurentPoly.one()
+        for k in range(40):
+            if k:
+                serial = serial * quantum_int(k)
+            assert quantum_fact(k) == serial, k
 
 
 class TestDegreeStepRules:

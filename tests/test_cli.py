@@ -9,10 +9,14 @@ copied constants.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import skeinkit
 from skeinkit import cli
 from skeinkit.diagram import LinkDiagram, minus_graph, pretzel, reduced_minus_graph
 from skeinkit.invariants import bracket_state_sum
@@ -517,6 +521,18 @@ class TestGroupOptions:
             assert planar._cache_dir_override == str(tmp_path)
         finally:
             set_cache_dir("")
+
+    @pytest.mark.parametrize("module", ["skeinkit", "skeinkit.cli"])
+    def test_runs_as_a_module(self, module):
+        src = os.path.dirname(os.path.dirname(skeinkit.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        result = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verify" in result.stdout
 
     def test_max_states_mapping(self):
         assert cli._max_crossings(1 << 20) == 20

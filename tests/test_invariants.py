@@ -25,6 +25,7 @@ from skeinkit.algebra import (
     fusion_coeff,
     min_degree,
     substitute_quarter,
+    tet,
     theta,
     twist_coeff,
 )
@@ -35,10 +36,12 @@ from skeinkit.diagram import (
     parse_pd,
     pretzel,
 )
+from skeinkit import invariants, planar
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
     LayoutError,
+    _channel_table,
     _ring_layout,
     _twist_power,
     bracket_state_sum,
@@ -218,12 +221,20 @@ class TestFusedChannels:
         assert colored_bracket_fused(d, 2).value == colored_state_sum(d, 2).value
 
     @pytest.mark.parametrize(
-        "counts,n", [([1, 1, 1], 1), ([2, 1], 2), ([2, 0, 2], 2), ([1, 1], 3)]
+        "counts,n",
+        [
+            ([1, 1, 1], 1),
+            ([2, 1], 2),
+            ([2, 0, 2], 2),
+            ([1, 1], 3),
+            pytest.param(HOPF_TRACE, 2, id="hopf-trace-2"),
+            pytest.param(HOPF_TRACE, 3, id="hopf-trace-3"),
+        ],
     )
     def test_matches_literal_channel_sum(self, counts, n):
-        # the grouped channel-mixing evaluation must equal the literal
-        # sum of one network evaluation per channel assignment
-        d = pretzel(counts)
+        # the closed-form evaluation must equal the literal sum of one
+        # network evaluation per channel assignment
+        d = parse_pd(counts) if isinstance(counts, str) else pretzel(counts)
         tpl = build_fused_template(d, n)
         total = rf(ZERO)
         for ps in itertools.product(range(n + 1), repeat=len(tpl.sockets)):
@@ -252,14 +263,43 @@ class TestFusedChannels:
         with pytest.raises(ValueError, match="channel"):
             tpl.with_rungs([1, 3])
 
-    def test_threads_do_not_change_the_value(self):
-        d = pretzel([2, 3, 2])
-        lone = colored_bracket_fused(d, 2).value
-        assert colored_bracket_fused(d, 2, threads=3).value == lone
+    def test_needs_no_temperley_lieb_network(self, monkeypatch):
+        ring, trace = pretzel([2, 3, 1]), parse_pd(HOPF_TRACE)
+        want = [colored_bracket_fused(d, n).value
+                for d in (ring, trace) for n in (2, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fused evaluator built a TL network")
+
+        for name in ("jones_wenzl", "compose", "closure", "channel_element"):
+            monkeypatch.setattr(planar, name, refuse)
+            monkeypatch.setattr(invariants, name, refuse)
+        _channel_table.cache_clear()
+        got = [colored_bracket_fused(d, n).value
+               for d in (ring, trace) for n in (2, 3)]
+        assert got == want
+
+    def test_one_tet_per_channel_pair_per_color(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tet(*args)
+
+        monkeypatch.setattr(invariants, "tet", counted)
+        _channel_table.cache_clear()
+        for k in (1, 2, 3):
+            colored_bracket_fused(pretzel([2, 1, k]), 3)
+        assert len(calls) == 10  # unordered pairs of the channels 0..3
 
     def test_fusion_budget(self):
         with pytest.raises(BudgetError, match="fusion"):
             colored_bracket_fused(pretzel([1, 1, 1]), 3, max_networks=10)
+
+    @pytest.mark.parametrize("counts,N", [([1] * 20, 3), ([2] * 7, 6)])
+    def test_fusion_budget_accepts_cheap_wide_rings(self, counts, N):
+        # the budget counts r * (n+1)^2 column terms, not (n+1)^r
+        assert not reduced_jones(pretzel(counts), N).is_zero()
 
     def test_free_loops_multiply(self):
         d = pretzel([1, 1])
