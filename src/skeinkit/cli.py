@@ -4,7 +4,7 @@
 (``bracket``, ``table``, ``tail``, ``verify``, ``graph``) plus one
 experimental extra (``residuals``).  All arithmetic is exact, so the
 csv, json, and text renderings of one computation carry identical
-numbers, and thread counts never change a result, only its latency.
+numbers.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import csv
 import io
 import itertools
 import json
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -64,7 +62,6 @@ from .planar import (
     cupnest,
     evaluate,
     jones_wenzl,
-    set_cache_dir,
     tensor,
     theta_program,
     turnback,
@@ -93,19 +90,6 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
 
 # -- shared option plumbing ----------------------------------------------------
-
-
-def _thread_count(option: int | None) -> int:
-    """--threads wins, then SKEIN_THREADS, then the machine's CPU count."""
-    if option is not None:
-        return max(1, option)
-    env = os.environ.get("SKEIN_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.UsageError(f"SKEIN_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _expr(text: str, flag: str) -> FamilyExpr:
@@ -163,6 +147,27 @@ def _diagram_options(fn):
         default=None,
         metavar="C1,C2,...",
         help="Pretzel twist sizes, comma separated.",
+    )(fn)
+    return fn
+
+
+def _family_options(fn):
+    fn = click.option("--range", "range_arg", required=True, metavar="A..B",
+                      help="Inclusive parameter range.")(fn)
+    fn = click.option(
+        "--color",
+        "color_arg",
+        default="2",
+        show_default=True,
+        metavar="EXPR",
+        help="Reduced polynomial index, as an expression in the same parameter.",
+    )(fn)
+    fn = click.option(
+        "--pretzel-family",
+        "family_arg",
+        required=True,
+        metavar="E1,E2,...",
+        help='Twist sizes as expressions in one parameter, e.g. "8,6,k".',
     )(fn)
     return fn
 
@@ -237,9 +242,8 @@ def _spec_var(spec) -> str:
     return spec.color.var or "k"
 
 
-def _window_rows(spec, window, workers, max_networks):
+def _window_rows(spec, window, max_networks):
     """Normalized reduced-polynomial windows, one row per family member."""
-    params = list(spec.parameters())
 
     def one(k: int) -> list[int]:
         count = window(k)
@@ -259,10 +263,7 @@ def _window_rows(spec, window, workers, max_networks):
             return []
         return list(normalize(window_from_reduced(poly, count)).coeffs)
 
-    if workers > 1 and len(params) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(zip(params, pool.map(one, params)))
-    return [(k, one(k)) for k in params]
+    return [(k, one(k)) for k in spec.parameters()]
 
 
 # -- command group -------------------------------------------------------------
@@ -270,16 +271,8 @@ def _window_rows(spec, window, workers, max_networks):
 
 @click.group()
 @click.version_option(__version__, prog_name="skein")
-@click.option(
-    "--cache-dir",
-    type=click.Path(file_okay=False),
-    default=None,
-    help="Directory for the projector cache, persisted between runs.",
-)
-def main(cache_dir: str | None) -> None:
+def main() -> None:
     """Exact bracket and colored polynomial tools for twist-region families."""
-    if cache_dir is not None:
-        set_cache_dir(cache_dir)
 
 
 @main.command()
@@ -320,23 +313,7 @@ def bracket(pretzel_arg, pd_path, json_path, max_states):
 
 
 @main.command()
-@click.option(
-    "--pretzel-family",
-    "family_arg",
-    required=True,
-    metavar="E1,E2,...",
-    help='Twist sizes as expressions in one parameter, e.g. "8,6,k".',
-)
-@click.option(
-    "--color",
-    "color_arg",
-    default="2",
-    show_default=True,
-    metavar="EXPR",
-    help="Reduced polynomial index, as an expression in the same parameter.",
-)
-@click.option("--range", "range_arg", required=True, metavar="A..B",
-              help="Inclusive parameter range.")
+@_family_options
 @click.option(
     "--window",
     "window_arg",
@@ -352,19 +329,13 @@ def bracket(pretzel_arg, pd_path, json_path, max_states):
     show_default=True,
 )
 @click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker threads [default: SKEIN_THREADS, else the CPU count].",
-)
-@click.option(
     "--max-networks",
     default=DEFAULT_MAX_NETWORKS,
     show_default=True,
     type=click.IntRange(min=1),
     help="Fusion-term budget per colored evaluation.",
 )
-def table(family_arg, color_arg, range_arg, window_arg, fmt, threads, max_networks):
+def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
     """Normalized low-coefficient windows across one pretzel family.
 
     Each row lists the first coefficients of the reduced polynomial of
@@ -375,7 +346,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, threads, max_networ
     spec = _family(family_arg, color_arg, start, stop)
     window = _expr(window_arg, "--window")
     try:
-        rows = _window_rows(spec, window, _thread_count(threads), max_networks)
+        rows = _window_rows(spec, window, max_networks)
     except BudgetError as exc:
         raise click.ClickException(f"{_budget_flag(exc)}: {exc}")
     except (MemberError, WindowError) as exc:
@@ -400,23 +371,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, threads, max_networ
 
 
 @main.command()
-@click.option(
-    "--pretzel-family",
-    "family_arg",
-    required=True,
-    metavar="E1,E2,...",
-    help='Twist sizes as expressions in one parameter, e.g. "k,k,2".',
-)
-@click.option(
-    "--color",
-    "color_arg",
-    default="2",
-    show_default=True,
-    metavar="EXPR",
-    help="Reduced polynomial index, as an expression in the same parameter.",
-)
-@click.option("--range", "range_arg", required=True, metavar="A..B",
-              help="Inclusive parameter range.")
+@_family_options
 @click.option(
     "--rate",
     "rate_arg",
@@ -439,13 +394,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, threads, max_networ
     default="text",
     show_default=True,
 )
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker threads [default: SKEIN_THREADS, else the CPU count].",
-)
-def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt, threads):
+def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt):
     """Check a stability rate across a family and report the shared tail.
 
     Every consecutive pair of members is compared through the rate; the
@@ -456,7 +405,7 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt, threads):
     spec = _family(family_arg, color_arg, start, stop)
     rate = _expr(rate_arg, "--rate")
     try:
-        report = family_tail(spec, rate, depth=depth, threads=_thread_count(threads))
+        report = family_tail(spec, rate, depth=depth)
     except MemberError as exc:
         raise click.ClickException(str(exc))
     except (BudgetError, WindowError) as exc:
@@ -465,23 +414,7 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt, threads):
 
 
 @main.command()
-@click.option(
-    "--pretzel-family",
-    "family_arg",
-    required=True,
-    metavar="E1,E2,...",
-    help='Twist sizes as expressions in one parameter, e.g. "k,k,2".',
-)
-@click.option(
-    "--color",
-    "color_arg",
-    default="2",
-    show_default=True,
-    metavar="EXPR",
-    help="Reduced polynomial index, as an expression in the same parameter.",
-)
-@click.option("--range", "range_arg", required=True, metavar="A..B",
-              help="Inclusive parameter range.")
+@_family_options
 @click.option(
     "--rate",
     "rate_arg",
@@ -504,13 +437,7 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt, threads):
     default="text",
     show_default=True,
 )
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker threads [default: SKEIN_THREADS, else the CPU count].",
-)
-def residuals(family_arg, color_arg, range_arg, rate_arg, orders, depth, fmt, threads):
+def residuals(family_arg, color_arg, range_arg, rate_arg, orders, depth, fmt):
     """[experimental] Iterated tail differences across a family.
 
     Level 0 holds each member's normalized window; every later level
@@ -521,9 +448,7 @@ def residuals(family_arg, color_arg, range_arg, rate_arg, orders, depth, fmt, th
     spec = _family(family_arg, color_arg, start, stop)
     rate = _expr(rate_arg, "--rate")
     try:
-        levels = higher_order_windows(
-            spec, rate, orders=orders, depth=depth, threads=_thread_count(threads)
-        )
+        levels = higher_order_windows(spec, rate, orders=orders, depth=depth)
     except (MemberError, BudgetError, WindowError) as exc:
         raise click.ClickException(str(exc))
     params = list(spec.parameters())
@@ -579,19 +504,18 @@ def graph(pretzel_arg, pd_path, json_path, emit, reduced):
 # -- verification suites ---------------------------------------------------------
 
 
-def _run_checks(named_checks):
-    results = []
-    for name, fn in named_checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": bool(ok), "detail": detail})
-    return results
-
-
-def _rfn(x) -> RationalFn:
-    return x if isinstance(x, RationalFn) else RationalFn.from_poly(x)
+def _run_check(name, fn) -> dict:
+    started = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except Exception as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    return {
+        "name": name,
+        "passed": bool(ok),
+        "detail": detail,
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
+    }
 
 
 _T1_ROW = (1, -1, 3, -4, 6, -8, 10, -11, 13, -13, 14)
@@ -609,13 +533,11 @@ _TABLE_JOBS = (
 )
 
 
-def _suite_paper_tables(workers):
+def _suite_paper_tables():
     def job(label, family, color, start, stop, window, expected):
         def run():
             spec = pretzel_family(family, color, start, stop)
-            rows = _window_rows(
-                spec, FamilyExpr.parse(window), workers, DEFAULT_MAX_NETWORKS
-            )
+            rows = _window_rows(spec, FamilyExpr.parse(window), DEFAULT_MAX_NETWORKS)
             for k, cs in rows:
                 want = list(expected[: len(cs)])
                 if cs != want:
@@ -624,12 +546,10 @@ def _suite_paper_tables(workers):
 
         return label, run
 
-    return _run_checks([job(*args) for args in _TABLE_JOBS])
+    return [job(*args) for args in _TABLE_JOBS]
 
 
-def _suite_tl_identities(workers):
-    del workers  # every check here is cheap and serial
-
+def _suite_tl_identities():
     def idempotency():
         for n in range(1, 7):
             f = jones_wenzl(n)
@@ -679,7 +599,7 @@ def _suite_tl_identities(workers):
         for a, b, c in itertools.product(range(5), repeat=3):
             if a + b + c == 0 or not admissible(a, b, c):
                 continue
-            if _rfn(theta(a, b, c)) != evaluate(theta_program(a, b, c)):
+            if evaluate(theta_program(a, b, c)) != theta(a, b, c):
                 return False, f"failed at {(a, b, c)}"
             count += 1
         return True, f"{count} admissible triples with colors <= 4"
@@ -689,7 +609,7 @@ def _suite_tl_identities(workers):
             ff = tensor(jones_wenzl(n), jones_wenzl(n))
             acc = TLMorphism.zero(2 * n, 2 * n)
             for p in range(n + 1):
-                w = _rfn(delta(2 * p)) / _rfn(theta(n, n, 2 * p))
+                w = RationalFn.from_poly(delta(2 * p)) / theta(n, n, 2 * p)
                 acc = acc + channel_element(n, p).scaled(w)
             if acc != ff:
                 return False, f"failed at n={n}"
@@ -707,18 +627,16 @@ def _suite_tl_identities(workers):
                 return False, f"failed at n={n}"
         return True, "n = 1..2"
 
-    return _run_checks(
-        [
-            ("projector idempotency", idempotency),
-            ("hook annihilation", hooks),
-            ("projector absorption", absorption),
-            ("projector closure is the loop value", closures),
-            ("cabled curl coefficient", curls),
-            ("theta networks match the closed form", thetas),
-            ("fusion completeness", fusion),
-            ("cabled crossing expansion", crossing_expansion),
-        ]
-    )
+    return [
+        ("projector idempotency", idempotency),
+        ("hook annihilation", hooks),
+        ("projector absorption", absorption),
+        ("projector closure is the loop value", closures),
+        ("cabled curl coefficient", curls),
+        ("theta networks match the closed form", thetas),
+        ("fusion completeness", fusion),
+        ("cabled crossing expansion", crossing_expansion),
+    ]
 
 
 _ADEQUATE_DIAGRAMS = (
@@ -731,9 +649,7 @@ _COLORED_DIAGRAMS = (
 )
 
 
-def _suite_min_degrees(workers):
-    del workers
-
+def _suite_min_degrees():
     def classical():
         for counts in _ADEQUATE_DIAGRAMS:
             d = pretzel(counts)
@@ -770,17 +686,15 @@ def _suite_min_degrees(workers):
                         return False, f"{list(counts)} n={n} p={p}: got {got}"
         return True, "4 diagrams, n <= 2, every channel"
 
-    return _run_checks(
-        [
-            ("classical minimum degree is sharp on minus-adequate diagrams",
-             classical),
-            ("colored minimum degree is sharp on alternating pretzels", colored),
-            ("channel probe reaches the predicted degree", channel_probe),
-        ]
-    )
+    return [
+        ("classical minimum degree is sharp on minus-adequate diagrams",
+         classical),
+        ("colored minimum degree is sharp on alternating pretzels", colored),
+        ("channel probe reaches the predicted degree", channel_probe),
+    ]
 
 
-def _suite_rate_theorems(workers):
+def _suite_rate_theorems():
     def steps_detail(report):
         return "; ".join(
             f"step {s.parameter}: verified {s.verified} >= required {s.required}"
@@ -788,32 +702,24 @@ def _suite_rate_theorems(workers):
         )
 
     def one_column():
-        report = check_bracket_rate(
-            pretzel_family("8,6,k", 2, 2, 5), threads=workers
-        )
+        report = check_bracket_rate(pretzel_family("8,6,k", 2, 2, 5))
         return report.passed, steps_detail(report)
 
     def two_columns():
-        report = check_bracket_rate(
-            pretzel_family("k,k,2", 2, 2, 5), threads=workers
-        )
+        report = check_bracket_rate(pretzel_family("k,k,2", 2, 2, 5))
         return report.passed, steps_detail(report)
 
     def colored_rate():
-        report = check_colored_rate(
-            pretzel_family("2,2,k", 3, 2, 4), threads=workers
-        )
+        report = check_colored_rate(pretzel_family("2,2,k", 3, 2, 4))
         return report.passed, steps_detail(report)
 
     def color_ladder():
-        report = check_color_stability(
-            pretzel([2, 3, 2]), (1, 2, 3), threads=workers
-        )
+        report = check_color_stability(pretzel([2, 3, 2]), (1, 2, 3))
         return report.passed, steps_detail(report)
 
     def cross_twist():
         report = check_color_stability(
-            pretzel([2, 3, 2]), (1, 2), twist_shifts={1: 2, 3: 3}, threads=workers
+            pretzel([2, 3, 2]), (1, 2), twist_shifts={1: 2, 3: 3}
         )
         return report.passed, steps_detail(report)
 
@@ -828,19 +734,17 @@ def _suite_rate_theorems(workers):
             return False, f"windows differ: {list(a.coeffs)} vs {list(b.coeffs)}"
         return True, "first 8 coefficients agree"
 
-    return _run_checks(
-        [
-            ("bracket rate 4k with one varying column", one_column),
-            ("bracket rate 4k with two varying columns", two_columns),
-            ("colored rate 4n(k-1)+4", colored_rate),
-            ("color-to-color rate 4n", color_ladder),
-            ("cross-twist color rate", cross_twist),
-            ("matching reduced state graphs share the window", shared_graph_window),
-        ]
-    )
+    return [
+        ("bracket rate 4k with one varying column", one_column),
+        ("bracket rate 4k with two varying columns", two_columns),
+        ("colored rate 4n(k-1)+4", colored_rate),
+        ("color-to-color rate 4n", color_ladder),
+        ("cross-twist color rate", cross_twist),
+        ("matching reduced state graphs share the window", shared_graph_window),
+    ]
 
 
-def _suite_oracle_equivalence(workers):
+def _suite_oracle_equivalence():
     def clasped():
         triples = list(itertools.product((1, 2, 3), repeat=3))
 
@@ -851,11 +755,7 @@ def _suite_oracle_equivalence(workers):
                     return f"{list(counts)} at n={n}"
             return None
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                failures = [f for f in pool.map(one, triples) if f]
-        else:
-            failures = [f for f in map(one, triples) if f]
+        failures = [f for f in map(one, triples) if f]
         if failures:
             return False, "disagreements: " + ", ".join(failures)
         return True, f"{len(triples)} pretzels, n <= 2"
@@ -871,12 +771,10 @@ def _suite_oracle_equivalence(workers):
                 return False, f"disagreement at {counts}"
         return True, f"{len(shapes)} pretzels up to 20 crossings"
 
-    return _run_checks(
-        [
-            ("fused channels match the clasped state sum", clasped),
-            ("fused channels match the classical sweep", classical),
-        ]
-    )
+    return [
+        ("fused channels match the clasped state sum", clasped),
+        ("fused channels match the classical sweep", classical),
+    ]
 
 
 _SUITES = {
@@ -890,27 +788,23 @@ _SUITES = {
 
 @main.command()
 @click.option("--suite", required=True, type=click.Choice(sorted(_SUITES)))
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker threads [default: SKEIN_THREADS, else the CPU count].",
-)
-def verify(suite, threads):
+def verify(suite):
     """Run one verification suite and print a JSON report.
 
-    Per-check progress goes to stderr; the report (suite name, overall
-    flag, each check's name, outcome, and detail) goes to stdout.  The
-    exit status is 0 exactly when every check passed.
+    Each check's progress line goes to stderr as soon as the check
+    ends; the report (suite name, overall flag, each check's name,
+    outcome, detail, and time) goes to stdout.  The exit status is 0
+    exactly when every check passed.
     """
-    workers = _thread_count(threads)
     started = time.perf_counter()
-    checks = _SUITES[suite](workers)
-    elapsed = round(time.perf_counter() - started, 3)
-    passed = all(c["passed"] for c in checks)
-    for c in checks:
+    checks = []
+    for name, fn in _SUITES[suite]():
+        c = _run_check(name, fn)
         marker = "ok  " if c["passed"] else "FAIL"
         click.echo(f"{marker} {c['name']}: {c['detail']}", err=True)
+        checks.append(c)
+    elapsed = round(time.perf_counter() - started, 3)
+    passed = all(c["passed"] for c in checks)
     click.echo(
         json.dumps(
             {

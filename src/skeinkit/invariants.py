@@ -57,12 +57,10 @@ from .planar import (
     TLMorphism,
     cabled_crossing,
     channel_element,
-    closure,
     compose,
     evaluate,
     jones_wenzl,
-    plat_caps,
-    plat_cups,
+    plat_program,
     tensor,
     turnback,
 )
@@ -418,21 +416,12 @@ def build_fused_template(diagram: LinkDiagram, n: int) -> FusedTemplate:
     cols = layout.columns
     twists = tuple(col.region.count for col in cols)
     rids = tuple(col.region.rid for col in cols)
-    zero = channel_element(n, 0)
-    prog = SliceProgram()
+    prog = plat_program([channel_element(n, 0)] * len(cols), n, layout.style)
     if layout.style == "trace":
-        for i in range(2 * n):
-            prog.cup(i)
-        prog.morphism(zero, 2 * n)
-        for i in range(2 * n - 1, -1, -1):
-            prog.cap(i)
-        return FusedTemplate(prog, (2 * n,), n, twists, rids, "trace")
-    r = len(cols)
-    prog.morphism(plat_cups(r, n), 0)
-    for i in range(r):
-        prog.morphism(zero, 2 * n * i)
-    prog.morphism(plat_caps(r, n), 0)
-    return FusedTemplate(prog, tuple(range(1, r + 1)), n, twists, rids, "ring")
+        sockets = (2 * n,)
+    else:
+        sockets = tuple(range(1, len(cols) + 1))
+    return FusedTemplate(prog, sockets, n, twists, rids, layout.style)
 
 
 def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
@@ -485,16 +474,7 @@ def colored_state_sum(
                 step = term if step is None else step + term
             m = step
         columns.append(m)
-    if layout.style == "trace":
-        total = closure(columns[0])
-    else:
-        r = len(columns)
-        prog = SliceProgram()
-        prog.morphism(plat_cups(r, n), 0)
-        for i, m in enumerate(columns):
-            prog.morphism(m, 2 * n * i)
-        prog.morphism(plat_caps(r, n), 0)
-        total = evaluate(prog)
+    total = evaluate(plat_program(columns, n, layout.style))
     try:
         value = total.reduce().to_poly()
     except ExactDivisionError as err:
@@ -631,17 +611,4 @@ def build_upsilon(diagram: LinkDiagram, n: int, p: int) -> SliceProgram:
         for _ in range(col.region.count):
             m = compose(m, cross)
         columns.append(m)
-    prog = SliceProgram()
-    if layout.style == "trace":
-        for i in range(2 * n):
-            prog.cup(i)
-        prog.morphism(columns[0], 2 * n)
-        for i in range(2 * n - 1, -1, -1):
-            prog.cap(i)
-        return prog
-    r = len(columns)
-    prog.morphism(plat_cups(r, n), 0)
-    for i, m in enumerate(columns):
-        prog.morphism(m, 2 * n * i)
-    prog.morphism(plat_caps(r, n), 0)
-    return prog
+    return plat_program(columns, n, layout.style)

@@ -19,24 +19,24 @@ and a gcd normalization runs at most once per high-level step.  The
 view.
 
 The heavyweight objects here are the Jones-Wenzl projectors, built by
-the Wenzl recursion and cached in memory and optionally on disk, and
-the trivalent vertex morphisms built from them.  ``SliceProgram`` and
-``evaluate`` provide a small sweep language for closed networks (theta
-and tetrahedron graphs, drums, smoothing networks); these serve as the
-first-principles oracle for the closed-form evaluations elsewhere.
+the Wenzl recursion and cached in memory, and the trivalent vertex
+morphisms built from them.  ``SliceProgram`` and ``evaluate`` provide
+a small sweep language for closed networks (theta and tetrahedron
+graphs, drums, smoothing networks); these serve as the first-principles
+oracle for the closed-form evaluations elsewhere.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import Sequence
 
 from .algebra import (
     DELTA,
     ONE,
+    RF_ZERO,
     ZERO,
     AdmissibilityError,
     ExactDivisionError,
@@ -47,10 +47,6 @@ from .algebra import (
     exact_div,
     poly_gcd,
 )
-
-RF_ONE = RationalFn.from_poly(ONE)
-RF_ZERO = RationalFn.from_poly(ZERO)
-
 
 class SliceError(ValueError):
     """Arity or wiring failure in a slice program, reported by index."""
@@ -462,105 +458,19 @@ def closure(f: TLMorphism) -> RationalFn:
 
 _JW_CACHE: dict[int, TLMorphism] = {}
 _JW_LOCK = threading.Lock()
-_CACHE_HEADER = "skeinkit-jw v1 loop=-A^2-A^-2"
-_cache_dir_override: str | None = None
-
-
-def set_cache_dir(path: str | None) -> None:
-    """Override the on-disk projector cache location ("" disables)."""
-    global _cache_dir_override
-    _cache_dir_override = path
-
-
-def _cache_path() -> str | None:
-    base = _cache_dir_override
-    if base is None:
-        base = os.environ.get("SKEIN_CACHE_DIR")
-    if base is None:
-        base = os.path.join(os.path.expanduser("~"), ".cache", "skeinkit")
-    if not base:
-        return None
-    return os.path.join(base, "projectors.txt")
-
-
-def _poly_to_text(p: LaurentPoly) -> str:
-    if p.is_zero():
-        return "0:0"
-    return ",".join(f"{e}:{v}" for e, v in sorted(p.terms.items()))
-
-
-def _poly_from_text(t: str) -> LaurentPoly:
-    terms = {}
-    for bit in t.split(","):
-        e, v = bit.split(":")
-        terms[int(e)] = int(v) if "/" not in v else Fraction(v)
-    return LaurentPoly(terms)
-
-
-def _load_jw_cache() -> None:
-    path = _cache_path()
-    if path is None or not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != _CACHE_HEADER:
-            return
-        i = 1
-        loaded = {}
-        while i < len(lines):
-            head = lines[i].split()
-            if head[0] != "n":
-                return
-            n, count = int(head[1]), int(head[2])
-            den = _poly_from_text(head[3])
-            nums = {}
-            for j in range(count):
-                pair_s, num_s = lines[i + 1 + j].split(" ", 1)
-                pair = tuple(int(x) for x in pair_s.split(","))
-                nums[pair] = _poly_from_text(num_s)
-            loaded[n] = TLMorphism._raw(n, n, nums, den)
-            i += 1 + count
-        for n, m in loaded.items():
-            _JW_CACHE.setdefault(n, m)
-    except (OSError, ValueError, IndexError):
-        # stale or foreign cache: recompute from scratch
-        return
-
-
-def _save_jw_cache() -> None:
-    path = _cache_path()
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_CACHE_HEADER + "\n")
-            for n in sorted(_JW_CACHE):
-                m = _JW_CACHE[n]
-                fh.write(f"n {n} {len(m.nums)} {_poly_to_text(m.den)}\n")
-                for pair, num in sorted(m.nums.items()):
-                    fh.write(
-                        ",".join(str(x) for x in pair) + " " + _poly_to_text(num) + "\n"
-                    )
-    except OSError:
-        pass
 
 
 def jones_wenzl(n: int) -> TLMorphism:
     """The n-strand projector, by the Wenzl recursion.
 
     f(1) = id; f(n) = f(n-1)x1 - (delta(n-2)/delta(n-1)) *
-    (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process and persisted
-    to a small text cache keyed by the loop-value convention.
+    (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process.
     """
     if n < 0:
         raise ValueError(f"projector color must be >= 0, got {n}")
     if n == 0:
         return TLMorphism._raw(0, 0, {(): ONE}, ONE)
     with _JW_LOCK:
-        if not _JW_CACHE:
-            _load_jw_cache()
         if n in _JW_CACHE:
             return _JW_CACHE[n]
         _JW_CACHE.setdefault(1, TLMorphism.identity(1))
@@ -570,7 +480,6 @@ def jones_wenzl(n: int) -> TLMorphism:
             hooked = compose(compose(prev, TLMorphism.hook(m, m - 2)), prev)
             coeff = RationalFn(delta(m - 2), delta(m - 1))
             _JW_CACHE[m] = prev - hooked.scaled(coeff)
-        _save_jw_cache()
         return _JW_CACHE[n]
 
 
@@ -858,6 +767,32 @@ def plat_caps(r: int, n: int) -> TLMorphism:
     return TLMorphism(w, 0, {tuple(partner): ONE})
 
 
+def plat_program(columns: Sequence[TLMorphism], n: int,
+                 style: str = "ring") -> SliceProgram:
+    """Close 2n -> 2n columns into a network.
+
+    "ring" sets the columns side by side and closes them cyclically
+    with ``plat_cups`` and ``plat_caps``; column i is slice i + 1.
+    "trace" closes a single column around its side with 2n cups and
+    caps; the column is slice 2n.
+    """
+    prog = SliceProgram()
+    if style == "trace":
+        (column,) = columns
+        for i in range(2 * n):
+            prog.cup(i)
+        prog.morphism(column, 2 * n)
+        for i in range(2 * n - 1, -1, -1):
+            prog.cap(i)
+        return prog
+    r = len(columns)
+    prog.morphism(plat_cups(r, n), 0)
+    for i, m in enumerate(columns):
+        prog.morphism(m, 2 * n * i)
+    prog.morphism(plat_caps(r, n), 0)
+    return prog
+
+
 def drum(n: int, rungs: list[int]) -> SliceProgram:
     """Closed pretzel-shaped network: an n-colored cycle pair with rungs.
 
@@ -878,13 +813,7 @@ def drum(n: int, rungs: list[int]) -> SliceProgram:
         if not admissible(n, n, c):
             raise AdmissibilityError(f"(n, n, {c}) inadmissible for n={n}")
         ps.append(c // 2)
-    r = len(ps)
-    prog = SliceProgram()
-    prog.morphism(plat_cups(r, n), 0)
-    for i, p in enumerate(ps):
-        prog.morphism(channel_element(n, p), 2 * n * i)
-    prog.morphism(plat_caps(r, n), 0)
-    return prog
+    return plat_program([channel_element(n, p) for p in ps], n)
 
 
 _CABLED: dict[tuple[int, int], TLMorphism] = {}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -471,8 +470,7 @@ class TailReport:
         return "\n".join(lines)
 
 
-def _compute_members(jobs: Sequence[tuple], worker: Callable,
-                     threads: int | None) -> list:
+def _compute_members(jobs: Sequence[tuple], worker: Callable) -> list:
     def run(job):
         k = job[0]
         try:
@@ -484,9 +482,6 @@ def _compute_members(jobs: Sequence[tuple], worker: Callable,
                 f"family member at parameter {k} failed: {exc}", k
             ) from exc
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
     return [run(job) for job in jobs]
 
 
@@ -543,7 +538,7 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
 # --- rate checkers ------------------------------------------------------
 
 def _family_windows(spec: FamilySpec, rate_fn: Callable[[int], int],
-                    depth: int, threads: int | None):
+                    depth: int):
     """Reduced windows for every member, sized to the stepwise rate + depth."""
     params = list(spec.parameters())
     required = [max(0, rate_fn(k)) for k in params[:-1]]
@@ -555,11 +550,10 @@ def _family_windows(spec: FamilySpec, rate_fn: Callable[[int], int],
         return window_from_reduced(qp, count)
 
     jobs = list(zip(params, counts))
-    return params, required, tail_len, _compute_members(jobs, worker, threads)
+    return params, required, tail_len, _compute_members(jobs, worker)
 
 
-def family_tail(spec: FamilySpec, rate, *, depth: int = 2,
-                threads: int | None = None) -> TailReport:
+def family_tail(spec: FamilySpec, rate, *, depth: int = 2) -> TailReport:
     """Verify stepwise agreement of reduced windows and estimate the tail.
 
     The rate is evaluated at the earlier member of each step.  The tail
@@ -570,9 +564,7 @@ def family_tail(spec: FamilySpec, rate, *, depth: int = 2,
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rate_fn, rate_text = _coerce_rate(rate)
-    params, required, tail_len, windows = _family_windows(
-        spec, rate_fn, depth, threads
-    )
+    params, required, tail_len, windows = _family_windows(spec, rate_fn, depth)
     return _assemble_report(
         spec.describe(), rate_text, params, params[:-1], required, windows,
         tail_len,
@@ -585,45 +577,54 @@ def _varied_min(spec: FamilySpec, earlier: int, later: int) -> int | None:
     return min(sizes) if sizes else None
 
 
-def check_bracket_rate(spec: FamilySpec, *, rate=None, depth: int = 2,
-                       threads: int | None = None) -> TailReport:
-    """Stepwise bracket agreement in A-units for a twist family.
+def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
+                      cable: Callable[[int], int]) -> TailReport:
+    """Stepwise A-unit agreement of the members' cabled bracket windows.
 
-    The default claim is four times the smallest changed region size at the
-    later member of each step; a custom rate is evaluated at the later
-    member as well.
+    ``cable(k)`` is the cable color of member k.  A custom rate is
+    evaluated at the later member of each step; the default claim is
+    4n(m-1)+4, with n the later member's cable color and m the smallest
+    region size that changed over the step (4m at n = 1).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     params = list(spec.parameters())
-    if rate is None:
-        rate_fn, rate_text = None, "4*min(k_i)"
-    else:
-        rate_fn, rate_text = _coerce_rate(rate)
+    rate_fn, rate_text = (None, default_text) if rate is None else _coerce_rate(rate)
     required = []
     for earlier, later in zip(params, params[1:]):
         if rate_fn is not None:
             required.append(max(0, rate_fn(later)))
             continue
+        n = cable(later)
         m = _varied_min(spec, earlier, later)
-        required.append(4 * m if m is not None else 0)
+        required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
 
     def worker(k: int, count: int) -> CoeffList:
-        value = unreduced_colored_jones(spec.member(k), 1).value
+        value = unreduced_colored_jones(spec.member(k), cable(k)).value
         return window_from_bracket(value, count)
 
-    windows = _compute_members(list(zip(params, counts)), worker, threads)
+    windows = _compute_members(list(zip(params, counts)), worker)
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
         tail_len,
     )
 
 
+def check_bracket_rate(spec: FamilySpec, *, rate=None,
+                       depth: int = 2) -> TailReport:
+    """Stepwise bracket agreement in A-units for a twist family.
+
+    The default claim is four times the smallest changed region size at the
+    later member of each step; a custom rate is evaluated at the later
+    member as well.
+    """
+    return _step_rate_report(spec, rate, depth, "4*min(k_i)", lambda k: 1)
+
+
 def check_colored_rate(spec: FamilySpec, *, rate=None, units: str = "A",
-                       depth: int = 2,
-                       threads: int | None = None) -> TailReport:
+                       depth: int = 2) -> TailReport:
     """Stepwise colored agreement for a twist family at fixed or given rate.
 
     In A-units the members are raw cabled brackets and the default claim is
@@ -634,26 +635,11 @@ def check_colored_rate(spec: FamilySpec, *, rate=None, units: str = "A",
     if units == "q":
         if rate is None:
             raise ValueError("q-unit checks need an explicit rate")
-        return family_tail(spec, rate, depth=depth, threads=threads)
+        return family_tail(spec, rate, depth=depth)
     if units != "A":
         raise ValueError(f"unknown grading units {units!r}")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    params = list(spec.parameters())
-    custom = None if rate is None else _coerce_rate(rate)
-    rate_text = custom[1] if custom else "4*n*(min(k_i)-1)+4"
-    required = []
-    for earlier, later in zip(params, params[1:]):
-        if custom:
-            required.append(max(0, custom[0](later)))
-            continue
-        n = spec.member_color(later) - 1
-        m = _varied_min(spec, earlier, later)
-        required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
-    tail_len = required[-1] if required else 1
-    counts = _window_counts(required, tail_len, depth, len(params))
 
-    def worker(k: int, count: int) -> CoeffList:
+    def cable(k: int) -> int:
         n = spec.member_color(k) - 1
         if n < 1:
             raise MemberError(
@@ -661,20 +647,14 @@ def check_colored_rate(spec: FamilySpec, *, rate=None, units: str = "A",
                 f"at parameter {k}",
                 k,
             )
-        value = unreduced_colored_jones(spec.member(k), n).value
-        return window_from_bracket(value, count)
+        return n
 
-    windows = _compute_members(list(zip(params, counts)), worker, threads)
-    return _assemble_report(
-        spec.describe(), rate_text, params, params[1:], required, windows,
-        tail_len,
-    )
+    return _step_rate_report(spec, rate, depth, "4*n*(min(k_i)-1)+4", cable)
 
 
 def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
                           twist_shifts: Mapping[int, int] | None = None,
-                          diagonal: bool = False, depth: int = 2,
-                          threads: int | None = None) -> TailReport:
+                          diagonal: bool = False, depth: int = 2) -> TailReport:
     """Agreement of cabled bracket windows across consecutive colors.
 
     Plain mode compares the same diagram at colors n-1 and n to 4n A-terms.
@@ -725,7 +705,7 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
         return window_from_bracket(value, count)
 
     jobs = [(c, d, counts[i]) for i, (c, d) in enumerate(members)]
-    windows = _compute_members(jobs, worker, threads)
+    windows = _compute_members(jobs, worker)
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:
         body = ", ".join(f"{rid}: {shifts[rid]}" for rid in sorted(shifts))
@@ -737,8 +717,7 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
 
 
 def higher_order_windows(spec: FamilySpec, rate, *, orders: int = 1,
-                         depth: int = 2,
-                         threads: int | None = None) -> list[list[CoeffList]]:
+                         depth: int = 2) -> list[list[CoeffList]]:
     """Iterated tail subtraction; experimental, no verified claims.
 
     Level 0 holds each member's normalized window.  Each further level
@@ -750,7 +729,7 @@ def higher_order_windows(spec: FamilySpec, rate, *, orders: int = 1,
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     rate_fn, _ = _coerce_rate(rate)
-    _, _, _, windows = _family_windows(spec, rate_fn, depth, threads)
+    _, _, _, windows = _family_windows(spec, rate_fn, depth)
     levels = [[normalize(w) for w in windows]]
     while len(levels) <= orders:
         prev = levels[-1]

@@ -13,10 +13,7 @@ from skeinkit.algebra import LaurentPoly, RationalFn, delta, min_degree, theta, 
 from skeinkit.cli import main as cli_main
 from skeinkit.diagram import pretzel
 from skeinkit.invariants import reduced_jones
-from skeinkit.planar import set_cache_dir
 from skeinkit.stability import normalize, stable_prefix, window_from_reduced
-
-set_cache_dir("")
 
 # published coefficient tables; every shorter row is a prefix of the last one
 T1 = (1, -1, 3, -4, 6, -8, 10, -11, 13, -13, 14)

@@ -20,9 +20,6 @@ import skeinkit
 from skeinkit import cli
 from skeinkit.diagram import LinkDiagram, minus_graph, pretzel, reduced_minus_graph
 from skeinkit.invariants import bracket_state_sum
-from skeinkit.planar import set_cache_dir
-
-set_cache_dir("")
 
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
 
@@ -34,6 +31,14 @@ def runner():
 
 def run(runner, *args, env=None, **kwargs):
     return runner.invoke(cli.main, list(args), env=env, **kwargs)
+
+
+def module_env(**extra):
+    """The environment for ``python -m skeinkit`` run from this checkout."""
+    src = os.path.dirname(os.path.dirname(skeinkit.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+                **extra)
 
 
 # -- bracket -------------------------------------------------------------------
@@ -263,32 +268,6 @@ class TestTable:
         assert result.exit_code in (1, 2)
         assert "region" in result.output
 
-    def test_thread_count_does_not_change_output(self, runner):
-        args = [
-            "table",
-            "--pretzel-family", "k,k,2",
-            "--range", "1..4",
-            "--window", "k+1",
-            "--format", "csv",
-        ]
-        serial = run(runner, *args, "--threads", "1")
-        pooled = run(runner, *args, "--threads", "3")
-        via_env = run(runner, *args, env={"SKEIN_THREADS": "4"})
-        assert serial.exit_code == pooled.exit_code == via_env.exit_code == 0
-        assert serial.output == pooled.output == via_env.output
-
-    def test_bad_thread_env_is_a_usage_error(self, runner):
-        result = run(
-            runner,
-            "table",
-            "--pretzel-family", "k,k,2",
-            "--range", "1..2",
-            "--window", "2",
-            env={"SKEIN_THREADS": "lots"},
-        )
-        assert result.exit_code == 2
-        assert "SKEIN_THREADS" in result.output
-
 
 # -- tail ----------------------------------------------------------------------
 
@@ -476,7 +455,7 @@ class TestVerify:
         monkeypatch.setitem(
             cli._SUITES,
             "tl-identities",
-            lambda workers: [{"name": "broken", "passed": False, "detail": "boom"}],
+            lambda: [("broken", lambda: (False, "boom"))],
         )
         result = run(runner, "verify", "--suite", "tl-identities")
         assert result.exit_code == 1
@@ -492,10 +471,31 @@ class TestVerify:
         def bad():
             raise RuntimeError("exploded")
 
-        out = cli._run_checks([("bad", bad)])
-        assert out == [
-            {"name": "bad", "passed": False, "detail": "RuntimeError: exploded"}
-        ]
+        out = cli._run_check("bad", bad)
+        assert out.pop("elapsed_seconds") >= 0
+        assert out == {"name": "bad", "passed": False, "detail": "RuntimeError: exploded"}
+
+    def test_progress_streams_as_each_check_ends(self, runner, monkeypatch):
+        seen = []
+
+        def first():
+            return True, "one"
+
+        def second():
+            sys.stderr.flush()
+            seen.append(sys.stderr.buffer.getvalue().decode())
+            return True, "two"
+
+        monkeypatch.setitem(
+            cli._SUITES, "tl-identities", lambda: [("first", first), ("second", second)]
+        )
+        result = run(runner, "verify", "--suite", "tl-identities")
+        assert result.exit_code == 0
+        assert seen == ["ok   first: one\n"]
+        assert result.stderr == "ok   first: one\nok   second: two\n"
+        doc = json.loads(result.stdout)
+        assert [c["name"] for c in doc["checks"]] == ["first", "second"]
+        assert all(c["elapsed_seconds"] >= 0 for c in doc["checks"])
 
 
 # -- group options ---------------------------------------------------------------
@@ -507,32 +507,23 @@ class TestGroupOptions:
         assert result.exit_code == 0
         assert "skein" in result.output
 
-    def test_cache_dir_is_applied(self, runner, tmp_path):
-        try:
-            result = run(
-                runner,
-                "--cache-dir", str(tmp_path),
-                "bracket",
-                "--pretzel", "1,1,1",
-            )
-            assert result.exit_code == 0
-            import skeinkit.planar as planar
-
-            assert planar._cache_dir_override == str(tmp_path)
-        finally:
-            set_cache_dir("")
-
     @pytest.mark.parametrize("module", ["skeinkit", "skeinkit.cli"])
     def test_runs_as_a_module(self, module):
-        src = os.path.dirname(os.path.dirname(skeinkit.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         result = subprocess.run(
             [sys.executable, "-m", module, "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=module_env(), timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert "verify" in result.stdout
+
+    def test_writes_nothing_under_home(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "skeinkit", "verify", "--suite", "tl-identities"],
+            capture_output=True, text=True, env=module_env(HOME=str(tmp_path)),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_max_states_mapping(self):
         assert cli._max_crossings(1 << 20) == 20

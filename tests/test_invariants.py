@@ -273,7 +273,8 @@ class TestFusedChannels:
 
         for name in ("jones_wenzl", "compose", "closure", "channel_element"):
             monkeypatch.setattr(planar, name, refuse)
-            monkeypatch.setattr(invariants, name, refuse)
+            if hasattr(invariants, name):
+                monkeypatch.setattr(invariants, name, refuse)
         _channel_table.cache_clear()
         got = [colored_bracket_fused(d, n).value
                for d in (ring, trace) for n in (2, 3)]

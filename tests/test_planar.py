@@ -39,7 +39,6 @@ from skeinkit.planar import (
     jones_wenzl,
     plat_caps,
     plat_cups,
-    set_cache_dir,
     tensor,
     tet_program,
     theta_program,
@@ -50,13 +49,6 @@ from skeinkit.planar import (
 
 def rf(x):
     return x if isinstance(x, RationalFn) else RationalFn.from_poly(x)
-
-
-@pytest.fixture(autouse=True)
-def no_disk_cache():
-    set_cache_dir("")
-    yield
-    set_cache_dir("")
 
 
 # -- matchings and raw plumbing ---------------------------------------
@@ -542,39 +534,3 @@ class TestSlicePrograms:
             prog.cap(i)
         assert evaluate(prog).to_poly() == delta(3)
 
-
-# -- persistent projector cache -----------------------------------------
-
-
-class TestProjectorCache:
-    def test_round_trip(self, tmp_path):
-        import skeinkit.planar as planar
-
-        set_cache_dir(str(tmp_path))
-        want = jones_wenzl(4)
-        planar._save_jw_cache()
-        assert (tmp_path / "projectors.txt").exists()
-        saved = dict(planar._JW_CACHE)
-        planar._JW_CACHE.clear()
-        got = jones_wenzl(4)
-        assert got == want
-        planar._JW_CACHE.clear()
-        planar._JW_CACHE.update(saved)
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        import skeinkit.planar as planar
-
-        path = tmp_path / "projectors.txt"
-        path.write_text("not a cache file\nat all\n")
-        set_cache_dir(str(tmp_path))
-        planar._JW_CACHE.clear()
-        assert closure(jones_wenzl(3)).to_poly() == delta(3)
-
-    def test_wrong_version_header_ignored(self, tmp_path):
-        import skeinkit.planar as planar
-
-        path = tmp_path / "projectors.txt"
-        path.write_text("skeinkit-jw v0 loop=something-else\n")
-        set_cache_dir(str(tmp_path))
-        planar._JW_CACHE.clear()
-        assert closure(jones_wenzl(2)).to_poly() == delta(2)
