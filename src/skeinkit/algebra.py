@@ -3,11 +3,23 @@
 Everything downstream (tangle evaluation, bracket sums, stability
 windows) runs on the two types defined here:
 
-* ``LaurentPoly``: a Laurent polynomial in A with exact rational
-  coefficients, stored sparsely as {exponent: coefficient}.
-* ``RationalFn``: a quotient of two LaurentPolys.  Intermediate fusion
-  weights are honest rational functions; only final results are
-  polynomial again, and converting back asserts exact divisibility.
+* ``LaurentPoly``: a Laurent polynomial in A, stored sparsely as
+  {exponent: coefficient}.  Coefficients are Python ints throughout
+  the fused evaluator; a large all-int product is one big-int
+  multiplication by Kronecker substitution on the operands' exponent
+  lattice (``_kronecker_mul``), a small one a dict loop.
+  ``fractions.Fraction`` coefficients are exact too and always take the
+  dict loop.
+* ``RationalFn``: a quotient of two LaurentPolys, reduced by polynomial
+  gcd.  The Temperley-Lieb networks that check the closed forms use it;
+  only final results are polynomial again, and converting back asserts
+  exact divisibility.
+
+The closed forms (theta, tetrahedral coefficients, quantum factorials)
+are computed on their cyclotomic factors: [k]! is a monomial times
+prod_d Phi_d(A^4)^floor(k/d), so quotients of them are exponent
+vectors, and a sum of them needs only trial divisions by Phi_d(A^4),
+never a gcd.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -16,9 +28,6 @@ Conventions pinned here and relied on everywhere else:
 * q-Pochhammer in A^4:  qpoch4(n) = prod_{j=1}^{n} (1 - A^(4j))
 * the substitution A = q^(1/4) maps exponent lattices 4Z+r to Z
   (plus a residue prefactor), see ``substitute_quarter``.
-
-Coefficients are Python ints where possible and ``fractions.Fraction``
-otherwise, so all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -48,9 +57,69 @@ class AdmissibilityError(ValueError):
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _all_int(terms: Mapping[int, Coeff]) -> bool:
+    return all(type(c) is int for c in terms.values())
+
+
+def _kronecker_pays(m: int, n: int) -> bool:
+    """Whether an m-by-n-term integer product should use ``_kronecker_mul``.
+
+    The schoolbook loop does m*n coefficient steps; Kronecker packing
+    does a fixed amount of work per term of either operand, about six
+    schoolbook steps each (the measured crossover is in CHANGES.md).
+    """
+    return m * n >= 6 * (m + n)
+
+
+def _pack(terms: Mapping[int, int], lo: int, step: int, width: int) -> int:
+    # sum of c * 2^(8*width*i) for the term at exponent lo + step*i
+    count = (max(terms) - lo) // step + 1
+    zero = bytes(width)
+    pos, neg = [zero] * count, [zero] * count
+    for e, c in terms.items():
+        i = (e - lo) // step
+        if c > 0:
+            pos[i] = c.to_bytes(width, "little")
+        else:
+            neg[i] = (-c).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(pos), "little")
+            - int.from_bytes(b"".join(neg), "little"))
+
+
+def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of two integer term dicts by one big-int multiplication.
+
+    Both operands are read on their common exponent lattice
+    (min + step*Z) as digits of 8*width bits, wide enough for every
+    product coefficient and a sign, and multiplied as Python ints
+    (Kronecker substitution).  Adding half a digit to every digit of
+    the product makes each digit nonnegative, so the coefficients read
+    back without borrows.
+    """
+    lo_a, lo_b = min(a), min(b)
+    step = math.gcd(*(e - lo_a for e in a), *(e - lo_b for e in b)) or 1
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    width = bound.bit_length() // 8 + 1
+    count = (max(a) - lo_a + max(b) - lo_b) // step + 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = (_pack(a, lo_a, step, width) * _pack(b, lo_b, step, width)
+           + offset).to_bytes(width * count, "little")
+    lo = lo_a + lo_b
+    out: dict[int, int] = {}
+    for i in range(count):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            out[lo + i * step] = c
+    return out
 
 
 class LaurentPoly:
@@ -133,7 +202,10 @@ class LaurentPoly:
             else:
                 acc.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: _norm_coeff(c) for e, c in acc.items()}
+        if _all_int(acc):
+            out.terms = acc
+        else:
+            out.terms = {e: _norm_coeff(c) for e, c in acc.items()}
         return out
 
     __radd__ = __add__
@@ -164,6 +236,11 @@ class LaurentPoly:
             return LaurentPoly()
         if len(a) > len(b):
             a, b = b, a
+        out = LaurentPoly.__new__(LaurentPoly)
+        ints = _all_int(a) and _all_int(b)
+        if ints and _kronecker_pays(len(a), len(b)):
+            out.terms = _kronecker_mul(a, b)
+            return out
         acc: dict[int, Coeff] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -173,8 +250,7 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: _norm_coeff(c) for e, c in acc.items()}
+        out.terms = acc if ints else {e: _norm_coeff(c) for e, c in acc.items()}
         return out
 
     __rmul__ = __mul__
@@ -201,7 +277,10 @@ class LaurentPoly:
         if not c:
             return LaurentPoly()
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: _norm_coeff(v * c) for e, v in self.terms.items()}
+        if type(c) is int and _all_int(self.terms):
+            out.terms = {e: v * c for e, v in self.terms.items()}
+        else:
+            out.terms = {e: _norm_coeff(v * c) for e, v in self.terms.items()}
         return out
 
     def mirror(self) -> "LaurentPoly":
@@ -636,9 +715,8 @@ def substitute_quarter(f: LaurentPoly) -> QPoly:
     The support of a bracket-style polynomial sits in one residue class
     mod 4, so exponents become integers in q after pulling out
     q^(r/4).  If the support only fits one class mod 2, the result is
-    flagged ``half_step`` (lattice (1/2)Z, exponents stored doubled in
-    quarter units ... stored as integers over the half lattice).  Mixed
-    residues mod 2 raise ``GradingError``.
+    flagged ``half_step``: the lattice is (1/2)Z, and a stored exponent
+    h stands for q^(h/2).  Mixed residues mod 2 raise ``GradingError``.
     """
     if f.is_zero():
         return QPoly({}, 0, False)
@@ -746,10 +824,10 @@ def theta(a: int, b: int, c: int):
     Two trivalent vertices joined by three multi-strand edges.  With
     x = (a+b-c)/2, y = (a+c-b)/2, z = (b+c-a)/2 the closed form is
 
-        (-1)^(x+y+z) A^(-2(x+y+z))
-        * P(x) P(y) P(z) P(x+y+z+1) / ((1-A^4) P(x+y) P(y+z) P(x+z))
+        (-1)^(x+y+z) [x]! [y]! [z]! [x+y+z+1]! / ([x+y]! [y+z]! [x+z]!)
 
-    where P = qpoch4.  The quotient is an honest Laurent polynomial
+    in quantum factorials, computed on their cyclotomic factors (see
+    ``theta_factors``).  The quotient is an honest Laurent polynomial
     whenever some internal color is even (in particular for every
     (n,n,2p) triple with p in {0, n} and all bubble cases) and is
     returned as a LaurentPoly then; triples with all internal colors
@@ -757,21 +835,9 @@ def theta(a: int, b: int, c: int):
     come back as a reduced RationalFn.  Raises ``AdmissibilityError``
     for impossible triples.
     """
-    if not admissible(a, b, c):
-        raise AdmissibilityError(f"({a}, {b}, {c}) is not an admissible triple")
-    x = (a + b - c) // 2
-    y = (a + c - b) // 2
-    z = (b + c - a) // 2
-    s = x + y + z
-    sign = -1 if s % 2 else 1
-    num = qpoch4(x) * qpoch4(y) * qpoch4(z) * qpoch4(s + 1)
-    den = LaurentPoly({0: 1, 4: -1}) * qpoch4(x + y) * qpoch4(y + z) * qpoch4(x + z)
-    try:
-        out = exact_div(num, den)
-        return out.scaled(sign).shifted(-2 * s)
-    except ExactDivisionError:
-        val = RationalFn(num.scaled(sign).shifted(-2 * s), den).reduce()
-        return val
+    sign, shift, vec = theta_factors(a, b, c)
+    num, den = _expand(LaurentPoly.monomial(shift, sign), vec)
+    return num if den.is_one() else RationalFn(num, den)
 
 
 def fusion_coeff(n: int, i: int) -> LaurentPoly:
@@ -841,10 +907,106 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:
         * sum_{s = max h_i}^{min g_j} (-1)^s [s+1]!
               / (prod_i [s - h_i]! * prod_j [g_j - s]!)
 
-    in quantum factorials.  Invariant under the full symmetry group of
-    the tetrahedron acting on edge labels.  The value is returned as a
+    in quantum factorials, computed on their cyclotomic factors (see
+    ``tet_factors``).  Invariant under the full symmetry group of the
+    tetrahedron acting on edge labels.  The value is returned as a
     reduced RationalFn; inadmissible vertex triples raise
     ``AdmissibilityError``.
+    """
+    num, den = _expand(*cancel_factors(*tet_factors(a, b, e, c, d, f)))
+    return RationalFn.from_poly(num) if den.is_one() else RationalFn(num, den)
+
+
+# -- cyclotomic factorization of the closed forms ----------------------
+#
+# [k]! = A^(-k(k-1)) * prod_{d=2}^{k} Phi_d(A^4)^floor(k/d), with Phi_d
+# the d-th cyclotomic polynomial.  So theta, tet and their quotients are
+# a Laurent polynomial times prod_d Phi_d(A^4)^vec[d] for an exponent
+# vector vec over d >= 2: products add vectors, a common denominator is
+# their componentwise maximum, and reduction is trial division by the
+# Phi_d(A^4) with negative exponent.  Every Phi_d(x) is irreducible over
+# Q, and all the terms of a tet sum sit on one exponent class mod 4 (the
+# A-shift of consecutive terms differs by 4 * (3s + 1 - sum of edges)),
+# so no other common factor can remain.
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic4(d: int) -> LaurentPoly:
+    """Phi_d(A^4), the d-th cyclotomic polynomial in A^4.  Cached."""
+    if d < 1:
+        raise ValueError(f"cyclotomic4 needs d >= 1, got {d}")
+    f = LaurentPoly({0: -1, 4 * d: 1})
+    for e in range(1, d):
+        if d % e == 0:
+            f = exact_div(f, cyclotomic4(e))
+    return f
+
+
+def _factorials(up: Iterable[int], down: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """prod [k]! over ``up`` / prod [k]! over ``down`` as (A-shift, vec)."""
+    shift = 0
+    vec: dict[int, int] = {}
+    for ks, sgn in ((up, 1), (down, -1)):
+        for k in ks:
+            shift -= sgn * k * (k - 1)
+            for d in range(2, k + 1):
+                vec[d] = vec.get(d, 0) + sgn * (k // d)
+    return shift, vec
+
+
+def phi_power(vec: Mapping[int, int]) -> LaurentPoly:
+    """prod_d Phi_d(A^4)^vec[d] for a vector of nonnegative exponents."""
+    out = ONE
+    for d in sorted(vec):
+        if vec[d]:
+            out = out * cyclotomic4(d) ** vec[d]
+    return out
+
+
+def _expand(num: LaurentPoly, vec: Mapping[int, int]) -> tuple[LaurentPoly, LaurentPoly]:
+    """num * prod_d Phi_d(A^4)^vec[d] as a (numerator, denominator) pair."""
+    up = {d: e for d, e in vec.items() if e > 0}
+    down = {d: -e for d, e in vec.items() if e < 0}
+    return num * phi_power(up), phi_power(down)
+
+
+def cancel_factors(
+    num: LaurentPoly, vec: Mapping[int, int]
+) -> tuple[LaurentPoly, dict[int, int]]:
+    """Divide the denominator factors of num * prod Phi_d(A^4)^vec[d]
+    out of num, one exact trial division per factor and attempt."""
+    out = dict(vec)
+    for d, e in out.items():
+        while e < 0:
+            try:
+                num = exact_div(num, cyclotomic4(d))
+            except ExactDivisionError:
+                break
+            e += 1
+        out[d] = e
+    return num, out
+
+
+def theta_factors(a: int, b: int, c: int) -> tuple[int, int, dict[int, int]]:
+    """theta(a, b, c) as (sign, A-shift, vec): no polynomial part."""
+    if not admissible(a, b, c):
+        raise AdmissibilityError(f"({a}, {b}, {c}) is not an admissible triple")
+    x = (a + b - c) // 2
+    y = (a + c - b) // 2
+    z = (b + c - a) // 2
+    s = x + y + z
+    shift, vec = _factorials((x, y, z, s + 1), (x + y, y + z, x + z))
+    return -1 if s % 2 else 1, shift, vec
+
+
+def tet_factors(
+    a: int, b: int, e: int, c: int, d: int, f: int
+) -> tuple[LaurentPoly, dict[int, int]]:
+    """tet(a, b, e, c, d, f) as (num, vec), not yet reduced.
+
+    The sum over s is taken over the componentwise minimum of the
+    terms' vectors, so every term's part of ``num`` is a product of
+    factors that term has beyond that minimum.
     """
     tris = ((a, b, e), (b, c, f), (c, d, e), (a, d, f))
     for t in tris:
@@ -852,20 +1014,19 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:
             raise AdmissibilityError(f"vertex triple {t} is not admissible")
     halves = [sum(t) // 2 for t in tris]
     quads = ((a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2)
-    pre_num = ONE
-    for gj in quads:
-        for hi in halves:
-            pre_num = pre_num * quantum_fact(gj - hi)
-    pre_den = ONE
-    for edge in (a, b, c, d, e, f):
-        pre_den = pre_den * quantum_fact(edge)
-    total = RationalFn.from_poly(ZERO)
+    shift, vec = _factorials([g - h for g in quads for h in halves],
+                             (a, b, c, d, e, f))
+    terms = []
     for s in range(max(halves), min(quads) + 1):
-        den = ONE
-        for hi in halves:
-            den = den * quantum_fact(s - hi)
-        for gj in quads:
-            den = den * quantum_fact(gj - s)
-        term = RationalFn(quantum_fact(s + 1), den)
-        total = total + (-term if s % 2 else term)
-    return (RationalFn(pre_num, pre_den) * total).reduce()
+        t_shift, t_vec = _factorials((s + 1,), [s - h for h in halves]
+                                     + [g - s for g in quads])
+        terms.append((-1 if s % 2 else 1, t_shift, t_vec))
+    low = {k: min(t_vec.get(k, 0) for _, _, t_vec in terms)
+           for k in set().union(*(t_vec for _, _, t_vec in terms))}
+    total = ZERO
+    for sign, t_shift, t_vec in terms:
+        extra = {k: t_vec.get(k, 0) - m for k, m in low.items()}
+        total = total + phi_power(extra).shifted(t_shift).scaled(sign)
+    for k, m in low.items():
+        vec[k] = vec.get(k, 0) + m
+    return total.shifted(shift), vec

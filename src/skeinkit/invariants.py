@@ -31,14 +31,14 @@ from .algebra import (
     ExactDivisionError,
     LaurentPoly,
     QPoly,
-    RationalFn,
+    cancel_factors,
     delta,
     exact_div,
     fusion_coeff,
-    poly_gcd,
+    phi_power,
     substitute_quarter,
-    tet,
-    theta,
+    tet_factors,
+    theta_factors,
     twist_coeff,
 )
 from .diagram import (
@@ -270,14 +270,6 @@ def _twist_power(n: int, p: int, k: int) -> LaurentPoly:
     return LaurentPoly.monomial(e * k, sign**k)
 
 
-def _lcm(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    try:
-        exact_div(f, g)
-        return f
-    except ExactDivisionError:
-        return f * exact_div(g, poly_gcd(f, g))
-
-
 @functools.lru_cache(maxsize=None)
 def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], LaurentPoly]:
     """The color-n channel-mixing coefficients over one denominator.
@@ -286,25 +278,33 @@ def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], Laurent
     delta(2p) * tet(n, n, 2p, n, n, 2q) / (theta_p * theta_q), the
     weight of channel p in a column read over the exit channel q.  The
     tetrahedral coefficient is symmetric in p and q, so each unordered
-    pair costs one ``tet``.
+    pair costs one ``tet_factors``.  Every weight is a polynomial times
+    a product of cyclotomic factors Phi_d(A^4)^e; after cancelling, D
+    takes each factor to the largest power any weight divides by.
     """
-    thetas = [theta(n, n, 2 * p) for p in range(n + 1)]
-    mix: dict[tuple[int, int], RationalFn] = {}
+    thetas = [theta_factors(n, n, 2 * p) for p in range(n + 1)]
+    mix: dict[tuple[int, int], tuple[LaurentPoly, dict[int, int]]] = {}
     for q in range(n + 1):
         for p in range(q + 1):
-            t = tet(n, n, 2 * p, n, n, 2 * q) / (thetas[p] * thetas[q])
-            mix[p, q] = mix[q, p] = t.reduce()
-    den = ONE
-    for t in mix.values():
-        den = _lcm(den, t.den)
-    num = tuple(
-        tuple(
-            delta(2 * p) * mix[q, p].num * exact_div(den, mix[q, p].den)
-            for p in range(n + 1)
-        )
+            num, vec = tet_factors(n, n, 2 * p, n, n, 2 * q)
+            for sign, shift, t_vec in (thetas[p], thetas[q]):
+                num = num.shifted(-shift).scaled(sign)
+                for d, e in t_vec.items():
+                    vec[d] = vec.get(d, 0) - e
+            mix[p, q] = cancel_factors(num, vec)
+    den: dict[int, int] = {}
+    for _, vec in mix.values():
+        for d, e in vec.items():
+            den[d] = max(den.get(d, 0), -e)
+    over = {
+        pair: num * phi_power({d: vec.get(d, 0) + e for d, e in den.items()})
+        for pair, (num, vec) in mix.items()
+    }
+    table = tuple(
+        tuple(delta(2 * p) * over[min(p, q), max(p, q)] for p in range(n + 1))
         for q in range(n + 1)
     )
-    return num, den
+    return table, phi_power(den)
 
 
 def colored_bracket_fused(

@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: Laurent polynomials, rational functions,
 closed-form network values, windows, and the q-substitution."""
 
+import itertools
 import sys
 import threading
 from fractions import Fraction
@@ -18,19 +19,26 @@ from skeinkit.algebra import (
     QPoly,
     RationalFn,
     ZeroPolynomialError,
+    _kronecker_pays,
+    admissible,
+    cancel_factors,
     coeff_window,
+    cyclotomic4,
     delta,
     exact_div,
     fusion_coeff,
     min_degree,
     mirror,
+    phi_power,
     poly_gcd,
     qpoch4,
     quantum_fact,
     quantum_int,
     substitute_quarter,
     tet,
+    tet_factors,
     theta,
+    theta_factors,
     twist_coeff,
 )
 
@@ -350,3 +358,219 @@ class TestSubstituteQuarter:
         q = QPoly({-2: 1, 0: -3, 1: 2})
         assert q.coeffs_from_bottom(4) == [1, 0, -3, 2]
         assert coeff_window(q, 4, step=1) == [1, 0, -3, 2]
+
+
+# -- differential tests against sympy ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, f):
+    """f as (shift, Poly) with f = A^shift * Poly and Poly(0) != 0."""
+    x = sp.Symbol("A")
+    if f.is_zero():
+        return 0, sp.Poly(0, x, domain="QQ")
+    m = f.min_degree()
+    terms = {(e - m,): sp.Rational(c.numerator, c.denominator)
+             for e, c in f.terms.items()}
+    return m, sp.Poly.from_dict(terms, x, domain="QQ")
+
+
+def from_sympy(shift, poly):
+    terms = {}
+    for (e,), c in poly.terms():
+        c = Fraction(int(c.p), int(c.q))
+        terms[e + shift] = c.numerator if c.denominator == 1 else c
+    return LaurentPoly(terms)
+
+
+def lattice_polys(coeffs, min_terms, max_terms, steps=(2, 4)):
+    """Polynomials on one lattice base + step*Z, dense between the ends."""
+    return st.builds(
+        lambda base, step, cs: LaurentPoly(
+            {base + step * i: c for i, c in enumerate(cs)}),
+        st.integers(-40, 40),
+        st.sampled_from(steps),
+        st.lists(coeffs, min_size=min_terms, max_size=max_terms),
+    )
+
+
+small_ints = st.integers(-9, 9)
+huge_ints = st.integers(-(2**210), 2**210)
+fractions = st.fractions(max_denominator=12).filter(lambda c: abs(c) < 50)
+
+
+class TestAgainstSympy:
+    # small operands take the dict loop, large all-int ones Kronecker
+    @pytest.mark.parametrize("sizes,kronecker", [((1, 6), False), ((12, 40), True)])
+    @pytest.mark.parametrize("coeffs", [small_ints, huge_ints], ids=["small", "huge"])
+    def test_multiply(self, sp, sizes, kronecker, coeffs):
+        coeffs = coeffs.filter(bool)  # keeps the term counts as drawn
+
+        @given(lattice_polys(coeffs, *sizes), lattice_polys(coeffs, *sizes))
+        @settings(max_examples=40, deadline=None)
+        def check(f, g):
+            assert _kronecker_pays(len(f.terms), len(g.terms)) == kronecker
+            (sf, pf), (sg, pg) = to_sympy(sp, f), to_sympy(sp, g)
+            assert (f * g).terms == from_sympy(sf + sg, pf * pg).terms
+
+        check()
+
+    @given(lattice_polys(st.one_of(small_ints, fractions), 0, 16, (1, 2, 4)),
+           lattice_polys(st.one_of(small_ints, fractions), 0, 16, (1, 2, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_multiply_fractions_and_mixed_lattices(self, sp, f, g):
+        (sf, pf), (sg, pg) = to_sympy(sp, f), to_sympy(sp, g)
+        prod = f * g
+        assert prod.terms == from_sympy(sf + sg, pf * pg).terms
+        assert all(type(c) is int or c.denominator != 1 for c in prod.terms.values())
+
+    @given(lattice_polys(small_ints, 0, 12), lattice_polys(small_ints, 1, 12),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_div(self, sp, f, g, multiple):
+        if g.is_zero():
+            return
+        if multiple:
+            f = f * g
+        (sf, pf), (sg, pg) = to_sympy(sp, f), to_sympy(sp, g)
+        q, r = sp.div(pf, pg)
+        if r.is_zero:
+            assert exact_div(f, g) == from_sympy(sf - sg, q)
+        else:
+            assert not multiple
+            with pytest.raises(ExactDivisionError):
+                exact_div(f, g)
+
+    @given(lattice_polys(small_ints, 1, 8), lattice_polys(small_ints, 1, 8),
+           lattice_polys(small_ints, 1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_up_to_a_unit(self, sp, f, g, h):
+        if f.is_zero() or g.is_zero() or h.is_zero():
+            return
+        f, g = f * h, g * h
+        (_, pf), (_, pg) = to_sympy(sp, f), to_sympy(sp, g)
+        _, ours = to_sympy(sp, poly_gcd(f, g))
+        assert ours.monic() == sp.gcd(pf, pg).monic()
+
+    @given(lattice_polys(small_ints, 1, 6), lattice_polys(small_ints, 1, 6),
+           lattice_polys(small_ints, 1, 6), lattice_polys(small_ints, 1, 6),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_equality(self, sp, f, g, h, u, related):
+        if g.is_zero() or h.is_zero() or u.is_zero():
+            return
+        r1 = RationalFn(f, g)
+        r2 = RationalFn(f * h, g * h) if related else RationalFn(h, u)
+        A = sp.Symbol("A")
+
+        def expr(p):
+            shift, poly = to_sympy(sp, p)
+            return A**shift * poly.as_expr()
+
+        diff = sp.cancel(expr(r1.num) / expr(r1.den) - expr(r2.num) / expr(r2.den))
+        assert (r1 == r2) == (diff == 0)
+        if related:
+            assert r1 == r2
+
+
+# -- the cyclotomic factorization of the closed forms -------------------------
+
+
+def ref_theta(a, b, c):
+    # the qpoch4 / RationalFn closed form the factored theta replaced
+    x, y, z = (a + b - c) // 2, (a + c - b) // 2, (b + c - a) // 2
+    s = x + y + z
+    sign = -1 if s % 2 else 1
+    num = qpoch4(x) * qpoch4(y) * qpoch4(z) * qpoch4(s + 1)
+    den = LaurentPoly({0: 1, 4: -1}) * qpoch4(x + y) * qpoch4(y + z) * qpoch4(x + z)
+    try:
+        return exact_div(num, den).scaled(sign).shifted(-2 * s)
+    except ExactDivisionError:
+        return RationalFn(num.scaled(sign).shifted(-2 * s), den).reduce()
+
+
+def ref_tet(a, b, e, c, d, f):
+    # the quantum-factorial RationalFn sum the factored tet replaced
+    tris = ((a, b, e), (b, c, f), (c, d, e), (a, d, f))
+    halves = [sum(t) // 2 for t in tris]
+    quads = ((a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2)
+    pre_num = LaurentPoly.one()
+    for gj in quads:
+        for hi in halves:
+            pre_num = pre_num * quantum_fact(gj - hi)
+    pre_den = LaurentPoly.one()
+    for edge in (a, b, c, d, e, f):
+        pre_den = pre_den * quantum_fact(edge)
+    total = RationalFn.from_poly(LaurentPoly.zero())
+    for s in range(max(halves), min(quads) + 1):
+        den = LaurentPoly.one()
+        for hi in halves:
+            den = den * quantum_fact(s - hi)
+        for gj in quads:
+            den = den * quantum_fact(gj - s)
+        term = RationalFn(quantum_fact(s + 1), den)
+        total = total + (-term if s % 2 else term)
+    return (RationalFn(pre_num, pre_den) * total).reduce()
+
+
+def same_form(got, want):
+    # equal and in the same reduced, normalized representation
+    if isinstance(want, LaurentPoly):
+        return isinstance(got, LaurentPoly) and got.terms == want.terms
+    return (isinstance(got, RationalFn) and got.num.terms == want.num.terms
+            and got.den.terms == want.den.terms)
+
+
+class TestFactoredClosedForms:
+    def test_cyclotomic_factors_of_a4_power(self):
+        for k in range(1, 25):
+            prod = LaurentPoly.one()
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    prod = prod * cyclotomic4(d)
+            assert prod == LaurentPoly({4 * k: 1, 0: -1}), k
+
+    def test_quantum_factorial_factors(self):
+        for k in range(12):
+            want = phi_power({d: k // d for d in range(2, k + 1)})
+            assert quantum_fact(k) == want.shifted(-k * (k - 1)), k
+
+    def test_theta_matches_qpoch_form(self):
+        triples = [t for t in itertools.product(range(7), repeat=3)
+                   if admissible(*t)]
+        assert len(triples) == 106
+        for t in triples:
+            assert same_form(theta(*t), ref_theta(*t)), t
+
+    def test_tet_matches_rational_sum(self):
+        count = 0
+        for a, b, e, c, d, f in itertools.product(range(6), repeat=6):
+            tris = ((a, b, e), (b, c, f), (c, d, e), (a, d, f))
+            if all(admissible(*t) for t in tris):
+                count += 1
+                got, want = tet(a, b, e, c, d, f), ref_tet(a, b, e, c, d, f)
+                assert same_form(got, want), (a, b, e, c, d, f)
+        assert count == 1479
+
+    def test_theta_factors_carry_sign_and_shift(self):
+        # theta(2,2,2) = -[3][4]/[2]^2 = -A^-6 Phi_3 Phi_4 / Phi_2 in A^4
+        sign, shift, vec = theta_factors(2, 2, 2)
+        assert (sign, shift) == (-1, -6)
+        assert {d: e for d, e in vec.items() if e} == {2: -1, 3: 1, 4: 1}
+
+    def test_cancel_divides_only_what_divides(self):
+        num = cyclotomic4(3) * cyclotomic4(3) * cyclotomic4(5)
+        out, vec = cancel_factors(num, {3: -3, 5: -1, 7: 2})
+        assert out == LaurentPoly.one() and vec == {3: -1, 5: 0, 7: 2}
+        out, vec = cancel_factors(cyclotomic4(2), {3: -1})
+        assert out == cyclotomic4(2) and vec == {3: -1}
+
+    def test_tet_factors_are_the_unreduced_tet(self):
+        num, vec = tet_factors(4, 4, 2, 4, 4, 6)
+        up = {d: e for d, e in vec.items() if e > 0}
+        down = {d: -e for d, e in vec.items() if e < 0}
+        assert RationalFn(num * phi_power(up), phi_power(down)) == tet(4, 4, 2, 4, 4, 6)

@@ -25,7 +25,7 @@ from skeinkit.algebra import (
     fusion_coeff,
     min_degree,
     substitute_quarter,
-    tet,
+    tet_factors,
     theta,
     twist_coeff,
 )
@@ -36,7 +36,7 @@ from skeinkit.diagram import (
     parse_pd,
     pretzel,
 )
-from skeinkit import invariants, planar
+from skeinkit import algebra, invariants, planar
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
@@ -285,13 +285,29 @@ class TestFusedChannels:
 
         def counted(*args):
             calls.append(args)
-            return tet(*args)
+            return tet_factors(*args)
 
-        monkeypatch.setattr(invariants, "tet", counted)
+        monkeypatch.setattr(invariants, "tet_factors", counted)
         _channel_table.cache_clear()
         for k in (1, 2, 3):
             colored_bracket_fused(pretzel([2, 1, k]), 3)
         assert len(calls) == 10  # unordered pairs of the channels 0..3
+
+    def test_needs_no_gcd_or_reduction(self, monkeypatch):
+        diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), parse_pd(HOPF_TRACE))
+        want = [colored_bracket_fused(d, n).value
+                for d in diagrams for n in range(2, 6)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fused evaluator reduced by a gcd")
+
+        monkeypatch.setattr(algebra, "poly_gcd", refuse)
+        monkeypatch.setattr(planar, "poly_gcd", refuse)
+        monkeypatch.setattr(RationalFn, "reduce", refuse)
+        _channel_table.cache_clear()
+        got = [colored_bracket_fused(d, n).value
+               for d in diagrams for n in range(2, 6)]
+        assert got == want
 
     def test_fusion_budget(self):
         with pytest.raises(BudgetError, match="fusion"):
@@ -317,6 +333,29 @@ class TestFusedChannels:
                 assert _twist_power(n, p, 0) == ONE
                 assert _twist_power(n, p, 1) == mu
                 assert _twist_power(n, p, 4) == mu * mu * mu * mu
+
+
+class TestHighColorOracle:
+    """Closed forms of colored unknots and the Hopf link, up to color 8.
+
+    These check the fused ring path (the memoized channel table) at
+    colors where no network oracle is affordable.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hopf_link_is_a_quantum_integer(self, n):
+        # [(n+1)^2] = (A^(2(n+1)^2) - A^(-2(n+1)^2)) / (A^2 - A^(-2))
+        m = (n + 1) ** 2
+        want = exact_div(LaurentPoly({2 * m: 1, -2 * m: -1}),
+                         LaurentPoly({2: 1, -2: -1}))
+        assert colored_bracket_fused(pretzel([1, 1]), n).value == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kinked_unknot_is_a_framed_loop(self, n, k):
+        # each kink multiplies the loop value by (-1)^n A^(n(n+2))
+        want = LaurentPoly.monomial(k * n * (n + 2), (-1) ** (n * k)) * delta(n)
+        assert colored_bracket_fused(pretzel([k]), n).value == want
 
 
 class TestRouting:
