@@ -3,20 +3,20 @@
 Everything downstream (tangle evaluation, bracket sums, stability
 windows) runs on the two types defined here:
 
-* ``LaurentPoly``: a Laurent polynomial in A, stored sparsely as
-  {exponent: coefficient}.  Coefficients are Python ints throughout
-  the fused evaluator; a large all-int product is one big-int
-  multiplication by Kronecker substitution on the operands' exponent
-  lattice (``_kronecker_mul``), a small one a dict loop.
-  ``fractions.Fraction`` coefficients are exact too and always take the
-  dict loop.
-* ``RationalFn``: a quotient of two LaurentPolys, reduced by polynomial
-  gcd.  The Temperley-Lieb networks that check the closed forms use it;
-  only final results are polynomial again, and converting back asserts
-  exact divisibility.
+* ``LaurentPoly``: a Laurent polynomial in A with integer
+  coefficients, stored sparsely as {exponent: coefficient}.  A large
+  product is one big-int multiplication by Kronecker substitution on
+  the operands' exponent lattice (``_kronecker_mul``), a small one a
+  dict loop.  Every value the calculators need lies in Z[A, A^(-1)],
+  and a coefficient that is not an int is refused.
+* ``RationalFn``: a LaurentPoly over a denominator kept as the exponent
+  vector of a product of cyclotomic polynomials Phi_d(A^4), always in
+  lowest terms.  The Temperley-Lieb networks that check the closed
+  forms use it; only final results are polynomial again, and
+  converting back asserts exact divisibility.
 
 The closed forms (theta, tetrahedral coefficients, quantum factorials)
-are computed on their cyclotomic factors: [k]! is a monomial times
+are computed on the same cyclotomic factors: [k]! is a monomial times
 prod_d Phi_d(A^4)^floor(k/d), so quotients of them are exponent
 vectors, and a sum of them needs only trial divisions by Phi_d(A^4),
 never a gcd.
@@ -34,10 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Coeff = Union[int, Fraction]
+import operator
+from typing import Iterable, Mapping
 
 
 class ZeroPolynomialError(ArithmeticError):
@@ -56,16 +54,8 @@ class AdmissibilityError(ValueError):
     """Raised for a color triple that bounds no trivalent vertex."""
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _all_int(terms: Mapping[int, Coeff]) -> bool:
-    return all(type(c) is int for c in terms.values())
+class CyclotomicError(ValueError):
+    """Raised for a denominator that is not +-A^s times a product of Phi_d(A^4)."""
 
 
 def _kronecker_pays(m: int, n: int) -> bool:
@@ -123,21 +113,21 @@ def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in A over the rationals.
+    """Sparse Laurent polynomial in A over the integers.
 
     Terms are held in ``self.terms``, a dict mapping integer exponent
-    to a nonzero int or Fraction.  The zero polynomial has no terms.
-    Instances are immutable by convention; all operators return new
-    objects.
+    to a nonzero int; any other coefficient type raises ``TypeError``.
+    The zero polynomial has no terms.  Instances are immutable by
+    convention; all operators return new objects.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        clean: dict[int, Coeff] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                c = _norm_coeff(c)
+                c = operator.index(c)
                 if c:
                     clean[int(e)] = c
         self.terms = clean
@@ -153,15 +143,8 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Coeff = 1) -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, Coeff]]) -> "LaurentPoly":
-        acc: dict[int, Coeff] = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, 0) + c
-        return cls(acc)
 
     # -- basic queries -----------------------------------------------
 
@@ -181,7 +164,7 @@ class LaurentPoly:
             raise ZeroPolynomialError("zero polynomial has no maximum degree")
         return max(self.terms)
 
-    def coeff(self, exp: int) -> Coeff:
+    def coeff(self, exp: int) -> int:
         return self.terms.get(exp, 0)
 
     def support_residues(self) -> set[int]:
@@ -202,10 +185,7 @@ class LaurentPoly:
             else:
                 acc.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
-        if _all_int(acc):
-            out.terms = acc
-        else:
-            out.terms = {e: _norm_coeff(c) for e, c in acc.items()}
+        out.terms = acc
         return out
 
     __radd__ = __add__
@@ -237,11 +217,10 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         out = LaurentPoly.__new__(LaurentPoly)
-        ints = _all_int(a) and _all_int(b)
-        if ints and _kronecker_pays(len(a), len(b)):
+        if _kronecker_pays(len(a), len(b)):
             out.terms = _kronecker_mul(a, b)
             return out
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
@@ -250,7 +229,7 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-        out.terms = acc if ints else {e: _norm_coeff(c) for e, c in acc.items()}
+        out.terms = acc
         return out
 
     __rmul__ = __mul__
@@ -273,14 +252,10 @@ class LaurentPoly:
         out.terms = {e + k: c for e, c in self.terms.items()}
         return out
 
-    def scaled(self, c: Coeff) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly()
+    def scaled(self, c: int) -> "LaurentPoly":
+        c = operator.index(c)
         out = LaurentPoly.__new__(LaurentPoly)
-        if type(c) is int and _all_int(self.terms):
-            out.terms = {e: v * c for e, v in self.terms.items()}
-        else:
-            out.terms = {e: _norm_coeff(v * c) for e, v in self.terms.items()}
+        out.terms = {e: v * c for e, v in self.terms.items()} if c else {}
         return out
 
     def mirror(self) -> "LaurentPoly":
@@ -329,7 +304,7 @@ class LaurentPoly:
 def _as_poly(x) -> "LaurentPoly":
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly({0: x}) if x else LaurentPoly()
     return NotImplemented
 
@@ -342,16 +317,17 @@ ZERO = LaurentPoly.zero()
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient f / g of Laurent polynomials.
+def try_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
+    """The quotient f / g in Z[A, A^(-1)], or None if g does not divide f.
 
     Division proceeds from the lowest exponent upward, subtracting
     each quotient term's multiple of g from one working remainder in
-    place.  Raises ``ExactDivisionError`` if g is zero or the
-    remainder is nonzero.
+    place; it stops at the first quotient coefficient that is not an
+    integer or lies beyond the degree the quotient can have.  A zero
+    g raises ``ExactDivisionError``.
     """
     if not isinstance(f, LaurentPoly) or not isinstance(g, LaurentPoly):
-        raise TypeError("exact_div expects two LaurentPoly arguments")
+        raise TypeError("exact division expects two LaurentPoly arguments")
     if g.is_zero():
         raise ExactDivisionError("division by the zero polynomial")
     if f.is_zero():
@@ -364,20 +340,22 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     # every exponent the remainder can reach lies on f_min + step * Z
     step = math.gcd(*(e - f_min for e in f.terms), *(off for off, _ in g_rest))
     rem = dict(f.terms)
-    quo: dict[int, Coeff] = {}
+    quo: dict[int, int] = {}
     for e in range(f_min, f_max + 1, step or 1):
         c = rem.pop(e, 0)
         if not c:
             continue
         t = e - g_min
         if t > max_t:
-            raise ExactDivisionError(f"{f} is not divisible by {g}")
+            return None
         if g_lead == 1:
             q = c
         elif g_lead == -1:
             q = -c
         else:
-            q = _norm_coeff(Fraction(c) / Fraction(g_lead))
+            q, r = divmod(c, g_lead)
+            if r:
+                return None
         quo[t] = q
         for off, gc in g_rest:
             k = e + off
@@ -386,121 +364,169 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return LaurentPoly(quo)
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = quo
+    return out
 
 
-def _poly_content_free(f: LaurentPoly) -> LaurentPoly:
-    """Shift so the minimum degree is 0 and the trailing coeff is 1."""
+def _shape(f: LaurentPoly) -> str:
     if f.is_zero():
-        return f
-    m = f.min_degree()
-    lead = f.terms[m]
-    return f.shifted(-m).scaled(Fraction(1, 1) / Fraction(lead))
+        return "0"
+    return (f"a polynomial of degrees {f.min_degree()}..{f.max_degree()} "
+            f"with {len(f.terms)} terms")
 
 
-def _int_primitive(f: LaurentPoly) -> LaurentPoly:
-    """Shift to min degree 0, clear denominators, strip integer content."""
-    if f.is_zero():
-        return f
-    f = f.shifted(-f.min_degree())
-    lcm = 1
-    for c in f.terms.values():
-        if isinstance(c, Fraction):
-            d = c.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-    if lcm != 1:
-        f = f.scaled(lcm)
-    content = 0
-    for c in f.terms.values():
-        content = math.gcd(content, int(c))
-    if f.terms[0] < 0:
-        content = -content
-    if content not in (0, 1):
-        f = f.scaled(Fraction(1, content))
-    return f
+def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Exact quotient f / g of Laurent polynomials over the integers.
 
-
-def _pseudo_mod(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    # integer pseudo-remainder of f by g, dividing from the top down
-    g_max = g.max_degree()
-    g_lead = g.terms[g_max]
-    rem = f
-    while rem.terms and rem.max_degree() >= g_max:
-        t = rem.max_degree() - g_max
-        c = rem.terms[rem.max_degree()]
-        rem = rem.scaled(g_lead) - g.shifted(t).scaled(c)
-    return rem
-
-
-def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Gcd of two Laurent polynomials, trailing coefficient 1.
-
-    Primitive pseudo-remainder sequence over the integers; the unit
-    ambiguity (monomial times rational) is fixed by shifting the
-    minimum degree to 0 and normalizing the trailing coefficient.
+    ``try_div`` plus a raise: ``ExactDivisionError`` if g is zero or
+    does not divide f in Z[A, A^(-1)].  The message names the degrees
+    and term counts of both operands, not their coefficients.
     """
-    a, b = _int_primitive(f), _int_primitive(g)
-    while not b.is_zero():
-        a, b = b, _int_primitive(_pseudo_mod(a, b))
-    if a.is_zero():
-        return ONE
-    lead = a.terms[0]
-    return a if lead == 1 else a.scaled(Fraction(1, lead))
+    q = try_div(f, g)
+    if q is None:
+        raise ExactDivisionError(f"{_shape(f)} is not divisible by {_shape(g)}")
+    return q
+
+
+def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, dict[int, int]] | None:
+    """f as (sign, shift, vec), f = sign * A^shift * prod_d Phi_d(A^4)^vec[d],
+    or None if f is no such product.
+
+    In x = A^4, f / (sign A^shift) = prod_n (1 - x^n)^b[n] as a power
+    series, read off one n at a time; 1 - x^n = -prod_{d | n} Phi_d(x)
+    turns the b[n] into vec.  Series to x^(size-1) find every Phi_d
+    with d < size, and a product of degree deg f < size equal to f up
+    to x^(size-1) is f.  size doubles up to 2 deg^2 + 2, past every d
+    with phi(d) <= deg; every |b[n]| of a true product is at most deg.
+    """
+    low, high = f.min_degree(), f.max_degree()
+    c0 = f.terms[low]
+    if abs(c0) != 1 or abs(f.terms[high]) != 1 or any((e - low) % 4 for e in f.terms):
+        return None
+    deg = (high - low) // 4
+    size = deg + 2
+    while True:
+        a = [0] * size
+        for e, c in f.terms.items():
+            a[(e - low) // 4] = c * c0
+        vec: dict[int, int] = {}
+        for n in range(1, size):
+            b = -a[n]
+            if abs(b) > deg:
+                return None
+            for _ in range(b):  # divide by 1 - x^n
+                for i in range(n, size):
+                    a[i] += a[i - n]
+            for _ in range(-b):  # multiply by 1 - x^n
+                for i in range(size - 1, n - 1, -1):
+                    a[i] -= a[i - n]
+            if b:
+                for d in range(1, n + 1):
+                    if n % d == 0:
+                        vec[d] = vec.get(d, 0) + b
+        vec = {d: e for d, e in vec.items() if e}
+        if all(e > 0 for e in vec.values()) and deg == sum(
+                e * (cyclotomic4(d).max_degree() // 4) for d, e in vec.items()):
+            sign = -c0 if vec.get(1, 0) % 2 else c0
+            return sign, low, vec
+        if size > 2 * deg * deg + 1:
+            return None
+        size *= 2
+
+
+def vec_sum(u: Mapping[int, int], v: Mapping[int, int]) -> dict[int, int]:
+    """Componentwise sum: the exponent vector of a product."""
+    out = dict(u)
+    for d, e in v.items():
+        out[d] = out.get(d, 0) + e
+    return out
+
+
+def common_den(
+    u: Mapping[int, int], v: Mapping[int, int]
+) -> tuple[dict[int, int], LaurentPoly, LaurentPoly]:
+    """The least common multiple of two denominators, as the componentwise
+    maximum of their vectors, with the factors that lift each to it."""
+    den = {d: max(u.get(d, 0), v.get(d, 0)) for d in u.keys() | v.keys()}
+    return (den, phi_power({d: e - u.get(d, 0) for d, e in den.items()}),
+            phi_power({d: e - v.get(d, 0) for d, e in den.items()}))
 
 
 class RationalFn:
-    """Quotient of Laurent polynomials, normalized lazily.
+    """A quotient num / prod_d Phi_d(A^4)^den_vec[d] in lowest terms.
 
-    On construction only the cheap normalization runs: the monomial
-    content is cancelled (both parts are shifted so their minimum
-    degree sits at 0, jointly) and the denominator is rescaled to have
-    trailing coefficient 1.  A full gcd reduction happens on demand in
-    ``reduce`` and automatically when denominators grow past a small
-    span threshold.  Equality is decided by cross multiplication, so
-    unreduced representatives still compare correctly.
+    ``num`` is a LaurentPoly over the integers, which carries the sign
+    and the A-shift of the denominator; ``den_vec`` maps each d to a
+    positive exponent.  Every value is kept reduced: no Phi_d(A^4) of
+    the denominator divides the numerator, which ``reduce`` ensures by
+    trial division.  The Phi_d(A^4) are pairwise coprime, so this form
+    is unique: equality compares parts, and a value that is a
+    polynomial hashes as that LaurentPoly.  A denominator given as a
+    LaurentPoly must be +-A^s times a product of Phi_d(A^4);
+    ``CyclotomicError`` is raised otherwise.
     """
 
-    __slots__ = ("num", "den")
-    _REDUCE_SPAN = 48
+    __slots__ = ("num", "den_vec")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
         den = ONE if den is None else _as_poly(den)
         if num is NotImplemented or den is NotImplemented:
-            raise TypeError("RationalFn parts must be LaurentPoly or scalar")
+            raise TypeError("RationalFn parts must be LaurentPoly or int")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        shift = min(num.min_degree(), den.min_degree())
-        if shift:
-            num, den = num.shifted(-shift), den.shifted(-shift)
-        lead = den.terms[den.min_degree()]
-        if lead != 1:
-            inv = Fraction(1, 1) / Fraction(lead)
-            num, den = num.scaled(inv), den.scaled(inv)
-        self.num, self.den = num, den
+        r = RationalFn._over(num, {}, den)
+        self.num, self.den_vec = r.num, r.den_vec
+
+    @classmethod
+    def _raw(cls, num: LaurentPoly, den_vec: dict[int, int]) -> "RationalFn":
+        out = cls.__new__(cls)
+        out.num, out.den_vec = num, den_vec
+        return out
+
+    @classmethod
+    def _over(cls, num: LaurentPoly, den_vec: Mapping[int, int],
+              den: LaurentPoly) -> "RationalFn":
+        # num / (prod Phi_d(A^4)^den_vec[d] * den), reduced
+        factors = _cyclotomic_factors(den)
+        if factors is None:
+            raise CyclotomicError(
+                f"denominator {_shape(den)} is not +-A^s times a product of "
+                f"cyclotomic polynomials Phi_d(A^4)")
+        sign, shift, vec = factors
+        return cls._raw(num.shifted(-shift).scaled(sign),
+                        vec_sum(den_vec, vec)).reduce()
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RationalFn":
-        out = cls.__new__(cls)
-        out.num, out.den = p, ONE
-        return out
+        return cls._raw(p, {})
+
+    @classmethod
+    def from_factors(cls, num: LaurentPoly, vec: Mapping[int, int]) -> "RationalFn":
+        """num * prod_d Phi_d(A^4)^vec[d], exponents of either sign."""
+        r = cls._raw(num, {d: -e for d, e in vec.items() if e < 0}).reduce()
+        r.num = r.num * phi_power({d: e for d, e in vec.items() if e > 0})
+        return r
 
     # -- queries ------------------------------------------------------
+
+    @property
+    def den(self) -> LaurentPoly:
+        """The denominator prod_d Phi_d(A^4)^den_vec[d], expanded."""
+        return phi_power(self.den_vec)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.is_one()
+        return not self.den_vec
 
     def min_degree(self) -> int:
         """Order of vanishing at A = 0 (negative for poles)."""
         if self.num.is_zero():
             raise ZeroPolynomialError("zero rational function has no degree")
-        return self.num.min_degree() - self.den.min_degree()
+        return self.num.min_degree()  # the denominator's lowest term is A^0
 
     def to_poly(self) -> LaurentPoly:
         """Exact conversion back to a polynomial.
@@ -508,22 +534,20 @@ class RationalFn:
         Raises ``ExactDivisionError`` if the function is not actually
         polynomial, which downstream code treats as a convention bug.
         """
-        if self.den.is_one():
-            return self.num
-        return exact_div(self.num, self.den)
+        if self.den_vec:
+            raise ExactDivisionError(
+                f"not a Laurent polynomial: {_shape(self.num)} over "
+                + " * ".join(f"Phi_{d}(A^4)^{e}" for d, e in sorted(self.den_vec.items())))
+        return self.num
 
     def reduce(self) -> "RationalFn":
-        """Divide out the full polynomial gcd."""
-        if self.den.is_one() or self.num.is_zero():
+        """Trial-divide each Phi_d(A^4) of the denominator out of the
+        numerator (``divide_out``).  Every result with a denominator that
+        arithmetic or a constructor makes ends here."""
+        if not self.den_vec:
             return self
-        try:
-            return RationalFn.from_poly(exact_div(self.num, self.den))
-        except ExactDivisionError:
-            pass
-        g = poly_gcd(self.num, self.den)
-        if g.is_one():
-            return self
-        return RationalFn(exact_div(self.num, g), exact_div(self.den, g))
+        nums, left = divide_out({0: self.num}, self.den_vec)
+        return RationalFn._raw(nums[0], left)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -531,22 +555,16 @@ class RationalFn:
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFn.from_poly(self.num + other.num)
-        if self.den == other.den:
-            out = RationalFn(self.num + other.num, self.den)
-        else:
-            out = RationalFn(
-                self.num * other.den + other.num * self.den, self.den * other.den
-            )
-        return out._maybe_reduce()
+        u, v = self.den_vec, other.den_vec
+        if u == v:
+            return RationalFn._raw(self.num + other.num, u).reduce()
+        vec, lift_u, lift_v = common_den(u, v)
+        return RationalFn._raw(self.num * lift_u + other.num * lift_v, vec).reduce()
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RationalFn._raw(-self.num, self.den_vec)
 
     def __sub__(self, other):
         other = _as_ratfn(other)
@@ -564,15 +582,8 @@ class RationalFn:
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFn.from_poly(self.num * other.num)
-        # cross cancellations show up constantly in weight chains
-        if self.num == other.den:
-            return RationalFn(other.num, self.den)._maybe_reduce()
-        if other.num == self.den:
-            return RationalFn(self.num, other.den)._maybe_reduce()
-        out = RationalFn(self.num * other.num, self.den * other.den)
-        return out._maybe_reduce()
+        return RationalFn._raw(self.num * other.num,
+                               vec_sum(self.den_vec, other.den_vec)).reduce()
 
     __rmul__ = __mul__
 
@@ -582,8 +593,8 @@ class RationalFn:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        out = RationalFn(self.num * other.den, self.den * other.num)
-        return out._maybe_reduce()
+        return RationalFn._over(self.num * phi_power(other.den_vec),
+                                self.den_vec, other.num)
 
     def __rtruediv__(self, other):
         other = _as_ratfn(other)
@@ -605,12 +616,6 @@ class RationalFn:
             n >>= 1
         return result
 
-    def _maybe_reduce(self) -> "RationalFn":
-        if self.den.is_one():
-            return self
-        span = self.den.max_degree() - self.den.min_degree()
-        return self.reduce() if span > self._REDUCE_SPAN else self
-
     def mirror(self) -> "RationalFn":
         return RationalFn(self.num.mirror(), self.den.mirror())
 
@@ -620,17 +625,18 @@ class RationalFn:
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.den_vec == other.den_vec and self.num == other.num
 
     def __hash__(self):
-        r = self.reduce()
-        return hash((r.num, r.den))
+        if not self.den_vec:
+            return hash(self.num)
+        return hash((self.num, frozenset(self.den_vec.items())))
 
     def __bool__(self):
         return not self.num.is_zero()
 
     def __repr__(self):
-        if self.den.is_one():
+        if not self.den_vec:
             return f"RationalFn({self.num})"
         return f"RationalFn(({self.num}) / ({self.den}))"
 
@@ -638,14 +644,11 @@ class RationalFn:
 def _as_ratfn(x) -> "RationalFn":
     if isinstance(x, RationalFn):
         return x
-    if isinstance(x, LaurentPoly):
-        return RationalFn.from_poly(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (LaurentPoly, int)):
         return RationalFn.from_poly(_as_poly(x))
     return NotImplemented
 
 
-RF_ONE = RationalFn.from_poly(ONE)
 RF_ZERO = RationalFn.from_poly(ZERO)
 
 
@@ -661,9 +664,9 @@ class QPoly:
 
     __slots__ = ("terms", "residue_quarters", "half_step")
 
-    def __init__(self, terms: Mapping[int, Coeff], residue_quarters: int = 0,
+    def __init__(self, terms: Mapping[int, int], residue_quarters: int = 0,
                  half_step: bool = False):
-        self.terms = {int(e): _norm_coeff(c) for e, c in terms.items() if c}
+        self.terms = {int(e): operator.index(c) for e, c in terms.items() if c}
         self.residue_quarters = residue_quarters % 4
         self.half_step = bool(half_step)
 
@@ -680,10 +683,10 @@ class QPoly:
             raise ZeroPolynomialError("zero polynomial has no maximum degree")
         return max(self.terms)
 
-    def coeff(self, exp: int) -> Coeff:
+    def coeff(self, exp: int) -> int:
         return self.terms.get(exp, 0)
 
-    def coeffs_from_bottom(self, count: int) -> list[Coeff]:
+    def coeffs_from_bottom(self, count: int) -> list[int]:
         """The lowest ``count`` coefficients, consecutive in the lattice.
 
         Missing exponents contribute explicit zeros.
@@ -750,7 +753,7 @@ def mirror(f):
     raise TypeError(f"mirror is not defined for {type(f).__name__}")
 
 
-def coeff_window(f, count: int, step: int = 4) -> list[Coeff]:
+def coeff_window(f, count: int, step: int = 4) -> list[int]:
     """The lowest ``count`` coefficients of f on an exponent lattice.
 
     The support must lie in a single residue class modulo ``step``;
@@ -832,12 +835,12 @@ def theta(a: int, b: int, c: int):
     (n,n,2p) triple with p in {0, n} and all bubble cases) and is
     returned as a LaurentPoly then; triples with all internal colors
     odd, like (2,2,2), evaluate to genuinely rational functions and
-    come back as a reduced RationalFn.  Raises ``AdmissibilityError``
-    for impossible triples.
+    come back as a RationalFn over their Phi_d(A^4) factors.  Raises
+    ``AdmissibilityError`` for impossible triples.
     """
     sign, shift, vec = theta_factors(a, b, c)
-    num, den = _expand(LaurentPoly.monomial(shift, sign), vec)
-    return num if den.is_one() else RationalFn(num, den)
+    value = RationalFn.from_factors(LaurentPoly.monomial(shift, sign), vec)
+    return value.num if value.is_poly() else value
 
 
 def fusion_coeff(n: int, i: int) -> LaurentPoly:
@@ -910,11 +913,10 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:
     in quantum factorials, computed on their cyclotomic factors (see
     ``tet_factors``).  Invariant under the full symmetry group of the
     tetrahedron acting on edge labels.  The value is returned as a
-    reduced RationalFn; inadmissible vertex triples raise
+    RationalFn in lowest terms; inadmissible vertex triples raise
     ``AdmissibilityError``.
     """
-    num, den = _expand(*cancel_factors(*tet_factors(a, b, e, c, d, f)))
-    return RationalFn.from_poly(num) if den.is_one() else RationalFn(num, den)
+    return RationalFn.from_factors(*tet_factors(a, b, e, c, d, f))
 
 
 # -- cyclotomic factorization of the closed forms ----------------------
@@ -924,10 +926,9 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:
 # a Laurent polynomial times prod_d Phi_d(A^4)^vec[d] for an exponent
 # vector vec over d >= 2: products add vectors, a common denominator is
 # their componentwise maximum, and reduction is trial division by the
-# Phi_d(A^4) with negative exponent.  Every Phi_d(x) is irreducible over
-# Q, and all the terms of a tet sum sit on one exponent class mod 4 (the
-# A-shift of consecutive terms differs by 4 * (3s + 1 - sum of edges)),
-# so no other common factor can remain.
+# Phi_d(A^4) with negative exponent.  The Phi_d(A^4) for distinct d have
+# no common root, so once no Phi_d(A^4) of the denominator divides the
+# numerator, no common factor is left: the quotient is in lowest terms.
 
 
 @functools.lru_cache(maxsize=None)
@@ -942,7 +943,7 @@ def cyclotomic4(d: int) -> LaurentPoly:
     return f
 
 
-def _factorials(up: Iterable[int], down: Iterable[int]) -> tuple[int, dict[int, int]]:
+def factorial_factors(up: Iterable[int], down: Iterable[int]) -> tuple[int, dict[int, int]]:
     """prod [k]! over ``up`` / prod [k]! over ``down`` as (A-shift, vec)."""
     shift = 0
     vec: dict[int, int] = {}
@@ -963,28 +964,43 @@ def phi_power(vec: Mapping[int, int]) -> LaurentPoly:
     return out
 
 
-def _expand(num: LaurentPoly, vec: Mapping[int, int]) -> tuple[LaurentPoly, LaurentPoly]:
-    """num * prod_d Phi_d(A^4)^vec[d] as a (numerator, denominator) pair."""
-    up = {d: e for d, e in vec.items() if e > 0}
-    down = {d: -e for d, e in vec.items() if e < 0}
-    return num * phi_power(up), phi_power(down)
+def divide_out(
+    nums: Mapping, den_vec: Mapping[int, int]
+) -> tuple[dict, dict[int, int]]:
+    """Cancel prod_d Phi_d(A^4)^den_vec[d] against the values of ``nums``.
+
+    Each factor Phi_d(A^4) is divided out of every numerator as often
+    as all of them allow, one ``try_div`` per numerator and attempt.
+    Returns the quotients (keyed as ``nums``) and the exponents left,
+    zeros dropped.
+    """
+    nums = dict(nums)
+    left: dict[int, int] = {}
+    for d, e in den_vec.items():
+        phi = cyclotomic4(d)
+        while e > 0:
+            quos = {}
+            for key, num in nums.items():
+                q = try_div(num, phi)
+                if q is None:
+                    break
+                quos[key] = q
+            else:
+                nums, e = quos, e - 1
+                continue
+            break
+        if e:
+            left[d] = e
+    return nums, left
 
 
 def cancel_factors(
     num: LaurentPoly, vec: Mapping[int, int]
 ) -> tuple[LaurentPoly, dict[int, int]]:
     """Divide the denominator factors of num * prod Phi_d(A^4)^vec[d]
-    out of num, one exact trial division per factor and attempt."""
-    out = dict(vec)
-    for d, e in out.items():
-        while e < 0:
-            try:
-                num = exact_div(num, cyclotomic4(d))
-            except ExactDivisionError:
-                break
-            e += 1
-        out[d] = e
-    return num, out
+    (those with vec[d] < 0) out of num, by ``divide_out``."""
+    nums, left = divide_out({0: num}, {d: -e for d, e in vec.items() if e < 0})
+    return nums[0], {d: -left.get(d, 0) if e < 0 else e for d, e in vec.items()}
 
 
 def theta_factors(a: int, b: int, c: int) -> tuple[int, int, dict[int, int]]:
@@ -995,7 +1011,7 @@ def theta_factors(a: int, b: int, c: int) -> tuple[int, int, dict[int, int]]:
     y = (a + c - b) // 2
     z = (b + c - a) // 2
     s = x + y + z
-    shift, vec = _factorials((x, y, z, s + 1), (x + y, y + z, x + z))
+    shift, vec = factorial_factors((x, y, z, s + 1), (x + y, y + z, x + z))
     return -1 if s % 2 else 1, shift, vec
 
 
@@ -1014,11 +1030,11 @@ def tet_factors(
             raise AdmissibilityError(f"vertex triple {t} is not admissible")
     halves = [sum(t) // 2 for t in tris]
     quads = ((a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2)
-    shift, vec = _factorials([g - h for g in quads for h in halves],
+    shift, vec = factorial_factors([g - h for g in quads for h in halves],
                              (a, b, c, d, e, f))
     terms = []
     for s in range(max(halves), min(quads) + 1):
-        t_shift, t_vec = _factorials((s + 1,), [s - h for h in halves]
+        t_shift, t_vec = factorial_factors((s + 1,), [s - h for h in halves]
                                      + [g - s for g in quads])
         terms.append((-1 if s % 2 else 1, t_shift, t_vec))
     low = {k: min(t_vec.get(k, 0) for _, _, t_vec in terms)

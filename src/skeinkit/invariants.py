@@ -476,7 +476,7 @@ def colored_state_sum(
         columns.append(m)
     total = evaluate(plat_program(columns, n, layout.style))
     try:
-        value = total.reduce().to_poly()
+        value = total.to_poly()
     except ExactDivisionError as err:
         raise ExactDivisionError(
             "colored state sum is not a Laurent polynomial; this signals "

@@ -11,12 +11,14 @@ Morphisms compose bottom-up: ``compose(f, g)`` stacks g on top of f.
 Closed loops created while gluing contribute factors of the loop value
 delta = -A^2 - A^(-2).
 
-A ``TLMorphism`` keeps one shared polynomial denominator for all its
-matchings, so the composition inner loop works with plain polynomial
-numerators; the denominator only ever multiplies once per operation,
-and a gcd normalization runs at most once per high-level step.  The
-``terms`` property presents the conventional matching -> coefficient
-view.
+A ``TLMorphism`` keeps one shared denominator for all its matchings,
+so the composition inner loop works with plain polynomial numerators.
+The denominator is a product of cyclotomic factors Phi_d(A^4) (loop
+values and their quotients are), kept as its exponent vector: a
+composition adds vectors, a sum takes their componentwise maximum, and
+normalization trial-divides each factor out of every numerator, with
+no polynomial gcd.  The ``terms`` property presents the conventional
+matching -> coefficient view.
 
 The heavyweight objects here are the Jones-Wenzl projectors, built by
 the Wenzl recursion and cached in memory, and the trivalent vertex
@@ -39,13 +41,13 @@ from .algebra import (
     RF_ZERO,
     ZERO,
     AdmissibilityError,
-    ExactDivisionError,
     LaurentPoly,
     RationalFn,
     admissible,
-    delta,
-    exact_div,
-    poly_gcd,
+    common_den,
+    divide_out,
+    factorial_factors,
+    vec_sum,
 )
 
 class SliceError(ValueError):
@@ -200,8 +202,9 @@ class TLMorphism:
     """Linear combination of planar matchings over a common denominator.
 
     ``nums`` maps raw pair tuples to LaurentPoly numerators; the true
-    coefficient of a matching is nums[pair] / den.  ``terms`` presents
-    the matching -> RationalFn view.
+    coefficient of a matching is nums[pair] / prod_d Phi_d(A^4)^den[d],
+    with the denominator kept as its exponent vector ``den``.  ``terms``
+    presents the matching -> RationalFn view.
     """
 
     __slots__ = ("bot", "top", "nums", "den")
@@ -212,24 +215,14 @@ class TLMorphism:
         self.bot = bot
         self.top = top
         self.nums: dict = {}
-        self.den = ONE
-        if terms:
-            den = ONE
-            fixed = {}
-            for pair, c in terms.items():
-                if isinstance(c, RationalFn):
-                    fixed[pair] = c
-                    if not c.den.is_one():
-                        den = den * c.den
-                else:
-                    p = c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
-                    fixed[pair] = RationalFn.from_poly(p)
-            self.den = den
-            for pair, c in fixed.items():
-                num = c.num * exact_div(den, c.den)
-                if not num.is_zero():
-                    self.nums[pair] = num
-            self._strip()
+        self.den: dict[int, int] = {}
+        for pair, c in (terms or {}).items():
+            c = c if isinstance(c, RationalFn) else RationalFn(c)
+            self.den, lift, lift_c = common_den(self.den, c.den_vec)
+            self.nums = {p: n * lift for p, n in self.nums.items()}
+            if not c.is_zero():
+                self.nums[pair] = c.num * lift_c
+        self._strip()
 
     @classmethod
     def _raw(cls, bot, top, nums, den) -> "TLMorphism":
@@ -241,11 +234,11 @@ class TLMorphism:
 
     @classmethod
     def identity(cls, n: int) -> "TLMorphism":
-        return cls._raw(n, n, {idpair(n): ONE}, ONE)
+        return cls._raw(n, n, {idpair(n): ONE}, {})
 
     @classmethod
     def zero(cls, bot: int, top: int) -> "TLMorphism":
-        return cls._raw(bot, top, {}, ONE)
+        return cls._raw(bot, top, {}, {})
 
     @classmethod
     def hook(cls, n: int, i: int) -> "TLMorphism":
@@ -261,7 +254,7 @@ class TLMorphism:
                 continue
             pair[k] = 2 * n - 1 - k
             pair[2 * n - 1 - k] = k
-        return cls._raw(n, n, {tuple(pair): ONE}, ONE)
+        return cls._raw(n, n, {tuple(pair): ONE}, {})
 
     @classmethod
     def cap(cls, n: int, i: int) -> "TLMorphism":
@@ -278,7 +271,7 @@ class TLMorphism:
             pair[k] = t
             pair[t] = k
             pos += 1
-        return cls._raw(n, n - 2, {tuple(pair): ONE}, ONE)
+        return cls._raw(n, n - 2, {tuple(pair): ONE}, {})
 
     @classmethod
     def cup(cls, n: int, i: int) -> "TLMorphism":
@@ -294,22 +287,20 @@ class TLMorphism:
             tt = n + (m - 1 - t)
             pair[k] = tt
             pair[tt] = k
-        return cls._raw(n, m, {tuple(pair): ONE}, ONE)
+        return cls._raw(n, m, {tuple(pair): ONE}, {})
 
     # -- views --------------------------------------------------------
 
     @property
     def terms(self) -> dict:
         """Matching -> RationalFn coefficient view (built on demand)."""
-        if self.den.is_one():
-            return {p: RationalFn.from_poly(n) for p, n in self.nums.items()}
-        return {p: RationalFn(n, self.den) for p, n in self.nums.items()}
+        return {p: self.coeff(p) for p in self.nums}
 
     def coeff(self, pair) -> RationalFn:
         num = self.nums.get(tuple(pair))
         if num is None:
             return RF_ZERO
-        return RationalFn(num, self.den)
+        return RationalFn._raw(num, self.den).reduce()
 
     def matchings(self) -> list[Matching]:
         return [Matching(self.bot, self.top, p) for p in self.nums]
@@ -317,45 +308,30 @@ class TLMorphism:
     # -- linear structure ---------------------------------------------
 
     def _strip(self) -> None:
-        # drop the denominator when every numerator carries it
-        if self.den.is_one():
-            return
-        if not self.nums:
-            self.den = ONE
-            return
-        g = self.den
-        for num in self.nums.values():
-            g = poly_gcd(g, num)
-            if g.is_one():
-                return
-        self.den = exact_div(self.den, g)
-        for pair in list(self.nums):
-            self.nums[pair] = exact_div(self.nums[pair], g)
+        # divide each denominator factor out of every numerator that allows it
+        if self.den:
+            self.nums, self.den = divide_out(self.nums, self.den)
 
     def __add__(self, other: "TLMorphism") -> "TLMorphism":
         if (self.bot, self.top) != (other.bot, other.top):
             raise ValueError("adding morphisms of different shapes")
-        if self.den == other.den:
-            acc = dict(self.nums)
-            for pair, num in other.nums.items():
-                s = acc.get(pair)
-                s = num if s is None else s + num
-                if s.is_zero():
-                    acc.pop(pair, None)
-                else:
-                    acc[pair] = s
-            out = TLMorphism._raw(self.bot, self.top, acc, self.den)
+        same = self.den == other.den
+        if same:
+            den, acc = self.den, dict(self.nums)
         else:
-            acc = {p: n * other.den for p, n in self.nums.items()}
-            for pair, num in other.nums.items():
-                num = num * self.den
-                s = acc.get(pair)
-                s = num if s is None else s + num
-                if s.is_zero():
-                    acc.pop(pair, None)
-                else:
-                    acc[pair] = s
-            out = TLMorphism._raw(self.bot, self.top, acc, self.den * other.den)
+            den, lift, lift_other = common_den(self.den, other.den)
+            acc = {p: n * lift for p, n in self.nums.items()}
+        for pair, num in other.nums.items():
+            if not same:
+                num = num * lift_other
+            s = acc.get(pair)
+            s = num if s is None else s + num
+            if s.is_zero():
+                acc.pop(pair, None)
+            else:
+                acc[pair] = s
+        out = TLMorphism._raw(self.bot, self.top, acc, den)
+        if not same:
             out._strip()
         return out
 
@@ -364,16 +340,14 @@ class TLMorphism:
 
     def scaled(self, c) -> "TLMorphism":
         if isinstance(c, RationalFn):
-            num_c, den_c = c.num, c.den
-        elif isinstance(c, LaurentPoly):
-            num_c, den_c = c, ONE
+            num_c, den_c = c.num, c.den_vec
         else:
-            num_c, den_c = LaurentPoly({0: c}), ONE
+            num_c, den_c = LaurentPoly({0: c}) if isinstance(c, int) else c, {}
         if num_c.is_zero():
             return TLMorphism.zero(self.bot, self.top)
         nums = {p: n * num_c for p, n in self.nums.items()}
-        out = TLMorphism._raw(self.bot, self.top, nums, self.den * den_c)
-        if not den_c.is_one():
+        out = TLMorphism._raw(self.bot, self.top, nums, vec_sum(self.den, den_c))
+        if den_c:
             out._strip()
         return out
 
@@ -387,10 +361,11 @@ class TLMorphism:
             return False
         if set(self.nums) != set(other.nums):
             return (self - other).is_zero()
-        for pair, num in self.nums.items():
-            if num * other.den != other.nums[pair] * self.den:
-                return False
-        return True
+        if self.den == other.den:
+            return self.nums == other.nums
+        _, lift, lift_other = common_den(self.den, other.den)
+        return all(num * lift == other.nums[pair] * lift_other
+                   for pair, num in self.nums.items())
 
     def __hash__(self):
         raise TypeError("TLMorphism is not hashable")
@@ -417,7 +392,7 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
                 acc.pop(pair, None)
             else:
                 acc[pair] = s
-    out = TLMorphism._raw(fb, gt, acc, f.den * g.den)
+    out = TLMorphism._raw(fb, gt, acc, vec_sum(f.den, g.den))
     out._strip()
     return out
 
@@ -429,7 +404,7 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
         for p2, c2 in g.nums.items():
             pair = tensor_pair(p1, f.bot, f.top, p2, g.bot, g.top)
             acc[pair] = c1 * c2
-    out = TLMorphism._raw(f.bot + g.bot, f.top + g.top, acc, f.den * g.den)
+    out = TLMorphism._raw(f.bot + g.bot, f.top + g.top, acc, vec_sum(f.den, g.den))
     out._strip()
     return out
 
@@ -451,7 +426,7 @@ def closure(f: TLMorphism) -> RationalFn:
     total = ZERO
     for pair, num in f.nums.items():
         total = total + num * _delta_pow(close_pair(pair, f.bot))
-    return RationalFn(total, f.den).reduce()
+    return RationalFn._raw(total, f.den).reduce()
 
 
 # -- Jones-Wenzl projectors ------------------------------------------
@@ -464,12 +439,14 @@ def jones_wenzl(n: int) -> TLMorphism:
     """The n-strand projector, by the Wenzl recursion.
 
     f(1) = id; f(n) = f(n-1)x1 - (delta(n-2)/delta(n-1)) *
-    (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process.
+    (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process.  Since
+    delta(k) = (-1)^k A^(-2k) prod_{d | k+1, d >= 2} Phi_d(A^4), the
+    coefficient is a difference of exponent vectors.
     """
     if n < 0:
         raise ValueError(f"projector color must be >= 0, got {n}")
     if n == 0:
-        return TLMorphism._raw(0, 0, {(): ONE}, ONE)
+        return TLMorphism._raw(0, 0, {(): ONE}, {})
     with _JW_LOCK:
         if n in _JW_CACHE:
             return _JW_CACHE[n]
@@ -478,7 +455,9 @@ def jones_wenzl(n: int) -> TLMorphism:
         for m in range(top + 1, n + 1):
             prev = tensor(_JW_CACHE[m - 1], TLMorphism.identity(1))
             hooked = compose(compose(prev, TLMorphism.hook(m, m - 2)), prev)
-            coeff = RationalFn(delta(m - 2), delta(m - 1))
+            # delta(m-2)/delta(m-1) = -[m-1]!^2 / ([m-2]! [m]!)
+            shift, vec = factorial_factors((m - 1, m - 1), (m - 2, m))
+            coeff = RationalFn.from_factors(LaurentPoly.monomial(shift, -1), vec)
             _JW_CACHE[m] = prev - hooked.scaled(coeff)
         return _JW_CACHE[n]
 
@@ -486,13 +465,13 @@ def jones_wenzl(n: int) -> TLMorphism:
 def capnest(m: int) -> TLMorphism:
     """2m -> 0, m nested caps."""
     pair = tuple(2 * m - 1 - i for i in range(2 * m))
-    return TLMorphism._raw(2 * m, 0, {pair: ONE}, ONE)
+    return TLMorphism._raw(2 * m, 0, {pair: ONE}, {})
 
 
 def cupnest(m: int) -> TLMorphism:
     """0 -> 2m, m nested cups."""
     pair = tuple(2 * m - 1 - i for i in range(2 * m))
-    return TLMorphism._raw(0, 2 * m, {pair: ONE}, ONE)
+    return TLMorphism._raw(0, 2 * m, {pair: ONE}, {})
 
 
 @dataclass(frozen=True)
@@ -667,7 +646,7 @@ def evaluate(program: SliceProgram) -> RationalFn:
     the current boundary, and the final boundary must be empty.  Arity
     violations raise ``SliceError`` naming the slice index.
     """
-    state = TLMorphism._raw(0, 0, {(): ONE}, ONE)
+    state = TLMorphism._raw(0, 0, {(): ONE}, {})
     for i, s in enumerate(program.slices):
         g = _slice_to_morphism(s)
         pos = _slice_pos(s)
@@ -684,8 +663,7 @@ def evaluate(program: SliceProgram) -> RationalFn:
         raise SliceError(
             f"program left {state.top} open points; networks must close"
         )
-    num = state.nums.get((), ZERO)
-    return RationalFn(num, state.den).reduce()
+    return RationalFn._raw(state.nums.get((), ZERO), state.den).reduce()
 
 
 def theta_program(a: int, b: int, c: int) -> SliceProgram:

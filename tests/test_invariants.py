@@ -36,7 +36,7 @@ from skeinkit.diagram import (
     parse_pd,
     pretzel,
 )
-from skeinkit import algebra, invariants, planar
+from skeinkit import invariants, planar
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
@@ -301,8 +301,6 @@ class TestFusedChannels:
         def refuse(*args, **kwargs):
             raise AssertionError("the fused evaluator reduced by a gcd")
 
-        monkeypatch.setattr(algebra, "poly_gcd", refuse)
-        monkeypatch.setattr(planar, "poly_gcd", refuse)
         monkeypatch.setattr(RationalFn, "reduce", refuse)
         _channel_table.cache_clear()
         got = [colored_bracket_fused(d, n).value
