@@ -83,33 +83,41 @@ def _pack(terms: Mapping[int, int], lo: int, step: int, width: int) -> int:
             - int.from_bytes(b"".join(neg), "little"))
 
 
-def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Product of two integer term dicts by one big-int multiplication.
+def _unpack(packed: int, lo: int, step: int, width: int) -> dict[int, int]:
+    """The term dict of a packed int, read back as signed digits.
 
-    Both operands are read on their common exponent lattice
-    (min + step*Z) as digits of 8*width bits, wide enough for every
-    product coefficient and a sign, and multiplied as Python ints
-    (Kronecker substitution).  Adding half a digit to every digit of
-    the product makes each digit nonnegative, so the coefficients read
-    back without borrows.
+    Inverse of ``_pack`` for every coefficient c with |c| < 2^(8*width-1).
+    Adding half a digit to every digit makes each one nonnegative, so
+    the coefficients read back without borrows.
     """
-    lo_a, lo_b = min(a), min(b)
-    step = math.gcd(*(e - lo_a for e in a), *(e - lo_b for e in b)) or 1
-    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-             * min(len(a), len(b)))
-    width = bound.bit_length() // 8 + 1
-    count = (max(a) - lo_a + max(b) - lo_b) // step + 1
+    # a top digit k leaves |packed| > 2^(8*width*k - 1)
+    count = packed.bit_length() // (8 * width) + 1
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    raw = (_pack(a, lo_a, step, width) * _pack(b, lo_b, step, width)
-           + offset).to_bytes(width * count, "little")
-    lo = lo_a + lo_b
+    raw = (packed + offset).to_bytes(width * count, "little")
     out: dict[int, int] = {}
     for i in range(count):
         c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
         if c:
             out[lo + i * step] = c
     return out
+
+
+def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of two integer term dicts by one big-int multiplication.
+
+    Both operands are read on their common exponent lattice
+    (min + step*Z) as digits of 8*width bits, wide enough for every
+    product coefficient and a sign, multiplied as Python ints
+    (Kronecker substitution) and read back by ``_unpack``.
+    """
+    lo_a, lo_b = min(a), min(b)
+    step = math.gcd(*(e - lo_a for e in a), *(e - lo_b for e in b)) or 1
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    width = bound.bit_length() // 8 + 1
+    return _unpack(_pack(a, lo_a, step, width) * _pack(b, lo_b, step, width),
+                   lo_a + lo_b, step, width)
 
 
 class LaurentPoly:
@@ -889,11 +897,7 @@ def quantum_int(k: int) -> LaurentPoly:
 
 @functools.lru_cache(maxsize=None)
 def quantum_fact(k: int) -> LaurentPoly:
-    """Quantum factorial [k]! = [1][2]...[k], with [0]! = 1.  Cached.
-
-    Each entry is a pure function of k, so threads racing on a cold
-    cache at worst compute an entry twice; they never store a wrong one.
-    """
+    """Quantum factorial [k]! = [1][2]...[k], with [0]! = 1.  Cached."""
     if k < 0:
         raise ValueError(f"quantum_fact needs k >= 0, got {k}")
     return quantum_fact(k - 1) * quantum_int(k) if k else ONE

@@ -12,7 +12,9 @@ Closed loops created while gluing contribute factors of the loop value
 delta = -A^2 - A^(-2).
 
 A ``TLMorphism`` keeps one shared denominator for all its matchings,
-so the composition inner loop works with plain polynomial numerators.
+so composition works on the numerators alone: it packs each one into a
+Python int once (Kronecker substitution, as ``algebra`` multiplies
+large polynomials) and its inner loop is big-int arithmetic only.
 The denominator is a product of cyclotomic factors Phi_d(A^4) (loop
 values and their quotients are), kept as its exponent vector: a
 composition adds vectors, a sum takes their componentwise maximum, and
@@ -31,7 +33,7 @@ oracle for the closed-form evaluations elsewhere.
 from __future__ import annotations
 
 import functools
-import threading
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,6 +45,8 @@ from .algebra import (
     AdmissibilityError,
     LaurentPoly,
     RationalFn,
+    _pack,
+    _unpack,
     admissible,
     common_den,
     divide_out,
@@ -194,7 +198,6 @@ class Matching:
 
 @functools.lru_cache(maxsize=None)
 def _delta_pow(k: int) -> LaurentPoly:
-    # a pure function of k, so a cold cache is safe to share across threads
     return DELTA**k
 
 
@@ -375,23 +378,45 @@ class TLMorphism:
 
 
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    """Stack g on top of f (f first).  Needs f.top == g.bot."""
+    """Stack g on top of f (f first).  Needs f.top == g.bot.
+
+    Every numerator is packed once into an int on one exponent lattice
+    (``algebra._pack``), with digits wide enough for any coefficient of
+    the result, so the double loop over matching pairs only multiplies
+    and adds ints: one sum per output matching of P1 * P2 * D[loops],
+    where D[L] packs A^(2*lmax) * delta^L.  Each sum is read back once.
+    """
     if f.top != g.bot:
         raise ValueError(f"cannot compose {f.top} outputs into {g.bot} inputs")
-    acc: dict = {}
     fb, ft, gb, gt = f.bot, f.top, g.bot, g.top
-    for p1, c1 in f.nums.items():
-        for p2, c2 in g.nums.items():
+    if not f.nums or not g.nums:
+        return TLMorphism.zero(fb, gt)
+    f_terms = [n.terms for n in f.nums.values()]
+    g_terms = [n.terms for n in g.nums.values()]
+    lo_f = min(min(t) for t in f_terms)
+    lo_g = min(min(t) for t in g_terms)
+    step = math.gcd(2, *(e - lo_f for t in f_terms for e in t),
+                    *(e - lo_g for t in g_terms for e in t))
+    # each closed loop takes two seam points, and |delta^L|_1 = 2^L
+    lmax = ft // 2
+    norm = (sum(abs(c) for t in f_terms for c in t.values())
+            * sum(abs(c) for t in g_terms for c in t.values()))
+    width = (norm << lmax).bit_length() // 8 + 1
+    packed_f = [(p, _pack(n.terms, lo_f, step, width)) for p, n in f.nums.items()]
+    packed_g = [(p, _pack(n.terms, lo_g, step, width)) for p, n in g.nums.items()]
+    loop = [_pack(_delta_pow(k).terms, -2 * lmax, step, width)
+            for k in range(lmax + 1)]
+    sums: dict = {}
+    for p1, c1 in packed_f:
+        for p2, c2 in packed_g:
             pair, loops = glue_pair(p1, fb, ft, p2, gb, gt)
-            c = c1 * c2
-            if loops:
-                c = c * _delta_pow(loops)
-            s = acc.get(pair)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(pair, None)
-            else:
-                acc[pair] = s
+            sums[pair] = sums.get(pair, 0) + c1 * c2 * loop[loops]
+    lo = lo_f + lo_g - 2 * lmax
+    acc: dict = {}
+    for pair, s in sums.items():
+        if s:
+            num = acc[pair] = LaurentPoly.__new__(LaurentPoly)
+            num.terms = _unpack(s, lo, step, width)
     out = TLMorphism._raw(fb, gt, acc, vec_sum(f.den, g.den))
     out._strip()
     return out
@@ -432,7 +457,6 @@ def closure(f: TLMorphism) -> RationalFn:
 # -- Jones-Wenzl projectors ------------------------------------------
 
 _JW_CACHE: dict[int, TLMorphism] = {}
-_JW_LOCK = threading.Lock()
 
 
 def jones_wenzl(n: int) -> TLMorphism:
@@ -447,19 +471,18 @@ def jones_wenzl(n: int) -> TLMorphism:
         raise ValueError(f"projector color must be >= 0, got {n}")
     if n == 0:
         return TLMorphism._raw(0, 0, {(): ONE}, {})
-    with _JW_LOCK:
-        if n in _JW_CACHE:
-            return _JW_CACHE[n]
-        _JW_CACHE.setdefault(1, TLMorphism.identity(1))
-        top = max(_JW_CACHE)
-        for m in range(top + 1, n + 1):
-            prev = tensor(_JW_CACHE[m - 1], TLMorphism.identity(1))
-            hooked = compose(compose(prev, TLMorphism.hook(m, m - 2)), prev)
-            # delta(m-2)/delta(m-1) = -[m-1]!^2 / ([m-2]! [m]!)
-            shift, vec = factorial_factors((m - 1, m - 1), (m - 2, m))
-            coeff = RationalFn.from_factors(LaurentPoly.monomial(shift, -1), vec)
-            _JW_CACHE[m] = prev - hooked.scaled(coeff)
+    if n in _JW_CACHE:
         return _JW_CACHE[n]
+    _JW_CACHE.setdefault(1, TLMorphism.identity(1))
+    top = max(_JW_CACHE)
+    for m in range(top + 1, n + 1):
+        prev = tensor(_JW_CACHE[m - 1], TLMorphism.identity(1))
+        hooked = compose(compose(prev, TLMorphism.hook(m, m - 2)), prev)
+        # delta(m-2)/delta(m-1) = -[m-1]!^2 / ([m-2]! [m]!)
+        shift, vec = factorial_factors((m - 1, m - 1), (m - 2, m))
+        coeff = RationalFn.from_factors(LaurentPoly.monomial(shift, -1), vec)
+        _JW_CACHE[m] = prev - hooked.scaled(coeff)
+    return _JW_CACHE[n]
 
 
 def capnest(m: int) -> TLMorphism:

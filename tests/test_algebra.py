@@ -21,6 +21,8 @@ from skeinkit.algebra import (
     RationalFn,
     ZeroPolynomialError,
     _kronecker_pays,
+    _pack,
+    _unpack,
     admissible,
     cancel_factors,
     coeff_window,
@@ -99,6 +101,19 @@ class TestLaurentPoly:
         assert f + g == g + f
         assert f * g == g * f
         assert f - f == LaurentPoly.zero()
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(-9, 9), st.data())
+    @settings(max_examples=60)
+    def test_unpack_inverts_pack_up_to_the_digit_bound(self, width, step, lo, data):
+        # every |c| < 2^(8*width - 1) reads back, the extremes included
+        edge = (1 << (8 * width - 1)) - 1
+        coeffs = st.integers(-edge, edge).filter(bool)
+        terms = data.draw(st.dictionaries(
+            st.integers(0, 12).map(lambda i: lo + step * i), coeffs, min_size=1))
+        assert _unpack(_pack(terms, lo, step, width), lo, step, width) == terms
+        # a top digit 1 over the most negative digit: the shortest packed int
+        terms = {lo: -edge, lo + step: 1}
+        assert _unpack(_pack(terms, lo, step, width), lo, step, width) == terms
 
     def test_fraction_coefficient_raises(self):
         # coefficients live in Z: a Fraction is refused, even an integral one

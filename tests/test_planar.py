@@ -5,11 +5,15 @@ oracle for every network evaluated here by honest diagram expansion.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinkit.algebra import (
+    DELTA,
     ONE,
     ZERO,
     AdmissibilityError,
@@ -17,9 +21,11 @@ from skeinkit.algebra import (
     RationalFn,
     delta,
     fusion_coeff,
+    phi_power,
     tet,
     theta,
     twist_coeff,
+    vec_sum,
 )
 from skeinkit.planar import (
     Matching,
@@ -36,6 +42,7 @@ from skeinkit.planar import (
     cupnest,
     drum,
     evaluate,
+    glue_pair,
     jones_wenzl,
     plat_caps,
     plat_cups,
@@ -119,6 +126,122 @@ class TestCompose:
     def test_closure_needs_equal_arities(self):
         with pytest.raises(ValueError, match="close"):
             closure(TLMorphism.cap(2, 0))
+
+
+def _school_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def schoolbook_compose(f: TLMorphism, g: TLMorphism) -> dict:
+    """The numerators of compose(f, g) over vec_sum(f.den, g.den), before
+    any factor is divided out, by a term-by-term dict loop."""
+    acc: dict = {}
+    for p1, c1 in f.nums.items():
+        for p2, c2 in g.nums.items():
+            pair, loops = glue_pair(p1, f.bot, f.top, p2, g.bot, g.top)
+            c = _school_mul(c1.terms, c2.terms)
+            for _ in range(loops):
+                c = _school_mul(c, DELTA.terms)
+            s = acc.setdefault(pair, {})
+            for e, v in c.items():
+                s[e] = s.get(e, 0) + v
+    nums = {}
+    for pair, s in acc.items():
+        s = {e: v for e, v in s.items() if v}
+        if s:
+            nums[pair] = LaurentPoly(s)
+    return nums
+
+
+@st.composite
+def planar_pairs(draw, n):
+    """A non-crossing perfect matching of n boundary nodes."""
+    pair = [0] * n
+
+    def fill(lo, hi):
+        while lo < hi:
+            j = lo + 2 * draw(st.integers(0, (hi - lo) // 2 - 1)) + 1
+            pair[lo], pair[j] = j, lo
+            fill(lo + 1, j)
+            lo = j + 1
+
+    fill(0, n)
+    return tuple(pair)
+
+
+@st.composite
+def morphisms(draw, bot, top, sign):
+    """Up to four matchings with numerators of up to 6 terms (or monomials)
+    on a lattice of step 1 or 2 and coefficients up to 2^200 of one sign,
+    over a drawn denominator; no matchings at all is the zero morphism."""
+    scale = draw(st.sampled_from((1, 2)))
+    numerators = st.dictionaries(
+        st.integers(-6, 6).map(lambda e: scale * e),
+        st.integers(1, 2**200).map(lambda c: sign * c),
+        min_size=1, max_size=draw(st.sampled_from((1, 6))),
+    ).map(LaurentPoly)
+    nums = draw(st.dictionaries(planar_pairs(bot + top), numerators, max_size=4))
+    den = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 2), max_size=2))
+    for pair in nums:
+        Matching(bot, top, pair)
+    return TLMorphism._raw(bot, top, nums, den)
+
+
+@st.composite
+def composable(draw):
+    mid = draw(st.integers(0, 6))
+    bot = draw(st.integers(0, 3).map(lambda k: 2 * k + mid % 2))
+    top = draw(st.integers(0, 3).map(lambda k: 2 * k + mid % 2))
+    sign = draw(st.sampled_from((1, -1)))
+    return (draw(morphisms(bot, mid, sign)),
+            draw(morphisms(mid, top, draw(st.sampled_from((sign, -sign))))))
+
+
+class TestComposeAgainstSchoolbook:
+    @given(composable())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dict_loop(self, fg):
+        f, g = fg
+        got = compose(f, g)
+        assert (got.bot, got.top) == (f.bot, g.top)
+        full = vec_sum(f.den, g.den)
+        want = schoolbook_compose(f, g)
+        ref = TLMorphism._raw(f.bot, g.top, want, full)
+        ref._strip()
+        assert got.nums == ref.nums
+        assert got.den == ref.den
+        # the result is the schoolbook sum over the sum of the operands'
+        # denominator vectors, less only the factors divided out of it
+        assert all(0 < e <= full[d] for d, e in got.den.items())
+        lift = phi_power({d: e - got.den.get(d, 0) for d, e in full.items()})
+        assert {p: n * lift for p, n in got.nums.items()} == want
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_nested_cups_and_caps_close_m_loops(self, m):
+        # m loops, the most a 2m-point seam can close
+        got = compose(cupnest(m), capnest(m))
+        assert got.nums == {(): DELTA**m} and got.den == {}
+        # c^2 fills its digits but for the sign bit, so the binomial
+        # coefficients of delta^m need the 2^m of the width bound
+        c = math.isqrt((1 << 199) - 1)
+        got = compose(cupnest(m).scaled(c), capnest(m).scaled(c))
+        assert got.nums == {(): (DELTA**m).scaled(c * c)}
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_fewer_loops_than_the_seam_allows(self, m):
+        # m nested cups under m side-by-side caps close ceil(m/2) loops
+        caps = TLMorphism._raw(2 * m, 0, {tuple(i ^ 1 for i in range(2 * m)): ONE}, {})
+        assert compose(cupnest(m), caps).nums == {(): DELTA ** ((m + 1) // 2)}
+
+    def test_zero_on_either_side(self):
+        f2 = jones_wenzl(2)
+        zero = TLMorphism.zero(2, 2)
+        assert compose(zero, f2).is_zero() and compose(f2, zero).is_zero()
+        assert compose(zero, f2).den == {}
 
 
 # -- Jones-Wenzl projectors --------------------------------------------
