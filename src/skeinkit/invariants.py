@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,8 @@ from .algebra import (
     ExactDivisionError,
     LaurentPoly,
     QPoly,
+    _pack,
+    _packed_quotient,
     cancel_factors,
     delta,
     exact_div,
@@ -307,6 +310,55 @@ def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], Laurent
     return table, phi_power(den)
 
 
+def _ring_bracket(n: int, twists: Sequence[int]) -> LaurentPoly:
+    # sum_q loop(2q) prod_columns (sum_p num[q][p] * twist_p^k) / D^r,
+    # evaluated as ints at X = 2^(8*width): see colored_bracket_fused
+    num, den = _channel_table(n)
+    r = len(twists)
+    mus = [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
+           for p in range(n + 1)]
+    loops = [delta(2 * q).terms for q in range(n + 1)]
+    entries = [t.terms for row in num for t in row if t]
+    lo, lo_loop, lo_mu = min(map(min, entries)), min(loops[n]), mus[0][0]
+    step = math.gcd(*(e - lo for t in entries for e in t),
+                    *(e - lo_loop for t in loops for e in t),
+                    *(e - lo_mu for e, _ in mus),
+                    *(e - min(den.terms) for e in den.terms)) or 1
+    # |sum|_1 <= sum_q |loop(2q)|_1 * prod_columns sum_p |num[q][p]|_1
+    norms = [sum(abs(c) for t in row for c in t.terms.values()) for row in num]
+    bound = sum((2 * q + 1) * s**r for q, s in enumerate(norms))
+    width = max(bound, *map(abs, den.terms.values())).bit_length() // 8 + 1
+    digit = 8 * width
+    packed = [[_pack(t.terms, lo, step, width) if t else 0 for t in row]
+              for row in num]
+    # twist_p^k is a shift of (e_p * k - least) / step digits and a sign
+    shifts = []
+    for k in twists:
+        least = min(e * k for e, _ in mus)
+        shifts.append((least, [(digit * ((e * k - least) // step),
+                                s < 0 and k % 2 == 1) for e, s in mus]))
+    total = 0
+    for q in range(n + 1):
+        prod = _pack(loops[q], lo_loop, step, width)
+        for _, col in shifts:
+            acc = 0
+            for c, (shift, neg) in zip(packed[q], col):
+                acc = acc - (c << shift) if neg else acc + (c << shift)
+            prod *= acc
+        total += prod
+    lo_total = lo_loop + r * lo + sum(least for least, _ in shifts)
+    quotient = _packed_quotient(total, lo_total, den.terms, r, step, width)
+    if quotient is None:
+        raise ExactDivisionError(
+            "fused bracket is not a Laurent polynomial; this signals a "
+            f"convention bug upstream: the ring sum of {r} columns at color "
+            f"{n} is not divisible by D^{r}"
+        )
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = quotient
+    return out
+
+
 def colored_bracket_fused(
     diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
 ) -> BracketValue:
@@ -317,10 +369,15 @@ def colored_bracket_fused(
     around the side leaves one theta network per channel, so its total
     is sum_p loop(2p) * twist^k.  A ring of r regions is grouped by its
     common exit channel q: the total is sum_q loop(2q) times the product
-    over columns of sum_p c[q][p] * twist^k, with c from the memoized
-    per-color table.  Its entries share one denominator D, so each
-    member costs Laurent adds and multiplies and one exact division by
-    D^r; the budget counts the r * (n+1)^2 column terms this takes.
+    over columns of sum_p c[q][p] * twist^k, with c = num / D from the
+    memoized per-color table.  That sum is evaluated as Python ints at
+    X = 2^(8*width), on one exponent lattice for the table, the loop
+    values and D (``algebra._pack``), with digits wide enough for its
+    L1 bound sum_q |loop(2q)|_1 prod_columns sum_p |num[q][p]|_1: a
+    twist monomial is a digit shift and a sign, and the division by D^r
+    is one big-int division, confirmed by multiplying back
+    (``algebra._packed_quotient``).  The budget counts the r * (n+1)^2
+    column terms this takes.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -339,23 +396,7 @@ def colored_bracket_fused(
         for p in range(n + 1):
             value = value + delta(2 * p) * _twist_power(n, p, twists[0])
     else:
-        num, den = _channel_table(n)
-        total = ZERO
-        for q in range(n + 1):
-            prod = delta(2 * q)
-            for k in twists:
-                col = ZERO
-                for p in range(n + 1):
-                    col = col + num[q][p] * _twist_power(n, p, k)
-                prod = prod * col
-            total = total + prod
-        try:
-            value = exact_div(total, den**r)
-        except ExactDivisionError as err:
-            raise ExactDivisionError(
-                "fused bracket is not a Laurent polynomial; this signals a "
-                f"convention bug upstream: {err}"
-            ) from None
+        value = _ring_bracket(n, twists)
     if diagram.free_loops:
         value = value * delta(n) ** diagram.free_loops
     return BracketValue(value)

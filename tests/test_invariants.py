@@ -13,11 +13,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skeinkit import algebra
 from skeinkit.algebra import (
     DELTA,
     ONE,
     ZERO,
+    ExactDivisionError,
     LaurentPoly,
     RationalFn,
     delta,
@@ -80,6 +84,23 @@ def window(qp, count):
         if c:
             return [x if c > 0 else -x for x in coeffs]
     return list(coeffs)
+
+
+def schoolbook_ring(diagram, n, table=None):
+    """The fused ring bracket by Laurent adds and multiplies over the
+    channel table, then one schoolbook exact division by D^r."""
+    num, den = table or _channel_table(n)
+    twists = [col.region.count for col in _ring_layout(diagram).columns]
+    total = ZERO
+    for q in range(n + 1):
+        prod = delta(2 * q)
+        for k in twists:
+            col = ZERO
+            for p in range(n + 1):
+                col = col + num[q][p] * _twist_power(n, p, k)
+            prod = prod * col
+        total = total + prod
+    return exact_div(total, den ** len(twists))
 
 
 def brute_bracket(diagram):
@@ -306,6 +327,54 @@ class TestFusedChannels:
         got = [colored_bracket_fused(d, n).value
                for d in diagrams for n in range(2, 6)]
         assert got == want
+
+    def test_ring_path_divides_by_no_schoolbook_loop(self, monkeypatch):
+        diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), pretzel([4, 2, 2, 3]))
+        want = [colored_bracket_fused(d, n).value
+                for d in diagrams for n in range(1, 6)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ring path ran a schoolbook division")
+
+        # the memoized tables above are built; the members must not divide
+        for name in ("try_div", "exact_div"):
+            monkeypatch.setattr(algebra, name, refuse)
+            monkeypatch.setattr(invariants, name, refuse, raising=False)
+        got = [colored_bracket_fused(d, n).value
+               for d in diagrams for n in range(1, 6)]
+        assert got == want
+
+    @given(st.lists(st.integers(1, 12), min_size=2, max_size=5),
+           st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_packed_ring_matches_schoolbook(self, counts, n):
+        d = pretzel(counts)
+        assert colored_bracket_fused(d, n).value == schoolbook_ring(d, n)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_packed_ring_matches_schoolbook_color_locked(self, k):
+        # the published 2,5,k family at index k+1, i.e. color k
+        d = pretzel([2, 5, k])
+        assert colored_bracket_fused(d, k).value == schoolbook_ring(d, k)
+
+    def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
+        # A table of equal constants over D = 1 makes every coefficient
+        # of the ring sum positive, so its largest coefficient, 2c, is a
+        # quarter of the L1 bound 8c the digit width is chosen for.
+        d = pretzel([2])
+        for bits in range(48):
+            c = LaurentPoly({0: 1 << bits})
+            table = ((c, c), (c, c)), ONE
+            monkeypatch.setattr(invariants, "_channel_table", lambda n: table)
+            assert colored_bracket_fused(d, 1).value == schoolbook_ring(d, 1, table)
+
+    def test_table_off_by_one_is_a_convention_bug(self, monkeypatch):
+        (row, *rows), den = _channel_table(2)
+        bumped = ((row[0] + 1, *row[1:]), *rows), den
+        assert not den.is_one()
+        monkeypatch.setattr(invariants, "_channel_table", lambda n: bumped)
+        with pytest.raises(ExactDivisionError, match="convention bug"):
+            colored_bracket_fused(pretzel([2, 3, 1]), 2)
 
     def test_fusion_budget(self):
         with pytest.raises(BudgetError, match="fusion"):
