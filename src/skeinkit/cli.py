@@ -235,13 +235,6 @@ def _family(family_arg: str, color_arg: str, start: int, stop: int):
         raise click.BadParameter(str(exc), param_hint="'--pretzel-family'")
 
 
-def _spec_var(spec) -> str:
-    for _, expr in spec.sizes:
-        if expr.var:
-            return expr.var
-    return spec.color.var or "k"
-
-
 def _window_rows(spec, window, max_networks):
     """Normalized reduced-polynomial windows, one row per family member."""
 
@@ -351,7 +344,6 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
         raise click.ClickException(f"{_budget_flag(exc)}: {exc}")
     except (MemberError, WindowError) as exc:
         raise click.ClickException(str(exc))
-    var = _spec_var(spec)
     if fmt == "json":
         doc = {
             "family": spec.describe(),
@@ -367,7 +359,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
     else:
         click.echo(f"# {spec.describe()}")
         for k, cs in rows:
-            click.echo(f"{var}={k}: " + " ".join(str(c) for c in cs))
+            click.echo(f"{spec.var}={k}: " + " ".join(str(c) for c in cs))
 
 
 @main.command()
@@ -406,9 +398,7 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt):
     rate = _expr(rate_arg, "--rate")
     try:
         report = family_tail(spec, rate, depth=depth)
-    except MemberError as exc:
-        raise click.ClickException(str(exc))
-    except (BudgetError, WindowError) as exc:
+    except (MemberError, BudgetError, WindowError) as exc:
         raise click.ClickException(str(exc))
     click.echo(report.to_json() if fmt == "json" else report.to_text())
 
@@ -465,13 +455,12 @@ def residuals(family_arg, color_arg, range_arg, rate_arg, orders, depth, fmt):
         }
         click.echo(json.dumps(doc, indent=2))
     else:
-        var = _spec_var(spec)
         click.echo(f"# {spec.describe()}")
         for i, level in enumerate(levels):
             click.echo(f"level {i}:")
             for k, c in zip(params, level):
                 body = " ".join(str(x) for x in c.coeffs) or "(empty)"
-                click.echo(f"  {var}={k}: [offset {c.anchor}] {body}")
+                click.echo(f"  {spec.var}={k}: [offset {c.anchor}] {body}")
 
 
 @main.command()

@@ -10,7 +10,10 @@ negative state 1 circle.
 A negative twist region is a maximal stack of bigon-adjacent crossings on
 two strands whose negative smoothing passes both strands straight through.
 Combinatorially: consecutive crossings of the stack share an arc pair that
-is an A-pair (slots (0,1) or (2,3)) in both crossings.  Region sizes can be
+is an A-pair (slots (0,1) or (2,3)) in both crossings.  Validation walks
+each region's chain once and records where its two strands enter and
+leave (``LinkDiagram.sides``); region editing and the ring layout read
+those arcs instead of walking the chain again.  Region sizes can be
 edited; a region edited down to zero crossings is materialized as the
 negative smoothing immediately and remembers its site so it can be grown
 back.
@@ -19,7 +22,7 @@ back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -61,6 +64,9 @@ Endpoint = tuple[int, int]  # (crossing id, slot 0..3)
 # Rails of a zero-crossing region: where its left and right strands attach,
 # as (bottom-left, top-left, bottom-right, top-right) endpoints.
 Rails = tuple[Endpoint, Endpoint, Endpoint, Endpoint]
+# Boundary arcs of a region, (bottom-left, top-left, bottom-right,
+# top-right): the negative smoothing joins bl to tl and br to tr.
+Sides = tuple[int, int, int, int]
 
 
 class _UnionFind:
@@ -137,10 +143,19 @@ class State:
 
 @dataclass(frozen=True)
 class LinkDiagram:
+    """Crossings, labeled twist regions, and crossing-free loops.
+
+    ``sides`` is derived when the diagram is validated: it maps each
+    region id to the region's boundary arcs ``(bl, tl, br, tr)``, or to
+    None for a zero region smoothed into an anonymous site.  It takes no
+    part in equality, hashing, repr or JSON.
+    """
+
     crossings: tuple[Crossing, ...]
     twist_regions: tuple[TwistRegion, ...] = ()
     free_loops: int = 0
     name: str = ""
+    sides: Mapping[int, Sides | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -173,6 +188,7 @@ class LinkDiagram:
                 )
         used: set[int] = set()
         rids: set[int] = set()
+        sides: dict[int, Sides | None] = {}
         for reg in self.twist_regions:
             if reg.rid in rids:
                 raise DiagramError(f"duplicate twist region id {reg.rid}")
@@ -183,7 +199,7 @@ class LinkDiagram:
                     f"{len(reg.crossings)}"
                 )
             if reg.count == 0:
-                self._validate_rails(reg)
+                sides[reg.rid] = self._validate_rails(reg)
                 continue
             if reg.rails is not None:
                 raise DiagramError(f"region {reg.rid} has rails but also crossings")
@@ -193,11 +209,12 @@ class LinkDiagram:
                 if cid in used:
                     raise DiagramError(f"crossing {cid} lies in two twist regions")
                 used.add(cid)
-            self._validate_chain(reg)
+            sides[reg.rid] = _walk_chain(self.crossings, reg)
+        object.__setattr__(self, "sides", sides)
 
-    def _validate_rails(self, reg: TwistRegion) -> None:
+    def _validate_rails(self, reg: TwistRegion) -> Sides | None:
         if reg.rails is None:
-            return
+            return None
         labels = []
         for cid, slot in reg.rails:
             if not (0 <= cid < len(self.crossings) and 0 <= slot <= 3):
@@ -208,20 +225,7 @@ class LinkDiagram:
             raise DiagramError(
                 f"region {reg.rid} rails must sit on two distinct through-arcs"
             )
-
-    def _validate_chain(self, reg: TwistRegion) -> None:
-        # Consecutive crossings of the stack must share an A-pair; a shared
-        # B-pair would make the twist positive, which regions never are.
-        prev_pair: tuple[int, int] | None = None
-        for lo, hi in zip(reg.crossings, reg.crossings[1:]):
-            shared = set(_apairs(self.crossings[lo])) & set(_apairs(self.crossings[hi]))
-            shared.discard(prev_pair)  # type: ignore[arg-type]
-            if not shared:
-                raise DiagramError(
-                    f"region {reg.rid}: crossings {lo} and {hi} are not joined by "
-                    "a negative-twist bigon"
-                )
-            prev_pair = min(shared)
+        return bl, tl, br, tr
 
     @property
     def crossing_count(self) -> int:
@@ -493,6 +497,49 @@ def _detect_regions(crossings: Sequence[Crossing]) -> tuple[TwistRegion, ...]:
     )
 
 
+def _walk_chain(crossings: Sequence[Crossing], reg: TwistRegion) -> Sides:
+    """Check a nonempty region's chain and return its boundary arcs.
+
+    Consecutive crossings of the stack must share an A-pair; a shared
+    B-pair would make the twist positive, which regions never are.  The
+    walk takes the smallest shared pair not used by the previous bigon,
+    so a closed-up region (both A-pairs shared between two crossings)
+    reads its free ends consistently.  The bottom pair is the first
+    crossing's free A-pair in slot order; the top pair is the last
+    crossing's, ordered so that the negative smoothing of the whole
+    region joins bl to tl and br to tr.
+    """
+    xs = [crossings[c] for c in reg.crossings]
+    pairs = [_apairs(x) for x in xs]
+    first: tuple[int, int] | None = None
+    prev: tuple[int, int] | None = None
+    for i in range(len(xs) - 1):
+        shared = set(pairs[i]) & set(pairs[i + 1])
+        shared.discard(prev)  # type: ignore[arg-type]
+        if not shared:
+            raise DiagramError(
+                f"region {reg.rid}: crossings {reg.crossings[i]} and "
+                f"{reg.crossings[i + 1]} are not joined by a negative-twist bigon"
+            )
+        prev = min(shared)
+        if first is None:
+            first = prev
+    x0, xk = xs[0], xs[-1]
+    if prev is None:
+        return x0[0], x0[3], x0[1], x0[2]
+    lo = (2, 3) if pairs[0][0] == first else (0, 1)
+    hi = (2, 3) if pairs[-1][0] == prev else (0, 1)
+    bl, br = x0[lo[0]], x0[lo[1]]
+    tl, tr = xk[hi[0]], xk[hi[1]]
+    uf = _UnionFind()
+    for x in xs:
+        uf.union(x[0], x[3])
+        uf.union(x[1], x[2])
+    if uf.find(tl) != uf.find(bl):
+        tl, tr = tr, tl
+    return bl, tl, br, tr
+
+
 def _component(start: int, adj: dict[int, set[int]]) -> set[int]:
     out = {start}
     todo = [start]
@@ -668,49 +715,10 @@ def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagra
     return replace(diagram, crossings=crossings)
 
 
-def _chain_boundary(
-    diagram: LinkDiagram, reg: TwistRegion
-) -> tuple[list[int], list[int]]:
-    """Boundary arcs of a nonempty region: [bl, br], [tl, tr], strand-matched.
-
-    The bottom pair is the first crossing's free A-pair in slot order; the
-    top pair is the last crossing's, ordered so that the negative smoothing
-    of the whole region connects bl to tl and br to tr.
-    """
-    xs = [diagram.crossings[c] for c in reg.crossings]
-    if len(xs) == 1:
-        x = xs[0]
-        return [x[0], x[1]], [x[3], x[2]]
-    # Walk the chain with the same greedy bigon choice the validator makes,
-    # so a closed-up region (both A-pairs shared between two crossings)
-    # reads its free ends consistently.
-    chosen: tuple[int, int] | None = None
-    first_chosen: tuple[int, int] | None = None
-    for lo_x, hi_x in zip(xs, xs[1:]):
-        shared = set(_apairs(lo_x)) & set(_apairs(hi_x))
-        shared.discard(chosen)  # type: ignore[arg-type]
-        chosen = min(shared)
-        if first_chosen is None:
-            first_chosen = chosen
-    lo = (2, 3) if _apairs(xs[0])[0] == first_chosen else (0, 1)
-    hi = (2, 3) if _apairs(xs[-1])[0] == chosen else (0, 1)
-    bottom = [xs[0][lo[0]], xs[0][lo[1]]]
-    top_pair = [xs[-1][hi[0]], xs[-1][hi[1]]]
-    uf = _UnionFind()
-    for x in xs:
-        uf.union(x[0], x[3])
-        uf.union(x[1], x[2])
-    if uf.find(top_pair[0]) == uf.find(bottom[0]):
-        top = top_pair
-    else:
-        top = [top_pair[1], top_pair[0]]
-    return bottom, top
-
-
 def _rebuild_region(
     diagram: LinkDiagram, reg: TwistRegion, target: int
 ) -> LinkDiagram:
-    (bl, br), (tl, tr) = _chain_boundary(diagram, reg)
+    bl, tl, br, tr = diagram.sides[reg.rid]
     nxt = max(diagram.arcs()) + 1
     left = [bl] + list(range(nxt, nxt + target - 1)) + [tl]
     nxt += target - 1
@@ -765,7 +773,7 @@ def _replace_region(
     diagram: LinkDiagram, reg: TwistRegion, positive: bool
 ) -> LinkDiagram:
     """Replace a nonempty region by a smoothing of both its strands."""
-    (bl, br), (tl, tr) = _chain_boundary(diagram, reg)
+    bl, tl, br, tr = diagram.sides[reg.rid]
     removed = set(reg.crossings)
     uf = _UnionFind()
     incident: set[int] = set()
@@ -866,9 +874,8 @@ def _grow_from_rails(
             f"region {reg.rid} was smoothed into an anonymous site and cannot "
             "be re-grown; rebuild the diagram instead"
         )
-    (bl_ep, tl_ep, br_ep, tr_ep) = reg.rails
-    bl = diagram.crossings[bl_ep[0]][bl_ep[1]]
-    br = diagram.crossings[br_ep[0]][br_ep[1]]
+    _, tl_ep, _, tr_ep = reg.rails
+    bl, _, br, _ = diagram.sides[reg.rid]
     nxt = max(diagram.arcs()) + 1
     tl, tr = nxt, nxt + 1
     nxt += 2

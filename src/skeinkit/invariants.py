@@ -49,7 +49,6 @@ from .diagram import (
     LinkDiagram,
     State,
     TwistRegion,
-    _chain_boundary,
     apply_state,
     is_adequate,
     is_alternating,
@@ -189,18 +188,6 @@ class _Column:
     right: tuple[int, int]
 
 
-def _column_sides(diagram: LinkDiagram, reg: TwistRegion) -> _Column:
-    if reg.count > 0:
-        (bl, br), (tl, tr) = _chain_boundary(diagram, reg)
-        return _Column(reg, (bl, tl), (br, tr))
-    if reg.rails is None:
-        raise LayoutError(
-            f"region {reg.rid} has no crossings and no recorded site"
-        )
-    bl, tl, br, tr = (diagram.crossings[cid][slot] for cid, slot in reg.rails)
-    return _Column(reg, (bl, tl), (br, tr))
-
-
 @dataclass(frozen=True)
 class _RingLayout:
     style: str  # "ring" (cyclic columns, includes r=1 plat) or "trace"
@@ -215,6 +202,7 @@ def _variants(col: _Column):
     yield _Column(col.region, (tl, bl), (tr, br))  # upside down
     yield _Column(col.region, (tr, br), (tl, bl))  # both
 
+
 def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
     regions = sorted(diagram.twist_regions, key=lambda r: r.rid)
     if not regions:
@@ -227,7 +215,15 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
             raise LayoutError(
                 f"crossing {cid} is not in any labeled twist region"
             )
-    cols = [_column_sides(diagram, reg) for reg in regions]
+    cols = []
+    for reg in regions:
+        sides = diagram.sides[reg.rid]
+        if sides is None:
+            raise LayoutError(
+                f"region {reg.rid} has no crossings and no recorded site"
+            )
+        bl, tl, br, tr = sides
+        cols.append(_Column(reg, (bl, tl), (br, tr)))
     if len(cols) == 1:
         (bl, tl), (br, tr) = cols[0].left, cols[0].right
         if bl == br and tl == tr:
@@ -550,14 +546,10 @@ def unreduced_colored_jones(
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
-    covered: set[int] = set()
-    for reg in diagram.twist_regions:
-        covered.update(reg.crossings)
-    if len(covered) == diagram.crossing_count:
-        try:
-            return colored_bracket_fused(diagram, n, max_networks=max_networks)
-        except LayoutError:
-            pass
+    try:
+        return colored_bracket_fused(diagram, n, max_networks=max_networks)
+    except LayoutError:
+        pass
     if n == 1:
         return bracket_state_sum(diagram, max_crossings=max_crossings)
     return colored_state_sum(diagram, n, max_networks=max_networks)

@@ -360,13 +360,18 @@ class FamilySpec:
             )
         return n
 
-    def describe(self) -> str:
-        var = next((e.var for _, e in self.sizes if e.var), None) \
+    @property
+    def var(self) -> str:
+        """The parameter's name: the first size expression's variable,
+        then the color's, then "k"."""
+        return next((e.var for _, e in self.sizes if e.var), None) \
             or self.color.var or "k"
+
+    def describe(self) -> str:
         sizes = ", ".join(f"{rid}: {e.text}" for rid, e in self.sizes)
         return (
             f"regions {{{sizes}}}; color {self.color.text}; "
-            f"{var} = {self.start}..{self.stop}"
+            f"{self.var} = {self.start}..{self.stop}"
         )
 
 

@@ -5,7 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import skeinkit.diagram as diagram_module
 from skeinkit import (
     DiagramError,
     LinkDiagram,
@@ -13,6 +16,7 @@ from skeinkit import (
     State,
     TwistRegion,
     apply_state,
+    colored_bracket_fused,
     is_adequate,
     is_minus_adequate,
     minus_graph,
@@ -445,3 +449,189 @@ class TestSetTwists:
         d = set_twists(pretzel([2, 3, 2]), {2: 2})
         assert is_adequate(d)
         assert is_alternating(d)
+
+
+# -- recorded region sides ---------------------------------------------------
+
+
+def reference_chain_boundary(diagram: LinkDiagram, reg: TwistRegion):
+    """Boundary arcs of a nonempty region: [bl, br], [tl, tr], strand-matched.
+
+    An independent walk of the chain, the reference ``LinkDiagram.sides``
+    is checked against.
+    """
+
+    def apairs(x):
+        return (min(x[0], x[1]), max(x[0], x[1])), (min(x[2], x[3]), max(x[2], x[3]))
+
+    xs = [diagram.crossings[c] for c in reg.crossings]
+    if len(xs) == 1:
+        x = xs[0]
+        return [x[0], x[1]], [x[3], x[2]]
+    chosen = None
+    first_chosen = None
+    for lo_x, hi_x in zip(xs, xs[1:]):
+        shared = set(apairs(lo_x)) & set(apairs(hi_x))
+        shared.discard(chosen)
+        chosen = min(shared)
+        if first_chosen is None:
+            first_chosen = chosen
+    lo = (2, 3) if apairs(xs[0])[0] == first_chosen else (0, 1)
+    hi = (2, 3) if apairs(xs[-1])[0] == chosen else (0, 1)
+    bottom = [xs[0][lo[0]], xs[0][lo[1]]]
+    top_pair = [xs[-1][hi[0]], xs[-1][hi[1]]]
+    parent: dict[int, int] = {}
+
+    def find(a):
+        while parent.setdefault(a, a) != a:
+            a = parent[a]
+        return a
+
+    for x in xs:
+        parent[find(x[0])] = find(x[3])
+        parent[find(x[1])] = find(x[2])
+    if find(top_pair[0]) == find(bottom[0]):
+        top = top_pair
+    else:
+        top = [top_pair[1], top_pair[0]]
+    return bottom, top
+
+
+def reference_sides(diagram: LinkDiagram) -> dict:
+    out = {}
+    for reg in diagram.twist_regions:
+        if reg.count:
+            (bl, br), (tl, tr) = reference_chain_boundary(diagram, reg)
+            out[reg.rid] = (bl, tl, br, tr)
+        elif reg.rails is None:
+            out[reg.rid] = None
+        else:
+            out[reg.rid] = tuple(diagram.crossings[c][s] for c, s in reg.rails)
+    return out
+
+
+def assert_sides(diagram: LinkDiagram) -> None:
+    assert dict(diagram.sides) == reference_sides(diagram)
+    back = LinkDiagram.from_json(diagram.to_json())
+    assert dict(back.sides) == reference_sides(back)
+
+
+counts_st = st.lists(st.integers(0, 5), min_size=1, max_size=4)
+
+
+class TestRecordedSides:
+    @given(counts_st)
+    @settings(max_examples=60, deadline=None)
+    def test_pretzels(self, counts):
+        assert_sides(pretzel(counts))
+
+    def test_zero_regions_with_and_without_rails(self):
+        d = pretzel([2, 0, 3])
+        assert d.region(2).rails is not None and d.sides[2] is not None
+        bl, tl, br, tr = d.sides[2]
+        assert bl == tl and br == tr and bl != br
+        anonymous = pretzel([0])
+        assert anonymous.region(1).rails is None and anonymous.sides[1] is None
+        for diagram in (d, anonymous, pretzel([0, 0, 0])):
+            assert_sides(diagram)
+
+    @given(
+        counts_st,
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 5), st.booleans()),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_set_twists_sequences(self, counts, steps):
+        d = pretzel(counts)
+        for rid, target, smooth_first in steps:
+            if all(reg.rid != rid for reg in d.twist_regions):
+                continue
+            reg = d.region(rid)
+            if smooth_first and reg.count:
+                d = set_twists(d, {rid: -reg.count})  # shrink to 0 first
+                assert_sides(d)
+                reg = d.region(rid)
+            if reg.count == 0 and reg.rails is None and target:
+                continue  # an anonymous site cannot be re-grown
+            d = set_twists(d, {rid: target - reg.count})
+            assert d.region(rid).count == target
+            assert_sides(d)
+
+    @given(counts_st, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_parsed_diagrams(self, counts, rng):
+        # shuffled crossings, some read from their other under-slot, so
+        # the detected chains start and end on either A-pair
+        crossings = [
+            x[2:] + x[:2] if rng.random() < 0.5 else x
+            for x in pretzel(counts).crossings
+        ]
+        rng.shuffle(crossings)
+        d = parse_pd(pd_text(LinkDiagram(tuple(crossings))))
+        assert_sides(d)
+
+    def test_closed_up_region(self):
+        assert_sides(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"))
+        assert_sides(set_twists(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"), {1: 1}))
+
+    @given(counts_st, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_relabeled_arcs(self, counts, rng):
+        d = pretzel(counts)
+        arcs = sorted(d.arcs())
+        image = rng.sample(range(1, 3 * len(arcs) + 2), len(arcs))
+        relabeled = relabel_arcs(d, dict(zip(arcs, image)))
+        assert_sides(relabeled)
+
+    def test_each_region_walked_once_per_diagram(self, monkeypatch):
+        walks: list[int] = []
+        built: list[LinkDiagram] = []
+        walk = diagram_module._walk_chain
+        validate = LinkDiagram._validate
+
+        def counted_walk(crossings, reg):
+            walks.append(reg.rid)
+            return walk(crossings, reg)
+
+        def counted_validate(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(diagram_module, "_walk_chain", counted_walk)
+        monkeypatch.setattr(LinkDiagram, "_validate", counted_validate)
+        for counts, deltas in (
+            ([8, 6, 3], {3: 2}),
+            ([2, 3, 2], {1: -2, 3: 1}),
+            ([2, 0, 2], {2: 3}),
+        ):
+            base = pretzel(counts)
+            walks.clear()
+            built.clear()
+            member = set_twists(base, deltas)
+            assert built
+            assert len(walks) == sum(
+                1 for d in built for reg in d.twist_regions if reg.count
+            )
+            walks.clear()
+            colored_bracket_fused(member, 2)
+            assert walks == []
+
+    @pytest.mark.parametrize(
+        "diagram",
+        [
+            pretzel([2, 0, 3]),
+            pretzel([0]),
+            parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"),
+            set_twists(pretzel([8, 6, 3]), {3: 1}),
+        ],
+    )
+    def test_sides_ignored_by_eq_hash_repr_json(self, diagram):
+        twin = LinkDiagram.from_json(diagram.to_json())
+        object.__setattr__(twin, "sides", {})
+        assert twin == diagram
+        assert hash(twin) == hash(diagram)
+        assert repr(twin) == repr(diagram)
+        assert "sides" not in repr(diagram)
+        assert twin.to_json() == diagram.to_json()
