@@ -942,7 +942,7 @@ def quantum_int(k: int) -> LaurentPoly:
     return LaurentPoly({2 * (k - 1) - 4 * j: 1 for j in range(k)})
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def quantum_fact(k: int) -> LaurentPoly:
     """Quantum factorial [k]! = [1][2]...[k], with [0]! = 1.  Cached."""
     if k < 0:
@@ -982,7 +982,7 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> RationalFn:
 # numerator, no common factor is left: the quotient is in lowest terms.
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def cyclotomic4(d: int) -> LaurentPoly:
     """Phi_d(A^4), the d-th cyclotomic polynomial in A^4.  Cached."""
     if d < 1:

@@ -48,7 +48,6 @@ from .invariants import (
     colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
-    reduced_jones,
     unreduced_colored_jones,
 )
 from .planar import (
@@ -79,8 +78,8 @@ from .stability import (
     n_equivalent,
     normalize,
     pretzel_family,
+    reduced_windows,
     window_from_bracket,
-    window_from_reduced,
 )
 
 DEFAULT_MAX_STATES = 1 << 20
@@ -213,10 +212,6 @@ def _max_crossings(max_states: int) -> int:
     return max(0, int(max_states).bit_length() - 1)
 
 
-def _budget_flag(exc: BudgetError) -> str:
-    return "--max-states" if "crossings" in str(exc) else "--max-networks"
-
-
 def _family(family_arg: str, color_arg: str, start: int, stop: int):
     sizes = []
     for i, part in enumerate(family_arg.split(",")):
@@ -237,26 +232,16 @@ def _family(family_arg: str, color_arg: str, start: int, stop: int):
 
 def _window_rows(spec, window, max_networks):
     """Normalized reduced-polynomial windows, one row per family member."""
-
-    def one(k: int) -> list[int]:
-        count = window(k)
+    params = list(spec.parameters())
+    counts = [window(k) for k in params]
+    for k, count in zip(params, counts):
         if count < 0:
             raise WindowError(
                 f"window {str(window)!r} evaluates to {count} at parameter {k}"
             )
-        try:
-            poly = reduced_jones(
-                spec.member(k), spec.member_color(k), max_networks=max_networks
-            )
-        except (MemberError, BudgetError):
-            raise
-        except (ValueError, ArithmeticError) as exc:
-            raise MemberError(f"family member at parameter {k} failed: {exc}", k)
-        if count == 0:
-            return []
-        return list(normalize(window_from_reduced(poly, count)).coeffs)
-
-    return [(k, one(k)) for k in spec.parameters()]
+    windows = reduced_windows(spec, counts, max_networks=max_networks)
+    return [(k, list(normalize(w).coeffs) if w.coeffs else [])
+            for k, w in zip(params, windows)]
 
 
 # -- command group -------------------------------------------------------------
@@ -341,7 +326,10 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
     try:
         rows = _window_rows(spec, window, max_networks)
     except BudgetError as exc:
-        raise click.ClickException(f"{_budget_flag(exc)}: {exc}")
+        # the classical sweep's crossing cap is fixed; only the fusion
+        # and state-network budgets follow --max-networks
+        flag = "" if "crossings" in str(exc) else "--max-networks: "
+        raise click.ClickException(f"{flag}{exc}")
     except (MemberError, WindowError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":

@@ -342,39 +342,41 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
         raise DiagramError("a pretzel needs at least one twist region")
     if any(k < 0 for k in counts):
         raise DiagramError("twist region sizes must be nonnegative")
-    base = _pretzel_positive([max(k, 1) for k in counts])
-    deltas = {i + 1: k - max(k, 1) for i, k in enumerate(counts) if k == 0}
-    out = set_twists(base, deltas) if deltas else base
-    label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
-    return replace(out, name=label)
-
-
-def _pretzel_positive(counts: Sequence[int]) -> LinkDiagram:
-    # Connector arcs: t[i] joins the tops of regions i and i+1 (cyclically),
-    # b[i] the bottoms.  Region i's crossing j is [l(j-1), r(j-1), r(j), l(j)]
-    # with the left column running from b[i-1] up to t[i-1] and the right
-    # from b[i] to t[i]: the under-strand climbs the SW-NE diagonal, which
-    # is what makes every region a negative twist.
+    # Connector arcs: 2i+1 joins the tops of regions i and i+1
+    # (cyclically), 2i+2 the bottoms.  Region i's left column runs from
+    # the bottom connector of region i-1 to its top connector, the right
+    # column from region i's own; a zero region is built with one
+    # crossing and smoothed below.
     r = len(counts)
-    t = [2 * i + 1 for i in range(r)]
-    b = [2 * i + 2 for i in range(r)]
     nxt = 2 * r + 1
     crossings: list[Crossing] = []
     regions: list[TwistRegion] = []
     for i, k in enumerate(counts):
-        left = [b[(i - 1) % r]]
-        right = [b[i]]
-        for _ in range(k - 1):
-            left.append(nxt)
-            right.append(nxt + 1)
-            nxt += 2
-        left.append(t[(i - 1) % r])
-        right.append(t[i])
+        k = max(k, 1)
+        j = (i - 1) % r
         first = len(crossings)
-        for j in range(k):
-            crossings.append((left[j], right[j], right[j + 1], left[j + 1]))
+        crossings += _chain(2 * j + 2, 2 * j + 1, 2 * i + 2, 2 * i + 1, k, nxt)
+        nxt += 2 * (k - 1)
         regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
-    return LinkDiagram(tuple(crossings), tuple(regions))
+    label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
+    out = LinkDiagram(tuple(crossings), tuple(regions), name=label)
+    deltas = {i + 1: -1 for i, k in enumerate(counts) if k == 0}
+    return set_twists(out, deltas) if deltas else out
+
+
+def _chain(bl: int, tl: int, br: int, tr: int, k: int, nxt: int) -> list[Crossing]:
+    """The k >= 1 crossings of a negative twist region between its sides.
+
+    Crossing j is [l(j), r(j), r(j+1), l(j+1)], with the left strand
+    running bl = l(0) .. l(k) = tl and the right br = r(0) .. r(k) = tr:
+    the under-strand climbs the SW-NE diagonal, which is what makes the
+    region a negative twist.  Interior arcs are numbered from ``nxt``,
+    l(j) = nxt + 2(j-1) and r(j) = l(j) + 1.
+    """
+    inner = range(nxt, nxt + 2 * (k - 1), 2)
+    left = [bl, *inner, tl]
+    right = [br, *(a + 1 for a in inner), tr]
+    return [(left[j], right[j], right[j + 1], left[j + 1]) for j in range(k)]
 
 
 def parse_pd(
@@ -676,9 +678,7 @@ def set_twists(diagram: LinkDiagram, deltas: Mapping[int, int]) -> LinkDiagram:
             )
         if target == reg.count:
             continue
-        if reg.count == 0:
-            out = _grow_from_rails(out, reg, target)
-        elif target == 0:
+        if target == 0:
             out = _replace_region(out, reg, positive=False)
         else:
             out = _rebuild_region(out, reg, target)
@@ -718,30 +718,44 @@ def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagra
 def _rebuild_region(
     diagram: LinkDiagram, reg: TwistRegion, target: int
 ) -> LinkDiagram:
+    if reg.count == 0 and reg.rails is None:
+        raise DiagramError(
+            f"region {reg.rid} was smoothed into an anonymous site and cannot "
+            "be re-grown; rebuild the diagram instead"
+        )
     bl, tl, br, tr = diagram.sides[reg.rid]
     nxt = max(diagram.arcs()) + 1
-    left = [bl] + list(range(nxt, nxt + target - 1)) + [tl]
-    nxt += target - 1
-    right = [br] + list(range(nxt, nxt + target - 1)) + [tr]
-    chain = [
-        (left[j], right[j], right[j + 1], left[j + 1]) for j in range(target)
-    ]
+    crossings = list(diagram.crossings)
+    if reg.count == 0:
+        # the rails sit on two through-arcs: fresh labels on their top
+        # endpoints split them, and the new chain joins the pieces
+        tl, tr = nxt, nxt + 1
+        nxt += 2
+        for (cid, slot), label in ((reg.rails[1], tl), (reg.rails[3], tr)):
+            x = list(crossings[cid])
+            x[slot] = label
+            crossings[cid] = tuple(x)
+    chain = _chain(bl, tl, br, tr, target, nxt)
     removed = set(reg.crossings)
-    keep = [cid for cid in range(len(diagram.crossings)) if cid not in removed]
+    keep = [cid for cid in range(len(crossings)) if cid not in removed]
     remap = {old: new for new, old in enumerate(keep)}
-    crossings = [diagram.crossings[cid] for cid in keep]
+    crossings = [crossings[cid] for cid in keep]
     first_new = len(crossings)
     crossings.extend(chain)
+    # an endpoint at a corner of the old chain moves to the same corner of
+    # the new one; the corner's label alone is ambiguous when one arc
+    # joins two corners
+    last = first_new + target - 1
+    corners = {}
+    if reg.count:
+        corners = dict(zip(
+            _corner_endpoints(diagram.crossings, reg, bl, br),
+            ((first_new, 0), (last, 3), (first_new, 1), (last, 2)),
+        ))
 
     def move_endpoint(ep: Endpoint) -> Endpoint | None:
         cid, slot = ep
-        if cid not in removed:
-            return (remap[cid], slot)
-        label = diagram.crossings[cid][slot]
-        for j, x in enumerate(chain):  # boundary labels survive the rebuild
-            if label in x:
-                return (first_new + j, x.index(label))
-        return None
+        return (remap[cid], slot) if cid not in removed else corners.get(ep)
 
     regions = []
     for other in diagram.twist_regions:
@@ -754,6 +768,27 @@ def _rebuild_region(
     return replace(
         diagram, crossings=tuple(crossings), twist_regions=tuple(regions)
     )
+
+
+def _corner_endpoints(
+    crossings: Sequence[Crossing], reg: TwistRegion, bl: int, br: int
+) -> tuple[Endpoint, Endpoint, Endpoint, Endpoint]:
+    """Endpoints of a nonempty region's boundary arcs, (bl, tl, br, tr).
+
+    The bottom pair is the first crossing's A-pair holding (bl, br), or
+    slots (0, 1) of a single crossing; each strand is then followed up
+    the chain through the negative smoothing, which joins slot s to 3 - s.
+    """
+    chain = reg.crossings
+    first = crossings[chain[0]]
+    bottom = (0, 1) if len(chain) == 1 or first[:2] == (bl, br) else (2, 3)
+    ends: list[Endpoint] = []
+    for slot in bottom:
+        start = (chain[0], slot)
+        for below, cid in zip(chain, chain[1:]):
+            slot = crossings[cid].index(crossings[below][3 - slot])
+        ends += [start, (chain[-1], 3 - slot)]
+    return ends[0], ends[1], ends[2], ends[3]
 
 
 def _move_region(
@@ -864,38 +899,3 @@ def _clean_rails(
     if len(left) != 2 or len(right) != 2:
         return None
     return (eps[0], eps[1], eps[2], eps[3])
-
-
-def _grow_from_rails(
-    diagram: LinkDiagram, reg: TwistRegion, target: int
-) -> LinkDiagram:
-    if reg.rails is None:
-        raise DiagramError(
-            f"region {reg.rid} was smoothed into an anonymous site and cannot "
-            "be re-grown; rebuild the diagram instead"
-        )
-    _, tl_ep, _, tr_ep = reg.rails
-    bl, _, br, _ = diagram.sides[reg.rid]
-    nxt = max(diagram.arcs()) + 1
-    tl, tr = nxt, nxt + 1
-    nxt += 2
-    crossings = [list(x) for x in diagram.crossings]
-    crossings[tl_ep[0]][tl_ep[1]] = tl
-    crossings[tr_ep[0]][tr_ep[1]] = tr
-    left = [bl] + list(range(nxt, nxt + target - 1)) + [tl]
-    nxt += target - 1
-    right = [br] + list(range(nxt, nxt + target - 1)) + [tr]
-    first_new = len(crossings)
-    for j in range(target):
-        crossings.append([left[j], right[j], right[j + 1], left[j + 1]])
-    regions = tuple(
-        TwistRegion(reg.rid, tuple(range(first_new, first_new + target)), target)
-        if other.rid == reg.rid
-        else other
-        for other in diagram.twist_regions
-    )
-    return replace(
-        diagram,
-        crossings=tuple(tuple(x) for x in crossings),
-        twist_regions=regions,
-    )

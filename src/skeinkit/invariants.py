@@ -219,9 +219,7 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
     for reg in regions:
         sides = diagram.sides[reg.rid]
         if sides is None:
-            raise LayoutError(
-                f"region {reg.rid} has no crossings and no recorded site"
-            )
+            continue  # smoothed away into a free loop or a merged strand
         bl, tl, br, tr = sides
         cols.append(_Column(reg, (bl, tl), (br, tr)))
     if len(cols) == 1:
@@ -269,7 +267,7 @@ def _twist_power(n: int, p: int, k: int) -> LaurentPoly:
     return LaurentPoly.monomial(e * k, sign**k)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], LaurentPoly]:
     """The color-n channel-mixing coefficients over one denominator.
 

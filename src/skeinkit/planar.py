@@ -23,8 +23,9 @@ no polynomial gcd.  The ``terms`` property presents the conventional
 matching -> coefficient view.
 
 The heavyweight objects here are the Jones-Wenzl projectors, built by
-the Wenzl recursion and cached in memory, and the trivalent vertex
-morphisms built from them.  ``SliceProgram`` and ``evaluate`` provide
+the Wenzl recursion, and the trivalent vertex morphisms built from
+them; these and the crossing morphisms are memoized in memory with
+``functools.cache``.  ``SliceProgram`` and ``evaluate`` provide
 a small sweep language for closed networks (theta and tetrahedron
 graphs, drums, smoothing networks); these serve as the first-principles
 oracle for the closed-form evaluations elsewhere.
@@ -196,7 +197,7 @@ class Matching:
         return [(i, j) for i, j in enumerate(self.pair) if i < j]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _delta_pow(k: int) -> LaurentPoly:
     return DELTA**k
 
@@ -456,33 +457,25 @@ def closure(f: TLMorphism) -> RationalFn:
 
 # -- Jones-Wenzl projectors ------------------------------------------
 
-_JW_CACHE: dict[int, TLMorphism] = {}
-
-
+@functools.cache
 def jones_wenzl(n: int) -> TLMorphism:
     """The n-strand projector, by the Wenzl recursion.
 
-    f(1) = id; f(n) = f(n-1)x1 - (delta(n-2)/delta(n-1)) *
-    (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process.  Since
+    f(0) and f(1) are identities; f(n) = f(n-1)x1 - (delta(n-2)/delta(n-1))
+    * (f(n-1)x1) e_{n-1} (f(n-1)x1).  Memoized in process.  Since
     delta(k) = (-1)^k A^(-2k) prod_{d | k+1, d >= 2} Phi_d(A^4), the
     coefficient is a difference of exponent vectors.
     """
     if n < 0:
         raise ValueError(f"projector color must be >= 0, got {n}")
-    if n == 0:
-        return TLMorphism._raw(0, 0, {(): ONE}, {})
-    if n in _JW_CACHE:
-        return _JW_CACHE[n]
-    _JW_CACHE.setdefault(1, TLMorphism.identity(1))
-    top = max(_JW_CACHE)
-    for m in range(top + 1, n + 1):
-        prev = tensor(_JW_CACHE[m - 1], TLMorphism.identity(1))
-        hooked = compose(compose(prev, TLMorphism.hook(m, m - 2)), prev)
-        # delta(m-2)/delta(m-1) = -[m-1]!^2 / ([m-2]! [m]!)
-        shift, vec = factorial_factors((m - 1, m - 1), (m - 2, m))
-        coeff = RationalFn.from_factors(LaurentPoly.monomial(shift, -1), vec)
-        _JW_CACHE[m] = prev - hooked.scaled(coeff)
-    return _JW_CACHE[n]
+    if n <= 1:
+        return TLMorphism.identity(n)
+    prev = tensor(jones_wenzl(n - 1), TLMorphism.identity(1))
+    hooked = compose(compose(prev, TLMorphism.hook(n, n - 2)), prev)
+    # delta(n-2)/delta(n-1) = -[n-1]!^2 / ([n-2]! [n]!)
+    shift, vec = factorial_factors((n - 1, n - 1), (n - 2, n))
+    coeff = RationalFn.from_factors(LaurentPoly.monomial(shift, -1), vec)
+    return prev - hooked.scaled(coeff)
 
 
 def capnest(m: int) -> TLMorphism:
@@ -519,54 +512,40 @@ class TrivalentVertex:
         return x, y, z
 
 
-_VERTEX_CACHE: dict[tuple, TLMorphism] = {}
-_CHANNEL_CACHE: dict[tuple, TLMorphism] = {}
-
-
+@functools.cache
 def vertex_morphism(a: int, b: int, c: int, orientation: str = "up") -> TLMorphism:
     """The clasped trivalent vertex as a morphism.
 
     orientation "up": legs a and b enter from below (a on the left),
     leg c leaves above; the morphism is (a+b) -> c.  "down" is the
-    mirror, c -> (a+b).  All three legs carry projectors.
+    mirror, c -> (a+b).  All three legs carry projectors.  Memoized.
     """
-    key = (a, b, c, orientation)
-    cached = _VERTEX_CACHE.get(key)
-    if cached is not None:
-        return cached
     v = TrivalentVertex(a, b, c)
     x, y, z = v.internal
     fa, fb, fc = jones_wenzl(a), jones_wenzl(b), jones_wenzl(c)
     if orientation == "up":
         legs = tensor(fa, fb)
         turn = boxed(capnest(x), y, z)
-        out = compose(compose(legs, turn), fc)
-    elif orientation == "down":
+        return compose(compose(legs, turn), fc)
+    if orientation == "down":
         turn = boxed(cupnest(x), y, z)
         legs = tensor(fa, fb)
-        out = compose(compose(fc, turn), legs)
-    else:
-        raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
-    _VERTEX_CACHE[key] = out
-    return out
+        return compose(compose(fc, turn), legs)
+    raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
 
 
+@functools.cache
 def channel_element(n: int, p: int) -> TLMorphism:
     """Two n-cables joined through a 2p channel: a 2n -> 2n morphism.
 
     compose(vertex up, vertex down) for the triple (n, n, 2p); the
     p = n case is the full 2n-strand projector (clasp absorption), and
-    p = 0 is the clasped turn-back.
+    p = 0 is the clasped turn-back.  Memoized.
     """
     if not 0 <= p <= n:
         raise ValueError(f"channel needs 0 <= p <= n, got p={p}, n={n}")
-    key = (n, p)
-    cached = _CHANNEL_CACHE.get(key)
-    if cached is None:
-        up = vertex_morphism(n, n, 2 * p, "up")
-        down = vertex_morphism(n, n, 2 * p, "down")
-        cached = _CHANNEL_CACHE[key] = compose(up, down)
-    return cached
+    return compose(vertex_morphism(n, n, 2 * p, "up"),
+                   vertex_morphism(n, n, 2 * p, "down"))
 
 
 # -- slice programs ---------------------------------------------------
@@ -612,25 +591,16 @@ class SliceProgram:
         return self
 
 
-_CROSSINGS: dict[int, TLMorphism] = {}
-
-
+@functools.cache
 def crossing_morphism(sign: int) -> TLMorphism:
     """Kauffman expansion of a single crossing, vertical frame.
 
     sign -1: A^(-1) . identity + A . hook (the twist-region kind);
-    sign +1 is the mirror image.
+    sign +1 is the mirror image.  Memoized.
     """
-    key = -1 if sign < 0 else 1
-    cached = _CROSSINGS.get(key)
-    if cached is None:
-        ident = TLMorphism.identity(2)
-        hook = TLMorphism.hook(2, 0)
-        cached = ident.scaled(LaurentPoly.monomial(key)) + hook.scaled(
-            LaurentPoly.monomial(-key)
-        )
-        _CROSSINGS[key] = cached
-    return cached
+    e = -1 if sign < 0 else 1
+    return (TLMorphism.identity(2).scaled(LaurentPoly.monomial(e))
+            + TLMorphism.hook(2, 0).scaled(LaurentPoly.monomial(-e)))
 
 
 def _slice_to_morphism(s) -> TLMorphism:
@@ -817,29 +787,23 @@ def drum(n: int, rungs: list[int]) -> SliceProgram:
     return plat_program([channel_element(n, p) for p in ps], n)
 
 
-_CABLED: dict[tuple[int, int], TLMorphism] = {}
-
-
+@functools.cache
 def cabled_crossing(n: int, sign: int) -> TLMorphism:
     """One crossing of two n-cables, as n^2 single crossings.
 
     A 2n -> 2n morphism: the right bundle passes across the left one,
     every elementary crossing carrying the given sign.  No projectors
-    are attached; clasp the legs separately when needed.
+    are attached; clasp the legs separately when needed.  Memoized.
     """
     if n < 1:
         raise ValueError(f"cabled_crossing needs n >= 1, got {n}")
-    key = (n, -1 if sign < 0 else 1)
-    cached = _CABLED.get(key)
-    if cached is None:
-        x = crossing_morphism(key[1])
-        cached = TLMorphism.identity(2 * n)
-        # move each strand of the right bundle across the left bundle
-        for i in range(n):
-            for j in range(n - 1 + i, i - 1, -1):
-                cached = compose(cached, boxed(x, j, 2 * n - j - 2))
-        _CABLED[key] = cached
-    return cached
+    x = crossing_morphism(sign)
+    out = TLMorphism.identity(2 * n)
+    # move each strand of the right bundle across the left bundle
+    for i in range(n):
+        for j in range(n - 1 + i, i - 1, -1):
+            out = compose(out, boxed(x, j, 2 * n - j - 2))
+    return out
 
 
 def turnback(n: int, i: int) -> TLMorphism:

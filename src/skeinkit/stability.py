@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, QPoly
 from .diagram import LinkDiagram, pretzel, set_twists
-from .invariants import reduced_jones, unreduced_colored_jones
+from .invariants import BudgetError, reduced_jones, unreduced_colored_jones
 
 __all__ = [
     "CoeffList",
@@ -42,6 +42,7 @@ __all__ = [
     "n_equivalent",
     "normalize",
     "pretzel_family",
+    "reduced_windows",
     "stable_prefix",
     "window_from_bracket",
     "window_from_reduced",
@@ -475,19 +476,43 @@ class TailReport:
         return "\n".join(lines)
 
 
-def _compute_members(jobs: Sequence[tuple], worker: Callable) -> list:
-    def run(job):
-        k = job[0]
+def _windows(params: Iterable[int], counts: Sequence[int],
+             window: Callable[[int, int], CoeffList]) -> list[CoeffList]:
+    """``window(k, count)`` for every member, failures named by parameter.
+
+    A ``MemberError`` or ``BudgetError`` passes through unchanged; any
+    other ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError``
+    for the member's parameter.
+    """
+    out = []
+    for k, count in zip(params, counts):
         try:
-            return worker(*job)
-        except MemberError:
+            out.append(window(k, count))
+        except (MemberError, BudgetError):
             raise
-        except Exception as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise MemberError(
                 f"family member at parameter {k} failed: {exc}", k
             ) from exc
+    return out
 
-    return [run(job) for job in jobs]
+
+def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
+                    max_networks: int = 100_000) -> list[CoeffList]:
+    """The lowest ``counts[i]`` reduced coefficients of the i-th member.
+
+    Members are evaluated in parameter order.  A budget refusal raises
+    ``BudgetError`` itself; any other ``ValueError`` or
+    ``ArithmeticError`` becomes a ``MemberError`` for the member.
+    """
+    return _windows(
+        spec.parameters(), counts,
+        lambda k, count: window_from_reduced(
+            reduced_jones(spec.member(k), spec.member_color(k),
+                          max_networks=max_networks),
+            count,
+        ),
+    )
 
 
 def _window_counts(required: Sequence[int], tail_len: int, depth: int,
@@ -549,13 +574,7 @@ def _family_windows(spec: FamilySpec, rate_fn: Callable[[int], int],
     required = [max(0, rate_fn(k)) for k in params[:-1]]
     tail_len = max(0, rate_fn(params[-1]))
     counts = _window_counts(required, tail_len, depth, len(params))
-
-    def worker(k: int, count: int) -> CoeffList:
-        qp = reduced_jones(spec.member(k), spec.member_color(k))
-        return window_from_reduced(qp, count)
-
-    jobs = list(zip(params, counts))
-    return params, required, tail_len, _compute_members(jobs, worker)
+    return params, required, tail_len, reduced_windows(spec, counts)
 
 
 def family_tail(spec: FamilySpec, rate, *, depth: int = 2) -> TailReport:
@@ -605,12 +624,12 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
-
-    def worker(k: int, count: int) -> CoeffList:
-        value = unreduced_colored_jones(spec.member(k), cable(k)).value
-        return window_from_bracket(value, count)
-
-    windows = _compute_members(list(zip(params, counts)), worker)
+    windows = _windows(
+        params, counts,
+        lambda k, count: window_from_bracket(
+            unreduced_colored_jones(spec.member(k), cable(k)).value, count
+        ),
+    )
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
         tail_len,
@@ -685,7 +704,7 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     if unknown:
         raise ValueError(f"unknown region id {unknown[0]} in twist shifts")
 
-    members = []
+    members = {}
     for i, c in enumerate(colors):
         mult = i if diagonal else len(colors) - 1 - i
         deltas = {}
@@ -699,18 +718,17 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
                 )
             if d:
                 deltas[rid] = d
-        members.append((c, set_twists(diagram, deltas) if deltas else diagram))
+        members[c] = set_twists(diagram, deltas) if deltas else diagram
 
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(colors))
-
-    def worker(c: int, member: LinkDiagram, count: int) -> CoeffList:
-        value = unreduced_colored_jones(member, c).value
-        return window_from_bracket(value, count)
-
-    jobs = [(c, d, counts[i]) for i, (c, d) in enumerate(members)]
-    windows = _compute_members(jobs, worker)
+    windows = _windows(
+        colors, counts,
+        lambda c, count: window_from_bracket(
+            unreduced_colored_jones(members[c], c).value, count
+        ),
+    )
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:
         body = ", ".join(f"{rid}: {shifts[rid]}" for rid in sorted(shifts))

@@ -18,8 +18,10 @@ from click.testing import CliRunner
 
 import skeinkit
 from skeinkit import cli
+from skeinkit.algebra import delta, exact_div, substitute_quarter
 from skeinkit.diagram import LinkDiagram, minus_graph, pretzel, reduced_minus_graph
-from skeinkit.invariants import bracket_state_sum
+from skeinkit.invariants import bracket_state_sum, colored_state_sum
+from skeinkit.stability import normalize, window_from_reduced
 
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
 
@@ -257,6 +259,70 @@ class TestTable:
         assert "parameter 1" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize(
+        "family,start,stop,members",
+        [
+            # regions 1 and 2 are smoothed away, leaving no recorded site
+            ("0,0,k", 2, 3, lambda k: [0, 0, k]),
+            # region 3 grows back on rails that sat on region 2's corners
+            ("2,k+1,k", 0, 2, lambda k: [2, k + 1, k]),
+        ],
+    )
+    def test_members_with_zero_regions(self, runner, family, start, stop, members):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", family,
+            "--color", "3",
+            "--range", f"{start}..{stop}",
+            "--window", "4",
+        )
+        assert result.exit_code == 0, result.output
+        want = []
+        for k in range(start, stop + 1):
+            # the clasped state sum of a fresh pretzel, not the fused path
+            # the command takes
+            value = colored_state_sum(pretzel(members(k)), 2).value
+            qp = substitute_quarter(exact_div(value, delta(2)))
+            want.append((k, list(normalize(window_from_reduced(qp, 4)).coeffs)))
+        assert parse_text_rows(result.output) == want
+
+    def test_sweep_crossing_cap_names_no_flag(self, runner):
+        # table has no --max-states; the sweep's cap of 20 is fixed
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "0,0,k,1",
+            "--color", "2",
+            "--range", "20..20",
+            "--window", "2",
+        )
+        assert result.exit_code == 1
+        assert "Error: 21 crossings exceed the configured cap of 20" in result.output
+        assert "--max-states" not in result.output
+        assert "--max-networks" not in result.output
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--color", "400"],
+             "480000 fusion column terms exceed the configured cap of 100000"),
+            (["--color", "4", "--max-networks", "10"],
+             "48 fusion column terms exceed the configured cap of 10"),
+        ],
+    )
+    def test_network_budget_names_max_networks(self, runner, extra, message):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "2,2,k",
+            "--range", "1..2",
+            "--window", "1",
+            *extra,
+        )
+        assert result.exit_code == 1
+        assert f"Error: --max-networks: {message}" in result.output
+
     def test_negative_member_size_fails_cleanly(self, runner):
         result = run(
             runner,
@@ -298,6 +364,21 @@ class TestTail:
         assert "result: FAIL" in result.output
         assert "left  1 -1 3 -1 3" in result.output
         assert "right 1 -1 3 -3 3" in result.output
+
+    def test_budget_refusal_is_printed_as_itself(self, runner):
+        result = run(
+            runner,
+            "tail",
+            "--pretzel-family", "2,2,k",
+            "--color", "400",
+            "--range", "1..2",
+            "--rate", "1",
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: 480000 fusion column terms exceed the configured cap "
+            "of 100000\n"
+        )
 
     def test_json_report(self, runner):
         result = run(

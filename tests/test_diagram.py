@@ -3,9 +3,10 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skeinkit.diagram as diagram_module
@@ -162,6 +163,66 @@ class TestPretzel:
             pretzel([])
         with pytest.raises(DiagramError, match="nonnegative"):
             pretzel([2, -1])
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_layout(self, counts):
+        assert pretzel(counts).to_json() == reference_pretzel(counts).to_json()
+        assert pretzel(counts, name="x").to_json() == (
+            reference_pretzel(counts, name="x").to_json()
+        )
+
+    @pytest.mark.parametrize("counts,builds", [([8, 6, 3], 1), ([2, 0, 3], 2)])
+    def test_validations_per_build(self, monkeypatch, counts, builds):
+        # one for the named diagram, one per zero region smoothed
+        built: list[LinkDiagram] = []
+        validate = LinkDiagram._validate
+
+        def counted_validate(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(LinkDiagram, "_validate", counted_validate)
+        pretzel(counts)
+        assert len(built) == builds
+
+
+def reference_positive_pretzel(counts) -> LinkDiagram:
+    """Every column laid out inline: the reference for ``pretzel``.
+
+    Connector arcs: t[i] joins the tops of regions i and i+1 (cyclically),
+    b[i] the bottoms.  Region i's crossing j is [l(j-1), r(j-1), r(j), l(j)]
+    with the left column running from b[i-1] up to t[i-1] and the right
+    from b[i] to t[i].
+    """
+    r = len(counts)
+    t = [2 * i + 1 for i in range(r)]
+    b = [2 * i + 2 for i in range(r)]
+    nxt = 2 * r + 1
+    crossings = []
+    regions = []
+    for i, k in enumerate(counts):
+        left = [b[(i - 1) % r]]
+        right = [b[i]]
+        for _ in range(k - 1):
+            left.append(nxt)
+            right.append(nxt + 1)
+            nxt += 2
+        left.append(t[(i - 1) % r])
+        right.append(t[i])
+        first = len(crossings)
+        for j in range(k):
+            crossings.append((left[j], right[j], right[j + 1], left[j + 1]))
+        regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
+    return LinkDiagram(tuple(crossings), tuple(regions))
+
+
+def reference_pretzel(counts, name=None) -> LinkDiagram:
+    base = reference_positive_pretzel([max(k, 1) for k in counts])
+    deltas = {i + 1: -1 for i, k in enumerate(counts) if k == 0}
+    out = set_twists(base, deltas) if deltas else base
+    label = name if name is not None else "P(" + ",".join(map(str, counts)) + ")"
+    return replace(out, name=label)
 
 
 class TestParsePD:
@@ -449,6 +510,26 @@ class TestSetTwists:
         d = set_twists(pretzel([2, 3, 2]), {2: 2})
         assert is_adequate(d)
         assert is_alternating(d)
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), max_size=5),
+    )
+    # region 2's rails sit on corners of region 1, which grows first
+    @example(counts=[1, 0], steps=[(1, 2), (2, 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_edit_sequences_match_fresh_pretzels(self, counts, steps):
+        d = pretzel(counts)
+        counts = list(counts)
+        for rid, target in steps:
+            if rid > len(counts):
+                continue
+            reg = d.region(rid)
+            if reg.count == 0 and reg.rails is None and target:
+                continue  # an anonymous site cannot be re-grown
+            d = set_twists(d, {rid: target - reg.count})
+            counts[rid - 1] = target
+            assert weak_iso(d, pretzel(counts))
 
 
 # -- recorded region sides ---------------------------------------------------

@@ -218,6 +218,17 @@ class TestFusedChannels:
         fused = colored_bracket_fused(d, 1).value
         assert fused == bracket_state_sum(d).value
 
+    @pytest.mark.parametrize(
+        "counts", [[0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 0, 0, 2], [0, 2, 0, 0]]
+    )
+    def test_regions_smoothed_away_leave_no_column(self, counts):
+        d = pretzel(counts)
+        assert any(d.sides[reg.rid] is None for reg in d.twist_regions)
+        fused = {n: colored_bracket_fused(d, n).value for n in (1, 2, 3)}
+        assert fused[1] == bracket_state_sum(d).value
+        for n in (1, 2, 3):
+            assert fused[n] == colored_state_sum(d, n).value
+
     def test_agrees_with_classical_bracket_on_trace_drawing(self):
         d = parse_pd(HOPF_TRACE)
         assert colored_bracket_fused(d, 1).value == bracket_state_sum(d).value

@@ -284,6 +284,12 @@ class TestJonesWenzl:
             ident = tuple(2 * n - 1 - i for i in range(2 * n))
             assert f.coeff(ident) == rf(ONE)
 
+    def test_memoized(self):
+        f = jones_wenzl(4)
+        hits = jones_wenzl.cache_info().hits
+        assert jones_wenzl(4) is f
+        assert jones_wenzl.cache_info().hits == hits + 1
+
     def test_tensor_of_strands_is_not_projector(self):
         assert tensor(jones_wenzl(1), jones_wenzl(1)) != jones_wenzl(2)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinkit.diagram import pretzel
-from skeinkit.invariants import reduced_jones, unreduced_colored_jones
+from skeinkit.invariants import BudgetError, reduced_jones, unreduced_colored_jones
 from skeinkit.stability import (
     CoeffList,
     ExpressionError,
@@ -29,6 +29,7 @@ from skeinkit.stability import (
     n_equivalent,
     normalize,
     pretzel_family,
+    reduced_windows,
     stable_prefix,
     window_from_bracket,
     window_from_reduced,
@@ -405,6 +406,48 @@ class TestFamilyTail:
     def test_depth_validates(self):
         with pytest.raises(ValueError):
             family_tail(pretzel_family("1,1", "2", 1, 2), "k", depth=-1)
+
+
+class TestReducedWindows:
+    def test_members_in_parameter_order(self):
+        spec = pretzel_family("8,6,k", "2", 1, 4)
+        got = reduced_windows(spec, [2, 3, 4, 5])
+        assert got == [reduced_window([8, 6, k], 2, k + 1) for k in range(1, 5)]
+
+    def test_network_budget_is_passed_along(self):
+        spec = pretzel_family("2,2,k", "4", 1, 2)
+        with pytest.raises(BudgetError, match="48 fusion column terms"):
+            reduced_windows(spec, [1, 1], max_networks=10)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec: family_tail(spec, 1),
+            lambda spec: higher_order_windows(spec, 1),
+            lambda spec: check_colored_rate(spec, rate=1),
+            lambda spec: reduced_windows(spec, [1, 1]),
+        ],
+        ids=["family_tail", "higher_order_windows", "check_colored_rate",
+             "reduced_windows"],
+    )
+    def test_budget_refusal_is_not_a_member_failure(self, run):
+        spec = pretzel_family("2,2,k", "400", 1, 2)
+        with pytest.raises(BudgetError) as exc:
+            run(spec)
+        assert not isinstance(exc.value, MemberError)
+        assert "family member" not in str(exc.value)
+
+    def test_color_stability_budget_refusal(self):
+        with pytest.raises(BudgetError) as exc:
+            check_color_stability(pretzel([2, 2, 2]), (399, 400))
+        assert not isinstance(exc.value, MemberError)
+
+    def test_value_error_names_the_member(self):
+        spec = pretzel_family("8,6,k", "2", 1, 3)
+        with pytest.raises(MemberError, match="nonnegative") as exc:
+            reduced_windows(spec, [1, -1, 1])
+        assert exc.value.parameter == 2
+        assert "family member at parameter 2 failed" in str(exc.value)
 
 
 class TestBracketRate:
