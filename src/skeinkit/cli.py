@@ -65,6 +65,7 @@ from .planar import (
     theta_program,
     turnback,
 )
+from .series import bracket_window
 from .stability import (
     ExpressionError,
     FamilyExpr,
@@ -79,7 +80,6 @@ from .stability import (
     normalize,
     pretzel_family,
     reduced_windows,
-    window_from_bracket,
 )
 
 DEFAULT_MAX_STATES = 1 << 20
@@ -701,12 +701,8 @@ def _suite_rate_theorems():
         return report.passed, steps_detail(report)
 
     def shared_graph_window():
-        a = normalize(
-            window_from_bracket(unreduced_colored_jones(pretzel([2, 2, 2]), 2).value, 8)
-        )
-        b = normalize(
-            window_from_bracket(unreduced_colored_jones(pretzel([4, 5, 3]), 2).value, 8)
-        )
+        a = normalize(bracket_window(pretzel([2, 2, 2]), 2, 8))
+        b = normalize(bracket_window(pretzel([4, 5, 3]), 2, 8))
         if not n_equivalent(a, b, 8):
             return False, f"windows differ: {list(a.coeffs)} vs {list(b.coeffs)}"
         return True, "first 8 coefficients agree"

@@ -353,6 +353,21 @@ def _ring_bracket(n: int, twists: Sequence[int]) -> LaurentPoly:
     return out
 
 
+def _fused_columns(diagram: LinkDiagram, n: int,
+                   max_networks: int) -> tuple[str, list[int]]:
+    """The ring layout's style and column twist counts, refused with
+    ``BudgetError`` past r * (n+1)^2 column terms."""
+    layout = _ring_layout(diagram)
+    twists = [col.region.count for col in layout.columns]
+    r = len(twists)
+    if r * (n + 1) ** 2 > max_networks:
+        raise BudgetError(
+            f"{r * (n + 1) ** 2} fusion column terms exceed the configured "
+            f"cap of {max_networks}"
+        )
+    return layout.style, twists
+
+
 def colored_bracket_fused(
     diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
 ) -> BracketValue:
@@ -377,15 +392,8 @@ def colored_bracket_fused(
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
-    layout = _ring_layout(diagram)
-    twists = [col.region.count for col in layout.columns]
-    r = len(twists)
-    if r * (n + 1) ** 2 > max_networks:
-        raise BudgetError(
-            f"{r * (n + 1) ** 2} fusion column terms exceed the configured "
-            f"cap of {max_networks}"
-        )
-    if layout.style == "trace":
+    style, twists = _fused_columns(diagram, n, max_networks)
+    if style == "trace":
         value = ZERO
         for p in range(n + 1):
             value = value + delta(2 * p) * _twist_power(n, p, twists[0])

@@ -1,11 +1,11 @@
 """Coefficient windows, tail estimates, and twist-family rate checks.
 
-Everything here compares the bottom ends of exactly computed polynomials.
-A window is a finite run of consecutive coefficients read off from the
-minimum degree upward; two windows "agree to n" when their first n entries
-match after each list is flipped to start positive.  Rate checkers build a
-family of diagrams, compute every member's window, and verify stepwise
-agreement at the claimed depth.
+Everything here compares the exact bottom ends of polynomials.  A window
+is a finite run of consecutive coefficients from the minimum degree
+upward, computed as a truncated series (``series``); two windows "agree
+to n" when their first n entries match after each list is flipped to
+start positive.  Rate checkers build a family of diagrams, compute every
+member's window, and verify stepwise agreement at the claimed depth.
 
 Two grading currencies appear and are never mixed: ``A``-unit windows step
 by one in the A-exponent of a raw bracket (so they include the interleaved
@@ -15,15 +15,25 @@ reduced polynomial.  Every report records which currency it used.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LaurentPoly, QPoly
 from .diagram import LinkDiagram, pretzel, set_twists
-from .invariants import BudgetError, reduced_jones, unreduced_colored_jones
+from .invariants import BudgetError
+from .series import (
+    GUARD,
+    _UNIT_NAMES,
+    CoeffList,
+    WindowError,
+    bracket_window,
+    reduced_window,
+    window_from_bracket,
+    window_from_reduced,
+)
 
 __all__ = [
     "CoeffList",
@@ -48,13 +58,6 @@ __all__ = [
     "window_from_reduced",
 ]
 
-_UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
-
-
-class WindowError(ValueError):
-    """A coefficient window is empty, too short, or incomparable."""
-
-
 class ExpressionError(ValueError):
     """A family expression failed to parse; ``position`` is the offset."""
 
@@ -69,36 +72,6 @@ class MemberError(ValueError):
     def __init__(self, message: str, parameter: int):
         super().__init__(message)
         self.parameter = parameter
-
-
-def _as_int(c) -> int:
-    i = int(c)
-    if i != c:
-        raise WindowError(f"non-integer coefficient {c!r} in window")
-    return i
-
-
-@dataclass(frozen=True)
-class CoeffList:
-    """A finite run of coefficients anchored at a recorded minimum degree.
-
-    ``anchor`` is metadata only: comparisons strip it, matching the paper's
-    convention that windows match up to an overall degree shift.
-    """
-
-    coeffs: tuple[int, ...]
-    units: str = "q"
-    anchor: Fraction = Fraction(0)
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in self.coeffs))
-        object.__setattr__(self, "anchor", Fraction(self.anchor))
-        if self.units not in _UNIT_NAMES:
-            raise WindowError(f"unknown grading units {self.units!r}")
-
-    def window(self) -> int:
-        return len(self.coeffs)
 
 
 def normalize(c: CoeffList) -> CoeffList:
@@ -140,32 +113,6 @@ def stable_prefix(p1: CoeffList, p2: CoeffList) -> int:
     while n < cap and a[n] == b[n]:
         n += 1
     return n
-
-
-def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
-    """The lowest ``count`` A-coefficients, zeros included, anchor recorded."""
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
-    if poly.is_zero():
-        raise WindowError("zero polynomial has no coefficient window")
-    m = poly.min_degree()
-    return CoeffList(
-        tuple(poly.coeff(m + i) for i in range(count)), "A", Fraction(m)
-    )
-
-
-def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
-    """The lowest ``count`` coefficients along the reduced support lattice."""
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
-    if qp.is_zero():
-        raise WindowError("zero polynomial has no coefficient window")
-    den = 2 if qp.half_step else 1
-    return CoeffList(
-        tuple(qp.coeffs_from_bottom(count)),
-        "q/2" if qp.half_step else "q",
-        Fraction(qp.min_degree(), den),
-    )
 
 
 # --- family expressions -------------------------------------------------
@@ -316,7 +263,10 @@ class FamilySpec:
     ``sizes`` maps region ids to the region's target crossing count as an
     expression in the parameter; unlisted regions keep their base size.
     ``color`` gives the reduced polynomial index (the cable carries one less
-    strand).  The range ``start..stop`` is inclusive.
+    strand).  The range ``start..stop`` is inclusive.  ``build``, when
+    given, makes each member fresh from the list of its region sizes in
+    region order instead of editing ``base`` with ``set_twists``, so a
+    region that ``base`` smoothed away can grow back.
     """
 
     base: LinkDiagram
@@ -324,6 +274,8 @@ class FamilySpec:
     color: FamilyExpr
     start: int
     stop: int
+    build: Callable[[list[int]], LinkDiagram] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         raw = self.sizes
@@ -339,7 +291,7 @@ class FamilySpec:
         return range(self.start, self.stop + 1)
 
     def member(self, k: int) -> LinkDiagram:
-        deltas: dict[int, int] = {}
+        targets: dict[int, int] = {}
         for rid, ex in self.sizes:
             target = ex(k)
             if target < 0:
@@ -348,9 +300,12 @@ class FamilySpec:
                     f"at parameter {k}",
                     k,
                 )
-            current = self.base.region(rid).count
-            if target != current:
-                deltas[rid] = target - current
+            targets[rid] = target
+        if self.build is not None:
+            return self.build(list(targets.values()))
+        deltas = {rid: t - self.base.region(rid).count
+                  for rid, t in targets.items()}
+        deltas = {rid: d for rid, d in deltas.items() if d}
         return set_twists(self.base, deltas) if deltas else self.base
 
     def member_color(self, k: int) -> int:
@@ -381,7 +336,8 @@ def pretzel_family(sizes, color, start: int, stop: int, *,
     """Family of vertical-column chains, one size expression per column.
 
     ``sizes`` may be a comma-separated string like ``"8,6,k"`` or a sequence
-    of expressions; columns become regions 1..r in order.
+    of expressions; columns become regions 1..r in order.  Every member is
+    a fresh ``pretzel`` of its column sizes.
     """
     if isinstance(sizes, str):
         sizes = [part.strip() for part in sizes.split(",")]
@@ -401,6 +357,7 @@ def pretzel_family(sizes, color, start: int, stop: int, *,
         color=_as_expr(color),
         start=start,
         stop=stop,
+        build=functools.partial(pretzel, name=name),
     )
 
 
@@ -501,18 +458,25 @@ def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
                     max_networks: int = 100_000) -> list[CoeffList]:
     """The lowest ``counts[i]`` reduced coefficients of the i-th member.
 
-    Members are evaluated in parameter order.  A budget refusal raises
-    ``BudgetError`` itself; any other ``ValueError`` or
+    Members are evaluated in parameter order, as truncated series at one
+    precision, ``max(counts) + GUARD`` digits, so each color's channel
+    weights are built once for the family (see ``series``).  A budget
+    refusal raises ``BudgetError`` itself; any other ``ValueError`` or
     ``ArithmeticError`` becomes a ``MemberError`` for the member.
     """
+    digits = max([1, *counts]) + GUARD
     return _windows(
         spec.parameters(), counts,
-        lambda k, count: window_from_reduced(
-            reduced_jones(spec.member(k), spec.member_color(k),
-                          max_networks=max_networks),
-            count,
+        lambda k, count: reduced_window(
+            spec.member(k), spec.member_color(k), count, digits=digits,
+            max_networks=max_networks,
         ),
     )
+
+
+def _bracket_digits(counts: Sequence[int]) -> int:
+    # one series precision for a family of A-unit windows: A^4 per digit
+    return max([1, *((c + 3) // 4 for c in counts)]) + GUARD
 
 
 def _window_counts(required: Sequence[int], tail_len: int, depth: int,
@@ -624,11 +588,11 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
+    digits = _bracket_digits(counts)
     windows = _windows(
         params, counts,
-        lambda k, count: window_from_bracket(
-            unreduced_colored_jones(spec.member(k), cable(k)).value, count
-        ),
+        lambda k, count: bracket_window(spec.member(k), cable(k), count,
+                                        digits=digits),
     )
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
@@ -723,11 +687,10 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(colors))
+    digits = _bracket_digits(counts)
     windows = _windows(
         colors, counts,
-        lambda c, count: window_from_bracket(
-            unreduced_colored_jones(members[c], c).value, count
-        ),
+        lambda c, count: bracket_window(members[c], c, count, digits=digits),
     )
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:

@@ -20,7 +20,7 @@ import skeinkit
 from skeinkit import cli
 from skeinkit.algebra import delta, exact_div, substitute_quarter
 from skeinkit.diagram import LinkDiagram, minus_graph, pretzel, reduced_minus_graph
-from skeinkit.invariants import bracket_state_sum, colored_state_sum
+from skeinkit.invariants import bracket_state_sum, colored_state_sum, reduced_jones
 from skeinkit.stability import normalize, window_from_reduced
 
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
@@ -187,6 +187,24 @@ class TestTable:
         assert result.exit_code == 0
         rows = parse_json_rows(result.output)
         assert rows == [(1, [1, -1]), (2, [1, -1, -1]), (3, [1, -1, -1, 0])]
+
+    def test_family_regrows_a_smoothed_region(self, runner):
+        # at k = 0 both growing columns are smoothed away; each member is
+        # a fresh pretzel, so they grow back at k = 1
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "k,k,2",
+            "--color", "3",
+            "--range", "0..3",
+            "--window", "5",
+        )
+        assert result.exit_code == 0, result.output
+        want = []
+        for k in range(4):
+            qp = reduced_jones(pretzel([k, k, 2]), 3)
+            want.append((k, list(normalize(window_from_reduced(qp, 5)).coeffs)))
+        assert parse_text_rows(result.output) == want
 
     def test_empty_range_is_a_usage_error(self, runner):
         result = run(

@@ -295,6 +295,13 @@ class TestFamilySpec:
         spec = pretzel_family("2,k,2", "2", 0, 2)
         assert spec.member(0).region(2).count == 0
 
+    def test_members_are_fresh_pretzels(self):
+        # the start member smooths both growing columns away; a member
+        # built by editing it could not grow them back
+        spec = pretzel_family("k,k,2", "3", 0, 3)
+        for k in range(4):
+            assert spec.member(k) == pretzel([k, k, 2])
+
     def test_negative_size_reported_with_parameter(self):
         spec = pretzel_family("8,6,5-2*k", "2", 1, 4)
         with pytest.raises(MemberError) as exc:
