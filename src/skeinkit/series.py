@@ -52,6 +52,7 @@ from .invariants import (
 
 __all__ = [
     "CoeffList",
+    "UNIT_NAMES",
     "WindowError",
     "bracket_window",
     "reduced_window",
@@ -59,11 +60,11 @@ __all__ = [
     "window_from_reduced",
 ]
 
-# Digits taken beyond a window when its caller gives no precision: room
-# for a bottom that cancels before ``_lowest_digits`` has to retry.
+# Digits taken beyond the largest window of a family: room for a bottom
+# that cancels before ``_lowest_digits`` has to retry.
 GUARD = 2
 
-_UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
+UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
 
 
 class WindowError(ValueError):
@@ -93,7 +94,7 @@ class CoeffList:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in self.coeffs))
         object.__setattr__(self, "anchor", Fraction(self.anchor))
-        if self.units not in _UNIT_NAMES:
+        if self.units not in UNIT_NAMES:
             raise WindowError(f"unknown grading units {self.units!r}")
 
     def window(self) -> int:
@@ -260,6 +261,8 @@ def _weight(n: int, q: int | None, p: int,
 @functools.cache
 def _packed_weight(n: int, q: int | None, p: int, digits: int,
                    width: int) -> int:
+    # Members of one family mostly share their digit width, so each weight
+    # is packed about once per family (the measured gain is in CHANGES.md).
     return _pack_series(_weight(n, q, p, digits)[0], width)
 
 
@@ -398,15 +401,16 @@ def _ring(diagram: LinkDiagram, n: int,
 
 
 def bracket_window(diagram: LinkDiagram, n: int, count: int, *,
-                   digits: int | None = None, max_crossings: int = 20,
+                   family_count: int = 0,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_bracket(unreduced_colored_jones(diagram, n).value,
     count)``, computed as a truncated series.
 
-    ``digits`` is the series precision in steps of A^4, by default the
-    window's own plus ``GUARD``; a family shares one, so its per-color
-    weights are built once.  A diagram with no ring layout takes the
-    window of its state sum.  The fusion budget is the full path's.
+    ``family_count`` is the largest window, in A-units, of the family the
+    diagram belongs to: the series is taken at the precision that window
+    needs, so a family shares one and its per-color weights are built
+    once.  A diagram with no ring layout takes the window of its state
+    sum.  The fusion budget is the full path's.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -414,21 +418,22 @@ def bracket_window(diagram: LinkDiagram, n: int, count: int, *,
         raise ValueError("window length must be nonnegative")
     ring = _ring(diagram, n, max_networks)
     if ring is None:
-        value = unreduced_colored_jones(diagram, n, max_crossings=max_crossings,
+        value = unreduced_colored_jones(diagram, n,
                                         max_networks=max_networks).value
         return window_from_bracket(value, count)
     need = max(1, -(-count // 4))
     low, xs = _lowest_digits(n, *ring, diagram.free_loops, need,
-                             digits or need + GUARD)
+                             max(need, -(-family_count // 4)) + GUARD)
     coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))
 
 
 def reduced_window(diagram: LinkDiagram, N: int, count: int, *,
-                   digits: int | None = None, max_crossings: int = 20,
+                   family_count: int = 0,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_reduced(reduced_jones(diagram, N), count)``, computed
-    as a truncated series; ``digits`` as in ``bracket_window``.
+    as a truncated series; ``family_count`` as in ``bracket_window``, in
+    the window's own q-units.
     """
     if N < 2:
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
@@ -437,11 +442,10 @@ def reduced_window(diagram: LinkDiagram, N: int, count: int, *,
     n = N - 1
     ring = _ring(diagram, n, max_networks)
     if ring is None:
-        value = reduced_jones(diagram, N, max_crossings=max_crossings,
-                              max_networks=max_networks)
+        value = reduced_jones(diagram, N, max_networks=max_networks)
         return window_from_reduced(value, count)
     need = max(1, count)
     low, xs = _lowest_digits(n, *ring, diagram.free_loops - 1, need,
-                             digits or need + GUARD)
+                             max(need, family_count) + GUARD)
     # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
     return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))

@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Sequence
 from .diagram import LinkDiagram, pretzel, set_twists
 from .invariants import BudgetError
 from .series import (
-    GUARD,
-    _UNIT_NAMES,
+    UNIT_NAMES,
     CoeffList,
     WindowError,
     bracket_window,
@@ -417,7 +416,7 @@ class TailReport:
     def to_text(self) -> str:
         lines = [
             f"family: {self.family}",
-            f"rate: {self.rate} [{_UNIT_NAMES[self.units]}]",
+            f"rate: {self.rate} [{UNIT_NAMES[self.units]}]",
         ]
         for s in self.steps:
             mark = "PASS" if s.passed else "FAIL"
@@ -458,25 +457,20 @@ def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
                     max_networks: int = 100_000) -> list[CoeffList]:
     """The lowest ``counts[i]`` reduced coefficients of the i-th member.
 
-    Members are evaluated in parameter order, as truncated series at one
-    precision, ``max(counts) + GUARD`` digits, so each color's channel
+    Members are evaluated in parameter order, as truncated series at the
+    one precision the largest count needs, so each color's channel
     weights are built once for the family (see ``series``).  A budget
     refusal raises ``BudgetError`` itself; any other ``ValueError`` or
     ``ArithmeticError`` becomes a ``MemberError`` for the member.
     """
-    digits = max([1, *counts]) + GUARD
+    family_count = max(counts, default=0)
     return _windows(
         spec.parameters(), counts,
         lambda k, count: reduced_window(
-            spec.member(k), spec.member_color(k), count, digits=digits,
-            max_networks=max_networks,
+            spec.member(k), spec.member_color(k), count,
+            family_count=family_count, max_networks=max_networks,
         ),
     )
-
-
-def _bracket_digits(counts: Sequence[int]) -> int:
-    # one series precision for a family of A-unit windows: A^4 per digit
-    return max([1, *((c + 3) // 4 for c in counts)]) + GUARD
 
 
 def _window_counts(required: Sequence[int], tail_len: int, depth: int,
@@ -588,11 +582,11 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
-    digits = _bracket_digits(counts)
+    family_count = max(counts, default=0)
     windows = _windows(
         params, counts,
         lambda k, count: bracket_window(spec.member(k), cable(k), count,
-                                        digits=digits),
+                                        family_count=family_count),
     )
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
@@ -687,10 +681,11 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(colors))
-    digits = _bracket_digits(counts)
+    family_count = max(counts, default=0)
     windows = _windows(
         colors, counts,
-        lambda c, count: bracket_window(members[c], c, count, digits=digits),
+        lambda c, count: bracket_window(members[c], c, count,
+                                        family_count=family_count),
     )
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:

@@ -95,8 +95,11 @@ class TestAgainstFullPath:
     def test_shared_precision_gives_the_same_windows(self):
         d = pretzel([2, 5, 3])
         want = reduced_window(d, 4, 4)
-        for digits in (1, 4, 6, 20):
-            assert reduced_window(d, 4, 4, digits=digits) == want
+        for family_count in (0, 4, 6, 20):
+            assert reduced_window(d, 4, 4, family_count=family_count) == want
+        want = bracket_window(d, 3, 9)
+        for family_count in (0, 9, 30):
+            assert bracket_window(d, 3, 9, family_count=family_count) == want
 
 
 class TestPrecisionRetry:
