@@ -120,53 +120,6 @@ def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]
                    lo_a + lo_b, step, width)
 
 
-def _packed_quotient(packed: int, lo: int, g: Mapping[int, int], power: int,
-                     step: int, width: int) -> dict[int, int] | None:
-    """The term dict of f / g^power by one big-int division, or None if
-    g^power does not divide f in Z[A, A^(-1)].
-
-    ``packed`` is f laid out by ``_pack`` at (lo, step, width), and the
-    width holds every coefficient of f and of g with a sign; g lies on
-    min(g) + step*Z.  A remainder of ``divmod(packed, pack(g)^power)``
-    proves that g^power does not divide f.  Otherwise the quotient q is
-    read back by ``_unpack`` and confirmed by multiplying it back:
-    q * g^power packs to ``packed`` by construction, so it is f as soon
-    as its coefficients fit the digits, which max|q| * |g|_1^power
-    bounds; past that bound, the product is compared with f at a width
-    the bound proves.  A quotient that fails overflowed its digits
-    ((1 - x^N)^m / (1 - x)^m at small widths), so the width doubles, up
-    to the Mignotte bound: a factor of degree m of f has coefficients
-    below 2^m * |f|_2, and a quotient that still fails there is no
-    quotient.
-    """
-    if not packed:
-        return {}
-    lo_g = min(g)
-    lo_q = lo - power * lo_g
-    g_norm = sum(map(abs, g.values())) ** power
-    digits = packed.bit_length() // (8 * width) + 1
-    limit = width + (digits + digits.bit_length()) // 8 + 1
-    f = None
-    while True:
-        quo, rem = divmod(packed, _pack(g, lo_g, step, width) ** power)
-        if rem:
-            return None
-        q = _unpack(quo, lo_q, step, width)
-        bound = max(map(abs, q.values())) * g_norm
-        if bound < 1 << (8 * width - 1):
-            return q
-        if f is None:
-            f = _unpack(packed, lo, step, width)
-        wide = bound.bit_length() // 8 + 1
-        if (_pack(q, lo_q, step, wide) * _pack(g, lo_g, step, wide) ** power
-                == _pack(f, lo, step, wide)):
-            return q
-        if width >= limit:
-            return None
-        width *= 2
-        packed = _pack(f, lo, step, width)
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial in A over the integers.
 
@@ -1043,15 +996,6 @@ def divide_out(
         if e:
             left[d] = e
     return nums, left
-
-
-def cancel_factors(
-    num: LaurentPoly, vec: Mapping[int, int]
-) -> tuple[LaurentPoly, dict[int, int]]:
-    """Divide the denominator factors of num * prod Phi_d(A^4)^vec[d]
-    (those with vec[d] < 0) out of num, by ``divide_out``."""
-    nums, left = divide_out({0: num}, {d: -e for d, e in vec.items() if e < 0})
-    return nums[0], {d: -left.get(d, 0) if e < 0 else e for d, e in vec.items()}
 
 
 def theta_factors(a: int, b: int, c: int) -> tuple[int, int, dict[int, int]]:

@@ -501,12 +501,29 @@ _T3_ROW = (1, -1, -1, 0, 4, 0, -4, -5, 7, 6, -1,
            -13, 1, 7, 9, -8, -3, -5, 5, -1, 13, -4)
 _T4_ROW = (1, -1, -1, 0, 0, 1, 0, 1)
 
+
+def _euler(count: int) -> tuple[int, ...]:
+    """The first ``count`` coefficients of (q;q)_inf by the pentagonal
+    number theorem: sum_m (-1)^m q^(m(3m-1)/2) over all integers m."""
+    c = [0] * count
+    m = 0
+    while m * (3 * m - 1) // 2 < count:
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if e < count:
+                c[e] = (-1) ** m
+        m += 1
+    return tuple(c)
+
+
 _TABLE_JOBS = (
     ("columns 8,6,k at index 2, windows k+1", "8,6,k", "2", 1, 10, "k+1", _T1_ROW),
     ("columns k,k,2 at index 2, windows k+1", "k,k,2", "2", 1, 10, "k+1", _T2_ROW),
     ("columns k+2,k+4,k+1 at index 4, windows 3k+1",
      "k+2,k+4,k+1", "4", 1, 7, "3*k+1", _T3_ROW),
     ("columns 2,5,k at index k+1, windows k+1", "2,5,k", "k+1", 1, 5, "k+1", _T4_ROW),
+    # row k is the first k+1 coefficients of Euler's product
+    ("columns 2,5,k at index k+1, windows k+1, against Euler's product",
+     "2,5,k", "k+1", 8, 18, "k+1", _euler(19)),
 )
 
 

@@ -10,7 +10,10 @@ Three independent routes to the same exact values:
   each labeled region into a sum over colored channels whose k-fold
   twisting is plain exponent arithmetic.  It is pure closed-form
   algebra (loop values, theta, tetrahedral coefficients and twist
-  monomials); the Temperley-Lieb networks here only check it.
+  monomials), summed as one truncated power series in A^4: the
+  windows of ``series`` take its lowest digits, the full polynomials
+  take it to the top of its span.  The Temperley-Lieb networks here
+  only check it.
 
 On top of these sit reduced polynomial extraction, the closed-form
 minimum-degree predictors, and the channel probe network that replaces
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,15 +36,11 @@ from .algebra import (
     LaurentPoly,
     QPoly,
     _pack,
-    _packed_quotient,
-    cancel_factors,
+    _unpack,
     delta,
     exact_div,
     fusion_coeff,
-    phi_power,
     substitute_quarter,
-    tet_factors,
-    theta_factors,
     twist_coeff,
 )
 from .diagram import (
@@ -222,6 +221,8 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
             continue  # smoothed away into a free loop or a merged strand
         bl, tl, br, tr = sides
         cols.append(_Column(reg, (bl, tl), (br, tr)))
+    if not cols:
+        raise LayoutError("every labeled region was smoothed away")
     if len(cols) == 1:
         (bl, tl), (br, tr) = cols[0].left, cols[0].right
         if bl == br and tl == tr:
@@ -255,102 +256,305 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
     raise LayoutError("labeled regions do not close into a single ring")
 
 
-# -- fused fast path -----------------------------------------------------------
+# -- fused fast path: the ring sum as a truncated q-series ----------------------
+#
+# Put x = A^4.  Then [k]! = A^(-k(k-1)) F_k(x) with
+# F_k(x) = prod_{j<=k} (1 - x^j) / (1 - x) and F_k(0) = 1, so a ratio of
+# quantum factorials is +-A^s times prod_j (1 - x^j)^w_j for its net
+# exponent vector w, a power series over Z.  Modulo x^M only the factors
+# with j < M matter, so a ratio costs O(M) vector steps at any color, and
+# factors that cancel are never multiplied in.  Loop values, theta, every
+# term of the tetrahedral sum and so every channel weight c[q][p] is such
+# a series, and the ring sum
+#
+#     sum_q delta(2q) prod_columns sum_p c[q][p] * twist_p^k
+#
+# is a sum of shifted products of them: a twist monomial is a digit shift,
+# and a term that starts at or beyond digit M is never computed.  Modulo
+# x^M the sum needs no common denominator and no division, and dividing by
+# delta(n) is one multiplication by (-1)^n A^(2n) F_n / F_(n+1).
+#
+# The ring sum is evaluated as Python ints at X = 2^(8*width): x^i -> X^i
+# is a ring map from Z[x]/(x^M) onto Z/X^M, so masking after every product
+# keeps the ints short, and the digits read back exactly as soon as every
+# coefficient of the result fits with a sign.  The width comes from the L1
+# bound sum_q |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 over the
+# truncated series; truncation never raises an L1 norm.
 
 
-def _twist_power(n: int, p: int, k: int) -> LaurentPoly:
-    # k crossings on the 2p channel: a monomial power, never an
-    # iterated expansion
-    mu = twist_coeff(n, n, 2 * p)
-    e = mu.min_degree()
-    sign = mu.terms[e]
-    return LaurentPoly.monomial(e * k, sign**k)
+def _quarters(e: int) -> int:
+    # an exponent difference in digits of x = A^4
+    d, rest = divmod(e, 4)
+    if rest:
+        raise ArithmeticError(
+            "fused terms leave the lattice of A^4; this signals a convention "
+            "bug upstream"
+        )
+    return d
+
+
+def _times(c: list[int], j: int) -> None:
+    # c *= 1 - x^j, in place, modulo x^len(c)
+    if j < len(c):
+        c[j:] = map(operator.sub, c[j:], c[:-j])
+
+
+def _over(c: list[int], j: int) -> None:
+    # c /= 1 - x^j, in place, modulo x^len(c): a running sum along each
+    # residue class mod j that holds more than one digit
+    for r in range(min(j, len(c) - j)):
+        c[r::j] = itertools.accumulate(c[r::j])
+
+
+def _ratio(up, down, digits: int) -> list[int]:
+    """prod F_k over ``up`` / prod F_k over ``down``, modulo x^digits.
+
+    Built from the net exponent of each (1 - x^j), j < digits: F_k has
+    (1 - x^j) once for every 1 <= j <= k, and (1 - x)^-k besides.
+    """
+    ends = [0] * max(digits, 1)  # ends[j]: net count of min(k, digits-1) = j
+    for ks, sgn in ((up, 1), (down, -1)):
+        for k in ks:
+            if k:
+                ends[min(k, digits - 1)] += sgn
+    c = [1] + [0] * (digits - 1)
+    reach = 0  # net count of factorials with k >= j
+    for j in range(digits - 1, 0, -1):
+        reach += ends[j]
+        e = reach - (sum(up) - sum(down) if j == 1 else 0)
+        for _ in range(e):
+            _times(c, j)
+        for _ in range(-e):
+            _over(c, j)
+    return c
+
+
+def _fact_shift(up, down) -> int:
+    # A-exponent of prod [k]! over ``up`` / prod [k]! over ``down``
+    return sum(k * (k - 1) for k in down) - sum(k * (k - 1) for k in up)
+
+
+def _tet_factorials(n: int, a: int, b: int, u: int):
+    # tet(n,n,2a,n,n,2b) / (theta(n,n,2a) theta(n,n,2b)), term s = n+b+u
+    # of the tetrahedral sum, as factorials up / down (a <= b)
+    up = (n - a, a, a, n - b, b, b, n + b + u + 1)
+    down = (n + a + 1, n + b + 1, u, u, u + b - a, u + b - a, n - b - u,
+            a - u, a - u)
+    return up, down
+
+
+def _tet_steps(n: int, a: int, b: int, u: int):
+    # term u of the tetrahedral sum over term u - 1, as (1 - x^j) factors
+    # up / down: [s+1][2n-s+1][a-u+1]^2 / ([u]^2 [u+b-a]^2), s = n+b+u
+    return ((n + b + u + 1, n - b - u + 1, a - u + 1, a - u + 1),
+            (u, u, u + b - a, u + b - a))
 
 
 @functools.cache
-def _channel_table(n: int) -> tuple[tuple[tuple[LaurentPoly, ...], ...], LaurentPoly]:
-    """The color-n channel-mixing coefficients over one denominator.
-
-    Returns (num, D) with num[q][p] / D equal to
-    delta(2p) * tet(n, n, 2p, n, n, 2q) / (theta_p * theta_q), the
-    weight of channel p in a column read over the exit channel q.  The
-    tetrahedral coefficient is symmetric in p and q, so each unordered
-    pair costs one ``tet_factors``.  Every weight is a polynomial times
-    a product of cyclotomic factors Phi_d(A^4)^e; after cancelling, D
-    takes each factor to the largest power any weight divides by.
-    """
-    thetas = [theta_factors(n, n, 2 * p) for p in range(n + 1)]
-    mix: dict[tuple[int, int], tuple[LaurentPoly, dict[int, int]]] = {}
-    for q in range(n + 1):
-        for p in range(q + 1):
-            num, vec = tet_factors(n, n, 2 * p, n, n, 2 * q)
-            for sign, shift, t_vec in (thetas[p], thetas[q]):
-                num = num.shifted(-shift).scaled(sign)
-                for d, e in t_vec.items():
-                    vec[d] = vec.get(d, 0) - e
-            mix[p, q] = cancel_factors(num, vec)
-    den: dict[int, int] = {}
-    for _, vec in mix.values():
-        for d, e in vec.items():
-            den[d] = max(den.get(d, 0), -e)
-    over = {
-        pair: num * phi_power({d: vec.get(d, 0) + e for d, e in den.items()})
-        for pair, (num, vec) in mix.items()
-    }
-    table = tuple(
-        tuple(delta(2 * p) * over[min(p, q), max(p, q)] for p in range(n + 1))
-        for q in range(n + 1)
+def _tet_terms(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """(sign, A-shift) of each term of the symmetric channel weight
+    tet(n,n,2a,n,n,2b) / (theta_a theta_b), for a <= b."""
+    # (-1)^(a+b) from the thetas and (-1)^s from the term s = n+b+u
+    return tuple(
+        ((-1) ** (n + a + u), _fact_shift(*_tet_factorials(n, a, b, u)))
+        for u in range(min(n - b, a) + 1)
     )
-    return table, phi_power(den)
 
 
-def _ring_bracket(n: int, twists: Sequence[int]) -> LaurentPoly:
-    # sum_q loop(2q) prod_columns (sum_p num[q][p] * twist_p^k) / D^r,
-    # evaluated as ints at X = 2^(8*width): see colored_bracket_fused
-    num, den = _channel_table(n)
-    r = len(twists)
+@functools.cache
+def _nominal(n: int, q: int | None, p: int) -> int:
+    """The A-exponent the series of c[q][p] starts at; q None stands for
+    the weight delta(2p) of a region closed around the side.  Every weight
+    is symmetric under A -> 1/A, so its top exponent is minus this."""
+    if q is None:
+        return -4 * p
+    return min(s for _, s in _tet_terms(n, min(p, q), max(p, q))) - 4 * p
+
+
+@functools.cache
+def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
+    """tet(n,n,2a,n,n,2b) / (theta_a theta_b) modulo x^digits above its
+    nominal lowest exponent, for a <= b: the first term is a ratio of
+    factorials, and each next one the last times ``_tet_steps``."""
+    terms = _tet_terms(n, a, b)
+    low = min(s for _, s in terms)
+    total = [0] * digits
+    series = _ratio(*_tet_factorials(n, a, b, 0), digits)
+    for u, (sign, shift) in enumerate(terms):
+        if u:
+            ups, downs = _tet_steps(n, a, b, u)
+            for j in ups:
+                _times(series, j)
+            for j in downs:
+                _over(series, j)
+        off = _quarters(shift - low)
+        if off < digits:
+            op = operator.add if sign > 0 else operator.sub
+            total[off:] = map(op, total[off:], series)
+    return total
+
+
+@functools.cache
+def _weight(n: int, q: int | None, p: int,
+            digits: int) -> tuple[list[int], int]:
+    """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
+    ``_nominal(n, q, p)``, with its L1 norm; q None gives delta(2p).
+
+    Only the tet/theta part is symmetric in p and q; delta(2p) belongs
+    to the column channel p.
+    """
+    if q is None:
+        c = [1] * min(2 * p + 1, digits)
+    else:
+        c = list(_symmetric(n, min(p, q), max(p, q), digits))
+        _times(c, 2 * p + 1)
+        _over(c, 1)
+    return c, sum(map(abs, c))
+
+
+@functools.cache
+def _packed_weight(n: int, q: int | None, p: int, digits: int,
+                   width: int) -> int:
+    # Members of one family mostly share their digit width, so each weight
+    # is packed about once per family (the measured gain is in CHANGES.md).
+    return _pack_series(_weight(n, q, p, digits)[0], width)
+
+
+def _pack_series(c: list[int], width: int) -> int:
+    # sum of c[i] * X^i at X = 2^(8*width)
+    return _pack(dict(enumerate(c)), 0, 1, width)
+
+
+def _ones(length: int, width: int) -> int:
+    # 1 + X + ... + X^(length-1), a loop value delta(m) with length m + 1
+    return int.from_bytes((1).to_bytes(width, "little") * length, "little")
+
+
+def _mask(t: int, digits: int, width: int) -> int:
+    # the representative of t modulo X^digits nearest 0
+    top = 1 << (8 * width * digits)
+    half = top >> 1
+    return ((t + half) & (top - 1)) - half
+
+
+def _exits(n: int, style: str, twists: Sequence[int]):
+    """The terms of the ring sum by exit channel q, with the nominal lowest
+    A-exponent of each: (q, loop length, lowest exponent, columns), each
+    column a list of (A-exponent, negated, channel p) per term.
+
+    delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed around the side
+    ("trace") is the single exit q None, sum_p delta(2p) * twist_p^k.
+    """
     mus = [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
            for p in range(n + 1)]
-    loops = [delta(2 * q).terms for q in range(n + 1)]
-    entries = [t.terms for row in num for t in row if t]
-    lo, lo_loop, lo_mu = min(map(min, entries)), min(loops[n]), mus[0][0]
-    step = math.gcd(*(e - lo for t in entries for e in t),
-                    *(e - lo_loop for t in loops for e in t),
-                    *(e - lo_mu for e, _ in mus),
-                    *(e - min(den.terms) for e in den.terms)) or 1
-    # |sum|_1 <= sum_q |loop(2q)|_1 * prod_columns sum_p |num[q][p]|_1
-    norms = [sum(abs(c) for t in row for c in t.terms.values()) for row in num]
-    bound = sum((2 * q + 1) * s**r for q, s in enumerate(norms))
-    width = max(bound, *map(abs, den.terms.values())).bit_length() // 8 + 1
+    exits = []
+    for q in [None] if style == "trace" else range(n + 1):
+        cols = [[(_nominal(n, q, p) + e * k, s < 0 and k % 2 == 1, p)
+                 for p, (e, s) in enumerate(mus)] for k in twists]
+        lead = 0 if q is None else q
+        low = -4 * lead + sum(min(t[0] for t in col) for col in cols)
+        exits.append((q, 2 * lead + 1, low, cols))
+    return exits
+
+
+def _span(n: int, style: str, twists: Sequence[int],
+          loops: int) -> tuple[int, int]:
+    """The nominal lowest and highest A-exponents of the fused bracket times
+    delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
+    negated, so the top is minus the mirror's nominal bottom."""
+    low = min(t[2] for t in _exits(n, style, twists))
+    top = -min(t[2] for t in _exits(n, style, [-k for k in twists]))
+    return low - 2 * n * loops, top + 2 * n * loops
+
+
+def _ring_digits(n: int, style: str, twists: Sequence[int], loops: int,
+                 digits: int) -> tuple[int, dict[int, int]]:
+    """The fused bracket times delta(n)^loops (loops >= -1) modulo x^digits
+    above its nominal lowest A-exponent: that exponent, and the nonzero
+    digits by position."""
+    exits = _exits(n, style, twists)
+    base = min(t[2] for t in exits)
+    # the terms that start below digit ``digits``, and the L1 bound of
+    # their sum
+    plan, bound = [], 0
+    for q, length, low, cols in exits:
+        at = _quarters(low - base)
+        m = digits - at
+        if m <= 0:
+            continue
+        length = min(length, m)
+        norm, used = length, []
+        for col in cols:
+            least = min(t[0] for t in col)
+            terms = [(_quarters(e - least), neg, p) for e, neg, p in col]
+            terms = [t for t in terms if t[0] < m]
+            used.append(terms)
+            norm *= sum(_weight(n, q, p, digits)[1] for _, _, p in terms)
+        plan.append((q, at, m, length, used))
+        bound += norm
+    bound *= _loop_norm(n, loops, digits)
+    width = bound.bit_length() // 8 + 1
     digit = 8 * width
-    packed = [[_pack(t.terms, lo, step, width) if t else 0 for t in row]
-              for row in num]
-    # twist_p^k is a shift of (e_p * k - least) / step digits and a sign
-    shifts = []
-    for k in twists:
-        least = min(e * k for e, _ in mus)
-        shifts.append((least, [(digit * ((e * k - least) // step),
-                                s < 0 and k % 2 == 1) for e, s in mus]))
     total = 0
-    for q in range(n + 1):
-        prod = _pack(loops[q], lo_loop, step, width)
-        for _, col in shifts:
+    for q, at, m, length, used in plan:
+        prod = _ones(length, width)
+        for terms in used:
             acc = 0
-            for c, (shift, neg) in zip(packed[q], col):
-                acc = acc - (c << shift) if neg else acc + (c << shift)
-            prod *= acc
-        total += prod
-    lo_total = lo_loop + r * lo + sum(least for least, _ in shifts)
-    quotient = _packed_quotient(total, lo_total, den.terms, r, step, width)
-    if quotient is None:
+            for off, neg, p in terms:
+                c = _packed_weight(n, q, p, digits, width) << (digit * off)
+                acc = acc - c if neg else acc + c
+            prod = _mask(prod * acc, m, width)
+        total += prod << (digit * at)
+    total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
+    out = _unpack(total, 0, 1, width) if total else {}
+    if n * loops % 2:
+        out = {i: -c for i, c in out.items()}
+    return base - 2 * n * loops, out
+
+
+def _loop_norm(n: int, loops: int, digits: int) -> int:
+    # |(1 + x + ... + x^n)^loops|_1 modulo x^digits, or a bound for it
+    if loops >= 0:
+        return (n + 1) ** loops
+    # (1 - x) / (1 - x^(n+1)): two terms per n+1 digits
+    return 2 * (-(-digits // (n + 1)))
+
+
+def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
+    # t * (1 + x + ... + x^n)^loops modulo x^digits, packed (loops >= -1)
+    digit = 8 * width
+    for _ in range(loops):
+        t = _mask(t * _ones(min(n + 1, digits), width), digits, width)
+    if loops < 0:
+        # times (1 - x), then over (1 - x^(n+1)), which is times
+        # (1 + x^j)(1 + x^2j)(1 + x^4j)... for j = n + 1
+        t = _mask(t - (t << digit), digits, width)
+        j = n + 1
+        while j < digits:
+            t = _mask(t + (t << (digit * j)), digits, width)
+            j *= 2
+    return t
+
+
+def _ring_polynomial(n: int, style: str, twists: Sequence[int],
+                     loops: int) -> LaurentPoly:
+    """The fused bracket times delta(n)^loops (loops >= -1), whole.
+
+    A polynomial is its own power series, so the ring sum taken to the
+    top of its nominal span is exact.  The two digits past the top vanish
+    for a Laurent polynomial; a nonzero one means a weight, or the loop
+    division, left the ring of Laurent polynomials.
+    """
+    low, top = _span(n, style, twists, loops)
+    span = _quarters(top - low) + 1
+    low, out = _ring_digits(n, style, twists, loops, span + 2)
+    if max(out, default=0) >= span:
         raise ExactDivisionError(
             "fused bracket is not a Laurent polynomial; this signals a "
-            f"convention bug upstream: the ring sum of {r} columns at color "
-            f"{n} is not divisible by D^{r}"
+            f"convention bug upstream: the ring sum of {len(twists)} columns "
+            f"at color {n} has a coefficient past the top of its span"
         )
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.terms = quotient
-    return out
+    return LaurentPoly({low + 4 * i: c for i, c in out.items()})
 
 
 def _fused_columns(diagram: LinkDiagram, n: int,
@@ -368,6 +572,18 @@ def _fused_columns(diagram: LinkDiagram, n: int,
     return layout.style, twists
 
 
+def _fused_ring(diagram: LinkDiagram, n: int,
+                max_networks: int) -> tuple[str, list[int]] | None:
+    """``_fused_columns``, or None for a diagram without crossings or
+    without a ring layout, which the state sums take."""
+    if diagram.crossing_count == 0:
+        return None
+    try:
+        return _fused_columns(diagram, n, max_networks)
+    except LayoutError:
+        return None
+
+
 def colored_bracket_fused(
     diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
 ) -> BracketValue:
@@ -378,30 +594,18 @@ def colored_bracket_fused(
     around the side leaves one theta network per channel, so its total
     is sum_p loop(2p) * twist^k.  A ring of r regions is grouped by its
     common exit channel q: the total is sum_q loop(2q) times the product
-    over columns of sum_p c[q][p] * twist^k, with c = num / D from the
-    memoized per-color table.  That sum is evaluated as Python ints at
-    X = 2^(8*width), on one exponent lattice for the table, the loop
-    values and D (``algebra._pack``), with digits wide enough for its
-    L1 bound sum_q |loop(2q)|_1 prod_columns sum_p |num[q][p]|_1: a
-    twist monomial is a digit shift and a sign, and the division by D^r
-    is one big-int division, confirmed by multiplying back
-    (``algebra._packed_quotient``).  The budget counts the r * (n+1)^2
-    column terms this takes.
+    over columns of sum_p c[q][p] * twist^k, with c[q][p] =
+    loop(2p) tet(n,n,2p,n,n,2q) / (theta_p theta_q).  The sum is taken as
+    a truncated power series in A^4 (``_ring_digits``) to the top of its
+    nominal span, and two digits past it that must vanish.  The budget
+    counts the r * (n+1)^2 column terms this takes.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
     style, twists = _fused_columns(diagram, n, max_networks)
-    if style == "trace":
-        value = ZERO
-        for p in range(n + 1):
-            value = value + delta(2 * p) * _twist_power(n, p, twists[0])
-    else:
-        value = _ring_bracket(n, twists)
-    if diagram.free_loops:
-        value = value * delta(n) ** diagram.free_loops
-    return BracketValue(value)
+    return BracketValue(_ring_polynomial(n, style, twists, diagram.free_loops))
 
 
 # -- oracles: literal channel networks and the colored state sum ---------------
@@ -572,11 +776,17 @@ def reduced_jones(
     factor divided out, exponents read in the quarter-power variable.
 
     The result keeps the pipeline's framing monomial; normalize the
-    coefficient window downstream before comparing across diagrams.
+    coefficient window downstream before comparing across diagrams.  A
+    ring layout takes the loop factor out inside its series; only the
+    state-sum fallback divides by delta(n).
     """
     if N < 2:
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
     n = N - 1
+    ring = _fused_ring(diagram, n, max_networks)
+    if ring is not None:
+        return substitute_quarter(
+            _ring_polynomial(n, *ring, diagram.free_loops - 1))
     unreduced = unreduced_colored_jones(
         diagram,
         n,

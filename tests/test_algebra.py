@@ -2,7 +2,6 @@
 closed-form network values, windows, and the q-substitution."""
 
 import itertools
-import math
 import sys
 import threading
 from fractions import Fraction
@@ -23,10 +22,8 @@ from skeinkit.algebra import (
     ZeroPolynomialError,
     _kronecker_pays,
     _pack,
-    _packed_quotient,
     _unpack,
     admissible,
-    cancel_factors,
     coeff_window,
     cyclotomic4,
     delta,
@@ -167,55 +164,6 @@ class TestExactDiv:
         assert len(text) < 200
         assert f"{len(big.terms)} terms" in text and "5 terms" in text
         assert f"{big.min_degree()}..{big.max_degree()}" in text
-
-
-def packed_quotient(f, g, power=1):
-    """f / g^power by ``_packed_quotient``, started at the narrowest width
-    that holds the coefficients of f and g, as a LaurentPoly or None."""
-    lo = f.min_degree()
-    step = math.gcd(*(e - lo for e in f.terms),
-                    *(e - g.min_degree() for e in g.terms)) or 1
-    top = max(map(abs, [*f.terms.values(), *g.terms.values()]))
-    width = top.bit_length() // 8 + 1
-    q = _packed_quotient(_pack(f.terms, lo, step, width), lo, g.terms, power,
-                         step, width)
-    return None if q is None else LaurentPoly(q)
-
-
-class TestPackedQuotient:
-    def test_width_doubles_until_the_quotient_fits(self):
-        # (1 - x^40)^4 packs in one byte, but its quotient by (1 - x)^4,
-        # (1 + x + ... + x^39)^4, has coefficients past 2^15: the first
-        # two widths overflow and fail the multiply-back
-        x40, x1 = LaurentPoly({0: 1, 40: -1}), LaurentPoly({0: 1, 1: -1})
-        want = LaurentPoly({i: 1 for i in range(40)}) ** 4
-        assert max(want.terms.values()) >= 1 << 15
-        assert packed_quotient(x40 ** 4, x1, 4) == want
-        assert packed_quotient(x40 ** 4, x1 ** 4) == want
-        assert packed_quotient(x40 ** 4 + LaurentPoly({1: 1}), x1, 4) is None
-
-    def test_confirms_past_the_free_bound(self):
-        # max|q| * |g|_1^3 = 2^65 exceeds the 8-byte digits that hold f,
-        # so the product is compared with f at a wider width
-        g = LaurentPoly({0: 1, 1: 1}) ** 20
-        f = (g ** 3).scaled(32)
-        assert max(f.terms.values()).bit_length() <= 63
-        assert packed_quotient(f, g, 3) == LaurentPoly({0: 32})
-        assert packed_quotient(f + 1, g, 3) is None
-
-    def test_zero_dividend(self):
-        assert _packed_quotient(0, 0, {0: 1, 4: 1}, 2, 4, 1) == {}
-
-    @given(small_polys, small_polys, st.integers(1, 3), st.sampled_from([0, 1, 7]))
-    @settings(max_examples=100)
-    def test_agrees_with_try_div(self, f, g, power, extra):
-        if g.is_zero():
-            return
-        gp = g ** power
-        h = f * gp + extra
-        if h.is_zero():
-            return
-        assert packed_quotient(h, g, power) == try_div(h, gp)
 
 
 class TestRationalFn:
@@ -662,13 +610,6 @@ class TestFactoredClosedForms:
         sign, shift, vec = theta_factors(2, 2, 2)
         assert (sign, shift) == (-1, -6)
         assert {d: e for d, e in vec.items() if e} == {2: -1, 3: 1, 4: 1}
-
-    def test_cancel_divides_only_what_divides(self):
-        num = cyclotomic4(3) * cyclotomic4(3) * cyclotomic4(5)
-        out, vec = cancel_factors(num, {3: -3, 5: -1, 7: 2})
-        assert out == LaurentPoly.one() and vec == {3: -1, 5: 0, 7: 2}
-        out, vec = cancel_factors(cyclotomic4(2), {3: -1})
-        assert out == cyclotomic4(2) and vec == {3: -1}
 
     def test_tet_factors_are_the_unreduced_tet(self):
         num, vec = tet_factors(4, 4, 2, 4, 4, 6)

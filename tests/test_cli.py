@@ -548,6 +548,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert [c["detail"] for c in doc["checks"]] == [
             "10 rows match", "10 rows match", "7 rows match", "5 rows match",
+            "11 rows match",
         ]
 
     def test_failing_suite_exits_nonzero(self, runner, monkeypatch):

@@ -29,7 +29,7 @@ from skeinkit.algebra import (
     fusion_coeff,
     min_degree,
     substitute_quarter,
-    tet_factors,
+    tet,
     theta,
     twist_coeff,
 )
@@ -45,9 +45,10 @@ from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
     LayoutError,
-    _channel_table,
+    _over,
     _ring_layout,
-    _twist_power,
+    _tet_terms,
+    _times,
     bracket_state_sum,
     build_fused_template,
     build_upsilon,
@@ -86,21 +87,33 @@ def window(qp, count):
     return list(coeffs)
 
 
-def schoolbook_ring(diagram, n, table=None):
-    """The fused ring bracket by Laurent adds and multiplies over the
-    channel table, then one schoolbook exact division by D^r."""
-    num, den = table or _channel_table(n)
+def schoolbook_ring(diagram, n):
+    """The fused ring bracket from the public closed forms, summed as
+    rational functions and reduced once: sum_q delta(2q) prod_columns
+    sum_p delta(2p) tet(n,n,2p,n,n,2q) / (theta_p theta_q) twist_p^k."""
     twists = [col.region.count for col in _ring_layout(diagram).columns]
-    total = ZERO
+    thetas = [rf(theta(n, n, 2 * p)) for p in range(n + 1)]
+    total = rf(ZERO)
     for q in range(n + 1):
-        prod = delta(2 * q)
+        weights = [rf(delta(2 * p)) * tet(n, n, 2 * p, n, n, 2 * q)
+                   / (thetas[p] * thetas[q]) for p in range(n + 1)]
+        prod = rf(delta(2 * q))
         for k in twists:
-            col = ZERO
-            for p in range(n + 1):
-                col = col + num[q][p] * _twist_power(n, p, k)
+            col = rf(ZERO)
+            for p, weight in enumerate(weights):
+                col = col + weight * twist_coeff(n, n, 2 * p) ** k
             prod = prod * col
         total = total + prod
-    return exact_div(total, den ** len(twists))
+    return total.reduce().to_poly()
+
+
+def clear_weights():
+    """Empty the fused evaluator's memoized series, so the next value is
+    built from scratch."""
+    for memo in (invariants._tet_terms, invariants._nominal,
+                 invariants._symmetric, invariants._weight,
+                 invariants._packed_weight):
+        memo.cache_clear()
 
 
 def brute_bracket(diagram):
@@ -273,7 +286,7 @@ class TestFusedChannels:
             w = rf(ONE)
             for p, k in zip(ps, tpl.twists):
                 w = w * (rf(delta(2 * p)) / rf(theta(n, n, 2 * p)))
-                w = w * _twist_power(n, p, k)
+                w = w * twist_coeff(n, n, 2 * p) ** k
             total = total + w * evaluate(tpl.with_rungs(ps))
         assert total.reduce().to_poly() == colored_bracket_fused(d, n).value
 
@@ -307,23 +320,18 @@ class TestFusedChannels:
             monkeypatch.setattr(planar, name, refuse)
             if hasattr(invariants, name):
                 monkeypatch.setattr(invariants, name, refuse)
-        _channel_table.cache_clear()
+        clear_weights()
         got = [colored_bracket_fused(d, n).value
                for d in (ring, trace) for n in (2, 3)]
         assert got == want
 
-    def test_one_tet_per_channel_pair_per_color(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return tet_factors(*args)
-
-        monkeypatch.setattr(invariants, "tet_factors", counted)
-        _channel_table.cache_clear()
+    def test_one_tet_per_channel_pair_per_color(self):
+        # the tet/theta part of a weight is symmetric in p and q, so a
+        # color builds one tetrahedral term list per unordered pair
+        clear_weights()
         for k in (1, 2, 3):
             colored_bracket_fused(pretzel([2, 1, k]), 3)
-        assert len(calls) == 10  # unordered pairs of the channels 0..3
+        assert _tet_terms.cache_info().misses == 10  # pairs of channels 0..3
 
     def test_needs_no_gcd_or_reduction(self, monkeypatch):
         diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), parse_pd(HOPF_TRACE))
@@ -334,24 +342,25 @@ class TestFusedChannels:
             raise AssertionError("the fused evaluator reduced by a gcd")
 
         monkeypatch.setattr(RationalFn, "reduce", refuse)
-        _channel_table.cache_clear()
+        clear_weights()
         got = [colored_bracket_fused(d, n).value
                for d in diagrams for n in range(2, 6)]
         assert got == want
 
     def test_ring_path_divides_by_no_schoolbook_loop(self, monkeypatch):
-        diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), pretzel([4, 2, 2, 3]))
-        want = [colored_bracket_fused(d, n).value
+        diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), pretzel([4, 2, 2, 3]),
+                    pretzel([0, 0, 2]), parse_pd(HOPF_TRACE))
+        want = [(colored_bracket_fused(d, n).value, reduced_jones(d, n + 1))
                 for d in diagrams for n in range(1, 6)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the ring path ran a schoolbook division")
 
-        # the memoized tables above are built; the members must not divide
         for name in ("try_div", "exact_div"):
             monkeypatch.setattr(algebra, name, refuse)
             monkeypatch.setattr(invariants, name, refuse, raising=False)
-        got = [colored_bracket_fused(d, n).value
+        clear_weights()
+        got = [(colored_bracket_fused(d, n).value, reduced_jones(d, n + 1))
                for d in diagrams for n in range(1, 6)]
         assert got == want
 
@@ -369,23 +378,45 @@ class TestFusedChannels:
         assert colored_bracket_fused(d, k).value == schoolbook_ring(d, k)
 
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
-        # A table of equal constants over D = 1 makes every coefficient
-        # of the ring sum positive, so its largest coefficient, 2c, is a
-        # quarter of the L1 bound 8c the digit width is chosen for.
+        # Every weight the constant c at one exponent makes pretzel([2]) at
+        # color 1 the ring sum c (1 + 2x + 2x^2 + 2x^3 + x^4), all positive:
+        # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
+        # digit width is chosen for.  The span holds it whole.
         d = pretzel([2])
+        monkeypatch.setattr(invariants, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
-            c = LaurentPoly({0: 1 << bits})
-            table = ((c, c), (c, c)), ONE
-            monkeypatch.setattr(invariants, "_channel_table", lambda n: table)
-            assert colored_bracket_fused(d, 1).value == schoolbook_ring(d, 1, table)
+            c = 1 << bits
+
+            def weight(n, q, p, digits, c=c):
+                return [c] + [0] * (digits - 1), c
+
+            monkeypatch.setattr(invariants, "_weight", weight)
+            monkeypatch.setattr(
+                invariants, "_packed_weight",
+                lambda n, q, p, digits, width: invariants._pack_series(
+                    weight(n, q, p, digits)[0], width))
+            got = colored_bracket_fused(d, 1).value
+            low = got.min_degree()
+            assert got == LaurentPoly({low: c, low + 4: 2 * c, low + 8: 2 * c,
+                                       low + 12: 2 * c, low + 16: c})
 
     def test_table_off_by_one_is_a_convention_bug(self, monkeypatch):
-        (row, *rows), den = _channel_table(2)
-        bumped = ((row[0] + 1, *row[1:]), *rows), den
-        assert not den.is_one()
-        monkeypatch.setattr(invariants, "_channel_table", lambda n: bumped)
-        with pytest.raises(ExactDivisionError, match="convention bug"):
-            colored_bracket_fused(pretzel([2, 3, 1]), 2)
+        # one step factor of the tetrahedral sum off by one: the weights
+        # stay on the lattice of A^4, but the ring sum is no polynomial
+        # and leaves a digit past the top of its span
+        tet_steps = invariants._tet_steps
+
+        def bumped(n, a, b, u):
+            (first, *ups), downs = tet_steps(n, a, b, u)
+            return (first + 1, *ups), downs
+
+        monkeypatch.setattr(invariants, "_tet_steps", bumped)
+        clear_weights()
+        try:
+            with pytest.raises(ExactDivisionError, match="convention bug"):
+                colored_bracket_fused(pretzel([2, 3, 1]), 2)
+        finally:
+            clear_weights()
 
     def test_fusion_budget(self):
         with pytest.raises(BudgetError, match="fusion"):
@@ -404,20 +435,34 @@ class TestFusedChannels:
             == colored_bracket_fused(d, 2).value * delta(2) ** 2
         )
 
-    def test_twist_power_matches_repeated_product(self):
-        for n in (1, 2, 3):
-            for p in range(n + 1):
-                mu = twist_coeff(n, n, 2 * p)
-                assert _twist_power(n, p, 0) == ONE
-                assert _twist_power(n, p, 1) == mu
-                assert _twist_power(n, p, 4) == mu * mu * mu * mu
+    @pytest.mark.parametrize("length", [1, 2, 5, 12])
+    def test_over_inverts_times(self, length):
+        rng = random.Random(length)
+        c = [rng.randint(-9, 9) for _ in range(length)]
+        for j in range(1, length + 3):
+            d = list(c)
+            _times(d, j)
+            _over(d, j)
+            assert d == c, j
+            _over(d, j)
+            _times(d, j)
+            assert d == c, j
+
+    @pytest.mark.parametrize("counts", [[0], [0, 0], [0, 0, 0]])
+    def test_every_region_smoothed_away_is_a_layout_error(self, counts):
+        d = pretzel(counts)
+        with pytest.raises(LayoutError, match="smoothed away"):
+            _ring_layout(d)
+        with pytest.raises(LayoutError, match="smoothed away"):
+            build_fused_template(d, 2)
+        assert colored_bracket_fused(d, 2).value == delta(2) ** d.free_loops
 
 
 class TestHighColorOracle:
     """Closed forms of colored unknots and the Hopf link, up to color 8.
 
-    These check the fused ring path (the memoized channel table) at
-    colors where no network oracle is affordable.
+    These check the fused ring path at full span precision, at colors
+    where no network oracle is affordable.
     """
 
     @pytest.mark.parametrize("n", range(1, 9))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinkit import series
+from skeinkit import invariants, series
 from skeinkit.cli import _suite_rate_theorems
 from skeinkit.diagram import parse_pd, pretzel
 from skeinkit.invariants import BudgetError, reduced_jones, unreduced_colored_jones
@@ -128,17 +128,17 @@ class TestDigitWidth:
         # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
         # digit width is chosen for.
         d = pretzel([2])
-        monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
+        monkeypatch.setattr(invariants, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
 
             def weight(n, q, p, digits, c=c):
                 return [c] + [0] * (digits - 1), c
 
-            monkeypatch.setattr(series, "_weight", weight)
+            monkeypatch.setattr(invariants, "_weight", weight)
             monkeypatch.setattr(
-                series, "_packed_weight",
-                lambda n, q, p, digits, width: series._pack_series(
+                invariants, "_packed_weight",
+                lambda n, q, p, digits, width: invariants._pack_series(
                     weight(n, q, p, digits)[0], width))
             got = bracket_window(d, 1, 17).coeffs
             assert got == (c, 0, 0, 0, 2 * c, 0, 0, 0, 2 * c, 0, 0, 0,
