@@ -74,11 +74,12 @@ class _UnionFind:
         self._parent: dict[int, int] = {}
 
     def find(self, x: int) -> int:
-        p = self._parent.setdefault(x, x)
-        while p != x:
-            self._parent[x] = p = self._parent.setdefault(p, p)
-            x = p
-        return x
+        root = self._parent.setdefault(x, x)
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while x != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
 
     def union(self, x: int, y: int) -> bool:
         """Merge the classes of x and y.  False if already merged."""
@@ -509,7 +510,9 @@ def _walk_chain(crossings: Sequence[Crossing], reg: TwistRegion) -> Sides:
     reads its free ends consistently.  The bottom pair is the first
     crossing's free A-pair in slot order; the top pair is the last
     crossing's, ordered so that the negative smoothing of the whole
-    region joins bl to tl and br to tr.
+    region joins bl to tl and br to tr: the walk follows the left strand
+    from bl through each crossing's negative smoothing (slots 0-3 and
+    1-2) and names the top arc it reaches tl.
     """
     xs = [crossings[c] for c in reg.crossings]
     pairs = [_apairs(x) for x in xs]
@@ -533,11 +536,11 @@ def _walk_chain(crossings: Sequence[Crossing], reg: TwistRegion) -> Sides:
     hi = (2, 3) if pairs[-1][0] == prev else (0, 1)
     bl, br = x0[lo[0]], x0[lo[1]]
     tl, tr = xk[hi[0]], xk[hi[1]]
-    uf = _UnionFind()
-    for x in xs:
-        uf.union(x[0], x[3])
-        uf.union(x[1], x[2])
-    if uf.find(tl) != uf.find(bl):
+    a = x0[3 - lo[0]]
+    for x in xs[1:]:
+        a = x[3 - x.index(a)]
+    # strands that share an end arc are one strand, joined to both tops
+    if a != tl and tl != bl and br not in (bl, tr):
         tl, tr = tr, tl
     return bl, tl, br, tr
 

@@ -5,7 +5,10 @@ Three independent routes to the same exact values:
 * ``bracket_state_sum``: the classical bracket by a frontier sweep
   over smoothings, merging equal boundary connections (n = 1 only).
 * ``colored_state_sum``: the n-colored state sum, expanding every
-  cable crossing into weighted clasped turnbacks.
+  cable crossing into weighted clasped turnbacks.  Above color 1 it
+  contracts the sum at width 2n: one clasped step morphism per color,
+  a power of it per column, and the ring closed as the Markov trace of
+  the quarter-turned columns stacked in ring order.
 * ``colored_bracket_fused``: the twist-region fast path, collapsing
   each labeled region into a sum over colored channels whose k-fold
   twisting is plain exponent arithmetic.  It is pure closed-form
@@ -58,10 +61,11 @@ from .planar import (
     TLMorphism,
     cabled_crossing,
     channel_element,
+    closure,
     compose,
-    evaluate,
     jones_wenzl,
     plat_program,
+    quarter_turn,
     tensor,
     turnback,
 )
@@ -687,14 +691,24 @@ def colored_state_sum(
 
     Every crossing takes one of n+1 smoothings; a state's network is
     the diagram with each crossing replaced by its clasped turnback
-    and each state carries the product of its smoothing weights.  The
-    (n+1)^c networks are contracted column by column (grouping states
-    that agree outside a column, which changes nothing exactly), so
-    the sum needs one closed-network evaluation per diagram.
+    and each state carries the product of its smoothing weights.
 
     For n = 1 the smoothings are the classical ones and the sum runs
-    by circle counting on any diagram; for n >= 2 the diagram must lay
-    out as a ring of labeled twist regions.
+    by circle counting on any diagram, one state at a time.  For n >= 2
+    the diagram must lay out as a ring of labeled twist regions, and
+    the sum is contracted instead of enumerated: composition is
+    bilinear, so one clasped step S = sum_i fusion_coeff(n, i) *
+    turnback(n, i) ff, with ff = JW_n (x) JW_n, sums the smoothings of a
+    crossing, and a column of k crossings is ff S^k.  Columns with equal
+    counts share one power.  A quarter turn (``planar.quarter_turn``)
+    makes each column's left side its bottom, so the ring is the turned
+    columns stacked in ring order and closed by the Markov trace; a
+    region closed around the side is the trace of its column.  Every
+    composition runs at width 2n.  A closed network's value depends
+    only on how its strands join, and the turned stack joins them as
+    the plat closure of ``plat_program`` does.
+
+    The budget still counts the (n+1)^c states.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -709,19 +723,18 @@ def colored_state_sum(
     if n == 1:
         return BracketValue(_classical_state_sum(diagram))
     layout = _ring_layout(diagram)
+    counts = [col.region.count for col in layout.columns]
     ff = tensor(jones_wenzl(n), jones_wenzl(n))
-    columns: list[TLMorphism] = []
-    for col in layout.columns:
-        m = ff
-        for _ in range(col.region.count):
-            step: TLMorphism | None = None
-            for i in range(n + 1):
-                term = compose(compose(m, turnback(n, i)), ff)
-                term = term.scaled(fusion_coeff(n, i))
-                step = term if step is None else step + term
-            m = step
-        columns.append(m)
-    total = evaluate(plat_program(columns, n, layout.style))
+    step = functools.reduce(operator.add, (
+        compose(turnback(n, i), ff).scaled(fusion_coeff(n, i))
+        for i in range(n + 1)))
+    powers = [ff]  # powers[k]: a column of k crossings, ff S^k
+    for _ in range(max(counts)):
+        powers.append(compose(powers[-1], step))
+    columns = [powers[k] for k in counts]
+    if layout.style == "ring":
+        columns = [quarter_turn(m) for m in columns]
+    total = closure(functools.reduce(compose, columns))
     try:
         value = total.to_poly()
     except ExactDivisionError as err:

@@ -28,7 +28,11 @@ them; these and the crossing morphisms are memoized in memory with
 ``functools.cache``.  ``SliceProgram`` and ``evaluate`` provide
 a small sweep language for closed networks (theta and tetrahedron
 graphs, drums, smoothing networks); these serve as the first-principles
-oracle for the closed-form evaluations elsewhere.
+oracle for the closed-form evaluations elsewhere.  Since the node order
+is cyclic, ``quarter_turn`` is a relabeling: it turns a column of two
+cables so that columns set side by side in a ring stack instead, and the
+Markov trace (``closure``) of the stack closes the ring at the width of
+one column.
 """
 
 from __future__ import annotations
@@ -453,6 +457,25 @@ def closure(f: TLMorphism) -> RationalFn:
     for pair, num in f.nums.items():
         total = total + num * _delta_pow(close_pair(pair, f.bot))
     return RationalFn._raw(total, f.den).reduce()
+
+
+def quarter_turn(f: TLMorphism) -> TLMorphism:
+    """A 2h -> 2h morphism turned a quarter turn, a relabeling only.
+
+    Node i becomes node (i + h) mod 4h: the left side (top-left and
+    bottom-left h points) becomes the bottom and the right side the top,
+    so turned columns stack where they stood side by side.
+    """
+    if f.bot != f.top or f.bot % 2:
+        raise ValueError(f"cannot turn a {f.bot} -> {f.top} morphism")
+    h, m = f.bot // 2, 2 * f.bot
+    nums = {}
+    for pair, num in f.nums.items():
+        turned = [0] * m
+        for i, j in enumerate(pair):
+            turned[(i + h) % m] = (j + h) % m
+        nums[tuple(turned)] = num
+    return TLMorphism._raw(f.bot, f.top, nums, f.den)
 
 
 # -- Jones-Wenzl projectors ------------------------------------------

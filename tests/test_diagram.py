@@ -287,6 +287,103 @@ class TestParsePD:
         assert blob["regions"][1]["count"] == 0
 
 
+def union_find_walk_chain(crossings, reg):
+    """``_walk_chain`` as it was before it followed the left strand: the
+    top pair is oriented by a union-find over the whole chain."""
+    xs = [crossings[c] for c in reg.crossings]
+    pairs = [diagram_module._apairs(x) for x in xs]
+    first = None
+    prev = None
+    for i in range(len(xs) - 1):
+        shared = set(pairs[i]) & set(pairs[i + 1])
+        shared.discard(prev)
+        if not shared:
+            raise DiagramError("not joined by a negative-twist bigon")
+        prev = min(shared)
+        if first is None:
+            first = prev
+    x0, xk = xs[0], xs[-1]
+    if prev is None:
+        return x0[0], x0[3], x0[1], x0[2]
+    lo = (2, 3) if pairs[0][0] == first else (0, 1)
+    hi = (2, 3) if pairs[-1][0] == prev else (0, 1)
+    bl, br = x0[lo[0]], x0[lo[1]]
+    tl, tr = xk[hi[0]], xk[hi[1]]
+    uf = diagram_module._UnionFind()
+    for x in xs:
+        uf.union(x[0], x[3])
+        uf.union(x[1], x[2])
+    if uf.find(tl) != uf.find(bl):
+        tl, tr = tr, tl
+    return bl, tl, br, tr
+
+
+PD_FIXTURES = (
+    "PD[X[1,4,2,3],X[3,2,4,1]]",
+    "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]",
+    "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]",
+    "PD[X[1,1,2,2]]",
+    "PD[X[1,2,3,4],X[1,2,3,4]]",
+)
+
+
+def assert_walks_agree(crossings, regions):
+    for reg in regions:
+        if not reg.count:
+            continue
+        try:
+            want = union_find_walk_chain(crossings, reg)
+        except DiagramError:
+            with pytest.raises(DiagramError):
+                diagram_module._walk_chain(crossings, reg)
+            continue
+        assert diagram_module._walk_chain(crossings, reg) == want, reg
+
+
+class TestWalkChainAgainstUnionFind:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_pretzels_and_their_parsed_drawings(self, counts, rng):
+        d = pretzel(counts)
+        assert_walks_agree(d.crossings, d.twist_regions)
+        # the same drawing parsed back, shuffled, some crossings read from
+        # their other under-slot, so chains start on either A-pair
+        crossings = tuple(
+            x[2:] + x[:2] if rng.random() < 0.5 else x for x in d.crossings
+        )
+        crossings = tuple(rng.sample(crossings, len(crossings)))
+        parsed = parse_pd(pd_text(LinkDiagram(crossings)))
+        assert_walks_agree(parsed.crossings, parsed.twist_regions)
+
+    @pytest.mark.parametrize("text", PD_FIXTURES)
+    def test_pd_fixtures(self, text):
+        d = parse_pd(text)
+        assert_walks_agree(d.crossings, d.twist_regions)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda c: st.permutations([a for a in range(1, 2 * c + 1)] * 2)))
+    @example([2, 2, 1, 3, 5, 6, 4, 5, 3, 1, 4, 6])  # br == bl, planar
+    @example([2, 4, 2, 5, 3, 1, 6, 6, 4, 5, 1, 3])  # br == bl
+    @example([2, 8, 7, 6, 4, 1, 5, 5, 7, 3, 8, 2, 4, 6, 1, 3])  # tl == bl
+    @example([5, 4, 2, 8, 8, 2, 7, 4, 3, 6, 1, 7, 3, 5, 6, 1])  # br == tr
+    @settings(max_examples=150, deadline=None)
+    def test_any_arc_labeling(self, labels):
+        # every arc twice, planar or not; strands that share an end arc
+        # (a kink at either end, a region closed on itself) are one strand
+        crossings = tuple(tuple(labels[i:i + 4]) for i in range(0, len(labels), 4))
+        regions = diagram_module._detect_regions(crossings)
+        assert_walks_agree(crossings, regions)
+
+    def test_union_find_follows_long_chains(self):
+        # merging roots by min builds chains 5 -> 4 -> 3 -> 1; a root
+        # search that stops after two links splits the class again
+        uf = diagram_module._UnionFind()
+        for a, b in ((4, 5), (3, 4), (1, 3), (2, 5)):
+            uf.union(a, b)
+        assert uf.classes(range(1, 6)) == {1: [1, 2, 3, 4, 5]}
+
+
 class TestApplyState:
     def test_crossingless_unknot(self):
         assert apply_state(UNKNOT, State({})) == 1

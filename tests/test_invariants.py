@@ -209,6 +209,35 @@ class TestColoredStateSum:
         with pytest.raises(BudgetError, match="cap"):
             colored_state_sum(pretzel([2, 2, 2]), 2, max_networks=100)
 
+    @pytest.mark.parametrize(
+        "counts", [[2, 0, 3], [2, 2], [1, 3, 1, 3], HOPF_TRACE]
+    )
+    def test_composes_at_width_2n_once_per_power_and_seam(self, counts,
+                                                          monkeypatch):
+        # n + 1 compositions build the step, one per power up to the
+        # largest count (equal counts share a column), one per ring seam;
+        # each is two cables wide, and no ring-wide slice program is built
+        n = 2
+        d = parse_pd(counts) if isinstance(counts, str) else pretzel(counts)
+        twists = [col.region.count for col in _ring_layout(d).columns]
+        widths = []
+
+        def narrow(f, g):
+            widths.append(max(f.bot, f.top, g.top))
+            return compose(f, g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slice program built")
+
+        monkeypatch.setattr(invariants, "compose", narrow)
+        monkeypatch.setattr(invariants, "plat_program", refuse)
+        monkeypatch.setattr(invariants, "evaluate", refuse, raising=False)
+        value = colored_state_sum(d, n).value
+        assert len(widths) == (n + 1) + max(twists) + len(twists) - 1
+        assert max(widths) == 2 * n
+        monkeypatch.undo()
+        assert value == colored_bracket_fused(d, n).value
+
     def test_unlabeled_crossing_is_refused_above_color_one(self):
         d = pretzel([1, 1, 1])
         partial = replace(d, twist_regions=d.twist_regions[:2])
@@ -218,6 +247,23 @@ class TestColoredStateSum:
     def test_invalid_color(self):
         with pytest.raises(ValueError, match="color"):
             colored_state_sum(pretzel([1, 1]), 0)
+
+
+class TestLiteralEnumeration:
+    # diagrams whose smoothings build union-find chains three or more links
+    # deep; a root search that stopped after two links miscounted one
+    # circle on each
+    @pytest.mark.parametrize("crossings", [
+        ((5, 4, 8, 6), (11, 9, 9, 3), (7, 7, 11, 10), (12, 3, 2, 2),
+         (5, 6, 12, 4), (8, 1, 1, 10)),
+        ((2, 12, 10, 8), (6, 6, 8, 10), (4, 5, 7, 9), (3, 11, 2, 4),
+         (5, 1, 1, 12), (11, 3, 9, 7)),
+        ((9, 5, 7, 7), (12, 10, 2, 4), (3, 11, 1, 5), (10, 8, 4, 2),
+         (9, 6, 11, 3), (6, 1, 12, 8)),
+    ])
+    def test_matches_sweep_on_deep_union_find_chains(self, crossings):
+        d = LinkDiagram(crossings)
+        assert colored_state_sum(d, 1).value == bracket_state_sum(d).value
 
 
 class TestFusedChannels:
@@ -260,6 +306,13 @@ class TestFusedChannels:
                 colored_bracket_fused(d, 3).value
                 == colored_state_sum(d, 3).value
             )
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 1, 1], [2, 2, 2], [1, 2, 3], [2, 0, 2], [1, 1, 1, 1]]
+    )
+    def test_agrees_with_colored_state_sum_color_three_rings(self, counts):
+        d = pretzel(counts)
+        assert colored_state_sum(d, 3).value == colored_bracket_fused(d, 3).value
 
     def test_trace_drawing_higher_color(self):
         d = parse_pd(HOPF_TRACE)

@@ -4,8 +4,10 @@ Closed-form values from the algebra module serve as the independent
 oracle for every network evaluated here by honest diagram expansion.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -46,6 +48,8 @@ from skeinkit.planar import (
     jones_wenzl,
     plat_caps,
     plat_cups,
+    plat_program,
+    quarter_turn,
     tensor,
     tet_program,
     theta_program,
@@ -537,6 +541,66 @@ class TestDrum:
         d2 = delta(2)
         num = d2 * LaurentPoly({4: 1, -4: 1})
         assert evaluate(drum(1, [2, 2, 2])) == RationalFn(num, delta(1))
+
+
+class TestQuarterTurn:
+    """Turned columns stacked and traced against the plat slice program."""
+
+    @staticmethod
+    def column(n, rng):
+        # an integer combination of the channel elements, no weight zero
+        return functools.reduce(operator.add, (
+            channel_element(n, p).scaled(rng.choice((-3, -2, -1, 1, 2, 3)))
+            for p in range(n + 1)))
+
+    def test_turns_identity_into_hook(self):
+        assert quarter_turn(TLMorphism.identity(2)) == TLMorphism.hook(2, 0)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_two_turns_rotate_and_four_restore(self, n):
+        m = self.column(n, random.Random(n))
+        half = quarter_turn(quarter_turn(m))
+        assert quarter_turn(quarter_turn(half)) == m
+        assert half == m  # a channel element is symmetric under rotation
+
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("r", (1, 2, 3, 4))
+    def test_ring_matches_plat_program(self, n, r):
+        cols = [self.column(n, random.Random(10 * n + i)) for i in range(r)]
+        turned = functools.reduce(compose, map(quarter_turn, cols))
+        assert closure(turned) == evaluate(plat_program(cols, n))
+
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_ring_of_unsymmetric_columns(self, r):
+        # channel elements look the same turned half way round; words in
+        # the hooks on four strands mostly do not, so these pin which way
+        # the columns turn and stack
+        rng = random.Random(r)
+        for _ in range(3):
+            cols = []
+            for _ in range(r):
+                col = TLMorphism.zero(4, 4)
+                for _ in range(3):
+                    word = TLMorphism.identity(4)
+                    for _ in range(rng.randint(1, 3)):
+                        word = compose(word, TLMorphism.hook(4, rng.randrange(3)))
+                    col = col + word.scaled(rng.choice((-2, -1, 1, 2)))
+                cols.append(col)
+            turned = functools.reduce(compose, map(quarter_turn, cols))
+            assert closure(turned) == evaluate(plat_program(cols, 2)), r
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_trace_matches_plat_program(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            col = self.column(n, rng)
+            assert closure(col) == evaluate(plat_program([col], n, "trace"))
+
+    def test_needs_an_even_square_morphism(self):
+        with pytest.raises(ValueError, match="turn"):
+            quarter_turn(TLMorphism.identity(3))
+        with pytest.raises(ValueError, match="turn"):
+            quarter_turn(capnest(1))
 
 
 def pretzel_program(ks, n=1):
