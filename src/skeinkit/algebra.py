@@ -761,36 +761,6 @@ def mirror(f):
     raise TypeError(f"mirror is not defined for {type(f).__name__}")
 
 
-def coeff_window(f, count: int, step: int = 4) -> list[int]:
-    """The lowest ``count`` coefficients of f on an exponent lattice.
-
-    The support must lie in a single residue class modulo ``step``;
-    coefficients are read off at min, min+step, ..., with explicit
-    zeros at absent exponents.  Raises ``GradingError`` if the support
-    straddles residue classes and ``ZeroPolynomialError`` for the zero
-    polynomial.
-    """
-    if isinstance(f, RationalFn):
-        f = f.to_poly()
-    if isinstance(f, QPoly):
-        if step != 1:
-            raise ValueError("q-lattice windows use step 1")
-        return f.coeffs_from_bottom(count)
-    if not isinstance(f, LaurentPoly):
-        raise TypeError(f"coeff_window is not defined for {type(f).__name__}")
-    if count < 0:
-        raise ValueError(f"window length must be nonnegative, got {count}")
-    m = f.min_degree()
-    if step > 1:
-        bad = {e for e in f.terms if (e - m) % step}
-        if bad:
-            raise GradingError(
-                f"support is not contained in {m} + {step}Z: "
-                f"offending exponents {sorted(bad)}"
-            )
-    return [f.terms.get(m + j * step, 0) for j in range(count)]
-
-
 # -- closed forms ----------------------------------------------------
 
 

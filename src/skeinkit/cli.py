@@ -44,7 +44,7 @@ from .invariants import (
     AdequacyError,
     BudgetError,
     bracket_state_sum,
-    build_upsilon,
+    channel_probe,
     colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
@@ -59,10 +59,9 @@ from .planar import (
     closure,
     compose,
     cupnest,
-    evaluate,
     jones_wenzl,
     tensor,
-    theta_program,
+    theta_network,
     turnback,
 )
 from .series import bracket_window
@@ -593,7 +592,7 @@ def _suite_tl_identities():
         for a, b, c in itertools.product(range(5), repeat=3):
             if a + b + c == 0 or not admissible(a, b, c):
                 continue
-            if evaluate(theta_program(a, b, c)) != theta(a, b, c):
+            if theta_network(a, b, c) != theta(a, b, c):
                 return False, f"failed at {(a, b, c)}"
             count += 1
         return True, f"{count} admissible triples with colors <= 4"
@@ -667,14 +666,14 @@ def _suite_min_degrees():
                 pairs += 1
         return True, f"{pairs} diagram/color pairs, all sharp"
 
-    def channel_probe():
+    def probes():
         for counts in ((1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)):
             d = pretzel(counts)
             c = d.crossing_count
             s = apply_state(d, State.all_minus(d))
             for n in (1, 2):
                 for p in range(n):
-                    got = min_degree(evaluate(build_upsilon(d, n, p)))
+                    got = min_degree(channel_probe(d, n, p))
                     want = -n * n * (c - counts[0]) - 2 * (s * n - (n - p))
                     if got != want:
                         return False, f"{list(counts)} n={n} p={p}: got {got}"
@@ -684,7 +683,7 @@ def _suite_min_degrees():
         ("classical minimum degree is sharp on minus-adequate diagrams",
          classical),
         ("colored minimum degree is sharp on alternating pretzels", colored),
-        ("channel probe reaches the predicted degree", channel_probe),
+        ("channel probe reaches the predicted degree", probes),
     ]
 
 

@@ -19,8 +19,8 @@ Three independent routes to the same exact values:
   only check it.
 
 On top of these sit reduced polynomial extraction, the closed-form
-minimum-degree predictors, and the channel probe network that replaces
-one region by a single colored channel.
+minimum-degree predictors, and ``channel_probe``, the value of the
+network that replaces one region by a single colored channel.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .algebra import (
     ExactDivisionError,
     LaurentPoly,
     QPoly,
+    RationalFn,
     _pack,
     _unpack,
     delta,
@@ -57,15 +58,12 @@ from .diagram import (
     is_minus_adequate,
 )
 from .planar import (
-    SliceProgram,
     TLMorphism,
     cabled_crossing,
     channel_element,
-    closure,
+    close_ring,
     compose,
     jones_wenzl,
-    plat_program,
-    quarter_turn,
     tensor,
     turnback,
 )
@@ -193,7 +191,7 @@ class _Column:
 
 @dataclass(frozen=True)
 class _RingLayout:
-    style: str  # "ring" (cyclic columns, includes r=1 plat) or "trace"
+    style: str  # "ring" (cyclic columns, r >= 1) or "trace"
     columns: tuple[_Column, ...]
 
 
@@ -612,67 +610,7 @@ def colored_bracket_fused(
     return BracketValue(_ring_polynomial(n, style, twists, diagram.free_loops))
 
 
-# -- oracles: literal channel networks and the colored state sum ---------------
-
-
-@dataclass(frozen=True)
-class FusedTemplate:
-    """A diagram reduced to its ring of channel sockets.
-
-    This is the literal network the fused evaluator's closed forms
-    stand for; the tests evaluate it channel by channel as an oracle,
-    the evaluator itself never builds it.  ``base`` is the closed network program with every socket holding
-    the channel of color 0; the i-th region's socket is the slice at
-    index ``sockets[i]``.  ``twists`` lists the region crossing
-    counts in the same order, ``rids`` the region labels.  ``style``
-    is "ring" for the cyclic plat arrangement and "trace" for a
-    single region closed around the side.
-    """
-
-    base: SliceProgram
-    sockets: tuple[int, ...]
-    color: int
-    twists: tuple[int, ...]
-    rids: tuple[int, ...]
-    style: str = "ring"
-
-    def with_rungs(self, ps: Sequence[int]) -> SliceProgram:
-        """The base program with socket i holding the channel ps[i]."""
-        if len(ps) != len(self.sockets):
-            raise ValueError(
-                f"template has {len(self.sockets)} sockets, got {len(ps)} channels"
-            )
-        slices = list(self.base.slices)
-        for idx, p in zip(self.sockets, ps):
-            if not 0 <= p <= self.color:
-                raise ValueError(
-                    f"channel {p} outside 0..{self.color}"
-                )
-            kind, _, pos = slices[idx]
-            slices[idx] = (kind, channel_element(self.color, p), pos)
-        return SliceProgram(slices)
-
-
-def build_fused_template(diagram: LinkDiagram, n: int) -> FusedTemplate:
-    """Lay the labeled regions out as a ring of color-n channel sockets.
-
-    Every crossing must belong to a labeled region and the regions
-    must close into a single ring (or one region closing around the
-    side).  The template's sockets can then be recolored with
-    ``with_rungs`` without touching the diagram again.
-    """
-    if n < 1:
-        raise ValueError(f"cable color must be >= 1, got {n}")
-    layout = _ring_layout(diagram)
-    cols = layout.columns
-    twists = tuple(col.region.count for col in cols)
-    rids = tuple(col.region.rid for col in cols)
-    prog = plat_program([channel_element(n, 0)] * len(cols), n, layout.style)
-    if layout.style == "trace":
-        sockets = (2 * n,)
-    else:
-        sockets = tuple(range(1, len(cols) + 1))
-    return FusedTemplate(prog, sockets, n, twists, rids, layout.style)
+# -- oracle: the colored state sum ----------------------------------------------
 
 
 def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
@@ -700,13 +638,10 @@ def colored_state_sum(
     bilinear, so one clasped step S = sum_i fusion_coeff(n, i) *
     turnback(n, i) ff, with ff = JW_n (x) JW_n, sums the smoothings of a
     crossing, and a column of k crossings is ff S^k.  Columns with equal
-    counts share one power.  A quarter turn (``planar.quarter_turn``)
-    makes each column's left side its bottom, so the ring is the turned
-    columns stacked in ring order and closed by the Markov trace; a
-    region closed around the side is the trace of its column.  Every
-    composition runs at width 2n.  A closed network's value depends
-    only on how its strands join, and the turned stack joins them as
-    the plat closure of ``plat_program`` does.
+    counts share one power.  ``planar.close_ring`` closes the columns:
+    quarter-turned, they stack in ring order under the Markov trace,
+    and a region closed around the side is the trace of its column.
+    Every composition runs at width 2n.
 
     The budget still counts the (n+1)^c states.
     """
@@ -731,10 +666,7 @@ def colored_state_sum(
     powers = [ff]  # powers[k]: a column of k crossings, ff S^k
     for _ in range(max(counts)):
         powers.append(compose(powers[-1], step))
-    columns = [powers[k] for k in counts]
-    if layout.style == "ring":
-        columns = [quarter_turn(m) for m in columns]
-    total = closure(functools.reduce(compose, columns))
+    total = close_ring([powers[k] for k in counts], layout.style)
     try:
         value = total.to_poly()
     except ExactDivisionError as err:
@@ -845,14 +777,13 @@ def predicted_min_degree(diagram: LinkDiagram, n: int) -> int:
     return -c * n * n - 2 * n * s_minus
 
 
-def build_upsilon(diagram: LinkDiagram, n: int, p: int) -> SliceProgram:
-    """Probe network: the lowest-labeled region becomes one channel.
+def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
+    """Probe network value: the lowest-labeled region becomes one channel.
 
     The designated region's crossings are dropped in favor of a single
     (n, n, 2p) channel with 0 <= p < n; every other region keeps its
-    crossings as clasped cable crossings, to be expanded on
-    evaluation.  The program closes the columns exactly as the
-    diagram's ring does.
+    crossings as clasped cable crossings.  ``close_ring`` closes the
+    columns exactly as the diagram's ring does.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -873,4 +804,4 @@ def build_upsilon(diagram: LinkDiagram, n: int, p: int) -> SliceProgram:
         for _ in range(col.region.count):
             m = compose(m, cross)
         columns.append(m)
-    return plat_program(columns, n, layout.style)
+    return close_ring(columns, layout.style)

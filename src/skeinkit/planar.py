@@ -25,21 +25,24 @@ matching -> coefficient view.
 The heavyweight objects here are the Jones-Wenzl projectors, built by
 the Wenzl recursion, and the trivalent vertex morphisms built from
 them; these and the crossing morphisms are memoized in memory with
-``functools.cache``.  ``SliceProgram`` and ``evaluate`` provide
-a small sweep language for closed networks (theta and tetrahedron
-graphs, drums, smoothing networks); these serve as the first-principles
-oracle for the closed-form evaluations elsewhere.  Since the node order
-is cyclic, ``quarter_turn`` is a relabeling: it turns a column of two
-cables so that columns set side by side in a ring stack instead, and the
-Markov trace (``closure``) of the stack closes the ring at the width of
-one column.
+``functools.cache``.
+
+Closed networks (theta and tetrahedron graphs, drums, rings of
+smoothing columns) are composed from these pieces and closed by the
+Markov trace (``closure``); they serve as the first-principles oracle
+for the closed-form evaluations elsewhere.  A closed network's value
+depends only on how its strands join.  Since the node order is cyclic,
+``quarter_turn`` is a relabeling: it turns a column of two cables so
+that columns set side by side in a ring stack instead, and
+``close_ring`` closes the ring as the trace of that stack, at the width
+of one column.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
@@ -58,10 +61,6 @@ from .algebra import (
     factorial_factors,
     vec_sum,
 )
-
-class SliceError(ValueError):
-    """Arity or wiring failure in a slice program, reported by index."""
-
 
 # -- raw matching plumbing -------------------------------------------
 
@@ -571,49 +570,6 @@ def channel_element(n: int, p: int) -> TLMorphism:
                    vertex_morphism(n, n, 2 * p, "down"))
 
 
-# -- slice programs ---------------------------------------------------
-
-
-@dataclass
-class SliceProgram:
-    """A closed network as an ordered sweep of local generators.
-
-    Each slice is a tagged tuple acting at a position on the current
-    boundary: ("cup", pos), ("cap", pos), ("projector", n, pos),
-    ("vertex", a, b, c, pos, orientation) and ("crossing", sign, pos).
-    Vertex orientation "up" consumes a+b points and emits c, "down"
-    consumes c and emits a+b (a leftmost).  Crossing slices act on two
-    single strands; sign -1 is the twist-region kind whose A-weighted
-    smoothing is the horizontal one.
-    """
-
-    slices: list = field(default_factory=list)
-
-    def cup(self, pos: int) -> "SliceProgram":
-        self.slices.append(("cup", pos))
-        return self
-
-    def cap(self, pos: int) -> "SliceProgram":
-        self.slices.append(("cap", pos))
-        return self
-
-    def projector(self, n: int, pos: int) -> "SliceProgram":
-        self.slices.append(("projector", n, pos))
-        return self
-
-    def vertex(self, a: int, b: int, c: int, pos: int, orientation: str = "up"):
-        self.slices.append(("vertex", a, b, c, pos, orientation))
-        return self
-
-    def crossing(self, sign: int, pos: int) -> "SliceProgram":
-        self.slices.append(("crossing", sign, pos))
-        return self
-
-    def morphism(self, m: TLMorphism, pos: int) -> "SliceProgram":
-        self.slices.append(("morphism", m, pos))
-        return self
-
-
 @functools.cache
 def crossing_morphism(sign: int) -> TLMorphism:
     """Kauffman expansion of a single crossing, vertical frame.
@@ -626,172 +582,51 @@ def crossing_morphism(sign: int) -> TLMorphism:
             + TLMorphism.hook(2, 0).scaled(LaurentPoly.monomial(-e)))
 
 
-def _slice_to_morphism(s) -> TLMorphism:
-    kind = s[0]
-    if kind == "cup":
-        return cupnest(1)
-    if kind == "cap":
-        return capnest(1)
-    if kind == "projector":
-        return jones_wenzl(s[1])
-    if kind == "vertex":
-        return vertex_morphism(s[1], s[2], s[3], s[5])
-    if kind == "crossing":
-        return crossing_morphism(s[1])
-    if kind == "morphism":
-        return s[1]
-    raise SliceError(f"unknown slice kind {kind!r}")
+# -- closed networks ----------------------------------------------------
 
 
-def _slice_pos(s) -> int:
-    if s[0] in ("cup", "cap"):
-        return s[1]
-    if s[0] == "projector":
-        return s[2]
-    if s[0] == "vertex":
-        return s[4]
-    if s[0] in ("crossing", "morphism"):
-        return s[2]
-    raise SliceError(f"unknown slice kind {s[0]!r}")
-
-
-def evaluate(program: SliceProgram) -> RationalFn:
-    """Evaluate a closed slice program to its bracket value.
-
-    The sweep state is a 0 -> w morphism; every slice must fit inside
-    the current boundary, and the final boundary must be empty.  Arity
-    violations raise ``SliceError`` naming the slice index.
-    """
-    state = TLMorphism._raw(0, 0, {(): ONE}, {})
-    for i, s in enumerate(program.slices):
-        g = _slice_to_morphism(s)
-        pos = _slice_pos(s)
-        w = state.top
-        if pos < 0 or pos + g.bot > w:
-            raise SliceError(
-                f"slice {i} ({s[0]}): needs points {pos}..{pos + g.bot - 1} "
-                f"but the boundary has width {w}"
-            )
-        state = compose(state, boxed(g, pos, w - pos - g.bot))
-        if state.is_zero():
-            return RF_ZERO
-    if state.top != 0:
-        raise SliceError(
-            f"program left {state.top} open points; networks must close"
-        )
-    return RationalFn._raw(state.nums.get((), ZERO), state.den).reduce()
-
-
-def theta_program(a: int, b: int, c: int) -> SliceProgram:
+def theta_network(a: int, b: int, c: int) -> RationalFn:
     """Theta network: two vertices joined along a, b, c."""
-    TrivalentVertex(a, b, c)
-    prog = SliceProgram()
-    for i in range(c):
-        prog.cup(i)
-    prog.projector(c, 0)
-    prog.vertex(a, b, c, 0, "down")
-    prog.vertex(a, b, c, 0, "up")
-    for i in range(c - 1, -1, -1):
-        prog.cap(i)
-    return prog
+    down = compose(jones_wenzl(c), vertex_morphism(a, b, c, "down"))
+    return closure(compose(down, vertex_morphism(a, b, c, "up")))
 
 
-def tet_program(A: int, B: int, E: int, C: int, D: int, F: int) -> SliceProgram:
+def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
     """Tetrahedron network with vertices (A,B,E), (B,C,F), (C,D,E), (D,A,F).
 
     Opposite edge pairs are (A,C), (B,D), (E,F).  Built as: open the E
     edge, split into cables A (left) and B (right), pass an F-rung that
     turns cable A into D and cable B into C, then merge back into E.
     """
-    for tri in ((A, B, E), (B, C, F), (C, D, E), (D, A, F)):
-        TrivalentVertex(*tri)
-    prog = SliceProgram()
-    for i in range(E):
-        prog.cup(i)
-    prog.projector(E, 0)
-    prog.vertex(A, B, E, 0, "down")     # boundary [A, B, E]
-    prog.vertex(D, F, A, 0, "down")     # boundary [D, F, B, E]
-    prog.vertex(F, B, C, D, "up")       # boundary [D, C, E]
-    prog.vertex(D, C, E, 0, "up")       # boundary [E, E]
-    for i in range(E - 1, -1, -1):
-        prog.cap(i)
-    return prog
+    m = compose(jones_wenzl(E), vertex_morphism(A, B, E, "down"))
+    m = compose(m, boxed(vertex_morphism(D, F, A, "down"), 0, B))
+    m = compose(m, boxed(vertex_morphism(F, B, C, "up"), D, 0))
+    return closure(compose(m, vertex_morphism(D, C, E, "up")))
 
 
-def _plat_pairs(r: int, n: int) -> list[tuple[int, int]]:
-    # cyclic plat closure of r side-by-side columns of two n-cables:
-    # column i owns positions 2n*i .. 2n*i+2n-1 (left cable then right).
-    # Right cable of column i bends into the left cable of column i+1;
-    # the wrap-around bundle from the last column nests over everything.
-    w = 2 * n * r
-    pairs = [(s, w - 1 - s) for s in range(n)]
-    for i in range(r - 1):
-        base = 2 * n * i + n
-        nxt = 2 * n * (i + 1)
-        pairs.extend((base + s, nxt + n - 1 - s) for s in range(n))
-    return pairs
+def close_ring(columns: Sequence[TLMorphism], style: str = "ring") -> RationalFn:
+    """Close 2n -> 2n columns into a network and evaluate it.
 
-
-def plat_cups(r: int, n: int) -> TLMorphism:
-    """Top closure of a cyclic arrangement of r two-cable columns.
-
-    A 0 -> 2rn morphism: one n-strand bundle joins the right cable of
-    each column to the left cable of the next, cyclically; the
-    wrap-around bundle nests over the rest.
+    "ring" sets the columns side by side and closes them cyclically:
+    the right cable of each column bends into the left cable of the
+    next, and the last wraps around to the first.  Quarter-turned
+    (``quarter_turn``), the columns stack in ring order instead, and
+    the Markov trace of the stack closes the ring at the width of one
+    column.  "trace" closes a single column around its side.
     """
-    if r < 1 or n < 1:
-        raise ValueError(f"plat closure needs r >= 1 and n >= 1, got r={r}, n={n}")
-    w = 2 * n * r
-    partner = [0] * w
-    for a, b in _plat_pairs(r, n):
-        # node index for top position p is w-1-p
-        na, nb = w - 1 - a, w - 1 - b
-        partner[na], partner[nb] = nb, na
-    return TLMorphism(0, w, {tuple(partner): ONE})
-
-
-def plat_caps(r: int, n: int) -> TLMorphism:
-    """Bottom closure mirroring ``plat_cups``: a 2rn -> 0 morphism."""
-    if r < 1 or n < 1:
-        raise ValueError(f"plat closure needs r >= 1 and n >= 1, got r={r}, n={n}")
-    w = 2 * n * r
-    partner = [0] * w
-    for a, b in _plat_pairs(r, n):
-        partner[a], partner[b] = b, a
-    return TLMorphism(w, 0, {tuple(partner): ONE})
-
-
-def plat_program(columns: Sequence[TLMorphism], n: int,
-                 style: str = "ring") -> SliceProgram:
-    """Close 2n -> 2n columns into a network.
-
-    "ring" sets the columns side by side and closes them cyclically
-    with ``plat_cups`` and ``plat_caps``; column i is slice i + 1.
-    "trace" closes a single column around its side with 2n cups and
-    caps; the column is slice 2n.
-    """
-    prog = SliceProgram()
     if style == "trace":
         (column,) = columns
-        for i in range(2 * n):
-            prog.cup(i)
-        prog.morphism(column, 2 * n)
-        for i in range(2 * n - 1, -1, -1):
-            prog.cap(i)
-        return prog
-    r = len(columns)
-    prog.morphism(plat_cups(r, n), 0)
-    for i, m in enumerate(columns):
-        prog.morphism(m, 2 * n * i)
-    prog.morphism(plat_caps(r, n), 0)
-    return prog
+        return closure(column)
+    if style != "ring":
+        raise ValueError(f"style must be 'ring' or 'trace', got {style!r}")
+    return closure(functools.reduce(compose, map(quarter_turn, columns)))
 
 
-def drum(n: int, rungs: list[int]) -> SliceProgram:
+def drum(n: int, rungs: list[int]) -> RationalFn:
     """Closed pretzel-shaped network: an n-colored cycle pair with rungs.
 
     Two concentric n-cables joined by r vertical rungs of even colors
-    2p_i, one per column, closed cyclically by plat bundles; 2r
+    2p_i, one per column, closed cyclically by ``close_ring``; 2r
     trivalent vertices in all.  A single positive rung pinches the
     cycle pair into a dumbbell, which a clasp kills, so the value is
     0; all rungs colored 0 leave two disjoint clasped cycles, value
@@ -807,7 +642,7 @@ def drum(n: int, rungs: list[int]) -> SliceProgram:
         if not admissible(n, n, c):
             raise AdmissibilityError(f"(n, n, {c}) inadmissible for n={n}")
         ps.append(c // 2)
-    return plat_program([channel_element(n, p) for p in ps], n)
+    return close_ring([channel_element(n, p) for p in ps])
 
 
 @functools.cache

@@ -1,5 +1,5 @@
 """Exact-arithmetic layer: Laurent polynomials, rational functions,
-closed-form network values, windows, and the q-substitution."""
+closed-form network values, and the q-substitution."""
 
 import itertools
 import sys
@@ -24,7 +24,6 @@ from skeinkit.algebra import (
     _pack,
     _unpack,
     admissible,
-    coeff_window,
     cyclotomic4,
     delta,
     exact_div,
@@ -366,28 +365,6 @@ class TestDegreeStepRules:
             assert all(b - a == -2 for a, b in zip(degs, degs[1:])), (n, degs)
 
 
-class TestWindows:
-    def test_basic_window_with_zero_padding(self):
-        f = LaurentPoly({-8: 1, -4: -1, 4: 5})
-        assert coeff_window(f, 4) == [1, -1, 0, 5]
-
-    def test_window_step_one(self):
-        f = LaurentPoly({3: 2, 4: 0, 5: -1})
-        assert coeff_window(f, 3, step=1) == [2, 0, -1]
-
-    def test_window_grading_error(self):
-        with pytest.raises(GradingError):
-            coeff_window(LaurentPoly({0: 1, 2: 1}), 2)
-
-    def test_window_zero_poly(self):
-        with pytest.raises(ZeroPolynomialError):
-            coeff_window(LaurentPoly.zero(), 1)
-
-    def test_window_of_rational(self):
-        r = RationalFn(delta(2) * DELTA, DELTA)
-        assert coeff_window(r, 3) == [1, 1, 1]
-
-
 class TestSubstituteQuarter:
     def test_integral_lattice(self):
         q = substitute_quarter(LaurentPoly({-4: 1, 0: -2, 8: 3}))
@@ -414,7 +391,6 @@ class TestSubstituteQuarter:
     def test_qpoly_window(self):
         q = QPoly({-2: 1, 0: -3, 1: 2})
         assert q.coeffs_from_bottom(4) == [1, 0, -3, 2]
-        assert coeff_window(q, 4, step=1) == [1, 0, -3, 2]
 
 
 # -- differential tests against sympy ----------------------------------------

@@ -524,14 +524,10 @@ class TestGraph:
 
 
 class TestVerify:
-    def test_identities_suite_passes(self, runner):
-        result = run(runner, "verify", "--suite", "tl-identities")
-        assert result.exit_code == 0
-        doc = json.loads(result.stdout)
-        assert doc["suite"] == "tl-identities"
-        assert doc["passed"] is True
-        assert len(doc["checks"]) == 8
-        assert all(c["passed"] for c in doc["checks"])
+    def test_identities_suite_passes(self):
+        # test_acceptance.py runs the suite and checks that it passes;
+        # here only its checks are counted, none is run
+        assert len(cli._SUITES["tl-identities"]()) == 8
 
     def test_rate_suite_passes(self, runner):
         result = run(runner, "verify", "--suite", "rate-theorems")
@@ -560,6 +556,7 @@ class TestVerify:
         result = run(runner, "verify", "--suite", "tl-identities")
         assert result.exit_code == 1
         doc = json.loads(result.stdout)
+        assert doc["suite"] == "tl-identities"
         assert doc["passed"] is False
 
     def test_unknown_suite_is_a_usage_error(self, runner):

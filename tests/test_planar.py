@@ -1,4 +1,4 @@
-"""Diagram engine tests: matchings, projectors, networks, programs.
+"""Diagram engine tests: matchings, projectors, closed networks.
 
 Closed-form values from the algebra module serve as the independent
 oracle for every network evaluated here by honest diagram expansion.
@@ -31,31 +31,28 @@ from skeinkit.algebra import (
 )
 from skeinkit.planar import (
     Matching,
-    SliceError,
-    SliceProgram,
     TLMorphism,
     boxed,
     cabled_crossing,
     capnest,
     channel_element,
+    close_ring,
     closure,
     compose,
     crossing_morphism,
     cupnest,
     drum,
-    evaluate,
     glue_pair,
     jones_wenzl,
-    plat_caps,
-    plat_cups,
-    plat_program,
     quarter_turn,
     tensor,
-    tet_program,
-    theta_program,
+    tet_network,
+    theta_network,
     turnback,
     vertex_morphism,
 )
+
+from plat_oracle import plat_close
 
 
 def rf(x):
@@ -338,16 +335,16 @@ THETA_TRIPLES = [
 class TestThetaNetworks:
     @pytest.mark.parametrize("a,b,c", THETA_TRIPLES)
     def test_theta_program_matches_closed_form(self, a, b, c):
-        assert evaluate(theta_program(a, b, c)) == rf(theta(a, b, c))
+        assert theta_network(a, b, c) == rf(theta(a, b, c))
 
     def test_all_odd_internal_theta_is_rational(self):
-        val = evaluate(theta_program(2, 2, 2))
+        val = theta_network(2, 2, 2)
         assert not val.den.is_one()
         assert val == rf(theta(2, 2, 2))
 
     def test_theta_of_zero_edge_is_loop_value(self):
         for n in (1, 2, 3):
-            assert evaluate(theta_program(n, n, 0)).to_poly() == delta(n)
+            assert theta_network(n, n, 0).to_poly() == delta(n)
 
 
 TET_SMALL = [
@@ -370,18 +367,18 @@ class TestTetNetworks:
         # exhaustive colors <= 3: 181 admissible labelings
         assert len(TET_SMALL) == 181
         for a, b, e, c, d, f in TET_SMALL:
-            net = evaluate(tet_program(a, b, e, c, d, f))
+            net = tet_network(a, b, e, c, d, f)
             assert net == tet(a, b, e, c, d, f), (a, b, e, c, d, f)
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_channel_family(self, n):
         for p, q in itertools.product(range(n + 1), repeat=2):
             colors = (n, n, 2 * p, n, n, 2 * q)
-            assert evaluate(tet_program(*colors)) == tet(*colors)
+            assert tet_network(*colors) == tet(*colors)
 
     def test_larger_spot_checks(self):
         for colors in ((2, 3, 5, 4, 3, 3), (4, 4, 4, 4, 4, 4), (5, 3, 4, 3, 5, 2)):
-            assert evaluate(tet_program(*colors)) == tet(*colors)
+            assert tet_network(*colors) == tet(*colors)
 
     def test_formula_symmetry(self):
         # relabelings induced by permuting the four vertices
@@ -511,14 +508,14 @@ class TestDrum:
     def test_single_rung_dumbbell(self, n):
         # one column closes onto itself: only the turn-back channel survives
         for p in range(n + 1):
-            v = evaluate(drum(n, [2 * p]))
+            v = drum(n, [2 * p])
             want = delta(n) * delta(n) if p == 0 else ZERO
             assert v.to_poly() == want
 
     @pytest.mark.parametrize("n", (1, 2))
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_all_zero_rungs_leave_two_cycles(self, n, r):
-        assert evaluate(drum(n, [0] * r)).to_poly() == delta(n) * delta(n)
+        assert drum(n, [0] * r).to_poly() == delta(n) * delta(n)
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_matches_channel_mixing_sum(self, n):
@@ -535,16 +532,16 @@ class TestDrum:
                     for p in tup:
                         term = term * ys[p][q]
                     want = want + term
-                assert evaluate(drum(n, [2 * p for p in tup])) == want, (n, tup)
+                assert drum(n, [2 * p for p in tup]) == want, (n, tup)
 
     def test_frozen_three_rung_value(self):
         d2 = delta(2)
         num = d2 * LaurentPoly({4: 1, -4: 1})
-        assert evaluate(drum(1, [2, 2, 2])) == RationalFn(num, delta(1))
+        assert drum(1, [2, 2, 2]) == RationalFn(num, delta(1))
 
 
 class TestQuarterTurn:
-    """Turned columns stacked and traced against the plat slice program."""
+    """``close_ring`` against the plat closure built at full width."""
 
     @staticmethod
     def column(n, rng):
@@ -567,8 +564,7 @@ class TestQuarterTurn:
     @pytest.mark.parametrize("r", (1, 2, 3, 4))
     def test_ring_matches_plat_program(self, n, r):
         cols = [self.column(n, random.Random(10 * n + i)) for i in range(r)]
-        turned = functools.reduce(compose, map(quarter_turn, cols))
-        assert closure(turned) == evaluate(plat_program(cols, n))
+        assert close_ring(cols) == plat_close(cols, n)
 
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_ring_of_unsymmetric_columns(self, r):
@@ -586,15 +582,18 @@ class TestQuarterTurn:
                         word = compose(word, TLMorphism.hook(4, rng.randrange(3)))
                     col = col + word.scaled(rng.choice((-2, -1, 1, 2)))
                 cols.append(col)
-            turned = functools.reduce(compose, map(quarter_turn, cols))
-            assert closure(turned) == evaluate(plat_program(cols, 2)), r
+            assert close_ring(cols) == plat_close(cols, 2), r
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_trace_matches_plat_program(self, n):
         rng = random.Random(n)
         for _ in range(3):
             col = self.column(n, rng)
-            assert closure(col) == evaluate(plat_program([col], n, "trace"))
+            assert close_ring([col], "trace") == plat_close([col], n, "trace")
+
+    def test_unknown_style_is_refused(self):
+        with pytest.raises(ValueError, match="style"):
+            close_ring([TLMorphism.identity(2)], "plat")
 
     def test_needs_an_even_square_morphism(self):
         with pytest.raises(ValueError, match="turn"):
@@ -603,16 +602,11 @@ class TestQuarterTurn:
             quarter_turn(capnest(1))
 
 
-def pretzel_program(ks, n=1):
-    """Raw-crossing pretzel bracket program at cable width n = 1."""
-    r = len(ks)
-    prog = SliceProgram()
-    prog.morphism(plat_cups(r, n), 0)
-    for i, k in enumerate(ks):
-        for _ in range(k):
-            prog.crossing(-1, 2 * i)
-    prog.morphism(plat_caps(r, n), 0)
-    return prog
+def pretzel_network(ks):
+    """Raw-crossing pretzel bracket at cable width 1, one column per count."""
+    x = crossing_morphism(-1)
+    return close_ring([functools.reduce(compose, [x] * k, TLMorphism.identity(2))
+                       for k in ks])
 
 
 class TestPretzelFusion:
@@ -643,87 +637,60 @@ class TestPretzelFusion:
          (8, 6, 2), (2, 0, 3), (0, 0, 0), (1, 2, 3, 4), (2, 2, 2, 2)],
     )
     def test_raw_equals_fused(self, ks):
-        assert evaluate(pretzel_program(list(ks))) == self.fused(list(ks))
+        assert pretzel_network(list(ks)) == self.fused(list(ks))
 
     def test_trefoil_value(self):
-        got = evaluate(pretzel_program([1, 1, 1])).to_poly()
+        got = pretzel_network([1, 1, 1]).to_poly()
         assert got == LaurentPoly({7: 1, 3: 1, -1: 1, -9: -1})
 
     def test_unlink_value(self):
-        assert evaluate(pretzel_program([0, 0, 0])).to_poly() == delta(1) ** 3
+        assert pretzel_network([0, 0, 0]).to_poly() == delta(1) ** 3
 
     def test_torus_link_collapse(self):
         # a two-region pretzel is the (2, k1+k2) torus link
         for k1, k2 in ((1, 2), (2, 2), (3, 4)):
-            a = evaluate(pretzel_program([k1, k2]))
-            b = evaluate(pretzel_program([k1 + k2, 0]))
+            a = pretzel_network([k1, k2])
+            b = pretzel_network([k1 + k2, 0])
             # the k=0 region leaves a loop-free clasped pass-through
             assert a == b, (k1, k2)
 
 
-# -- slice program machinery --------------------------------------------
+# -- slices of a closed network ---------------------------------------
 
 
 class TestSlicePrograms:
-    def test_cup_cap_loop(self):
-        prog = SliceProgram().cup(0).cap(0)
-        assert evaluate(prog).to_poly() == delta(1)
-
-    def test_arity_violation_names_slice(self):
-        prog = SliceProgram().cup(0).cap(3)
-        with pytest.raises(SliceError, match="slice 1"):
-            evaluate(prog)
-
-    def test_open_program_rejected(self):
-        prog = SliceProgram().cup(0)
-        with pytest.raises(SliceError, match="open"):
-            evaluate(prog)
-
     def test_commuting_slices_reorder_freely(self):
+        # a network is a stack of slices, each one generator boxed in
+        # identity wires; slices at disjoint positions commute
         rng = random.Random(23)
+        width = 8
+        cups = functools.reduce(compose, (boxed(cupnest(1), i, i)
+                                          for i in range(width // 2)))
+        caps = functools.reduce(compose, (boxed(capnest(1), 2 * i, 0)
+                                          for i in range(width // 2 - 1, -1, -1)))
+
+        def value(body):
+            net = cups
+            for g, pos in body:
+                net = compose(net, boxed(g, pos, width - pos - 2))
+            return closure(compose(net, caps))
+
         for _ in range(12):
-            width = 4
-            prog = SliceProgram()
-            for i in range(width):
-                prog.cup(i)
             body = []
             for _ in range(6):
                 kind = rng.choice(["crossing", "projector", "hook"])
-                pos = rng.randrange(width * 2 - 2)
+                pos = rng.randrange(width - 2)
                 if kind == "crossing":
-                    body.append(("crossing", rng.choice((-1, 1)), pos))
+                    body.append((crossing_morphism(rng.choice((-1, 1))), pos))
                 elif kind == "projector":
-                    body.append(("projector", 2, pos))
+                    body.append((jones_wenzl(2), pos))
                 else:
-                    body.append(("morphism", TLMorphism.hook(2, 0), pos))
-            prog.slices.extend(body)
-            for i in range(width - 1, -1, -1):
-                prog.cap(2 * i)
+                    body.append((TLMorphism.hook(2, 0), pos))
             # swap the first adjacent commuting pair in the body
-            swapped = None
             for j in range(len(body) - 1):
-                a, b = body[j], body[j + 1]
-                pa, pb = a[-1], b[-1]
+                pa, pb = body[j][1], body[j + 1][1]
                 if pa + 2 <= pb or pb + 2 <= pa:
-                    swapped = list(prog.slices)
-                    ja = width + j
-                    swapped[ja], swapped[ja + 1] = swapped[ja + 1], swapped[ja]
+                    swapped = list(body)
+                    swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+                    assert value(body) == value(swapped)
                     break
-            if swapped is None:
-                continue
-            other = SliceProgram(swapped)
-            try:
-                v1 = evaluate(prog)
-            except SliceError:
-                continue
-            assert v1 == evaluate(other)
-
-    def test_projector_slice_matches_direct_closure(self):
-        prog = SliceProgram()
-        for i in range(3):
-            prog.cup(i)
-        prog.projector(3, 0)
-        for i in range(2, -1, -1):
-            prog.cap(i)
-        assert evaluate(prog).to_poly() == delta(3)
-
