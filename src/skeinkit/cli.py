@@ -580,9 +580,10 @@ def _suite_tl_identities():
             m = n * n + 2 * n
             sgn = -1 if n % 2 else 1
             for sign, e in ((-1, -m), (1, m)):
-                lifted = compose(f, boxed(cupnest(n), n, 0))
-                crossed = compose(lifted, boxed(cabled_crossing(n, sign), 0, n))
-                curl = compose(crossed, boxed(capnest(n), n, 0))
+                # the bare kink first, then the one projector
+                kink = compose(boxed(cupnest(n), n, 0),
+                               boxed(cabled_crossing(n, sign), 0, n))
+                curl = compose(compose(kink, boxed(capnest(n), n, 0)), f)
                 if curl != f.scaled(LaurentPoly.monomial(e, sgn)):
                     return False, f"failed at n={n}, sign {sign:+d}"
         return True, "factor (-1)^n A^(+-(n^2+2n)) for n = 1..4"
@@ -780,17 +781,18 @@ _SUITES = {
 def verify(suite):
     """Run one verification suite and print a JSON report.
 
-    Each check's progress line goes to stderr as soon as the check
-    ends; the report (suite name, overall flag, each check's name,
-    outcome, detail, and time) goes to stdout.  The exit status is 0
-    exactly when every check passed.
+    Each check's progress line, with the check's own time, goes to
+    stderr as soon as the check ends; the report (suite name, overall
+    flag, each check's name, outcome, detail, and time) goes to stdout.
+    The exit status is 0 exactly when every check passed.
     """
     started = time.perf_counter()
     checks = []
     for name, fn in _SUITES[suite]():
         c = _run_check(name, fn)
         marker = "ok  " if c["passed"] else "FAIL"
-        click.echo(f"{marker} {c['name']}: {c['detail']}", err=True)
+        click.echo(f"{marker} {c['name']}: {c['detail']} "
+                   f"[{c['elapsed_seconds']:.3f} s]", err=True)
         checks.append(c)
     elapsed = round(time.perf_counter() - started, 3)
     passed = all(c["passed"] for c in checks)

@@ -25,6 +25,7 @@ network that replaces one region by a single colored channel.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -614,12 +615,33 @@ def colored_bracket_fused(
 
 
 def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
-    # literal enumeration; independent of the sweep in bracket_state_sum
+    # literal enumeration; independent of the sweep in bracket_state_sum.
+    # States are tallied by (circle count, sign sum), and each distinct
+    # key's term delta^circles A^sum is built once.
+    tally = collections.Counter(
+        (apply_state(diagram, dict(enumerate(signs))), sum(signs))
+        for signs in itertools.product((+1, -1), repeat=diagram.crossing_count))
     total = ZERO
-    for signs in itertools.product((+1, -1), repeat=diagram.crossing_count):
-        circles = apply_state(diagram, dict(enumerate(signs)))
-        total = total + (DELTA**circles).shifted(sum(signs))
+    for (circles, shift), count in tally.items():
+        total = total + (DELTA**circles).shifted(shift).scaled(count)
     return total
+
+
+@functools.cache
+def _clasped_step(n: int) -> TLMorphism:
+    # S = sum_i fusion_coeff(n, i) * turnback(n, i) ff, ff = JW_n (x) JW_n
+    ff = _clasped_column(n, 0)
+    return functools.reduce(operator.add, (
+        compose(turnback(n, i), ff).scaled(fusion_coeff(n, i))
+        for i in range(n + 1)))
+
+
+@functools.cache
+def _clasped_column(n: int, k: int) -> TLMorphism:
+    # a column of k clasped crossings, ff S^k
+    if k == 0:
+        return tensor(jones_wenzl(n), jones_wenzl(n))
+    return compose(_clasped_column(n, k - 1), _clasped_step(n))
 
 
 def colored_state_sum(
@@ -632,16 +654,19 @@ def colored_state_sum(
     and each state carries the product of its smoothing weights.
 
     For n = 1 the smoothings are the classical ones and the sum runs
-    by circle counting on any diagram, one state at a time.  For n >= 2
+    by circle counting on any diagram, the states tallied by circle
+    count and sign sum.  For n >= 2
     the diagram must lay out as a ring of labeled twist regions, and
     the sum is contracted instead of enumerated: composition is
     bilinear, so one clasped step S = sum_i fusion_coeff(n, i) *
     turnback(n, i) ff, with ff = JW_n (x) JW_n, sums the smoothings of a
-    crossing, and a column of k crossings is ff S^k.  Columns with equal
-    counts share one power.  ``planar.close_ring`` closes the columns:
-    quarter-turned, they stack in ring order under the Markov trace,
-    and a region closed around the side is the trace of its column.
-    Every composition runs at width 2n.
+    crossing, and a column of k crossings is ff S^k.  The step and the
+    columns are memoized per color, so equal counts share one column,
+    within a diagram and across diagrams, and a diagram whose columns
+    are built composes only its ring seams.  ``planar.close_ring``
+    closes the columns: quarter-turned, they stack in ring order under
+    the Markov trace, and a region closed around the side is the trace
+    of its column.  Every composition runs at width 2n.
 
     The budget still counts the (n+1)^c states.
     """
@@ -659,13 +684,8 @@ def colored_state_sum(
         return BracketValue(_classical_state_sum(diagram))
     layout = _ring_layout(diagram)
     counts = [col.region.count for col in layout.columns]
-    ff = tensor(jones_wenzl(n), jones_wenzl(n))
-    step = functools.reduce(operator.add, (
-        compose(turnback(n, i), ff).scaled(fusion_coeff(n, i))
-        for i in range(n + 1)))
-    powers = [ff]  # powers[k]: a column of k crossings, ff S^k
-    for _ in range(max(counts)):
-        powers.append(compose(powers[-1], step))
+    # built in order, so each new power is one composition
+    powers = [_clasped_column(n, k) for k in range(max(counts) + 1)]
     total = close_ring([powers[k] for k in counts], layout.style)
     try:
         value = total.to_poly()

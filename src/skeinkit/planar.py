@@ -30,12 +30,15 @@ them; these and the crossing morphisms are memoized in memory with
 Closed networks (theta and tetrahedron graphs, drums, rings of
 smoothing columns) are composed from these pieces and closed by the
 Markov trace (``closure``); they serve as the first-principles oracle
-for the closed-form evaluations elsewhere.  A closed network's value
-depends only on how its strands join.  Since the node order is cyclic,
-``quarter_turn`` is a relabeling: it turns a column of two cables so
-that columns set side by side in a ring stack instead, and
-``close_ring`` closes the ring as the trace of that stack, at the width
-of one column.
+for the closed-form evaluations elsewhere.  The theta and tetrahedron
+networks carry one projector per edge: their vertices are bare turns,
+and each projector is applied on its own cable (``boxed``), since
+every extra copy of an idempotent multiplies the matchings that
+``compose`` glues.  A closed network's value depends only on how its
+strands join.  Since the node order is cyclic, ``quarter_turn`` is a
+relabeling: it turns a column of two cables so that columns set side
+by side in a ring stack instead, and ``close_ring`` closes the ring as
+the trace of that stack, at the width of one column.
 """
 
 from __future__ import annotations
@@ -534,6 +537,19 @@ class TrivalentVertex:
         return x, y, z
 
 
+def _turn(a: int, b: int, c: int, orientation: str) -> TLMorphism:
+    """The bare trivalent vertex: its strands turned, no projectors.
+
+    "up" is the (a+b) -> c morphism, "down" the c -> (a+b) mirror.
+    """
+    x, y, z = TrivalentVertex(a, b, c).internal
+    if orientation == "up":
+        return boxed(capnest(x), y, z)
+    if orientation == "down":
+        return boxed(cupnest(x), y, z)
+    raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
+
+
 @functools.cache
 def vertex_morphism(a: int, b: int, c: int, orientation: str = "up") -> TLMorphism:
     """The clasped trivalent vertex as a morphism.
@@ -542,18 +558,12 @@ def vertex_morphism(a: int, b: int, c: int, orientation: str = "up") -> TLMorphi
     leg c leaves above; the morphism is (a+b) -> c.  "down" is the
     mirror, c -> (a+b).  All three legs carry projectors.  Memoized.
     """
-    v = TrivalentVertex(a, b, c)
-    x, y, z = v.internal
-    fa, fb, fc = jones_wenzl(a), jones_wenzl(b), jones_wenzl(c)
+    turn = _turn(a, b, c, orientation)
+    legs = tensor(jones_wenzl(a), jones_wenzl(b))
+    fc = jones_wenzl(c)
     if orientation == "up":
-        legs = tensor(fa, fb)
-        turn = boxed(capnest(x), y, z)
         return compose(compose(legs, turn), fc)
-    if orientation == "down":
-        turn = boxed(cupnest(x), y, z)
-        legs = tensor(fa, fb)
-        return compose(compose(fc, turn), legs)
-    raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
+    return compose(compose(fc, turn), legs)
 
 
 @functools.cache
@@ -585,10 +595,28 @@ def crossing_morphism(sign: int) -> TLMorphism:
 # -- closed networks ----------------------------------------------------
 
 
+def _clasp(m: TLMorphism, n: int, left: int, right: int) -> TLMorphism:
+    """m with the n-strand projector on top of its own cable.
+
+    The cable has ``left`` strands to its left and ``right`` to its
+    right; projectors on fewer than two strands are identities.
+    """
+    if n < 2:
+        return m
+    return compose(m, boxed(jones_wenzl(n), left, right))
+
+
 def theta_network(a: int, b: int, c: int) -> RationalFn:
-    """Theta network: two vertices joined along a, b, c."""
-    down = compose(jones_wenzl(c), vertex_morphism(a, b, c, "down"))
-    return closure(compose(down, vertex_morphism(a, b, c, "up")))
+    """Theta network: two vertices joined along a, b, c.
+
+    One projector per edge, each on its own cable, with the bare turns
+    of the two vertices between them: JW_c, the c -> (a+b) turn, JW_a,
+    JW_b, the (a+b) -> c turn, closed by the trace.  Projectors are
+    idempotent, so this is the fully clasped network.
+    """
+    m = compose(jones_wenzl(c), _turn(a, b, c, "down"))
+    m = _clasp(_clasp(m, a, 0, b), b, a, 0)
+    return closure(compose(m, _turn(a, b, c, "up")))
 
 
 def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
@@ -597,11 +625,16 @@ def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
     Opposite edge pairs are (A,C), (B,D), (E,F).  Built as: open the E
     edge, split into cables A (left) and B (right), pass an F-rung that
     turns cable A into D and cable B into C, then merge back into E.
+    The vertices are bare turns and each edge carries one projector,
+    placed just before the vertex where the edge ends.
     """
-    m = compose(jones_wenzl(E), vertex_morphism(A, B, E, "down"))
-    m = compose(m, boxed(vertex_morphism(D, F, A, "down"), 0, B))
-    m = compose(m, boxed(vertex_morphism(F, B, C, "up"), D, 0))
-    return closure(compose(m, vertex_morphism(D, C, E, "up")))
+    m = compose(jones_wenzl(E), _turn(A, B, E, "down"))
+    m = _clasp(m, A, 0, B)
+    m = compose(m, boxed(_turn(D, F, A, "down"), 0, B))
+    m = _clasp(_clasp(m, F, D, B), B, D + F, 0)
+    m = compose(m, boxed(_turn(F, B, C, "up"), D, 0))
+    m = _clasp(_clasp(m, D, 0, C), C, D, 0)
+    return closure(compose(m, _turn(D, C, E, "up")))
 
 
 def close_ring(columns: Sequence[TLMorphism], style: str = "ring") -> RationalFn:

@@ -49,7 +49,9 @@ def table_gate(num, label, budget, rows, expected):
     gate(num, label, budget, ok, time.perf_counter() - t0, bad)
 
 
-def suite_gate(num, label, budget, suite):
+def suite_gate(num, label, budget, suite, report=None):
+    """Run one verify suite; with ``report``, its (name, passed, detail)
+    list must also equal that list exactly."""
     t0 = time.perf_counter()
     result = CliRunner().invoke(cli_main, ["verify", "--suite", suite])
     elapsed = time.perf_counter() - t0
@@ -61,9 +63,39 @@ def suite_gate(num, label, budget, suite):
         detail = "; ".join(
             f"{c['name']}: {c['detail']}" for c in doc["checks"] if not c["passed"]
         )
+        got = [(c["name"], c["passed"], c["detail"]) for c in doc["checks"]]
+        if ok and report is not None and got != list(report):
+            ok, detail = False, f"report {got}, want {list(report)}"
     else:
         detail = f"exit code {result.exit_code}"
     gate(num, label, budget, ok, elapsed, detail)
+
+
+# each check's (name, passed, detail) as the suites report them
+TL_IDENTITIES = (
+    ("projector idempotency", True, "n = 1..6"),
+    ("hook annihilation", True, "n = 2..6, every hook position"),
+    ("projector absorption", True, "splits up to 3+3"),
+    ("projector closure is the loop value", True, "n = 1..6"),
+    ("cabled curl coefficient", True, "factor (-1)^n A^(+-(n^2+2n)) for n = 1..4"),
+    ("theta networks match the closed form", True,
+     "41 admissible triples with colors <= 4"),
+    ("fusion completeness", True, "n = 1..2"),
+    ("cabled crossing expansion", True, "n = 1..2"),
+)
+MIN_DEGREES = (
+    ("classical minimum degree is sharp on minus-adequate diagrams", True,
+     "10 diagrams, all sharp"),
+    ("colored minimum degree is sharp on alternating pretzels", True,
+     "14 diagram/color pairs, all sharp"),
+    ("channel probe reaches the predicted degree", True,
+     "4 diagrams, n <= 2, every channel"),
+)
+ORACLE_EQUIVALENCE = (
+    ("fused channels match the clasped state sum", True, "27 pretzels, n <= 2"),
+    ("fused channels match the classical sweep", True,
+     "7 pretzels up to 20 crossings"),
+)
 
 
 def test_criterion_01_growing_third_column_table():
@@ -107,15 +139,18 @@ def test_criterion_05_first_divergence_position():
 
 
 def test_criterion_06_projector_identity_suite():
-    suite_gate(6, "projector and network identities hold", 120, "tl-identities")
+    suite_gate(6, "projector and network identities hold", 120, "tl-identities",
+               TL_IDENTITIES)
 
 
 def test_criterion_07_minimum_degree_suite():
-    suite_gate(7, "minimum-degree predictions are sharp", 300, "min-degrees")
+    suite_gate(7, "minimum-degree predictions are sharp", 300, "min-degrees",
+               MIN_DEGREES)
 
 
 def test_criterion_08_oracle_equivalence_suite():
-    suite_gate(8, "independent bracket oracles agree", 300, "oracle-equivalence")
+    suite_gate(8, "independent bracket oracles agree", 300, "oracle-equivalence",
+               ORACLE_EQUIVALENCE)
 
 
 def test_criterion_09_rate_theorem_suite():

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -588,11 +589,16 @@ class TestVerify:
         )
         result = run(runner, "verify", "--suite", "tl-identities")
         assert result.exit_code == 0
-        assert seen == ["ok   first: one\n"]
-        assert result.stderr == "ok   first: one\nok   second: two\n"
+        line = r"ok   {}: {} \[(\d+\.\d{{3}}) s\]\n"
+        one, two = line.format("first", "one"), line.format("second", "two")
+        assert len(seen) == 1 and re.fullmatch(one, seen[0])
+        times = re.fullmatch(one + two, result.stderr)
+        assert times
         doc = json.loads(result.stdout)
         assert [c["name"] for c in doc["checks"]] == ["first", "second"]
-        assert all(c["elapsed_seconds"] >= 0 for c in doc["checks"])
+        # each line carries its check's own time, as the report has it
+        assert [float(t) for t in times.groups()] == [
+            c["elapsed_seconds"] for c in doc["checks"]]
 
 
 # -- group options ---------------------------------------------------------------

@@ -116,6 +116,12 @@ def clear_weights():
         memo.cache_clear()
 
 
+def clear_columns():
+    """Empty the clasped state sum's memoized step and columns."""
+    for memo in (invariants._clasped_step, invariants._clasped_column):
+        memo.cache_clear()
+
+
 def brute_bracket(diagram):
     # literal 2^c enumeration, independent of the sweep order machinery
     total = ZERO
@@ -222,11 +228,36 @@ class TestColoredStateSum:
             return compose(f, g)
 
         jones_wenzl(n)  # built once and memoized; not part of the count
+        clear_columns()  # the step and columns are memoized per color
         monkeypatch.setattr(invariants, "compose", narrow)
         monkeypatch.setattr(planar, "compose", narrow)
         value = colored_state_sum(d, n).value
         assert len(widths) == (n + 1) + max(twists) + len(twists) - 1
         assert max(widths) == 2 * n
+        monkeypatch.undo()
+        assert value == colored_bracket_fused(d, n).value
+
+    @pytest.mark.parametrize("first,second", [
+        ([2, 0, 3], [3, 1, 2, 2]), ([1, 3, 1, 3], [3, 3]), ([2, 2], HOPF_TRACE),
+    ])
+    def test_second_diagram_composes_only_its_seams(self, first, second,
+                                                    monkeypatch):
+        # the first diagram builds every column the second one needs
+        n = 2
+        d = parse_pd(second) if isinstance(second, str) else pretzel(second)
+        seams = len(_ring_layout(d).columns) - 1
+        clear_columns()
+        colored_state_sum(pretzel(first), n)
+        calls = []
+
+        def counted(f, g):
+            calls.append(1)
+            return compose(f, g)
+
+        monkeypatch.setattr(invariants, "compose", counted)
+        monkeypatch.setattr(planar, "compose", counted)
+        value = colored_state_sum(d, n).value
+        assert len(calls) == seams
         monkeypatch.undo()
         assert value == colored_bracket_fused(d, n).value
 

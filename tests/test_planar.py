@@ -21,6 +21,7 @@ from skeinkit.algebra import (
     AdmissibilityError,
     LaurentPoly,
     RationalFn,
+    admissible,
     delta,
     fusion_coeff,
     phi_power,
@@ -52,6 +53,7 @@ from skeinkit.planar import (
     vertex_morphism,
 )
 
+from clasped_oracle import clasped_tet, clasped_theta
 from plat_oracle import plat_close
 
 
@@ -346,6 +348,13 @@ class TestThetaNetworks:
         for n in (1, 2, 3):
             assert theta_network(n, n, 0).to_poly() == delta(n)
 
+    def test_one_projector_per_edge_matches_clasped_vertices(self):
+        triples = [t for t in itertools.product(range(4), repeat=3)
+                   if any(t) and admissible(*t)]
+        assert len(triples) == 22
+        for t in triples:
+            assert theta_network(*t) == clasped_theta(*t), t
+
 
 TET_SMALL = [
     colors
@@ -369,6 +378,12 @@ class TestTetNetworks:
         for a, b, e, c, d, f in TET_SMALL:
             net = tet_network(a, b, e, c, d, f)
             assert net == tet(a, b, e, c, d, f), (a, b, e, c, d, f)
+
+    def test_one_projector_per_edge_matches_clasped_vertices(self):
+        small = [c for c in TET_SMALL if max(c) <= 2]
+        assert len(small) == 47
+        for colors in small:
+            assert tet_network(*colors) == clasped_tet(*colors), colors
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_channel_family(self, n):
