@@ -1,8 +1,7 @@
 """Command line entry points.
 
-``skein`` bundles the exact calculators into five everyday commands
-(``bracket``, ``table``, ``tail``, ``verify``, ``graph``) plus one
-experimental extra (``residuals``).  All arithmetic is exact, so the
+``skein`` bundles the exact calculators into five commands (``bracket``,
+``table``, ``tail``, ``verify``, ``graph``).  All arithmetic is exact, so the
 csv, json, and text renderings of one computation carry identical
 numbers.
 """
@@ -74,7 +73,6 @@ from .stability import (
     check_color_stability,
     check_colored_rate,
     family_tail,
-    higher_order_windows,
     n_equivalent,
     normalize,
     pretzel_family,
@@ -325,10 +323,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
     try:
         rows = _window_rows(spec, window, max_networks)
     except BudgetError as exc:
-        # the classical sweep's crossing cap is fixed; only the fusion
-        # and state-network budgets follow --max-networks
-        flag = "" if "crossings" in str(exc) else "--max-networks: "
-        raise click.ClickException(f"{flag}{exc}")
+        raise click.ClickException(f"--max-networks: {exc}")
     except (MemberError, WindowError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
@@ -388,66 +383,6 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt):
     except (MemberError, BudgetError, WindowError) as exc:
         raise click.ClickException(str(exc))
     click.echo(report.to_json() if fmt == "json" else report.to_text())
-
-
-@main.command()
-@_family_options
-@click.option(
-    "--rate",
-    "rate_arg",
-    required=True,
-    metavar="EXPR",
-    help="Window width per member, evaluated at its parameter.",
-)
-@click.option(
-    "--orders",
-    default=1,
-    show_default=True,
-    type=click.IntRange(min=0),
-    help="How many rounds of tail subtraction to apply.",
-)
-@click.option("--depth", default=2, show_default=True, type=click.IntRange(min=0))
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("text", "json")),
-    default="text",
-    show_default=True,
-)
-def residuals(family_arg, color_arg, range_arg, rate_arg, orders, depth, fmt):
-    """[experimental] Iterated tail differences across a family.
-
-    Level 0 holds each member's normalized window; every later level
-    subtracts the previous level's last window from each member.  The
-    output is exploratory; no stability guarantee is attached to it.
-    """
-    start, stop = _parse_range(range_arg)
-    spec = _family(family_arg, color_arg, start, stop)
-    rate = _expr(rate_arg, "--rate")
-    try:
-        levels = higher_order_windows(spec, rate, orders=orders, depth=depth)
-    except (MemberError, BudgetError, WindowError) as exc:
-        raise click.ClickException(str(exc))
-    params = list(spec.parameters())
-    if fmt == "json":
-        doc = {
-            "family": spec.describe(),
-            "levels": [
-                [
-                    {"parameter": k, "offset": str(c.anchor), "coeffs": list(c.coeffs)}
-                    for k, c in zip(params, level)
-                ]
-                for level in levels
-            ],
-        }
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        click.echo(f"# {spec.describe()}")
-        for i, level in enumerate(levels):
-            click.echo(f"level {i}:")
-            for k, c in zip(params, level):
-                body = " ".join(str(x) for x in c.coeffs) or "(empty)"
-                click.echo(f"  {spec.var}={k}: [offset {c.anchor}] {body}")
 
 
 @main.command()

@@ -12,11 +12,11 @@ two strands whose negative smoothing passes both strands straight through.
 Combinatorially: consecutive crossings of the stack share an arc pair that
 is an A-pair (slots (0,1) or (2,3)) in both crossings.  Validation walks
 each region's chain once and records where its two strands enter and
-leave (``LinkDiagram.sides``); region editing and the ring layout read
-those arcs instead of walking the chain again.  Region sizes can be
-edited; a region edited down to zero crossings is materialized as the
-negative smoothing immediately and remembers its site so it can be grown
-back.
+leave (``LinkDiagram.sides``); the ring layout reads those arcs instead
+of walking the chain again.  A pretzel column of zero crossings is
+materialized as the negative smoothing; when its strands stay two
+distinct through-arcs, its rails record them, and they are the only
+sides it has.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "is_minus_adequate",
     "is_adequate",
     "is_alternating",
-    "set_twists",
-    "smooth_region",
     "relabel_arcs",
 ]
 
@@ -109,9 +107,9 @@ class TwistRegion:
     """A labeled maximal negative twist region.
 
     ``crossings`` lists crossing ids along the stack; ``count`` is the
-    number of crossings (0 means the region is currently the negative
-    smoothing).  ``rails`` records, for a zero region only, the four
-    endpoints its strands attach to, so the region can be re-grown.
+    number of crossings (0 means the region is the negative smoothing).
+    ``rails`` records, for a zero region only, the four endpoints its
+    strands attach to, which give its sides.
     """
 
     rid: int
@@ -361,8 +359,10 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
         regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
     label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
     out = LinkDiagram(tuple(crossings), tuple(regions), name=label)
-    deltas = {i + 1: -1 for i, k in enumerate(counts) if k == 0}
-    return set_twists(out, deltas) if deltas else out
+    for i, k in enumerate(counts):
+        if k == 0:
+            out = _replace_region(out, out.region(i + 1))
+    return out
 
 
 def _chain(bl: int, tl: int, br: int, tr: int, k: int, nxt: int) -> list[Crossing]:
@@ -659,51 +659,7 @@ def is_alternating(diagram: LinkDiagram) -> bool:
     return all(s0 % 2 != s1 % 2 for s0, s1 in slots_of.values())
 
 
-# -- twist region editing ------------------------------------------------------
-
-
-def set_twists(diagram: LinkDiagram, deltas: Mapping[int, int]) -> LinkDiagram:
-    """Adjust labeled twist region sizes by the given per-region deltas.
-
-    A region shrunk to zero crossings is replaced by the negative smoothing
-    and remembers its site; growing it back requires that site to still be
-    two distinct arcs (a region smoothed into an anonymous loop cannot be
-    re-grown).  Regions are processed in increasing region id order.
-    """
-    out = diagram
-    for rid in sorted(deltas):
-        reg = out.region(rid)
-        target = reg.count + deltas[rid]
-        if target < 0:
-            raise DiagramError(
-                f"region {rid} has {reg.count} crossings; delta {deltas[rid]} "
-                "gives a negative count"
-            )
-        if target == reg.count:
-            continue
-        if target == 0:
-            out = _replace_region(out, reg, positive=False)
-        else:
-            out = _rebuild_region(out, reg, target)
-    return out
-
-
-def smooth_region(diagram: LinkDiagram, rid: int, sign: int) -> LinkDiagram:
-    """Replace a whole twist region by one of its smoothings.
-
-    sign -1 passes the strands straight through (the k=0 convention; the
-    region stays labeled).  sign +1 is the turnback left by positively
-    smoothing one crossing and untwisting the rest; that destroys the
-    region, so its label is dropped.
-    """
-    reg = diagram.region(rid)
-    if sign == -1:
-        return set_twists(diagram, {rid: -reg.count})
-    if sign != +1:
-        raise DiagramError(f"smoothing sign must be -1 or +1, got {sign}")
-    if reg.count == 0:
-        raise DiagramError(f"region {rid} is already smoothed")
-    return _replace_region(diagram, reg, positive=True)
+# -- arc relabeling and zero regions -------------------------------------------
 
 
 def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagram:
@@ -718,113 +674,22 @@ def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagra
     return replace(diagram, crossings=crossings)
 
 
-def _rebuild_region(
-    diagram: LinkDiagram, reg: TwistRegion, target: int
-) -> LinkDiagram:
-    if reg.count == 0 and reg.rails is None:
-        raise DiagramError(
-            f"region {reg.rid} was smoothed into an anonymous site and cannot "
-            "be re-grown; rebuild the diagram instead"
-        )
-    bl, tl, br, tr = diagram.sides[reg.rid]
-    nxt = max(diagram.arcs()) + 1
-    crossings = list(diagram.crossings)
-    if reg.count == 0:
-        # the rails sit on two through-arcs: fresh labels on their top
-        # endpoints split them, and the new chain joins the pieces
-        tl, tr = nxt, nxt + 1
-        nxt += 2
-        for (cid, slot), label in ((reg.rails[1], tl), (reg.rails[3], tr)):
-            x = list(crossings[cid])
-            x[slot] = label
-            crossings[cid] = tuple(x)
-    chain = _chain(bl, tl, br, tr, target, nxt)
-    removed = set(reg.crossings)
-    keep = [cid for cid in range(len(crossings)) if cid not in removed]
-    remap = {old: new for new, old in enumerate(keep)}
-    crossings = [crossings[cid] for cid in keep]
-    first_new = len(crossings)
-    crossings.extend(chain)
-    # an endpoint at a corner of the old chain moves to the same corner of
-    # the new one; the corner's label alone is ambiguous when one arc
-    # joins two corners
-    last = first_new + target - 1
-    corners = {}
-    if reg.count:
-        corners = dict(zip(
-            _corner_endpoints(diagram.crossings, reg, bl, br),
-            ((first_new, 0), (last, 3), (first_new, 1), (last, 2)),
-        ))
+def _replace_region(diagram: LinkDiagram, reg: TwistRegion) -> LinkDiagram:
+    """Replace a nonempty region by its negative smoothing.
 
-    def move_endpoint(ep: Endpoint) -> Endpoint | None:
-        cid, slot = ep
-        return (remap[cid], slot) if cid not in removed else corners.get(ep)
-
-    regions = []
-    for other in diagram.twist_regions:
-        if other.rid == reg.rid:
-            regions.append(
-                TwistRegion(reg.rid, tuple(range(first_new, first_new + target)), target)
-            )
-        else:
-            regions.append(_move_region(other, remap, move_endpoint))
-    return replace(
-        diagram, crossings=tuple(crossings), twist_regions=tuple(regions)
-    )
-
-
-def _corner_endpoints(
-    crossings: Sequence[Crossing], reg: TwistRegion, bl: int, br: int
-) -> tuple[Endpoint, Endpoint, Endpoint, Endpoint]:
-    """Endpoints of a nonempty region's boundary arcs, (bl, tl, br, tr).
-
-    The bottom pair is the first crossing's A-pair holding (bl, br), or
-    slots (0, 1) of a single crossing; each strand is then followed up
-    the chain through the negative smoothing, which joins slot s to 3 - s.
+    The region keeps its label with zero crossings; its rails are set
+    when its two strands stay distinct through-arcs.  A strand that
+    closes up becomes a free loop.
     """
-    chain = reg.crossings
-    first = crossings[chain[0]]
-    bottom = (0, 1) if len(chain) == 1 or first[:2] == (bl, br) else (2, 3)
-    ends: list[Endpoint] = []
-    for slot in bottom:
-        start = (chain[0], slot)
-        for below, cid in zip(chain, chain[1:]):
-            slot = crossings[cid].index(crossings[below][3 - slot])
-        ends += [start, (chain[-1], 3 - slot)]
-    return ends[0], ends[1], ends[2], ends[3]
-
-
-def _move_region(
-    reg: TwistRegion,
-    remap: Mapping[int, int],
-    move_endpoint,
-) -> TwistRegion:
-    crossings = tuple(remap[cid] for cid in reg.crossings)
-    rails = reg.rails
-    if rails is not None:
-        moved = tuple(move_endpoint(ep) for ep in rails)
-        rails = None if any(ep is None for ep in moved) else moved  # type: ignore[assignment]
-    return TwistRegion(reg.rid, crossings, reg.count, rails)
-
-
-def _replace_region(
-    diagram: LinkDiagram, reg: TwistRegion, positive: bool
-) -> LinkDiagram:
-    """Replace a nonempty region by a smoothing of both its strands."""
     bl, tl, br, tr = diagram.sides[reg.rid]
     removed = set(reg.crossings)
     uf = _UnionFind()
     incident: set[int] = set()
-    if positive:
-        uf.union(bl, br)
-        uf.union(tl, tr)
-        incident = {bl, br, tl, tr}
-    else:
-        for cid in reg.crossings:
-            x = diagram.crossings[cid]
-            uf.union(x[0], x[3])
-            uf.union(x[1], x[2])
-            incident |= set(x)
+    for cid in reg.crossings:
+        x = diagram.crossings[cid]
+        uf.union(x[0], x[3])
+        uf.union(x[1], x[2])
+        incident |= set(x)
 
     outer: dict[int, list[Endpoint]] = {}
     for cid, x in enumerate(diagram.crossings):
@@ -852,21 +717,20 @@ def _replace_region(
         tuple(rewrite.get(a, a) for a in diagram.crossings[cid]) for cid in keep
     )
 
-    def move_endpoint(ep: Endpoint) -> Endpoint | None:
-        cid, slot = ep
-        return (remap[cid], slot) if cid not in removed else None
-
-    rails = None
-    if not positive:
-        rails = _clean_rails(diagram, (bl, tl, br, tr), uf, outer, removed, remap)
-
     regions = []
     for other in diagram.twist_regions:
         if other.rid == reg.rid:
-            if not positive:
-                regions.append(TwistRegion(reg.rid, (), 0, rails))
+            rails = _clean_rails(diagram, (bl, tl, br, tr), uf, outer, remap)
+            regions.append(TwistRegion(reg.rid, (), 0, rails))
             continue
-        regions.append(_move_region(other, remap, move_endpoint))
+        rails = other.rails
+        if rails is not None:
+            # rails on a removed crossing lose their site
+            rails = None if any(c in removed for c, _ in rails) else tuple(
+                (remap[c], s) for c, s in rails)  # type: ignore[assignment]
+        regions.append(TwistRegion(
+            other.rid, tuple(remap[c] for c in other.crossings), other.count,
+            rails))
     return replace(
         diagram,
         crossings=crossings,
@@ -880,7 +744,6 @@ def _clean_rails(
     corners: tuple[int, int, int, int],
     uf: _UnionFind,
     outer: dict[int, list[Endpoint]],
-    removed: set[int],
     remap: Mapping[int, int],
 ) -> Rails | None:
     bl, tl, br, tr = corners

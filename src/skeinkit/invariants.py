@@ -10,13 +10,14 @@ Three independent routes to the same exact values:
   a power of it per column, and the ring closed as the Markov trace of
   the quarter-turned columns stacked in ring order.
 * ``colored_bracket_fused``: the twist-region fast path, collapsing
-  each labeled region into a sum over colored channels whose k-fold
-  twisting is plain exponent arithmetic.  It is pure closed-form
-  algebra (loop values, theta, tetrahedral coefficients and twist
-  monomials), summed as one truncated power series in A^4: the
-  windows of ``series`` take its lowest digits, the full polynomials
-  take it to the top of its span.  The Temperley-Lieb networks here
-  only check it.
+  each column of the diagram's ``Ring`` (its closure, column twist
+  counts and free loops, all the path reads of it) into a sum over
+  colored channels whose k-fold twisting is plain exponent arithmetic.
+  It is pure closed-form algebra (loop values, theta, tetrahedral
+  coefficients and twist monomials), summed as one truncated power
+  series in A^4: the windows of ``series`` take its lowest digits, the
+  full polynomials take it to the top of its span.  The Temperley-Lieb
+  networks here only check it.
 
 On top of these sit reduced polynomial extraction, the closed-form
 minimum-degree predictors, and ``channel_probe``, the value of the
@@ -182,18 +183,43 @@ def bracket_state_sum(
 
 
 @dataclass(frozen=True)
+class Ring:
+    """What the fused evaluator reads of a diagram: how its twist columns
+    close up, how many crossings each carries, and its free loops.
+
+    ``style`` "ring" closes the columns cyclically, the right cable of
+    each bending into the left cable of the next; "trace" closes its one
+    column around the side.  ``counts`` lists the columns' crossings in
+    ring order; a column of 0 crossings passes both strands straight
+    through.
+    """
+
+    style: str
+    counts: tuple[int, ...]
+    loops: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if self.style not in ("ring", "trace"):
+            raise ValueError(
+                f"style must be 'ring' or 'trace', got {self.style!r}")
+        if not self.counts:
+            raise ValueError("a ring needs at least one column")
+        if self.style == "trace" and len(self.counts) != 1:
+            raise ValueError("a trace closes exactly one column")
+        if min(self.counts) < 0:
+            raise ValueError("column twist counts must be nonnegative")
+        if self.loops < 0:
+            raise ValueError("free loops must be nonnegative")
+
+
+@dataclass(frozen=True)
 class _Column:
     """One twist region with its boundary arcs, (bottom, top) per side."""
 
     region: TwistRegion
     left: tuple[int, int]
     right: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class _RingLayout:
-    style: str  # "ring" (cyclic columns, r >= 1) or "trace"
-    columns: tuple[_Column, ...]
 
 
 def _variants(col: _Column):
@@ -205,7 +231,12 @@ def _variants(col: _Column):
     yield _Column(col.region, (tr, br), (tl, bl))  # both
 
 
-def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
+def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
+    """The diagram as a ``Ring``, with the region id of each column.
+
+    The first column is the lowest-labeled region that is one.  A
+    diagram that does not lay out as a ring raises ``LayoutError``.
+    """
     regions = sorted(diagram.twist_regions, key=lambda r: r.rid)
     if not regions:
         raise LayoutError("diagram has no labeled twist regions")
@@ -226,12 +257,18 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
         cols.append(_Column(reg, (bl, tl), (br, tr)))
     if not cols:
         raise LayoutError("every labeled region was smoothed away")
+
+    def layout(style: str, order) -> tuple[Ring, tuple[int, ...]]:
+        return (Ring(style, tuple(c.region.count for c in order),
+                     diagram.free_loops),
+                tuple(c.region.rid for c in order))
+
     if len(cols) == 1:
         (bl, tl), (br, tr) = cols[0].left, cols[0].right
         if bl == br and tl == tr:
-            return _RingLayout("ring", tuple(cols))
+            return layout("ring", cols)
         if bl == tl and br == tr:
-            return _RingLayout("trace", tuple(cols))
+            return layout("trace", cols)
         raise LayoutError(
             f"region {cols[0].region.rid} does not close up on its own"
         )
@@ -255,8 +292,19 @@ def _ring_layout(diagram: LinkDiagram) -> _RingLayout:
     for start in _variants(cols[0]):
         order = [start]
         if extend(order):
-            return _RingLayout("ring", tuple(order))
+            return layout("ring", order)
     raise LayoutError("labeled regions do not close into a single ring")
+
+
+def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
+    """A ``Ring`` as it is, or a diagram's ring layout; None for a
+    diagram without one, which the state sums take."""
+    if isinstance(shape, Ring):
+        return shape
+    try:
+        return _ring_layout(shape)[0]
+    except LayoutError:
+        return None
 
 
 # -- fused fast path: the ring sum as a truncated q-series ----------------------
@@ -560,31 +608,14 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int],
     return LaurentPoly({low + 4 * i: c for i, c in out.items()})
 
 
-def _fused_columns(diagram: LinkDiagram, n: int,
-                   max_networks: int) -> tuple[str, list[int]]:
-    """The ring layout's style and column twist counts, refused with
-    ``BudgetError`` past r * (n+1)^2 column terms."""
-    layout = _ring_layout(diagram)
-    twists = [col.region.count for col in layout.columns]
-    r = len(twists)
-    if r * (n + 1) ** 2 > max_networks:
+def _fusion_budget(ring: Ring, n: int, max_networks: int) -> None:
+    """Refuse with ``BudgetError`` past r * (n+1)^2 column terms."""
+    terms = len(ring.counts) * (n + 1) ** 2
+    if terms > max_networks:
         raise BudgetError(
-            f"{r * (n + 1) ** 2} fusion column terms exceed the configured "
-            f"cap of {max_networks}"
+            f"{terms} fusion column terms exceed the configured cap of "
+            f"{max_networks}"
         )
-    return layout.style, twists
-
-
-def _fused_ring(diagram: LinkDiagram, n: int,
-                max_networks: int) -> tuple[str, list[int]] | None:
-    """``_fused_columns``, or None for a diagram without crossings or
-    without a ring layout, which the state sums take."""
-    if diagram.crossing_count == 0:
-        return None
-    try:
-        return _fused_columns(diagram, n, max_networks)
-    except LayoutError:
-        return None
 
 
 def colored_bracket_fused(
@@ -607,8 +638,9 @@ def colored_bracket_fused(
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
-    style, twists = _fused_columns(diagram, n, max_networks)
-    return BracketValue(_ring_polynomial(n, style, twists, diagram.free_loops))
+    ring, _ = _ring_layout(diagram)
+    _fusion_budget(ring, n, max_networks)
+    return BracketValue(_ring_polynomial(n, ring.style, ring.counts, ring.loops))
 
 
 # -- oracle: the colored state sum ----------------------------------------------
@@ -682,11 +714,10 @@ def colored_state_sum(
         return BracketValue(delta(n) ** diagram.free_loops)
     if n == 1:
         return BracketValue(_classical_state_sum(diagram))
-    layout = _ring_layout(diagram)
-    counts = [col.region.count for col in layout.columns]
+    ring, _ = _ring_layout(diagram)
     # built in order, so each new power is one composition
-    powers = [_clasped_column(n, k) for k in range(max(counts) + 1)]
-    total = close_ring([powers[k] for k in counts], layout.style)
+    powers = [_clasped_column(n, k) for k in range(max(ring.counts) + 1)]
+    total = close_ring([powers[k] for k in ring.counts], ring.style)
     try:
         value = total.to_poly()
     except ExactDivisionError as err:
@@ -748,10 +779,11 @@ def reduced_jones(
     if N < 2:
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
     n = N - 1
-    ring = _fused_ring(diagram, n, max_networks)
+    ring = _as_ring(diagram)
     if ring is not None:
+        _fusion_budget(ring, n, max_networks)
         return substitute_quarter(
-            _ring_polynomial(n, *ring, diagram.free_loops - 1))
+            _ring_polynomial(n, ring.style, ring.counts, ring.loops - 1))
     unreduced = unreduced_colored_jones(
         diagram,
         n,
@@ -811,17 +843,16 @@ def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
         raise ValueError(f"channel color must satisfy 0 <= p < {n}, got {p}")
     if diagram.free_loops:
         raise LayoutError("free loops do not fit in a probe network")
-    layout = _ring_layout(diagram)
-    target = min(col.region.rid for col in layout.columns)
+    ring, _ = _ring_layout(diagram)  # the target is the first column
     ff = tensor(jones_wenzl(n), jones_wenzl(n))
     cross = cabled_crossing(n, -1)
     columns: list[TLMorphism] = []
-    for col in layout.columns:
-        if col.region.rid == target:
+    for i, k in enumerate(ring.counts):
+        if i == 0:
             columns.append(channel_element(n, p))
             continue
         m = ff
-        for _ in range(col.region.count):
+        for _ in range(k):
             m = compose(m, cross)
         columns.append(m)
-    return close_ring(columns, layout.style)
+    return close_ring(columns, ring.style)

@@ -7,9 +7,9 @@ A window is either read off a full polynomial (``window_from_bracket``,
 the polynomial.
 
 The series path.  ``invariants._ring_digits`` takes the ring sum of a
-ring-layout diagram as a truncated power series in x = A^4, modulo x^M
-above its nominal lowest exponent, with no common denominator and no
-division; dividing by delta(n) is one multiplication by
+``Ring``, or of a diagram's ring layout, as a truncated power series in
+x = A^4, modulo x^M above its nominal lowest exponent, with no common
+denominator and no division; dividing by delta(n) is one multiplication by
 (-1)^n A^(2n) F_n / F_(n+1).  The full polynomials of
 ``invariants.colored_bracket_fused`` and ``invariants.reduced_jones`` are
 the same sum taken to the top of its span; a window takes only the M
@@ -28,7 +28,9 @@ from fractions import Fraction
 from .algebra import LaurentPoly, QPoly
 from .diagram import LinkDiagram
 from .invariants import (
-    _fused_ring,
+    Ring,
+    _as_ring,
+    _fusion_budget,
     _ring_digits,
     reduced_jones,
     unreduced_colored_jones,
@@ -132,52 +134,55 @@ def _lowest_digits(n: int, style: str, twists, loops: int, need: int,
             digits *= 2
 
 
-def bracket_window(diagram: LinkDiagram, n: int, count: int, *,
+def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
                    family_count: int = 0,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_bracket(unreduced_colored_jones(diagram, n).value,
     count)``, computed as a truncated series.
 
-    ``family_count`` is the largest window, in A-units, of the family the
-    diagram belongs to: the series is taken at the precision that window
-    needs, so a family shares one and its per-color weights are built
-    once.  A diagram with no ring layout takes the window of its state
-    sum.  The fusion budget is the full path's.
+    ``shape`` is a ``Ring`` or a diagram, converted to its ring layout
+    once.  ``family_count`` is the largest window, in A-units, of the
+    family the shape belongs to: the series is taken at the precision
+    that window needs, so a family shares one and its per-color weights
+    are built once.  A diagram with no ring layout takes the window of
+    its state sum.  The fusion budget is the full path's.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
     if count < 0:
         raise ValueError("window length must be nonnegative")
-    ring = _fused_ring(diagram, n, max_networks)
+    ring = _as_ring(shape)
     if ring is None:
-        value = unreduced_colored_jones(diagram, n,
+        value = unreduced_colored_jones(shape, n,
                                         max_networks=max_networks).value
         return window_from_bracket(value, count)
+    _fusion_budget(ring, n, max_networks)
     need = max(1, -(-count // 4))
-    low, xs = _lowest_digits(n, *ring, diagram.free_loops, need,
+    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops, need,
                              max(need, -(-family_count // 4)) + GUARD)
     coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))
 
 
-def reduced_window(diagram: LinkDiagram, N: int, count: int, *,
+def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
                    family_count: int = 0,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_reduced(reduced_jones(diagram, N), count)``, computed
-    as a truncated series; ``family_count`` as in ``bracket_window``, in
-    the window's own q-units.
+    as a truncated series; ``shape`` as in ``bracket_window``, and
+    ``family_count`` too, in the window's own q-units.
     """
     if N < 2:
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
     if count < 0:
         raise ValueError("window length must be nonnegative")
     n = N - 1
-    ring = _fused_ring(diagram, n, max_networks)
+    ring = _as_ring(shape)
     if ring is None:
-        value = reduced_jones(diagram, N, max_networks=max_networks)
+        value = reduced_jones(shape, N, max_networks=max_networks)
         return window_from_reduced(value, count)
+    _fusion_budget(ring, n, max_networks)
     need = max(1, count)
-    low, xs = _lowest_digits(n, *ring, diagram.free_loops - 1, need,
-                             max(need, family_count) + GUARD)
+    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops - 1,
+                             need, max(need, family_count) + GUARD)
     # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
     return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))

@@ -4,8 +4,9 @@ Everything here compares the exact bottom ends of polynomials.  A window
 is a finite run of consecutive coefficients from the minimum degree
 upward, computed as a truncated series (``series``); two windows "agree
 to n" when their first n entries match after each list is flipped to
-start positive.  Rate checkers build a family of diagrams, compute every
-member's window, and verify stepwise agreement at the claimed depth.
+start positive.  Rate checkers build a family of rings of twist columns
+(``invariants.Ring``), compute every member's window, and verify stepwise
+agreement at the claimed depth.
 
 Two grading currencies appear and are never mixed: ``A``-unit windows step
 by one in the A-exponent of a raw bracket (so they include the interleaved
@@ -15,15 +16,14 @@ reduced polynomial.  Every report records which currency it used.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .diagram import LinkDiagram, pretzel, set_twists
-from .invariants import BudgetError
+from .diagram import LinkDiagram
+from .invariants import BudgetError, LayoutError, Ring, _ring_layout
 from .series import (
     UNIT_NAMES,
     CoeffList,
@@ -47,7 +47,6 @@ __all__ = [
     "check_color_stability",
     "check_colored_rate",
     "family_tail",
-    "higher_order_windows",
     "n_equivalent",
     "normalize",
     "pretzel_family",
@@ -257,24 +256,24 @@ def _coerce_rate(rate) -> tuple[Callable[[int], int], str]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A one-parameter family of diagrams with labeled region sizes.
+    """A one-parameter family of rings of twist columns.
 
-    ``sizes`` maps region ids to the region's target crossing count as an
-    expression in the parameter; unlisted regions keep their base size.
-    ``color`` gives the reduced polynomial index (the cable carries one less
-    strand).  The range ``start..stop`` is inclusive.  ``build``, when
-    given, makes each member fresh from the list of its region sizes in
-    region order instead of editing ``base`` with ``set_twists``, so a
-    region that ``base`` smoothed away can grow back.
+    ``base`` is a ``Ring``, whose columns are regions 1..r in ring order,
+    or a diagram, taken as its ring layout once, when the spec is built;
+    a diagram without one is refused with ``LayoutError``.  ``sizes``
+    maps region ids to the region's crossing count as an expression in
+    the parameter; unlisted regions keep their base size.  ``color`` gives
+    the reduced polynomial index (the cable carries one less strand).
+    The range ``start..stop`` is inclusive.  Every member is a ``Ring``.
     """
 
-    base: LinkDiagram
+    base: Ring | LinkDiagram
     sizes: tuple[tuple[int, FamilyExpr], ...]
     color: FamilyExpr
     start: int
     stop: int
-    build: Callable[[list[int]], LinkDiagram] | None = field(
-        default=None, compare=False, repr=False)
+    # the region id of each column of ``base``
+    rids: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         raw = self.sizes
@@ -285,12 +284,21 @@ class FamilySpec:
         object.__setattr__(self, "color", _as_expr(self.color))
         if self.stop < self.start:
             raise ValueError(f"empty parameter range {self.start}..{self.stop}")
+        if isinstance(self.base, Ring):
+            rids = tuple(range(1, len(self.base.counts) + 1))
+        else:
+            ring, rids = _ring_layout(self.base)
+            object.__setattr__(self, "base", ring)
+        object.__setattr__(self, "rids", rids)
+        for rid, _ in pairs:
+            if rid not in rids:
+                raise LayoutError(f"region {rid} is not a column of the ring")
 
     def parameters(self) -> range:
         return range(self.start, self.stop + 1)
 
-    def member(self, k: int) -> LinkDiagram:
-        targets: dict[int, int] = {}
+    def member(self, k: int) -> Ring:
+        counts = list(self.base.counts)
         for rid, ex in self.sizes:
             target = ex(k)
             if target < 0:
@@ -299,13 +307,8 @@ class FamilySpec:
                     f"at parameter {k}",
                     k,
                 )
-            targets[rid] = target
-        if self.build is not None:
-            return self.build(list(targets.values()))
-        deltas = {rid: t - self.base.region(rid).count
-                  for rid, t in targets.items()}
-        deltas = {rid: d for rid, d in deltas.items() if d}
-        return set_twists(self.base, deltas) if deltas else self.base
+            counts[self.rids.index(rid)] = target
+        return replace(self.base, counts=tuple(counts))
 
     def member_color(self, k: int) -> int:
         n = self.color(k)
@@ -330,13 +333,13 @@ class FamilySpec:
         )
 
 
-def pretzel_family(sizes, color, start: int, stop: int, *,
-                   name: str | None = None) -> FamilySpec:
-    """Family of vertical-column chains, one size expression per column.
+def pretzel_family(sizes, color, start: int, stop: int) -> FamilySpec:
+    """Family of pretzels, one size expression per column.
 
     ``sizes`` may be a comma-separated string like ``"8,6,k"`` or a sequence
     of expressions; columns become regions 1..r in order.  Every member is
-    a fresh ``pretzel`` of its column sizes.
+    ``Ring("ring", counts, 0)`` of its column sizes, so a column of size 0
+    at the start of the range grows back, and no diagram is drawn.
     """
     if isinstance(sizes, str):
         sizes = [part.strip() for part in sizes.split(",")]
@@ -349,14 +352,12 @@ def pretzel_family(sizes, color, start: int, stop: int, *,
                 f"column {i + 1} size {e.text!r} is negative at parameter {start}"
             )
         base_counts.append(v)
-    base = pretzel(base_counts, name=name)
     return FamilySpec(
-        base=base,
+        base=Ring("ring", base_counts, 0),
         sizes={i + 1: e for i, e in enumerate(exprs)},
         color=_as_expr(color),
         start=start,
         stop=stop,
-        build=functools.partial(pretzel, name=name),
     )
 
 
@@ -525,16 +526,6 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
 
 # --- rate checkers ------------------------------------------------------
 
-def _family_windows(spec: FamilySpec, rate_fn: Callable[[int], int],
-                    depth: int):
-    """Reduced windows for every member, sized to the stepwise rate + depth."""
-    params = list(spec.parameters())
-    required = [max(0, rate_fn(k)) for k in params[:-1]]
-    tail_len = max(0, rate_fn(params[-1]))
-    counts = _window_counts(required, tail_len, depth, len(params))
-    return params, required, tail_len, reduced_windows(spec, counts)
-
-
 def family_tail(spec: FamilySpec, rate, *, depth: int = 2) -> TailReport:
     """Verify stepwise agreement of reduced windows and estimate the tail.
 
@@ -546,7 +537,11 @@ def family_tail(spec: FamilySpec, rate, *, depth: int = 2) -> TailReport:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rate_fn, rate_text = _coerce_rate(rate)
-    params, required, tail_len, windows = _family_windows(spec, rate_fn, depth)
+    params = list(spec.parameters())
+    required = [max(0, rate_fn(k)) for k in params[:-1]]
+    tail_len = max(0, rate_fn(params[-1]))
+    counts = _window_counts(required, tail_len, depth, len(params))
+    windows = reduced_windows(spec, counts)
     return _assemble_report(
         spec.describe(), rate_text, params, params[:-1], required, windows,
         tail_len,
@@ -640,10 +635,12 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     """Agreement of cabled bracket windows across consecutive colors.
 
     Plain mode compares the same diagram at colors n-1 and n to 4n A-terms.
-    With ``twist_shifts`` the lower-color member absorbs the per-region
-    shifts (accumulating down the chain); every shifted region must keep at
-    least one crossing.  ``diagonal`` reverses the direction so sizes grow
-    with the color, one shift step per color, defaulting to +1 per region.
+    The diagram is taken as its ring layout once, when it has one.  With
+    ``twist_shifts`` the lower-color member absorbs the per-region shifts
+    (accumulating down the chain), added to the counts of the ring's
+    columns; every shifted region must keep at least one crossing.
+    ``diagonal`` reverses the direction so sizes grow with the color, one
+    shift step per color, defaulting to +1 per region.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -662,21 +659,30 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     if unknown:
         raise ValueError(f"unknown region id {unknown[0]} in twist shifts")
 
+    try:
+        ring, columns = _ring_layout(diagram)
+    except LayoutError:
+        ring, columns = None, ()
     members = {}
     for i, c in enumerate(colors):
         mult = i if diagonal else len(colors) - 1 - i
-        deltas = {}
+        counts = list(ring.counts) if ring else []
         for rid, b in shifts.items():
-            d = b * mult
-            target = diagram.region(rid).count + d
+            target = diagram.region(rid).count + b * mult
             if target < 1:
                 raise ValueError(
                     f"twist shifts must leave at least one crossing in "
                     f"region {rid} (got {target} at color {c})"
                 )
-            if d:
-                deltas[rid] = d
-        members[c] = set_twists(diagram, deltas) if deltas else diagram
+            if b * mult:
+                if ring is None:
+                    raise LayoutError(
+                        f"twist shifts need a ring layout; region {rid} "
+                        "cannot be resized"
+                    )
+                counts[columns.index(rid)] = target
+        members[c] = (diagram if ring is None
+                      else replace(ring, counts=tuple(counts)))
 
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1
@@ -695,36 +701,3 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
         "; ".join(parts), "4*n", colors, colors[1:], required, windows,
         tail_len,
     )
-
-
-def higher_order_windows(spec: FamilySpec, rate, *, orders: int = 1,
-                         depth: int = 2) -> list[list[CoeffList]]:
-    """Iterated tail subtraction; experimental, no verified claims.
-
-    Level 0 holds each member's normalized window.  Each further level
-    subtracts the previous level's last nonempty window (the running tail
-    estimate) from every member, strips leading zeros, and records the strip
-    offset as the new anchor.  Iteration stops early once every member's
-    residual vanishes.
-    """
-    if orders < 0:
-        raise ValueError("orders must be nonnegative")
-    rate_fn, _ = _coerce_rate(rate)
-    _, _, _, windows = _family_windows(spec, rate_fn, depth)
-    levels = [[normalize(w) for w in windows]]
-    while len(levels) <= orders:
-        prev = levels[-1]
-        tail_src = next((w for w in reversed(prev) if w.coeffs), None)
-        if tail_src is None:
-            break
-        t = tail_src.coeffs
-        nxt = []
-        for w in prev:
-            m = min(len(w.coeffs), len(t))
-            diff = [w.coeffs[j] - t[j] for j in range(m)]
-            z = 0
-            while z < len(diff) and diff[z] == 0:
-                z += 1
-            nxt.append(CoeffList(tuple(diff[z:]), w.units, Fraction(z), False))
-        levels.append(nxt)
-    return levels

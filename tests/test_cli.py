@@ -20,7 +20,13 @@ from click.testing import CliRunner
 import skeinkit
 from skeinkit import cli
 from skeinkit.algebra import delta, exact_div, substitute_quarter
-from skeinkit.diagram import LinkDiagram, minus_graph, pretzel, reduced_minus_graph
+from skeinkit.diagram import (
+    LinkDiagram,
+    minus_graph,
+    parse_pd,
+    pretzel,
+    reduced_minus_graph,
+)
 from skeinkit.invariants import bracket_state_sum, colored_state_sum, reduced_jones
 from skeinkit.stability import normalize, window_from_reduced
 
@@ -306,8 +312,9 @@ class TestTable:
             want.append((k, list(normalize(window_from_reduced(qp, 4)).coeffs)))
         assert parse_text_rows(result.output) == want
 
-    def test_sweep_crossing_cap_names_no_flag(self, runner):
-        # table has no --max-states; the sweep's cap of 20 is fixed
+    def test_member_past_the_sweep_cap_prints(self, runner):
+        # members are rings, so a 22-crossing member takes the fused path;
+        # its oracle is the classical sweep, past its default cap
         result = run(
             runner,
             "table",
@@ -316,10 +323,53 @@ class TestTable:
             "--range", "20..20",
             "--window", "2",
         )
-        assert result.exit_code == 1
-        assert "Error: 21 crossings exceed the configured cap of 20" in result.output
-        assert "--max-states" not in result.output
-        assert "--max-networks" not in result.output
+        assert result.exit_code == 0, result.output
+        value = bracket_state_sum(pretzel([0, 0, 20, 1]), max_crossings=30).value
+        qp = substitute_quarter(exact_div(value, delta(1)))
+        want = list(normalize(window_from_reduced(qp, 2)).coeffs)
+        assert parse_text_rows(result.output) == [(20, want)]
+
+    def test_zero_column_family_matches_the_sweep(self, runner):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "0,0,k,1",
+            "--color", "2",
+            "--range", "1..2",
+            "--window", "4",
+        )
+        assert result.exit_code == 0, result.output
+        want = []
+        for k in (1, 2):
+            value = bracket_state_sum(pretzel([0, 0, k, 1])).value
+            qp = substitute_quarter(exact_div(value, delta(1)))
+            want.append((k, list(normalize(window_from_reduced(qp, 4)).coeffs)))
+        assert parse_text_rows(result.output) == want
+
+    def test_empty_column_beside_one_column_is_its_trace(self, runner):
+        # pretzel([0, k]) has no ring layout: its empty column closes the
+        # other one around the side.  The oracle is the clasped state sum
+        # of that trace closure, drawn in PD
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "0,k",
+            "--color", "3",
+            "--range", "1..2",
+            "--window", "2",
+        )
+        assert result.exit_code == 0, result.output
+        want = []
+        for k in (1, 2):
+            left = [1, *range(3, 2 * k + 1, 2), 1]
+            right = [2, *range(4, 2 * k + 2, 2), 2]
+            pd = ",".join(
+                f"X[{left[j]},{right[j]},{right[j + 1]},{left[j + 1]}]"
+                for j in range(k))
+            value = colored_state_sum(parse_pd(f"PD[{pd}]"), 2).value
+            qp = substitute_quarter(exact_div(value, delta(2)))
+            want.append((k, list(normalize(window_from_reduced(qp, 2)).coeffs)))
+        assert parse_text_rows(result.output) == want
 
     @pytest.mark.parametrize(
         "extra,message",
@@ -453,42 +503,6 @@ class TestTail:
 
 
 # -- residuals -----------------------------------------------------------------
-
-
-class TestResiduals:
-    def test_levels_render(self, runner):
-        result = run(
-            runner,
-            "residuals",
-            "--pretzel-family", "k,k,2",
-            "--range", "2..4",
-            "--rate", "k+1",
-            "--orders", "2",
-        )
-        assert result.exit_code == 0
-        assert "level 0:" in result.output
-        assert "level 2:" in result.output
-        assert "[offset" in result.output
-
-    def test_json_shape(self, runner):
-        result = run(
-            runner,
-            "residuals",
-            "--pretzel-family", "k,k,2",
-            "--range", "2..4",
-            "--rate", "k+1",
-            "--orders", "1",
-            "--format", "json",
-        )
-        assert result.exit_code == 0
-        doc = json.loads(result.output)
-        assert len(doc["levels"]) == 2
-        level0 = doc["levels"][0]
-        assert [row["parameter"] for row in level0] == [2, 3, 4]
-        assert level0[0]["coeffs"][:3] == [1, -1, 3]
-
-
-# -- graph ---------------------------------------------------------------------
 
 
 class TestGraph:

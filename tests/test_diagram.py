@@ -1,4 +1,4 @@
-"""Diagram construction, states, adequacy graphs, and twist editing."""
+"""Diagram construction, states, adequacy graphs, and recorded sides."""
 
 import itertools
 import json
@@ -26,8 +26,6 @@ from skeinkit import (
     pretzel,
     reduced_minus_graph,
     relabel_arcs,
-    set_twists,
-    smooth_region,
 )
 
 UNKNOT = LinkDiagram((), free_loops=1)
@@ -218,9 +216,10 @@ def reference_positive_pretzel(counts) -> LinkDiagram:
 
 
 def reference_pretzel(counts, name=None) -> LinkDiagram:
-    base = reference_positive_pretzel([max(k, 1) for k in counts])
-    deltas = {i + 1: -1 for i, k in enumerate(counts) if k == 0}
-    out = set_twists(base, deltas) if deltas else base
+    out = reference_positive_pretzel([max(k, 1) for k in counts])
+    for i, k in enumerate(counts):
+        if k == 0:
+            out = diagram_module._replace_region(out, out.region(i + 1))
     label = name if name is not None else "P(" + ",".join(map(str, counts)) + ")"
     return replace(out, name=label)
 
@@ -513,122 +512,6 @@ class TestStateGraphs:
         assert "loop" in minus_graph(pretzel([0])).to_dot()
 
 
-def weak_iso(a: LinkDiagram, b: LinkDiagram) -> bool:
-    """Cheap isomorphism surrogate: counts that any relabeling preserves."""
-    return (
-        a.crossing_count == b.crossing_count
-        and a.free_loops == b.free_loops
-        and sorted(r.count for r in a.twist_regions)
-        == sorted(r.count for r in b.twist_regions)
-        and apply_state(a, State.all_minus(a)) == apply_state(b, State.all_minus(b))
-        and apply_state(a, State.all_plus(a)) == apply_state(b, State.all_plus(b))
-        and is_alternating(a) == is_alternating(b)
-        and graph_canon(minus_graph(a)) == graph_canon(minus_graph(b))
-    )
-
-
-class TestSetTwists:
-    def test_grow_matches_fresh_pretzel(self):
-        grown = set_twists(pretzel([8, 6, 3]), {3: 1})
-        assert weak_iso(grown, pretzel([8, 6, 4]))
-        assert grown.region(3).count == 4
-
-    def test_shrink_to_zero_matches_fresh_pretzel(self):
-        shrunk = set_twists(pretzel([2, 2, 2]), {2: -2})
-        assert weak_iso(shrunk, pretzel([2, 0, 2]))
-        assert shrunk.region(2).rails is not None
-
-    def test_zero_round_trip(self):
-        regrown = set_twists(pretzel([2, 0, 2]), {2: 2})
-        assert weak_iso(regrown, pretzel([2, 2, 2]))
-        assert is_alternating(regrown)
-
-    def test_shrink_grow_round_trip_on_trefoil(self):
-        d = pretzel([1, 1, 1])
-        back = set_twists(set_twists(d, {1: -1}), {1: 1})
-        assert weak_iso(back, d)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(DiagramError, match="negative count"):
-            set_twists(pretzel([2, 2, 2]), {2: -5})
-
-    def test_unknown_region_rejected(self):
-        with pytest.raises(DiagramError, match="no twist region"):
-            set_twists(pretzel([2, 2]), {9: 1})
-
-    def test_anonymous_site_cannot_regrow(self):
-        with pytest.raises(DiagramError, match="anonymous"):
-            set_twists(pretzel([0, 0, 0]), {1: 2})
-
-    def test_multi_region_deltas(self):
-        d = set_twists(pretzel([2, 2, 2]), {1: 1, 2: -1, 3: 2})
-        assert weak_iso(d, pretzel([3, 1, 4]))
-
-    def test_closed_up_region_grows(self):
-        hopf = parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]")
-        bigger = set_twists(hopf, {1: 1})
-        assert bigger.crossing_count == 3
-        assert bigger.region(1).count == 3
-        assert is_alternating(bigger)
-
-    def test_minus_circle_count_stable_under_extra_twist(self):
-        # |s_-| does not change when a marked region gains a crossing.
-        for counts in ([2, 3, 2], [8, 6, 1], [4, 2]):
-            d = pretzel(counts)
-            grown = set_twists(d, {len(counts): 1})
-            assert apply_state(grown, State.all_minus(grown)) == apply_state(
-                d, State.all_minus(d)
-            )
-
-    def test_positive_smoothing_drops_one_circle(self):
-        # Positively smoothing one crossing of a marked region and
-        # untwisting merges two circles of the all-negative state.
-        for counts in ([2, 3, 2], [3, 1, 2], [4, 2]):
-            d = pretzel(counts)
-            smoothed = smooth_region(d, len(counts), +1)
-            assert apply_state(smoothed, State.all_minus(smoothed)) == (
-                apply_state(d, State.all_minus(d)) - 1
-            )
-            assert all(r.rid != len(counts) for r in smoothed.twist_regions)
-
-    def test_negative_smoothing_keeps_region(self):
-        d = smooth_region(pretzel([2, 2, 2]), 2, -1)
-        assert d.region(2).count == 0
-
-    def test_bad_smoothing_sign(self):
-        with pytest.raises(DiagramError, match="sign"):
-            smooth_region(pretzel([2, 2]), 1, 0)
-
-    def test_smoothing_an_empty_region(self):
-        with pytest.raises(DiagramError, match="already smoothed"):
-            smooth_region(pretzel([2, 0, 2]), 2, +1)
-
-    def test_grown_pretzel_stays_adequate(self):
-        d = set_twists(pretzel([2, 3, 2]), {2: 2})
-        assert is_adequate(d)
-        assert is_alternating(d)
-
-    @given(
-        st.lists(st.integers(0, 3), min_size=1, max_size=4),
-        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), max_size=5),
-    )
-    # region 2's rails sit on corners of region 1, which grows first
-    @example(counts=[1, 0], steps=[(1, 2), (2, 1)])
-    @settings(max_examples=60, deadline=None)
-    def test_edit_sequences_match_fresh_pretzels(self, counts, steps):
-        d = pretzel(counts)
-        counts = list(counts)
-        for rid, target in steps:
-            if rid > len(counts):
-                continue
-            reg = d.region(rid)
-            if reg.count == 0 and reg.rails is None and target:
-                continue  # an anonymous site cannot be re-grown
-            d = set_twists(d, {rid: target - reg.count})
-            counts[rid - 1] = target
-            assert weak_iso(d, pretzel(counts))
-
-
 # -- recorded region sides ---------------------------------------------------
 
 
@@ -713,30 +596,6 @@ class TestRecordedSides:
         for diagram in (d, anonymous, pretzel([0, 0, 0])):
             assert_sides(diagram)
 
-    @given(
-        counts_st,
-        st.lists(
-            st.tuples(st.integers(1, 4), st.integers(0, 5), st.booleans()),
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_set_twists_sequences(self, counts, steps):
-        d = pretzel(counts)
-        for rid, target, smooth_first in steps:
-            if all(reg.rid != rid for reg in d.twist_regions):
-                continue
-            reg = d.region(rid)
-            if smooth_first and reg.count:
-                d = set_twists(d, {rid: -reg.count})  # shrink to 0 first
-                assert_sides(d)
-                reg = d.region(rid)
-            if reg.count == 0 and reg.rails is None and target:
-                continue  # an anonymous site cannot be re-grown
-            d = set_twists(d, {rid: target - reg.count})
-            assert d.region(rid).count == target
-            assert_sides(d)
-
     @given(counts_st, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_parsed_diagrams(self, counts, rng):
@@ -752,7 +611,8 @@ class TestRecordedSides:
 
     def test_closed_up_region(self):
         assert_sides(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"))
-        assert_sides(set_twists(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"), {1: 1}))
+        # three crossings, each sharing one A-pair with each of the others
+        assert_sides(parse_pd("PD[X[2,3,6,5],X[5,6,8,7],X[7,8,3,2]]"))
 
     @given(counts_st, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -779,15 +639,10 @@ class TestRecordedSides:
 
         monkeypatch.setattr(diagram_module, "_walk_chain", counted_walk)
         monkeypatch.setattr(LinkDiagram, "_validate", counted_validate)
-        for counts, deltas in (
-            ([8, 6, 3], {3: 2}),
-            ([2, 3, 2], {1: -2, 3: 1}),
-            ([2, 0, 2], {2: 3}),
-        ):
-            base = pretzel(counts)
+        for counts in ([8, 6, 5], [0, 3, 3], [2, 0, 2], [0, 0, 1]):
             walks.clear()
             built.clear()
-            member = set_twists(base, deltas)
+            member = pretzel(counts)
             assert built
             assert len(walks) == sum(
                 1 for d in built for reg in d.twist_regions if reg.count
@@ -802,7 +657,7 @@ class TestRecordedSides:
             pretzel([2, 0, 3]),
             pretzel([0]),
             parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"),
-            set_twists(pretzel([8, 6, 3]), {3: 1}),
+            pretzel([0, 0, 3]),
         ],
     )
     def test_sides_ignored_by_eq_hash_repr_json(self, diagram):

@@ -45,8 +45,10 @@ from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
     LayoutError,
+    Ring,
     _over,
     _ring_layout,
+    _ring_polynomial,
     _tet_terms,
     _times,
     bracket_state_sum,
@@ -91,7 +93,7 @@ def schoolbook_ring(diagram, n):
     """The fused ring bracket from the public closed forms, summed as
     rational functions and reduced once: sum_q delta(2q) prod_columns
     sum_p delta(2p) tet(n,n,2p,n,n,2q) / (theta_p theta_q) twist_p^k."""
-    twists = [col.region.count for col in _ring_layout(diagram).columns]
+    twists = _ring_layout(diagram)[0].counts
     thetas = [rf(theta(n, n, 2 * p)) for p in range(n + 1)]
     total = rf(ZERO)
     for q in range(n + 1):
@@ -220,7 +222,7 @@ class TestColoredStateSum:
         # each is two cables wide, none as wide as the ring
         n = 2
         d = parse_pd(counts) if isinstance(counts, str) else pretzel(counts)
-        twists = [col.region.count for col in _ring_layout(d).columns]
+        twists = _ring_layout(d)[0].counts
         widths = []
 
         def narrow(f, g):
@@ -245,7 +247,7 @@ class TestColoredStateSum:
         # the first diagram builds every column the second one needs
         n = 2
         d = parse_pd(second) if isinstance(second, str) else pretzel(second)
-        seams = len(_ring_layout(d).columns) - 1
+        seams = len(_ring_layout(d)[0].counts) - 1
         clear_columns()
         colored_state_sum(pretzel(first), n)
         calls = []
@@ -356,8 +358,8 @@ class TestFusedChannels:
         # the closed-form evaluation must equal the literal sum of one
         # network evaluation per channel assignment
         d = parse_pd(counts) if isinstance(counts, str) else pretzel(counts)
-        layout = _ring_layout(d)
-        twists = [col.region.count for col in layout.columns]
+        ring, _ = _ring_layout(d)
+        twists = ring.counts
         total = rf(ZERO)
         for ps in itertools.product(range(n + 1), repeat=len(twists)):
             w = rf(ONE)
@@ -365,7 +367,7 @@ class TestFusedChannels:
                 w = w * (rf(delta(2 * p)) / rf(theta(n, n, 2 * p)))
                 w = w * twist_coeff(n, n, 2 * p) ** k
             columns = [channel_element(n, p) for p in ps]
-            total = total + w * close_ring(columns, layout.style)
+            total = total + w * close_ring(columns, ring.style)
         assert total.reduce().to_poly() == colored_bracket_fused(d, n).value
 
     def test_needs_no_temperley_lieb_network(self, monkeypatch):
@@ -517,6 +519,44 @@ class TestFusedChannels:
         assert colored_bracket_fused(d, 2).value == delta(2) ** d.free_loops
 
 
+class TestRing:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_bracket_matches_the_pretzel(self, counts):
+        # values, not Ring objects: a pretzel with anonymous zero columns
+        # lays out with fewer columns and more free loops
+        d = pretzel(counts)
+        want = bracket_state_sum(d, max_crossings=30).value
+        assert _ring_polynomial(1, "ring", counts, 0) == want
+        try:
+            _ring_layout(d)
+        except LayoutError:
+            return
+        for n in (2, 3):
+            want = colored_bracket_fused(d, n).value
+            assert _ring_polynomial(n, "ring", counts, 0) == want
+
+    def test_anonymous_zero_columns_lay_out_as_free_loops(self):
+        d = pretzel([0, 0, 1])
+        assert _ring_layout(d) == (Ring("trace", (1,), 1), (3,))
+        assert (_ring_polynomial(2, "ring", (0, 0, 1), 0)
+                == colored_bracket_fused(d, 2).value)
+
+    @pytest.mark.parametrize("args,match", [
+        (("ring", (), 0), "at least one column"),
+        (("ring", (2, -1), 0), "nonnegative"),
+        (("braid", (2,), 0), "style"),
+        (("trace", (1, 1), 0), "exactly one column"),
+        (("ring", (1,), -1), "free loops"),
+    ])
+    def test_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Ring(*args)
+
+    def test_counts_become_a_tuple(self):
+        assert Ring("ring", [2, 0], 0) == Ring("ring", (2, 0), 0)
+
+
 class TestHighColorOracle:
     """Closed forms of colored unknots and the Hopf link, up to color 8.
 
@@ -558,9 +598,9 @@ class TestRouting:
             unreduced_colored_jones(partial, 2)
 
     def test_layout_styles_detected(self):
-        assert _ring_layout(pretzel([2])).style == "ring"
-        assert _ring_layout(pretzel([2, 3, 2])).style == "ring"
-        assert _ring_layout(parse_pd(HOPF_TRACE)).style == "trace"
+        assert _ring_layout(pretzel([2]))[0].style == "ring"
+        assert _ring_layout(pretzel([2, 3, 2]))[0].style == "ring"
+        assert _ring_layout(parse_pd(HOPF_TRACE))[0].style == "trace"
 
 
 class TestReducedWindows:

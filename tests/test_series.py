@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from skeinkit import invariants, series
 from skeinkit.cli import _suite_rate_theorems
-from skeinkit.diagram import parse_pd, pretzel
+from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
 from skeinkit.invariants import BudgetError, reduced_jones, unreduced_colored_jones
 from skeinkit.series import (
     bracket_window,
@@ -27,6 +27,7 @@ from skeinkit.stability import (
     check_bracket_rate,
     check_color_stability,
     check_colored_rate,
+    family_tail,
     normalize,
     pretzel_family,
     reduced_windows,
@@ -171,6 +172,17 @@ class TestConsumers:
         assert check_color_stability(pretzel([2, 3, 2]), (1, 2, 3)).passed
         for name, check in _suite_rate_theorems():
             assert check()[0], name
+
+    def test_pretzel_families_build_no_diagram(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a family member was drawn as a diagram")
+
+        monkeypatch.setattr(LinkDiagram, "_validate", refuse)
+        spec = pretzel_family("0,k,2", "3", 0, 3)
+        assert reduced_windows(spec, [2, 3, 4, 5])
+        assert family_tail(pretzel_family("8,6,k", "2", 1, 4), "k+1").passed
+        assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
+        assert check_bracket_rate(pretzel_family("k,k,2", "2", 0, 3)).passed
 
     def test_state_sum_route_without_a_ring(self):
         d = pretzel([0, 2])  # its one region does not close up on its own

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinkit.diagram import pretzel
-from skeinkit.invariants import BudgetError, reduced_jones, unreduced_colored_jones
+from skeinkit.diagram import parse_pd, pretzel
+from skeinkit.invariants import (
+    BudgetError,
+    LayoutError,
+    Ring,
+    reduced_jones,
+    unreduced_colored_jones,
+)
+from skeinkit.series import reduced_window as series_window
 from skeinkit.stability import (
     CoeffList,
     ExpressionError,
@@ -25,7 +32,6 @@ from skeinkit.stability import (
     check_color_stability,
     check_colored_rate,
     family_tail,
-    higher_order_windows,
     n_equivalent,
     normalize,
     pretzel_family,
@@ -282,9 +288,8 @@ class TestFamilySpec:
     def test_members_match_direct_construction(self):
         spec = pretzel_family("8,6,k", "2", 1, 10)
         m = spec.member(3)
-        assert m.region(3).count == 3
-        assert m.region(1).count == 8
-        assert reduced_jones(m, 2) == reduced_jones(pretzel([8, 6, 3]), 2)
+        assert m == Ring("ring", (8, 6, 3), 0)
+        assert series_window(m, 2, 6) == series_window(pretzel([8, 6, 3]), 2, 6)
 
     def test_comma_string_and_sequence_agree(self):
         a = pretzel_family("2, 5, k", "k+1", 1, 5)
@@ -293,14 +298,16 @@ class TestFamilySpec:
 
     def test_zero_size_member(self):
         spec = pretzel_family("2,k,2", "2", 0, 2)
-        assert spec.member(0).region(2).count == 0
+        assert spec.member(0).counts == (2, 0, 2)
 
     def test_members_are_fresh_pretzels(self):
-        # the start member smooths both growing columns away; a member
-        # built by editing it could not grow them back
+        # the start member's growing columns are empty; every member
+        # has the value of the pretzel of its sizes
         spec = pretzel_family("k,k,2", "3", 0, 3)
         for k in range(4):
-            assert spec.member(k) == pretzel([k, k, 2])
+            assert spec.member(k) == Ring("ring", (k, k, 2), 0)
+            assert (series_window(spec.member(k), 3, 4)
+                    == series_window(pretzel([k, k, 2]), 3, 4))
 
     def test_negative_size_reported_with_parameter(self):
         spec = pretzel_family("8,6,5-2*k", "2", 1, 4)
@@ -325,9 +332,26 @@ class TestFamilySpec:
     def test_mapping_and_int_inputs(self):
         base = pretzel([2, 3, 2])
         spec = FamilySpec(base=base, sizes={3: "k"}, color=2, start=2, stop=4)
-        assert spec.member(4).region(3).count == 4
-        assert spec.member(4).region(1).count == 2
+        assert spec.member(4) == Ring("ring", (2, 3, 4), 0)
         assert spec.member_color(3) == 2
+
+    def test_diagram_base_is_taken_as_its_ring_layout(self):
+        # the Hopf link drawn as one region closed around the side
+        hopf = parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]")
+        spec = FamilySpec(base=hopf, sizes={1: "k"}, color=2, start=1, stop=2)
+        assert spec.member(3) == Ring("trace", (3,), 0)
+        # a zero region whose strands close up leaves no column
+        spec = FamilySpec(base=pretzel([0, 0, 1]), sizes={3: "k"}, color=2,
+                          start=1, stop=2)
+        assert spec.member(2) == Ring("trace", (2,), 1)
+        with pytest.raises(LayoutError, match="not a column"):
+            FamilySpec(base=pretzel([0, 0, 1]), sizes={1: "k"}, color=2,
+                       start=1, stop=2)
+
+    def test_diagram_without_a_ring_layout_is_refused(self):
+        with pytest.raises(LayoutError, match="single ring"):
+            FamilySpec(base=pretzel([0, 2]), sizes={2: "k"}, color=2,
+                       start=1, stop=2)
 
     def test_parameters_inclusive(self):
         assert list(pretzel_family("1,1", "2", 2, 5).parameters()) == [2, 3, 4, 5]
@@ -430,12 +454,10 @@ class TestReducedWindows:
         "run",
         [
             lambda spec: family_tail(spec, 1),
-            lambda spec: higher_order_windows(spec, 1),
             lambda spec: check_colored_rate(spec, rate=1),
             lambda spec: reduced_windows(spec, [1, 1]),
         ],
-        ids=["family_tail", "higher_order_windows", "check_colored_rate",
-             "reduced_windows"],
+        ids=["family_tail", "check_colored_rate", "reduced_windows"],
     )
     def test_budget_refusal_is_not_a_member_failure(self, run):
         spec = pretzel_family("2,2,k", "400", 1, 2)
@@ -554,6 +576,10 @@ class TestColorStability:
             check_color_stability(pretzel([2, 3, 2]), (1, 2),
                                   twist_shifts={9: 1})
 
+    def test_shifts_need_a_ring_layout(self):
+        with pytest.raises(LayoutError, match="ring layout"):
+            check_color_stability(pretzel([0, 2]), (1, 2), twist_shifts={2: 1})
+
     def test_colors_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
             check_color_stability(pretzel([2, 3, 2]), (1, 3))
@@ -622,35 +648,3 @@ class TestReports:
     def test_report_is_deterministic(self):
         spec = pretzel_family("2,2,k", "3", 2, 3)
         assert check_colored_rate(spec).to_json() == check_colored_rate(spec).to_json()
-
-
-class TestHigherOrder:
-    def test_levels_shape(self):
-        levels = higher_order_windows(
-            pretzel_family("8,6,k", "2", 1, 4), "k+1", orders=1
-        )
-        assert len(levels) == 2
-        assert all(len(level) == 4 for level in levels)
-        assert all(w.normalized for w in levels[0])
-        # the running tail subtracts itself away on the last member
-        assert levels[1][-1].coeffs == ()
-
-    def test_zero_orders(self):
-        levels = higher_order_windows(
-            pretzel_family("8,6,k", "2", 1, 3), "k+1", orders=0
-        )
-        assert len(levels) == 1
-
-    def test_residual_anchor_records_strip(self):
-        levels = higher_order_windows(
-            pretzel_family("8,6,k", "2", 1, 4), "k+1", orders=1
-        )
-        first = levels[1][0]
-        if first.coeffs:
-            assert first.anchor >= 0
-            assert first.coeffs[0] != 0
-
-    def test_orders_validate(self):
-        with pytest.raises(ValueError):
-            higher_order_windows(pretzel_family("1,1", "2", 1, 2), "k",
-                                 orders=-1)
