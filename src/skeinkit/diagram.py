@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "DiagramError",
@@ -574,25 +574,48 @@ def apply_state(diagram: LinkDiagram, state: State | Mapping[int, int]) -> int:
         assignment = state.assignment
     else:
         assignment = state
-    uf = _UnionFind()
-    for cid, x in enumerate(diagram.crossings):
+    c = diagram.crossing_count
+    for cid in range(c):
         try:
             value = assignment[cid]
         except KeyError:
             raise DiagramError(f"state does not assign crossing {cid}") from None
-        if value == +1:
-            uf.union(x[0], x[1])
-            uf.union(x[2], x[3])
-        elif value == -1:
-            uf.union(x[0], x[3])
-            uf.union(x[1], x[2])
-        else:
+        if value not in (+1, -1):
             raise DiagramError(f"state value {value} at crossing {cid}; use -1 or +1")
     for cid in assignment:
-        if not 0 <= cid < len(diagram.crossings):
+        if not 0 <= cid < c:
             raise DiagramError(f"state assigns missing crossing {cid}")
-    circles = len({uf.find(a) for a in diagram.arcs()})
-    return circles + diagram.free_loops
+    return _circle_counter(diagram)([assignment[cid] for cid in range(c)])
+
+
+def _circle_counter(diagram: LinkDiagram) -> Callable[[Sequence[int]], int]:
+    """The circle count of each classical state of the diagram, the state
+    given as its signs in crossing order, free loops included.
+
+    The arcs, and the arc pairs each smoothing joins, are found once per
+    diagram, so a count is one union-find pass over the crossings.
+    """
+    index = {a: i for i, a in enumerate(diagram.arcs())}
+    joins = [(((index[a], index[b]), (index[c], index[d])),
+              ((index[a], index[d]), (index[b], index[c])))
+             for a, b, c, d in diagram.crossings]
+    start = len(index) + diagram.free_loops
+
+    def count(signs: Sequence[int]) -> int:
+        parent = list(range(len(index)))
+        circles = start
+        for sign, (plus, minus) in zip(signs, joins):
+            for x, y in plus if sign == +1 else minus:
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+                    circles -= 1
+        return circles
+
+    return count
 
 
 def _state_graph(diagram: LinkDiagram, sign: int) -> StateGraph:

@@ -54,6 +54,7 @@ from .diagram import (
     LinkDiagram,
     State,
     TwistRegion,
+    _circle_counter,
     apply_state,
     is_adequate,
     is_alternating,
@@ -331,6 +332,15 @@ def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
 # coefficient of the result fits with a sign.  The width comes from the L1
 # bound sum_q |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 over the
 # truncated series; truncation never raises an L1 norm.
+#
+# A column's factor sum_p c[q][p] * twist_p^k depends only on the color,
+# the exit q and its count k, so a ``ColumnMemo`` keeps it for one family
+# evaluation: for its one color, the twist monomials, and per column the
+# nominal lowest exponent keyed by (q, k), the terms below the exit's reach
+# m with their L1 bound keyed by (q, k, m, digits), and the packed sum keyed
+# by (q, k, m, digits, width).  The family callers in ``stability`` make one
+# per family; a lone window or a full polynomial makes its own.  The memo
+# dies with its family, so a value it holds is never older than the family.
 
 
 def _quarters(e: int) -> int:
@@ -416,10 +426,23 @@ def _tet_terms(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 def _nominal(n: int, q: int | None, p: int) -> int:
     """The A-exponent the series of c[q][p] starts at; q None stands for
     the weight delta(2p) of a region closed around the side.  Every weight
-    is symmetric under A -> 1/A, so its top exponent is minus this."""
+    is symmetric under A -> 1/A, so its top exponent is minus this.
+
+    The A-shift of term u of the tetrahedral sum is the convex quadratic
+    6u^2 + beta u + (its value at u = 0), with beta = 4b - 8a - 4n - 2 read
+    off ``_tet_factorials``, so its least value over the terms is at an
+    integer next to the vertex -beta/12, clamped to the term range: no
+    term list is built.
+    """
     if q is None:
         return -4 * p
-    return min(s for _, s in _tet_terms(n, min(p, q), max(p, q))) - 4 * p
+    a, b = min(p, q), max(p, q)
+    beta = 4 * b - 8 * a - 4 * n - 2
+    top = min(n - b, a)
+    u = min(max(-beta // 12, 0), top)
+    v = min(u + 1, top)
+    return (_fact_shift(*_tet_factorials(n, a, b, 0))
+            + min(6 * u * u + beta * u, 6 * v * v + beta * v) - 4 * p)
 
 
 @functools.cache
@@ -488,74 +511,119 @@ def _mask(t: int, digits: int, width: int) -> int:
     return ((t + half) & (top - 1)) - half
 
 
-def _exits(n: int, style: str, twists: Sequence[int]):
-    """The terms of the ring sum by exit channel q, with the nominal lowest
-    A-exponent of each: (q, loop length, lowest exponent, columns), each
-    column a list of (A-exponent, negated, channel p) per term.
+class ColumnMemo:
+    """The column factors of ring sums at one color, kept for one family
+    evaluation, so a member rebuilds only the columns whose count changed
+    (what it holds, and under which keys, is in the comment above
+    ``_quarters``).  Asking for another color empties it."""
 
-    delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed around the side
-    ("trace") is the single exit q None, sum_p delta(2p) * twist_p^k.
-    """
-    mus = [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
-           for p in range(n + 1)]
-    exits = []
-    for q in [None] if style == "trace" else range(n + 1):
-        cols = [[(_nominal(n, q, p) + e * k, s < 0 and k % 2 == 1, p)
-                 for p, (e, s) in enumerate(mus)] for k in twists]
-        lead = 0 if q is None else q
-        low = -4 * lead + sum(min(t[0] for t in col) for col in cols)
-        exits.append((q, 2 * lead + 1, low, cols))
-    return exits
+    def __init__(self) -> None:
+        self._n: int | None = None
+
+    def _color(self, n: int) -> list[tuple[int, int]]:
+        if n != self._n:
+            self._n = n
+            # the twist monomial of channel p: (A-exponent, sign)
+            self._mus = [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
+                         for p in range(n + 1)]
+            self._least: dict = {}
+            self._terms: dict = {}
+            self._packed: dict = {}
+        return self._mus
+
+    def least(self, n: int, q: int | None, k: int) -> int:
+        """The nominal lowest A-exponent of a column of k crossings on exit
+        q: the least of sum_p c[q][p] * twist_p^k over its terms."""
+        mus = self._color(n)
+        key = q, k
+        if key not in self._least:
+            self._least[key] = min(_nominal(n, q, p) + e * k
+                                   for p, (e, _) in enumerate(mus))
+        return self._least[key]
+
+    def terms(self, n: int, q: int | None, k: int, m: int,
+              digits: int) -> tuple[list[tuple[int, bool, int]], int]:
+        """The column's terms that start below digit ``m`` of its lowest
+        exponent, each (digit offset, negated, channel p), and the L1 bound
+        of their sum modulo x^digits."""
+        mus = self._color(n)
+        key = q, k, m, digits
+        if key not in self._terms:
+            least = self.least(n, q, k)
+            terms, norm = [], 0
+            for p, (e, s) in enumerate(mus):
+                off = _quarters(_nominal(n, q, p) + e * k - least)
+                if off < m:
+                    terms.append((off, s < 0 and k % 2 == 1, p))
+                    norm += _weight(n, q, p, digits)[1]
+            self._terms[key] = terms, norm
+        return self._terms[key]
+
+    def packed(self, n: int, q: int | None, k: int, m: int, digits: int,
+               width: int) -> int:
+        """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
+        self._color(n)
+        key = q, k, m, digits, width
+        if key not in self._packed:
+            digit = 8 * width
+            acc = 0
+            for off, neg, p in self.terms(n, q, k, m, digits)[0]:
+                c = _packed_weight(n, q, p, digits, width) << (digit * off)
+                acc = acc - c if neg else acc + c
+            self._packed[key] = acc
+        return self._packed[key]
 
 
-def _span(n: int, style: str, twists: Sequence[int],
+def _exit_lows(memo: ColumnMemo, n: int, style: str,
+               twists: Sequence[int]) -> dict[int | None, int]:
+    """The nominal lowest A-exponent of the ring sum's terms by exit
+    channel q.  delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed
+    around the side ("trace") is the single exit q None, sum_p delta(2p) *
+    twist_p^k."""
+    return {q: -4 * (q or 0) + sum(memo.least(n, q, k) for k in twists)
+            for q in ([None] if style == "trace" else range(n + 1))}
+
+
+def _span(memo: ColumnMemo, n: int, style: str, twists: Sequence[int],
           loops: int) -> tuple[int, int]:
     """The nominal lowest and highest A-exponents of the fused bracket times
     delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
     negated, so the top is minus the mirror's nominal bottom."""
-    low = min(t[2] for t in _exits(n, style, twists))
-    top = -min(t[2] for t in _exits(n, style, [-k for k in twists]))
+    low = min(_exit_lows(memo, n, style, twists).values())
+    top = -min(_exit_lows(memo, n, style, [-k for k in twists]).values())
     return low - 2 * n * loops, top + 2 * n * loops
 
 
 def _ring_digits(n: int, style: str, twists: Sequence[int], loops: int,
-                 digits: int) -> tuple[int, dict[int, int]]:
+                 memo: ColumnMemo, digits: int) -> tuple[int, dict[int, int]]:
     """The fused bracket times delta(n)^loops (loops >= -1) modulo x^digits
     above its nominal lowest A-exponent: that exponent, and the nonzero
-    digits by position."""
-    exits = _exits(n, style, twists)
-    base = min(t[2] for t in exits)
-    # the terms that start below digit ``digits``, and the L1 bound of
-    # their sum
+    digits by position.  ``memo`` holds the columns of the family."""
+    lows = _exit_lows(memo, n, style, twists)
+    base = min(lows.values())
+    # the exits that start below digit ``digits``, and the L1 bound of
+    # their terms that do
     plan, bound = [], 0
-    for q, length, low, cols in exits:
+    for q, low in lows.items():
         at = _quarters(low - base)
         m = digits - at
         if m <= 0:
             continue
-        length = min(length, m)
-        norm, used = length, []
-        for col in cols:
-            least = min(t[0] for t in col)
-            terms = [(_quarters(e - least), neg, p) for e, neg, p in col]
-            terms = [t for t in terms if t[0] < m]
-            used.append(terms)
-            norm *= sum(_weight(n, q, p, digits)[1] for _, _, p in terms)
-        plan.append((q, at, m, length, used))
+        length = min(2 * (q or 0) + 1, m)
+        norm = length
+        for k in twists:
+            norm *= memo.terms(n, q, k, m, digits)[1]
+        plan.append((q, at, m, length))
         bound += norm
     bound *= _loop_norm(n, loops, digits)
     width = bound.bit_length() // 8 + 1
-    digit = 8 * width
     total = 0
-    for q, at, m, length, used in plan:
+    for q, at, m, length in plan:
         prod = _ones(length, width)
-        for terms in used:
-            acc = 0
-            for off, neg, p in terms:
-                c = _packed_weight(n, q, p, digits, width) << (digit * off)
-                acc = acc - c if neg else acc + c
-            prod = _mask(prod * acc, m, width)
-        total += prod << (digit * at)
+        for k in twists:
+            prod = _mask(prod * memo.packed(n, q, k, m, digits, width),
+                         m, width)
+        total += prod << (8 * width * at)
     total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
     out = _unpack(total, 0, 1, width) if total else {}
     if n * loops % 2:
@@ -596,9 +664,10 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int],
     for a Laurent polynomial; a nonzero one means a weight, or the loop
     division, left the ring of Laurent polynomials.
     """
-    low, top = _span(n, style, twists, loops)
+    memo = ColumnMemo()
+    low, top = _span(memo, n, style, twists, loops)
     span = _quarters(top - low) + 1
-    low, out = _ring_digits(n, style, twists, loops, span + 2)
+    low, out = _ring_digits(n, style, twists, loops, memo, span + 2)
     if max(out, default=0) >= span:
         raise ExactDivisionError(
             "fused bracket is not a Laurent polynomial; this signals a "
@@ -650,8 +719,9 @@ def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
     # literal enumeration; independent of the sweep in bracket_state_sum.
     # States are tallied by (circle count, sign sum), and each distinct
     # key's term delta^circles A^sum is built once.
+    count_circles = _circle_counter(diagram)
     tally = collections.Counter(
-        (apply_state(diagram, dict(enumerate(signs))), sum(signs))
+        (count_circles(signs), sum(signs))
         for signs in itertools.product((+1, -1), repeat=diagram.crossing_count))
     total = ZERO
     for (circles, shift), count in tally.items():
@@ -733,6 +803,19 @@ def colored_state_sum(
 # -- routing and reduced polynomials --------------------------------------------
 
 
+def _state_sum_bracket(diagram: LinkDiagram, n: int, *,
+                       max_crossings: int = 20,
+                       max_networks: int = 100_000) -> LaurentPoly:
+    """The color-n bracket of a diagram without a ring layout, by the
+    state-sum oracle that takes it: the frontier sweep at n = 1, the
+    clasped state sum above (which needs a ring layout of its own)."""
+    if diagram.crossing_count == 0:
+        return delta(n) ** diagram.free_loops
+    if n == 1:
+        return bracket_state_sum(diagram, max_crossings=max_crossings).value
+    return colored_state_sum(diagram, n, max_networks=max_networks).value
+
+
 def unreduced_colored_jones(
     diagram: LinkDiagram,
     n: int,
@@ -750,15 +833,22 @@ def unreduced_colored_jones(
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
-    if diagram.crossing_count == 0:
-        return BracketValue(delta(n) ** diagram.free_loops)
     try:
         return colored_bracket_fused(diagram, n, max_networks=max_networks)
     except LayoutError:
         pass
-    if n == 1:
-        return bracket_state_sum(diagram, max_crossings=max_crossings)
-    return colored_state_sum(diagram, n, max_networks=max_networks)
+    return BracketValue(_state_sum_bracket(
+        diagram, n, max_crossings=max_crossings, max_networks=max_networks))
+
+
+def _reduced_state_sum(diagram: LinkDiagram, n: int, *,
+                       max_crossings: int = 20,
+                       max_networks: int = 100_000) -> QPoly:
+    # the state sum's bracket over delta(n), the one schoolbook division
+    return substitute_quarter(exact_div(
+        _state_sum_bracket(diagram, n, max_crossings=max_crossings,
+                           max_networks=max_networks),
+        delta(n)))
 
 
 def reduced_jones(
@@ -780,18 +870,12 @@ def reduced_jones(
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
     n = N - 1
     ring = _as_ring(diagram)
-    if ring is not None:
-        _fusion_budget(ring, n, max_networks)
-        return substitute_quarter(
-            _ring_polynomial(n, ring.style, ring.counts, ring.loops - 1))
-    unreduced = unreduced_colored_jones(
-        diagram,
-        n,
-        max_crossings=max_crossings,
-        max_networks=max_networks,
-    )
-    quotient = exact_div(unreduced.value, delta(n))
-    return substitute_quarter(quotient)
+    if ring is None:
+        return _reduced_state_sum(diagram, n, max_crossings=max_crossings,
+                                  max_networks=max_networks)
+    _fusion_budget(ring, n, max_networks)
+    return substitute_quarter(
+        _ring_polynomial(n, ring.style, ring.counts, ring.loops - 1))
 
 
 # -- degree predictors -----------------------------------------------------------

@@ -18,6 +18,17 @@ digits it needs, at the precision its family shares.
 The result is exact to M digits above its nominal lowest exponent.  When
 the lowest z of those digits vanish and z + count > M, the sum is taken
 again at M = z + count.
+
+The column memo.  Each column of a ring contributes one factor per exit
+channel q, and a ``ColumnMemo`` keeps those factors: for its one color,
+the channels' twist monomials and, per column of k crossings, its nominal
+lowest exponent keyed by (q, k), its terms below the exit's reach m with
+their L1 bound keyed by (q, k, m, digits), and their packed sum keyed by
+(q, k, m, digits, width).  It lives for one family evaluation: the family
+callers in ``stability`` create one and pass it as ``memo`` next to the
+family's precision, so a member rebuilds only the columns whose count
+changed; a window taken alone, or a full polynomial, gets a fresh one.
+No memo outlives its family, so nothing it holds goes stale.
 """
 
 from __future__ import annotations
@@ -28,16 +39,18 @@ from fractions import Fraction
 from .algebra import LaurentPoly, QPoly
 from .diagram import LinkDiagram
 from .invariants import (
+    ColumnMemo,
     Ring,
     _as_ring,
     _fusion_budget,
+    _reduced_state_sum,
     _ring_digits,
-    reduced_jones,
-    unreduced_colored_jones,
+    _state_sum_bracket,
 )
 
 __all__ = [
     "CoeffList",
+    "ColumnMemo",
     "UNIT_NAMES",
     "WindowError",
     "bracket_window",
@@ -78,8 +91,13 @@ class CoeffList:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in self.coeffs))
-        object.__setattr__(self, "anchor", Fraction(self.anchor))
+        coeffs = self.coeffs
+        # a tuple of plain ints, what every window is built from, is kept
+        if type(coeffs) is not tuple or any(type(c) is not int
+                                            for c in coeffs):
+            object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in coeffs))
+        if type(self.anchor) is not Fraction:
+            object.__setattr__(self, "anchor", Fraction(self.anchor))
         if self.units not in UNIT_NAMES:
             raise WindowError(f"unknown grading units {self.units!r}")
 
@@ -113,8 +131,8 @@ def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
     )
 
 
-def _lowest_digits(n: int, style: str, twists, loops: int, need: int,
-                   digits: int) -> tuple[int, list[int]]:
+def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
+                   need: int, digits: int) -> tuple[int, list[int]]:
     """The lowest A-exponent of the fused bracket times delta(n)^loops and
     its ``need`` >= 1 coefficients from there, in steps of A^4.
 
@@ -124,7 +142,7 @@ def _lowest_digits(n: int, style: str, twists, loops: int, need: int,
     enough precision.
     """
     while True:
-        low, out = _ring_digits(n, style, twists, loops, digits)
+        low, out = _ring_digits(n, style, twists, loops, memo, digits)
         if out:
             z = min(out)
             if z + need <= digits:
@@ -135,7 +153,7 @@ def _lowest_digits(n: int, style: str, twists, loops: int, need: int,
 
 
 def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
-                   family_count: int = 0,
+                   family_count: int = 0, memo: ColumnMemo | None = None,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_bracket(unreduced_colored_jones(diagram, n).value,
     count)``, computed as a truncated series.
@@ -144,8 +162,9 @@ def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
     once.  ``family_count`` is the largest window, in A-units, of the
     family the shape belongs to: the series is taken at the precision
     that window needs, so a family shares one and its per-color weights
-    are built once.  A diagram with no ring layout takes the window of
-    its state sum.  The fusion budget is the full path's.
+    are built once.  ``memo`` is the family's ``ColumnMemo``; without one
+    the window gets its own.  A diagram with no ring layout takes the
+    window of its state sum.  The fusion budget is the full path's.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -153,23 +172,24 @@ def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
         raise ValueError("window length must be nonnegative")
     ring = _as_ring(shape)
     if ring is None:
-        value = unreduced_colored_jones(shape, n,
-                                        max_networks=max_networks).value
+        value = _state_sum_bracket(shape, n, max_networks=max_networks)
         return window_from_bracket(value, count)
     _fusion_budget(ring, n, max_networks)
     need = max(1, -(-count // 4))
-    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops, need,
+    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops,
+                             memo or ColumnMemo(), need,
                              max(need, -(-family_count // 4)) + GUARD)
     coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))
 
 
 def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
-                   family_count: int = 0,
+                   family_count: int = 0, memo: ColumnMemo | None = None,
                    max_networks: int = 100_000) -> CoeffList:
     """``window_from_reduced(reduced_jones(diagram, N), count)``, computed
-    as a truncated series; ``shape`` as in ``bracket_window``, and
-    ``family_count`` too, in the window's own q-units.
+    as a truncated series; ``shape`` and ``memo`` as in
+    ``bracket_window``, and ``family_count`` too, in the window's own
+    q-units.
     """
     if N < 2:
         raise ValueError(f"reduced polynomials start at index 2, got {N}")
@@ -178,11 +198,12 @@ def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
     n = N - 1
     ring = _as_ring(shape)
     if ring is None:
-        value = reduced_jones(shape, N, max_networks=max_networks)
+        value = _reduced_state_sum(shape, n, max_networks=max_networks)
         return window_from_reduced(value, count)
     _fusion_budget(ring, n, max_networks)
     need = max(1, count)
     low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops - 1,
-                             need, max(need, family_count) + GUARD)
+                             memo or ColumnMemo(), need,
+                             max(need, family_count) + GUARD)
     # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
     return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))

@@ -27,6 +27,7 @@ from .invariants import BudgetError, LayoutError, Ring, _ring_layout
 from .series import (
     UNIT_NAMES,
     CoeffList,
+    ColumnMemo,
     WindowError,
     bracket_window,
     reduced_window,
@@ -102,11 +103,13 @@ def stable_prefix(p1: CoeffList, p2: CoeffList) -> int:
     """Largest n with the windows n-equivalent, capped by the shorter window."""
     if p1.units != p2.units:
         raise WindowError(f"grading units differ: {p1.units!r} vs {p2.units!r}")
-    cap = min(len(p1.coeffs), len(p2.coeffs))
-    if cap == 0:
+    if not p1.coeffs or not p2.coeffs:
         return 0
-    a = normalize(p1).coeffs
-    b = normalize(p2).coeffs
+    return _common_prefix(normalize(p1).coeffs, normalize(p2).coeffs)
+
+
+def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+    cap = min(len(a), len(b))
     n = 0
     while n < cap and a[n] == b[n]:
         n += 1
@@ -460,16 +463,19 @@ def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
 
     Members are evaluated in parameter order, as truncated series at the
     one precision the largest count needs, so each color's channel
-    weights are built once for the family (see ``series``).  A budget
-    refusal raises ``BudgetError`` itself; any other ``ValueError`` or
-    ``ArithmeticError`` becomes a ``MemberError`` for the member.
+    weights are built once for the family, and with one ``ColumnMemo``,
+    so each member rebuilds only the columns that changed (see
+    ``series``).  A budget refusal raises ``BudgetError`` itself; any
+    other ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError``
+    for the member.
     """
     family_count = max(counts, default=0)
+    memo = ColumnMemo()
     return _windows(
         spec.parameters(), counts,
         lambda k, count: reduced_window(
             spec.member(k), spec.member_color(k), count,
-            family_count=family_count, max_networks=max_networks,
+            family_count=family_count, memo=memo, max_networks=max_networks,
         ),
     )
 
@@ -492,11 +498,13 @@ def _window_counts(required: Sequence[int], tail_len: int, depth: int,
 def _assemble_report(family: str, rate_text: str, params: Sequence[int],
                      step_params: Sequence[int], required: Sequence[int],
                      windows: Sequence[CoeffList], tail_len: int) -> TailReport:
+    # one family's windows share their units; each is normalized once
+    normed = [normalize(w).coeffs for w in windows]
     steps = []
     for i, req in enumerate(required):
-        lhs, rhs = windows[i], windows[i + 1]
-        cap = min(len(lhs.coeffs), len(rhs.coeffs))
-        agree = stable_prefix(lhs, rhs)
+        lhs, rhs = normed[i], normed[i + 1]
+        cap = min(len(lhs), len(rhs))
+        agree = _common_prefix(lhs, rhs)
         ok = req <= cap and agree >= req
         show = min(max(req, agree + 1), cap)
         steps.append(
@@ -505,13 +513,13 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
                 required=req,
                 verified=agree,
                 passed=ok,
-                left=normalize(lhs).coeffs[:show],
-                right=normalize(rhs).coeffs[:show],
+                left=lhs[:show],
+                right=rhs[:show],
             )
         )
-    last = normalize(windows[-1])
-    cut = max(0, min(tail_len, len(last.coeffs)))
-    tail = CoeffList(last.coeffs[:cut], windows[-1].units, Fraction(0), True)
+    last = normed[-1]
+    cut = max(0, min(tail_len, len(last)))
+    tail = CoeffList(last[:cut], windows[-1].units, Fraction(0), True)
     return TailReport(
         family=family,
         units=windows[-1].units,
@@ -578,10 +586,11 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
     family_count = max(counts, default=0)
+    memo = ColumnMemo()
     windows = _windows(
         params, counts,
         lambda k, count: bracket_window(spec.member(k), cable(k), count,
-                                        family_count=family_count),
+                                        family_count=family_count, memo=memo),
     )
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
@@ -688,10 +697,11 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(colors))
     family_count = max(counts, default=0)
+    memo = ColumnMemo()
     windows = _windows(
         colors, counts,
         lambda c, count: bracket_window(members[c], c, count,
-                                        family_count=family_count),
+                                        family_count=family_count, memo=memo),
     )
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:

@@ -396,6 +396,15 @@ class TestFusedChannels:
             colored_bracket_fused(pretzel([2, 1, k]), 3)
         assert _tet_terms.cache_info().misses == 10  # pairs of channels 0..3
 
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_closed_form_nominal_matches_the_terms(self, n):
+        # the least A-shift of the tetrahedral terms, found at the vertex
+        # of their quadratic, is the least of the enumerated shifts
+        for q in range(n + 1):
+            for p in range(n + 1):
+                shifts = [s for _, s in _tet_terms(n, min(p, q), max(p, q))]
+                assert invariants._nominal(n, q, p) == min(shifts) - 4 * p
+
     def test_needs_no_gcd_or_reduction(self, monkeypatch):
         diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), parse_pd(HOPF_TRACE))
         want = [colored_bracket_fused(d, n).value

@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 from skeinkit import invariants, series
 from skeinkit.cli import _suite_rate_theorems
 from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
-from skeinkit.invariants import BudgetError, reduced_jones, unreduced_colored_jones
+from skeinkit.invariants import (
+    BudgetError,
+    Ring,
+    reduced_jones,
+    unreduced_colored_jones,
+)
 from skeinkit.series import (
+    CoeffList,
+    ColumnMemo,
     bracket_window,
     reduced_window,
     window_from_bracket,
@@ -146,6 +153,61 @@ class TestDigitWidth:
                            2 * c, 0, 0, 0, c)
 
 
+class TestColumnMemo:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+           st.integers(1, 4), st.integers(0, 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_memo_gives_each_members_own_window(self, base, n, loops,
+                                                       data):
+        # members evaluated in turn with one memo equal each member
+        # evaluated alone, with one or more columns growing by 0..3, in
+        # parameter order or any other
+        grow = data.draw(st.sets(st.integers(0, len(base) - 1), min_size=1))
+        members = [Ring("ring", [c + j if i in grow else c
+                                 for i, c in enumerate(base)], loops)
+                   for j in data.draw(st.permutations(range(4)))]
+        counts = data.draw(st.lists(st.integers(0, 8), min_size=4,
+                                    max_size=4))
+        top = max(counts)
+        for window, index in ((reduced_window, n + 1), (bracket_window, n)):
+            memo = ColumnMemo()
+            shared = [window(r, index, c, family_count=top, memo=memo)
+                      for r, c in zip(members, counts)]
+            alone = [window(r, index, c, family_count=top)
+                     for r, c in zip(members, counts)]
+            assert shared == alone
+
+    def test_column_terms_are_kept_per_reach(self):
+        # shrinking the second column of (0, k) at color 4 moves exit
+        # channels' reach up: a column's terms below a lower reach must
+        # not stand in for those below a higher one
+        members = [Ring("ring", (0, k), 0) for k in (3, 2, 1, 0)]
+        memo = ColumnMemo()
+        for r in members:
+            assert (reduced_window(r, 5, 9, family_count=9, memo=memo)
+                    == reduced_window(r, 5, 9, family_count=9))
+
+    def test_memo_lives_for_one_family(self, monkeypatch):
+        # after one family, negated weights reach the next family: each
+        # of its three column factors flips sign, and so every window
+        spec = pretzel_family("2,3,k", "3", 1, 4)
+        first = reduced_windows(spec, [4, 4, 4, 4])
+        weight = invariants._weight
+
+        def negated(n, q, p, digits):
+            c, norm = weight(n, q, p, digits)
+            return [-x for x in c], norm
+
+        monkeypatch.setattr(invariants, "_weight", negated)
+        monkeypatch.setattr(
+            invariants, "_packed_weight",
+            lambda n, q, p, digits, width: invariants._pack_series(
+                negated(n, q, p, digits)[0], width))
+        second = reduced_windows(spec, [4, 4, 4, 4])
+        assert second == [CoeffList(tuple(-c for c in w.coeffs), w.units,
+                                    w.anchor) for w in first]
+
+
 class TestEulerProduct:
     def test_color_locked_rows(self):
         # the published 2,5,k rows at index k+1, width k+1: the first
@@ -164,8 +226,10 @@ class TestConsumers:
         def refuse(*args, **kwargs):
             raise AssertionError("a window consumer built the full polynomial")
 
-        monkeypatch.setattr(series, "reduced_jones", refuse)
-        monkeypatch.setattr(series, "unreduced_colored_jones", refuse)
+        # the fused full polynomial, and the state sums of the fallback
+        monkeypatch.setattr(invariants, "_ring_polynomial", refuse)
+        monkeypatch.setattr(series, "_state_sum_bracket", refuse)
+        monkeypatch.setattr(series, "_reduced_state_sum", refuse)
         assert reduced_windows(pretzel_family("8,6,k", "2", 1, 4), [2, 3, 4, 5])
         assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
         assert check_bracket_rate(pretzel_family("8,6,k", "2", 2, 5)).passed
@@ -183,6 +247,22 @@ class TestConsumers:
         assert family_tail(pretzel_family("8,6,k", "2", 1, 4), "k+1").passed
         assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
         assert check_bracket_rate(pretzel_family("k,k,2", "2", 0, 3)).passed
+
+    @pytest.mark.parametrize("fn,index", [(bracket_window, 1),
+                                          (reduced_window, 2)])
+    def test_one_layout_search_per_window(self, monkeypatch, fn, index):
+        calls = []
+        layout = invariants._ring_layout
+
+        def counted(diagram):
+            calls.append(diagram)
+            return layout(diagram)
+
+        monkeypatch.setattr(invariants, "_ring_layout", counted)
+        for d in (pretzel([0, 2]), pretzel([2, 3])):  # without, with a ring
+            calls.clear()
+            fn(d, index, 4)
+            assert calls == [d]
 
     def test_state_sum_route_without_a_ring(self):
         d = pretzel([0, 2])  # its one region does not close up on its own

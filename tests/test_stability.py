@@ -88,6 +88,17 @@ class TestNormalize:
     def test_fractional_coefficient_rejected(self):
         with pytest.raises(WindowError, match="non-integer"):
             CoeffList((Fraction(1, 2),))
+        with pytest.raises(WindowError, match="non-integer"):
+            CoeffList((1, -2, Fraction(1, 2)))
+
+    def test_integral_coefficients_become_ints(self):
+        # a tuple of plain ints is kept; anything else is checked and rebuilt
+        for coeffs in ((Fraction(3), 2), [3, 2], (3.0, Fraction(2))):
+            c = CoeffList(coeffs)
+            assert c.coeffs == (3, 2)
+            assert all(type(x) is int for x in c.coeffs)
+        plain = (3, 2)
+        assert CoeffList(plain).coeffs is plain
 
     @given(heads, tails)
     @settings(max_examples=40)
