@@ -47,7 +47,6 @@ from .algebra import (
     exact_div,
     fusion_coeff,
     substitute_quarter,
-    twist_coeff,
 )
 from .diagram import (
     DiagramError,
@@ -336,11 +335,18 @@ def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
 # A column's factor sum_p c[q][p] * twist_p^k depends only on the color,
 # the exit q and its count k, so a ``ColumnMemo`` keeps it for one family
 # evaluation: for its one color, the twist monomials, and per column the
-# nominal lowest exponent keyed by (q, k), the terms below the exit's reach
-# m with their L1 bound keyed by (q, k, m, digits), and the packed sum keyed
-# by (q, k, m, digits, width).  The family callers in ``stability`` make one
+# nominal lowest exponent keyed by (q, k), the channels below the exit's
+# reach m keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits), and
+# their packed sum keyed by (q, k, m, digits, width).  It also keeps the
+# weights themselves: the longest series built of each symmetric tet/theta
+# part and of each c[q][p], and per (q, p, digits) the weight's L1 norm and
+# its packings by width.  A
+# shorter precision takes a slice of the longest series, which is exact:
+# every step that builds one is an operation modulo x^M that a longer
+# precision only extends.  The family callers in ``stability`` make one
 # per family; a lone window or a full polynomial makes its own.  The memo
-# dies with its family, so a value it holds is never older than the family.
+# dies with its family, so a value it holds is never older than the family,
+# and no weight outlives it.
 
 
 def _quarters(e: int) -> int:
@@ -433,6 +439,23 @@ def _nominal(n: int, q: int | None, p: int) -> int:
     off ``_tet_factorials``, so its least value over the terms is at an
     integer next to the vertex -beta/12, clamped to the term range: no
     term list is built.
+
+    Adjacent channels differ by -4(p+1) <= _nominal(n, q, p+1) -
+    _nominal(n, q, p) <= 4p, which lets ``ColumnMemo`` walk a column's
+    channels outward from its lowest one.  For q None the step is -4.
+    Otherwise term u of channel p has the shift S(a, b, u) - 4p, with
+    S = 2a^2 - 4ab + 4an + 2a + 2n + 6u^2 + (4b - 8a - 4n - 2)u over
+    0 <= u <= min(n - b, a), so the step is -4 plus the change of the
+    least S, which lies in [-4p, 4(p+1)]: compare each side's least term
+    with a term of the other side.
+
+    * p >= q raises b = p.  The range only shrinks, and at a fixed u, S
+      moves by 4(u - a), in [-4p, 0].  Only u = n - b leaves the range;
+      u - 1 at b + 1 lies 4(a + b - n + 1) <= 4(p + 1) above it.
+    * p < q raises a = p.  The range only grows, and raising u with a
+      moves S by 4(u - a), in [-4p, 0].  Where u + 1 leaves the range,
+      u = n - b, and raising a alone moves S by 4(a + b - n + 1) <=
+      4(p + 1); at u = 0 raising a alone moves S by 4(a - b + n + 1) > 0.
     """
     if q is None:
         return -4 * p
@@ -445,7 +468,6 @@ def _nominal(n: int, q: int | None, p: int) -> int:
             + min(6 * u * u + beta * u, 6 * v * v + beta * v) - 4 * p)
 
 
-@functools.cache
 def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
     """tet(n,n,2a,n,n,2b) / (theta_a theta_b) modulo x^digits above its
     nominal lowest exponent, for a <= b: the first term is a ratio of
@@ -468,32 +490,6 @@ def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
     return total
 
 
-@functools.cache
-def _weight(n: int, q: int | None, p: int,
-            digits: int) -> tuple[list[int], int]:
-    """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
-    ``_nominal(n, q, p)``, with its L1 norm; q None gives delta(2p).
-
-    Only the tet/theta part is symmetric in p and q; delta(2p) belongs
-    to the column channel p.
-    """
-    if q is None:
-        c = [1] * min(2 * p + 1, digits)
-    else:
-        c = list(_symmetric(n, min(p, q), max(p, q), digits))
-        _times(c, 2 * p + 1)
-        _over(c, 1)
-    return c, sum(map(abs, c))
-
-
-@functools.cache
-def _packed_weight(n: int, q: int | None, p: int, digits: int,
-                   width: int) -> int:
-    # Members of one family mostly share their digit width, so each weight
-    # is packed about once per family (the measured gain is in CHANGES.md).
-    return _pack_series(_weight(n, q, p, digits)[0], width)
-
-
 def _pack_series(c: list[int], width: int) -> int:
     # sum of c[i] * X^i at X = 2^(8*width)
     return _pack(dict(enumerate(c)), 0, 1, width)
@@ -511,6 +507,16 @@ def _mask(t: int, digits: int, width: int) -> int:
     return ((t + half) & (top - 1)) - half
 
 
+def _longest(store: dict, key, digits: int, build) -> list[int]:
+    # the series kept under ``key`` cut to ``digits``, built anew by
+    # ``build(digits)`` when the kept one is shorter
+    have = store.get(key)
+    if have is None or have[0] < digits:
+        have = store[key] = digits, build(digits)
+    kept, series = have
+    return series if kept == digits else series[:digits]
+
+
 class ColumnMemo:
     """The column factors of ring sums at one color, kept for one family
     evaluation, so a member rebuilds only the columns whose count changed
@@ -520,55 +526,129 @@ class ColumnMemo:
     def __init__(self) -> None:
         self._n: int | None = None
 
-    def _color(self, n: int) -> list[tuple[int, int]]:
-        if n != self._n:
-            self._n = n
-            # the twist monomial of channel p: (A-exponent, sign)
-            self._mus = [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
-                         for p in range(n + 1)]
-            self._least: dict = {}
-            self._terms: dict = {}
-            self._packed: dict = {}
-        return self._mus
+    def _color(self, n: int) -> None:
+        # every method calls this when asked for another color than the last
+        self._n = n
+        # the twist monomial twist_coeff(n, n, 2p) of channel p:
+        # (A-exponent, sign) = (2n - 2p + n^2 - 2p^2, (-1)^(n-p))
+        self._mus = [(2 * (n - p) + n * n - 2 * p * p,
+                      -1 if (n - p) % 2 else 1) for p in range(n + 1)]
+        self._least: dict = {}
+        self._terms: dict = {}
+        self._norms: dict = {}
+        self._packed: dict = {}
+        self._symmetric: dict = {}
+        self._weights: dict = {}
+        self._channels: dict = {}
 
     def least(self, n: int, q: int | None, k: int) -> int:
         """The nominal lowest A-exponent of a column of k crossings on exit
-        q: the least of sum_p c[q][p] * twist_p^k over its terms."""
-        mus = self._color(n)
+        q: the least of sum_p c[q][p] * twist_p^k over its terms.
+
+        Channel p's twist exponent falls by 4(p+1) per crossing from p to
+        p+1, and ``_nominal`` rises by at most 4p, so for k >= 1 the
+        column's exponent falls strictly with p and the least is at
+        p = n; ``_nominal`` falls by at most 4(p+1), so for k <= -1 it
+        never falls with p and the least is at p = 0.  Only k = 0 scans
+        every channel.
+        """
+        if n != self._n:
+            self._color(n)
         key = q, k
         if key not in self._least:
-            self._least[key] = min(_nominal(n, q, p) + e * k
-                                   for p, (e, _) in enumerate(mus))
+            ps = range(n + 1) if k == 0 else (n,) if k > 0 else (0,)
+            self._least[key] = min(_nominal(n, q, p) + self._mus[p][0] * k
+                                   for p in ps)
         return self._least[key]
 
-    def terms(self, n: int, q: int | None, k: int, m: int,
-              digits: int) -> tuple[list[tuple[int, bool, int]], int]:
+    def terms(self, n: int, q: int | None, k: int,
+              m: int) -> list[tuple[int, bool, int]]:
         """The column's terms that start below digit ``m`` of its lowest
-        exponent, each (digit offset, negated, channel p), and the L1 bound
-        of their sum modulo x^digits."""
-        mus = self._color(n)
-        key = q, k, m, digits
+        exponent, each (digit offset, negated, channel p).
+
+        The walk starts at the lowest channel (see ``least``) and moves
+        away from it, and the offsets never fall along it, so it stops at
+        the first channel that starts at digit ``m`` or beyond.  No weight
+        is built.
+        """
+        if n != self._n:
+            self._color(n)
+        key = q, k, m
         if key not in self._terms:
             least = self.least(n, q, k)
-            terms, norm = [], 0
-            for p, (e, s) in enumerate(mus):
+            terms = []
+            for p in range(n, -1, -1) if k > 0 else range(n + 1):
+                e, s = self._mus[p]
                 off = _quarters(_nominal(n, q, p) + e * k - least)
                 if off < m:
                     terms.append((off, s < 0 and k % 2 == 1, p))
-                    norm += _weight(n, q, p, digits)[1]
-            self._terms[key] = terms, norm
+                elif k:
+                    break
+            self._terms[key] = terms
         return self._terms[key]
+
+    def norm(self, n: int, q: int | None, k: int, m: int, digits: int) -> int:
+        """The L1 bound of the column's terms below digit ``m``, modulo
+        x^digits."""
+        if n != self._n:
+            self._color(n)
+        key = q, k, m, digits
+        if key not in self._norms:
+            chans = self._channels
+            self._norms[key] = sum(
+                (chans.get((q, p, digits)) or self._channel(n, q, p, digits))[0]
+                for _, _, p in self.terms(n, q, k, m))
+        return self._norms[key]
+
+    def _channel(self, n: int, q: int | None, p: int,
+                 digits: int) -> tuple[int, dict[int, int]]:
+        # the L1 norm of c[q][p] modulo x^digits, and the weight packed by
+        # width (members of one family mostly share their digit width, so
+        # each weight is packed about once per family), kept under
+        # (q, p, digits); callers look there first
+        chan = self._channels[q, p, digits] = (
+            sum(map(abs, self.weight(n, q, p, digits))), {})
+        return chan
+
+    def weight(self, n: int, q: int | None, p: int, digits: int) -> list[int]:
+        """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
+        ``_nominal(n, q, p)``; q None gives delta(2p).
+
+        Only the tet/theta part is symmetric in p and q, so it is kept
+        once per pair; delta(2p) belongs to the column channel p.
+        """
+        if n != self._n:
+            self._color(n)
+        if q is None:
+            return [1] * min(2 * p + 1, digits)
+        a, b = min(p, q), max(p, q)
+
+        def build(digits: int) -> list[int]:
+            c = list(_longest(self._symmetric, (a, b), digits,
+                              lambda d: _symmetric(n, a, b, d)))
+            _times(c, 2 * p + 1)
+            _over(c, 1)
+            return c
+
+        return _longest(self._weights, (q, p), digits, build)
 
     def packed(self, n: int, q: int | None, k: int, m: int, digits: int,
                width: int) -> int:
         """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
-        self._color(n)
+        if n != self._n:
+            self._color(n)
         key = q, k, m, digits, width
         if key not in self._packed:
             digit = 8 * width
             acc = 0
-            for off, neg, p in self.terms(n, q, k, m, digits)[0]:
-                c = _packed_weight(n, q, p, digits, width) << (digit * off)
+            chans = self._channels
+            for off, neg, p in self.terms(n, q, k, m):
+                packs = (chans.get((q, p, digits))
+                         or self._channel(n, q, p, digits))[1]
+                if width not in packs:
+                    packs[width] = _pack_series(self.weight(n, q, p, digits),
+                                                width)
+                c = packs[width] << (digit * off)
                 acc = acc - c if neg else acc + c
             self._packed[key] = acc
         return self._packed[key]
@@ -595,25 +675,39 @@ def _span(memo: ColumnMemo, n: int, style: str, twists: Sequence[int],
 
 
 def _ring_digits(n: int, style: str, twists: Sequence[int], loops: int,
-                 memo: ColumnMemo, digits: int) -> tuple[int, dict[int, int]]:
+                 memo: ColumnMemo, max_networks: int,
+                 digits: int) -> tuple[int, dict[int, int]]:
     """The fused bracket times delta(n)^loops (loops >= -1) modulo x^digits
     above its nominal lowest A-exponent: that exponent, and the nonzero
-    digits by position.  ``memo`` holds the columns of the family."""
+    digits by position.  ``memo`` holds the columns of the family.
+
+    The fusion budget: past ``max_networks`` column terms in the plan,
+    counted over the exits that start below digit ``digits`` and the
+    channels each column reaches there, ``BudgetError`` is raised before
+    any weight is built.
+    """
     lows = _exit_lows(memo, n, style, twists)
     base = min(lows.values())
-    # the exits that start below digit ``digits``, and the L1 bound of
-    # their terms that do
-    plan, bound = [], 0
+    # the exits that start below digit ``digits``, each with its reach m
+    plan, terms = [], 0
     for q, low in lows.items():
         at = _quarters(low - base)
         m = digits - at
         if m <= 0:
             continue
-        length = min(2 * (q or 0) + 1, m)
+        plan.append((q, at, m, min(2 * (q or 0) + 1, m)))
+        for k in twists:
+            terms += len(memo.terms(n, q, k, m))
+        if terms > max_networks:
+            raise BudgetError(
+                f"at least {terms} fusion column terms exceed the "
+                f"configured cap of {max_networks}"
+            )
+    bound = 0
+    for q, at, m, length in plan:
         norm = length
         for k in twists:
-            norm *= memo.terms(n, q, k, m, digits)[1]
-        plan.append((q, at, m, length))
+            norm *= memo.norm(n, q, k, m, digits)
         bound += norm
     bound *= _loop_norm(n, loops, digits)
     width = bound.bit_length() // 8 + 1
@@ -655,19 +749,22 @@ def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
     return t
 
 
-def _ring_polynomial(n: int, style: str, twists: Sequence[int],
-                     loops: int) -> LaurentPoly:
+def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
+                     *, max_networks: int = 100_000) -> LaurentPoly:
     """The fused bracket times delta(n)^loops (loops >= -1), whole.
 
     A polynomial is its own power series, so the ring sum taken to the
     top of its nominal span is exact.  The two digits past the top vanish
     for a Laurent polynomial; a nonzero one means a weight, or the loop
-    division, left the ring of Laurent polynomials.
+    division, left the ring of Laurent polynomials.  The span reaches
+    about every channel of every exit, so the fusion budget of
+    ``_ring_digits`` counts about r * (n+1)^2 column terms here.
     """
     memo = ColumnMemo()
     low, top = _span(memo, n, style, twists, loops)
     span = _quarters(top - low) + 1
-    low, out = _ring_digits(n, style, twists, loops, memo, span + 2)
+    low, out = _ring_digits(n, style, twists, loops, memo, max_networks,
+                            span + 2)
     if max(out, default=0) >= span:
         raise ExactDivisionError(
             "fused bracket is not a Laurent polynomial; this signals a "
@@ -675,16 +772,6 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int],
             f"at color {n} has a coefficient past the top of its span"
         )
     return LaurentPoly({low + 4 * i: c for i, c in out.items()})
-
-
-def _fusion_budget(ring: Ring, n: int, max_networks: int) -> None:
-    """Refuse with ``BudgetError`` past r * (n+1)^2 column terms."""
-    terms = len(ring.counts) * (n + 1) ** 2
-    if terms > max_networks:
-        raise BudgetError(
-            f"{terms} fusion column terms exceed the configured cap of "
-            f"{max_networks}"
-        )
 
 
 def colored_bracket_fused(
@@ -701,15 +788,15 @@ def colored_bracket_fused(
     loop(2p) tet(n,n,2p,n,n,2q) / (theta_p theta_q).  The sum is taken as
     a truncated power series in A^4 (``_ring_digits``) to the top of its
     nominal span, and two digits past it that must vanish.  The budget
-    counts the r * (n+1)^2 column terms this takes.
+    counts the column terms this builds, about r * (n+1)^2.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
     ring, _ = _ring_layout(diagram)
-    _fusion_budget(ring, n, max_networks)
-    return BracketValue(_ring_polynomial(n, ring.style, ring.counts, ring.loops))
+    return BracketValue(_ring_polynomial(n, ring.style, ring.counts,
+                                         ring.loops, max_networks=max_networks))
 
 
 # -- oracle: the colored state sum ----------------------------------------------
@@ -873,9 +960,8 @@ def reduced_jones(
     if ring is None:
         return _reduced_state_sum(diagram, n, max_crossings=max_crossings,
                                   max_networks=max_networks)
-    _fusion_budget(ring, n, max_networks)
-    return substitute_quarter(
-        _ring_polynomial(n, ring.style, ring.counts, ring.loops - 1))
+    return substitute_quarter(_ring_polynomial(
+        n, ring.style, ring.counts, ring.loops - 1, max_networks=max_networks))
 
 
 # -- degree predictors -----------------------------------------------------------

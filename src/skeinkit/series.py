@@ -22,13 +22,30 @@ again at M = z + count.
 The column memo.  Each column of a ring contributes one factor per exit
 channel q, and a ``ColumnMemo`` keeps those factors: for its one color,
 the channels' twist monomials and, per column of k crossings, its nominal
-lowest exponent keyed by (q, k), its terms below the exit's reach m with
-their L1 bound keyed by (q, k, m, digits), and their packed sum keyed by
-(q, k, m, digits, width).  It lives for one family evaluation: the family
-callers in ``stability`` create one and pass it as ``memo`` next to the
-family's precision, so a member rebuilds only the columns whose count
-changed; a window taken alone, or a full polynomial, gets a fresh one.
-No memo outlives its family, so nothing it holds goes stale.
+lowest exponent keyed by (q, k), its channels below the exit's reach m
+keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits), and their
+packed sum keyed by (q, k, m, digits, width), besides the channel weights
+themselves, the longest series built of each.  It lives for one family
+evaluation: the family callers in ``stability`` create one and pass it as
+``memo`` next to the family's precision, so a member rebuilds only the
+columns whose count changed; a window taken alone, or a full polynomial,
+gets a fresh one.  No memo outlives its family, so nothing it holds goes
+stale and no weight is held after it.
+
+What is walked.  A column of k >= 1 crossings starts lowest at channel
+n, and each channel below starts strictly higher, so the memo reads the
+column's lowest exponent off channel n and walks its channels down from
+there, stopping at the first that starts at the exit's reach m or beyond
+(``invariants._nominal`` derives the bound this rests on).  Only a column
+of 0 crossings scans every channel.
+
+What is counted.  ``max_networks`` caps the column terms the series
+builds: for each exit that starts below the precision, the channels each
+column reaches there.  They are counted before any weight is built, at
+each precision the sum is taken at, and the count stops at the first
+exit that passes the cap.  The window of the published ``2,5,k`` row at
+color 200 counts 36 (12 exits of 3 columns, one channel each); a full
+polynomial reaches about r (n+1)^2.
 """
 
 from __future__ import annotations
@@ -42,7 +59,6 @@ from .invariants import (
     ColumnMemo,
     Ring,
     _as_ring,
-    _fusion_budget,
     _reduced_state_sum,
     _ring_digits,
     _state_sum_bracket,
@@ -132,7 +148,8 @@ def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
 
 
 def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
-                   need: int, digits: int) -> tuple[int, list[int]]:
+                   max_networks: int, need: int,
+                   digits: int) -> tuple[int, list[int]]:
     """The lowest A-exponent of the fused bracket times delta(n)^loops and
     its ``need`` >= 1 coefficients from there, in steps of A^4.
 
@@ -142,7 +159,8 @@ def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
     enough precision.
     """
     while True:
-        low, out = _ring_digits(n, style, twists, loops, memo, digits)
+        low, out = _ring_digits(n, style, twists, loops, memo, max_networks,
+                                digits)
         if out:
             z = min(out)
             if z + need <= digits:
@@ -164,7 +182,8 @@ def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
     that window needs, so a family shares one and its per-color weights
     are built once.  ``memo`` is the family's ``ColumnMemo``; without one
     the window gets its own.  A diagram with no ring layout takes the
-    window of its state sum.  The fusion budget is the full path's.
+    window of its state sum.  The fusion budget counts the column terms
+    the window's series builds, at each precision it is taken at.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -174,10 +193,9 @@ def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
     if ring is None:
         value = _state_sum_bracket(shape, n, max_networks=max_networks)
         return window_from_bracket(value, count)
-    _fusion_budget(ring, n, max_networks)
     need = max(1, -(-count // 4))
     low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops,
-                             memo or ColumnMemo(), need,
+                             memo or ColumnMemo(), max_networks, need,
                              max(need, -(-family_count // 4)) + GUARD)
     coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))
@@ -200,10 +218,9 @@ def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
     if ring is None:
         value = _reduced_state_sum(shape, n, max_networks=max_networks)
         return window_from_reduced(value, count)
-    _fusion_budget(ring, n, max_networks)
     need = max(1, count)
     low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops - 1,
-                             memo or ColumnMemo(), need,
+                             memo or ColumnMemo(), max_networks, need,
                              max(need, family_count) + GUARD)
     # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
     return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))

@@ -30,6 +30,8 @@ from skeinkit.diagram import (
 from skeinkit.invariants import bracket_state_sum, colored_state_sum, reduced_jones
 from skeinkit.stability import normalize, window_from_reduced
 
+from test_series import euler
+
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
 
 
@@ -371,14 +373,34 @@ class TestTable:
             want.append((k, list(normalize(window_from_reduced(qp, 2)).coeffs)))
         assert parse_text_rows(result.output) == want
 
+    def test_color_locked_rows_at_high_color(self, runner):
+        # the default budget counts the column terms the windows build,
+        # so it takes the published family at color 190 and beyond; each
+        # row is the first k+1 coefficients of (q;q)_inf
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "2,5,k",
+            "--color", "k+1",
+            "--range", "190..192",
+            "--window", "k+1",
+        )
+        assert result.exit_code == 0, result.output
+        assert parse_text_rows(result.output) == [
+            (k, euler(k + 1)) for k in range(190, 193)]
+
     @pytest.mark.parametrize(
         "extra,message",
         [
-            (["--color", "400"],
-             "480000 fusion column terms exceed the configured cap of 100000"),
-            (["--color", "4", "--max-networks", "10"],
-             "48 fusion column terms exceed the configured cap of 10"),
+            # windows wide enough to reach most channels of most exits
+            (["--color", "400", "--window", "160000"],
+             "at least 100168 fusion column terms exceed the configured cap "
+             "of 100000"),
+            (["--color", "4", "--window", "20", "--max-networks", "10"],
+             "at least 12 fusion column terms exceed the configured cap of "
+             "10"),
         ],
+        ids=["default-cap", "lowered-cap"],
     )
     def test_network_budget_names_max_networks(self, runner, extra, message):
         result = run(
@@ -386,7 +408,6 @@ class TestTable:
             "table",
             "--pretzel-family", "2,2,k",
             "--range", "1..2",
-            "--window", "1",
             *extra,
         )
         assert result.exit_code == 1
@@ -441,12 +462,12 @@ class TestTail:
             "--pretzel-family", "2,2,k",
             "--color", "400",
             "--range", "1..2",
-            "--rate", "1",
+            "--rate", "160000",
         )
         assert result.exit_code == 1
         assert result.output == (
-            "Error: 480000 fusion column terms exceed the configured cap "
-            "of 100000\n"
+            "Error: at least 100170 fusion column terms exceed the "
+            "configured cap of 100000\n"
         )
 
     def test_json_report(self, runner):

@@ -8,8 +8,10 @@ normalizing the global sign, since the pipelines keep the diagram's
 framing monomial.
 """
 
+import bisect
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -44,6 +46,7 @@ from skeinkit import invariants, planar
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
+    ColumnMemo,
     LayoutError,
     Ring,
     _over,
@@ -110,11 +113,10 @@ def schoolbook_ring(diagram, n):
 
 
 def clear_weights():
-    """Empty the fused evaluator's memoized series, so the next value is
-    built from scratch."""
-    for memo in (invariants._tet_terms, invariants._nominal,
-                 invariants._symmetric, invariants._weight,
-                 invariants._packed_weight):
+    """Empty the fused evaluator's process-wide memos, so the next value is
+    built from scratch (its weight series live in each evaluation's own
+    ``ColumnMemo``)."""
+    for memo in (invariants._tet_terms, invariants._nominal):
         memo.cache_clear()
 
 
@@ -459,14 +461,10 @@ class TestFusedChannels:
         for bits in range(48):
             c = 1 << bits
 
-            def weight(n, q, p, digits, c=c):
-                return [c] + [0] * (digits - 1), c
+            def weight(self, n, q, p, digits, c=c):
+                return [c] + [0] * (digits - 1)
 
-            monkeypatch.setattr(invariants, "_weight", weight)
-            monkeypatch.setattr(
-                invariants, "_packed_weight",
-                lambda n, q, p, digits, width: invariants._pack_series(
-                    weight(n, q, p, digits)[0], width))
+            monkeypatch.setattr(ColumnMemo, "weight", weight)
             got = colored_bracket_fused(d, 1).value
             low = got.min_degree()
             assert got == LaurentPoly({low: c, low + 4: 2 * c, low + 8: 2 * c,
@@ -496,7 +494,8 @@ class TestFusedChannels:
 
     @pytest.mark.parametrize("counts,N", [([1] * 20, 3), ([2] * 7, 6)])
     def test_fusion_budget_accepts_cheap_wide_rings(self, counts, N):
-        # the budget counts r * (n+1)^2 column terms, not (n+1)^r
+        # the budget counts the column terms built, about r * (n+1)^2 for
+        # a full polynomial, not (n+1)^r
         assert not reduced_jones(pretzel(counts), N).is_zero()
 
     def test_free_loops_multiply(self):
@@ -526,6 +525,88 @@ class TestFusedChannels:
         with pytest.raises(LayoutError, match="smoothed away"):
             _ring_layout(d)
         assert colored_bracket_fused(d, 2).value == delta(2) ** d.free_loops
+
+
+def twist_exponents(n):
+    """The A-exponent and sign of twist_coeff(n, n, 2p) for every p."""
+    return [next(iter(twist_coeff(n, n, 2 * p).terms.items()))
+            for p in range(n + 1)]
+
+
+class TestChannelWalk:
+    """``ColumnMemo`` reads a column's least exponent off its lowest
+    channel and walks its terms outward from there; both must equal the
+    enumeration of every channel."""
+
+    @staticmethod
+    def mismatches(memo, n, q, ks, ms, mus):
+        """The (n, q, k, m) whose pruned least or terms are not the full
+        enumeration's; m None stands for the least."""
+        nominals = [invariants._nominal(n, q, p) for p in range(n + 1)]
+        bad = []
+        for k in ks:
+            exps = [c + e * k for c, (e, _) in zip(nominals, mus)]
+            least = min(exps)
+            if memo.least(n, q, k) != least:
+                bad.append((n, q, k, None))
+            offsets = sorted([(e - least) // 4 for e in exps])
+            for m in ms:
+                # distinct channels, each below m with its own offset and
+                # sign, as many as the channels below m: the same set
+                got = memo.terms(n, q, k, m)
+                if not (len({p for _, _, p in got}) == len(got)
+                        == bisect.bisect_left(offsets, m)
+                        and all(off == (exps[p] - least) // 4 < m
+                                and neg == (mus[p][1] < 0 and k % 2 == 1)
+                                for off, neg, p in got)):
+                    bad.append((n, q, k, m))
+        return bad
+
+    @pytest.mark.parametrize("n", range(60))
+    def test_walk_is_the_full_enumeration(self, n):
+        memo, mus = ColumnMemo(), twist_exponents(n)
+        assert not [bad for q in [None, *range(n + 1)]
+                    for bad in self.mismatches(memo, n, q, range(-60, 61),
+                                               (1, 9, 40), mus)]
+
+    @given(st.integers(1, 400), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_at_high_color(self, n, data):
+        q = data.draw(st.none() | st.integers(0, n))
+        k = data.draw(st.integers(-400, 400))
+        ms = data.draw(st.lists(st.integers(1, 4 * n * n + 10), min_size=1,
+                                max_size=3))
+        assert not self.mismatches(ColumnMemo(), n, q, [k], ms,
+                                   twist_exponents(n))
+
+    @pytest.mark.parametrize("n", range(1, 151, 7))
+    def test_adjacent_nominals_differ_within_the_bound(self, n):
+        # the bound the walk rests on: -4(p+1) <= step <= 4p
+        nominal = invariants._nominal
+        assert not [(q, p) for q in [None, *range(n + 1)] for p in range(n)
+                    if not -4 * (p + 1) <= nominal(n, q, p + 1)
+                    - nominal(n, q, p) <= 4 * p]
+
+    @pytest.mark.parametrize("n", range(60))
+    def test_twist_monomials_are_the_closed_form(self, n):
+        memo = ColumnMemo()
+        memo._color(n)
+        assert memo._mus == twist_exponents(n)
+
+    def test_full_polynomials_leave_no_weights_behind(self):
+        # each full polynomial builds its weights in its own memo, so
+        # nothing of them is held once it returns (k = 8, 9 held 4.1 MB
+        # when the weights were memoized per precision for the process)
+        d = [pretzel([2, 5, k]) for k in range(8, 10)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k, member in zip(range(8, 10), d):
+                reduced_jones(member, k + 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
 
 class TestRing:

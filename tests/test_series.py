@@ -140,14 +140,10 @@ class TestDigitWidth:
         for bits in range(48):
             c = 1 << bits
 
-            def weight(n, q, p, digits, c=c):
-                return [c] + [0] * (digits - 1), c
+            def weight(self, n, q, p, digits, c=c):
+                return [c] + [0] * (digits - 1)
 
-            monkeypatch.setattr(invariants, "_weight", weight)
-            monkeypatch.setattr(
-                invariants, "_packed_weight",
-                lambda n, q, p, digits, width: invariants._pack_series(
-                    weight(n, q, p, digits)[0], width))
+            monkeypatch.setattr(ColumnMemo, "weight", weight)
             got = bracket_window(d, 1, 17).coeffs
             assert got == (c, 0, 0, 0, 2 * c, 0, 0, 0, 2 * c, 0, 0, 0,
                            2 * c, 0, 0, 0, c)
@@ -192,17 +188,12 @@ class TestColumnMemo:
         # of its three column factors flips sign, and so every window
         spec = pretzel_family("2,3,k", "3", 1, 4)
         first = reduced_windows(spec, [4, 4, 4, 4])
-        weight = invariants._weight
+        weight = ColumnMemo.weight
 
-        def negated(n, q, p, digits):
-            c, norm = weight(n, q, p, digits)
-            return [-x for x in c], norm
+        def negated(self, n, q, p, digits):
+            return [-x for x in weight(self, n, q, p, digits)]
 
-        monkeypatch.setattr(invariants, "_weight", negated)
-        monkeypatch.setattr(
-            invariants, "_packed_weight",
-            lambda n, q, p, digits, width: invariants._pack_series(
-                negated(n, q, p, digits)[0], width))
+        monkeypatch.setattr(ColumnMemo, "weight", negated)
         second = reduced_windows(spec, [4, 4, 4, 4])
         assert second == [CoeffList(tuple(-c for c in w.coeffs), w.units,
                                     w.anchor) for w in first]
@@ -270,10 +261,18 @@ class TestConsumers:
                 == window_from_reduced(reduced_jones(d, 2), 4))
 
     def test_fusion_budget_is_the_full_paths(self):
-        with pytest.raises(BudgetError, match="48 fusion column terms"):
-            reduced_window(pretzel([2, 2, 1]), 4, 3, max_networks=10)
-        with pytest.raises(BudgetError, match="48 fusion column terms"):
-            bracket_window(pretzel([2, 2, 1]), 3, 3, max_networks=10)
+        # a window as wide as the span plans the full path's column terms
+        d = pretzel([2, 2, 1])
+        with pytest.raises(BudgetError) as full:
+            reduced_jones(d, 4, max_networks=10)
+        with pytest.raises(BudgetError) as window:
+            reduced_window(d, 4, 200, max_networks=10)
+        assert str(window.value) == str(full.value)
+        with pytest.raises(BudgetError) as full:
+            unreduced_colored_jones(d, 3, max_networks=10)
+        with pytest.raises(BudgetError) as window:
+            bracket_window(d, 3, 800, max_networks=10)
+        assert str(window.value) == str(full.value)
 
     @pytest.mark.parametrize("fn,index", [(bracket_window, 0),
                                           (reduced_window, 1)])

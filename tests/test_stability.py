@@ -458,15 +458,16 @@ class TestReducedWindows:
 
     def test_network_budget_is_passed_along(self):
         spec = pretzel_family("2,2,k", "4", 1, 2)
-        with pytest.raises(BudgetError, match="48 fusion column terms"):
-            reduced_windows(spec, [1, 1], max_networks=10)
+        with pytest.raises(BudgetError, match="12 fusion column terms"):
+            reduced_windows(spec, [20, 20], max_networks=10)
 
     @pytest.mark.parametrize(
         "run",
         [
-            lambda spec: family_tail(spec, 1),
-            lambda spec: check_colored_rate(spec, rate=1),
-            lambda spec: reduced_windows(spec, [1, 1]),
+            # windows wide enough to reach most channels of most exits
+            lambda spec: family_tail(spec, 160000),
+            lambda spec: check_colored_rate(spec, rate=640000),
+            lambda spec: reduced_windows(spec, [160000, 160000]),
         ],
         ids=["family_tail", "check_colored_rate", "reduced_windows"],
     )
@@ -479,7 +480,8 @@ class TestReducedWindows:
 
     def test_color_stability_budget_refusal(self):
         with pytest.raises(BudgetError) as exc:
-            check_color_stability(pretzel([2, 2, 2]), (399, 400))
+            check_color_stability(pretzel([2, 2, 2]), (399, 400),
+                                  depth=640000)
         assert not isinstance(exc.value, MemberError)
 
     def test_value_error_names_the_member(self):
