@@ -43,6 +43,7 @@ from .invariants import (
     AdequacyError,
     BudgetError,
     bracket_state_sum,
+    bracket_window,
     channel_probe,
     colored_bracket_fused,
     colored_state_sum,
@@ -63,7 +64,6 @@ from .planar import (
     theta_network,
     turnback,
 )
-from .series import bracket_window
 from .stability import (
     ExpressionError,
     FamilyExpr,

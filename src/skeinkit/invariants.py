@@ -1,4 +1,4 @@
-"""Bracket evaluation pipelines.
+"""Bracket evaluation pipelines, and the routes from a diagram to a value.
 
 Three independent routes to the same exact values:
 
@@ -9,19 +9,17 @@ Three independent routes to the same exact values:
   contracts the sum at width 2n: one clasped step morphism per color,
   a power of it per column, and the ring closed as the Markov trace of
   the quarter-turned columns stacked in ring order.
-* ``colored_bracket_fused``: the twist-region fast path, collapsing
-  each column of the diagram's ``Ring`` (its closure, column twist
-  counts and free loops, all the path reads of it) into a sum over
-  colored channels whose k-fold twisting is plain exponent arithmetic.
-  It is pure closed-form algebra (loop values, theta, tetrahedral
-  coefficients and twist monomials), summed as one truncated power
-  series in A^4: the windows of ``series`` take its lowest digits, the
-  full polynomials take it to the top of its span.  The Temperley-Lieb
-  networks here only check it.
+* ``colored_bracket_fused``: the twist-region fast path, the closed-form
+  ring sum of ``series`` over the diagram's ``Ring`` (its closure,
+  column twist counts and free loops, all the path reads of it).  The
+  Temperley-Lieb networks here only check it.
 
-On top of these sit reduced polynomial extraction, the closed-form
-minimum-degree predictors, and ``channel_probe``, the value of the
-network that replaces one region by a single colored channel.
+The routers ``unreduced_colored_jones``, ``reduced_jones``,
+``bracket_window``, ``reduced_window`` and ``family_windows`` send a
+diagram with a ring layout to the series engine, and one without to the
+state sum that takes it.  Beside them sit the closed-form minimum-degree
+predictors, and ``channel_probe``, the value of the network that
+replaces one region by a single colored channel.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     DELTA,
@@ -41,8 +39,6 @@ from .algebra import (
     LaurentPoly,
     QPoly,
     RationalFn,
-    _pack,
-    _unpack,
     delta,
     exact_div,
     fusion_coeff,
@@ -69,10 +65,16 @@ from .planar import (
     tensor,
     turnback,
 )
-
-
-class BudgetError(ValueError):
-    """A configured evaluation cap would be exceeded."""
+from .series import (
+    BudgetError,
+    CoeffList,
+    ColumnMemo,
+    Ring,
+    ring_polynomial,
+    ring_window,
+    window_from_bracket,
+    window_from_reduced,
+)
 
 
 class AdequacyError(ValueError):
@@ -183,37 +185,6 @@ def bracket_state_sum(
 
 
 @dataclass(frozen=True)
-class Ring:
-    """What the fused evaluator reads of a diagram: how its twist columns
-    close up, how many crossings each carries, and its free loops.
-
-    ``style`` "ring" closes the columns cyclically, the right cable of
-    each bending into the left cable of the next; "trace" closes its one
-    column around the side.  ``counts`` lists the columns' crossings in
-    ring order; a column of 0 crossings passes both strands straight
-    through.
-    """
-
-    style: str
-    counts: tuple[int, ...]
-    loops: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.style not in ("ring", "trace"):
-            raise ValueError(
-                f"style must be 'ring' or 'trace', got {self.style!r}")
-        if not self.counts:
-            raise ValueError("a ring needs at least one column")
-        if self.style == "trace" and len(self.counts) != 1:
-            raise ValueError("a trace closes exactly one column")
-        if min(self.counts) < 0:
-            raise ValueError("column twist counts must be nonnegative")
-        if self.loops < 0:
-            raise ValueError("free loops must be nonnegative")
-
-
-@dataclass(frozen=True)
 class _Column:
     """One twist region with its boundary arcs, (bottom, top) per side."""
 
@@ -296,507 +267,20 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
     raise LayoutError("labeled regions do not close into a single ring")
 
 
-def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
-    """A ``Ring`` as it is, or a diagram's ring layout; None for a
-    diagram without one, which the state sums take."""
-    if isinstance(shape, Ring):
-        return shape
-    try:
-        return _ring_layout(shape)[0]
-    except LayoutError:
-        return None
-
-
-# -- fused fast path: the ring sum as a truncated q-series ----------------------
-#
-# Put x = A^4.  Then [k]! = A^(-k(k-1)) F_k(x) with
-# F_k(x) = prod_{j<=k} (1 - x^j) / (1 - x) and F_k(0) = 1, so a ratio of
-# quantum factorials is +-A^s times prod_j (1 - x^j)^w_j for its net
-# exponent vector w, a power series over Z.  Modulo x^M only the factors
-# with j < M matter, so a ratio costs O(M) vector steps at any color, and
-# factors that cancel are never multiplied in.  Loop values, theta, every
-# term of the tetrahedral sum and so every channel weight c[q][p] is such
-# a series, and the ring sum
-#
-#     sum_q delta(2q) prod_columns sum_p c[q][p] * twist_p^k
-#
-# is a sum of shifted products of them: a twist monomial is a digit shift,
-# and a term that starts at or beyond digit M is never computed.  Modulo
-# x^M the sum needs no common denominator and no division, and dividing by
-# delta(n) is one multiplication by (-1)^n A^(2n) F_n / F_(n+1).
-#
-# The ring sum is evaluated as Python ints at X = 2^(8*width): x^i -> X^i
-# is a ring map from Z[x]/(x^M) onto Z/X^M, so masking after every product
-# keeps the ints short, and the digits read back exactly as soon as every
-# coefficient of the result fits with a sign.  The width comes from the L1
-# bound sum_q |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 over the
-# truncated series; truncation never raises an L1 norm.
-#
-# A column's factor sum_p c[q][p] * twist_p^k depends only on the color,
-# the exit q and its count k, so a ``ColumnMemo`` keeps it for one family
-# evaluation: for its one color, the twist monomials, and per column the
-# nominal lowest exponent keyed by (q, k), the channels below the exit's
-# reach m keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits), and
-# their packed sum keyed by (q, k, m, digits, width).  It also keeps the
-# weights themselves: the longest series built of each symmetric tet/theta
-# part and of each c[q][p], and per (q, p, digits) the weight's L1 norm and
-# its packings by width.  A
-# shorter precision takes a slice of the longest series, which is exact:
-# every step that builds one is an operation modulo x^M that a longer
-# precision only extends.  The family callers in ``stability`` make one
-# per family; a lone window or a full polynomial makes its own.  The memo
-# dies with its family, so a value it holds is never older than the family,
-# and no weight outlives it.
-
-
-def _quarters(e: int) -> int:
-    # an exponent difference in digits of x = A^4
-    d, rest = divmod(e, 4)
-    if rest:
-        raise ArithmeticError(
-            "fused terms leave the lattice of A^4; this signals a convention "
-            "bug upstream"
-        )
-    return d
-
-
-def _times(c: list[int], j: int) -> None:
-    # c *= 1 - x^j, in place, modulo x^len(c)
-    if j < len(c):
-        c[j:] = map(operator.sub, c[j:], c[:-j])
-
-
-def _over(c: list[int], j: int) -> None:
-    # c /= 1 - x^j, in place, modulo x^len(c): a running sum along each
-    # residue class mod j that holds more than one digit
-    for r in range(min(j, len(c) - j)):
-        c[r::j] = itertools.accumulate(c[r::j])
-
-
-def _ratio(up, down, digits: int) -> list[int]:
-    """prod F_k over ``up`` / prod F_k over ``down``, modulo x^digits.
-
-    Built from the net exponent of each (1 - x^j), j < digits: F_k has
-    (1 - x^j) once for every 1 <= j <= k, and (1 - x)^-k besides.
-    """
-    ends = [0] * max(digits, 1)  # ends[j]: net count of min(k, digits-1) = j
-    for ks, sgn in ((up, 1), (down, -1)):
-        for k in ks:
-            if k:
-                ends[min(k, digits - 1)] += sgn
-    c = [1] + [0] * (digits - 1)
-    reach = 0  # net count of factorials with k >= j
-    for j in range(digits - 1, 0, -1):
-        reach += ends[j]
-        e = reach - (sum(up) - sum(down) if j == 1 else 0)
-        for _ in range(e):
-            _times(c, j)
-        for _ in range(-e):
-            _over(c, j)
-    return c
-
-
-def _fact_shift(up, down) -> int:
-    # A-exponent of prod [k]! over ``up`` / prod [k]! over ``down``
-    return sum(k * (k - 1) for k in down) - sum(k * (k - 1) for k in up)
-
-
-def _tet_factorials(n: int, a: int, b: int, u: int):
-    # tet(n,n,2a,n,n,2b) / (theta(n,n,2a) theta(n,n,2b)), term s = n+b+u
-    # of the tetrahedral sum, as factorials up / down (a <= b)
-    up = (n - a, a, a, n - b, b, b, n + b + u + 1)
-    down = (n + a + 1, n + b + 1, u, u, u + b - a, u + b - a, n - b - u,
-            a - u, a - u)
-    return up, down
-
-
-def _tet_steps(n: int, a: int, b: int, u: int):
-    # term u of the tetrahedral sum over term u - 1, as (1 - x^j) factors
-    # up / down: [s+1][2n-s+1][a-u+1]^2 / ([u]^2 [u+b-a]^2), s = n+b+u
-    return ((n + b + u + 1, n - b - u + 1, a - u + 1, a - u + 1),
-            (u, u, u + b - a, u + b - a))
-
-
-@functools.cache
-def _tet_terms(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """(sign, A-shift) of each term of the symmetric channel weight
-    tet(n,n,2a,n,n,2b) / (theta_a theta_b), for a <= b."""
-    # (-1)^(a+b) from the thetas and (-1)^s from the term s = n+b+u
-    return tuple(
-        ((-1) ** (n + a + u), _fact_shift(*_tet_factorials(n, a, b, u)))
-        for u in range(min(n - b, a) + 1)
-    )
-
-
-@functools.cache
-def _nominal(n: int, q: int | None, p: int) -> int:
-    """The A-exponent the series of c[q][p] starts at; q None stands for
-    the weight delta(2p) of a region closed around the side.  Every weight
-    is symmetric under A -> 1/A, so its top exponent is minus this.
-
-    The A-shift of term u of the tetrahedral sum is the convex quadratic
-    6u^2 + beta u + (its value at u = 0), with beta = 4b - 8a - 4n - 2 read
-    off ``_tet_factorials``, so its least value over the terms is at an
-    integer next to the vertex -beta/12, clamped to the term range: no
-    term list is built.
-
-    Adjacent channels differ by -4(p+1) <= _nominal(n, q, p+1) -
-    _nominal(n, q, p) <= 4p, which lets ``ColumnMemo`` walk a column's
-    channels outward from its lowest one.  For q None the step is -4.
-    Otherwise term u of channel p has the shift S(a, b, u) - 4p, with
-    S = 2a^2 - 4ab + 4an + 2a + 2n + 6u^2 + (4b - 8a - 4n - 2)u over
-    0 <= u <= min(n - b, a), so the step is -4 plus the change of the
-    least S, which lies in [-4p, 4(p+1)]: compare each side's least term
-    with a term of the other side.
-
-    * p >= q raises b = p.  The range only shrinks, and at a fixed u, S
-      moves by 4(u - a), in [-4p, 0].  Only u = n - b leaves the range;
-      u - 1 at b + 1 lies 4(a + b - n + 1) <= 4(p + 1) above it.
-    * p < q raises a = p.  The range only grows, and raising u with a
-      moves S by 4(u - a), in [-4p, 0].  Where u + 1 leaves the range,
-      u = n - b, and raising a alone moves S by 4(a + b - n + 1) <=
-      4(p + 1); at u = 0 raising a alone moves S by 4(a - b + n + 1) > 0.
-    """
-    if q is None:
-        return -4 * p
-    a, b = min(p, q), max(p, q)
-    beta = 4 * b - 8 * a - 4 * n - 2
-    top = min(n - b, a)
-    u = min(max(-beta // 12, 0), top)
-    v = min(u + 1, top)
-    return (_fact_shift(*_tet_factorials(n, a, b, 0))
-            + min(6 * u * u + beta * u, 6 * v * v + beta * v) - 4 * p)
-
-
-def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
-    """tet(n,n,2a,n,n,2b) / (theta_a theta_b) modulo x^digits above its
-    nominal lowest exponent, for a <= b: the first term is a ratio of
-    factorials, and each next one the last times ``_tet_steps``."""
-    terms = _tet_terms(n, a, b)
-    low = min(s for _, s in terms)
-    total = [0] * digits
-    series = _ratio(*_tet_factorials(n, a, b, 0), digits)
-    for u, (sign, shift) in enumerate(terms):
-        if u:
-            ups, downs = _tet_steps(n, a, b, u)
-            for j in ups:
-                _times(series, j)
-            for j in downs:
-                _over(series, j)
-        off = _quarters(shift - low)
-        if off < digits:
-            op = operator.add if sign > 0 else operator.sub
-            total[off:] = map(op, total[off:], series)
-    return total
-
-
-def _pack_series(c: list[int], width: int) -> int:
-    # sum of c[i] * X^i at X = 2^(8*width)
-    return _pack(dict(enumerate(c)), 0, 1, width)
-
-
-def _ones(length: int, width: int) -> int:
-    # 1 + X + ... + X^(length-1), a loop value delta(m) with length m + 1
-    return int.from_bytes((1).to_bytes(width, "little") * length, "little")
-
-
-def _mask(t: int, digits: int, width: int) -> int:
-    # the representative of t modulo X^digits nearest 0
-    top = 1 << (8 * width * digits)
-    half = top >> 1
-    return ((t + half) & (top - 1)) - half
-
-
-def _longest(store: dict, key, digits: int, build) -> list[int]:
-    # the series kept under ``key`` cut to ``digits``, built anew by
-    # ``build(digits)`` when the kept one is shorter
-    have = store.get(key)
-    if have is None or have[0] < digits:
-        have = store[key] = digits, build(digits)
-    kept, series = have
-    return series if kept == digits else series[:digits]
-
-
-class ColumnMemo:
-    """The column factors of ring sums at one color, kept for one family
-    evaluation, so a member rebuilds only the columns whose count changed
-    (what it holds, and under which keys, is in the comment above
-    ``_quarters``).  Asking for another color empties it."""
-
-    def __init__(self) -> None:
-        self._n: int | None = None
-
-    def _color(self, n: int) -> None:
-        # every method calls this when asked for another color than the last
-        self._n = n
-        # the twist monomial twist_coeff(n, n, 2p) of channel p:
-        # (A-exponent, sign) = (2n - 2p + n^2 - 2p^2, (-1)^(n-p))
-        self._mus = [(2 * (n - p) + n * n - 2 * p * p,
-                      -1 if (n - p) % 2 else 1) for p in range(n + 1)]
-        self._least: dict = {}
-        self._terms: dict = {}
-        self._norms: dict = {}
-        self._packed: dict = {}
-        self._symmetric: dict = {}
-        self._weights: dict = {}
-        self._channels: dict = {}
-
-    def least(self, n: int, q: int | None, k: int) -> int:
-        """The nominal lowest A-exponent of a column of k crossings on exit
-        q: the least of sum_p c[q][p] * twist_p^k over its terms.
-
-        Channel p's twist exponent falls by 4(p+1) per crossing from p to
-        p+1, and ``_nominal`` rises by at most 4p, so for k >= 1 the
-        column's exponent falls strictly with p and the least is at
-        p = n; ``_nominal`` falls by at most 4(p+1), so for k <= -1 it
-        never falls with p and the least is at p = 0.  Only k = 0 scans
-        every channel.
-        """
-        if n != self._n:
-            self._color(n)
-        key = q, k
-        if key not in self._least:
-            ps = range(n + 1) if k == 0 else (n,) if k > 0 else (0,)
-            self._least[key] = min(_nominal(n, q, p) + self._mus[p][0] * k
-                                   for p in ps)
-        return self._least[key]
-
-    def terms(self, n: int, q: int | None, k: int,
-              m: int) -> list[tuple[int, bool, int]]:
-        """The column's terms that start below digit ``m`` of its lowest
-        exponent, each (digit offset, negated, channel p).
-
-        The walk starts at the lowest channel (see ``least``) and moves
-        away from it, and the offsets never fall along it, so it stops at
-        the first channel that starts at digit ``m`` or beyond.  No weight
-        is built.
-        """
-        if n != self._n:
-            self._color(n)
-        key = q, k, m
-        if key not in self._terms:
-            least = self.least(n, q, k)
-            terms = []
-            for p in range(n, -1, -1) if k > 0 else range(n + 1):
-                e, s = self._mus[p]
-                off = _quarters(_nominal(n, q, p) + e * k - least)
-                if off < m:
-                    terms.append((off, s < 0 and k % 2 == 1, p))
-                elif k:
-                    break
-            self._terms[key] = terms
-        return self._terms[key]
-
-    def norm(self, n: int, q: int | None, k: int, m: int, digits: int) -> int:
-        """The L1 bound of the column's terms below digit ``m``, modulo
-        x^digits."""
-        if n != self._n:
-            self._color(n)
-        key = q, k, m, digits
-        if key not in self._norms:
-            chans = self._channels
-            self._norms[key] = sum(
-                (chans.get((q, p, digits)) or self._channel(n, q, p, digits))[0]
-                for _, _, p in self.terms(n, q, k, m))
-        return self._norms[key]
-
-    def _channel(self, n: int, q: int | None, p: int,
-                 digits: int) -> tuple[int, dict[int, int]]:
-        # the L1 norm of c[q][p] modulo x^digits, and the weight packed by
-        # width (members of one family mostly share their digit width, so
-        # each weight is packed about once per family), kept under
-        # (q, p, digits); callers look there first
-        chan = self._channels[q, p, digits] = (
-            sum(map(abs, self.weight(n, q, p, digits))), {})
-        return chan
-
-    def weight(self, n: int, q: int | None, p: int, digits: int) -> list[int]:
-        """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
-        ``_nominal(n, q, p)``; q None gives delta(2p).
-
-        Only the tet/theta part is symmetric in p and q, so it is kept
-        once per pair; delta(2p) belongs to the column channel p.
-        """
-        if n != self._n:
-            self._color(n)
-        if q is None:
-            return [1] * min(2 * p + 1, digits)
-        a, b = min(p, q), max(p, q)
-
-        def build(digits: int) -> list[int]:
-            c = list(_longest(self._symmetric, (a, b), digits,
-                              lambda d: _symmetric(n, a, b, d)))
-            _times(c, 2 * p + 1)
-            _over(c, 1)
-            return c
-
-        return _longest(self._weights, (q, p), digits, build)
-
-    def packed(self, n: int, q: int | None, k: int, m: int, digits: int,
-               width: int) -> int:
-        """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
-        if n != self._n:
-            self._color(n)
-        key = q, k, m, digits, width
-        if key not in self._packed:
-            digit = 8 * width
-            acc = 0
-            chans = self._channels
-            for off, neg, p in self.terms(n, q, k, m):
-                packs = (chans.get((q, p, digits))
-                         or self._channel(n, q, p, digits))[1]
-                if width not in packs:
-                    packs[width] = _pack_series(self.weight(n, q, p, digits),
-                                                width)
-                c = packs[width] << (digit * off)
-                acc = acc - c if neg else acc + c
-            self._packed[key] = acc
-        return self._packed[key]
-
-
-def _exit_lows(memo: ColumnMemo, n: int, style: str,
-               twists: Sequence[int]) -> dict[int | None, int]:
-    """The nominal lowest A-exponent of the ring sum's terms by exit
-    channel q.  delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed
-    around the side ("trace") is the single exit q None, sum_p delta(2p) *
-    twist_p^k."""
-    return {q: -4 * (q or 0) + sum(memo.least(n, q, k) for k in twists)
-            for q in ([None] if style == "trace" else range(n + 1))}
-
-
-def _span(memo: ColumnMemo, n: int, style: str, twists: Sequence[int],
-          loops: int) -> tuple[int, int]:
-    """The nominal lowest and highest A-exponents of the fused bracket times
-    delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
-    negated, so the top is minus the mirror's nominal bottom."""
-    low = min(_exit_lows(memo, n, style, twists).values())
-    top = -min(_exit_lows(memo, n, style, [-k for k in twists]).values())
-    return low - 2 * n * loops, top + 2 * n * loops
-
-
-def _ring_digits(n: int, style: str, twists: Sequence[int], loops: int,
-                 memo: ColumnMemo, max_networks: int,
-                 digits: int) -> tuple[int, dict[int, int]]:
-    """The fused bracket times delta(n)^loops (loops >= -1) modulo x^digits
-    above its nominal lowest A-exponent: that exponent, and the nonzero
-    digits by position.  ``memo`` holds the columns of the family.
-
-    The fusion budget: past ``max_networks`` column terms in the plan,
-    counted over the exits that start below digit ``digits`` and the
-    channels each column reaches there, ``BudgetError`` is raised before
-    any weight is built.
-    """
-    lows = _exit_lows(memo, n, style, twists)
-    base = min(lows.values())
-    # the exits that start below digit ``digits``, each with its reach m
-    plan, terms = [], 0
-    for q, low in lows.items():
-        at = _quarters(low - base)
-        m = digits - at
-        if m <= 0:
-            continue
-        plan.append((q, at, m, min(2 * (q or 0) + 1, m)))
-        for k in twists:
-            terms += len(memo.terms(n, q, k, m))
-        if terms > max_networks:
-            raise BudgetError(
-                f"at least {terms} fusion column terms exceed the "
-                f"configured cap of {max_networks}"
-            )
-    bound = 0
-    for q, at, m, length in plan:
-        norm = length
-        for k in twists:
-            norm *= memo.norm(n, q, k, m, digits)
-        bound += norm
-    bound *= _loop_norm(n, loops, digits)
-    width = bound.bit_length() // 8 + 1
-    total = 0
-    for q, at, m, length in plan:
-        prod = _ones(length, width)
-        for k in twists:
-            prod = _mask(prod * memo.packed(n, q, k, m, digits, width),
-                         m, width)
-        total += prod << (8 * width * at)
-    total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
-    out = _unpack(total, 0, 1, width) if total else {}
-    if n * loops % 2:
-        out = {i: -c for i, c in out.items()}
-    return base - 2 * n * loops, out
-
-
-def _loop_norm(n: int, loops: int, digits: int) -> int:
-    # |(1 + x + ... + x^n)^loops|_1 modulo x^digits, or a bound for it
-    if loops >= 0:
-        return (n + 1) ** loops
-    # (1 - x) / (1 - x^(n+1)): two terms per n+1 digits
-    return 2 * (-(-digits // (n + 1)))
-
-
-def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
-    # t * (1 + x + ... + x^n)^loops modulo x^digits, packed (loops >= -1)
-    digit = 8 * width
-    for _ in range(loops):
-        t = _mask(t * _ones(min(n + 1, digits), width), digits, width)
-    if loops < 0:
-        # times (1 - x), then over (1 - x^(n+1)), which is times
-        # (1 + x^j)(1 + x^2j)(1 + x^4j)... for j = n + 1
-        t = _mask(t - (t << digit), digits, width)
-        j = n + 1
-        while j < digits:
-            t = _mask(t + (t << (digit * j)), digits, width)
-            j *= 2
-    return t
-
-
-def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
-                     *, max_networks: int = 100_000) -> LaurentPoly:
-    """The fused bracket times delta(n)^loops (loops >= -1), whole.
-
-    A polynomial is its own power series, so the ring sum taken to the
-    top of its nominal span is exact.  The two digits past the top vanish
-    for a Laurent polynomial; a nonzero one means a weight, or the loop
-    division, left the ring of Laurent polynomials.  The span reaches
-    about every channel of every exit, so the fusion budget of
-    ``_ring_digits`` counts about r * (n+1)^2 column terms here.
-    """
-    memo = ColumnMemo()
-    low, top = _span(memo, n, style, twists, loops)
-    span = _quarters(top - low) + 1
-    low, out = _ring_digits(n, style, twists, loops, memo, max_networks,
-                            span + 2)
-    if max(out, default=0) >= span:
-        raise ExactDivisionError(
-            "fused bracket is not a Laurent polynomial; this signals a "
-            f"convention bug upstream: the ring sum of {len(twists)} columns "
-            f"at color {n} has a coefficient past the top of its span"
-        )
-    return LaurentPoly({low + 4 * i: c for i, c in out.items()})
-
-
 def colored_bracket_fused(
     diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
 ) -> BracketValue:
-    """Color-n bracket with every twist region fused into channels.
-
-    Each region of k crossings becomes a sum over channels p with
-    weight [loop(2p)/theta(n,n,2p)] * twist(n,n,2p)^k.  A region closed
-    around the side leaves one theta network per channel, so its total
-    is sum_p loop(2p) * twist^k.  A ring of r regions is grouped by its
-    common exit channel q: the total is sum_q loop(2q) times the product
-    over columns of sum_p c[q][p] * twist^k, with c[q][p] =
-    loop(2p) tet(n,n,2p,n,n,2q) / (theta_p theta_q).  The sum is taken as
-    a truncated power series in A^4 (``_ring_digits``) to the top of its
-    nominal span, and two digits past it that must vanish.  The budget
-    counts the column terms this builds, about r * (n+1)^2.
+    """Color-n bracket with every twist region fused into channels: the
+    ring sum of the diagram's ring layout, taken as a truncated power
+    series in A^4 to the top of its span (``series.ring_polynomial``).
+    The budget counts the column terms this builds, about r * (n+1)^2.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
     if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
     ring, _ = _ring_layout(diagram)
-    return BracketValue(_ring_polynomial(n, ring.style, ring.counts,
-                                         ring.loops, max_networks=max_networks))
+    return BracketValue(ring_polynomial(ring, n, max_networks=max_networks))
 
 
 # -- oracle: the colored state sum ----------------------------------------------
@@ -887,29 +371,58 @@ def colored_state_sum(
     return BracketValue(value)
 
 
-# -- routing and reduced polynomials --------------------------------------------
+# -- routing: ring layouts to the series engine, the rest to the state sums ---
 
 
-def _state_sum_bracket(diagram: LinkDiagram, n: int, *,
-                       max_crossings: int = 20,
-                       max_networks: int = 100_000) -> LaurentPoly:
+def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
+    """A ``Ring`` as it is, or a diagram's ring layout; None for a
+    diagram without one, which the state sums take."""
+    if isinstance(shape, Ring):
+        return shape
+    try:
+        return _ring_layout(shape)[0]
+    except LayoutError:
+        return None
+
+
+def _cable(index: int, reduced: bool) -> int:
+    # the cable color of a bracket at color ``index``, or of the reduced
+    # polynomial of that index
+    if index < 1 + reduced:
+        raise ValueError(f"reduced polynomials start at index 2, got {index}"
+                         if reduced else f"cable color must be >= 1, got {index}")
+    return index - reduced
+
+
+def _state_sum(diagram: LinkDiagram, n: int, reduced: bool, *,
+               max_crossings: int = 20,
+               max_networks: int = 100_000) -> LaurentPoly | QPoly:
     """The color-n bracket of a diagram without a ring layout, by the
     state-sum oracle that takes it: the frontier sweep at n = 1, the
-    clasped state sum above (which needs a ring layout of its own)."""
+    clasped state sum above (which needs a ring layout of its own).  With
+    ``reduced``, over delta(n) in q: the one schoolbook division."""
     if diagram.crossing_count == 0:
-        return delta(n) ** diagram.free_loops
-    if n == 1:
-        return bracket_state_sum(diagram, max_crossings=max_crossings).value
-    return colored_state_sum(diagram, n, max_networks=max_networks).value
+        value = delta(n) ** diagram.free_loops
+    elif n == 1:
+        value = bracket_state_sum(diagram, max_crossings=max_crossings).value
+    else:
+        value = colored_state_sum(diagram, n, max_networks=max_networks).value
+    return substitute_quarter(exact_div(value, delta(n))) if reduced else value
 
 
-def unreduced_colored_jones(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    max_crossings: int = 20,
-    max_networks: int = 100_000,
-) -> BracketValue:
+def _value(shape: Ring | LinkDiagram, index: int, reduced: bool,
+           max_crossings: int, max_networks: int) -> LaurentPoly | QPoly:
+    n = _cable(index, reduced)
+    ring = _as_ring(shape)
+    if ring is None:
+        return _state_sum(shape, n, reduced, max_crossings=max_crossings,
+                          max_networks=max_networks)
+    return ring_polynomial(ring, n, reduced=reduced, max_networks=max_networks)
+
+
+def unreduced_colored_jones(diagram: LinkDiagram, n: int, *,
+                            max_crossings: int = 20,
+                            max_networks: int = 100_000) -> BracketValue:
     """Bracket of the diagram with every component cabled by color n.
 
     The value is one representative of the invariant: the framing
@@ -918,33 +431,12 @@ def unreduced_colored_jones(
     route through the fused path; anything else falls back to the
     matching state-sum oracle.
     """
-    if n < 1:
-        raise ValueError(f"cable color must be >= 1, got {n}")
-    try:
-        return colored_bracket_fused(diagram, n, max_networks=max_networks)
-    except LayoutError:
-        pass
-    return BracketValue(_state_sum_bracket(
-        diagram, n, max_crossings=max_crossings, max_networks=max_networks))
+    return BracketValue(_value(diagram, n, False, max_crossings,
+                               max_networks))
 
 
-def _reduced_state_sum(diagram: LinkDiagram, n: int, *,
-                       max_crossings: int = 20,
-                       max_networks: int = 100_000) -> QPoly:
-    # the state sum's bracket over delta(n), the one schoolbook division
-    return substitute_quarter(exact_div(
-        _state_sum_bracket(diagram, n, max_crossings=max_crossings,
-                           max_networks=max_networks),
-        delta(n)))
-
-
-def reduced_jones(
-    diagram: LinkDiagram,
-    N: int,
-    *,
-    max_crossings: int = 20,
-    max_networks: int = 100_000,
-) -> QPoly:
+def reduced_jones(diagram: LinkDiagram, N: int, *, max_crossings: int = 20,
+                  max_networks: int = 100_000) -> QPoly:
     """The reduced polynomial indexed N >= 2: cable color N-1, one loop
     factor divided out, exponents read in the quarter-power variable.
 
@@ -953,15 +445,57 @@ def reduced_jones(
     ring layout takes the loop factor out inside its series; only the
     state-sum fallback divides by delta(n).
     """
-    if N < 2:
-        raise ValueError(f"reduced polynomials start at index 2, got {N}")
-    n = N - 1
-    ring = _as_ring(diagram)
-    if ring is None:
-        return _reduced_state_sum(diagram, n, max_crossings=max_crossings,
-                                  max_networks=max_networks)
-    return substitute_quarter(_ring_polynomial(
-        n, ring.style, ring.counts, ring.loops - 1, max_networks=max_networks))
+    return _value(diagram, N, True, max_crossings, max_networks)
+
+
+def family_windows(members: Iterable[Ring | LinkDiagram],
+                   colors: Iterable[int], counts: Sequence[int], *,
+                   reduced: bool = False,
+                   max_networks: int = 100_000) -> Iterator[CoeffList]:
+    """The window of each member in turn, drawn with its color as it is
+    asked for: its lowest ``counts[i]`` coefficients at cable color
+    ``colors[i]`` in A-units, or with ``reduced`` those of its reduced
+    polynomial of index ``colors[i]`` in q-units.
+
+    Ring layouts are taken as truncated series at the one precision the
+    largest count needs, with a ``series.ColumnMemo`` per run of members
+    at one color, so each color's weights are built once and a member
+    rebuilds only the columns that changed.  A diagram with no ring
+    layout takes its state sum's window.
+    """
+    top = max(counts, default=0)
+    memo = None
+    for shape, index, count in zip(members, colors, counts):
+        n = _cable(index, reduced)
+        if count < 0:
+            raise ValueError("window length must be nonnegative")
+        ring = _as_ring(shape)
+        if ring is None:
+            value = _state_sum(shape, n, reduced, max_networks=max_networks)
+            read = window_from_reduced if reduced else window_from_bracket
+            yield read(value, count)
+            continue
+        if memo is None or memo.n != n:
+            memo = ColumnMemo(n)
+        yield ring_window(ring, memo, count, top, reduced=reduced,
+                          max_networks=max_networks)
+
+
+def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
+                   max_networks: int = 100_000) -> CoeffList:
+    """``window_from_bracket(unreduced_colored_jones(diagram, n).value,
+    count)``, computed as a truncated series when ``shape`` is a ``Ring``
+    or has a ring layout: a family of one (``family_windows``)."""
+    return next(family_windows([shape], [n], [count],
+                               max_networks=max_networks))
+
+
+def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
+                   max_networks: int = 100_000) -> CoeffList:
+    """``window_from_reduced(reduced_jones(diagram, N), count)``, computed
+    as a truncated series as ``bracket_window`` is."""
+    return next(family_windows([shape], [N], [count], reduced=True,
+                               max_networks=max_networks))
 
 
 # -- degree predictors -----------------------------------------------------------

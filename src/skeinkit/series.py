@@ -1,76 +1,92 @@
-"""Coefficient windows: the lowest coefficients of a colored bracket or of a
-reduced polynomial.
+"""The series engine: the fused ring sum as a truncated power series, and
+the coefficient windows read off it.
 
-A window is either read off a full polynomial (``window_from_bracket``,
-``window_from_reduced``) or computed directly as a truncated power series
-(``bracket_window``, ``reduced_window``), which never builds the rest of
-the polynomial.
+A ``Ring`` is what the engine reads of a diagram: its closure, its
+columns' twist counts and its free loops.  Its colored bracket is the ring
+sum over exit channels q of delta(2q) prod_columns sum_p c[q][p] *
+twist_p^k, with c[q][p] = delta(2p) tet(n,n,2p,n,n,2q) / (theta_p
+theta_q); a region closed around the side ("trace") is sum_p delta(2p) *
+twist_p^k.  This module imports only ``algebra``: ``invariants`` routes a
+diagram to its ring layout here, or to a state sum when it has none.
 
-The series path.  ``invariants._ring_digits`` takes the ring sum of a
-``Ring``, or of a diagram's ring layout, as a truncated power series in
-x = A^4, modulo x^M above its nominal lowest exponent, with no common
-denominator and no division; dividing by delta(n) is one multiplication by
-(-1)^n A^(2n) F_n / F_(n+1).  The full polynomials of
-``invariants.colored_bracket_fused`` and ``invariants.reduced_jones`` are
-the same sum taken to the top of its span; a window takes only the M
-digits it needs, at the precision its family shares.
+The series.  Put x = A^4.  Then [k]! = A^(-k(k-1)) F_k(x) with F_k(x) =
+prod_{j<=k} (1 - x^j) / (1 - x), so a ratio of quantum factorials is
++-A^s prod_j (1 - x^j)^w_j, a power series over Z of which only the
+factors with j < M matter modulo x^M.  Every channel weight is such a
+series and a twist monomial is a digit shift, so ``_ring_digits`` takes
+the ring sum modulo x^M above its nominal lowest exponent with no common
+denominator and no division, and never computes a term that starts at
+digit M or beyond; dividing by delta(n) is one multiplication by (-1)^n
+A^(2n) F_n / F_(n+1).  The sum is evaluated as Python ints at X =
+2^(8*width), masked after every product (x^i -> X^i is a ring map from
+Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound sum_q
+|delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of the truncated series.  A
+window (``ring_window``) takes the digits it needs at its family's
+precision, and again at z + count digits when its lowest z vanish; a full
+polynomial (``ring_polynomial``) takes the sum to the top of its span.
 
-The result is exact to M digits above its nominal lowest exponent.  When
-the lowest z of those digits vanish and z + count > M, the sum is taken
-again at M = z + count.
+Zero columns.  A column of 0 crossings is the identity on its two cables,
+so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes at every
+other exit, and the trace of one is two loops.  A ring with z zero columns
+keeps exit 0 alone, drops those columns and gains z loops (``_fold``).
 
-The column memo.  Each column of a ring contributes one factor per exit
-channel q, and a ``ColumnMemo`` keeps those factors: for its one color,
-the channels' twist monomials and, per column of k crossings, its nominal
-lowest exponent keyed by (q, k), its channels below the exit's reach m
-keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits), and their
-packed sum keyed by (q, k, m, digits, width), besides the channel weights
-themselves, the longest series built of each.  It lives for one family
-evaluation: the family callers in ``stability`` create one and pass it as
-``memo`` next to the family's precision, so a member rebuilds only the
-columns whose count changed; a window taken alone, or a full polynomial,
-gets a fresh one.  No memo outlives its family, so nothing it holds goes
+The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
+only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
+it for one color of one family: the channels' twist monomials; per column
+its nominal lowest exponent keyed by (q, k), its channels below the exit's
+reach m keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits) and
+their packed sum keyed by (q, k, m, digits, width); and the longest series
+built of each symmetric tet/theta part and each c[q][p], with per (q, p,
+digits) the weight's L1 norm and its packings by width.  A shorter
+precision takes a slice of the longest series, which is exact: every step
+that builds one is an operation modulo x^M that a longer one extends.
+``invariants.family_windows`` makes one per color of a family, so a
+member rebuilds only the columns whose count changed; a full polynomial
+makes its own.  No memo outlives its family, so nothing it holds goes
 stale and no weight is held after it.
 
-What is walked.  A column of k >= 1 crossings starts lowest at channel
-n, and each channel below starts strictly higher, so the memo reads the
-column's lowest exponent off channel n and walks its channels down from
-there, stopping at the first that starts at the exit's reach m or beyond
-(``invariants._nominal`` derives the bound this rests on).  Only a column
-of 0 crossings scans every channel.
+What is walked.  A column of k >= 1 crossings starts lowest at channel n,
+and each channel below starts strictly higher (``_nominal`` derives the
+bound), so the memo reads its lowest exponent off channel n and walks
+down from there to the first channel that starts at the exit's reach m or
+beyond.  The mirror the span reads, k <= -1, walks up from channel 0.
 
 What is counted.  ``max_networks`` caps the column terms the series
 builds: for each exit that starts below the precision, the channels each
-column reaches there.  They are counted before any weight is built, at
-each precision the sum is taken at, and the count stops at the first
-exit that passes the cap.  The window of the published ``2,5,k`` row at
-color 200 counts 36 (12 exits of 3 columns, one channel each); a full
-polynomial reaches about r (n+1)^2.
+column reaches there, counted before any weight is built, at each
+precision the sum is taken at, up to the first exit that passes the cap.
+The window of the published ``2,5,k`` row at color 200 counts 36 (12
+exits of 3 columns, one channel each); a full polynomial reaches about
+r (n+1)^2.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .algebra import LaurentPoly, QPoly
-from .diagram import LinkDiagram
-from .invariants import (
-    ColumnMemo,
-    Ring,
-    _as_ring,
-    _reduced_state_sum,
-    _ring_digits,
-    _state_sum_bracket,
+from .algebra import (
+    ExactDivisionError,
+    LaurentPoly,
+    QPoly,
+    _pack,
+    _unpack,
+    substitute_quarter,
 )
 
 __all__ = [
+    "BudgetError",
     "CoeffList",
     "ColumnMemo",
+    "Ring",
     "UNIT_NAMES",
     "WindowError",
-    "bracket_window",
-    "reduced_window",
+    "ring_polynomial",
+    "ring_window",
     "window_from_bracket",
     "window_from_reduced",
 ]
@@ -80,6 +96,10 @@ __all__ = [
 GUARD = 2
 
 UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
+
+
+class BudgetError(ValueError):
+    """A configured evaluation cap would be exceeded."""
 
 
 class WindowError(ValueError):
@@ -147,7 +167,461 @@ def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
     )
 
 
-def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
+@dataclass(frozen=True)
+class Ring:
+    """What the fused evaluator reads of a diagram: how its twist columns
+    close up, how many crossings each carries, and its free loops.
+
+    ``style`` "ring" closes the columns cyclically, the right cable of
+    each bending into the left cable of the next; "trace" closes its one
+    column around the side.  ``counts`` lists the columns' crossings in
+    ring order; a column of 0 crossings passes both strands straight
+    through.
+    """
+
+    style: str
+    counts: tuple[int, ...]
+    loops: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if self.style not in ("ring", "trace"):
+            raise ValueError(
+                f"style must be 'ring' or 'trace', got {self.style!r}")
+        if not self.counts:
+            raise ValueError("a ring needs at least one column")
+        if self.style == "trace" and len(self.counts) != 1:
+            raise ValueError("a trace closes exactly one column")
+        if min(self.counts) < 0:
+            raise ValueError("column twist counts must be nonnegative")
+        if self.loops < 0:
+            raise ValueError("free loops must be nonnegative")
+
+
+# -- series arithmetic modulo x^M ------------------------------------------------
+
+
+def _quarters(e: int) -> int:
+    # an exponent difference in digits of x = A^4
+    d, rest = divmod(e, 4)
+    if rest:
+        raise ArithmeticError(
+            "fused terms leave the lattice of A^4; this signals a convention "
+            "bug upstream"
+        )
+    return d
+
+
+def _times(c: list[int], j: int) -> None:
+    # c *= 1 - x^j, in place, modulo x^len(c)
+    if j < len(c):
+        c[j:] = map(operator.sub, c[j:], c[:-j])
+
+
+def _over(c: list[int], j: int) -> None:
+    # c /= 1 - x^j, in place, modulo x^len(c): a running sum along each
+    # residue class mod j that holds more than one digit
+    for r in range(min(j, len(c) - j)):
+        c[r::j] = itertools.accumulate(c[r::j])
+
+
+def _ratio(up, down, digits: int) -> list[int]:
+    """prod F_k over ``up`` / prod F_k over ``down``, modulo x^digits.
+
+    Built from the net exponent of each (1 - x^j), j < digits: F_k has
+    (1 - x^j) once for every 1 <= j <= k, and (1 - x)^-k besides.
+    """
+    ends = [0] * max(digits, 1)  # ends[j]: net count of min(k, digits-1) = j
+    for ks, sgn in ((up, 1), (down, -1)):
+        for k in ks:
+            if k:
+                ends[min(k, digits - 1)] += sgn
+    c = [1] + [0] * (digits - 1)
+    reach = 0  # net count of factorials with k >= j
+    for j in range(digits - 1, 0, -1):
+        reach += ends[j]
+        e = reach - (sum(up) - sum(down) if j == 1 else 0)
+        for _ in range(e):
+            _times(c, j)
+        for _ in range(-e):
+            _over(c, j)
+    return c
+
+
+def _fact_shift(up, down) -> int:
+    # A-exponent of prod [k]! over ``up`` / prod [k]! over ``down``
+    return sum(k * (k - 1) for k in down) - sum(k * (k - 1) for k in up)
+
+
+def _tet_factorials(n: int, a: int, b: int, u: int):
+    # tet(n,n,2a,n,n,2b) / (theta(n,n,2a) theta(n,n,2b)), term s = n+b+u
+    # of the tetrahedral sum, as factorials up / down (a <= b)
+    up = (n - a, a, a, n - b, b, b, n + b + u + 1)
+    down = (n + a + 1, n + b + 1, u, u, u + b - a, u + b - a, n - b - u,
+            a - u, a - u)
+    return up, down
+
+
+def _tet_steps(n: int, a: int, b: int, u: int):
+    # term u of the tetrahedral sum over term u - 1, as (1 - x^j) factors
+    # up / down: [s+1][2n-s+1][a-u+1]^2 / ([u]^2 [u+b-a]^2), s = n+b+u
+    return ((n + b + u + 1, n - b - u + 1, a - u + 1, a - u + 1),
+            (u, u, u + b - a, u + b - a))
+
+
+@functools.cache
+def _tet_terms(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """(sign, A-shift) of each term of the symmetric channel weight
+    tet(n,n,2a,n,n,2b) / (theta_a theta_b), for a <= b."""
+    # (-1)^(a+b) from the thetas and (-1)^s from the term s = n+b+u
+    return tuple(
+        ((-1) ** (n + a + u), _fact_shift(*_tet_factorials(n, a, b, u)))
+        for u in range(min(n - b, a) + 1)
+    )
+
+
+@functools.cache
+def _nominal(n: int, q: int | None, p: int) -> int:
+    """The A-exponent the series of c[q][p] starts at; q None stands for
+    the weight delta(2p) of a region closed around the side.  Every weight
+    is symmetric under A -> 1/A, so its top exponent is minus this.
+
+    The A-shift of term u of the tetrahedral sum is the convex quadratic
+    6u^2 + beta u + (its value at u = 0), with beta = 4b - 8a - 4n - 2 read
+    off ``_tet_factorials``, so its least value over the terms is at an
+    integer next to the vertex -beta/12, clamped to the term range: no
+    term list is built.
+
+    Adjacent channels differ by -4(p+1) <= _nominal(n, q, p+1) -
+    _nominal(n, q, p) <= 4p, which lets ``ColumnMemo`` walk a column's
+    channels outward from its lowest one.  For q None the step is -4.
+    Otherwise term u of channel p has the shift S(a, b, u) - 4p, with
+    S = 2a^2 - 4ab + 4an + 2a + 2n + 6u^2 + (4b - 8a - 4n - 2)u over
+    0 <= u <= min(n - b, a), so the step is -4 plus the change of the
+    least S, which lies in [-4p, 4(p+1)]: compare each side's least term
+    with a term of the other side.
+
+    * p >= q raises b = p.  The range only shrinks, and at a fixed u, S
+      moves by 4(u - a), in [-4p, 0].  Only u = n - b leaves the range;
+      u - 1 at b + 1 lies 4(a + b - n + 1) <= 4(p + 1) above it.
+    * p < q raises a = p.  The range only grows, and raising u with a
+      moves S by 4(u - a), in [-4p, 0].  Where u + 1 leaves the range,
+      u = n - b, and raising a alone moves S by 4(a + b - n + 1) <=
+      4(p + 1); at u = 0 raising a alone moves S by 4(a - b + n + 1) > 0.
+    """
+    if q is None:
+        return -4 * p
+    a, b = min(p, q), max(p, q)
+    beta = 4 * b - 8 * a - 4 * n - 2
+    top = min(n - b, a)
+    u = min(max(-beta // 12, 0), top)
+    v = min(u + 1, top)
+    return (_fact_shift(*_tet_factorials(n, a, b, 0))
+            + min(6 * u * u + beta * u, 6 * v * v + beta * v) - 4 * p)
+
+
+def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
+    """tet(n,n,2a,n,n,2b) / (theta_a theta_b) modulo x^digits above its
+    nominal lowest exponent, for a <= b: the first term is a ratio of
+    factorials, and each next one the last times ``_tet_steps``."""
+    terms = _tet_terms(n, a, b)
+    low = min(s for _, s in terms)
+    total = [0] * digits
+    series = _ratio(*_tet_factorials(n, a, b, 0), digits)
+    for u, (sign, shift) in enumerate(terms):
+        if u:
+            ups, downs = _tet_steps(n, a, b, u)
+            for j in ups:
+                _times(series, j)
+            for j in downs:
+                _over(series, j)
+        off = _quarters(shift - low)
+        if off < digits:
+            op = operator.add if sign > 0 else operator.sub
+            total[off:] = map(op, total[off:], series)
+    return total
+
+
+def _pack_series(c: list[int], width: int) -> int:
+    # sum of c[i] * X^i at X = 2^(8*width)
+    return _pack(dict(enumerate(c)), 0, 1, width)
+
+
+def _ones(length: int, width: int) -> int:
+    # 1 + X + ... + X^(length-1), a loop value delta(m) with length m + 1
+    return int.from_bytes((1).to_bytes(width, "little") * length, "little")
+
+
+def _mask(t: int, digits: int, width: int) -> int:
+    # the representative of t modulo X^digits nearest 0
+    top = 1 << (8 * width * digits)
+    half = top >> 1
+    return ((t + half) & (top - 1)) - half
+
+
+def _longest(store: dict, key, digits: int, build) -> list[int]:
+    # the series kept under ``key`` cut to ``digits``, built anew by
+    # ``build(digits)`` when the kept one is shorter
+    have = store.get(key)
+    if have is None or have[0] < digits:
+        have = store[key] = digits, build(digits)
+    kept, series = have
+    return series if kept == digits else series[:digits]
+
+
+# -- the column memo and the ring sum ---------------------------------------------
+
+
+class ColumnMemo:
+    """The column factors of ring sums at color ``n``, kept for one family
+    evaluation, so a member rebuilds only the columns whose count changed
+    (what it holds, and under which keys, is in the module docstring)."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        # the twist monomial twist_coeff(n, n, 2p) of channel p:
+        # (A-exponent, sign) = (2n - 2p + n^2 - 2p^2, (-1)^(n-p))
+        self._mus = [(2 * (n - p) + n * n - 2 * p * p,
+                      -1 if (n - p) % 2 else 1) for p in range(n + 1)]
+        self._least: dict = {}
+        self._terms: dict = {}
+        self._norms: dict = {}
+        self._packed: dict = {}
+        self._symmetric: dict = {}
+        self._weights: dict = {}
+        self._channels: dict = {}
+
+    def least(self, q: int | None, k: int) -> int:
+        """The nominal lowest A-exponent of a column of k != 0 crossings on
+        exit q: the least of sum_p c[q][p] * twist_p^k over its terms.
+
+        Channel p's twist exponent falls by 4(p+1) per crossing from p to
+        p+1, and ``_nominal`` rises by at most 4p, so for k >= 1 the
+        column's exponent falls strictly with p and the least is at
+        p = n; ``_nominal`` falls by at most 4(p+1), so for k <= -1 it
+        never falls with p and the least is at p = 0.
+        """
+        key = q, k
+        if key not in self._least:
+            p = self.n if k > 0 else 0
+            self._least[key] = _nominal(self.n, q, p) + self._mus[p][0] * k
+        return self._least[key]
+
+    def terms(self, q: int | None, k: int, m: int) -> list[tuple[int, bool, int]]:
+        """The column's terms that start below digit ``m`` of its lowest
+        exponent, each (digit offset, negated, channel p).
+
+        The walk starts at the lowest channel (see ``least``) and moves
+        away from it, and the offsets never fall along it, so it stops at
+        the first channel that starts at digit ``m`` or beyond.  No weight
+        is built.
+        """
+        key = q, k, m
+        if key not in self._terms:
+            n, least = self.n, self.least(q, k)
+            terms = []
+            for p in range(n, -1, -1) if k > 0 else range(n + 1):
+                e, s = self._mus[p]
+                off = _quarters(_nominal(n, q, p) + e * k - least)
+                if off >= m:
+                    break
+                terms.append((off, s < 0 and k % 2 == 1, p))
+            self._terms[key] = terms
+        return self._terms[key]
+
+    def norm(self, q: int | None, k: int, m: int, digits: int) -> int:
+        """The L1 bound of the column's terms below digit ``m``, modulo
+        x^digits."""
+        key = q, k, m, digits
+        if key not in self._norms:
+            chans = self._channels
+            self._norms[key] = sum(
+                (chans.get((q, p, digits)) or self._channel(q, p, digits))[0]
+                for _, _, p in self.terms(q, k, m))
+        return self._norms[key]
+
+    def _channel(self, q: int | None, p: int,
+                 digits: int) -> tuple[int, dict[int, int]]:
+        # the L1 norm of c[q][p] modulo x^digits, and the weight packed by
+        # width (members of one family mostly share their digit width, so
+        # each weight is packed about once per family), kept under
+        # (q, p, digits); callers look there first
+        chan = self._channels[q, p, digits] = (
+            sum(map(abs, self.weight(q, p, digits))), {})
+        return chan
+
+    def weight(self, q: int | None, p: int, digits: int) -> list[int]:
+        """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
+        ``_nominal(n, q, p)``; q None gives delta(2p).
+
+        Only the tet/theta part is symmetric in p and q, so it is kept
+        once per pair; delta(2p) belongs to the column channel p.
+        """
+        if q is None:
+            return [1] * min(2 * p + 1, digits)
+        n, a, b = self.n, min(p, q), max(p, q)
+
+        def build(digits: int) -> list[int]:
+            c = list(_longest(self._symmetric, (a, b), digits,
+                              lambda d: _symmetric(n, a, b, d)))
+            _times(c, 2 * p + 1)
+            _over(c, 1)
+            return c
+
+        return _longest(self._weights, (q, p), digits, build)
+
+    def packed(self, q: int | None, k: int, m: int, digits: int,
+               width: int) -> int:
+        """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
+        key = q, k, m, digits, width
+        if key not in self._packed:
+            digit = 8 * width
+            acc = 0
+            chans = self._channels
+            for off, neg, p in self.terms(q, k, m):
+                packs = (chans.get((q, p, digits))
+                         or self._channel(q, p, digits))[1]
+                if width not in packs:
+                    packs[width] = _pack_series(self.weight(q, p, digits),
+                                                width)
+                c = packs[width] << (digit * off)
+                acc = acc - c if neg else acc + c
+            self._packed[key] = acc
+        return self._packed[key]
+
+
+def _fold(n: int, style: str, twists: Sequence[int], loops: int):
+    """The exits, the columns and the loops the ring sum is taken over:
+    zero columns folded into loops (see the module docstring)."""
+    if style == "trace":
+        return [None], [k for k in twists if k], loops + 2 * twists.count(0)
+    if 0 in twists:
+        return [0], [k for k in twists if k], loops + twists.count(0)
+    return range(n + 1), twists, loops
+
+
+def _exit_lows(memo: ColumnMemo, exits, twists: Sequence[int]
+               ) -> dict[int | None, int]:
+    """The nominal lowest A-exponent of the ring sum's terms by exit
+    channel q.  delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed
+    around the side ("trace") is the single exit q None, sum_p delta(2p) *
+    twist_p^k."""
+    return {q: -4 * (q or 0) + sum(memo.least(q, k) for k in twists)
+            for q in exits}
+
+
+def _span(memo: ColumnMemo, style: str, twists: Sequence[int],
+          loops: int) -> tuple[int, int]:
+    """The nominal lowest and highest A-exponents of the fused bracket times
+    delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
+    negated, so the top is minus the mirror's nominal bottom."""
+    n = memo.n
+    exits, twists, loops = _fold(n, style, twists, loops)
+    low = min(_exit_lows(memo, exits, twists).values())
+    top = -min(_exit_lows(memo, exits, [-k for k in twists]).values())
+    return low - 2 * n * loops, top + 2 * n * loops
+
+
+def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
+                 loops: int, max_networks: int,
+                 digits: int) -> tuple[int, dict[int, int]]:
+    """The fused bracket at the memo's color times delta(n)^loops (loops
+    >= -1) modulo x^digits above its nominal lowest A-exponent: that
+    exponent, and the nonzero digits by position.
+
+    The fusion budget: past ``max_networks`` column terms in the plan,
+    counted over the exits that start below digit ``digits`` and the
+    channels each column reaches there, ``BudgetError`` is raised before
+    any weight is built.
+    """
+    n = memo.n
+    exits, twists, loops = _fold(n, style, twists, loops)
+    lows = _exit_lows(memo, exits, twists)
+    base = min(lows.values())
+    # the exits that start below digit ``digits``, each with its reach m
+    plan, terms = [], 0
+    for q, low in lows.items():
+        at = _quarters(low - base)
+        m = digits - at
+        if m <= 0:
+            continue
+        plan.append((q, at, m, min(2 * (q or 0) + 1, m)))
+        for k in twists:
+            terms += len(memo.terms(q, k, m))
+        if terms > max_networks:
+            raise BudgetError(
+                f"at least {terms} fusion column terms exceed the "
+                f"configured cap of {max_networks}"
+            )
+    bound = 0
+    for q, at, m, length in plan:
+        norm = length
+        for k in twists:
+            norm *= memo.norm(q, k, m, digits)
+        bound += norm
+    bound *= _loop_norm(n, loops, digits)
+    width = bound.bit_length() // 8 + 1
+    total = 0
+    for q, at, m, length in plan:
+        prod = _ones(length, width)
+        for k in twists:
+            prod = _mask(prod * memo.packed(q, k, m, digits, width), m, width)
+        total += prod << (8 * width * at)
+    total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
+    out = _unpack(total, 0, 1, width) if total else {}
+    if n * loops % 2:
+        out = {i: -c for i, c in out.items()}
+    return base - 2 * n * loops, out
+
+
+def _loop_norm(n: int, loops: int, digits: int) -> int:
+    # |(1 + x + ... + x^n)^loops|_1 modulo x^digits, or a bound for it
+    if loops >= 0:
+        return (n + 1) ** loops
+    # (1 - x) / (1 - x^(n+1)): two terms per n+1 digits
+    return 2 * (-(-digits // (n + 1)))
+
+
+def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
+    # t * (1 + x + ... + x^n)^loops modulo x^digits, packed (loops >= -1)
+    digit = 8 * width
+    for _ in range(loops):
+        t = _mask(t * _ones(min(n + 1, digits), width), digits, width)
+    if loops < 0:
+        # times (1 - x), then over (1 - x^(n+1)), which is times
+        # (1 + x^j)(1 + x^2j)(1 + x^4j)... for j = n + 1
+        t = _mask(t - (t << digit), digits, width)
+        j = n + 1
+        while j < digits:
+            t = _mask(t + (t << (digit * j)), digits, width)
+            j *= 2
+    return t
+
+
+def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
+                     *, max_networks: int = 100_000) -> LaurentPoly:
+    """The fused bracket times delta(n)^loops (loops >= -1), whole.
+
+    A polynomial is its own power series, so the ring sum taken to the
+    top of its nominal span is exact.  The two digits past the top vanish
+    for a Laurent polynomial; a nonzero one means a weight, or the loop
+    division, left the ring of Laurent polynomials.
+    """
+    memo = ColumnMemo(n)
+    low, top = _span(memo, style, twists, loops)
+    span = _quarters(top - low) + 1
+    low, out = _ring_digits(memo, style, twists, loops, max_networks,
+                            span + 2)
+    if max(out, default=0) >= span:
+        raise ExactDivisionError(
+            "fused bracket is not a Laurent polynomial; this signals a "
+            f"convention bug upstream: the ring sum of {len(twists)} columns "
+            f"at color {n} has a coefficient past the top of its span"
+        )
+    return LaurentPoly({low + 4 * i: c for i, c in out.items()})
+
+
+def _lowest_digits(memo: ColumnMemo, style: str, twists, loops: int,
                    max_networks: int, need: int,
                    digits: int) -> tuple[int, list[int]]:
     """The lowest A-exponent of the fused bracket times delta(n)^loops and
@@ -159,7 +633,7 @@ def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
     enough precision.
     """
     while True:
-        low, out = _ring_digits(n, style, twists, loops, memo, max_networks,
+        low, out = _ring_digits(memo, style, twists, loops, max_networks,
                                 digits)
         if out:
             z = min(out)
@@ -170,57 +644,38 @@ def _lowest_digits(n: int, style: str, twists, loops: int, memo: ColumnMemo,
             digits *= 2
 
 
-def bracket_window(shape: Ring | LinkDiagram, n: int, count: int, *,
-                   family_count: int = 0, memo: ColumnMemo | None = None,
-                   max_networks: int = 100_000) -> CoeffList:
-    """``window_from_bracket(unreduced_colored_jones(diagram, n).value,
-    count)``, computed as a truncated series.
+# -- entry points -------------------------------------------------------------------
 
-    ``shape`` is a ``Ring`` or a diagram, converted to its ring layout
-    once.  ``family_count`` is the largest window, in A-units, of the
-    family the shape belongs to: the series is taken at the precision
-    that window needs, so a family shares one and its per-color weights
-    are built once.  ``memo`` is the family's ``ColumnMemo``; without one
-    the window gets its own.  A diagram with no ring layout takes the
-    window of its state sum.  The fusion budget counts the column terms
-    the window's series builds, at each precision it is taken at.
+
+def ring_polynomial(ring: Ring, n: int, *, reduced: bool = False,
+                    max_networks: int = 100_000) -> LaurentPoly | QPoly:
+    """The fused bracket of ``ring`` at color n, whole; with ``reduced``,
+    its reduced polynomial of index n + 1, the loop factor taken out
+    inside the series and the exponents read in q."""
+    poly = _ring_polynomial(n, ring.style, ring.counts, ring.loops - reduced,
+                            max_networks=max_networks)
+    return substitute_quarter(poly) if reduced else poly
+
+
+def ring_window(ring: Ring, memo: ColumnMemo, count: int, top: int, *,
+                reduced: bool = False,
+                max_networks: int = 100_000) -> CoeffList:
+    """The lowest ``count`` coefficients of the fused bracket of ``ring`` at
+    the memo's color, in A-units; with ``reduced``, of its reduced
+    polynomial, in q-units.
+
+    The series is taken at the precision a window of ``top`` >= ``count``
+    needs, the largest of the family, so the members of a family share
+    one precision and their weights are built once.
     """
-    if n < 1:
-        raise ValueError(f"cable color must be >= 1, got {n}")
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
-    ring = _as_ring(shape)
-    if ring is None:
-        value = _state_sum_bracket(shape, n, max_networks=max_networks)
-        return window_from_bracket(value, count)
-    need = max(1, -(-count // 4))
-    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops,
-                             memo or ColumnMemo(), max_networks, need,
-                             max(need, -(-family_count // 4)) + GUARD)
+    per = 1 if reduced else 4  # window entries per digit of x = A^4
+    need = max(1, -(-count // per))
+    low, xs = _lowest_digits(memo, ring.style, ring.counts,
+                             ring.loops - reduced, max_networks, need,
+                             max(need, -(-top // per)) + GUARD)
+    if reduced:
+        # one residue class mod 4: substitute_quarter reads A^low as
+        # q^(low//4)
+        return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))
     coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))
-
-
-def reduced_window(shape: Ring | LinkDiagram, N: int, count: int, *,
-                   family_count: int = 0, memo: ColumnMemo | None = None,
-                   max_networks: int = 100_000) -> CoeffList:
-    """``window_from_reduced(reduced_jones(diagram, N), count)``, computed
-    as a truncated series; ``shape`` and ``memo`` as in
-    ``bracket_window``, and ``family_count`` too, in the window's own
-    q-units.
-    """
-    if N < 2:
-        raise ValueError(f"reduced polynomials start at index 2, got {N}")
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
-    n = N - 1
-    ring = _as_ring(shape)
-    if ring is None:
-        value = _reduced_state_sum(shape, n, max_networks=max_networks)
-        return window_from_reduced(value, count)
-    need = max(1, count)
-    low, xs = _lowest_digits(n, ring.style, ring.counts, ring.loops - 1,
-                             memo or ColumnMemo(), max_networks, need,
-                             max(need, family_count) + GUARD)
-    # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
-    return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))

@@ -5,7 +5,7 @@ is a finite run of consecutive coefficients from the minimum degree
 upward, computed as a truncated series (``series``); two windows "agree
 to n" when their first n entries match after each list is flipped to
 start positive.  Rate checkers build a family of rings of twist columns
-(``invariants.Ring``), compute every member's window, and verify stepwise
+(``series.Ring``), compute every member's window, and verify stepwise
 agreement at the claimed depth.
 
 Two grading currencies appear and are never mixed: ``A``-unit windows step
@@ -23,14 +23,17 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .diagram import LinkDiagram
-from .invariants import BudgetError, LayoutError, Ring, _ring_layout
+from .invariants import (
+    BudgetError,
+    LayoutError,
+    Ring,
+    _ring_layout,
+    family_windows,
+)
 from .series import (
     UNIT_NAMES,
     CoeffList,
-    ColumnMemo,
     WindowError,
-    bracket_window,
-    reduced_window,
     window_from_bracket,
     window_from_reduced,
 )
@@ -437,17 +440,22 @@ class TailReport:
 
 
 def _windows(params: Iterable[int], counts: Sequence[int],
-             window: Callable[[int, int], CoeffList]) -> list[CoeffList]:
-    """``window(k, count)`` for every member, failures named by parameter.
+             member: Callable[[int], Ring | LinkDiagram],
+             color: Callable[[int], int], **family) -> list[CoeffList]:
+    """``invariants.family_windows`` over ``member(k)`` at ``color(k)``
+    for every parameter k, failures named by parameter.
 
     A ``MemberError`` or ``BudgetError`` passes through unchanged; any
     other ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError``
     for the member's parameter.
     """
+    params = list(params)
+    windows = family_windows(map(member, params), map(color, params),
+                             counts, **family)
     out = []
-    for k, count in zip(params, counts):
+    for k, _ in zip(params, counts):
         try:
-            out.append(window(k, count))
+            out.append(next(windows))
         except (MemberError, BudgetError):
             raise
         except (ValueError, ArithmeticError) as exc:
@@ -461,23 +469,16 @@ def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
                     max_networks: int = 100_000) -> list[CoeffList]:
     """The lowest ``counts[i]`` reduced coefficients of the i-th member.
 
-    Members are evaluated in parameter order, as truncated series at the
-    one precision the largest count needs, so each color's channel
-    weights are built once for the family, and with one ``ColumnMemo``,
-    so each member rebuilds only the columns that changed (see
-    ``series``).  A budget refusal raises ``BudgetError`` itself; any
-    other ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError``
-    for the member.
+    Members are evaluated in parameter order as one family (see
+    ``invariants.family_windows``), so each color's channel weights are
+    built once and each member rebuilds only the columns that changed.
+    A budget refusal raises ``BudgetError`` itself; any other
+    ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError`` for
+    the member.
     """
-    family_count = max(counts, default=0)
-    memo = ColumnMemo()
-    return _windows(
-        spec.parameters(), counts,
-        lambda k, count: reduced_window(
-            spec.member(k), spec.member_color(k), count,
-            family_count=family_count, memo=memo, max_networks=max_networks,
-        ),
-    )
+    return _windows(spec.parameters(), counts, spec.member,
+                    spec.member_color, reduced=True,
+                    max_networks=max_networks)
 
 
 def _window_counts(required: Sequence[int], tail_len: int, depth: int,
@@ -585,13 +586,7 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(params))
-    family_count = max(counts, default=0)
-    memo = ColumnMemo()
-    windows = _windows(
-        params, counts,
-        lambda k, count: bracket_window(spec.member(k), cable(k), count,
-                                        family_count=family_count, memo=memo),
-    )
+    windows = _windows(params, counts, spec.member, cable)
     return _assemble_report(
         spec.describe(), rate_text, params, params[1:], required, windows,
         tail_len,
@@ -696,13 +691,8 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1
     counts = _window_counts(required, tail_len, depth, len(colors))
-    family_count = max(counts, default=0)
-    memo = ColumnMemo()
-    windows = _windows(
-        colors, counts,
-        lambda c, count: bracket_window(members[c], c, count,
-                                        family_count=family_count, memo=memo),
-    )
+    windows = _windows(colors, counts, members.__getitem__,
+                       lambda c: c)
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:
         body = ", ".join(f"{rid}: {shifts[rid]}" for rid in sorted(shifts))

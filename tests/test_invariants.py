@@ -9,7 +9,10 @@ framing monomial.
 """
 
 import bisect
+import collections
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 from dataclasses import replace
@@ -42,25 +45,28 @@ from skeinkit.diagram import (
     parse_pd,
     pretzel,
 )
-from skeinkit import invariants, planar
+from skeinkit import invariants, planar, series
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
-    ColumnMemo,
     LayoutError,
     Ring,
-    _over,
     _ring_layout,
-    _ring_polynomial,
-    _tet_terms,
-    _times,
     bracket_state_sum,
     channel_probe,
     colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
     reduced_jones,
+    reduced_window,
     unreduced_colored_jones,
+)
+from skeinkit.series import (
+    ColumnMemo,
+    _over,
+    _ring_polynomial,
+    _tet_terms,
+    _times,
 )
 from skeinkit.planar import (
     channel_element,
@@ -116,7 +122,7 @@ def clear_weights():
     """Empty the fused evaluator's process-wide memos, so the next value is
     built from scratch (its weight series live in each evaluation's own
     ``ColumnMemo``)."""
-    for memo in (invariants._tet_terms, invariants._nominal):
+    for memo in (series._tet_terms, series._nominal):
         memo.cache_clear()
 
 
@@ -405,7 +411,7 @@ class TestFusedChannels:
         for q in range(n + 1):
             for p in range(n + 1):
                 shifts = [s for _, s in _tet_terms(n, min(p, q), max(p, q))]
-                assert invariants._nominal(n, q, p) == min(shifts) - 4 * p
+                assert series._nominal(n, q, p) == min(shifts) - 4 * p
 
     def test_needs_no_gcd_or_reduction(self, monkeypatch):
         diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), parse_pd(HOPF_TRACE))
@@ -457,11 +463,11 @@ class TestFusedChannels:
         # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
         # digit width is chosen for.  The span holds it whole.
         d = pretzel([2])
-        monkeypatch.setattr(invariants, "_nominal", lambda n, q, p: 0)
+        monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
 
-            def weight(self, n, q, p, digits, c=c):
+            def weight(self, q, p, digits, c=c):
                 return [c] + [0] * (digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
@@ -474,13 +480,13 @@ class TestFusedChannels:
         # one step factor of the tetrahedral sum off by one: the weights
         # stay on the lattice of A^4, but the ring sum is no polynomial
         # and leaves a digit past the top of its span
-        tet_steps = invariants._tet_steps
+        tet_steps = series._tet_steps
 
         def bumped(n, a, b, u):
             (first, *ups), downs = tet_steps(n, a, b, u)
             return (first + 1, *ups), downs
 
-        monkeypatch.setattr(invariants, "_tet_steps", bumped)
+        monkeypatch.setattr(series, "_tet_steps", bumped)
         clear_weights()
         try:
             with pytest.raises(ExactDivisionError, match="convention bug"):
@@ -536,24 +542,26 @@ def twist_exponents(n):
 class TestChannelWalk:
     """``ColumnMemo`` reads a column's least exponent off its lowest
     channel and walks its terms outward from there; both must equal the
-    enumeration of every channel."""
+    enumeration of every channel.  Zero columns never reach the memo
+    (``TestZeroColumns``), so k runs over the nonzero counts."""
 
     @staticmethod
-    def mismatches(memo, n, q, ks, ms, mus):
+    def mismatches(memo, q, ks, ms, mus):
         """The (n, q, k, m) whose pruned least or terms are not the full
         enumeration's; m None stands for the least."""
-        nominals = [invariants._nominal(n, q, p) for p in range(n + 1)]
+        n = memo.n
+        nominals = [series._nominal(n, q, p) for p in range(n + 1)]
         bad = []
         for k in ks:
             exps = [c + e * k for c, (e, _) in zip(nominals, mus)]
             least = min(exps)
-            if memo.least(n, q, k) != least:
+            if memo.least(q, k) != least:
                 bad.append((n, q, k, None))
             offsets = sorted([(e - least) // 4 for e in exps])
             for m in ms:
                 # distinct channels, each below m with its own offset and
                 # sign, as many as the channels below m: the same set
-                got = memo.terms(n, q, k, m)
+                got = memo.terms(q, k, m)
                 if not (len({p for _, _, p in got}) == len(got)
                         == bisect.bisect_left(offsets, m)
                         and all(off == (exps[p] - least) // 4 < m
@@ -564,34 +572,32 @@ class TestChannelWalk:
 
     @pytest.mark.parametrize("n", range(60))
     def test_walk_is_the_full_enumeration(self, n):
-        memo, mus = ColumnMemo(), twist_exponents(n)
+        memo, mus = ColumnMemo(n), twist_exponents(n)
+        ks = [k for k in range(-60, 61) if k]
         assert not [bad for q in [None, *range(n + 1)]
-                    for bad in self.mismatches(memo, n, q, range(-60, 61),
-                                               (1, 9, 40), mus)]
+                    for bad in self.mismatches(memo, q, ks, (1, 9, 40), mus)]
 
     @given(st.integers(1, 400), st.data())
     @settings(max_examples=60, deadline=None)
     def test_walk_at_high_color(self, n, data):
         q = data.draw(st.none() | st.integers(0, n))
-        k = data.draw(st.integers(-400, 400))
+        k = data.draw(st.integers(-400, 400).filter(bool))
         ms = data.draw(st.lists(st.integers(1, 4 * n * n + 10), min_size=1,
                                 max_size=3))
-        assert not self.mismatches(ColumnMemo(), n, q, [k], ms,
+        assert not self.mismatches(ColumnMemo(n), q, [k], ms,
                                    twist_exponents(n))
 
     @pytest.mark.parametrize("n", range(1, 151, 7))
     def test_adjacent_nominals_differ_within_the_bound(self, n):
         # the bound the walk rests on: -4(p+1) <= step <= 4p
-        nominal = invariants._nominal
+        nominal = series._nominal
         assert not [(q, p) for q in [None, *range(n + 1)] for p in range(n)
                     if not -4 * (p + 1) <= nominal(n, q, p + 1)
                     - nominal(n, q, p) <= 4 * p]
 
     @pytest.mark.parametrize("n", range(60))
     def test_twist_monomials_are_the_closed_form(self, n):
-        memo = ColumnMemo()
-        memo._color(n)
-        assert memo._mus == twist_exponents(n)
+        assert ColumnMemo(n)._mus == twist_exponents(n)
 
     def test_full_polynomials_leave_no_weights_behind(self):
         # each full polynomial builds its weights in its own memo, so
@@ -607,6 +613,68 @@ class TestChannelWalk:
         finally:
             tracemalloc.stop()
         assert held < 1 << 20
+
+
+def channel_scan(memo, q, digits):
+    """sum_p c[q][p] over every channel at the memo's color, modulo x^digits
+    above the least nominal exponent: the A-exponent it is exact below,
+    and the sum."""
+    n = memo.n
+    lows = [series._nominal(n, q, p) for p in range(n + 1)]
+    low = min(lows)
+    total = collections.Counter()
+    for p, e in enumerate(lows):
+        off = (e - low) // 4
+        for i, c in enumerate(memo.weight(q, p, max(0, digits - off))):
+            total[e + 4 * i] += c
+    return low + 4 * digits, LaurentPoly(dict(total))
+
+
+class TestZeroColumns:
+    """A column of 0 crossings is the identity on its two cables, which the
+    ring sum folds into a loop (``series._fold``)."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_fusion_identity(self, n):
+        # sum_p c[q][p] = delta(n) at q = 0 and 0 at q >= 1, and sum_p
+        # delta(2p) = delta(n)^2, every channel scanned
+        memo = ColumnMemo(n)
+        digits = 4 * n * n + 8 * n + 8
+        for q in [None, *range(n + 1)]:
+            want = delta(n) ** 2 if q is None else delta(n) if q == 0 else ZERO
+            end, got = channel_scan(memo, q, digits)
+            assert got == LaurentPoly({e: c for e, c in want.terms.items()
+                                       if e < end}), q
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_connected_sum(self, n):
+        # a ring with one zero column is the connected sum of the traces
+        # of its other columns: delta(n)^(L+2-r) prod_k trace(k)
+        for ks in itertools.chain.from_iterable(
+                itertools.product((1, 2, 3, 5), repeat=j) for j in (1, 2, 3)):
+            traces = [_ring_polynomial(n, "trace", (k,), 0) for k in ks]
+            for loops in (0, 1):
+                e = loops + 1 - len(ks)
+                got = _ring_polynomial(n, "ring", (0, *ks), loops)
+                want = functools.reduce(operator.mul, traces)
+                assert (got * delta(n) ** max(0, -e)
+                        == want * delta(n) ** max(0, e)), (ks, loops)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_trace_of_a_zero_column_is_two_loops(self, n):
+        for loops in range(3):
+            assert (_ring_polynomial(n, "trace", (0,), loops)
+                    == delta(n) ** (loops + 2))
+            assert (reduced_jones(Ring("trace", (0,), loops), n + 1)
+                    == substitute_quarter(delta(n) ** (loops + 1)))
+
+    def test_zero_column_scans_no_channel(self):
+        # the zero column's place in the ring changes no window
+        series._nominal.cache_clear()
+        got = reduced_window(Ring("ring", (0, 5, 300), 0), 301, 10)
+        assert series._nominal.cache_info().misses <= 400
+        for counts in ((5, 0, 300), (5, 300, 0)):
+            assert reduced_window(Ring("ring", counts, 0), 301, 10) == got
 
 
 class TestRing:

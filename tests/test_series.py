@@ -9,6 +9,9 @@ the full path cannot reach in a test.
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +22,15 @@ from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
     Ring,
+    bracket_window,
+    family_windows,
     reduced_jones,
+    reduced_window,
     unreduced_colored_jones,
 )
 from skeinkit.series import (
     CoeffList,
     ColumnMemo,
-    bracket_window,
-    reduced_window,
     window_from_bracket,
     window_from_reduced,
 )
@@ -101,13 +105,16 @@ class TestAgainstFullPath:
                     == window_from_reduced(reduced_jones(d, n + 1), 5))
 
     def test_shared_precision_gives_the_same_windows(self):
+        # a member's window in a family with a wider window, taken at the
+        # family's precision, is its window alone
         d = pretzel([2, 5, 3])
         want = reduced_window(d, 4, 4)
-        for family_count in (0, 4, 6, 20):
-            assert reduced_window(d, 4, 4, family_count=family_count) == want
+        for top in (0, 4, 6, 20):
+            got = list(family_windows([d, d], [4, 4], [4, top], reduced=True))
+            assert got[0] == want
         want = bracket_window(d, 3, 9)
-        for family_count in (0, 9, 30):
-            assert bracket_window(d, 3, 9, family_count=family_count) == want
+        for top in (0, 9, 30):
+            assert next(family_windows([d, d], [3, 3], [9, top])) == want
 
 
 class TestPrecisionRetry:
@@ -136,11 +143,11 @@ class TestDigitWidth:
         # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
         # digit width is chosen for.
         d = pretzel([2])
-        monkeypatch.setattr(invariants, "_nominal", lambda n, q, p: 0)
+        monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
 
-            def weight(self, n, q, p, digits, c=c):
+            def weight(self, q, p, digits, c=c):
                 return [c] + [0] * (digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
@@ -164,12 +171,11 @@ class TestColumnMemo:
                    for j in data.draw(st.permutations(range(4)))]
         counts = data.draw(st.lists(st.integers(0, 8), min_size=4,
                                     max_size=4))
-        top = max(counts)
-        for window, index in ((reduced_window, n + 1), (bracket_window, n)):
-            memo = ColumnMemo()
-            shared = [window(r, index, c, family_count=top, memo=memo)
-                      for r, c in zip(members, counts)]
-            alone = [window(r, index, c, family_count=top)
+        for reduced, index in ((True, n + 1), (False, n)):
+            shared = list(family_windows(members, [index] * 4, counts,
+                                         reduced=reduced))
+            alone = [next(family_windows([r, r], [index] * 2, [c, max(counts)],
+                                         reduced=reduced))
                      for r, c in zip(members, counts)]
             assert shared == alone
 
@@ -178,10 +184,18 @@ class TestColumnMemo:
         # channels' reach up: a column's terms below a lower reach must
         # not stand in for those below a higher one
         members = [Ring("ring", (0, k), 0) for k in (3, 2, 1, 0)]
-        memo = ColumnMemo()
-        for r in members:
-            assert (reduced_window(r, 5, 9, family_count=9, memo=memo)
-                    == reduced_window(r, 5, 9, family_count=9))
+        shared = family_windows(members, [5] * 4, [9] * 4, reduced=True)
+        assert list(shared) == [reduced_window(r, 5, 9) for r in members]
+
+    def test_memo_follows_the_color(self):
+        # members at changing colors share a family's precision, each
+        # color with its own memo
+        ring = Ring("ring", (2, 3, 1), 0)
+        colors = [1, 2, 2, 3, 1]
+        got = family_windows([ring] * 5, colors, [9, 4, 12, 6, 3])
+        assert list(got) == [
+            next(family_windows([ring, ring], [n, n], [c, 12]))
+            for n, c in zip(colors, [9, 4, 12, 6, 3])]
 
     def test_memo_lives_for_one_family(self, monkeypatch):
         # after one family, negated weights reach the next family: each
@@ -190,8 +204,8 @@ class TestColumnMemo:
         first = reduced_windows(spec, [4, 4, 4, 4])
         weight = ColumnMemo.weight
 
-        def negated(self, n, q, p, digits):
-            return [-x for x in weight(self, n, q, p, digits)]
+        def negated(self, q, p, digits):
+            return [-x for x in weight(self, q, p, digits)]
 
         monkeypatch.setattr(ColumnMemo, "weight", negated)
         second = reduced_windows(spec, [4, 4, 4, 4])
@@ -218,9 +232,8 @@ class TestConsumers:
             raise AssertionError("a window consumer built the full polynomial")
 
         # the fused full polynomial, and the state sums of the fallback
-        monkeypatch.setattr(invariants, "_ring_polynomial", refuse)
-        monkeypatch.setattr(series, "_state_sum_bracket", refuse)
-        monkeypatch.setattr(series, "_reduced_state_sum", refuse)
+        monkeypatch.setattr(series, "_ring_polynomial", refuse)
+        monkeypatch.setattr(invariants, "_state_sum", refuse)
         assert reduced_windows(pretzel_family("8,6,k", "2", 1, 4), [2, 3, 4, 5])
         assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
         assert check_bracket_rate(pretzel_family("8,6,k", "2", 2, 5)).passed
@@ -281,3 +294,13 @@ class TestConsumers:
             fn(pretzel([1, 1]), 2, -1)
         with pytest.raises(ValueError, match="start at index 2|must be >= 1"):
             fn(pretzel([1, 1]), index, 1)
+
+
+def test_engine_imports_only_algebra():
+    # the series engine stands on the arithmetic alone: no diagram, no
+    # Temperley-Lieb layer, no state sum
+    path = pathlib.Path(series.__file__)
+    tree = ast.parse(path.read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"algebra"}

@@ -20,7 +20,7 @@ from skeinkit.invariants import (
     reduced_jones,
     unreduced_colored_jones,
 )
-from skeinkit.series import reduced_window as series_window
+from skeinkit.invariants import reduced_window as series_window
 from skeinkit.stability import (
     CoeffList,
     ExpressionError,
