@@ -13,10 +13,10 @@ Combinatorially: consecutive crossings of the stack share an arc pair that
 is an A-pair (slots (0,1) or (2,3)) in both crossings.  Validation walks
 each region's chain once and records where its two strands enter and
 leave (``LinkDiagram.sides``); the ring layout reads those arcs instead
-of walking the chain again.  A pretzel column of zero crossings is
-materialized as the negative smoothing; when its strands stay two
-distinct through-arcs, its rails record them, and they are the only
-sides it has.
+of walking the chain again.  A pretzel column of zero crossings is drawn
+as the negative smoothing, two strands and no crossing; when it is the
+first of a run of such columns, its rails record the endpoints of the
+two arcs its strands lie on, and they are the only sides it has.
 """
 
 from __future__ import annotations
@@ -120,16 +120,9 @@ class TwistRegion:
 
 @dataclass(frozen=True)
 class State:
-    """A smoothing assignment, one value per crossing id.
-
-    Classical states (``color`` is None) use values in {-1, +1}.  Colored
-    states record the color n and use values in {0, ..., n}; they weight
-    clasped smoothings and are evaluated by the invariants layer, not by
-    circle counting.
-    """
+    """A classical smoothing assignment, -1 or +1 per crossing id."""
 
     assignment: Mapping[int, int]
-    color: int | None = None
 
     @classmethod
     def all_minus(cls, diagram: "LinkDiagram") -> "State":
@@ -146,8 +139,8 @@ class LinkDiagram:
 
     ``sides`` is derived when the diagram is validated: it maps each
     region id to the region's boundary arcs ``(bl, tl, br, tr)``, or to
-    None for a zero region smoothed into an anonymous site.  It takes no
-    part in equality, hashing, repr or JSON.
+    None for a zero region without rails.  It takes no part in equality,
+    hashing, repr or JSON.
     """
 
     crossings: tuple[Crossing, ...]
@@ -334,8 +327,11 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
     """The standard pretzel diagram with r vertical negative twist regions.
 
     Region i carries counts[i] crossings; a zero count means the region is
-    the negative smoothing.  All regions are labeled 1..r.  The diagram is
-    alternating whenever every count is at least 1.
+    the negative smoothing, two strands without a crossing.  All regions
+    are labeled 1..r.  The diagram is alternating whenever every count is
+    at least 1.  The first zero region of each cyclic run of them rests on
+    rails: the top-right arc of the region before the run and the top-left
+    arc of the region after it.  The rest of the run has no sides.
     """
     if not counts:
         raise DiagramError("a pretzel needs at least one twist region")
@@ -344,25 +340,42 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
     # Connector arcs: 2i+1 joins the tops of regions i and i+1
     # (cyclically), 2i+2 the bottoms.  Region i's left column runs from
     # the bottom connector of region i-1 to its top connector, the right
-    # column from region i's own; a zero region is built with one
-    # crossing and smoothed below.
+    # column from region i's own.  A zero region joins the connectors on
+    # each side of it into their top arc, so a connector between two zero
+    # regions meets no crossing and is a free loop.
     r = len(counts)
+    zero = [k == 0 for k in counts]
+    bottom = [2 * i + 1 if zero[i] or zero[(i + 1) % r] else 2 * i + 2
+              for i in range(r)]
+    loops = sum(zero[i] and zero[(i + 1) % r] for i in range(r))
     nxt = 2 * r + 1
     crossings: list[Crossing] = []
     regions: list[TwistRegion] = []
     for i, k in enumerate(counts):
-        k = max(k, 1)
         j = (i - 1) % r
         first = len(crossings)
-        crossings += _chain(2 * j + 2, 2 * j + 1, 2 * i + 2, 2 * i + 1, k, nxt)
-        nxt += 2 * (k - 1)
+        if k:
+            crossings += _chain(bottom[j], 2 * j + 1, bottom[i], 2 * i + 1, k, nxt)
+            nxt += 2 * (k - 1)
         regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
     label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
-    out = LinkDiagram(tuple(crossings), tuple(regions), name=label)
-    for i, k in enumerate(counts):
-        if k == 0:
-            out = _replace_region(out, out.region(i + 1))
-    return out
+    out = LinkDiagram(tuple(crossings), tuple(regions), loops, label)
+    starts = [i for i in range(r) if zero[i] and not zero[i - 1]]
+    if not starts:
+        return out
+    for i in starts:
+        after = next(a % r for a in range(i + 1, i + r) if not zero[a % r])
+        left, right = out.sides[(i - 1) % r + 1][3], out.sides[after + 1][1]
+        regions[i] = replace(regions[i], rails=(*_ends(crossings, left),
+                                                *_ends(crossings, right)))
+    return replace(out, twist_regions=tuple(regions))
+
+
+def _ends(crossings: Sequence[Crossing], arc: int) -> tuple[Endpoint, ...]:
+    """The two endpoints of an arc in crossing, then slot, order: on a
+    pretzel column's side arc, the bottom end first."""
+    return tuple(sorted((cid, slot) for cid, x in enumerate(crossings)
+                        for slot, a in enumerate(x) if a == arc))
 
 
 def _chain(bl: int, tl: int, br: int, tr: int, k: int, nxt: int) -> list[Crossing]:
@@ -565,15 +578,7 @@ def apply_state(diagram: LinkDiagram, state: State | Mapping[int, int]) -> int:
     Positive values take the A-smoothing (joining slots (0,1) and (2,3)),
     negative the other pair.  Free loops count as circles.
     """
-    if isinstance(state, State):
-        if state.color is not None:
-            raise DiagramError(
-                "colored states weight clasped networks; apply_state counts "
-                "circles of classical states only"
-            )
-        assignment = state.assignment
-    else:
-        assignment = state
+    assignment = state.assignment if isinstance(state, State) else state
     c = diagram.crossing_count
     for cid in range(c):
         try:
@@ -682,7 +687,7 @@ def is_alternating(diagram: LinkDiagram) -> bool:
     return all(s0 % 2 != s1 % 2 for s0, s1 in slots_of.values())
 
 
-# -- arc relabeling and zero regions -------------------------------------------
+# -- arc relabeling ------------------------------------------------------------
 
 
 def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagram:
@@ -695,96 +700,3 @@ def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagra
         tuple(mapping.get(a, a) for a in x) for x in diagram.crossings
     )
     return replace(diagram, crossings=crossings)
-
-
-def _replace_region(diagram: LinkDiagram, reg: TwistRegion) -> LinkDiagram:
-    """Replace a nonempty region by its negative smoothing.
-
-    The region keeps its label with zero crossings; its rails are set
-    when its two strands stay distinct through-arcs.  A strand that
-    closes up becomes a free loop.
-    """
-    bl, tl, br, tr = diagram.sides[reg.rid]
-    removed = set(reg.crossings)
-    uf = _UnionFind()
-    incident: set[int] = set()
-    for cid in reg.crossings:
-        x = diagram.crossings[cid]
-        uf.union(x[0], x[3])
-        uf.union(x[1], x[2])
-        incident |= set(x)
-
-    outer: dict[int, list[Endpoint]] = {}
-    for cid, x in enumerate(diagram.crossings):
-        if cid in removed:
-            continue
-        for slot, label in enumerate(x):
-            if label in incident:
-                outer.setdefault(uf.find(label), []).append((cid, slot))
-
-    loops = 0
-    rewrite: dict[int, int] = {}
-    for root, members in uf.classes(incident).items():
-        ends = outer.get(root, [])
-        if not ends:
-            loops += 1
-            continue
-        kept = min(diagram.crossings[c][s] for c, s in ends)
-        for label in members:
-            if label != kept:
-                rewrite[label] = kept
-
-    keep = [cid for cid in range(len(diagram.crossings)) if cid not in removed]
-    remap = {old: new for new, old in enumerate(keep)}
-    crossings = tuple(
-        tuple(rewrite.get(a, a) for a in diagram.crossings[cid]) for cid in keep
-    )
-
-    regions = []
-    for other in diagram.twist_regions:
-        if other.rid == reg.rid:
-            rails = _clean_rails(diagram, (bl, tl, br, tr), uf, outer, remap)
-            regions.append(TwistRegion(reg.rid, (), 0, rails))
-            continue
-        rails = other.rails
-        if rails is not None:
-            # rails on a removed crossing lose their site
-            rails = None if any(c in removed for c, _ in rails) else tuple(
-                (remap[c], s) for c, s in rails)  # type: ignore[assignment]
-        regions.append(TwistRegion(
-            other.rid, tuple(remap[c] for c in other.crossings), other.count,
-            rails))
-    return replace(
-        diagram,
-        crossings=crossings,
-        twist_regions=tuple(regions),
-        free_loops=diagram.free_loops + loops,
-    )
-
-
-def _clean_rails(
-    diagram: LinkDiagram,
-    corners: tuple[int, int, int, int],
-    uf: _UnionFind,
-    outer: dict[int, list[Endpoint]],
-    remap: Mapping[int, int],
-) -> Rails | None:
-    bl, tl, br, tr = corners
-    if len({bl, tl, br, tr}) != 4 or uf.find(bl) == uf.find(br):
-        return None
-    eps = []
-    for corner in (bl, tl, br, tr):
-        candidates = [
-            (cid, slot)
-            for cid, slot in outer.get(uf.find(corner), [])
-            if diagram.crossings[cid][slot] == corner
-        ]
-        if len(candidates) != 1:
-            return None
-        cid, slot = candidates[0]
-        eps.append((remap[cid], slot))
-    left = {e for e in outer.get(uf.find(bl), [])}
-    right = {e for e in outer.get(uf.find(br), [])}
-    if len(left) != 2 or len(right) != 2:
-        return None
-    return (eps[0], eps[1], eps[2], eps[3])

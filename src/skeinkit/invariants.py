@@ -223,7 +223,7 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
     for reg in regions:
         sides = diagram.sides[reg.rid]
         if sides is None:
-            continue  # smoothed away into a free loop or a merged strand
+            continue  # a zero region inside a run of them takes no column
         bl, tl, br, tr = sides
         cols.append(_Column(reg, (bl, tl), (br, tr)))
     if not cols:

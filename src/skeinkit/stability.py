@@ -264,56 +264,46 @@ def _coerce_rate(rate) -> tuple[Callable[[int], int], str]:
 class FamilySpec:
     """A one-parameter family of rings of twist columns.
 
-    ``base`` is a ``Ring``, whose columns are regions 1..r in ring order,
-    or a diagram, taken as its ring layout once, when the spec is built;
-    a diagram without one is refused with ``LayoutError``.  ``sizes``
-    maps region ids to the region's crossing count as an expression in
-    the parameter; unlisted regions keep their base size.  ``color`` gives
+    ``base`` is a ``Ring``; ``sizes`` maps column positions 1..r, in ring
+    order, to the column's crossing count as an expression in the
+    parameter, and unlisted columns keep their base size.  ``color`` gives
     the reduced polynomial index (the cable carries one less strand).
     The range ``start..stop`` is inclusive.  Every member is a ``Ring``.
     """
 
-    base: Ring | LinkDiagram
+    base: Ring
     sizes: tuple[tuple[int, FamilyExpr], ...]
     color: FamilyExpr
     start: int
     stop: int
-    # the region id of each column of ``base``
-    rids: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         raw = self.sizes
         if isinstance(raw, Mapping):
             raw = raw.items()
-        pairs = tuple(sorted((int(rid), _as_expr(ex)) for rid, ex in raw))
+        pairs = tuple(sorted((int(col), _as_expr(ex)) for col, ex in raw))
         object.__setattr__(self, "sizes", pairs)
         object.__setattr__(self, "color", _as_expr(self.color))
         if self.stop < self.start:
             raise ValueError(f"empty parameter range {self.start}..{self.stop}")
-        if isinstance(self.base, Ring):
-            rids = tuple(range(1, len(self.base.counts) + 1))
-        else:
-            ring, rids = _ring_layout(self.base)
-            object.__setattr__(self, "base", ring)
-        object.__setattr__(self, "rids", rids)
-        for rid, _ in pairs:
-            if rid not in rids:
-                raise LayoutError(f"region {rid} is not a column of the ring")
+        for col, _ in pairs:
+            if not 1 <= col <= len(self.base.counts):
+                raise LayoutError(f"region {col} is not a column of the ring")
 
     def parameters(self) -> range:
         return range(self.start, self.stop + 1)
 
     def member(self, k: int) -> Ring:
         counts = list(self.base.counts)
-        for rid, ex in self.sizes:
+        for col, ex in self.sizes:
             target = ex(k)
             if target < 0:
                 raise MemberError(
-                    f"region {rid} size {ex.text!r} evaluates to {target} "
+                    f"region {col} size {ex.text!r} evaluates to {target} "
                     f"at parameter {k}",
                     k,
                 )
-            counts[self.rids.index(rid)] = target
+            counts[col - 1] = target
         return replace(self.base, counts=tuple(counts))
 
     def member_color(self, k: int) -> int:
@@ -642,7 +632,8 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     The diagram is taken as its ring layout once, when it has one.  With
     ``twist_shifts`` the lower-color member absorbs the per-region shifts
     (accumulating down the chain), added to the counts of the ring's
-    columns; every shifted region must keep at least one crossing.
+    columns.  Every shifted region must keep at least one crossing at
+    every color, so a region of 0 crossings is never shifted.
     ``diagonal`` reverses the direction so sizes grow with the color, one
     shift step per color, defaulting to +1 per region.
     """
@@ -655,22 +646,18 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
         raise ValueError("colors start at 1")
     if any(b != a + 1 for a, b in zip(colors, colors[1:])):
         raise ValueError("colors must be consecutive ascending")
-    rids = [reg.rid for reg in diagram.twist_regions]
+    labels = [reg.rid for reg in diagram.twist_regions]
     shifts = dict(twist_shifts) if twist_shifts else {}
     if diagonal and not shifts:
-        shifts = {rid: 1 for rid in rids}
-    unknown = sorted(set(shifts) - set(rids))
+        shifts = {rid: 1 for rid in labels}
+    unknown = sorted(set(shifts) - set(labels))
     if unknown:
         raise ValueError(f"unknown region id {unknown[0]} in twist shifts")
-
-    try:
-        ring, columns = _ring_layout(diagram)
-    except LayoutError:
-        ring, columns = None, ()
-    members = {}
-    for i, c in enumerate(colors):
-        mult = i if diagonal else len(colors) - 1 - i
-        counts = list(ring.counts) if ring else []
+    mults = {c: i if diagonal else len(colors) - 1 - i
+             for i, c in enumerate(colors)}
+    # Every target is checked before any member is built.  One color
+    # shifts nothing, so a shifted region has a crossing, hence a column.
+    for c, mult in mults.items():
         for rid, b in shifts.items():
             target = diagram.region(rid).count + b * mult
             if target < 1:
@@ -678,13 +665,21 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
                     f"twist shifts must leave at least one crossing in "
                     f"region {rid} (got {target} at color {c})"
                 )
+    try:
+        ring, columns = _ring_layout(diagram)
+    except LayoutError:
+        ring, columns = None, ()
+    members = {}
+    for c, mult in mults.items():
+        counts = list(ring.counts) if ring else []
+        for rid, b in shifts.items():
             if b * mult:
                 if ring is None:
                     raise LayoutError(
                         f"twist shifts need a ring layout; region {rid} "
                         "cannot be resized"
                     )
-                counts[columns.index(rid)] = target
+                counts[columns.index(rid)] += b * mult
         members[c] = (diagram if ring is None
                       else replace(ring, counts=tuple(counts)))
 

@@ -681,24 +681,43 @@ class TestRing:
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_bracket_matches_the_pretzel(self, counts):
-        # values, not Ring objects: a pretzel with anonymous zero columns
-        # lays out with fewer columns and more free loops
+        # values, not Ring objects: a pretzel with a run of zero columns
+        # lays out with one zero column and more free loops
         d = pretzel(counts)
         want = bracket_state_sum(d, max_crossings=30).value
         assert _ring_polynomial(1, "ring", counts, 0) == want
-        try:
-            _ring_layout(d)
-        except LayoutError:
-            return
         for n in (2, 3):
             want = colored_bracket_fused(d, n).value
             assert _ring_polynomial(n, "ring", counts, 0) == want
 
     def test_anonymous_zero_columns_lay_out_as_free_loops(self):
         d = pretzel([0, 0, 1])
-        assert _ring_layout(d) == (Ring("trace", (1,), 1), (3,))
+        assert _ring_layout(d) == (Ring("ring", (0, 1), 1), (1, 3))
         assert (_ring_polynomial(2, "ring", (0, 0, 1), 0)
                 == colored_bracket_fused(d, 2).value)
+
+    def test_every_small_pretzel_lays_out(self):
+        # 1-4 columns of 0..3 crossings, at least one crossing in all
+        for r in range(1, 5):
+            for counts in itertools.product(range(4), repeat=r):
+                if not any(counts):
+                    continue
+                d = pretzel(counts)
+                got = colored_bracket_fused(d, 1).value
+                assert got == _ring_polynomial(1, "ring", counts, 0), counts
+                assert got == bracket_state_sum(d).value, counts
+                if 0 in counts:
+                    assert (colored_bracket_fused(d, 2)
+                            == colored_state_sum(d, 2)), counts
+
+    @pytest.mark.parametrize("counts", [(0, 0, 2, 2), (0, 2, 0, 3),
+                                        (0, 0, 0, 1, 2), (3, 0, 1, 0, 0)])
+    def test_rotations_share_a_bracket(self, counts):
+        want = bracket_state_sum(pretzel(counts)).value
+        for i in range(1, len(counts)):
+            d = pretzel(counts[i:] + counts[:i])
+            assert bracket_state_sum(d).value == want
+            assert colored_bracket_fused(d, 1).value == want
 
     @pytest.mark.parametrize("args,match", [
         (("ring", (), 0), "at least one column"),

@@ -341,28 +341,17 @@ class TestFamilySpec:
         assert "3: k" in text and "color 2" in text and "1..10" in text
 
     def test_mapping_and_int_inputs(self):
-        base = pretzel([2, 3, 2])
+        base = Ring("ring", (2, 3, 2), 0)
         spec = FamilySpec(base=base, sizes={3: "k"}, color=2, start=2, stop=4)
         assert spec.member(4) == Ring("ring", (2, 3, 4), 0)
         assert spec.member_color(3) == 2
 
-    def test_diagram_base_is_taken_as_its_ring_layout(self):
-        # the Hopf link drawn as one region closed around the side
-        hopf = parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]")
-        spec = FamilySpec(base=hopf, sizes={1: "k"}, color=2, start=1, stop=2)
-        assert spec.member(3) == Ring("trace", (3,), 0)
-        # a zero region whose strands close up leaves no column
-        spec = FamilySpec(base=pretzel([0, 0, 1]), sizes={3: "k"}, color=2,
-                          start=1, stop=2)
-        assert spec.member(2) == Ring("trace", (2,), 1)
-        with pytest.raises(LayoutError, match="not a column"):
-            FamilySpec(base=pretzel([0, 0, 1]), sizes={1: "k"}, color=2,
-                       start=1, stop=2)
-
-    def test_diagram_without_a_ring_layout_is_refused(self):
-        with pytest.raises(LayoutError, match="single ring"):
-            FamilySpec(base=pretzel([0, 2]), sizes={2: "k"}, color=2,
-                       start=1, stop=2)
+    def test_sizes_must_name_a_column(self):
+        base = Ring("trace", (3,), 0)
+        for col in (0, 2):
+            with pytest.raises(LayoutError, match="not a column"):
+                FamilySpec(base=base, sizes={col: "k"}, color=2, start=1,
+                           stop=2)
 
     def test_parameters_inclusive(self):
         assert list(pretzel_family("1,1", "2", 2, 5).parameters()) == [2, 3, 4, 5]
@@ -590,8 +579,19 @@ class TestColorStability:
                                   twist_shifts={9: 1})
 
     def test_shifts_need_a_ring_layout(self):
+        # four crossings whose regions do not close into a column ring
+        d = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]")
         with pytest.raises(LayoutError, match="ring layout"):
-            check_color_stability(pretzel([0, 2]), (1, 2), twist_shifts={2: 1})
+            check_color_stability(d, (1, 2), twist_shifts={1: 1})
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("rid", [1, 2])
+    def test_zero_region_is_never_shifted(self, rid, diagonal):
+        # one color shifts nothing, so a zero region keeps no crossing
+        # there; the refusal comes before any member is built
+        with pytest.raises(ValueError, match="at least one crossing"):
+            check_color_stability(pretzel([0, 0, 1]), (1, 2),
+                                  twist_shifts={rid: 1}, diagonal=diagonal)
 
     def test_colors_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
