@@ -54,11 +54,10 @@ from .planar import (
     TLMorphism,
     boxed,
     cabled_crossing,
-    capnest,
+    cabled_kink,
     channel_element,
     closure,
     compose,
-    cupnest,
     jones_wenzl,
     tensor,
     theta_network,
@@ -331,7 +330,7 @@ def table(family_arg, color_arg, range_arg, window_arg, fmt, max_networks):
             "family": spec.describe(),
             "rows": [{"parameter": k, "window": cs} for k, cs in rows],
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, separators=(",", ":")))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -516,9 +515,7 @@ def _suite_tl_identities():
             sgn = -1 if n % 2 else 1
             for sign, e in ((-1, -m), (1, m)):
                 # the bare kink first, then the one projector
-                kink = compose(boxed(cupnest(n), n, 0),
-                               boxed(cabled_crossing(n, sign), 0, n))
-                curl = compose(compose(kink, boxed(capnest(n), n, 0)), f)
+                curl = compose(cabled_kink(n, sign), f)
                 if curl != f.scaled(LaurentPoly.monomial(e, sgn)):
                     return False, f"failed at n={n}, sign {sign:+d}"
         return True, "factor (-1)^n A^(+-(n^2+2n)) for n = 1..4"

@@ -358,24 +358,28 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
             crossings += _chain(bottom[j], 2 * j + 1, bottom[i], 2 * i + 1, k, nxt)
             nxt += 2 * (k - 1)
         regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
+    # The first zero column of a run lies on the right side arc of the
+    # column before the run and on the left side arc of the column after
+    # it.  By _chain's slot order a right side arc ends at slot 1 of the
+    # column's first crossing and slot 2 of its last, a left one at slots
+    # 0 and 3.  A column of two crossings between zero columns is a ring
+    # of two bigons, and _walk_chain takes its inner arcs for its sides:
+    # the right at slots 3 and 0, the left at 2 and 1.
+    def ring_of_two(c: int) -> bool:
+        return counts[c] == 2 and zero[c - 1] and zero[(c + 1) % r]
+
+    for i in range(r):
+        if zero[i] and not zero[i - 1]:
+            p = (i - 1) % r
+            a = next(a % r for a in range(i + 1, i + r) if not zero[a % r])
+            right = (3, 0) if ring_of_two(p) else (1, 2)
+            left = (2, 1) if ring_of_two(a) else (0, 3)
+            rp, ra = regions[p].crossings, regions[a].crossings
+            regions[i] = replace(regions[i], rails=(
+                (rp[0], right[0]), (rp[-1], right[1]),
+                (ra[0], left[0]), (ra[-1], left[1])))
     label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
-    out = LinkDiagram(tuple(crossings), tuple(regions), loops, label)
-    starts = [i for i in range(r) if zero[i] and not zero[i - 1]]
-    if not starts:
-        return out
-    for i in starts:
-        after = next(a % r for a in range(i + 1, i + r) if not zero[a % r])
-        left, right = out.sides[(i - 1) % r + 1][3], out.sides[after + 1][1]
-        regions[i] = replace(regions[i], rails=(*_ends(crossings, left),
-                                                *_ends(crossings, right)))
-    return replace(out, twist_regions=tuple(regions))
-
-
-def _ends(crossings: Sequence[Crossing], arc: int) -> tuple[Endpoint, ...]:
-    """The two endpoints of an arc in crossing, then slot, order: on a
-    pretzel column's side arc, the bottom end first."""
-    return tuple(sorted((cid, slot) for cid, x in enumerate(crossings)
-                        for slot, a in enumerate(x) if a == arc))
+    return LinkDiagram(tuple(crossings), tuple(regions), loops, label)
 
 
 def _chain(bl: int, tl: int, br: int, tr: int, k: int, nxt: int) -> list[Crossing]:

@@ -697,6 +697,43 @@ def cabled_crossing(n: int, sign: int) -> TLMorphism:
     return out
 
 
+def cabled_kink(n: int, sign: int) -> TLMorphism:
+    """The bare kink of an n-cable: an n -> n morphism, no projector.
+
+    The cable's n strands cross the left legs of n nested cups and close
+    onto their right legs: ``boxed(cupnest(n), n, 0)``, then
+    ``cabled_crossing(n, sign)`` on the first 2n strands, then
+    ``boxed(capnest(n), n, 0)``, built in another order.  Left strand s,
+    from the innermost (s = n-1) out, passes rightward across the n legs
+    (sigma_s sigma_(s+1) ... sigma_(s+n-1)), and is capped onto its
+    return leg at once.  ``cabled_crossing`` passes the right bundle
+    leftward instead; both braid words have n^2 letters of one sign and
+    swap the two bundles, so both are reduced words of one permutation,
+    hence one positive braid (Matsumoto), and the bracket sends them to
+    one morphism.  Each cap lies right of every crossing still to come,
+    so capping early is the interchange law.
+
+    While strand s crosses, strands 0..s-1 run straight through, so the
+    morphism is the identity on them beside a block of 2n+2 boundary
+    points (bottom s..n-1, top s..n+2s+1): no stage holds more than
+    Catalan(n+1) matchings, 42 at n = 4, where ``cabled_crossing(4,
+    sign)`` alone reaches 1,252.
+    """
+    if n < 1:
+        raise ValueError(f"cabled_kink needs n >= 1, got {n}")
+    x = crossing_morphism(sign)
+    out = boxed(cupnest(n), n, 0)
+    w = 3 * n
+    for s in range(n - 1, -1, -1):
+        # strand s crosses the n cup legs to its right, then caps onto
+        # its partner leg, the innermost one still open
+        for j in range(s, s + n):
+            out = compose(out, boxed(x, j, w - j - 2))
+        out = compose(out, boxed(TLMorphism.cap(2, 0), s + n, w - s - n - 2))
+        w -= 2
+    return out
+
+
 def turnback(n: int, i: int) -> TLMorphism:
     """Bare i-th clasp-smoothing pattern of a two-cable crossing.
 

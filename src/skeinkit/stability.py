@@ -408,7 +408,8 @@ class TailReport:
                 "normalized": self.tail.normalized,
             },
         }
-        return json.dumps(payload, indent=2)
+        # compact: an indent would turn off the C encoder
+        return json.dumps(payload, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = [

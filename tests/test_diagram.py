@@ -184,9 +184,9 @@ class TestPretzel:
         assert (pretzel(counts, name="x").to_json()
                 == replace(want, name="x").to_json())
 
-    @pytest.mark.parametrize("counts,builds", [([8, 6, 3], 1), ([2, 0, 3], 2)])
+    @pytest.mark.parametrize("counts,builds", [([8, 6, 3], 1), ([2, 0, 3], 1)])
     def test_validations_per_build(self, monkeypatch, counts, builds):
-        # one for the named diagram, one per zero region smoothed
+        # rails are laid from the chain's slot order, so one build each
         built: list[LinkDiagram] = []
         validate = LinkDiagram._validate
 
@@ -577,6 +577,22 @@ def assert_sides(diagram: LinkDiagram) -> None:
     assert dict(back.sides) == reference_sides(back)
 
 
+def assert_rails_on_sides(diagram: LinkDiagram) -> None:
+    regions = diagram.twist_regions
+    r = len(regions)
+    for i, reg in enumerate(regions):
+        if reg.rails is None:
+            continue
+        before = next(regions[(i - d) % r] for d in range(1, r + 1)
+                      if regions[(i - d) % r].count)
+        after = next(regions[(i + d) % r] for d in range(1, r + 1)
+                     if regions[(i + d) % r].count)
+        left, _, right, _ = diagram.sides[reg.rid]
+        _, _, br, tr = diagram.sides[before.rid]
+        bl, tl, _, _ = diagram.sides[after.rid]
+        assert left == br == tr and right == bl == tl, reg.rid
+
+
 counts_st = st.lists(st.integers(0, 5), min_size=1, max_size=4)
 
 
@@ -585,6 +601,7 @@ class TestRecordedSides:
     @settings(max_examples=60, deadline=None)
     def test_pretzels(self, counts):
         assert_sides(pretzel(counts))
+        assert_rails_on_sides(pretzel(counts))
 
     def test_zero_regions_with_and_without_rails(self):
         d = pretzel([2, 0, 3])
@@ -608,6 +625,17 @@ class TestRecordedSides:
         rng.shuffle(crossings)
         d = parse_pd(pd_text(LinkDiagram(tuple(crossings))))
         assert_sides(d)
+
+    @pytest.mark.parametrize("counts", [
+        [2, 0, 3], [0, 2], [2, 0, 0], [0, 2, 0, 3], [1, 0, 2, 0], [0, 3, 0, 2],
+        [2, 0, 2, 0],
+    ])
+    def test_rails_sit_on_the_neighbours_sides(self, counts):
+        # a zero column's strands are the right side arc of the column
+        # before its run and the left side arc of the column after it, as
+        # the walk reads them; a column of two between zero columns is a
+        # ring of two bigons, whose sides the walk takes to be inner arcs
+        assert_rails_on_sides(pretzel(counts))
 
     def test_closed_up_region(self):
         assert_sides(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skeinkit.planar as planar_module
 from skeinkit.algebra import (
     DELTA,
     ONE,
@@ -35,6 +36,7 @@ from skeinkit.planar import (
     TLMorphism,
     boxed,
     cabled_crossing,
+    cabled_kink,
     capnest,
     channel_element,
     close_ring,
@@ -501,6 +503,70 @@ class TestCrossings:
             s: f.scaled(LaurentPoly.monomial(e, sgn)) for s, e in ((-1, -m), (1, m))
         }
         assert curls == vals
+
+
+def curl_factor(n: int, sign: int) -> LaurentPoly:
+    m = n * n + 2 * n
+    return LaurentPoly.monomial(sign * m, -1 if n % 2 else 1)
+
+
+def kink_word(n: int, signs) -> TLMorphism:
+    """``cabled_kink``'s construction with the crossings' signs given one
+    by one, in the order it composes them."""
+    signs = iter(signs)
+    out = boxed(cupnest(n), n, 0)
+    w = 3 * n
+    for s in range(n - 1, -1, -1):
+        for j in range(s, s + n):
+            out = compose(out, boxed(crossing_morphism(next(signs)), j, w - j - 2))
+        out = compose(out, boxed(TLMorphism.cap(2, 0), s + n, w - s - n - 2))
+        w -= 2
+    return out
+
+
+class TestCabledKink:
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("sign", (-1, 1))
+    def test_equals_the_kink_through_the_cabled_crossing(self, n, sign):
+        # the cable turns up through n nested cups, crosses its return
+        # bundle as one cabled crossing, and closes through n nested caps
+        kink = compose(boxed(cupnest(n), n, 0), boxed(cabled_crossing(n, sign), 0, n))
+        kink = compose(kink, boxed(capnest(n), n, 0))
+        assert cabled_kink(n, sign) == kink
+
+    @pytest.mark.parametrize("sign", (-1, 1))
+    def test_curl_factor_at_color_five(self, sign):
+        f = jones_wenzl(5)
+        assert compose(cabled_kink(5, sign), f) == f.scaled(curl_factor(5, sign))
+
+    def test_no_stage_holds_more_than_catalan_n_plus_one(self, monkeypatch):
+        seen = []
+
+        def counted(f, g):
+            out = compose(f, g)
+            seen.append(len(out.nums))
+            return out
+
+        monkeypatch.setattr(planar_module, "compose", counted)
+        for n in (3, 4, 5):
+            seen.clear()
+            cabled_kink(n, -1)
+            assert max(seen) == math.comb(2 * n + 2, n + 1) // (n + 2)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("sign", (-1, 1))
+    def test_one_crossing_of_the_other_sign_breaks_the_identity(self, n, sign):
+        assert kink_word(n, [sign] * n * n) == cabled_kink(n, sign)
+        f = jones_wenzl(n)
+        want = f.scaled(curl_factor(n, sign))
+        for flip in range(n * n):
+            signs = [sign] * n * n
+            signs[flip] = -sign
+            assert compose(kink_word(n, signs), f) != want, flip
+
+    def test_needs_a_strand(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cabled_kink(0, 1)
 
 
 # -- pretzel-shaped networks -------------------------------------------
