@@ -22,13 +22,21 @@ A^(2n) F_n / F_(n+1).  The sum is evaluated as Python ints at X =
 Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound sum_q
 |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of the truncated series.  A
 window (``ring_window``) takes the digits it needs at its family's
-precision, and again at z + count digits when its lowest z vanish; a full
-polynomial (``ring_polynomial``) takes the sum to the top of its span.
+precision, once; a full polynomial (``ring_polynomial``) takes the sum to
+the top of its span.  Digit 0 is the bracket's lowest coefficient: a ring
+of two or more columns is a reduced alternating diagram, hence adequate,
+so its coefficient at the nominal lowest exponent is +-1 (Armond, "The
+head and tail conjecture for alternating knots", AGT 2013).  A sum whose
+digit 0 vanishes signals a convention bug, and raises.
 
-Zero columns.  A column of 0 crossings is the identity on its two cables,
-so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes at every
-other exit, and the trace of one is two loops.  A ring with z zero columns
-keeps exit 0 alone, drops those columns and gains z loops (``_fold``).
+Zero columns and curls.  A column of 0 crossings is the identity on its
+two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
+at every other exit, and the trace of one is two loops.  A ring with z
+zero columns keeps exit 0 alone, drops those columns and gains z loops
+(``_fold``).  A ring of one column of k crossings is an unknot with k
+curls: it is one loop times the curl monomial twist_0^k = ((-1)^n
+A^(n^2+2n))^k.  Summed as a ring, its exits would cancel far into its
+nominal bottom.
 
 The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
 only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
@@ -90,10 +98,6 @@ __all__ = [
     "window_from_bracket",
     "window_from_reduced",
 ]
-
-# Digits taken beyond the largest window of a family: room for a bottom
-# that cancels before ``_lowest_digits`` has to retry.
-GUARD = 2
 
 UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
 
@@ -490,14 +494,20 @@ class ColumnMemo:
         return self._packed[key]
 
 
-def _fold(n: int, style: str, twists: Sequence[int], loops: int):
-    """The exits, the columns and the loops the ring sum is taken over:
-    zero columns folded into loops (see the module docstring)."""
+def _fold(memo: ColumnMemo, style: str, twists: Sequence[int], loops: int):
+    """The exits, the columns and the loops the ring sum is taken over, and
+    the curl monomial (A-exponent, sign) it is multiplied by: zero columns
+    folded into loops, and a ring of one column into its curl times a loop
+    (see the module docstring)."""
     if style == "trace":
-        return [None], [k for k in twists if k], loops + 2 * twists.count(0)
+        return ([None], [k for k in twists if k], loops + 2 * twists.count(0),
+                (0, 1))
+    if len(twists) == 1:
+        (k,), (e, s) = twists, memo._mus[0]
+        return [0], [], loops + 1, (e * k, s if k % 2 else 1)
     if 0 in twists:
-        return [0], [k for k in twists if k], loops + twists.count(0)
-    return range(n + 1), twists, loops
+        return [0], [k for k in twists if k], loops + twists.count(0), (0, 1)
+    return range(memo.n + 1), twists, loops, (0, 1)
 
 
 def _exit_lows(memo: ColumnMemo, exits, twists: Sequence[int]
@@ -516,9 +526,9 @@ def _span(memo: ColumnMemo, style: str, twists: Sequence[int],
     delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
     negated, so the top is minus the mirror's nominal bottom."""
     n = memo.n
-    exits, twists, loops = _fold(n, style, twists, loops)
-    low = min(_exit_lows(memo, exits, twists).values())
-    top = -min(_exit_lows(memo, exits, [-k for k in twists]).values())
+    exits, twists, loops, (curl, _) = _fold(memo, style, twists, loops)
+    low = curl + min(_exit_lows(memo, exits, twists).values())
+    top = curl - min(_exit_lows(memo, exits, [-k for k in twists]).values())
     return low - 2 * n * loops, top + 2 * n * loops
 
 
@@ -527,7 +537,8 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
                  digits: int) -> tuple[int, dict[int, int]]:
     """The fused bracket at the memo's color times delta(n)^loops (loops
     >= -1) modulo x^digits above its nominal lowest A-exponent: that
-    exponent, and the nonzero digits by position.
+    exponent, and the nonzero digits by position.  Digit 0 is the bracket's
+    lowest coefficient; ``ExactDivisionError`` is raised when it vanishes.
 
     The fusion budget: past ``max_networks`` column terms in the plan,
     counted over the exits that start below digit ``digits`` and the
@@ -535,8 +546,8 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     any weight is built.
     """
     n = memo.n
-    exits, twists, loops = _fold(n, style, twists, loops)
-    lows = _exit_lows(memo, exits, twists)
+    exits, columns, loops, (curl, sign) = _fold(memo, style, twists, loops)
+    lows = _exit_lows(memo, exits, columns)
     base = min(lows.values())
     # the exits that start below digit ``digits``, each with its reach m
     plan, terms = [], 0
@@ -546,7 +557,7 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
         if m <= 0:
             continue
         plan.append((q, at, m, min(2 * (q or 0) + 1, m)))
-        for k in twists:
+        for k in columns:
             terms += len(memo.terms(q, k, m))
         if terms > max_networks:
             raise BudgetError(
@@ -556,7 +567,7 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     bound = 0
     for q, at, m, length in plan:
         norm = length
-        for k in twists:
+        for k in columns:
             norm *= memo.norm(q, k, m, digits)
         bound += norm
     bound *= _loop_norm(n, loops, digits)
@@ -564,14 +575,20 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     total = 0
     for q, at, m, length in plan:
         prod = _ones(length, width)
-        for k in twists:
+        for k in columns:
             prod = _mask(prod * memo.packed(q, k, m, digits, width), m, width)
         total += prod << (8 * width * at)
     total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
     out = _unpack(total, 0, 1, width) if total else {}
-    if n * loops % 2:
+    if 0 not in out:
+        raise ExactDivisionError(
+            "fused bracket vanishes at its nominal lowest exponent; this "
+            "signals a convention bug upstream: the ring sum of "
+            f"{len(twists)} columns at color {n} has no digit 0"
+        )
+    if sign * (-1) ** (n * loops % 2) < 0:
         out = {i: -c for i, c in out.items()}
-    return base - 2 * n * loops, out
+    return base + curl - 2 * n * loops, out
 
 
 def _loop_norm(n: int, loops: int, digits: int) -> int:
@@ -621,29 +638,6 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
     return LaurentPoly({low + 4 * i: c for i, c in out.items()})
 
 
-def _lowest_digits(memo: ColumnMemo, style: str, twists, loops: int,
-                   max_networks: int, need: int,
-                   digits: int) -> tuple[int, list[int]]:
-    """The lowest A-exponent of the fused bracket times delta(n)^loops and
-    its ``need`` >= 1 coefficients from there, in steps of A^4.
-
-    A sum whose lowest z digits vanish is taken again with z + need
-    digits.  The bracket of a link diagram is never 0 (at A = -1 it is
-    +-(n+1)^c for c components), so some digit is nonzero at a large
-    enough precision.
-    """
-    while True:
-        low, out = _ring_digits(memo, style, twists, loops, max_networks,
-                                digits)
-        if out:
-            z = min(out)
-            if z + need <= digits:
-                return low + 4 * z, [out.get(z + i, 0) for i in range(need)]
-            digits = z + need
-        else:
-            digits *= 2
-
-
 # -- entry points -------------------------------------------------------------------
 
 
@@ -664,18 +658,21 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, top: int, *,
     the memo's color, in A-units; with ``reduced``, of its reduced
     polynomial, in q-units.
 
-    The series is taken at the precision a window of ``top`` >= ``count``
-    needs, the largest of the family, so the members of a family share
-    one precision and their weights are built once.
+    The series is taken once, at the precision a window of ``top`` >=
+    ``count`` needs, the largest of the family, so the members of a family
+    share one precision and their weights are built once.  Its digit 0 is
+    the bracket's lowest coefficient (see the module docstring), so the
+    window is read off from there.
     """
     per = 1 if reduced else 4  # window entries per digit of x = A^4
     need = max(1, -(-count // per))
-    low, xs = _lowest_digits(memo, ring.style, ring.counts,
-                             ring.loops - reduced, max_networks, need,
-                             max(need, -(-top // per)) + GUARD)
+    low, out = _ring_digits(memo, ring.style, ring.counts,
+                            ring.loops - reduced, max_networks,
+                            max(need, -(-top // per)))
     if reduced:
         # one residue class mod 4: substitute_quarter reads A^low as
         # q^(low//4)
-        return CoeffList(tuple(xs[:count]), "q", Fraction(low // 4))
-    coeffs = (0 if i % 4 else xs[i // 4] for i in range(count))
+        coeffs = (out.get(i, 0) for i in range(count))
+        return CoeffList(tuple(coeffs), "q", Fraction(low // 4))
+    coeffs = (0 if i % 4 else out.get(i // 4, 0) for i in range(count))
     return CoeffList(tuple(coeffs), "A", Fraction(low))

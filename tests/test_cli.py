@@ -389,12 +389,27 @@ class TestTable:
         assert parse_text_rows(result.output) == [
             (k, euler(k + 1)) for k in range(190, 193)]
 
+    def test_one_column_rings_at_high_color(self, runner):
+        # a one-column ring is an unknot with k curls: its reduced
+        # polynomial is a monomial at every color, taken in one sum
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "k",
+            "--color", "201",
+            "--range", "3..5",
+            "--window", "5",
+        )
+        assert result.exit_code == 0, result.output
+        assert parse_text_rows(result.output) == [
+            (k, [1, 0, 0, 0, 0]) for k in range(3, 6)]
+
     @pytest.mark.parametrize(
         "extra,message",
         [
             # windows wide enough to reach most channels of most exits
             (["--color", "400", "--window", "160000"],
-             "at least 100168 fusion column terms exceed the configured cap "
+             "at least 101010 fusion column terms exceed the configured cap "
              "of 100000"),
             (["--color", "4", "--window", "20", "--max-networks", "10"],
              "at least 12 fusion column terms exceed the configured cap of "
@@ -466,7 +481,7 @@ class TestTail:
         )
         assert result.exit_code == 1
         assert result.output == (
-            "Error: at least 100170 fusion column terms exceed the "
+            "Error: at least 100168 fusion column terms exceed the "
             "configured cap of 100000\n"
         )
 

@@ -458,11 +458,12 @@ class TestFusedChannels:
         assert colored_bracket_fused(d, k).value == schoolbook_ring(d, k)
 
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
-        # Every weight the constant c at one exponent makes pretzel([2]) at
-        # color 1 the ring sum c (1 + 2x + 2x^2 + 2x^3 + x^4), all positive:
-        # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
-        # digit width is chosen for.  The span holds it whole.
-        d = pretzel([2])
+        # Every weight the constant c at one exponent makes pretzel([2, 2])
+        # at color 1 the ring sum c^2 (1 + 2x + 3x^2 + 4x^3 + 3x^4 + 2x^5 +
+        # x^6), all positive: its largest coefficient, 4c^2, is a quarter
+        # of the L1 bound 16c^2 the digit width is chosen for.  The span
+        # holds it whole.
+        d = pretzel([2, 2])
         monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
@@ -473,8 +474,8 @@ class TestFusedChannels:
             monkeypatch.setattr(ColumnMemo, "weight", weight)
             got = colored_bracket_fused(d, 1).value
             low = got.min_degree()
-            assert got == LaurentPoly({low: c, low + 4: 2 * c, low + 8: 2 * c,
-                                       low + 12: 2 * c, low + 16: c})
+            assert got == LaurentPoly({low + 4 * i: c * c * x for i, x in
+                                       enumerate((1, 2, 3, 4, 3, 2, 1))})
 
     def test_table_off_by_one_is_a_convention_bug(self, monkeypatch):
         # one step factor of the tetrahedral sum off by one: the weights

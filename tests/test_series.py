@@ -3,13 +3,15 @@
 ``bracket_window`` and ``reduced_window`` must give exactly the window
 (coefficients, units and anchor) that the full-polynomial path gives, on
 every diagram: ring layouts through the series, everything else through
-the state sums.  Euler's product checks the color-locked rows at colors
-the full path cannot reach in a test.
+the state sums.  Euler's product checks the color-locked rows, and the
+closed-form tails rings of 2..7 columns, at colors the full path cannot
+reach in a test.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import pathlib
 
 import pytest
@@ -17,12 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinkit import invariants, series
+from skeinkit.algebra import (
+    ExactDivisionError,
+    delta,
+    exact_div,
+    substitute_quarter,
+)
 from skeinkit.cli import _suite_rate_theorems
 from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
     Ring,
+    bracket_state_sum,
     bracket_window,
+    colored_state_sum,
     family_windows,
     reduced_jones,
     reduced_window,
@@ -31,6 +41,8 @@ from skeinkit.invariants import (
 from skeinkit.series import (
     CoeffList,
     ColumnMemo,
+    ring_polynomial,
+    ring_window,
     window_from_bracket,
     window_from_reduced,
 )
@@ -117,12 +129,14 @@ class TestAgainstFullPath:
             assert next(family_windows([d, d], [3, 3], [9, top])) == want
 
 
-class TestPrecisionRetry:
-    @pytest.mark.parametrize("N,count", [(3, 1), (4, 5), (5, 3)])
-    def test_bottom_that_cancels_is_taken_again(self, monkeypatch, N, count):
-        # one column closed into a ring: the exit channels cancel far into
-        # the nominal bottom, by more digits than the window's guard
-        d = pretzel([3])
+class TestOneColumn:
+    # a ring of one column of k crossings is an unknot with k curls: its
+    # curl monomial times a loop, taken in one sum whose digit 0 is the
+    # bracket's lowest coefficient; the oracles are the state sums, which
+    # share nothing with the fold
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_curl_times_a_loop_in_one_sum(self, monkeypatch, n, k):
         calls = []
         ring_digits = series._ring_digits
 
@@ -131,18 +145,113 @@ class TestPrecisionRetry:
             return ring_digits(*args)
 
         monkeypatch.setattr(series, "_ring_digits", spy)
-        got = reduced_window(d, N, count)
-        assert len(calls) > 1 and calls[-1] > calls[0]
-        assert got == window_from_reduced(reduced_jones(d, N), count)
+        d = pretzel([k])
+        bracket = (bracket_state_sum(d) if n == 1
+                   else colored_state_sum(d, n)).value
+        for loops in (0, 1):
+            want = bracket * delta(n) ** loops
+            ring = Ring("ring", (k,), loops)
+            count = want.max_degree() - want.min_degree() + 1
+            calls.clear()
+            assert bracket_window(ring, n, count) == window_from_bracket(
+                want, count)
+            assert ring_polynomial(ring, n) == want
+            assert len(calls) == 2
+        reduced = substitute_quarter(exact_div(bracket, delta(n)))
+        ring = Ring("ring", (k,), 0)
+        calls.clear()
+        assert reduced_window(ring, n + 1, 5) == window_from_reduced(reduced, 5)
+        assert ring_polynomial(ring, n, reduced=True) == reduced
+        assert len(calls) == 2
+
+
+class TestNominalBottom:
+    def test_every_shape_starts_at_its_nominal_bottom(self):
+        # rings of 1-5 columns with counts 0..4 (0..3 at five columns) and
+        # one-column traces, at five colors, with a free loop and with one
+        # taken out: digit 0 of every sum is the bracket's lowest
+        # coefficient, +-1
+        shapes = [("trace", (k,)) for k in range(5)] + [
+            ("ring", cs) for r in range(1, 6)
+            for cs in itertools.product(range(5 if r < 5 else 4), repeat=r)]
+        for n in (1, 2, 3, 4, 6):
+            memo = ColumnMemo(n)
+            for loops in (0, -1):
+                for style, cs in shapes:
+                    _, out = series._ring_digits(memo, style, cs, loops,
+                                                 100_000, 1)
+                    assert out[0] in (1, -1), (style, cs, n, loops)
+
+    def test_a_vanishing_bottom_is_a_convention_bug(self, monkeypatch):
+        # every weight with its lowest digit zeroed: the ring sum's digit
+        # 0 vanishes, which the window and the full polynomial refuse
+        weight = ColumnMemo.weight
+
+        def cut(self, q, p, digits):
+            return [0] + weight(self, q, p, digits)[1:]
+
+        monkeypatch.setattr(ColumnMemo, "weight", cut)
+        ring = Ring("ring", (2, 3, 1), 0)
+        with pytest.raises(ExactDivisionError, match="convention bug"):
+            ring_window(ring, ColumnMemo(2), 4, 4, reduced=True)
+        with pytest.raises(ExactDivisionError, match="convention bug"):
+            ring_polynomial(ring, 2)
+
+
+def color_tail(r, count):
+    """The first ``count`` coefficients of the normalized tail of a ring of
+    r >= 2 columns with every count >= 1.  For r = 2m+1 it is Ramanujan's
+    theta function f(-q^(2m), -q) = sum_j (-1)^j q^(m j(j+1) + j(j-1)/2)
+    over all integers j; for r = 2m it is the sum over k >= 0 of
+    q^(mk^2 + (m-1)k) (1 - q^(2k+1))."""
+    m, odd = divmod(r, 2)
+    c = [0] * count
+    if odd:
+        for step in (1, -1):
+            j = 0 if step > 0 else -1
+            while (e := m * j * (j + 1) + j * (j - 1) // 2) < count:
+                c[e] += -1 if j % 2 else 1
+                j += step
+    else:
+        k = 0
+        while (e := m * k * k + (m - 1) * k) < count:
+            c[e] += 1
+            if e + 2 * k + 1 < count:
+                c[e + 2 * k + 1] -= 1
+            k += 1
+    return c
+
+
+class TestColorTails:
+    # the lowest n+1 coefficients at index n+1 of a ring of r columns
+    # depend on r alone (Armond-Dasbach: its reduced graph is the r-cycle)
+    @given(st.integers(2, 7).flatmap(
+        lambda r: st.lists(st.integers(1, 7), min_size=r, max_size=r)),
+        st.integers(1, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_tail_is_its_closed_form(self, cs, n):
+        w = reduced_window(Ring("ring", cs, 0), n + 1, n + 1)
+        assert list(normalize(w).coeffs) == color_tail(len(cs), n + 1)
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_at_index_201(self, r):
+        w = reduced_window(Ring("ring", tuple(range(1, r + 1)), 0), 201, 201)
+        assert list(normalize(w).coeffs) == color_tail(r, 201)
+
+    def test_closed_forms(self):
+        assert color_tail(2, 9) == [1] + [0] * 8
+        assert color_tail(3, 40) == euler(40)
+        # 1 - q + q^3 - q^6 + q^10
+        assert color_tail(4, 12) == [1, -1, 0, 1, 0, 0, -1, 0, 0, 0, 1, 0]
 
 
 class TestDigitWidth:
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
-        # Every weight the constant c at one exponent makes pretzel([2]) at
-        # color 1 the ring sum c (1 + 2x + 2x^2 + 2x^3 + x^4), all positive:
-        # its largest coefficient, 2c, is a quarter of the L1 bound 8c the
-        # digit width is chosen for.
-        d = pretzel([2])
+        # Every weight the constant c at one exponent makes pretzel([2, 2])
+        # at color 1 the ring sum c^2 (1 + 2x + 3x^2 + 4x^3 + 3x^4 + 2x^5 +
+        # x^6), all positive: its largest coefficient, 4c^2, is a quarter
+        # of the L1 bound 16c^2 the digit width is chosen for.
+        d = pretzel([2, 2])
         monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
@@ -151,9 +260,10 @@ class TestDigitWidth:
                 return [c] + [0] * (digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
-            got = bracket_window(d, 1, 17).coeffs
-            assert got == (c, 0, 0, 0, 2 * c, 0, 0, 0, 2 * c, 0, 0, 0,
-                           2 * c, 0, 0, 0, c)
+            got = bracket_window(d, 1, 25).coeffs
+            want = [0] * 25
+            want[::4] = (c * c * x for x in (1, 2, 3, 4, 3, 2, 1))
+            assert got == tuple(want)
 
 
 class TestColumnMemo:
