@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import random
 import re
 import time
 
@@ -48,6 +49,7 @@ from .invariants import (
     colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
+    reduced_window,
     unreduced_colored_jones,
 )
 from .planar import (
@@ -63,6 +65,7 @@ from .planar import (
     theta_network,
     turnback,
 )
+from .series import Ring, shared_memos
 from .stability import (
     ExpressionError,
     FamilyExpr,
@@ -448,6 +451,30 @@ def _euler(count: int) -> tuple[int, ...]:
     return tuple(c)
 
 
+def _color_tail(r: int, count: int) -> list[int]:
+    """The first ``count`` coefficients of the normalized tail of a ring of
+    r >= 2 columns with every count >= 1.  For r = 2m+1 it is Ramanujan's
+    theta function f(-q^(2m), -q) = sum_j (-1)^j q^(m j(j+1) + j(j-1)/2)
+    over all integers j; for r = 2m it is the sum over k >= 0 of
+    q^(mk^2 + (m-1)k) (1 - q^(2k+1))."""
+    m, odd = divmod(r, 2)
+    c = [0] * count
+    if odd:
+        for step in (1, -1):
+            j = 0 if step > 0 else -1
+            while (e := m * j * (j + 1) + j * (j - 1) // 2) < count:
+                c[e] += -1 if j % 2 else 1
+                j += step
+    else:
+        k = 0
+        while (e := m * k * k + (m - 1) * k) < count:
+            c[e] += 1
+            if e + 2 * k + 1 < count:
+                c[e + 2 * k + 1] -= 1
+            k += 1
+    return c
+
+
 _TABLE_JOBS = (
     ("columns 8,6,k at index 2, windows k+1", "8,6,k", "2", 1, 10, "k+1", _T1_ROW),
     ("columns k,k,2 at index 2, windows k+1", "k,k,2", "2", 1, 10, "k+1", _T2_ROW),
@@ -473,7 +500,25 @@ def _suite_paper_tables():
 
         return label, run
 
-    return [job(*args) for args in _TABLE_JOBS]
+    def color_tails():
+        # the window of length n+1 at index n+1 depends on r alone
+        # (Armond-Dasbach: the ring's reduced graph is the r-cycle)
+        rings = 0
+        for r in range(2, 8):
+            rng = random.Random(r)
+            for n in (rng.randint(1, 199), rng.randint(1, 199), 200):
+                counts = [rng.randint(1, 7) for _ in range(r)]
+                window = reduced_window(Ring("ring", counts, 0), n + 1, n + 1)
+                got, want = list(normalize(window).coeffs), _color_tail(r, n + 1)
+                if got != want:
+                    i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+                    return False, (f"ring {counts} at color {n}: coefficient {i} "
+                                   f"is {got[i]}, the closed form's {want[i]}")
+                rings += 1
+        return True, f"{rings} rings of 2..7 columns, colors up to 200"
+
+    return [job(*args) for args in _TABLE_JOBS] + [
+        ("ring tails at colors up to 200 match their closed forms", color_tails)]
 
 
 def _suite_tl_identities():
@@ -720,12 +765,14 @@ def verify(suite):
     """
     started = time.perf_counter()
     checks = []
-    for name, fn in _SUITES[suite]():
-        c = _run_check(name, fn)
-        marker = "ok  " if c["passed"] else "FAIL"
-        click.echo(f"{marker} {c['name']}: {c['detail']} "
-                   f"[{c['elapsed_seconds']:.3f} s]", err=True)
-        checks.append(c)
+    # the suite's full polynomials share one weight memo per color
+    with shared_memos():
+        for name, fn in _SUITES[suite]():
+            c = _run_check(name, fn)
+            marker = "ok  " if c["passed"] else "FAIL"
+            click.echo(f"{marker} {c['name']}: {c['detail']} "
+                       f"[{c['elapsed_seconds']:.3f} s]", err=True)
+            checks.append(c)
     elapsed = round(time.perf_counter() - started, 3)
     passed = all(c["passed"] for c in checks)
     click.echo(

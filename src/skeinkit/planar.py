@@ -14,13 +14,17 @@ delta = -A^2 - A^(-2).
 A ``TLMorphism`` keeps one shared denominator for all its matchings,
 so composition works on the numerators alone: it packs each one into a
 Python int once (Kronecker substitution, as ``algebra`` multiplies
-large polynomials) and its inner loop is big-int arithmetic only.
-The denominator is a product of cyclotomic factors Phi_d(A^4) (loop
-values and their quotients are), kept as its exponent vector: a
-composition adds vectors, a sum takes their componentwise maximum, and
-normalization trial-divides each factor out of every numerator, with
-no polynomial gcd.  The ``terms`` property presents the conventional
-matching -> coefficient view.
+large polynomials), reads each matching once from the seam, and its
+inner loop walks only the seam and adds ints.  The denominator is a
+product of cyclotomic factors Phi_d(A^4) (loop values and their
+quotients are), kept as its exponent vector: a composition adds
+vectors, a sum takes their componentwise maximum, and normalization
+divides each factor out of every numerator that allows it, with no
+polynomial gcd.  A composition divides its packed sums by the packed
+factors as ints and checks the quotients' digits once (``_cancel``
+gives the argument); the rest of the layer trial-divides polynomials
+(``algebra.divide_out``).  The ``terms`` property presents the
+conventional matching -> coefficient view.
 
 The heavyweight objects here are the Jones-Wenzl projectors, built by
 the Wenzl recursion, and the trivalent vertex morphisms built from
@@ -60,6 +64,7 @@ from .algebra import (
     _unpack,
     admissible,
     common_den,
+    cyclotomic4,
     divide_out,
     factorial_factors,
     vec_sum,
@@ -87,54 +92,75 @@ def is_planar_pair(pair: tuple[int, ...]) -> bool:
     return not stack
 
 
-def glue_pair(p1, b1, t1, p2, b2, t2):
-    """Glue the top of p1 (b1 -> t1) to the bottom of p2 (b2 -> t2).
+def _seam_sides(fb: int, ft: int, gt: int):
+    """The (label, seam_nodes, outer_nodes) of each side of a seam, for
+    ``_seam_view``: f is fb -> ft below it, g is ft -> gt above it.
 
-    Requires t1 == b2.  Returns (pair, loops) for the composite
-    b1 -> t2 morphism, where loops counts closed circles swallowed in
-    the middle.  Seam position p identifies p1 node b1 + t1-1-p with
-    p2 node p.
+    Seam position p is f's top node fb + ft-1-p and g's bottom node p;
+    f's bottom node i is output node i, g's top node ft + j is fb + j.
     """
-    out = [-1] * (b1 + t2)
-    seen = bytearray(t1)  # seam nodes by p1-top offset
-    for src in range(b1 + t2):
-        if out[src] >= 0:
-            continue
-        if src < b1:
-            side, node = 0, p1[src]
-        else:
-            side, node = 1, p2[b2 + (src - b1)]
-        while True:
-            if side == 0:
-                if node < b1:
-                    dst = node
-                    break
-                a = node - b1
-                seen[a] = 1
-                node = p2[t1 - 1 - a]
-                side = 1
-            else:
-                if node >= b2:
-                    dst = b1 + (node - b2)
-                    break
-                a = t1 - 1 - node
-                seen[a] = 1
-                node = p1[b1 + a]
-                side = 0
-        out[src] = dst
-        out[dst] = src
+    return (([~i for i in range(fb)] + [ft - 1 - a for a in range(ft)],
+             range(fb + ft - 1, fb - 1, -1), range(fb)),
+            (list(range(ft)) + [~(fb + j) for j in range(gt)],
+             range(ft), range(ft, ft + gt)))
+
+
+def _seam_view(pair, label, seam_nodes, outer_nodes):
+    """A matching as the seam sees it, for ``_seam_glue``.
+
+    ``label[node]`` is the node's seam position, or ~o for the output
+    node o it becomes; ``seam_nodes`` lists the seam's nodes by
+    position and ``outer_nodes`` the others by output node.  Returns
+    (seam, starts, template, caps): seam[p] is the seam partner of
+    position p, or ~o for the output node its arc reaches; starts lists
+    (o, p) for those arcs; template holds, for each outer node, its
+    output partner along an arc with no end on the seam, else -1; caps
+    counts the arcs with both ends on the seam, which bounds the loops
+    a glue can close.
+    """
+    seam = [label[pair[i]] for i in seam_nodes]
+    template = [~b if (b := label[pair[i]]) < 0 else -1 for i in outer_nodes]
+    starts = [(~b, p) for p, b in enumerate(seam) if b < 0]
+    return seam, starts, template, (len(seam) - len(starts)) // 2
+
+
+def _seam_glue(fv, gv):
+    """Glue two seam views (``_seam_view``): f below the seam, g above.
+
+    Copies the two outer-arc templates and walks only what crosses the
+    seam: each path from an outer node, alternating g's and f's seam
+    arcs until it leaves, then each closed loop left over.  Returns
+    (pair, loops) for the composite.
+    """
+    fs, fstarts, ftmpl, fcaps = fv
+    gs, gstarts, gtmpl, gcaps = gv
+    out = ftmpl + gtmpl
+    seen = bytearray(len(fs))
+    # a path from an f node first crosses the seam along a g arc
+    for starts, first, second in ((fstarts, gs, fs), (gstarts, fs, gs)):
+        for o, x in starts:
+            if out[o] < 0:
+                while True:
+                    seen[x] = 1
+                    y = first[x]
+                    if y < 0:
+                        break
+                    seen[y] = 1
+                    y = second[y]
+                    if y < 0:
+                        break
+                    x = y
+                out[o], out[~y] = ~y, o
+    # what no path reached lies on loops, and a loop needs a cap of each
     loops = 0
-    for a0 in range(t1):
-        if seen[a0]:
-            continue
+    x = seen.find(0) if fcaps and gcaps else -1
+    while x >= 0:
         loops += 1
-        a = a0
-        while not seen[a]:
-            seen[a] = 1
-            partner = p1[b1 + a] - b1
-            seen[partner] = 1
-            q = p2[t1 - 1 - partner]
-            a = t1 - 1 - q
+        while not seen[x]:
+            y = fs[x]
+            seen[x] = seen[y] = 1
+            x = gs[y]
+        x = seen.find(0, x)
     return tuple(out), loops
 
 
@@ -388,14 +414,23 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Stack g on top of f (f first).  Needs f.top == g.bot.
 
     Every numerator is packed once into an int on one exponent lattice
-    (``algebra._pack``), with digits wide enough for any coefficient of
-    the result, so the double loop over matching pairs only multiplies
-    and adds ints: one sum per output matching of P1 * P2 * D[loops],
-    where D[L] packs A^(2*lmax) * delta^L.  Each sum is read back once.
+    (``algebra._pack``), at X = 2^(8*width) with digits wide enough for
+    any coefficient of the result, so the double loop over matching
+    pairs only adds ints.  Each matching is read once from the seam
+    (``_seam_view``), so a pair walks only the seam (``_seam_glue``).
+    Each P2 is multiplied by D[L] once per loop count L it can close,
+    where D[L] packs A^(2*lmax) * delta^L; for each P1 the pairs sum
+    into each output matching, and that sum is multiplied by P1 once.
+    The denominator is cancelled on the packed sums by int division
+    (``_cancel``): a nonzero remainder by Phi_d(X) proves that Phi_d(A^4)
+    does not divide the sum, and quotients whose balanced digits stay
+    below X / (2 prod |Phi|_1) are the polynomial quotients; if one does
+    not, the unpacked sums go to ``algebra.divide_out``.  Each sum is
+    read back once.
     """
     if f.top != g.bot:
         raise ValueError(f"cannot compose {f.top} outputs into {g.bot} inputs")
-    fb, ft, gb, gt = f.bot, f.top, g.bot, g.top
+    fb, ft, gt = f.bot, f.top, g.top
     if not f.nums or not g.nums:
         return TLMorphism.zero(fb, gt)
     f_terms = [n.terms for n in f.nums.values()]
@@ -409,23 +444,91 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     norm = (sum(abs(c) for t in f_terms for c in t.values())
             * sum(abs(c) for t in g_terms for c in t.values()))
     width = (norm << lmax).bit_length() // 8 + 1
-    packed_f = [(p, _pack(n.terms, lo_f, step, width)) for p, n in f.nums.items()]
-    packed_g = [(p, _pack(n.terms, lo_g, step, width)) for p, n in g.nums.items()]
     loop = [_pack(_delta_pow(k).terms, -2 * lmax, step, width)
             for k in range(lmax + 1)]
+    f_side, g_side = _seam_sides(fb, ft, gt)
+    packed_f = [(_seam_view(p, *f_side), _pack(n.terms, lo_f, step, width))
+                for p, n in f.nums.items()]
+    packed_g = []
+    for p, n in g.nums.items():
+        view = _seam_view(p, *g_side)
+        c2 = _pack(n.terms, lo_g, step, width)
+        packed_g.append((view, [c2 * loop[k] for k in range(view[3] + 1)]))
     sums: dict = {}
-    for p1, c1 in packed_f:
-        for p2, c2 in packed_g:
-            pair, loops = glue_pair(p1, fb, ft, p2, gb, gt)
-            sums[pair] = sums.get(pair, 0) + c1 * c2 * loop[loops]
-    lo = lo_f + lo_g - 2 * lmax
-    acc: dict = {}
-    for pair, s in sums.items():
+    for fv, c1 in packed_f:
+        part: dict = {}
+        for gv, c2 in packed_g:
+            pair, loops = _seam_glue(fv, gv)
+            part[pair] = part.get(pair, 0) + c2[loops]
+        for pair, s in part.items():
+            sums[pair] = sums.get(pair, 0) + c1 * s
+    nums, den = _cancel(sums, vec_sum(f.den, g.den), lo_f + lo_g - 2 * lmax,
+                        step, width)
+    return TLMorphism._raw(fb, gt, nums, den)
+
+
+def _cancel(sums: dict, den: dict[int, int], lo: int, step: int,
+            width: int) -> tuple[dict, dict[int, int]]:
+    """Read packed sums back over ``den``, each factor divided out as
+    often as all of them allow, as ``algebra.divide_out`` does.
+
+    Each sum is S(X) for the polynomial S it packs, every coefficient of
+    which lies below X/2 in absolute value (``compose`` sizes the digits
+    so), and Phi_d(A^4) packs as Phi_d(X).  If Phi_d divides S as
+    polynomials, Phi_d(X) divides S(X) as ints, so a nonzero remainder
+    of ``divmod`` proves that it does not.  A zero remainder proves
+    nothing by itself, so the quotients are checked once, at the end:
+    if every balanced digit of each quotient q, read as the polynomial
+    Q, is below X / (2 prod |Phi|_1) in absolute value, then Q times the
+    factors divided out has coefficients below X/2 and the value S(X)
+    at X, so it is S, and Q is the polynomial quotient.  Every division
+    then was one of polynomials, and every remainder stopped where
+    ``divide_out`` stops.  Otherwise the undivided sums go to
+    ``divide_out``.
+    """
+    quos = {pair: s for pair, s in sums.items() if s}
+    left: dict[int, int] = {}
+    bound = 1
+    for d, e in den.items():
+        phi = cyclotomic4(d)
+        packed = _pack(phi.terms, 0, step, width)
+        while e:
+            divided = {}
+            for pair, s in quos.items():
+                q, r = divmod(s, packed)
+                if r:
+                    break
+                divided[pair] = q
+            else:
+                quos, e = divided, e - 1
+                bound *= sum(map(abs, phi.terms.values()))
+                continue
+            break
+        if e:
+            left[d] = e
+    nums = _read_back(quos, lo, step, width)
+    if bound == 1:
+        return nums, left
+    if nums is not None:
+        top = max((max(map(abs, n.terms.values())) for n in nums.values()),
+                  default=0)
+        if top * bound < 1 << (8 * width - 1):
+            return nums, left
+    return divide_out(_read_back(sums, lo, step, width), den)
+
+
+def _read_back(packed: dict, lo: int, step: int, width: int) -> dict | None:
+    """Unpack each nonzero value into a LaurentPoly, or None if one of
+    them has more balanced digits than its bit length allows for."""
+    out: dict = {}
+    for pair, s in packed.items():
         if s:
-            num = acc[pair] = LaurentPoly.__new__(LaurentPoly)
-            num.terms = _unpack(s, lo, step, width)
-    out = TLMorphism._raw(fb, gt, acc, vec_sum(f.den, g.den))
-    out._strip()
+            try:
+                terms = _unpack(s, lo, step, width)
+            except OverflowError:
+                return None
+            num = out[pair] = LaurentPoly.__new__(LaurentPoly)
+            num.terms = terms
     return out
 
 

@@ -49,9 +49,11 @@ digits) the weight's L1 norm and its packings by width.  A shorter
 precision takes a slice of the longest series, which is exact: every step
 that builds one is an operation modulo x^M that a longer one extends.
 ``invariants.family_windows`` makes one per color of a family, so a
-member rebuilds only the columns whose count changed; a full polynomial
-makes its own.  No memo outlives its family, so nothing it holds goes
-stale and no weight is held after it.
+member rebuilds only the columns whose count changed.  A full polynomial
+makes its own, unless it runs inside ``shared_memos()``: there the full
+polynomials of one color share one memo, which ``skein verify`` keeps for
+one suite.  No memo outlives its family or its block, so nothing it
+holds goes stale and no weight is held after it.
 
 What is walked.  A column of k >= 1 crossings starts lowest at channel n,
 and each channel below starts strictly higher (``_nominal`` derives the
@@ -70,6 +72,8 @@ r (n+1)^2.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import operator
@@ -95,6 +99,7 @@ __all__ = [
     "WindowError",
     "ring_polynomial",
     "ring_window",
+    "shared_memos",
     "window_from_bracket",
     "window_from_reduced",
 ]
@@ -615,6 +620,23 @@ def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
     return t
 
 
+# the memos, by color, that full polynomials share inside ``shared_memos``
+_SHARED: contextvars.ContextVar[dict[int, ColumnMemo] | None] = (
+    contextvars.ContextVar("shared_memos", default=None))
+
+
+@contextlib.contextmanager
+def shared_memos():
+    """Within the block, the full polynomials of one color share one
+    ``ColumnMemo``, so each weight is built once; the memos are dropped
+    when the block ends."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
                      *, max_networks: int = 100_000) -> LaurentPoly:
     """The fused bracket times delta(n)^loops (loops >= -1), whole.
@@ -624,7 +646,11 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
     for a Laurent polynomial; a nonzero one means a weight, or the loop
     division, left the ring of Laurent polynomials.
     """
-    memo = ColumnMemo(n)
+    shared = _SHARED.get()
+    if shared is None:
+        memo = ColumnMemo(n)
+    else:
+        memo = shared.get(n) or shared.setdefault(n, ColumnMemo(n))
     low, top = _span(memo, style, twists, loops)
     span = _quarters(top - low) + 1
     low, out = _ring_digits(memo, style, twists, loops, max_networks,

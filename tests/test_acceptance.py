@@ -71,7 +71,8 @@ def suite_gate(num, label, budget, suite, report=None):
     gate(num, label, budget, ok, elapsed, detail)
 
 
-# each check's (name, passed, detail) as the suites report them
+# each check's (name, passed, detail) as the suites report them: the
+# fields bench/checks.py hashes into each oracle-suites output
 TL_IDENTITIES = (
     ("projector idempotency", True, "n = 1..6"),
     ("hook annihilation", True, "n = 2..6, every hook position"),

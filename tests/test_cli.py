@@ -28,6 +28,7 @@ from skeinkit.diagram import (
     reduced_minus_graph,
 )
 from skeinkit.invariants import bracket_state_sum, colored_state_sum, reduced_jones
+from skeinkit.series import ColumnMemo
 from skeinkit.stability import normalize, window_from_reduced
 
 from test_series import euler
@@ -595,8 +596,29 @@ class TestVerify:
         assert doc["passed"] is True
         assert [c["detail"] for c in doc["checks"]] == [
             "10 rows match", "10 rows match", "7 rows match", "5 rows match",
-            "11 rows match",
+            "11 rows match", "18 rings of 2..7 columns, colors up to 200",
         ]
+
+    def test_suite_shares_one_memo_per_color(self, runner, monkeypatch):
+        made = []
+        init = ColumnMemo.__init__
+
+        def counting(self, n):
+            made.append(n)
+            init(self, n)
+
+        def check():
+            for counts in ((2, 2, 2), (2, 3, 2)):
+                for n in (2, 3):
+                    reduced_jones(pretzel(counts), n)
+            return True, "done"
+
+        monkeypatch.setattr(ColumnMemo, "__init__", counting)
+        monkeypatch.setitem(cli._SUITES, "tl-identities",
+                            lambda: [("first", check), ("second", check)])
+        result = run(runner, "verify", "--suite", "tl-identities")
+        assert result.exit_code == 0
+        assert sorted(made) == [1, 2]
 
     def test_failing_suite_exits_nonzero(self, runner, monkeypatch):
         monkeypatch.setitem(

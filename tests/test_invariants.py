@@ -615,6 +615,29 @@ class TestChannelWalk:
             tracemalloc.stop()
         assert held < 1 << 20
 
+    def test_full_polynomials_share_weights_inside_shared_memos(self,
+                                                                monkeypatch):
+        # one memo per color inside the block, the values each polynomial
+        # gives alone, and no memo left once the block ends
+        members = [pretzel([2, 5, k]) for k in (2, 3, 4)]
+        alone = [reduced_jones(d, n) for d in members for n in (2, 3)]
+        made = []
+        init = ColumnMemo.__init__
+
+        def counting(self, n):
+            made.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(ColumnMemo, "__init__", counting)
+        with series.shared_memos():
+            shared = [reduced_jones(d, n) for d in members for n in (2, 3)]
+        assert shared == alone
+        assert sorted(made) == [1, 2]
+        assert series._SHARED.get() is None
+        made.clear()
+        reduced_jones(members[0], 2)
+        assert made == [1]
+
 
 def channel_scan(memo, q, digits):
     """sum_p c[q][p] over every channel at the memo's color, modulo x^digits

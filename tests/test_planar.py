@@ -24,6 +24,7 @@ from skeinkit.algebra import (
     RationalFn,
     admissible,
     delta,
+    divide_out,
     fusion_coeff,
     phi_power,
     tet,
@@ -41,11 +42,14 @@ from skeinkit.planar import (
     channel_element,
     close_ring,
     closure,
+    _seam_glue,
+    _seam_sides,
+    _seam_view,
     compose,
     crossing_morphism,
     cupnest,
     drum,
-    glue_pair,
+    idpair,
     jones_wenzl,
     quarter_turn,
     tensor,
@@ -131,6 +135,58 @@ class TestCompose:
     def test_closure_needs_equal_arities(self):
         with pytest.raises(ValueError, match="close"):
             closure(TLMorphism.cap(2, 0))
+
+
+def glue_pair(p1, b1, t1, p2, b2, t2):
+    """Glue the top of p1 (b1 -> t1) to the bottom of p2 (b2 -> t2): the
+    schoolbook reference for ``compose``'s seam glue.
+
+    Requires t1 == b2.  Returns (pair, loops) for the composite
+    b1 -> t2 morphism, where loops counts closed circles swallowed in
+    the middle.  Seam position p identifies p1 node b1 + t1-1-p with
+    p2 node p.
+    """
+    out = [-1] * (b1 + t2)
+    seen = bytearray(t1)  # seam nodes by p1-top offset
+    for src in range(b1 + t2):
+        if out[src] >= 0:
+            continue
+        if src < b1:
+            side, node = 0, p1[src]
+        else:
+            side, node = 1, p2[b2 + (src - b1)]
+        while True:
+            if side == 0:
+                if node < b1:
+                    dst = node
+                    break
+                a = node - b1
+                seen[a] = 1
+                node = p2[t1 - 1 - a]
+                side = 1
+            else:
+                if node >= b2:
+                    dst = b1 + (node - b2)
+                    break
+                a = t1 - 1 - node
+                seen[a] = 1
+                node = p1[b1 + a]
+                side = 0
+        out[src] = dst
+        out[dst] = src
+    loops = 0
+    for a0 in range(t1):
+        if seen[a0]:
+            continue
+        loops += 1
+        a = a0
+        while not seen[a]:
+            seen[a] = 1
+            partner = p1[b1 + a] - b1
+            seen[partner] = 1
+            q = p2[t1 - 1 - partner]
+            a = t1 - 1 - q
+    return tuple(out), loops
 
 
 def _school_mul(a: dict, b: dict) -> dict:
@@ -247,6 +303,81 @@ class TestComposeAgainstSchoolbook:
         zero = TLMorphism.zero(2, 2)
         assert compose(zero, f2).is_zero() and compose(f2, zero).is_zero()
         assert compose(zero, f2).den == {}
+
+
+def every_planar_pair(n):
+    """Every non-crossing perfect matching of n boundary nodes."""
+
+    def arcs(lo, hi):
+        if lo == hi:
+            yield ()
+            return
+        for j in range(lo + 1, hi, 2):
+            for inner in arcs(lo + 1, j):
+                for rest in arcs(j + 1, hi):
+                    yield ((lo, j),) + inner + rest
+
+    out = []
+    for matching in (arcs(0, n) if n % 2 == 0 else ()):
+        pair = [0] * n
+        for i, j in matching:
+            pair[i], pair[j] = j, i
+        out.append(tuple(pair))
+    return out
+
+
+class TestSeamGlue:
+    # (f.bot, seam, g.top): zero-width seams, odd widths, all cups below
+    # or all caps above, and 8 points on a side
+    @pytest.mark.parametrize("shape", [
+        (0, 0, 0), (2, 0, 2), (8, 0, 4), (1, 1, 1), (3, 3, 3), (1, 7, 1),
+        (7, 1, 7), (5, 3, 5), (3, 5, 1), (0, 8, 0), (0, 4, 8), (8, 4, 0),
+        (2, 8, 2), (6, 6, 6), (8, 8, 0), (0, 8, 8),
+    ])
+    def test_every_pair_matches_the_schoolbook_glue(self, shape):
+        fb, ft, gt = shape
+        f_side, g_side = _seam_sides(fb, ft, gt)
+        fs = [(p, _seam_view(p, *f_side)) for p in every_planar_pair(fb + ft)]
+        gs = [(p, _seam_view(p, *g_side)) for p in every_planar_pair(ft + gt)]
+        assert fs and gs
+        for p1, fv in fs:
+            for p2, gv in gs:
+                assert (_seam_glue(fv, gv)
+                        == glue_pair(p1, fb, ft, p2, ft, gt)), (p1, p2)
+
+
+class TestPackedCancellation:
+    def test_cancels_without_polynomial_division(self, monkeypatch):
+        # f f = f for the projector: the sum's denominator is f's twice,
+        # and half of it cancels on the packed sums
+        f = jones_wenzl(4)
+
+        def refuse(nums, den):
+            raise AssertionError("compose divided as polynomials")
+
+        monkeypatch.setattr(planar_module, "divide_out", refuse)
+        assert f.den and compose(f, f) == f
+
+    def test_quotient_past_the_digits_takes_divide_out(self, monkeypatch):
+        # with x = A^4, (1 - x^8)^8 / (x - 1)^8 = (1 + x + ... + x^7)^8:
+        # the sum fits 2-byte digits, its quotient (middle coefficient
+        # 1,012,664) does not, so the packed quotient is refused
+        f = TLMorphism._raw(2, 2, {idpair(2): ONE}, {1: 8})
+        g = TLMorphism._raw(2, 2, {idpair(2): LaurentPoly({0: 1, 32: -1}) ** 8}, {})
+        calls = []
+
+        def counting(nums, den):
+            calls.append(dict(den))
+            return divide_out(nums, den)
+
+        monkeypatch.setattr(planar_module, "divide_out", counting)
+        got = compose(f, g)
+        assert calls == [{1: 8}]
+        assert got.den == {}
+        assert got.nums == {idpair(2): LaurentPoly({4 * i: 1 for i in range(8)}) ** 8}
+        ref = TLMorphism._raw(2, 2, schoolbook_compose(f, g), {1: 8})
+        ref._strip()
+        assert (got.nums, got.den) == (ref.nums, ref.den)
 
 
 # -- Jones-Wenzl projectors --------------------------------------------

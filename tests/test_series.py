@@ -25,7 +25,8 @@ from skeinkit.algebra import (
     exact_div,
     substitute_quarter,
 )
-from skeinkit.cli import _suite_rate_theorems
+from skeinkit.cli import _color_tail as color_tail
+from skeinkit.cli import _suite_paper_tables, _suite_rate_theorems
 from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
@@ -198,30 +199,6 @@ class TestNominalBottom:
             ring_polynomial(ring, 2)
 
 
-def color_tail(r, count):
-    """The first ``count`` coefficients of the normalized tail of a ring of
-    r >= 2 columns with every count >= 1.  For r = 2m+1 it is Ramanujan's
-    theta function f(-q^(2m), -q) = sum_j (-1)^j q^(m j(j+1) + j(j-1)/2)
-    over all integers j; for r = 2m it is the sum over k >= 0 of
-    q^(mk^2 + (m-1)k) (1 - q^(2k+1))."""
-    m, odd = divmod(r, 2)
-    c = [0] * count
-    if odd:
-        for step in (1, -1):
-            j = 0 if step > 0 else -1
-            while (e := m * j * (j + 1) + j * (j - 1) // 2) < count:
-                c[e] += -1 if j % 2 else 1
-                j += step
-    else:
-        k = 0
-        while (e := m * k * k + (m - 1) * k) < count:
-            c[e] += 1
-            if e + 2 * k + 1 < count:
-                c[e + 2 * k + 1] -= 1
-            k += 1
-    return c
-
-
 class TestColorTails:
     # the lowest n+1 coefficients at index n+1 of a ring of r columns
     # depend on r alone (Armond-Dasbach: its reduced graph is the r-cycle)
@@ -237,6 +214,19 @@ class TestColorTails:
     def test_at_index_201(self, r):
         w = reduced_window(Ring("ring", tuple(range(1, r + 1)), 0), 201, 201)
         assert list(normalize(w).coeffs) == color_tail(r, 201)
+
+    def test_verify_check_fails_on_a_flipped_weight(self, monkeypatch):
+        (name, check), = [c for c in _suite_paper_tables() if "tails" in c[0]]
+        assert check() == (True, "18 rings of 2..7 columns, colors up to 200")
+        weight = ColumnMemo.weight
+
+        def flipped(self, q, p, digits):
+            w = weight(self, q, p, digits)
+            return [-c for c in w] if (q, p) == (0, self.n) else w
+
+        monkeypatch.setattr(ColumnMemo, "weight", flipped)
+        ok, detail = check()
+        assert not ok and "closed form" in detail
 
     def test_closed_forms(self):
         assert color_tail(2, 9) == [1] + [0] * 8
