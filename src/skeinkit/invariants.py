@@ -4,11 +4,12 @@ Three independent routes to the same exact values:
 
 * ``bracket_state_sum``: the classical bracket by a frontier sweep
   over smoothings, merging equal boundary connections (n = 1 only).
-* ``colored_state_sum``: the n-colored state sum, expanding every
-  cable crossing into weighted clasped turnbacks.  Above color 1 it
-  contracts the sum at width 2n: one clasped step morphism per color,
-  a power of it per column, and the ring closed as the Markov trace of
-  the quarter-turned columns stacked in ring order.
+* ``colored_state_sum``: the n-colored state sum of a diagram with a
+  ring layout, at every color: each cable crossing expands into weighted
+  clasped turnbacks, and the sum is contracted at width 2n, one clasped
+  step morphism per color, a power of it per column, and the ring closed
+  as the Markov trace of the quarter-turned columns stacked in ring
+  order.
 * ``colored_bracket_fused``: the twist-region fast path, the closed-form
   ring sum of ``series`` over the diagram's ``Ring`` (its closure,
   column twist counts and free loops, all the path reads of it).  The
@@ -16,17 +17,18 @@ Three independent routes to the same exact values:
 
 The routers ``unreduced_colored_jones``, ``reduced_jones``,
 ``bracket_window``, ``reduced_window`` and ``family_windows`` send a
-diagram with a ring layout to the series engine, and one without to the
-state sum that takes it.  Beside them sit the closed-form minimum-degree
+diagram with a ring layout to the series engine.  One without has a
+value at color 1 only, from the frontier sweep (or, without crossings,
+its loop factors at any color); above color 1 it raises ``LayoutError``.
+Beside them sit the closed-form minimum-degree
 predictors, and ``channel_probe``, the value of the network that
 replaces one region by a single colored channel.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -49,7 +51,6 @@ from .diagram import (
     LinkDiagram,
     State,
     TwistRegion,
-    _circle_counter,
     apply_state,
     is_adequate,
     is_alternating,
@@ -57,7 +58,6 @@ from .diagram import (
 )
 from .planar import (
     TLMorphism,
-    cabled_crossing,
     channel_element,
     close_ring,
     compose,
@@ -286,20 +286,6 @@ def colored_bracket_fused(
 # -- oracle: the colored state sum ----------------------------------------------
 
 
-def _classical_state_sum(diagram: LinkDiagram) -> LaurentPoly:
-    # literal enumeration; independent of the sweep in bracket_state_sum.
-    # States are tallied by (circle count, sign sum), and each distinct
-    # key's term delta^circles A^sum is built once.
-    count_circles = _circle_counter(diagram)
-    tally = collections.Counter(
-        (count_circles(signs), sum(signs))
-        for signs in itertools.product((+1, -1), repeat=diagram.crossing_count))
-    total = ZERO
-    for (circles, shift), count in tally.items():
-        total = total + (DELTA**circles).shifted(shift).scaled(count)
-    return total
-
-
 @functools.cache
 def _clasped_step(n: int) -> TLMorphism:
     # S = sum_i fusion_coeff(n, i) * turnback(n, i) ff, ff = JW_n (x) JW_n
@@ -326,38 +312,41 @@ def colored_state_sum(
     the diagram with each crossing replaced by its clasped turnback
     and each state carries the product of its smoothing weights.
 
-    For n = 1 the smoothings are the classical ones and the sum runs
-    by circle counting on any diagram, the states tallied by circle
-    count and sign sum.  For n >= 2
-    the diagram must lay out as a ring of labeled twist regions, and
-    the sum is contracted instead of enumerated: composition is
-    bilinear, so one clasped step S = sum_i fusion_coeff(n, i) *
+    The diagram must lay out as a ring of labeled twist regions, at every
+    color, and the sum is contracted instead of enumerated: composition
+    is bilinear, so one clasped step S = sum_i fusion_coeff(n, i) *
     turnback(n, i) ff, with ff = JW_n (x) JW_n, sums the smoothings of a
-    crossing, and a column of k crossings is ff S^k.  The step and the
-    columns are memoized per color, so equal counts share one column,
-    within a diagram and across diagrams, and a diagram whose columns
-    are built composes only its ring seams.  ``planar.close_ring``
+    crossing, and a column of k crossings is ff S^k.  At n = 1, JW_1 is
+    the identity and the step is the classical pair of smoothings.  The
+    step and the columns are memoized per color, so equal counts share
+    one column, within a diagram and across diagrams, and a diagram whose
+    columns are built composes only its ring seams.  ``planar.close_ring``
     closes the columns: quarter-turned, they stack in ring order under
     the Markov trace, and a region closed around the side is the trace
-    of its column.  Every composition runs at width 2n.
+    of its column.
 
-    The budget still counts the (n+1)^c states.
+    The budget counts what this builds: max(k) + r - 1 compositions for r
+    columns (the powers, then the ring seams), each at width 2n, where it
+    glues at most Catalan(2n)^2 pairs of matchings.  It is checked before
+    any composition.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
-    c = diagram.crossing_count
-    if (n + 1) ** c > max_networks:
-        raise BudgetError(
-            f"{(n + 1) ** c} state networks exceed the configured cap of "
-            f"{max_networks}"
-        )
-    if c == 0:
+    if diagram.crossing_count == 0:
         return BracketValue(delta(n) ** diagram.free_loops)
-    if n == 1:
-        return BracketValue(_classical_state_sum(diagram))
     ring, _ = _ring_layout(diagram)
+    top = max(ring.counts)
+    compositions = top + len(ring.counts) - 1
+    # a 2n -> 2n morphism has at most Catalan(2n) matchings
+    pairs = compositions * (math.comb(4 * n, 2 * n) // (2 * n + 1)) ** 2
+    if pairs > max_networks:
+        raise BudgetError(
+            f"{compositions} compositions gluing up to {pairs} matching "
+            f"pairs at width {2 * n} exceed the configured cap "
+            f"max_networks={max_networks}"
+        )
     # built in order, so each new power is one composition
-    powers = [_clasped_column(n, k) for k in range(max(ring.counts) + 1)]
+    powers = [_clasped_column(n, k) for k in range(top + 1)]
     total = close_ring([powers[k] for k in ring.counts], ring.style)
     try:
         value = total.to_poly()
@@ -374,14 +363,19 @@ def colored_state_sum(
 # -- routing: ring layouts to the series engine, the rest to the state sums ---
 
 
-def _as_ring(shape: Ring | LinkDiagram) -> Ring | None:
-    """A ``Ring`` as it is, or a diagram's ring layout; None for a
-    diagram without one, which the state sums take."""
+def _as_ring(shape: Ring | LinkDiagram, n: int) -> Ring | None:
+    """A ``Ring`` as it is, or a diagram's ring layout.  A diagram without
+    one gives None at color 1, or at any color without crossings, and
+    takes ``_state_sum``; above color 1 no route takes it, and its
+    ``LayoutError`` propagates."""
     if isinstance(shape, Ring):
         return shape
     try:
         return _ring_layout(shape)[0]
-    except LayoutError:
+    except LayoutError as err:
+        if n > 1 and shape.crossing_count:
+            raise LayoutError(
+                f"color {n} needs a ring layout: {err}") from None
         return None
 
 
@@ -395,28 +389,24 @@ def _cable(index: int, reduced: bool) -> int:
 
 
 def _state_sum(diagram: LinkDiagram, n: int, reduced: bool, *,
-               max_crossings: int = 20,
-               max_networks: int = 100_000) -> LaurentPoly | QPoly:
-    """The color-n bracket of a diagram without a ring layout, by the
-    state-sum oracle that takes it: the frontier sweep at n = 1, the
-    clasped state sum above (which needs a ring layout of its own).  With
-    ``reduced``, over delta(n) in q: the one schoolbook division."""
+               max_crossings: int = 20) -> LaurentPoly | QPoly:
+    """The color-n bracket of a diagram without a ring layout: its loop
+    factors when it has no crossings, else the frontier sweep, which
+    ``_as_ring`` lets through at color 1 only.  With ``reduced``, over
+    delta(n) in q: the one schoolbook division."""
     if diagram.crossing_count == 0:
         value = delta(n) ** diagram.free_loops
-    elif n == 1:
-        value = bracket_state_sum(diagram, max_crossings=max_crossings).value
     else:
-        value = colored_state_sum(diagram, n, max_networks=max_networks).value
+        value = bracket_state_sum(diagram, max_crossings=max_crossings).value
     return substitute_quarter(exact_div(value, delta(n))) if reduced else value
 
 
 def _value(shape: Ring | LinkDiagram, index: int, reduced: bool,
            max_crossings: int, max_networks: int) -> LaurentPoly | QPoly:
     n = _cable(index, reduced)
-    ring = _as_ring(shape)
+    ring = _as_ring(shape, n)
     if ring is None:
-        return _state_sum(shape, n, reduced, max_crossings=max_crossings,
-                          max_networks=max_networks)
+        return _state_sum(shape, n, reduced, max_crossings=max_crossings)
     return ring_polynomial(ring, n, reduced=reduced, max_networks=max_networks)
 
 
@@ -427,9 +417,9 @@ def unreduced_colored_jones(diagram: LinkDiagram, n: int, *,
 
     The value is one representative of the invariant: the framing
     monomial is deliberately left uncorrected, so consumers must only
-    rely on normalized coefficient windows.  Fully-regioned diagrams
-    route through the fused path; anything else falls back to the
-    matching state-sum oracle.
+    rely on normalized coefficient windows.  A diagram with a ring
+    layout routes through the fused path; one without takes the frontier
+    sweep at n = 1 and raises ``LayoutError`` above it.
     """
     return BracketValue(_value(diagram, n, False, max_crossings,
                                max_networks))
@@ -442,8 +432,8 @@ def reduced_jones(diagram: LinkDiagram, N: int, *, max_crossings: int = 20,
 
     The result keeps the pipeline's framing monomial; normalize the
     coefficient window downstream before comparing across diagrams.  A
-    ring layout takes the loop factor out inside its series; only the
-    state-sum fallback divides by delta(n).
+    ring layout takes the loop factor out inside its series; only a
+    diagram without one divides by delta(n).
     """
     return _value(diagram, N, True, max_crossings, max_networks)
 
@@ -461,7 +451,8 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
     largest count needs, with a ``series.ColumnMemo`` per run of members
     at one color, so each color's weights are built once and a member
     rebuilds only the columns that changed.  A diagram with no ring
-    layout takes its state sum's window.
+    layout takes its sweep's window at cable color 1, and raises
+    ``LayoutError`` above it.
     """
     top = max(counts, default=0)
     memo = None
@@ -469,9 +460,9 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
         n = _cable(index, reduced)
         if count < 0:
             raise ValueError("window length must be nonnegative")
-        ring = _as_ring(shape)
+        ring = _as_ring(shape, n)
         if ring is None:
-            value = _state_sum(shape, n, reduced, max_networks=max_networks)
+            value = _state_sum(shape, n, reduced)
             read = window_from_reduced if reduced else window_from_bracket
             yield read(value, count)
             continue
@@ -538,8 +529,9 @@ def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
 
     The designated region's crossings are dropped in favor of a single
     (n, n, 2p) channel with 0 <= p < n; every other region keeps its
-    crossings as clasped cable crossings.  ``close_ring`` closes the
-    columns exactly as the diagram's ring does.
+    crossings as the clasped column ff S^k that ``colored_state_sum``
+    builds, which equals ff followed by k negative cabled crossings.
+    ``close_ring`` closes the columns exactly as the diagram's ring does.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")
@@ -548,15 +540,6 @@ def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
     if diagram.free_loops:
         raise LayoutError("free loops do not fit in a probe network")
     ring, _ = _ring_layout(diagram)  # the target is the first column
-    ff = tensor(jones_wenzl(n), jones_wenzl(n))
-    cross = cabled_crossing(n, -1)
-    columns: list[TLMorphism] = []
-    for i, k in enumerate(ring.counts):
-        if i == 0:
-            columns.append(channel_element(n, p))
-            continue
-        m = ff
-        for _ in range(k):
-            m = compose(m, cross)
-        columns.append(m)
+    columns = [channel_element(n, p)]
+    columns += [_clasped_column(n, k) for k in ring.counts[1:]]
     return close_ring(columns, ring.style)

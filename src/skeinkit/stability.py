@@ -595,21 +595,15 @@ def check_bracket_rate(spec: FamilySpec, *, rate=None,
     return _step_rate_report(spec, rate, depth, "4*min(k_i)", lambda k: 1)
 
 
-def check_colored_rate(spec: FamilySpec, *, rate=None, units: str = "A",
+def check_colored_rate(spec: FamilySpec, *, rate=None,
                        depth: int = 2) -> TailReport:
-    """Stepwise colored agreement for a twist family at fixed or given rate.
+    """Stepwise colored agreement in A-units for a twist family.
 
-    In A-units the members are raw cabled brackets and the default claim is
-    4n(k-1)+4 with n the cable color and k the smallest changed region size
-    at the later member.  In q-units the members are reduced windows and an
-    explicit rate is required.
+    The members are raw cabled brackets, and the default claim is
+    4n(k-1)+4 with n the cable color and k the smallest changed region
+    size at the later member; a custom rate is evaluated at the later
+    member as well.  Reduced windows in q-units are ``family_tail``'s.
     """
-    if units == "q":
-        if rate is None:
-            raise ValueError("q-unit checks need an explicit rate")
-        return family_tail(spec, rate, depth=depth)
-    if units != "A":
-        raise ValueError(f"unknown grading units {units!r}")
 
     def cable(k: int) -> int:
         n = spec.member_color(k) - 1
@@ -630,7 +624,8 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     """Agreement of cabled bracket windows across consecutive colors.
 
     Plain mode compares the same diagram at colors n-1 and n to 4n A-terms.
-    The diagram is taken as its ring layout once, when it has one.  With
+    The diagram is taken as its ring layout once; one without a ring
+    layout raises ``LayoutError``, since no color above 1 reaches it.  With
     ``twist_shifts`` the lower-color member absorbs the per-region shifts
     (accumulating down the chain), added to the counts of the ring's
     columns.  Every shifted region must keep at least one crossing at
@@ -668,21 +663,15 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
                 )
     try:
         ring, columns = _ring_layout(diagram)
-    except LayoutError:
-        ring, columns = None, ()
+    except LayoutError as err:
+        raise LayoutError(
+            f"color stability needs a ring layout: {err}") from None
     members = {}
     for c, mult in mults.items():
-        counts = list(ring.counts) if ring else []
+        counts = list(ring.counts)
         for rid, b in shifts.items():
-            if b * mult:
-                if ring is None:
-                    raise LayoutError(
-                        f"twist shifts need a ring layout; region {rid} "
-                        "cannot be resized"
-                    )
-                counts[columns.index(rid)] += b * mult
-        members[c] = (diagram if ring is None
-                      else replace(ring, counts=tuple(counts)))
+            counts[columns.index(rid)] += b * mult
+        members[c] = replace(ring, counts=tuple(counts))
 
     required = [4 * c for c in colors[1:]]
     tail_len = required[-1] if required else 1

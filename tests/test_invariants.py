@@ -45,7 +45,7 @@ from skeinkit.diagram import (
     parse_pd,
     pretzel,
 )
-from skeinkit import invariants, planar, series
+from skeinkit import invariants, planar, series, stability
 from skeinkit.invariants import (
     AdequacyError,
     BudgetError,
@@ -61,6 +61,7 @@ from skeinkit.invariants import (
     reduced_window,
     unreduced_colored_jones,
 )
+from skeinkit.stability import check_color_stability
 from skeinkit.series import (
     ColumnMemo,
     _over,
@@ -193,9 +194,15 @@ class TestClassicalBracket:
 
 class TestColoredStateSum:
     def test_color_one_is_classical_on_any_diagram(self):
-        for text in (HOPF_TRACE, FOUR_CROSSING, "PD[X[1,1,2,2]]"):
+        # the clasped sum where the diagram lays out as a ring; one that
+        # does not has its color-1 value from the sweep alone
+        for text in (HOPF_TRACE, "PD[X[1,1,2,2]]"):
             d = parse_pd(text)
-            assert colored_state_sum(d, 1).value == bracket_state_sum(d).value
+            assert colored_state_sum(d, 1).value == brute_bracket(d)
+        d = parse_pd(FOUR_CROSSING)
+        assert unreduced_colored_jones(d, 1).value == brute_bracket(d)
+        with pytest.raises(LayoutError, match="single ring"):
+            colored_state_sum(d, 1)
 
     def test_zero_crossings(self):
         d = LinkDiagram(crossings=(), twist_regions=(), free_loops=2)
@@ -219,6 +226,32 @@ class TestColoredStateSum:
     def test_network_budget(self):
         with pytest.raises(BudgetError, match="cap"):
             colored_state_sum(pretzel([2, 2, 2]), 2, max_networks=100)
+
+    def test_budget_counts_compositions_at_width_2n(self, monkeypatch):
+        # max(k) + r - 1 compositions of at most Catalan(2n)^2 glued pairs:
+        # 5 * 132^2 = 87,120 for [3, 3, 3] at color 3, under the default
+        # cap; 3 and 4 times 1430^2 for [1, 1, 1] and [2, 2, 2] at color 4,
+        # refused before anything is composed
+        d = pretzel([3, 3, 3])
+        assert colored_state_sum(d, 3).value == colored_bracket_fused(d, 3).value
+
+        def refuse(f, g):
+            raise AssertionError("composed past the budget")
+
+        monkeypatch.setattr(invariants, "compose", refuse)
+        monkeypatch.setattr(planar, "compose", refuse)
+        for counts, pairs in (([1, 1, 1], 6_134_700), ([2, 2, 2], 8_179_600)):
+            with pytest.raises(BudgetError, match="max_networks") as exc:
+                colored_state_sum(pretzel(counts), 4)
+            assert str(pairs) in str(exc.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_clasped_column_is_the_cabled_crossing_power(self, n):
+        # ff X ff = ff S (the cabled crossing expansion), so ff X^k = ff S^k
+        m = tensor(jones_wenzl(n), jones_wenzl(n))
+        for k in range(5):
+            assert invariants._clasped_column(n, k) == m, k
+            m = compose(m, planar.cabled_crossing(n, -1))
 
     @pytest.mark.parametrize(
         "counts", [[2, 0, 3], [2, 2], [1, 3, 1, 3], HOPF_TRACE]
@@ -295,8 +328,10 @@ class TestLiteralEnumeration:
          (9, 6, 11, 3), (6, 1, 12, 8)),
     ])
     def test_matches_sweep_on_deep_union_find_chains(self, crossings):
+        # the chains are ``apply_state``'s union-find, which brute_bracket
+        # runs once per state
         d = LinkDiagram(crossings)
-        assert colored_state_sum(d, 1).value == bracket_state_sum(d).value
+        assert brute_bracket(d) == bracket_state_sum(d).value
 
 
 class TestFusedChannels:
@@ -797,6 +832,33 @@ class TestRouting:
         partial = replace(d, twist_regions=d.twist_regions[:2])
         with pytest.raises(LayoutError):
             unreduced_colored_jones(partial, 2)
+
+    @pytest.mark.parametrize("run", [
+        lambda d: unreduced_colored_jones(d, 2),
+        lambda d: reduced_window(d, 3, 4),
+        lambda d: check_color_stability(d, (1, 2)),
+    ], ids=["unreduced_colored_jones", "reduced_window",
+            "check_color_stability"])
+    def test_no_layout_above_color_one_is_one_search(self, monkeypatch, run):
+        # the router's one search raises; nothing is composed
+        d = parse_pd(FOUR_CROSSING)
+        searches = []
+        layout = invariants._ring_layout
+
+        def counted(diagram):
+            searches.append(diagram)
+            return layout(diagram)
+
+        def refuse(f, g):
+            raise AssertionError("composed without a ring layout")
+
+        for module in (invariants, stability):
+            monkeypatch.setattr(module, "_ring_layout", counted)
+        monkeypatch.setattr(invariants, "compose", refuse)
+        monkeypatch.setattr(planar, "compose", refuse)
+        with pytest.raises(LayoutError, match="ring layout"):
+            run(d)
+        assert searches == [d]
 
     def test_layout_styles_detected(self):
         assert _ring_layout(pretzel([2]))[0].style == "ring"

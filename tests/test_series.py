@@ -58,6 +58,8 @@ from skeinkit.stability import (
 )
 
 HOPF_TRACE = "PD[X[1,4,2,3],X[3,2,4,1]]"
+# a 4-crossing drawing whose regions do not form a column ring
+FOUR_CROSSING = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]"
 
 
 def outcome(fn, *args):
@@ -228,6 +230,19 @@ class TestColorTails:
         ok, detail = check()
         assert not ok and "closed form" in detail
 
+    @pytest.mark.parametrize("cs", [[2, 3, 2], [1, 2], [3, 1, 2, 2],
+                                    [2, 2, 2, 2, 2]])
+    def test_color_stability_tail(self, cs):
+        # the A-unit tail of the brackets at colors 1..6 steps by q = A^4;
+        # read there, it is the closed form times 1/(1 - q), the bottom of
+        # the loop value delta(n) the bracket keeps
+        report = check_color_stability(pretzel(cs), range(1, 7))
+        tail = list(report.tail.coeffs)
+        assert report.passed and len(tail) == 24
+        assert not any(c for i, c in enumerate(tail) if i % 4)
+        want = itertools.accumulate(color_tail(len(cs), len(tail) // 4))
+        assert tail[::4] == list(want)
+
     def test_closed_forms(self):
         assert color_tail(2, 9) == [1] + [0] * 8
         assert color_tail(3, 40) == euler(40)
@@ -363,13 +378,13 @@ class TestConsumers:
             return layout(diagram)
 
         monkeypatch.setattr(invariants, "_ring_layout", counted)
-        for d in (pretzel([0, 2]), pretzel([2, 3])):  # without, with a ring
+        for d in (parse_pd(FOUR_CROSSING), pretzel([2, 3])):  # without, with
             calls.clear()
             fn(d, index, 4)
             assert calls == [d]
 
     def test_state_sum_route_without_a_ring(self):
-        d = pretzel([0, 2])  # its one region does not close up on its own
+        d = parse_pd(FOUR_CROSSING)
         assert (reduced_window(d, 2, 4)
                 == window_from_reduced(reduced_jones(d, 2), 4))
 
@@ -404,3 +419,28 @@ def test_engine_imports_only_algebra():
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert imported == {"algebra"}
+
+
+def test_modules_use_what_they_import():
+    # every name a module imports is read in it or exported by __all__;
+    # the package __init__ imports only to re-export
+    for path in sorted(pathlib.Path(series.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        unused = sorted(set(imported) - used - exported)
+        assert not unused, [f"{path.name}:{imported[n]}: {n}" for n in unused]

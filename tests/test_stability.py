@@ -537,20 +537,6 @@ class TestColoredRate:
         assert [s.required for s in report.steps] == [12, 16]
         assert report.passed
 
-    def test_q_units_delegate_to_family_tail(self):
-        spec = pretzel_family("k+2,k+4,k+1", "4", 1, 4)
-        a = check_colored_rate(spec, rate="3*k+1", units="q")
-        b = family_tail(spec, "3*k+1")
-        assert a.to_json() == b.to_json()
-
-    def test_q_units_need_a_rate(self):
-        with pytest.raises(ValueError, match="explicit rate"):
-            check_colored_rate(pretzel_family("1,1", "2", 1, 2), units="q")
-
-    def test_unknown_units_rejected(self):
-        with pytest.raises(ValueError, match="units"):
-            check_colored_rate(pretzel_family("1,1", "2", 1, 2), units="B")
-
 
 class TestColorStability:
     def test_color_ladder(self):
