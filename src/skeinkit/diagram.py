@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "DiagramError",
@@ -594,37 +594,21 @@ def apply_state(diagram: LinkDiagram, state: State | Mapping[int, int]) -> int:
     for cid in assignment:
         if not 0 <= cid < c:
             raise DiagramError(f"state assigns missing crossing {cid}")
-    return _circle_counter(diagram)([assignment[cid] for cid in range(c)])
-
-
-def _circle_counter(diagram: LinkDiagram) -> Callable[[Sequence[int]], int]:
-    """The circle count of each classical state of the diagram, the state
-    given as its signs in crossing order, free loops included.
-
-    The arcs, and the arc pairs each smoothing joins, are found once per
-    diagram, so a count is one union-find pass over the crossings.
-    """
     index = {a: i for i, a in enumerate(diagram.arcs())}
-    joins = [(((index[a], index[b]), (index[c], index[d])),
-              ((index[a], index[d]), (index[b], index[c])))
-             for a, b, c, d in diagram.crossings]
-    start = len(index) + diagram.free_loops
-
-    def count(signs: Sequence[int]) -> int:
-        parent = list(range(len(index)))
-        circles = start
-        for sign, (plus, minus) in zip(signs, joins):
-            for x, y in plus if sign == +1 else minus:
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x != y:
-                    parent[x] = y
-                    circles -= 1
-        return circles
-
-    return count
+    parent = list(range(len(index)))
+    circles = len(index) + diagram.free_loops
+    for cid, slots in enumerate(diagram.crossings):
+        s0, s1, s2, s3 = (index[a] for a in slots)
+        plus = assignment[cid] == +1
+        for x, y in ((s0, s1), (s2, s3)) if plus else ((s0, s3), (s1, s2)):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                circles -= 1
+    return circles
 
 
 def _state_graph(diagram: LinkDiagram, sign: int) -> StateGraph:

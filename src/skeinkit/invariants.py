@@ -447,16 +447,36 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
     ``colors[i]`` in A-units, or with ``reduced`` those of its reduced
     polynomial of index ``colors[i]`` in q-units.
 
-    Ring layouts are taken as truncated series at the one precision the
-    largest count needs, with a ``series.ColumnMemo`` per run of members
-    at one color, so each color's weights are built once and a member
-    rebuilds only the columns that changed.  A diagram with no ring
-    layout takes its sweep's window at cable color 1, and raises
-    ``LayoutError`` above it.
+    Ring layouts are taken as truncated series with a
+    ``series.ColumnMemo`` per run of consecutive members at one color, so
+    each color's weights are built once and a member rebuilds only the
+    columns that changed.  The weights are built at the precision the
+    run's largest count needs, and each member's ring sum is taken at
+    the precision its own count needs.  A diagram with no ring layout
+    takes its sweep's window at cable color 1, and raises ``LayoutError``
+    above it.
     """
-    top = max(counts, default=0)
+    # the colors are read ahead, so each run's largest count is known at
+    # its first member; a color that fails is raised at its own member,
+    # after the members before it
+    members, indices, failed = iter(members), [], None
+    try:
+        for _, index in zip(counts, colors):
+            indices.append(index)
+    except (ValueError, ArithmeticError) as exc:
+        failed = exc
     memo = None
-    for shape, index, count in zip(members, colors, counts):
+    for i, (shape, count) in enumerate(zip(members, counts)):
+        if i == len(indices):
+            if failed is None:
+                return
+            raise failed
+        index = indices[i]
+        if i == 0 or indices[i - 1] != index:
+            end = i + 1
+            while end < len(indices) and indices[end] == index:
+                end += 1
+            top = max(counts[i:end])
         n = _cable(index, reduced)
         if count < 0:
             raise ValueError("window length must be nonnegative")

@@ -20,14 +20,22 @@ digit M or beyond; dividing by delta(n) is one multiplication by (-1)^n
 A^(2n) F_n / F_(n+1).  The sum is evaluated as Python ints at X =
 2^(8*width), masked after every product (x^i -> X^i is a ring map from
 Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound sum_q
-|delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of the truncated series.  A
-window (``ring_window``) takes the digits it needs at its family's
-precision, once; a full polynomial (``ring_polynomial``) takes the sum to
-the top of its span.  Digit 0 is the bracket's lowest coefficient: a ring
-of two or more columns is a reduced alternating diagram, hence adequate,
-so its coefficient at the nominal lowest exponent is +-1 (Armond, "The
-head and tail conjecture for alternating knots", AGT 2013).  A sum whose
-digit 0 vanishes signals a convention bug, and raises.
+|delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of the truncated series.
+Digit 0 is the bracket's lowest coefficient: a ring of two or more
+columns is a reduced alternating diagram, hence adequate, so its
+coefficient at the nominal lowest exponent is +-1 (Armond, "The head and
+tail conjecture for alternating knots", AGT 2013).  A sum whose digit 0
+vanishes signals a convention bug, and raises.
+
+Two precisions.  A window (``ring_window``) builds its weights, plans its
+exits, counts its budget and packs its columns at its run's precision:
+the digits that the largest window of its run of members at one color
+needs, so the run shares them.  It takes the ring sum itself at its own
+precision, the digits its own window needs.  Truncation modulo x^M
+commutes with products, and the L1 norm of a truncation is at most that
+of a longer one, so the run's digit width holds every member's sum.  A
+full polynomial (``ring_polynomial``) takes the sum to the top of its
+span, at one precision.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
@@ -48,12 +56,12 @@ built of each symmetric tet/theta part and each c[q][p], with per (q, p,
 digits) the weight's L1 norm and its packings by width.  A shorter
 precision takes a slice of the longest series, which is exact: every step
 that builds one is an operation modulo x^M that a longer one extends.
-``invariants.family_windows`` makes one per color of a family, so a
-member rebuilds only the columns whose count changed.  A full polynomial
-makes its own, unless it runs inside ``shared_memos()``: there the full
-polynomials of one color share one memo, which ``skein verify`` keeps for
-one suite.  No memo outlives its family or its block, so nothing it
-holds goes stale and no weight is held after it.
+``invariants.family_windows`` makes one per run of members at one
+color, so a member rebuilds only the columns whose count changed.  A
+full polynomial makes its own, unless it runs inside ``shared_memos()``:
+there the full polynomials of one color share one memo, which ``skein
+verify`` keeps for one suite.  No memo outlives its family or its block,
+so nothing it holds goes stale and no weight is held after it.
 
 What is walked.  A column of k >= 1 crossings starts lowest at channel n,
 and each channel below starts strictly higher (``_nominal`` derives the
@@ -63,11 +71,11 @@ beyond.  The mirror the span reads, k <= -1, walks up from channel 0.
 
 What is counted.  ``max_networks`` caps the column terms the series
 builds: for each exit that starts below the precision, the channels each
-column reaches there, counted before any weight is built, at each
-precision the sum is taken at, up to the first exit that passes the cap.
-The window of the published ``2,5,k`` row at color 200 counts 36 (12
-exits of 3 columns, one channel each); a full polynomial reaches about
-r (n+1)^2.
+column reaches there, counted before any weight is built, at the
+precision the weights are built at (a window's run precision), up to the
+first exit that passes the cap.  The window of the published ``2,5,k``
+row at color 200 counts 36 (12 exits of 3 columns, one channel each); a
+full polynomial reaches about r (n+1)^2.
 """
 
 from __future__ import annotations
@@ -538,12 +546,19 @@ def _span(memo: ColumnMemo, style: str, twists: Sequence[int],
 
 
 def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
-                 loops: int, max_networks: int,
-                 digits: int) -> tuple[int, dict[int, int]]:
+                 loops: int, max_networks: int, digits: int,
+                 need: int | None = None) -> tuple[int, dict[int, int]]:
     """The fused bracket at the memo's color times delta(n)^loops (loops
-    >= -1) modulo x^digits above its nominal lowest A-exponent: that
+    >= -1) modulo x^need above its nominal lowest A-exponent: that
     exponent, and the nonzero digits by position.  Digit 0 is the bracket's
     lowest coefficient; ``ExactDivisionError`` is raised when it vanishes.
+
+    ``need`` <= ``digits`` defaults to ``digits``.  The plan, the L1 bound,
+    the digit width and the columns' packed sums are taken at ``digits``,
+    so sums at one ``digits`` share them; the products are taken at
+    ``need``.  Truncation modulo x^M commutes with products, and a
+    truncation's L1 norm is at most that of a longer one, so the width
+    holds every shorter sum.
 
     The fusion budget: past ``max_networks`` column terms in the plan,
     counted over the exits that start below digit ``digits`` and the
@@ -551,6 +566,7 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     any weight is built.
     """
     n = memo.n
+    need = digits if need is None else need
     exits, columns, loops, (curl, sign) = _fold(memo, style, twists, loops)
     lows = _exit_lows(memo, exits, columns)
     base = min(lows.values())
@@ -579,11 +595,17 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     width = bound.bit_length() // 8 + 1
     total = 0
     for q, at, m, length in plan:
-        prod = _ones(length, width)
+        if at >= need:
+            continue
+        cut = min(m, need - at)  # the exit's reach at ``need``
+        prod = _ones(min(length, cut), width)
         for k in columns:
-            prod = _mask(prod * memo.packed(q, k, m, digits, width), m, width)
+            column = memo.packed(q, k, m, digits, width)
+            if cut < m:  # a full polynomial's sum never cuts
+                column = _mask(column, cut, width)
+            prod = _mask(prod * column, cut, width)
         total += prod << (8 * width * at)
-    total = _loop_power(_mask(total, digits, width), n, loops, digits, width)
+    total = _loop_power(_mask(total, need, width), n, loops, need, width)
     out = _unpack(total, 0, 1, width) if total else {}
     if 0 not in out:
         raise ExactDivisionError(
@@ -684,17 +706,19 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, top: int, *,
     the memo's color, in A-units; with ``reduced``, of its reduced
     polynomial, in q-units.
 
-    The series is taken once, at the precision a window of ``top`` >=
-    ``count`` needs, the largest of the family, so the members of a family
-    share one precision and their weights are built once.  Its digit 0 is
-    the bracket's lowest coefficient (see the module docstring), so the
-    window is read off from there.
+    ``top`` >= ``count`` is the largest count of the run of members that
+    share the memo.  The weights, the plan, the budget count and the
+    columns' packed sums are taken at the precision a window of ``top``
+    needs, so the run builds each weight once; the ring sum itself is
+    taken at the precision ``count`` needs.  Its digit 0 is the bracket's
+    lowest coefficient (see the module docstring), so the window is read
+    off from there.
     """
     per = 1 if reduced else 4  # window entries per digit of x = A^4
     need = max(1, -(-count // per))
     low, out = _ring_digits(memo, ring.style, ring.counts,
                             ring.loops - reduced, max_networks,
-                            max(need, -(-top // per)))
+                            max(need, -(-top // per)), need)
     if reduced:
         # one residue class mod 4: substitute_quarter reads A^low as
         # q^(low//4)

@@ -350,9 +350,10 @@ class TestTable:
         assert parse_text_rows(result.output) == want
 
     def test_empty_column_beside_one_column_is_its_trace(self, runner):
-        # pretzel([0, k]) has no ring layout: its empty column closes the
-        # other one around the side.  The oracle is the clasped state sum
-        # of that trace closure, drawn in PD
+        # pretzel([0, k]) lays out as Ring("ring", (0, k), 0), and its
+        # empty column folds into a loop: the other column closes around
+        # the side.  The oracle is the clasped state sum of that trace
+        # closure, drawn in PD
         result = run(
             runner,
             "table",

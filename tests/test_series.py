@@ -15,6 +15,7 @@ import itertools
 import pathlib
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from skeinkit.algebra import (
     substitute_quarter,
 )
 from skeinkit.cli import _color_tail as color_tail
-from skeinkit.cli import _suite_paper_tables, _suite_rate_theorems
+from skeinkit.cli import _suite_paper_tables, _suite_rate_theorems, main
 from skeinkit.diagram import LinkDiagram, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
@@ -294,6 +295,51 @@ class TestColumnMemo:
                      for r, c in zip(members, counts)]
             assert shared == alone
 
+    @given(st.lists(st.integers(0, 4), min_size=2, max_size=3),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                    min_size=1, max_size=3),
+           st.integers(0, 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_member_takes_its_own_precision(self, base, runs, loops,
+                                                 data):
+        # runs of members at one color, one column changing along them,
+        # with counts in any order: each window is the member's alone,
+        # taken at its own count
+        colors = [n for n, length in runs for _ in range(length)]
+        members = [Ring("ring", [*base[:-1], base[-1] + j], loops)
+                   for j in range(len(colors))]
+        counts = data.draw(st.lists(st.integers(0, 12), min_size=len(colors),
+                                    max_size=len(colors)))
+        for reduced in (True, False):
+            indices = [n + reduced for n in colors]
+            shared = list(family_windows(members, indices, counts,
+                                         reduced=reduced))
+            alone = [next(family_windows([r], [index], [c], reduced=reduced))
+                     for r, index, c in zip(members, indices, counts)]
+            assert shared == alone
+
+    def test_weights_are_built_at_the_runs_precision(self, monkeypatch):
+        # a run's weights are built once, at its largest count, and a
+        # color-locked member's at its own count: never at the family's
+        built = []
+        symmetric = series._symmetric
+
+        def spy(n, a, b, digits):
+            built.append((n, a, b, digits))
+            return symmetric(n, a, b, digits)
+
+        monkeypatch.setattr(series, "_symmetric", spy)
+        members = [Ring("ring", (2, 3, k), 0) for k in range(1, 6)]
+        list(family_windows(members, [4, 4, 4, 3, 3], [2, 4, 6, 3, 5],
+                            reduced=True))
+        assert len(built) == len({key[:3] for key in built})
+        assert {(n, digits) for n, _, _, digits in built} == {(3, 6), (2, 5)}
+        built.clear()
+        spec = pretzel_family("2,5,k", "k+1", 1, 12)
+        reduced_windows(spec, [k + 1 for k in range(1, 13)])
+        assert {n for n, _, _, _ in built} == set(range(1, 13))
+        assert all(digits == n + 1 for n, _, _, digits in built)
+
     def test_column_terms_are_kept_per_reach(self):
         # shrinking the second column of (0, k) at color 4 moves exit
         # channels' reach up: a column's terms below a lower reach must
@@ -401,6 +447,27 @@ class TestConsumers:
         with pytest.raises(BudgetError) as window:
             bracket_window(d, 3, 800, max_networks=10)
         assert str(window.value) == str(full.value)
+
+    @pytest.mark.parametrize("window,cap,terms", [("k+1", 5, 6),
+                                                  ("40", 20, 27)])
+    def test_family_budget_refusal_names_the_flag(self, window, cap, terms):
+        # refused at the family's precision, and at each member's: the
+        # first member past the cap is the same, and so is its count
+        result = CliRunner().invoke(main, [
+            "table", "--pretzel-family", "2,5,k", "--color", "k+1",
+            "--range", "1..30", "--window", window,
+            "--max-networks", str(cap)])
+        assert result.exit_code == 1
+        assert (f"Error: --max-networks: at least {terms} fusion column "
+                f"terms exceed the configured cap of {cap}") in result.output
+
+    def test_budget_counts_each_members_precision(self):
+        # member k of the color-locked family plans its own k+1 digits,
+        # not the family's 31: the cap of 20 holds every member
+        spec = pretzel_family("2,5,k", "k+1", 1, 30)
+        counts = [k + 1 for k in range(1, 31)]
+        assert (reduced_windows(spec, counts, max_networks=20)
+                == reduced_windows(spec, counts))
 
     @pytest.mark.parametrize("fn,index", [(bracket_window, 0),
                                           (reduced_window, 1)])

@@ -473,6 +473,14 @@ class TestReducedWindows:
                                   depth=640000)
         assert not isinstance(exc.value, MemberError)
 
+    def test_first_failing_member_is_named(self):
+        # a size fails at k = 3 and the color at k = 6: the colors are
+        # read ahead of the members, and the first failure is still named
+        spec = pretzel_family("8,6,5-2*k", "6-k", 1, 6)
+        with pytest.raises(MemberError) as exc:
+            reduced_windows(spec, [2] * 6)
+        assert exc.value.parameter == 3
+
     def test_value_error_names_the_member(self):
         spec = pretzel_family("8,6,k", "2", 1, 3)
         with pytest.raises(MemberError, match="nonnegative") as exc:
