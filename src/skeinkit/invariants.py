@@ -70,6 +70,7 @@ from .series import (
     CoeffList,
     ColumnMemo,
     Ring,
+    _window_digits,
     ring_polynomial,
     ring_window,
     window_from_bracket,
@@ -448,13 +449,12 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
     polynomial of index ``colors[i]`` in q-units.
 
     Ring layouts are taken as truncated series with a
-    ``series.ColumnMemo`` per run of consecutive members at one color, so
-    each color's weights are built once and a member rebuilds only the
-    columns that changed.  The weights are built at the precision the
-    run's largest count needs, and each member's ring sum is taken at
-    the precision its own count needs.  A diagram with no ring layout
-    takes its sweep's window at cable color 1, and raises ``LayoutError``
-    above it.
+    ``series.ColumnMemo`` per run of consecutive members at one color,
+    made at the precision the run's largest count needs, so each of the
+    run's weights is built once and a member rebuilds only the columns
+    that changed.  Each member's ring sum is taken at the precision its
+    own count needs.  A diagram with no ring layout takes its sweep's
+    window at cable color 1, and raises ``LayoutError`` above it.
     """
     # the colors are read ahead, so each run's largest count is known at
     # its first member; a color that fails is raised at its own member,
@@ -465,7 +465,6 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
             indices.append(index)
     except (ValueError, ArithmeticError) as exc:
         failed = exc
-    memo = None
     for i, (shape, count) in enumerate(zip(members, counts)):
         if i == len(indices):
             if failed is None:
@@ -476,7 +475,7 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
             end = i + 1
             while end < len(indices) and indices[end] == index:
                 end += 1
-            top = max(counts[i:end])
+            top, memo = max(counts[i:end]), None
         n = _cable(index, reduced)
         if count < 0:
             raise ValueError("window length must be nonnegative")
@@ -486,9 +485,9 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
             read = window_from_reduced if reduced else window_from_bracket
             yield read(value, count)
             continue
-        if memo is None or memo.n != n:
-            memo = ColumnMemo(n)
-        yield ring_window(ring, memo, count, top, reduced=reduced,
+        if memo is None:
+            memo = ColumnMemo(n, _window_digits(top, reduced))
+        yield ring_window(ring, memo, count, reduced=reduced,
                           max_networks=max_networks)
 
 

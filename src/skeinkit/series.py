@@ -27,15 +27,14 @@ coefficient at the nominal lowest exponent is +-1 (Armond, "The head and
 tail conjecture for alternating knots", AGT 2013).  A sum whose digit 0
 vanishes signals a convention bug, and raises.
 
-Two precisions.  A window (``ring_window``) builds its weights, plans its
-exits, counts its budget and packs its columns at its run's precision:
-the digits that the largest window of its run of members at one color
-needs, so the run shares them.  It takes the ring sum itself at its own
-precision, the digits its own window needs.  Truncation modulo x^M
-commutes with products, and the L1 norm of a truncation is at most that
-of a longer one, so the run's digit width holds every member's sum.  A
-full polynomial (``ring_polynomial``) takes the sum to the top of its
-span, at one precision.
+Two precisions.  A ``ColumnMemo`` holds one color at one precision, its
+digits: its weights, the plan of exits, the budget count, the L1 bound,
+the digit width and the packed column sums are all taken modulo x^digits.
+A sum takes its products at its own precision, at most the memo's: the
+digits its window needs (``ring_window``), or the top of its span plus two
+(``ring_polynomial``).  Truncation modulo x^M commutes with products, and
+the L1 norm of a truncation is at most that of a longer one, so the
+memo's digit width holds every shorter sum.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
@@ -48,31 +47,31 @@ nominal bottom.
 
 The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
 only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
-it for one color of one family: the channels' twist monomials; per column
-its nominal lowest exponent keyed by (q, k), its channels below the exit's
-reach m keyed by (q, k, m), their L1 bound keyed by (q, k, m, digits) and
-their packed sum keyed by (q, k, m, digits, width); and the longest series
-built of each symmetric tet/theta part and each c[q][p], with per (q, p,
-digits) the weight's L1 norm and its packings by width.  A shorter
-precision takes a slice of the longest series, which is exact: every step
-that builds one is an operation modulo x^M that a longer one extends.
-``invariants.family_windows`` makes one per run of members at one
-color, so a member rebuilds only the columns whose count changed.  A
-full polynomial makes its own, unless it runs inside ``shared_memos()``:
-there the full polynomials of one color share one memo, which ``skein
-verify`` keeps for one suite.  No memo outlives its family or its block,
-so nothing it holds goes stale and no weight is held after it.
+it for one color at one precision: the channels' twist monomials; per
+column its channels below the exit's reach m keyed by (q, k, m), and
+their packed sum keyed by (q, k, m, width); each symmetric tet/theta part
+keyed by (a, b); and each c[q][p] with its L1 norm and its packings by
+width, keyed by (q, p).  ``invariants.family_windows`` makes one per run
+of members at one color, at the precision of the run's largest window,
+so a member rebuilds only the columns whose count changed.  A full
+polynomial makes its own, unless it runs inside ``shared_memos()``: there
+each color keeps the memo of its longest span so far, which serves every
+shorter one, and a longer span replaces it; ``skein verify`` keeps them
+for one suite.  No memo outlives its family or its block, so nothing it
+holds goes stale and no weight is held after it.
 
-What is walked.  A column of k >= 1 crossings starts lowest at channel n,
-and each channel below starts strictly higher (``_nominal`` derives the
-bound), so the memo reads its lowest exponent off channel n and walks
-down from there to the first channel that starts at the exit's reach m or
-beyond.  The mirror the span reads, k <= -1, walks up from channel 0.
+What is walked.  Exit q of a ring of r >= 2 nonzero columns starts r
+q(q+1)/2 - q digits above exit 0, whatever the counts (``_plan``), so the
+plan walks up from exit 0 to the first exit at the precision or beyond:
+12 of 201 at color 200 for the published ``2,5,k`` row.  A column of k
+>= 1 crossings starts lowest at channel n, and each channel below starts
+strictly higher (``_nominal``), so the memo walks down from channel n to
+the first channel that starts at the exit's reach m or beyond.  The
+mirror the span reads, k <= -1, starts at channel 0 and exit n.
 
 What is counted.  ``max_networks`` caps the column terms the series
-builds: for each exit that starts below the precision, the channels each
-column reaches there, counted before any weight is built, at the
-precision the weights are built at (a window's run precision), up to the
+builds: for each planned exit, the channels each column reaches there,
+counted at the memo's precision before any weight is built, up to the
 first exit that passes the cap.  The window of the published ``2,5,k``
 row at color 200 counts 36 (12 exits of 3 columns, one channel each); a
 full polynomial reaches about r (n+1)^2.
@@ -154,9 +153,6 @@ class CoeffList:
         if self.units not in UNIT_NAMES:
             raise WindowError(f"unknown grading units {self.units!r}")
 
-    def window(self) -> int:
-        return len(self.coeffs)
-
 
 def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
     """The lowest ``count`` A-coefficients, zeros included, anchor recorded."""
@@ -209,6 +205,8 @@ class Ring:
             raise ValueError("a ring needs at least one column")
         if self.style == "trace" and len(self.counts) != 1:
             raise ValueError("a trace closes exactly one column")
+        if not all(isinstance(k, int) for k in (*self.counts, self.loops)):
+            raise TypeError("column twist counts and free loops must be ints")
         if min(self.counts) < 0:
             raise ValueError("column twist counts must be nonnegative")
         if self.loops < 0:
@@ -376,66 +374,57 @@ def _mask(t: int, digits: int, width: int) -> int:
     return ((t + half) & (top - 1)) - half
 
 
-def _longest(store: dict, key, digits: int, build) -> list[int]:
-    # the series kept under ``key`` cut to ``digits``, built anew by
-    # ``build(digits)`` when the kept one is shorter
-    have = store.get(key)
-    if have is None or have[0] < digits:
-        have = store[key] = digits, build(digits)
-    kept, series = have
-    return series if kept == digits else series[:digits]
+def _twist(n: int, p: int) -> tuple[int, int]:
+    # (A-exponent, sign) of channel p's twist monomial twist_coeff(n, n, 2p)
+    return 2 * (n - p) + n * n - 2 * p * p, -1 if (n - p) % 2 else 1
+
+
+def _least(n: int, q: int | None, k: int) -> int:
+    """The nominal lowest A-exponent of a column of k != 0 crossings on
+    exit q: the least of sum_p c[q][p] * twist_p^k over its terms.
+
+    Channel p's twist exponent falls by 4(p+1) per crossing from p to
+    p+1, and ``_nominal`` rises by at most 4p, so for k >= 1 the column's
+    exponent falls strictly with p and the least is at p = n; ``_nominal``
+    falls by at most 4(p+1), so for k <= -1 it never falls with p and the
+    least is at p = 0.
+    """
+    p = n if k > 0 else 0
+    return _nominal(n, q, p) + _twist(n, p)[0] * k
 
 
 # -- the column memo and the ring sum ---------------------------------------------
 
 
 class ColumnMemo:
-    """The column factors of ring sums at color ``n``, kept for one family
-    evaluation, so a member rebuilds only the columns whose count changed
-    (what it holds, and under which keys, is in the module docstring)."""
+    """The column factors of ring sums at color ``n``, modulo x^digits for
+    its one precision ``digits``, kept for one run of members, so a member
+    rebuilds only the columns whose count changed (what it holds, and under
+    which keys, is in the module docstring)."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, digits: int) -> None:
+        if n < 0:
+            raise ValueError(f"color must be nonnegative, got {n}")
         self.n = n
-        # the twist monomial twist_coeff(n, n, 2p) of channel p:
-        # (A-exponent, sign) = (2n - 2p + n^2 - 2p^2, (-1)^(n-p))
-        self._mus = [(2 * (n - p) + n * n - 2 * p * p,
-                      -1 if (n - p) % 2 else 1) for p in range(n + 1)]
-        self._least: dict = {}
+        self.digits = digits
+        self._mus = [_twist(n, p) for p in range(n + 1)]
         self._terms: dict = {}
-        self._norms: dict = {}
         self._packed: dict = {}
         self._symmetric: dict = {}
-        self._weights: dict = {}
         self._channels: dict = {}
-
-    def least(self, q: int | None, k: int) -> int:
-        """The nominal lowest A-exponent of a column of k != 0 crossings on
-        exit q: the least of sum_p c[q][p] * twist_p^k over its terms.
-
-        Channel p's twist exponent falls by 4(p+1) per crossing from p to
-        p+1, and ``_nominal`` rises by at most 4p, so for k >= 1 the
-        column's exponent falls strictly with p and the least is at
-        p = n; ``_nominal`` falls by at most 4(p+1), so for k <= -1 it
-        never falls with p and the least is at p = 0.
-        """
-        key = q, k
-        if key not in self._least:
-            p = self.n if k > 0 else 0
-            self._least[key] = _nominal(self.n, q, p) + self._mus[p][0] * k
-        return self._least[key]
 
     def terms(self, q: int | None, k: int, m: int) -> list[tuple[int, bool, int]]:
         """The column's terms that start below digit ``m`` of its lowest
         exponent, each (digit offset, negated, channel p).
 
-        The walk starts at the lowest channel (see ``least``) and moves
+        The walk starts at the lowest channel (see ``_least``) and moves
         away from it, and the offsets never fall along it, so it stops at
         the first channel that starts at digit ``m`` or beyond.  No weight
         is built.
         """
         key = q, k, m
         if key not in self._terms:
-            n, least = self.n, self.least(q, k)
+            n, least = self.n, _least(self.n, q, k)
             terms = []
             for p in range(n, -1, -1) if k > 0 else range(n + 1):
                 e, s = self._mus[p]
@@ -446,28 +435,21 @@ class ColumnMemo:
             self._terms[key] = terms
         return self._terms[key]
 
-    def norm(self, q: int | None, k: int, m: int, digits: int) -> int:
-        """The L1 bound of the column's terms below digit ``m``, modulo
-        x^digits."""
-        key = q, k, m, digits
-        if key not in self._norms:
-            chans = self._channels
-            self._norms[key] = sum(
-                (chans.get((q, p, digits)) or self._channel(q, p, digits))[0]
-                for _, _, p in self.terms(q, k, m))
-        return self._norms[key]
+    def norm(self, q: int | None, k: int, m: int) -> int:
+        """The L1 bound of the column's terms below digit ``m``."""
+        return sum(self._channel(q, p)[1] for _, _, p in self.terms(q, k, m))
 
-    def _channel(self, q: int | None, p: int,
-                 digits: int) -> tuple[int, dict[int, int]]:
-        # the L1 norm of c[q][p] modulo x^digits, and the weight packed by
-        # width (members of one family mostly share their digit width, so
-        # each weight is packed about once per family), kept under
-        # (q, p, digits); callers look there first
-        chan = self._channels[q, p, digits] = (
-            sum(map(abs, self.weight(q, p, digits))), {})
+    def _channel(self, q: int | None, p: int) -> tuple[list[int], int, dict]:
+        # c[q][p], its L1 norm and its packings by width (members of one
+        # run mostly share their digit width, so each weight is packed
+        # about once per run), built on first use
+        chan = self._channels.get((q, p))
+        if chan is None:
+            w = self.weight(q, p)
+            chan = self._channels[q, p] = w, sum(map(abs, w)), {}
         return chan
 
-    def weight(self, q: int | None, p: int, digits: int) -> list[int]:
+    def weight(self, q: int | None, p: int) -> list[int]:
         """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
         ``_nominal(n, q, p)``; q None gives delta(2p).
 
@@ -475,39 +457,34 @@ class ColumnMemo:
         once per pair; delta(2p) belongs to the column channel p.
         """
         if q is None:
-            return [1] * min(2 * p + 1, digits)
-        n, a, b = self.n, min(p, q), max(p, q)
+            return [1] * min(2 * p + 1, self.digits)
+        a, b = min(p, q), max(p, q)
+        part = self._symmetric.get((a, b))
+        if part is None:
+            part = self._symmetric[a, b] = _symmetric(self.n, a, b,
+                                                      self.digits)
+        c = list(part)
+        _times(c, 2 * p + 1)
+        _over(c, 1)
+        return c
 
-        def build(digits: int) -> list[int]:
-            c = list(_longest(self._symmetric, (a, b), digits,
-                              lambda d: _symmetric(n, a, b, d)))
-            _times(c, 2 * p + 1)
-            _over(c, 1)
-            return c
-
-        return _longest(self._weights, (q, p), digits, build)
-
-    def packed(self, q: int | None, k: int, m: int, digits: int,
-               width: int) -> int:
+    def packed(self, q: int | None, k: int, m: int, width: int) -> int:
         """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
-        key = q, k, m, digits, width
+        key = q, k, m, width
         if key not in self._packed:
             digit = 8 * width
             acc = 0
-            chans = self._channels
             for off, neg, p in self.terms(q, k, m):
-                packs = (chans.get((q, p, digits))
-                         or self._channel(q, p, digits))[1]
+                w, _, packs = self._channel(q, p)
                 if width not in packs:
-                    packs[width] = _pack_series(self.weight(q, p, digits),
-                                                width)
+                    packs[width] = _pack_series(w, width)
                 c = packs[width] << (digit * off)
                 acc = acc - c if neg else acc + c
             self._packed[key] = acc
         return self._packed[key]
 
 
-def _fold(memo: ColumnMemo, style: str, twists: Sequence[int], loops: int):
+def _fold(n: int, style: str, twists: Sequence[int], loops: int):
     """The exits, the columns and the loops the ring sum is taken over, and
     the curl monomial (A-exponent, sign) it is multiplied by: zero columns
     folded into loops, and a ring of one column into its curl times a loop
@@ -516,68 +493,61 @@ def _fold(memo: ColumnMemo, style: str, twists: Sequence[int], loops: int):
         return ([None], [k for k in twists if k], loops + 2 * twists.count(0),
                 (0, 1))
     if len(twists) == 1:
-        (k,), (e, s) = twists, memo._mus[0]
+        (k,), (e, s) = twists, _twist(n, 0)
         return [0], [], loops + 1, (e * k, s if k % 2 else 1)
     if 0 in twists:
         return [0], [k for k in twists if k], loops + twists.count(0), (0, 1)
-    return range(memo.n + 1), twists, loops, (0, 1)
+    return range(n + 1), twists, loops, (0, 1)
 
 
-def _exit_lows(memo: ColumnMemo, exits, twists: Sequence[int]
-               ) -> dict[int | None, int]:
-    """The nominal lowest A-exponent of the ring sum's terms by exit
-    channel q.  delta(2q) = A^(-4q) (1 + ... + x^2q); a region closed
-    around the side ("trace") is the single exit q None, sum_p delta(2p) *
-    twist_p^k."""
-    return {q: -4 * (q or 0) + sum(memo.least(q, k) for k in twists)
-            for q in exits}
+def _exit_low(n: int, q: int | None, columns: Sequence[int]) -> int:
+    # the nominal lowest A-exponent of the ring sum's terms on exit q:
+    # delta(2q) = A^(-4q) (1 + ... + x^2q); a trace's exit None has no delta
+    return -4 * (q or 0) + sum(_least(n, q, k) for k in columns)
 
 
-def _span(memo: ColumnMemo, style: str, twists: Sequence[int],
+def _span(n: int, style: str, twists: Sequence[int],
           loops: int) -> tuple[int, int]:
     """The nominal lowest and highest A-exponents of the fused bracket times
-    delta(n)^loops.  The bracket at 1/A is the mirror's, whose twists are
-    negated, so the top is minus the mirror's nominal bottom."""
-    n = memo.n
-    exits, twists, loops, (curl, _) = _fold(memo, style, twists, loops)
-    low = curl + min(_exit_lows(memo, exits, twists).values())
-    top = curl - min(_exit_lows(memo, exits, [-k for k in twists]).values())
+    delta(n)^loops.  The bottom is at exit 0 (``_plan``).  The bracket at
+    1/A is the mirror's, whose twists are negated, so the top is minus
+    the mirror's bottom, at its exit n: a column of k <= -1 is least at
+    channel 0, whose one tetrahedral term has ``_fact_shift`` (n+1)n -
+    n(n-1), so ``_nominal(n, q, 0)`` = 2n and the exits fall as -4q.
+    """
+    exits, columns, loops, (curl, _) = _fold(n, style, twists, loops)
+    low = curl + _exit_low(n, exits[0], columns)
+    top = curl - _exit_low(n, exits[-1], [-k for k in columns])
     return low - 2 * n * loops, top + 2 * n * loops
 
 
-def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
-                 loops: int, max_networks: int, digits: int,
-                 need: int | None = None) -> tuple[int, dict[int, int]]:
-    """The fused bracket at the memo's color times delta(n)^loops (loops
-    >= -1) modulo x^need above its nominal lowest A-exponent: that
-    exponent, and the nonzero digits by position.  Digit 0 is the bracket's
-    lowest coefficient; ``ExactDivisionError`` is raised when it vanishes.
+def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
+          max_networks: int) -> list[tuple[int | None, int, int, int]]:
+    """The exits that start below the memo's precision, each (q, at, m,
+    length): exit q starts ``at`` digits above exit 0, reaches m = digits
+    - at, and its delta(2q) has ``length`` digits below m.  Past
+    ``max_networks`` column terms planned, ``BudgetError`` is raised
+    before any weight is built.
 
-    ``need`` <= ``digits`` defaults to ``digits``.  The plan, the L1 bound,
-    the digit width and the columns' packed sums are taken at ``digits``,
-    so sums at one ``digits`` share them; the products are taken at
-    ``need``.  Truncation modulo x^M commutes with products, and a
-    truncation's L1 norm is at most that of a longer one, so the width
-    holds every shorter sum.
-
-    The fusion budget: past ``max_networks`` column terms in the plan,
-    counted over the exits that start below digit ``digits`` and the
-    channels each column reaches there, ``BudgetError`` is raised before
-    any weight is built.
+    Exit q of a ring of r >= 2 nonzero columns starts at(q) = r q(q+1)/2 -
+    q, whatever the counts, and at(q+1) - at(q) = r(q+1) - 1 >= 1, so the
+    walk stops at the first exit at or past the precision.  Every other
+    shape has one exit (``_fold``).  Proof: a column of k >= 1 is least at
+    channel n (``_least``), which has the one tetrahedral term u = 0 (0 <=
+    u <= min(n - n, q)), with ``_fact_shift`` (n+q+1)(n+q) + (n-q)(n-q-1)
+    - 2n(n-1) = 2q^2 + 2q + 2n; so ``_nominal(n, q, n)`` = 2q^2 + 2q - 2n,
+    and with delta(2q)'s -4q exit q starts -4q + r (2q^2 + 2q) = 4 at(q)
+    A-degrees above exit 0.  Term j of the ring's tail, a theta series
+    (Armond-Dasbach), sits at the same r j(j+1)/2 - j.
     """
-    n = memo.n
-    need = digits if need is None else need
-    exits, columns, loops, (curl, sign) = _fold(memo, style, twists, loops)
-    lows = _exit_lows(memo, exits, columns)
-    base = min(lows.values())
-    # the exits that start below digit ``digits``, each with its reach m
-    plan, terms = [], 0
-    for q, low in lows.items():
-        at = _quarters(low - base)
-        m = digits - at
+    r, plan, terms = len(columns), [], 0
+    for q in exits:
+        j = q or 0
+        at = r * j * (j + 1) // 2 - j
+        m = memo.digits - at
         if m <= 0:
-            continue
-        plan.append((q, at, m, min(2 * (q or 0) + 1, m)))
+            break
+        plan.append((q, at, m, min(2 * j + 1, m)))
         for k in columns:
             terms += len(memo.terms(q, k, m))
         if terms > max_networks:
@@ -585,23 +555,41 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
                 f"at least {terms} fusion column terms exceed the "
                 f"configured cap of {max_networks}"
             )
+    return plan
+
+
+def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
+                 loops: int, max_networks: int,
+                 need: int) -> tuple[int, dict[int, int]]:
+    """The fused bracket at the memo's color times delta(n)^loops (loops
+    >= -1) modulo x^need above its nominal lowest A-exponent: that
+    exponent, and the nonzero digits by position.  Digit 0 is the bracket's
+    lowest coefficient; ``ExactDivisionError`` is raised when it vanishes.
+
+    ``need`` is at most the memo's precision, at which the plan, the
+    budget count, the L1 bound, the digit width and the columns' packed
+    sums are taken (see "Two precisions" in the module docstring).
+    """
+    n = memo.n
+    exits, columns, loops, (curl, sign) = _fold(n, style, twists, loops)
+    plan = _plan(memo, exits, columns, max_networks)
     bound = 0
     for q, at, m, length in plan:
         norm = length
         for k in columns:
-            norm *= memo.norm(q, k, m, digits)
+            norm *= memo.norm(q, k, m)
         bound += norm
-    bound *= _loop_norm(n, loops, digits)
+    bound *= _loop_norm(n, loops, memo.digits)
     width = bound.bit_length() // 8 + 1
     total = 0
     for q, at, m, length in plan:
         if at >= need:
-            continue
+            break
         cut = min(m, need - at)  # the exit's reach at ``need``
         prod = _ones(min(length, cut), width)
         for k in columns:
-            column = memo.packed(q, k, m, digits, width)
-            if cut < m:  # a full polynomial's sum never cuts
+            column = memo.packed(q, k, m, width)
+            if cut < m:  # only a sum shorter than the memo cuts
                 column = _mask(column, cut, width)
             prod = _mask(prod * column, cut, width)
         total += prod << (8 * width * at)
@@ -615,7 +603,7 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
         )
     if sign * (-1) ** (n * loops % 2) < 0:
         out = {i: -c for i, c in out.items()}
-    return base + curl - 2 * n * loops, out
+    return _exit_low(n, exits[0], columns) + curl - 2 * n * loops, out
 
 
 def _loop_norm(n: int, loops: int, digits: int) -> int:
@@ -649,9 +637,10 @@ _SHARED: contextvars.ContextVar[dict[int, ColumnMemo] | None] = (
 
 @contextlib.contextmanager
 def shared_memos():
-    """Within the block, the full polynomials of one color share one
-    ``ColumnMemo``, so each weight is built once; the memos are dropped
-    when the block ends."""
+    """Within the block, each color keeps the ``ColumnMemo`` of its full
+    polynomial of longest span so far, which serves every shorter one,
+    and a longer span replaces it; the memos are dropped when the block
+    ends."""
     token = _SHARED.set({})
     try:
         yield
@@ -668,13 +657,16 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
     for a Laurent polynomial; a nonzero one means a weight, or the loop
     division, left the ring of Laurent polynomials.
     """
-    shared = _SHARED.get()
-    if shared is None:
-        memo = ColumnMemo(n)
-    else:
-        memo = shared.get(n) or shared.setdefault(n, ColumnMemo(n))
-    low, top = _span(memo, style, twists, loops)
+    if n < 0:
+        raise ValueError(f"color must be nonnegative, got {n}")
+    low, top = _span(n, style, twists, loops)
     span = _quarters(top - low) + 1
+    shared = _SHARED.get()
+    memo = None if shared is None else shared.get(n)
+    if memo is None or memo.digits < span + 2:
+        memo = ColumnMemo(n, span + 2)
+        if shared is not None:
+            shared[n] = memo
     low, out = _ring_digits(memo, style, twists, loops, max_networks,
                             span + 2)
     if max(out, default=0) >= span:
@@ -699,26 +691,29 @@ def ring_polynomial(ring: Ring, n: int, *, reduced: bool = False,
     return substitute_quarter(poly) if reduced else poly
 
 
-def ring_window(ring: Ring, memo: ColumnMemo, count: int, top: int, *,
+def _window_digits(count: int, reduced: bool) -> int:
+    # the digits of x = A^4 a window of ``count`` entries reads: one entry
+    # per digit in q-units, four in A-units
+    return max(1, -(-count // (1 if reduced else 4)))
+
+
+def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
                 reduced: bool = False,
                 max_networks: int = 100_000) -> CoeffList:
     """The lowest ``count`` coefficients of the fused bracket of ``ring`` at
     the memo's color, in A-units; with ``reduced``, of its reduced
     polynomial, in q-units.
 
-    ``top`` >= ``count`` is the largest count of the run of members that
-    share the memo.  The weights, the plan, the budget count and the
-    columns' packed sums are taken at the precision a window of ``top``
-    needs, so the run builds each weight once; the ring sum itself is
-    taken at the precision ``count`` needs.  Its digit 0 is the bracket's
-    lowest coefficient (see the module docstring), so the window is read
-    off from there.
+    The ring sum is taken at the precision ``count`` needs, which must
+    not pass the memo's.  Its digit 0 is the bracket's lowest coefficient
+    (see the module docstring), so the window is read off from there.
     """
-    per = 1 if reduced else 4  # window entries per digit of x = A^4
-    need = max(1, -(-count // per))
+    need = _window_digits(count, reduced)
+    if need > memo.digits:
+        raise ValueError(f"a window of {count} needs {need} digits; the "
+                         f"memo holds {memo.digits}")
     low, out = _ring_digits(memo, ring.style, ring.counts,
-                            ring.loops - reduced, max_networks,
-                            max(need, -(-top // per)), need)
+                            ring.loops - reduced, max_networks, need)
     if reduced:
         # one residue class mod 4: substitute_quarter reads A^low as
         # q^(low//4)

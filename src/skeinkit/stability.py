@@ -211,7 +211,11 @@ class FamilyExpr:
                 node = ("add" if op == "+" else "sub", node, term())
             return node
 
-        node = expr()
+        try:
+            node = expr()
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply",
+                                  peek()[2]) from None
         kind, _, at = peek()
         if kind != "end":
             raise ExpressionError("unexpected trailing input", at)

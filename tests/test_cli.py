@@ -228,6 +228,18 @@ class TestTable:
         assert "--range" in result.output
         assert "empty parameter range 5..3" in result.output
 
+    def test_deep_nesting_is_a_usage_error(self, runner):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "(" * 1200 + "k" + ")" * 1200 + ",2,3",
+            "--range", "1..2",
+            "--window", "k+1",
+        )
+        assert result.exit_code == 2
+        assert "--pretzel-family" in result.output
+        assert "nests too deeply" in result.output
+
     def test_malformed_range(self, runner):
         result = run(
             runner,
@@ -604,9 +616,9 @@ class TestVerify:
         made = []
         init = ColumnMemo.__init__
 
-        def counting(self, n):
-            made.append(n)
-            init(self, n)
+        def counting(self, n, digits):
+            made.append((n, digits))
+            init(self, n, digits)
 
         def check():
             for counts in ((2, 2, 2), (2, 3, 2)):
@@ -619,7 +631,10 @@ class TestVerify:
                             lambda: [("first", check), ("second", check)])
         result = run(runner, "verify", "--suite", "tl-identities")
         assert result.exit_code == 0
-        assert sorted(made) == [1, 2]
+        # (2, 3, 2) spans longer than (2, 2, 2) at each color, so its memo
+        # replaces the first; the second check makes none
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = made
+        assert (n1, n2, n3, n4) == (1, 2, 1, 2) and d3 > d1 and d4 > d2
 
     def test_failing_suite_exits_nonzero(self, runner, monkeypatch):
         monkeypatch.setitem(

@@ -493,24 +493,22 @@ class TestFusedChannels:
         assert colored_bracket_fused(d, k).value == schoolbook_ring(d, k)
 
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
-        # Every weight the constant c at one exponent makes pretzel([2, 2])
-        # at color 1 the ring sum c^2 (1 + 2x + 3x^2 + 4x^3 + 3x^4 + 2x^5 +
-        # x^6), all positive: its largest coefficient, 4c^2, is a quarter
-        # of the L1 bound 16c^2 the digit width is chosen for.  The span
-        # holds it whole.
+        # Channel 1's weight the constant c at its nominal exponent, and
+        # every other weight 0, makes pretzel([2, 2]) at color 1 the ring
+        # sum c^2 (1 + x + x^2 + x^3): c^2 at exit 0, and c^2 (1 + x + x^2)
+        # at exit 1, one digit up.  Its coefficients add up to the L1 bound
+        # 4c^2 the digit width is chosen for, and the span holds it whole.
         d = pretzel([2, 2])
-        monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
 
-            def weight(self, q, p, digits, c=c):
-                return [c] + [0] * (digits - 1)
+            def weight(self, q, p, c=c):
+                return [c if p == 1 else 0] + [0] * (self.digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
             got = colored_bracket_fused(d, 1).value
             low = got.min_degree()
-            assert got == LaurentPoly({low + 4 * i: c * c * x for i, x in
-                                       enumerate((1, 2, 3, 4, 3, 2, 1))})
+            assert got == LaurentPoly({low + 4 * i: c * c for i in range(4)})
 
     def test_table_off_by_one_is_a_convention_bug(self, monkeypatch):
         # one step factor of the tetrahedral sum off by one: the weights
@@ -576,10 +574,10 @@ def twist_exponents(n):
 
 
 class TestChannelWalk:
-    """``ColumnMemo`` reads a column's least exponent off its lowest
-    channel and walks its terms outward from there; both must equal the
-    enumeration of every channel.  Zero columns never reach the memo
-    (``TestZeroColumns``), so k runs over the nonzero counts."""
+    """``series._least`` reads a column's least exponent off its lowest
+    channel, and ``ColumnMemo`` walks its terms outward from there; both
+    must equal the enumeration of every channel.  Zero columns never reach
+    the memo (``TestZeroColumns``), so k runs over the nonzero counts."""
 
     @staticmethod
     def mismatches(memo, q, ks, ms, mus):
@@ -591,7 +589,7 @@ class TestChannelWalk:
         for k in ks:
             exps = [c + e * k for c, (e, _) in zip(nominals, mus)]
             least = min(exps)
-            if memo.least(q, k) != least:
+            if series._least(n, q, k) != least:
                 bad.append((n, q, k, None))
             offsets = sorted([(e - least) // 4 for e in exps])
             for m in ms:
@@ -608,7 +606,7 @@ class TestChannelWalk:
 
     @pytest.mark.parametrize("n", range(60))
     def test_walk_is_the_full_enumeration(self, n):
-        memo, mus = ColumnMemo(n), twist_exponents(n)
+        memo, mus = ColumnMemo(n, 1), twist_exponents(n)
         ks = [k for k in range(-60, 61) if k]
         assert not [bad for q in [None, *range(n + 1)]
                     for bad in self.mismatches(memo, q, ks, (1, 9, 40), mus)]
@@ -620,7 +618,7 @@ class TestChannelWalk:
         k = data.draw(st.integers(-400, 400).filter(bool))
         ms = data.draw(st.lists(st.integers(1, 4 * n * n + 10), min_size=1,
                                 max_size=3))
-        assert not self.mismatches(ColumnMemo(n), q, [k], ms,
+        assert not self.mismatches(ColumnMemo(n, 1), q, [k], ms,
                                    twist_exponents(n))
 
     @pytest.mark.parametrize("n", range(1, 151, 7))
@@ -633,7 +631,7 @@ class TestChannelWalk:
 
     @pytest.mark.parametrize("n", range(60))
     def test_twist_monomials_are_the_closed_form(self, n):
-        assert ColumnMemo(n)._mus == twist_exponents(n)
+        assert ColumnMemo(n, 1)._mus == twist_exponents(n)
 
     def test_full_polynomials_leave_no_weights_behind(self):
         # each full polynomial builds its weights in its own memo, so
@@ -652,39 +650,52 @@ class TestChannelWalk:
 
     def test_full_polynomials_share_weights_inside_shared_memos(self,
                                                                 monkeypatch):
-        # one memo per color inside the block, the values each polynomial
-        # gives alone, and no memo left once the block ends
-        members = [pretzel([2, 5, k]) for k in (2, 3, 4)]
-        alone = [reduced_jones(d, n) for d in members for n in (2, 3)]
+        # inside the block each color keeps the memo of its longest span so
+        # far: a shorter span reuses it and a longer one replaces it.  The
+        # spans of 2,5,k grow with k.  Each value is the polynomial's
+        # alone, and no memo is left once the block ends.
+        keys = [(k, N) for k in (2, 3, 4) for N in (2, 3)]
+        alone = {(k, N): reduced_jones(pretzel([2, 5, k]), N) for k, N in keys}
         made = []
         init = ColumnMemo.__init__
 
-        def counting(self, n):
-            made.append(n)
-            init(self, n)
+        def counting(self, n, digits):
+            made.append((n, digits))
+            init(self, n, digits)
+
+        def shared(order):
+            made.clear()
+            with series.shared_memos():
+                for _ in range(2):
+                    assert {(k, N): reduced_jones(pretzel([2, 5, k]), N)
+                            for k, N in order} == alone
+            return {n: [d for c, d in made if c == n] for n in (1, 2)}
 
         monkeypatch.setattr(ColumnMemo, "__init__", counting)
-        with series.shared_memos():
-            shared = [reduced_jones(d, n) for d in members for n in (2, 3)]
-        assert shared == alone
-        assert sorted(made) == [1, 2]
+        longest_first = shared(keys[::-1])
+        assert [len(ds) for ds in longest_first.values()] == [1, 1]
+        shortest_first = shared(keys)
+        for n, ds in shortest_first.items():
+            assert len(ds) == 3 and ds == sorted(set(ds))
+            assert ds[-1] == longest_first[n][0]
         assert series._SHARED.get() is None
         made.clear()
-        reduced_jones(members[0], 2)
-        assert made == [1]
+        reduced_jones(pretzel([2, 5, 2]), 2)
+        reduced_jones(pretzel([2, 5, 2]), 2)
+        assert [n for n, _ in made] == [1, 1]
 
 
-def channel_scan(memo, q, digits):
+def channel_scan(memo, q):
     """sum_p c[q][p] over every channel at the memo's color, modulo x^digits
-    above the least nominal exponent: the A-exponent it is exact below,
-    and the sum."""
-    n = memo.n
+    above the least nominal exponent, at the memo's digits: the A-exponent
+    it is exact below, and the sum."""
+    n, digits = memo.n, memo.digits
     lows = [series._nominal(n, q, p) for p in range(n + 1)]
     low = min(lows)
     total = collections.Counter()
     for p, e in enumerate(lows):
         off = (e - low) // 4
-        for i, c in enumerate(memo.weight(q, p, max(0, digits - off))):
+        for i, c in enumerate(memo.weight(q, p)[:max(0, digits - off)]):
             total[e + 4 * i] += c
     return low + 4 * digits, LaurentPoly(dict(total))
 
@@ -697,11 +708,10 @@ class TestZeroColumns:
     def test_fusion_identity(self, n):
         # sum_p c[q][p] = delta(n) at q = 0 and 0 at q >= 1, and sum_p
         # delta(2p) = delta(n)^2, every channel scanned
-        memo = ColumnMemo(n)
-        digits = 4 * n * n + 8 * n + 8
+        memo = ColumnMemo(n, 4 * n * n + 8 * n + 8)
         for q in [None, *range(n + 1)]:
             want = delta(n) ** 2 if q is None else delta(n) if q == 0 else ZERO
-            end, got = channel_scan(memo, q, digits)
+            end, got = channel_scan(memo, q)
             assert got == LaurentPoly({e: c for e, c in want.terms.items()
                                        if e < end}), q
 
@@ -787,6 +797,13 @@ class TestRing:
     ])
     def test_refused(self, args, match):
         with pytest.raises(ValueError, match=match):
+            Ring(*args)
+
+    @pytest.mark.parametrize("args", [("ring", (2.0, 3, 1), 0),
+                                      ("ring", (2, 3), 1.0),
+                                      ("trace", ("2",), 0)])
+    def test_non_int_counts_and_loops_refused(self, args):
+        with pytest.raises(TypeError, match="must be ints"):
             Ring(*args)
 
     def test_counts_become_a_tuple(self):

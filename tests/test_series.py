@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import itertools
 import pathlib
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 from skeinkit import invariants, series
 from skeinkit.algebra import (
     ExactDivisionError,
+    LaurentPoly,
     delta,
     exact_div,
     substitute_quarter,
+    twist_coeff,
 )
 from skeinkit.cli import _color_tail as color_tail
 from skeinkit.cli import _suite_paper_tables, _suite_rate_theorems, main
@@ -179,7 +182,7 @@ class TestNominalBottom:
             ("ring", cs) for r in range(1, 6)
             for cs in itertools.product(range(5 if r < 5 else 4), repeat=r)]
         for n in (1, 2, 3, 4, 6):
-            memo = ColumnMemo(n)
+            memo = ColumnMemo(n, 1)
             for loops in (0, -1):
                 for style, cs in shapes:
                     _, out = series._ring_digits(memo, style, cs, loops,
@@ -191,15 +194,79 @@ class TestNominalBottom:
         # 0 vanishes, which the window and the full polynomial refuse
         weight = ColumnMemo.weight
 
-        def cut(self, q, p, digits):
-            return [0] + weight(self, q, p, digits)[1:]
+        def cut(self, q, p):
+            return [0] + weight(self, q, p)[1:]
 
         monkeypatch.setattr(ColumnMemo, "weight", cut)
         ring = Ring("ring", (2, 3, 1), 0)
         with pytest.raises(ExactDivisionError, match="convention bug"):
-            ring_window(ring, ColumnMemo(2), 4, 4, reduced=True)
+            ring_window(ring, ColumnMemo(2, 4), 4, reduced=True)
         with pytest.raises(ExactDivisionError, match="convention bug"):
             ring_polynomial(ring, 2)
+
+
+def exit_scan(n, columns):
+    """The nominal lowest A-exponent of each exit of a ring of nonzero
+    columns, every channel of every column and every exit scanned."""
+    mus = [next(iter(twist_coeff(n, n, 2 * p).terms)) for p in range(n + 1)]
+    return [-4 * q + sum(min(series._nominal(n, q, p) + e * k
+                             for p, e in enumerate(mus)) for k in columns)
+            for q in range(n + 1)]
+
+
+class TestExitPlan:
+    # exit q of a ring of r >= 2 nonzero columns starts r q(q+1)/2 - q
+    # digits above exit 0 (``series._plan``); the references scan every
+    # exit and every channel
+    def test_nominal_closed_forms(self):
+        nominal = series._nominal
+        assert not [(n, q) for n in range(201) for q in range(n + 1)
+                    if nominal(n, q, n) != 2 * q * q + 2 * q - 2 * n
+                    or nominal(n, q, 0) != 2 * n]
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_plan_and_span_are_the_full_scan(self, n):
+        rng = random.Random(n)
+        for r in range(2, 8):
+            cs = tuple(rng.randint(1, 9) for _ in range(r))
+            lows = exit_scan(n, cs)
+            base = min(lows)
+            for digits in (1, 9, 60):
+                memo = ColumnMemo(n, digits)
+                plan = series._plan(memo, range(n + 1), cs, 10 ** 9)
+                want = [(q, (low - base) // 4) for q, low in enumerate(lows)
+                        if low - base < 4 * digits]
+                assert [(q, at) for q, at, _, _ in plan] == want, (cs, digits)
+            top = -min(exit_scan(n, [-k for k in cs]))
+            assert series._span(n, "ring", cs, 0) == (base, top), cs
+
+    def test_a_window_walks_only_the_exits_it_sums(self, monkeypatch):
+        # the published 2,5,k row at index 201: at(11) = 187 and at(12) =
+        # 222, so exits 0..11 of 201 start below its 201 digits
+        walked = set()
+        terms = ColumnMemo.terms
+
+        def spy(self, q, k, m):
+            walked.add(q)
+            return terms(self, q, k, m)
+
+        monkeypatch.setattr(ColumnMemo, "terms", spy)
+        w = reduced_window(Ring("ring", (2, 5, 200), 0), 201, 201)
+        assert walked == set(range(12))
+        assert list(normalize(w).coeffs) == euler(201)
+
+    def test_negative_color_is_refused(self):
+        with pytest.raises(ValueError, match="color must be nonnegative"):
+            ColumnMemo(-1, 4)
+        with pytest.raises(ValueError, match="color must be nonnegative"):
+            ring_polynomial(Ring("ring", (2, 3), 0), -1)
+        assert ring_polynomial(Ring("ring", (2, 3), 0), 0) == LaurentPoly.one()
+
+    def test_a_window_longer_than_the_memo_is_refused(self):
+        ring = Ring("ring", (2, 3, 1), 0)
+        assert ring_window(ring, ColumnMemo(2, 4), 4, reduced=True)
+        with pytest.raises(ValueError, match="needs 5 digits"):
+            ring_window(ring, ColumnMemo(2, 4), 5, reduced=True)
 
 
 class TestColorTails:
@@ -223,8 +290,8 @@ class TestColorTails:
         assert check() == (True, "18 rings of 2..7 columns, colors up to 200")
         weight = ColumnMemo.weight
 
-        def flipped(self, q, p, digits):
-            w = weight(self, q, p, digits)
+        def flipped(self, q, p):
+            w = weight(self, q, p)
             return [-c for c in w] if (q, p) == (0, self.n) else w
 
         monkeypatch.setattr(ColumnMemo, "weight", flipped)
@@ -253,22 +320,24 @@ class TestColorTails:
 
 class TestDigitWidth:
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
-        # Every weight the constant c at one exponent makes pretzel([2, 2])
-        # at color 1 the ring sum c^2 (1 + 2x + 3x^2 + 4x^3 + 3x^4 + 2x^5 +
-        # x^6), all positive: its largest coefficient, 4c^2, is a quarter
-        # of the L1 bound 16c^2 the digit width is chosen for.
+        # Every weight the constant c at its nominal exponent makes
+        # pretzel([2, 2]) at color 1 an all-positive ring sum (its counts
+        # are even, so no channel is negated).  Each column has channel 1
+        # at digit 0 and channel 0 at digit 3 on exit 0, at digit 2 on exit
+        # 1, which starts one digit up: c^2 (1 + x^3)^2 + c^2 x (1 + x +
+        # x^2) (1 + x^2)^2.  Its coefficients add up to the L1 bound 16c^2
+        # the digit width is chosen for, and its largest is 5c^2.
         d = pretzel([2, 2])
-        monkeypatch.setattr(series, "_nominal", lambda n, q, p: 0)
         for bits in range(48):
             c = 1 << bits
 
-            def weight(self, q, p, digits, c=c):
-                return [c] + [0] * (digits - 1)
+            def weight(self, q, p, c=c):
+                return [c] + [0] * (self.digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
-            got = bracket_window(d, 1, 25).coeffs
-            want = [0] * 25
-            want[::4] = (c * c * x for x in (1, 2, 3, 4, 3, 2, 1))
+            got = bracket_window(d, 1, 32).coeffs
+            want = [0] * 32
+            want[::4] = (c * c * x for x in (1, 1, 1, 5, 2, 3, 2, 1))
             assert got == tuple(want)
 
 
@@ -365,8 +434,8 @@ class TestColumnMemo:
         first = reduced_windows(spec, [4, 4, 4, 4])
         weight = ColumnMemo.weight
 
-        def negated(self, q, p, digits):
-            return [-x for x in weight(self, q, p, digits)]
+        def negated(self, q, p):
+            return [-x for x in weight(self, q, p)]
 
         monkeypatch.setattr(ColumnMemo, "weight", negated)
         second = reduced_windows(spec, [4, 4, 4, 4])

@@ -283,6 +283,10 @@ class TestFamilyExpr:
             FamilyExpr.parse("(k+1")
         assert exc.value.position == 4
 
+    def test_deep_nesting_is_an_expression_error(self):
+        with pytest.raises(ExpressionError, match="nests too deeply"):
+            FamilyExpr.parse("(" * 1200 + "k" + ")" * 1200)
+
     def test_bad_character_position(self):
         with pytest.raises(ExpressionError) as exc:
             FamilyExpr.parse("k$1")
