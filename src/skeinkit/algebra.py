@@ -727,7 +727,10 @@ def substitute_quarter(f: LaurentPoly) -> QPoly:
     mod 4, so exponents become integers in q after pulling out
     q^(r/4).  If the support only fits one class mod 2, the result is
     flagged ``half_step``: the lattice is (1/2)Z, and a stored exponent
-    h stands for q^(h/2).  Mixed residues mod 2 raise ``GradingError``.
+    h stands for q^(h/2).  A planar diagram never lands there, since
+    flipping one smoothing merges or splits a loop and moves the
+    exponents by 0 or -4; a PD code that is not planar can, where a flip
+    keeps the loop count.  Mixed residues mod 2 raise ``GradingError``.
     """
     if f.is_zero():
         return QPoly({}, 0, False)

@@ -508,7 +508,7 @@ def _suite_paper_tables():
             rng = random.Random(r)
             for n in (rng.randint(1, 199), rng.randint(1, 199), 200):
                 counts = [rng.randint(1, 7) for _ in range(r)]
-                window = reduced_window(Ring("ring", counts, 0), n + 1, n + 1)
+                window = reduced_window(Ring(counts, 0), n + 1, n + 1)
                 got, want = list(normalize(window).coeffs), _color_tail(r, n + 1)
                 if got != want:
                     i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)

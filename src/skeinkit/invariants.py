@@ -11,9 +11,9 @@ Three independent routes to the same exact values:
   as the Markov trace of the quarter-turned columns stacked in ring
   order.
 * ``colored_bracket_fused``: the twist-region fast path, the closed-form
-  ring sum of ``series`` over the diagram's ``Ring`` (its closure,
-  column twist counts and free loops, all the path reads of it).  The
-  Temperley-Lieb networks here only check it.
+  ring sum of ``series`` over the diagram's ``Ring`` (its column twist
+  counts and free loops, all the path reads of it).  The Temperley-Lieb
+  networks here only check it.
 
 The routers ``unreduced_colored_jones``, ``reduced_jones``,
 ``bracket_window``, ``reduced_window`` and ``family_windows`` send a
@@ -206,8 +206,10 @@ def _variants(col: _Column):
 def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
     """The diagram as a ``Ring``, with the region id of each column.
 
-    The first column is the lowest-labeled region that is one.  A
-    diagram that does not lay out as a ring raises ``LayoutError``.
+    The first column is the lowest-labeled region that is one.  A single
+    region closed around its side is the ring of it and a zero column,
+    which has no region id.  A diagram that does not lay out as a ring
+    raises ``LayoutError``.
     """
     regions = sorted(diagram.twist_regions, key=lambda r: r.rid)
     if not regions:
@@ -230,17 +232,17 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
     if not cols:
         raise LayoutError("every labeled region was smoothed away")
 
-    def layout(style: str, order) -> tuple[Ring, tuple[int, ...]]:
-        return (Ring(style, tuple(c.region.count for c in order),
-                     diagram.free_loops),
+    def layout(order) -> tuple[Ring, tuple[int, ...]]:
+        return (Ring(tuple(c.region.count for c in order), diagram.free_loops),
                 tuple(c.region.rid for c in order))
 
     if len(cols) == 1:
         (bl, tl), (br, tr) = cols[0].left, cols[0].right
         if bl == br and tl == tr:
-            return layout("ring", cols)
+            return layout(cols)
         if bl == tl and br == tr:
-            return layout("trace", cols)
+            reg = cols[0].region
+            return Ring((reg.count, 0), diagram.free_loops), (reg.rid,)
         raise LayoutError(
             f"region {cols[0].region.rid} does not close up on its own"
         )
@@ -264,7 +266,7 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
     for start in _variants(cols[0]):
         order = [start]
         if extend(order):
-            return layout("ring", order)
+            return layout(order)
     raise LayoutError("labeled regions do not close into a single ring")
 
 
@@ -323,8 +325,8 @@ def colored_state_sum(
     one column, within a diagram and across diagrams, and a diagram whose
     columns are built composes only its ring seams.  ``planar.close_ring``
     closes the columns: quarter-turned, they stack in ring order under
-    the Markov trace, and a region closed around the side is the trace
-    of its column.
+    the Markov trace.  A region closed around its side lays out beside a
+    zero column, ff = ``_clasped_column(n, 0)``.
 
     The budget counts what this builds: max(k) + r - 1 compositions for r
     columns (the powers, then the ring seams), each at width 2n, where it
@@ -348,7 +350,7 @@ def colored_state_sum(
         )
     # built in order, so each new power is one composition
     powers = [_clasped_column(n, k) for k in range(top + 1)]
-    total = close_ring([powers[k] for k in ring.counts], ring.style)
+    total = close_ring([powers[k] for k in ring.counts])
     try:
         value = total.to_poly()
     except ExactDivisionError as err:
@@ -477,8 +479,6 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
                 end += 1
             top, memo = max(counts[i:end]), None
         n = _cable(index, reduced)
-        if count < 0:
-            raise ValueError("window length must be nonnegative")
         ring = _as_ring(shape, n)
         if ring is None:
             value = _state_sum(shape, n, reduced)
@@ -561,4 +561,4 @@ def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
     ring, _ = _ring_layout(diagram)  # the target is the first column
     columns = [channel_element(n, p)]
     columns += [_clasped_column(n, k) for k in ring.counts[1:]]
-    return close_ring(columns, ring.style)
+    return close_ring(columns)

@@ -740,21 +740,16 @@ def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
     return closure(compose(m, _turn(D, C, E, "up")))
 
 
-def close_ring(columns: Sequence[TLMorphism], style: str = "ring") -> RationalFn:
+def close_ring(columns: Sequence[TLMorphism]) -> RationalFn:
     """Close 2n -> 2n columns into a network and evaluate it.
 
-    "ring" sets the columns side by side and closes them cyclically:
-    the right cable of each column bends into the left cable of the
-    next, and the last wraps around to the first.  Quarter-turned
-    (``quarter_turn``), the columns stack in ring order instead, and
-    the Markov trace of the stack closes the ring at the width of one
-    column.  "trace" closes a single column around its side.
+    The columns sit side by side and close cyclically: the right cable
+    of each column bends into the left cable of the next, and the last
+    wraps around to the first.  Quarter-turned (``quarter_turn``), the
+    columns stack in ring order instead, and the Markov trace of the
+    stack closes the ring at the width of one column.  A column closed
+    around its side is the ring of it and the identity on its cables.
     """
-    if style == "trace":
-        (column,) = columns
-        return closure(column)
-    if style != "ring":
-        raise ValueError(f"style must be 'ring' or 'trace', got {style!r}")
     return closure(functools.reduce(compose, map(quarter_turn, columns)))
 
 

@@ -1,12 +1,11 @@
 """The series engine: the fused ring sum as a truncated power series, and
 the coefficient windows read off it.
 
-A ``Ring`` is what the engine reads of a diagram: its closure, its
-columns' twist counts and its free loops.  Its colored bracket is the ring
-sum over exit channels q of delta(2q) prod_columns sum_p c[q][p] *
+A ``Ring`` is what the engine reads of a diagram: its columns' twist
+counts, closed cyclically, and its free loops.  Its colored bracket is the
+ring sum over exit channels q of delta(2q) prod_columns sum_p c[q][p] *
 twist_p^k, with c[q][p] = delta(2p) tet(n,n,2p,n,n,2q) / (theta_p
-theta_q); a region closed around the side ("trace") is sum_p delta(2p) *
-twist_p^k.  This module imports only ``algebra``: ``invariants`` routes a
+theta_q).  This module imports only ``algebra``: ``invariants`` routes a
 diagram to its ring layout here, or to a state sum when it has none.
 
 The series.  Put x = A^4.  Then [k]! = A^(-k(k-1)) F_k(x) with F_k(x) =
@@ -38,12 +37,13 @@ memo's digit width holds every shorter sum.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
-at every other exit, and the trace of one is two loops.  A ring with z
-zero columns keeps exit 0 alone, drops those columns and gains z loops
-(``_fold``).  A ring of one column of k crossings is an unknot with k
-curls: it is one loop times the curl monomial twist_0^k = ((-1)^n
-A^(n^2+2n))^k.  Summed as a ring, its exits would cancel far into its
-nominal bottom.
+at every other exit.  A ring with z zero columns keeps exit 0 alone,
+drops those columns and gains z loops (``_fold``).  So a column closed
+around its side, the ring of it and a zero column, is sum_p delta(2p) *
+twist_p^k, and a zero column closed around its side is two loops.  A ring
+of one column of k crossings is an unknot with k curls: it is one loop
+times the curl monomial twist_0^k = ((-1)^n A^(n^2+2n))^k.  Summed as a
+ring, its exits would cancel far into its nominal bottom.
 
 The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
 only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
@@ -182,29 +182,23 @@ def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
 
 @dataclass(frozen=True)
 class Ring:
-    """What the fused evaluator reads of a diagram: how its twist columns
-    close up, how many crossings each carries, and its free loops.
+    """What the fused evaluator reads of a diagram: its twist columns,
+    closed cyclically, and its free loops.
 
-    ``style`` "ring" closes the columns cyclically, the right cable of
-    each bending into the left cable of the next; "trace" closes its one
-    column around the side.  ``counts`` lists the columns' crossings in
-    ring order; a column of 0 crossings passes both strands straight
-    through.
+    ``counts`` lists the columns' crossings in ring order; the right cable
+    of each column bends into the left cable of the next, and the last
+    wraps around to the first.  A column of 0 crossings passes both
+    strands straight through, so a column closed around its side is
+    ``Ring((k, 0), loops)``.
     """
 
-    style: str
     counts: tuple[int, ...]
     loops: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if self.style not in ("ring", "trace"):
-            raise ValueError(
-                f"style must be 'ring' or 'trace', got {self.style!r}")
         if not self.counts:
             raise ValueError("a ring needs at least one column")
-        if self.style == "trace" and len(self.counts) != 1:
-            raise ValueError("a trace closes exactly one column")
         if not all(isinstance(k, int) for k in (*self.counts, self.loops)):
             raise TypeError("column twist counts and free loops must be ints")
         if min(self.counts) < 0:
@@ -296,10 +290,9 @@ def _tet_terms(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.cache
-def _nominal(n: int, q: int | None, p: int) -> int:
-    """The A-exponent the series of c[q][p] starts at; q None stands for
-    the weight delta(2p) of a region closed around the side.  Every weight
-    is symmetric under A -> 1/A, so its top exponent is minus this.
+def _nominal(n: int, q: int, p: int) -> int:
+    """The A-exponent the series of c[q][p] starts at.  Every weight is
+    symmetric under A -> 1/A, so its top exponent is minus this.
 
     The A-shift of term u of the tetrahedral sum is the convex quadratic
     6u^2 + beta u + (its value at u = 0), with beta = 4b - 8a - 4n - 2 read
@@ -309,12 +302,11 @@ def _nominal(n: int, q: int | None, p: int) -> int:
 
     Adjacent channels differ by -4(p+1) <= _nominal(n, q, p+1) -
     _nominal(n, q, p) <= 4p, which lets ``ColumnMemo`` walk a column's
-    channels outward from its lowest one.  For q None the step is -4.
-    Otherwise term u of channel p has the shift S(a, b, u) - 4p, with
-    S = 2a^2 - 4ab + 4an + 2a + 2n + 6u^2 + (4b - 8a - 4n - 2)u over
-    0 <= u <= min(n - b, a), so the step is -4 plus the change of the
-    least S, which lies in [-4p, 4(p+1)]: compare each side's least term
-    with a term of the other side.
+    channels outward from its lowest one.  Term u of channel p has the
+    shift S(a, b, u) - 4p, with S = 2a^2 - 4ab + 4an + 2a + 2n + 6u^2 +
+    (4b - 8a - 4n - 2)u over 0 <= u <= min(n - b, a), so the step is -4
+    plus the change of the least S, which lies in [-4p, 4(p+1)]: compare
+    each side's least term with a term of the other side.
 
     * p >= q raises b = p.  The range only shrinks, and at a fixed u, S
       moves by 4(u - a), in [-4p, 0].  Only u = n - b leaves the range;
@@ -324,8 +316,6 @@ def _nominal(n: int, q: int | None, p: int) -> int:
       u = n - b, and raising a alone moves S by 4(a + b - n + 1) <=
       4(p + 1); at u = 0 raising a alone moves S by 4(a - b + n + 1) > 0.
     """
-    if q is None:
-        return -4 * p
     a, b = min(p, q), max(p, q)
     beta = 4 * b - 8 * a - 4 * n - 2
     top = min(n - b, a)
@@ -379,7 +369,7 @@ def _twist(n: int, p: int) -> tuple[int, int]:
     return 2 * (n - p) + n * n - 2 * p * p, -1 if (n - p) % 2 else 1
 
 
-def _least(n: int, q: int | None, k: int) -> int:
+def _least(n: int, q: int, k: int) -> int:
     """The nominal lowest A-exponent of a column of k != 0 crossings on
     exit q: the least of sum_p c[q][p] * twist_p^k over its terms.
 
@@ -413,7 +403,7 @@ class ColumnMemo:
         self._symmetric: dict = {}
         self._channels: dict = {}
 
-    def terms(self, q: int | None, k: int, m: int) -> list[tuple[int, bool, int]]:
+    def terms(self, q: int, k: int, m: int) -> list[tuple[int, bool, int]]:
         """The column's terms that start below digit ``m`` of its lowest
         exponent, each (digit offset, negated, channel p).
 
@@ -435,11 +425,11 @@ class ColumnMemo:
             self._terms[key] = terms
         return self._terms[key]
 
-    def norm(self, q: int | None, k: int, m: int) -> int:
+    def norm(self, q: int, k: int, m: int) -> int:
         """The L1 bound of the column's terms below digit ``m``."""
         return sum(self._channel(q, p)[1] for _, _, p in self.terms(q, k, m))
 
-    def _channel(self, q: int | None, p: int) -> tuple[list[int], int, dict]:
+    def _channel(self, q: int, p: int) -> tuple[list[int], int, dict]:
         # c[q][p], its L1 norm and its packings by width (members of one
         # run mostly share their digit width, so each weight is packed
         # about once per run), built on first use
@@ -449,15 +439,13 @@ class ColumnMemo:
             chan = self._channels[q, p] = w, sum(map(abs, w)), {}
         return chan
 
-    def weight(self, q: int | None, p: int) -> list[int]:
+    def weight(self, q: int, p: int) -> list[int]:
         """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
-        ``_nominal(n, q, p)``; q None gives delta(2p).
+        ``_nominal(n, q, p)``.
 
         Only the tet/theta part is symmetric in p and q, so it is kept
         once per pair; delta(2p) belongs to the column channel p.
         """
-        if q is None:
-            return [1] * min(2 * p + 1, self.digits)
         a, b = min(p, q), max(p, q)
         part = self._symmetric.get((a, b))
         if part is None:
@@ -468,7 +456,7 @@ class ColumnMemo:
         _over(c, 1)
         return c
 
-    def packed(self, q: int | None, k: int, m: int, width: int) -> int:
+    def packed(self, q: int, k: int, m: int, width: int) -> int:
         """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
         key = q, k, m, width
         if key not in self._packed:
@@ -484,14 +472,11 @@ class ColumnMemo:
         return self._packed[key]
 
 
-def _fold(n: int, style: str, twists: Sequence[int], loops: int):
+def _fold(n: int, twists: Sequence[int], loops: int):
     """The exits, the columns and the loops the ring sum is taken over, and
     the curl monomial (A-exponent, sign) it is multiplied by: zero columns
     folded into loops, and a ring of one column into its curl times a loop
     (see the module docstring)."""
-    if style == "trace":
-        return ([None], [k for k in twists if k], loops + 2 * twists.count(0),
-                (0, 1))
     if len(twists) == 1:
         (k,), (e, s) = twists, _twist(n, 0)
         return [0], [], loops + 1, (e * k, s if k % 2 else 1)
@@ -500,14 +485,13 @@ def _fold(n: int, style: str, twists: Sequence[int], loops: int):
     return range(n + 1), twists, loops, (0, 1)
 
 
-def _exit_low(n: int, q: int | None, columns: Sequence[int]) -> int:
+def _exit_low(n: int, q: int, columns: Sequence[int]) -> int:
     # the nominal lowest A-exponent of the ring sum's terms on exit q:
-    # delta(2q) = A^(-4q) (1 + ... + x^2q); a trace's exit None has no delta
-    return -4 * (q or 0) + sum(_least(n, q, k) for k in columns)
+    # delta(2q) = A^(-4q) (1 + ... + x^2q)
+    return -4 * q + sum(_least(n, q, k) for k in columns)
 
 
-def _span(n: int, style: str, twists: Sequence[int],
-          loops: int) -> tuple[int, int]:
+def _span(n: int, twists: Sequence[int], loops: int) -> tuple[int, int]:
     """The nominal lowest and highest A-exponents of the fused bracket times
     delta(n)^loops.  The bottom is at exit 0 (``_plan``).  The bracket at
     1/A is the mirror's, whose twists are negated, so the top is minus
@@ -515,14 +499,14 @@ def _span(n: int, style: str, twists: Sequence[int],
     channel 0, whose one tetrahedral term has ``_fact_shift`` (n+1)n -
     n(n-1), so ``_nominal(n, q, 0)`` = 2n and the exits fall as -4q.
     """
-    exits, columns, loops, (curl, _) = _fold(n, style, twists, loops)
+    exits, columns, loops, (curl, _) = _fold(n, twists, loops)
     low = curl + _exit_low(n, exits[0], columns)
     top = curl - _exit_low(n, exits[-1], [-k for k in columns])
     return low - 2 * n * loops, top + 2 * n * loops
 
 
 def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
-          max_networks: int) -> list[tuple[int | None, int, int, int]]:
+          max_networks: int) -> list[tuple[int, int, int, int]]:
     """The exits that start below the memo's precision, each (q, at, m,
     length): exit q starts ``at`` digits above exit 0, reaches m = digits
     - at, and its delta(2q) has ``length`` digits below m.  Past
@@ -542,12 +526,11 @@ def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
     """
     r, plan, terms = len(columns), [], 0
     for q in exits:
-        j = q or 0
-        at = r * j * (j + 1) // 2 - j
+        at = r * q * (q + 1) // 2 - q
         m = memo.digits - at
         if m <= 0:
             break
-        plan.append((q, at, m, min(2 * j + 1, m)))
+        plan.append((q, at, m, min(2 * q + 1, m)))
         for k in columns:
             terms += len(memo.terms(q, k, m))
         if terms > max_networks:
@@ -558,9 +541,8 @@ def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
     return plan
 
 
-def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
-                 loops: int, max_networks: int,
-                 need: int) -> tuple[int, dict[int, int]]:
+def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
+                 max_networks: int, need: int) -> tuple[int, dict[int, int]]:
     """The fused bracket at the memo's color times delta(n)^loops (loops
     >= -1) modulo x^need above its nominal lowest A-exponent: that
     exponent, and the nonzero digits by position.  Digit 0 is the bracket's
@@ -571,7 +553,7 @@ def _ring_digits(memo: ColumnMemo, style: str, twists: Sequence[int],
     sums are taken (see "Two precisions" in the module docstring).
     """
     n = memo.n
-    exits, columns, loops, (curl, sign) = _fold(n, style, twists, loops)
+    exits, columns, loops, (curl, sign) = _fold(n, twists, loops)
     plan = _plan(memo, exits, columns, max_networks)
     bound = 0
     for q, at, m, length in plan:
@@ -648,8 +630,8 @@ def shared_memos():
         _SHARED.reset(token)
 
 
-def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
-                     *, max_networks: int = 100_000) -> LaurentPoly:
+def _ring_polynomial(n: int, twists: Sequence[int], loops: int, *,
+                     max_networks: int = 100_000) -> LaurentPoly:
     """The fused bracket times delta(n)^loops (loops >= -1), whole.
 
     A polynomial is its own power series, so the ring sum taken to the
@@ -659,7 +641,7 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
     """
     if n < 0:
         raise ValueError(f"color must be nonnegative, got {n}")
-    low, top = _span(n, style, twists, loops)
+    low, top = _span(n, twists, loops)
     span = _quarters(top - low) + 1
     shared = _SHARED.get()
     memo = None if shared is None else shared.get(n)
@@ -667,8 +649,7 @@ def _ring_polynomial(n: int, style: str, twists: Sequence[int], loops: int,
         memo = ColumnMemo(n, span + 2)
         if shared is not None:
             shared[n] = memo
-    low, out = _ring_digits(memo, style, twists, loops, max_networks,
-                            span + 2)
+    low, out = _ring_digits(memo, twists, loops, max_networks, span + 2)
     if max(out, default=0) >= span:
         raise ExactDivisionError(
             "fused bracket is not a Laurent polynomial; this signals a "
@@ -686,7 +667,7 @@ def ring_polynomial(ring: Ring, n: int, *, reduced: bool = False,
     """The fused bracket of ``ring`` at color n, whole; with ``reduced``,
     its reduced polynomial of index n + 1, the loop factor taken out
     inside the series and the exponents read in q."""
-    poly = _ring_polynomial(n, ring.style, ring.counts, ring.loops - reduced,
+    poly = _ring_polynomial(n, ring.counts, ring.loops - reduced,
                             max_networks=max_networks)
     return substitute_quarter(poly) if reduced else poly
 
@@ -708,12 +689,14 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
     not pass the memo's.  Its digit 0 is the bracket's lowest coefficient
     (see the module docstring), so the window is read off from there.
     """
+    if count < 0:
+        raise ValueError("window length must be nonnegative")
     need = _window_digits(count, reduced)
     if need > memo.digits:
         raise ValueError(f"a window of {count} needs {need} digits; the "
                          f"memo holds {memo.digits}")
-    low, out = _ring_digits(memo, ring.style, ring.counts,
-                            ring.loops - reduced, max_networks, need)
+    low, out = _ring_digits(memo, ring.counts, ring.loops - reduced,
+                            max_networks, need)
     if reduced:
         # one residue class mod 4: substitute_quarter reads A^low as
         # q^(low//4)

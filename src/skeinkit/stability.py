@@ -154,7 +154,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 @dataclass(frozen=True)
 class FamilyExpr:
-    """Integer expression in at most one parameter: ints, + - *, parens."""
+    """Integer expression in at most one parameter: ints, + - *, parens.
+
+    A run of + and - is one "sum" node of signed terms, and a run of * one
+    "mul" node of factors, so a long flat expression is evaluated without
+    one Python call per operator; only parentheses and unary minus nest.
+    """
 
     text: str
     var: str | None
@@ -198,18 +203,18 @@ class FamilyExpr:
             raise ExpressionError("expected a number, parameter, or '('", at)
 
         def term():
-            node = atom()
+            factors = [atom()]
             while peek()[0] == "*":
                 take()
-                node = ("mul", node, atom())
-            return node
+                factors.append(atom())
+            return factors[0] if len(factors) == 1 else ("mul", factors)
 
         def expr():
-            node = term()
+            terms = [(1, term())]
             while peek()[0] in ("+", "-"):
-                op = take()[0]
-                node = ("add" if op == "+" else "sub", node, term())
-            return node
+                sign = 1 if take()[0] == "+" else -1
+                terms.append((sign, term()))
+            return terms[0][1] if len(terms) == 1 else ("sum", terms)
 
         try:
             node = expr()
@@ -230,12 +235,15 @@ class FamilyExpr:
                 return value
             if op == "neg":
                 return -ev(node[1])
-            a, b = ev(node[1]), ev(node[2])
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            return a * b
+            if op == "sum":
+                total = 0
+                for sign, term in node[1]:
+                    total += sign * ev(term)
+                return total
+            product = 1
+            for factor in node[1]:
+                product *= ev(factor)
+            return product
 
         return ev(self.ast)
 
@@ -338,8 +346,8 @@ def pretzel_family(sizes, color, start: int, stop: int) -> FamilySpec:
 
     ``sizes`` may be a comma-separated string like ``"8,6,k"`` or a sequence
     of expressions; columns become regions 1..r in order.  Every member is
-    ``Ring("ring", counts, 0)`` of its column sizes, so a column of size 0
-    at the start of the range grows back, and no diagram is drawn.
+    ``Ring(counts, 0)`` of its column sizes, so a column of size 0 at
+    the start of the range grows back, and no diagram is drawn.
     """
     if isinstance(sizes, str):
         sizes = [part.strip() for part in sizes.split(",")]
@@ -353,7 +361,7 @@ def pretzel_family(sizes, color, start: int, stop: int) -> FamilySpec:
             )
         base_counts.append(v)
     return FamilySpec(
-        base=Ring("ring", base_counts, 0),
+        base=Ring(base_counts, 0),
         sizes={i + 1: e for i, e in enumerate(exprs)},
         color=_as_expr(color),
         start=start,

@@ -240,6 +240,22 @@ class TestTable:
         assert "--pretzel-family" in result.output
         assert "nests too deeply" in result.output
 
+    def test_long_flat_expression(self, runner):
+        # 3001 terms of k in one sum: the rows of 3001*k
+        rows = []
+        for size in ("k+" * 3000 + "k", "3001*k"):
+            result = run(
+                runner,
+                "table",
+                "--pretzel-family", size + ",2,3",
+                "--color", "2",
+                "--range", "1..2",
+                "--window", "3",
+            )
+            assert result.exit_code == 0, result.output
+            rows.append(parse_text_rows(result.output))
+        assert rows[0] == rows[1] and [k for k, _ in rows[0]] == [1, 2]
+
     def test_malformed_range(self, runner):
         result = run(
             runner,
@@ -362,7 +378,7 @@ class TestTable:
         assert parse_text_rows(result.output) == want
 
     def test_empty_column_beside_one_column_is_its_trace(self, runner):
-        # pretzel([0, k]) lays out as Ring("ring", (0, k), 0), and its
+        # pretzel([0, k]) lays out as Ring((0, k), 0), and its
         # empty column folds into a loop: the other column closes around
         # the side.  The oracle is the clasped state sum of that trace
         # closure, drawn in PD
@@ -470,6 +486,18 @@ class TestTail:
         assert "result: PASS" in result.output
         assert "step 4: required 5  verified 5  PASS" in result.output
         assert "tail: 1 -1 3 -3 5 -6" in result.output
+
+    def test_long_flat_rate(self, runner):
+        # the rate k+1 written as a sum of 3001 terms
+        result = run(
+            runner,
+            "tail",
+            "--pretzel-family", "k,k,2",
+            "--range", "2..5",
+            "--rate", "k-k+" * 1500 + "k+1",
+        )
+        assert result.exit_code == 0, result.output
+        assert "step 4: required 5  verified 5  PASS" in result.output
 
     def test_inflated_rate_reports_the_witness(self, runner):
         result = run(

@@ -410,7 +410,7 @@ class TestFusedChannels:
                 w = w * (rf(delta(2 * p)) / rf(theta(n, n, 2 * p)))
                 w = w * twist_coeff(n, n, 2 * p) ** k
             columns = [channel_element(n, p) for p in ps]
-            total = total + w * close_ring(columns, ring.style)
+            total = total + w * close_ring(columns)
         assert total.reduce().to_poly() == colored_bracket_fused(d, n).value
 
     def test_needs_no_temperley_lieb_network(self, monkeypatch):
@@ -608,13 +608,13 @@ class TestChannelWalk:
     def test_walk_is_the_full_enumeration(self, n):
         memo, mus = ColumnMemo(n, 1), twist_exponents(n)
         ks = [k for k in range(-60, 61) if k]
-        assert not [bad for q in [None, *range(n + 1)]
+        assert not [bad for q in range(n + 1)
                     for bad in self.mismatches(memo, q, ks, (1, 9, 40), mus)]
 
     @given(st.integers(1, 400), st.data())
     @settings(max_examples=60, deadline=None)
     def test_walk_at_high_color(self, n, data):
-        q = data.draw(st.none() | st.integers(0, n))
+        q = data.draw(st.integers(0, n))
         k = data.draw(st.integers(-400, 400).filter(bool))
         ms = data.draw(st.lists(st.integers(1, 4 * n * n + 10), min_size=1,
                                 max_size=3))
@@ -625,7 +625,7 @@ class TestChannelWalk:
     def test_adjacent_nominals_differ_within_the_bound(self, n):
         # the bound the walk rests on: -4(p+1) <= step <= 4p
         nominal = series._nominal
-        assert not [(q, p) for q in [None, *range(n + 1)] for p in range(n)
+        assert not [(q, p) for q in range(n + 1) for p in range(n)
                     if not -4 * (p + 1) <= nominal(n, q, p + 1)
                     - nominal(n, q, p) <= 4 * p]
 
@@ -706,11 +706,11 @@ class TestZeroColumns:
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_fusion_identity(self, n):
-        # sum_p c[q][p] = delta(n) at q = 0 and 0 at q >= 1, and sum_p
-        # delta(2p) = delta(n)^2, every channel scanned
+        # sum_p c[q][p] = delta(n) at q = 0 and 0 at q >= 1, every channel
+        # scanned
         memo = ColumnMemo(n, 4 * n * n + 8 * n + 8)
-        for q in [None, *range(n + 1)]:
-            want = delta(n) ** 2 if q is None else delta(n) if q == 0 else ZERO
+        for q in range(n + 1):
+            want = delta(n) if q == 0 else ZERO
             end, got = channel_scan(memo, q)
             assert got == LaurentPoly({e: c for e, c in want.terms.items()
                                        if e < end}), q
@@ -721,10 +721,10 @@ class TestZeroColumns:
         # of its other columns: delta(n)^(L+2-r) prod_k trace(k)
         for ks in itertools.chain.from_iterable(
                 itertools.product((1, 2, 3, 5), repeat=j) for j in (1, 2, 3)):
-            traces = [_ring_polynomial(n, "trace", (k,), 0) for k in ks]
+            traces = [_ring_polynomial(n, (k, 0), 0) for k in ks]
             for loops in (0, 1):
                 e = loops + 1 - len(ks)
-                got = _ring_polynomial(n, "ring", (0, *ks), loops)
+                got = _ring_polynomial(n, (0, *ks), loops)
                 want = functools.reduce(operator.mul, traces)
                 assert (got * delta(n) ** max(0, -e)
                         == want * delta(n) ** max(0, e)), (ks, loops)
@@ -732,18 +732,32 @@ class TestZeroColumns:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_trace_of_a_zero_column_is_two_loops(self, n):
         for loops in range(3):
-            assert (_ring_polynomial(n, "trace", (0,), loops)
+            assert (_ring_polynomial(n, (0, 0), loops)
                     == delta(n) ** (loops + 2))
-            assert (reduced_jones(Ring("trace", (0,), loops), n + 1)
+            assert (reduced_jones(Ring((0, 0), loops), n + 1)
                     == substitute_quarter(delta(n) ** (loops + 1)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_side_closure_is_its_closed_form(self, n):
+        # a column of k crossings closed around its side, the ring (k, 0),
+        # is sum_p delta(2p) twist_p^k, times delta(n)^L; the reference
+        # is built from the algebra alone
+        for k in range(9):
+            side = sum((delta(2 * p) * twist_coeff(n, n, 2 * p) ** k
+                        for p in range(n + 1)), ZERO)
+            assert (_ring_polynomial(n, (k, 0), -1)
+                    == exact_div(side, delta(n))), k
+            for loops in range(3):
+                assert (_ring_polynomial(n, (k, 0), loops)
+                        == side * delta(n) ** loops), (k, loops)
 
     def test_zero_column_scans_no_channel(self):
         # the zero column's place in the ring changes no window
         series._nominal.cache_clear()
-        got = reduced_window(Ring("ring", (0, 5, 300), 0), 301, 10)
+        got = reduced_window(Ring((0, 5, 300), 0), 301, 10)
         assert series._nominal.cache_info().misses <= 400
         for counts in ((5, 0, 300), (5, 300, 0)):
-            assert reduced_window(Ring("ring", counts, 0), 301, 10) == got
+            assert reduced_window(Ring(counts, 0), 301, 10) == got
 
 
 class TestRing:
@@ -754,15 +768,15 @@ class TestRing:
         # lays out with one zero column and more free loops
         d = pretzel(counts)
         want = bracket_state_sum(d, max_crossings=30).value
-        assert _ring_polynomial(1, "ring", counts, 0) == want
+        assert _ring_polynomial(1, counts, 0) == want
         for n in (2, 3):
             want = colored_bracket_fused(d, n).value
-            assert _ring_polynomial(n, "ring", counts, 0) == want
+            assert _ring_polynomial(n, counts, 0) == want
 
     def test_anonymous_zero_columns_lay_out_as_free_loops(self):
         d = pretzel([0, 0, 1])
-        assert _ring_layout(d) == (Ring("ring", (0, 1), 1), (1, 3))
-        assert (_ring_polynomial(2, "ring", (0, 0, 1), 0)
+        assert _ring_layout(d) == (Ring((0, 1), 1), (1, 3))
+        assert (_ring_polynomial(2, (0, 0, 1), 0)
                 == colored_bracket_fused(d, 2).value)
 
     def test_every_small_pretzel_lays_out(self):
@@ -773,7 +787,7 @@ class TestRing:
                     continue
                 d = pretzel(counts)
                 got = colored_bracket_fused(d, 1).value
-                assert got == _ring_polynomial(1, "ring", counts, 0), counts
+                assert got == _ring_polynomial(1, counts, 0), counts
                 assert got == bracket_state_sum(d).value, counts
                 if 0 in counts:
                     assert (colored_bracket_fused(d, 2)
@@ -789,25 +803,23 @@ class TestRing:
             assert colored_bracket_fused(d, 1).value == want
 
     @pytest.mark.parametrize("args,match", [
-        (("ring", (), 0), "at least one column"),
-        (("ring", (2, -1), 0), "nonnegative"),
-        (("braid", (2,), 0), "style"),
-        (("trace", (1, 1), 0), "exactly one column"),
-        (("ring", (1,), -1), "free loops"),
+        (((), 0), "at least one column"),
+        (((2, -1), 0), "nonnegative"),
+        (((1,), -1), "free loops"),
     ])
     def test_refused(self, args, match):
         with pytest.raises(ValueError, match=match):
             Ring(*args)
 
-    @pytest.mark.parametrize("args", [("ring", (2.0, 3, 1), 0),
-                                      ("ring", (2, 3), 1.0),
-                                      ("trace", ("2",), 0)])
+    @pytest.mark.parametrize("args", [((2.0, 3, 1), 0),
+                                      ((2, 3), 1.0),
+                                      (("2",), 0)])
     def test_non_int_counts_and_loops_refused(self, args):
         with pytest.raises(TypeError, match="must be ints"):
             Ring(*args)
 
     def test_counts_become_a_tuple(self):
-        assert Ring("ring", [2, 0], 0) == Ring("ring", (2, 0), 0)
+        assert Ring([2, 0], 0) == Ring((2, 0), 0)
 
 
 class TestHighColorOracle:
@@ -878,9 +890,12 @@ class TestRouting:
         assert searches == [d]
 
     def test_layout_styles_detected(self):
-        assert _ring_layout(pretzel([2]))[0].style == "ring"
-        assert _ring_layout(pretzel([2, 3, 2]))[0].style == "ring"
-        assert _ring_layout(parse_pd(HOPF_TRACE))[0].style == "trace"
+        # a region closed on itself is a ring of one column, and one closed
+        # around its side the ring of it and a zero column
+        assert _ring_layout(pretzel([2])) == (Ring((2,), 0), (1,))
+        assert _ring_layout(pretzel([2, 3, 2])) == (Ring((2, 3, 2), 0),
+                                                    (1, 2, 3))
+        assert _ring_layout(parse_pd(HOPF_TRACE)) == (Ring((2, 0), 0), (1,))
 
 
 class TestReducedWindows:

@@ -798,14 +798,13 @@ class TestQuarterTurn:
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_trace_matches_plat_program(self, n):
+        # a column closed around its side is the ring of it and the
+        # identity on its cables, here JW_n (x) JW_n
         rng = random.Random(n)
+        ff = tensor(jones_wenzl(n), jones_wenzl(n))
         for _ in range(3):
             col = self.column(n, rng)
-            assert close_ring([col], "trace") == plat_close([col], n, "trace")
-
-    def test_unknown_style_is_refused(self):
-        with pytest.raises(ValueError, match="style"):
-            close_ring([TLMorphism.identity(2)], "plat")
+            assert close_ring([col, ff]) == plat_close([col], n, "trace")
 
     def test_needs_an_even_square_morphism(self):
         with pytest.raises(ValueError, match="turn"):

@@ -157,7 +157,7 @@ class TestOneColumn:
                    else colored_state_sum(d, n)).value
         for loops in (0, 1):
             want = bracket * delta(n) ** loops
-            ring = Ring("ring", (k,), loops)
+            ring = Ring((k,), loops)
             count = want.max_degree() - want.min_degree() + 1
             calls.clear()
             assert bracket_window(ring, n, count) == window_from_bracket(
@@ -165,7 +165,7 @@ class TestOneColumn:
             assert ring_polynomial(ring, n) == want
             assert len(calls) == 2
         reduced = substitute_quarter(exact_div(bracket, delta(n)))
-        ring = Ring("ring", (k,), 0)
+        ring = Ring((k,), 0)
         calls.clear()
         assert reduced_window(ring, n + 1, 5) == window_from_reduced(reduced, 5)
         assert ring_polynomial(ring, n, reduced=True) == reduced
@@ -174,20 +174,19 @@ class TestOneColumn:
 
 class TestNominalBottom:
     def test_every_shape_starts_at_its_nominal_bottom(self):
-        # rings of 1-5 columns with counts 0..4 (0..3 at five columns) and
-        # one-column traces, at five colors, with a free loop and with one
-        # taken out: digit 0 of every sum is the bracket's lowest
-        # coefficient, +-1
-        shapes = [("trace", (k,)) for k in range(5)] + [
-            ("ring", cs) for r in range(1, 6)
-            for cs in itertools.product(range(5 if r < 5 else 4), repeat=r)]
+        # rings of 1-5 columns with counts 0..4 (0..3 at five columns), a
+        # column closed around its side among them, at five colors, with a
+        # free loop and with one taken out: digit 0 of every sum is the
+        # bracket's lowest coefficient, +-1
+        shapes = [cs for r in range(1, 6)
+                  for cs in itertools.product(range(5 if r < 5 else 4),
+                                              repeat=r)]
         for n in (1, 2, 3, 4, 6):
             memo = ColumnMemo(n, 1)
             for loops in (0, -1):
-                for style, cs in shapes:
-                    _, out = series._ring_digits(memo, style, cs, loops,
-                                                 100_000, 1)
-                    assert out[0] in (1, -1), (style, cs, n, loops)
+                for cs in shapes:
+                    _, out = series._ring_digits(memo, cs, loops, 100_000, 1)
+                    assert out[0] in (1, -1), (cs, n, loops)
 
     def test_a_vanishing_bottom_is_a_convention_bug(self, monkeypatch):
         # every weight with its lowest digit zeroed: the ring sum's digit
@@ -198,7 +197,7 @@ class TestNominalBottom:
             return [0] + weight(self, q, p)[1:]
 
         monkeypatch.setattr(ColumnMemo, "weight", cut)
-        ring = Ring("ring", (2, 3, 1), 0)
+        ring = Ring((2, 3, 1), 0)
         with pytest.raises(ExactDivisionError, match="convention bug"):
             ring_window(ring, ColumnMemo(2, 4), 4, reduced=True)
         with pytest.raises(ExactDivisionError, match="convention bug"):
@@ -238,7 +237,7 @@ class TestExitPlan:
                         if low - base < 4 * digits]
                 assert [(q, at) for q, at, _, _ in plan] == want, (cs, digits)
             top = -min(exit_scan(n, [-k for k in cs]))
-            assert series._span(n, "ring", cs, 0) == (base, top), cs
+            assert series._span(n, cs, 0) == (base, top), cs
 
     def test_a_window_walks_only_the_exits_it_sums(self, monkeypatch):
         # the published 2,5,k row at index 201: at(11) = 187 and at(12) =
@@ -251,7 +250,7 @@ class TestExitPlan:
             return terms(self, q, k, m)
 
         monkeypatch.setattr(ColumnMemo, "terms", spy)
-        w = reduced_window(Ring("ring", (2, 5, 200), 0), 201, 201)
+        w = reduced_window(Ring((2, 5, 200), 0), 201, 201)
         assert walked == set(range(12))
         assert list(normalize(w).coeffs) == euler(201)
 
@@ -259,14 +258,21 @@ class TestExitPlan:
         with pytest.raises(ValueError, match="color must be nonnegative"):
             ColumnMemo(-1, 4)
         with pytest.raises(ValueError, match="color must be nonnegative"):
-            ring_polynomial(Ring("ring", (2, 3), 0), -1)
-        assert ring_polynomial(Ring("ring", (2, 3), 0), 0) == LaurentPoly.one()
+            ring_polynomial(Ring((2, 3), 0), -1)
+        assert ring_polynomial(Ring((2, 3), 0), 0) == LaurentPoly.one()
 
     def test_a_window_longer_than_the_memo_is_refused(self):
-        ring = Ring("ring", (2, 3, 1), 0)
+        ring = Ring((2, 3, 1), 0)
         assert ring_window(ring, ColumnMemo(2, 4), 4, reduced=True)
         with pytest.raises(ValueError, match="needs 5 digits"):
             ring_window(ring, ColumnMemo(2, 4), 5, reduced=True)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_a_negative_count_is_refused(self, reduced):
+        # as window_from_bracket and window_from_reduced refuse it
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ring_window(Ring((2, 3, 1), 0), ColumnMemo(2, 4), -1,
+                        reduced=reduced)
 
 
 class TestColorTails:
@@ -277,12 +283,12 @@ class TestColorTails:
         st.integers(1, 60))
     @settings(max_examples=80, deadline=None)
     def test_ring_tail_is_its_closed_form(self, cs, n):
-        w = reduced_window(Ring("ring", cs, 0), n + 1, n + 1)
+        w = reduced_window(Ring(cs, 0), n + 1, n + 1)
         assert list(normalize(w).coeffs) == color_tail(len(cs), n + 1)
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_at_index_201(self, r):
-        w = reduced_window(Ring("ring", tuple(range(1, r + 1)), 0), 201, 201)
+        w = reduced_window(Ring(tuple(range(1, r + 1)), 0), 201, 201)
         assert list(normalize(w).coeffs) == color_tail(r, 201)
 
     def test_verify_check_fails_on_a_flipped_weight(self, monkeypatch):
@@ -351,7 +357,7 @@ class TestColumnMemo:
         # evaluated alone, with one or more columns growing by 0..3, in
         # parameter order or any other
         grow = data.draw(st.sets(st.integers(0, len(base) - 1), min_size=1))
-        members = [Ring("ring", [c + j if i in grow else c
+        members = [Ring([c + j if i in grow else c
                                  for i, c in enumerate(base)], loops)
                    for j in data.draw(st.permutations(range(4)))]
         counts = data.draw(st.lists(st.integers(0, 8), min_size=4,
@@ -375,7 +381,7 @@ class TestColumnMemo:
         # with counts in any order: each window is the member's alone,
         # taken at its own count
         colors = [n for n, length in runs for _ in range(length)]
-        members = [Ring("ring", [*base[:-1], base[-1] + j], loops)
+        members = [Ring([*base[:-1], base[-1] + j], loops)
                    for j in range(len(colors))]
         counts = data.draw(st.lists(st.integers(0, 12), min_size=len(colors),
                                     max_size=len(colors)))
@@ -398,7 +404,7 @@ class TestColumnMemo:
             return symmetric(n, a, b, digits)
 
         monkeypatch.setattr(series, "_symmetric", spy)
-        members = [Ring("ring", (2, 3, k), 0) for k in range(1, 6)]
+        members = [Ring((2, 3, k), 0) for k in range(1, 6)]
         list(family_windows(members, [4, 4, 4, 3, 3], [2, 4, 6, 3, 5],
                             reduced=True))
         assert len(built) == len({key[:3] for key in built})
@@ -413,14 +419,14 @@ class TestColumnMemo:
         # shrinking the second column of (0, k) at color 4 moves exit
         # channels' reach up: a column's terms below a lower reach must
         # not stand in for those below a higher one
-        members = [Ring("ring", (0, k), 0) for k in (3, 2, 1, 0)]
+        members = [Ring((0, k), 0) for k in (3, 2, 1, 0)]
         shared = family_windows(members, [5] * 4, [9] * 4, reduced=True)
         assert list(shared) == [reduced_window(r, 5, 9) for r in members]
 
     def test_memo_follows_the_color(self):
         # members at changing colors share a family's precision, each
         # color with its own memo
-        ring = Ring("ring", (2, 3, 1), 0)
+        ring = Ring((2, 3, 1), 0)
         colors = [1, 2, 2, 3, 1]
         got = family_windows([ring] * 5, colors, [9, 4, 12, 6, 3])
         assert list(got) == [
