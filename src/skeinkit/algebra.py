@@ -47,7 +47,8 @@ class ExactDivisionError(ArithmeticError):
 
 
 class GradingError(ValueError):
-    """Raised when exponents do not lie in a single residue class."""
+    """Raised when exponents do not lie in a single residue class mod 4,
+    which no planar diagram's bracket does (``substitute_quarter``)."""
 
 
 class AdmissibilityError(ValueError):
@@ -174,10 +175,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int) -> int:
         return self.terms.get(exp, 0)
-
-    def support_residues(self) -> set[int]:
-        """Residues mod 4 of all exponents in the support."""
-        return {e % 4 for e in self.terms}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -661,22 +658,18 @@ RF_ZERO = RationalFn.from_poly(ZERO)
 
 
 class QPoly:
-    """Laurent polynomial in q with integer exponent lattice.
+    """Laurent polynomial in q on the integer q-lattice.
 
-    Produced by ``substitute_quarter``: exponents of the source
-    polynomial in A are divided by 4 after factoring out a residue.
-    ``residue_quarters`` records the factored-out power of q^(1/4)
-    (0..3); ``half_step`` marks the coarser case where exponents only
-    agreed mod 2 and the lattice is (1/2)Z instead of Z.
+    Produced by ``substitute_quarter``: exponents of the source polynomial
+    in A are divided by 4 after factoring out a residue, whose power of
+    q^(1/4) (0..3) ``residue_quarters`` records.
     """
 
-    __slots__ = ("terms", "residue_quarters", "half_step")
+    __slots__ = ("terms", "residue_quarters")
 
-    def __init__(self, terms: Mapping[int, int], residue_quarters: int = 0,
-                 half_step: bool = False):
+    def __init__(self, terms: Mapping[int, int], residue_quarters: int = 0):
         self.terms = {int(e): operator.index(c) for e, c in terms.items() if c}
         self.residue_quarters = residue_quarters % 4
-        self.half_step = bool(half_step)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -706,48 +699,34 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         return (self.terms == other.terms
-                and self.residue_quarters == other.residue_quarters
-                and self.half_step == other.half_step)
+                and self.residue_quarters == other.residue_quarters)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.residue_quarters,
-                     self.half_step))
+        return hash((frozenset(self.terms.items()), self.residue_quarters))
 
     def __repr__(self):
-        unit = "q^(1/2)-lattice" if self.half_step else "q-lattice"
         body = " ".join(f"{c}:q^{e}" for e, c in sorted(self.terms.items()))
         res = f" * q^({self.residue_quarters}/4)" if self.residue_quarters else ""
-        return f"QPoly[{unit}]({body or '0'}{res})"
+        return f"QPoly[q-lattice]({body or '0'}{res})"
 
 
 def substitute_quarter(f: LaurentPoly) -> QPoly:
     """Substitute A = q^(1/4), factoring the exponent residue out front.
 
-    The support of a bracket-style polynomial sits in one residue class
-    mod 4, so exponents become integers in q after pulling out
-    q^(r/4).  If the support only fits one class mod 2, the result is
-    flagged ``half_step``: the lattice is (1/2)Z, and a stored exponent
-    h stands for q^(h/2).  A planar diagram never lands there, since
+    The bracket of a planar diagram sits in one residue class mod 4
+    (Kauffman, "State models and the Jones polynomial", Topology 1987):
     flipping one smoothing merges or splits a loop and moves the
-    exponents by 0 or -4; a PD code that is not planar can, where a flip
-    keeps the loop count.  Mixed residues mod 2 raise ``GradingError``.
+    exponents by 0 or -4.  So its exponents become integers in q after
+    pulling out q^(r/4).  Exponents in more than one class mod 4 raise
+    ``GradingError``.
     """
-    if f.is_zero():
-        return QPoly({}, 0, False)
-    residues = f.support_residues()
-    if len(residues) == 1:
-        r = residues.pop()
-        return QPoly({(e - r) // 4: c for e, c in f.terms.items()}, r, False)
-    residues2 = {e % 2 for e in f.terms}
-    if len(residues2) == 1:
-        r = residues2.pop()
-        # exponents live on r + 2Z: factor q^(r/4), lattice steps of 1/2.
-        # Store in half units: stored exponent h means q^(h/2).
-        return QPoly({(e - r) // 2: c for e, c in f.terms.items()}, r, True)
-    raise GradingError(
-        f"support exponents fall in mixed residue classes mod 2: "
-        f"{sorted(f.terms)}"
-    )
+    r = next(iter(f.terms), 0) % 4
+    if any((e - r) % 4 for e in f.terms):
+        raise GradingError(
+            f"support exponents fall in more than one residue class mod 4: "
+            f"{sorted(f.terms)}"
+        )
+    return QPoly({(e - r) // 4: c for e, c in f.terms.items()}, r)
 
 
 def min_degree(f) -> int:

@@ -137,6 +137,9 @@ class State:
 class LinkDiagram:
     """Crossings, labeled twist regions, and crossing-free loops.
 
+    The crossings must draw a planar diagram: validation refuses them
+    unless every connected part of their 4-valent graph has V - E + F = 2
+    (``_is_planar``), so a bracket's exponents lie in one class mod 4.
     ``sides`` is derived when the diagram is validated: it maps each
     region id to the region's boundary arcs ``(bl, tl, br, tr)``, or to
     None for a zero region without rails.  It takes no part in equality,
@@ -178,6 +181,11 @@ class LinkDiagram:
                 raise DiagramError(
                     f"arc {a} appears {m} times; every arc label must appear exactly twice"
                 )
+        if not _is_planar(self.crossings):
+            raise DiagramError(
+                "the PD code does not draw a planar diagram: a connected part "
+                "has V - E + F below 2"
+            )
         used: set[int] = set()
         rids: set[int] = set()
         sides: dict[int, Sides | None] = {}
@@ -405,7 +413,8 @@ def parse_pd(
     """Parse KnotTheory-style PD notation ``PD[X[a,b,c,d], ...]``.
 
     Twist regions are auto-detected as maximal chains of bigon-adjacent
-    crossings unless explicit chains of crossing ids are supplied.
+    crossings unless explicit chains of crossing ids are supplied.  A code
+    that draws no planar diagram raises ``DiagramError``.
     """
     crossings = _parse_pd_text(text)
     if regions is None:
@@ -491,20 +500,18 @@ def _detect_regions(crossings: Sequence[Crossing]) -> tuple[TwistRegion, ...]:
         for pair in _apairs(x):
             partner.setdefault(pair, []).append(cid)
     adj: dict[int, set[int]] = {cid: set() for cid in range(len(crossings))}
+    uf = _UnionFind()
     for cids in partner.values():
         if len(cids) == 2 and cids[0] != cids[1]:
             adj[cids[0]].add(cids[1])
             adj[cids[1]].add(cids[0])
-    seen: set[int] = set()
+            uf.union(*cids)
     chains: list[list[int]] = []
-    for start in range(len(crossings)):
-        if start in seen:
-            continue
-        component = _component(start, adj)
-        endpoints = sorted(c for c in component if len(adj[c] & component) < 2)
-        head = endpoints[0] if endpoints else min(component)  # cycle: break here
-        chain = [head]
-        seen.add(head)
+    # each class is keyed by, and lists from, its smallest crossing id
+    for component in uf.classes(range(len(crossings))).values():
+        ends = [c for c in component if len(adj[c]) < 2]
+        chain = [ends[0] if ends else component[0]]  # cycle: break at its smallest
+        seen = set(chain)
         while True:
             options = sorted(adj[chain[-1]] - seen)
             if not options:
@@ -562,15 +569,37 @@ def _walk_chain(crossings: Sequence[Crossing], reg: TwistRegion) -> Sides:
     return bl, tl, br, tr
 
 
-def _component(start: int, adj: dict[int, set[int]]) -> set[int]:
-    out = {start}
-    todo = [start]
-    while todo:
-        for nb in adj[todo.pop()]:
-            if nb not in out:
-                out.add(nb)
-                todo.append(nb)
-    return out
+def _is_planar(crossings: Sequence[Crossing]) -> bool:
+    """Whether every connected part of the diagram's 4-valent graph has
+    V - E + F = 2, so that it draws on the sphere.
+
+    Half-edge 4c + s is slot s of crossing c.  The faces are the orbits of
+    "follow the arc to its other end, then step to the next slot
+    counterclockwise".  A part of V crossings has E = 2V edges and at most
+    V + 2 faces, V + 2 exactly when it is planar; so the whole graph is
+    planar when it has V + 2 faces per part.
+    """
+    other = [0] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    uf = _UnionFind()
+    parts = len(crossings)
+    for h, a in enumerate(a for x in crossings for a in x):
+        g = first.pop(a, None)
+        if g is None:
+            first[a] = h
+        else:
+            other[h], other[g] = g, h
+            parts -= uf.union(h >> 2, g >> 2)
+    seen = bytearray(len(other))
+    faces = 0
+    for h in range(len(other)):
+        if not seen[h]:
+            faces += 1
+            while not seen[h]:
+                seen[h] = 1
+                g = other[h]
+                h = g - 3 if g & 3 == 3 else g + 1
+    return faces == len(crossings) + 2 * parts
 
 
 # -- states and state graphs ---------------------------------------------------

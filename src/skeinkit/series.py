@@ -85,7 +85,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
@@ -111,7 +110,7 @@ __all__ = [
     "window_from_reduced",
 ]
 
-UNIT_NAMES = {"A": "A-units", "q": "q-units", "q/2": "half q-units"}
+UNIT_NAMES = {"A": "A-units", "q": "q-units"}
 
 
 class BudgetError(ValueError):
@@ -133,13 +132,16 @@ def _as_int(c) -> int:
 class CoeffList:
     """A finite run of coefficients anchored at a recorded minimum degree.
 
-    ``anchor`` is metadata only: comparisons strip it, matching the paper's
-    convention that windows match up to an overall degree shift.
+    ``anchor`` is that degree, an int in the window's units: in A for a
+    bracket, in q for a reduced polynomial, whose support always sits on
+    the integer q-lattice.  It is metadata only: comparisons strip it,
+    matching the paper's convention that windows match up to an overall
+    degree shift.
     """
 
     coeffs: tuple[int, ...]
     units: str = "q"
-    anchor: Fraction = Fraction(0)
+    anchor: int = 0
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -148,8 +150,7 @@ class CoeffList:
         if type(coeffs) is not tuple or any(type(c) is not int
                                             for c in coeffs):
             object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in coeffs))
-        if type(self.anchor) is not Fraction:
-            object.__setattr__(self, "anchor", Fraction(self.anchor))
+        object.__setattr__(self, "anchor", operator.index(self.anchor))
         if self.units not in UNIT_NAMES:
             raise WindowError(f"unknown grading units {self.units!r}")
 
@@ -162,22 +163,19 @@ def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
         raise WindowError("zero polynomial has no coefficient window")
     m = poly.min_degree()
     return CoeffList(
-        tuple(poly.coeff(m + i) for i in range(count)), "A", Fraction(m)
+        tuple(poly.coeff(m + i) for i in range(count)), "A", m
     )
 
 
 def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
-    """The lowest ``count`` coefficients along the reduced support lattice."""
+    """The lowest ``count`` coefficients of a reduced polynomial, stepping
+    by one along the integer q-lattice, anchor recorded."""
     if count < 0:
         raise ValueError("window length must be nonnegative")
     if qp.is_zero():
         raise WindowError("zero polynomial has no coefficient window")
-    den = 2 if qp.half_step else 1
-    return CoeffList(
-        tuple(qp.coeffs_from_bottom(count)),
-        "q/2" if qp.half_step else "q",
-        Fraction(qp.min_degree(), den),
-    )
+    return CoeffList(tuple(qp.coeffs_from_bottom(count)), "q",
+                     qp.min_degree())
 
 
 @dataclass(frozen=True)
@@ -701,6 +699,6 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
         # one residue class mod 4: substitute_quarter reads A^low as
         # q^(low//4)
         coeffs = (out.get(i, 0) for i in range(count))
-        return CoeffList(tuple(coeffs), "q", Fraction(low // 4))
+        return CoeffList(tuple(coeffs), "q", low // 4)
     coeffs = (0 if i % 4 else out.get(i // 4, 0) for i in range(count))
-    return CoeffList(tuple(coeffs), "A", Fraction(low))
+    return CoeffList(tuple(coeffs), "A", low)

@@ -10,16 +10,17 @@ agreement at the claimed depth.
 
 Two grading currencies appear and are never mixed: ``A``-unit windows step
 by one in the A-exponent of a raw bracket (so they include the interleaved
-zeros), while ``q``-unit windows step along the support lattice of a
-reduced polynomial.  Every report records which currency it used.
+zeros), while ``q``-unit windows step by one along the integer q-lattice
+of a reduced polynomial, where every planar diagram's lies.  Every report
+records which currency it used; its anchors are ints in it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .diagram import LinkDiagram
@@ -83,7 +84,7 @@ def normalize(c: CoeffList) -> CoeffList:
     if c.coeffs[0] == 0:
         raise WindowError("anchor must be a nonzero coefficient")
     coeffs = c.coeffs if c.coeffs[0] > 0 else tuple(-x for x in c.coeffs)
-    return CoeffList(coeffs, c.units, Fraction(0), True)
+    return CoeffList(coeffs, c.units, 0, True)
 
 
 def n_equivalent(p1: CoeffList, p2: CoeffList, n: int) -> bool:
@@ -121,33 +122,23 @@ def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
 
 # --- family expressions -------------------------------------------------
 
+# ASCII digits and names only: str.isdigit and \d also take "²" and the like
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*()])|(\S)")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     out: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*()":
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        num, name, op, bad = m.groups()
+        at = m.start()
+        if bad is not None:
+            raise ExpressionError(f"unexpected character {bad!r}", at)
+        if num is not None:
+            out.append(("int", int(num), at))
+        elif name is not None:
+            out.append(("name", name, at))
+        else:
+            out.append((op, op, at))
     out.append(("end", "", len(text)))
     return out
 
@@ -523,7 +514,7 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
         )
     last = normed[-1]
     cut = max(0, min(tail_len, len(last)))
-    tail = CoeffList(last[:cut], windows[-1].units, Fraction(0), True)
+    tail = CoeffList(last[:cut], windows[-1].units, 0, True)
     return TailReport(
         family=family,
         units=windows[-1].units,

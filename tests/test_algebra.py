@@ -369,16 +369,18 @@ class TestSubstituteQuarter:
     def test_integral_lattice(self):
         q = substitute_quarter(LaurentPoly({-4: 1, 0: -2, 8: 3}))
         assert q.terms == {-1: 1, 0: -2, 2: 3}
-        assert q.residue_quarters == 0 and not q.half_step
+        assert q.residue_quarters == 0
 
     def test_residue_factored(self):
         q = substitute_quarter(LaurentPoly({-3: 1, 5: 2}))
-        assert q.residue_quarters == 1 and not q.half_step
+        assert q.residue_quarters == 1
         assert q.terms == {-1: 1, 1: 2}
 
-    def test_half_step_flag(self):
-        q = substitute_quarter(LaurentPoly({0: 1, 2: 1}))
-        assert q.half_step and q.terms == {0: 1, 1: 1}
+    def test_one_class_mod_2_is_refused(self):
+        # no planar diagram's bracket spans two classes mod 4, so there
+        # is no half-q lattice to land on
+        with pytest.raises(GradingError, match="mod 4"):
+            substitute_quarter(LaurentPoly({0: 1, 2: 1}))
 
     def test_mixed_residues_error(self):
         with pytest.raises(GradingError):

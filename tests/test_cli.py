@@ -34,6 +34,9 @@ from skeinkit.stability import normalize, window_from_reduced
 from test_series import euler
 
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
+# V - E + F = 0: a drawing on the torus, not in the plane
+TORUS_CROSSINGS = [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 2], [4, 7, 3, 8]]
+TORUS_PD = "PD[" + ",".join("X[%d,%d,%d,%d]" % tuple(x) for x in TORUS_CROSSINGS) + "]"
 
 
 @pytest.fixture()
@@ -95,6 +98,15 @@ class TestBracket:
         assert result.exit_code == 0
         want = bracket_state_sum(pretzel([2, 2, 2])).value
         assert f"bracket: {want}" in result.output
+
+    def test_non_planar_pd_file_is_refused(self, runner, tmp_path):
+        path = tmp_path / "torus.pd"
+        path.write_text(TORUS_PD)
+        result = run(runner, "bracket", "--pd", str(path))
+        assert result.exit_code == 1
+        assert "torus.pd" in result.output
+        assert "does not draw a planar diagram" in result.output
+        assert "bracket:" not in result.output
 
     def test_two_sources_rejected(self, runner, tmp_path):
         path = tmp_path / "trefoil.pd"
@@ -239,6 +251,20 @@ class TestTable:
         assert result.exit_code == 2
         assert "--pretzel-family" in result.output
         assert "nests too deeply" in result.output
+
+    def test_superscript_window_is_a_usage_error(self, runner):
+        # "k²" is not k squared and not a parameter named "k²"
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "2,3,k",
+            "--color", "2",
+            "--range", "1..2",
+            "--window", "k²",
+        )
+        assert result.exit_code == 2
+        assert "--window" in result.output
+        assert "column 2" in result.output
 
     def test_long_flat_expression(self, runner):
         # 3001 terms of k in one sum: the rows of 3001*k
@@ -607,6 +633,14 @@ class TestGraph:
         assert "graph minus {" in result.output
         assert " -- " not in result.output
         assert "v0" not in result.output
+
+    def test_non_planar_diagram_json_is_refused(self, runner, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps({"crossings": TORUS_CROSSINGS}))
+        result = run(runner, "graph", "--diagram-json", str(path))
+        assert result.exit_code == 1
+        assert "does not draw a planar diagram" in result.output
+        assert "graph minus" not in result.output
 
     def test_unknown_emit_format_rejected(self, runner):
         result = run(runner, "graph", "--pretzel", "2,2,2", "--emit", "svg")

@@ -90,9 +90,10 @@ class TestValidation:
             LinkDiagram(((1, 1, 2, 2),), (TwistRegion(1, (0,), 2),))
 
     def test_positive_bigon_is_not_a_twist_region(self):
-        # Crossings 0 and 1 share arcs {2, 3} but only through B-pairs, so
-        # stacking them is a positive twist and must be rejected.
-        crossings = ((1, 2, 3, 4), (2, 5, 6, 3), (4, 1, 5, 6))
+        # In the mirror trefoil crossings 0 and 1 share arcs {1, 4} but
+        # only through B-pairs, so stacking them is a positive twist and
+        # must be rejected.
+        crossings = ((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2))
         with pytest.raises(DiagramError, match="negative-twist bigon"):
             LinkDiagram(crossings, (TwistRegion(1, (0, 1), 2),))
         LinkDiagram(crossings)  # fine without the bogus region
@@ -107,6 +108,50 @@ class TestValidation:
     def test_free_loops_nonnegative(self):
         with pytest.raises(DiagramError, match="free_loops"):
             LinkDiagram((), free_loops=-1)
+
+
+# V - E + F = 0 for both: drawings on the torus, not in the plane
+TORUS_CODES = (
+    "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]",
+    "PD[X[1,2,3,4],X[1,2,3,4]]",
+)
+
+
+class TestPlanarity:
+    def test_every_small_pretzel_is_planar(self):
+        # 1 to 5 columns of 0 to 3 crossings each, with at least one crossing
+        every = [counts for r in range(1, 6)
+                 for counts in itertools.product(range(4), repeat=r) if any(counts)]
+        assert len(every) == 1359
+        for counts in every:
+            pretzel(counts)  # builds, so passes the check
+
+    @pytest.mark.parametrize("text", [
+        "PD[]",
+        "PD[X[1,1,2,2]]",
+        "PD[X[1,2,3,4],X[1,4,3,2]]",  # the Hopf link
+        "PD[X[1,2,3,4],X[1,4,3,2],X[5,6,7,8],X[5,8,7,6]]",  # two, split
+        "PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],X[7,10,8,11],X[9,12,10,1],"
+        "X[11,8,12,9]]",  # two trefoils summed
+    ])
+    def test_planar_codes_are_accepted(self, text):
+        assert parse_pd(text).crossings == diagram_module._parse_pd_text(text)
+
+    @pytest.mark.parametrize("text", TORUS_CODES)
+    def test_torus_codes_are_refused_at_every_entry(self, text):
+        crossings = diagram_module._parse_pd_text(text)
+        with pytest.raises(DiagramError, match="does not draw a planar diagram"):
+            parse_pd(text)
+        with pytest.raises(DiagramError, match="planar"):
+            LinkDiagram(crossings)
+        with pytest.raises(DiagramError, match="planar"):
+            LinkDiagram.from_json({"crossings": [list(x) for x in crossings]})
+
+    def test_each_part_is_checked(self):
+        # a planar Hopf link beside a torus part: the faces of the whole
+        # fall short of V + 2 per part
+        with pytest.raises(DiagramError, match="planar"):
+            parse_pd("PD[X[1,2,3,4],X[1,4,3,2],X[5,6,7,8],X[5,6,7,8]]")
 
 
 class TestPretzel:
@@ -362,8 +407,10 @@ class TestWalkChainAgainstUnionFind:
 
     @pytest.mark.parametrize("text", PD_FIXTURES)
     def test_pd_fixtures(self, text):
-        d = parse_pd(text)
-        assert_walks_agree(d.crossings, d.twist_regions)
+        # the walk is local, so it runs on codes that draw no planar
+        # diagram too, which LinkDiagram refuses
+        crossings = diagram_module._parse_pd_text(text)
+        assert_walks_agree(crossings, diagram_module._detect_regions(crossings))
 
     @given(st.integers(1, 5).flatmap(
         lambda c: st.permutations([a for a in range(1, 2 * c + 1)] * 2)))

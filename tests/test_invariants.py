@@ -82,8 +82,9 @@ from skeinkit.planar import (
 from plat_oracle import plat_close
 
 HOPF_TRACE = "PD[X[1,4,2,3],X[3,2,4,1]]"
-# a 4-crossing drawing whose regions do not form a column ring
-FOUR_CROSSING = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]"
+# two trefoils summed: a planar drawing whose regions do not form a
+# column ring
+TREFOIL_SUM = "PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],X[7,10,8,11],X[9,12,10,1],X[11,8,12,9]]"
 
 
 def rf(x):
@@ -178,7 +179,7 @@ class TestClassicalBracket:
             lambda: pretzel([1, 1, 1, 1]),
             lambda: pretzel([2, 0, 2]),
             lambda: parse_pd(HOPF_TRACE),
-            lambda: parse_pd(FOUR_CROSSING),
+            lambda: parse_pd(TREFOIL_SUM),
             lambda: parse_pd("PD[X[1,1,2,2]]"),
         ],
     )
@@ -199,7 +200,7 @@ class TestColoredStateSum:
         for text in (HOPF_TRACE, "PD[X[1,1,2,2]]"):
             d = parse_pd(text)
             assert colored_state_sum(d, 1).value == brute_bracket(d)
-        d = parse_pd(FOUR_CROSSING)
+        d = parse_pd(TREFOIL_SUM)
         assert unreduced_colored_jones(d, 1).value == brute_bracket(d)
         with pytest.raises(LayoutError, match="single ring"):
             colored_state_sum(d, 1)
@@ -870,7 +871,7 @@ class TestRouting:
             "check_color_stability"])
     def test_no_layout_above_color_one_is_one_search(self, monkeypatch, run):
         # the router's one search raises; nothing is composed
-        d = parse_pd(FOUR_CROSSING)
+        d = parse_pd(TREFOIL_SUM)
         searches = []
         layout = invariants._ring_layout
 
@@ -989,7 +990,7 @@ class TestMinimumDegrees:
             predicted_min_degree(curl, 2)
 
     def test_non_alternating_refused_above_color_one(self):
-        d = parse_pd("PD[X[1,2,3,4],X[1,2,3,4]]")
+        d = parse_pd("PD[X[1,2,3,4],X[1,4,3,2]]")
         with pytest.raises(AdequacyError, match="alternating"):
             predicted_min_degree(d, 2)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinkit.diagram import parse_pd, pretzel
+from skeinkit.diagram import DiagramError, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
     LayoutError,
@@ -68,10 +68,10 @@ class TestNormalize:
         assert normalize(CoeffList((1, -1, 3))).coeffs == (1, -1, 3)
 
     def test_anchor_stripped(self):
-        c = CoeffList((2, 5), anchor=Fraction(-7, 2), units="q/2")
+        c = CoeffList((2, 5), anchor=-7, units="q")
         out = normalize(c)
         assert out.anchor == 0
-        assert out.units == "q/2"
+        assert out.units == "q"
 
     def test_leading_zero_rejected(self):
         with pytest.raises(WindowError, match="nonzero"):
@@ -232,15 +232,24 @@ class TestWindowConstructors:
     def test_reduced_window_records_lattice(self):
         qp = reduced_jones(pretzel([2, 3, 2]), 2)
         w = window_from_reduced(qp, 3)
-        den = 2 if qp.half_step else 1
-        assert w.anchor == Fraction(qp.min_degree(), den)
+        assert w.units == "q"
+        assert type(w.anchor) is int and w.anchor == qp.min_degree()
 
-    def test_a_non_planar_pd_code_reaches_the_half_lattice(self):
-        # here a smoothing flip can keep the loop count, which moves the
-        # bracket's exponents by 2: the reduced window steps in half q
-        d = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]")
-        w = window_from_reduced(reduced_jones(d, 2), 4)
-        assert w == CoeffList((-1, -1, 1, 2), "q/2", Fraction(-3, 2))
+    def test_anchors_are_ints_on_the_q_lattice(self):
+        # an anchor is an int, not a Fraction; a half-q unit has no
+        # lattice to sit on
+        assert type(CoeffList((1,), anchor=True).anchor) is int
+        with pytest.raises(TypeError):
+            CoeffList((1,), anchor=Fraction(-3, 2))
+        with pytest.raises(WindowError, match="units"):
+            CoeffList((1,), units="q/2")
+
+    def test_a_non_planar_pd_code_is_refused(self):
+        # on the torus a smoothing flip can keep the loop count and move
+        # the bracket's exponents by 2, off the integer q-lattice; the
+        # code is refused before any bracket is taken
+        with pytest.raises(DiagramError, match="planar"):
+            parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]")
 
     def test_empty_window_allowed(self):
         poly = unreduced_colored_jones(pretzel([1, 1, 1]), 1).value
@@ -279,6 +288,15 @@ class TestFamilyExpr:
         with pytest.raises(ExpressionError) as exc:
             FamilyExpr.parse("2k")
         assert exc.value.position == 1
+
+    @pytest.mark.parametrize("text", ["k²", "2²", "k٣"])
+    def test_non_ascii_digit_is_refused(self, text):
+        # str.isalnum and str.isdigit take "²" and "٣", which would join
+        # the parameter's name or fail int()
+        with pytest.raises(ExpressionError, match="unexpected character") as exc:
+            FamilyExpr.parse(text)
+        assert exc.value.position == 1
+        assert str(exc.value).endswith("(column 2)")
 
     def test_two_parameters_rejected(self):
         with pytest.raises(ExpressionError, match="one parameter") as exc:
@@ -592,8 +610,9 @@ class TestColorStability:
                                   twist_shifts={9: 1})
 
     def test_shifts_need_a_ring_layout(self):
-        # four crossings whose regions do not close into a column ring
-        d = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,2],X[4,7,3,8]]")
+        # two trefoils summed: their regions do not close into a column ring
+        d = parse_pd("PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],X[7,10,8,11],"
+                     "X[9,12,10,1],X[11,8,12,9]]")
         with pytest.raises(LayoutError, match="ring layout"):
             check_color_stability(d, (1, 2), twist_shifts={1: 1})
 
