@@ -325,13 +325,15 @@ def colored_state_sum(
     one column, within a diagram and across diagrams, and a diagram whose
     columns are built composes only its ring seams.  ``planar.close_ring``
     closes the columns: quarter-turned, they stack in ring order under
-    the Markov trace.  A region closed around its side lays out beside a
-    zero column, ff = ``_clasped_column(n, 0)``.
+    the Markov trace, and the last seam is closed without being built
+    (``planar.seam_closure``).  A region closed around its side lays out
+    beside a zero column, ff = ``_clasped_column(n, 0)``.
 
     The budget counts what this builds: max(k) + r - 1 compositions for r
-    columns (the powers, then the ring seams), each at width 2n, where it
-    glues at most Catalan(2n)^2 pairs of matchings.  It is checked before
-    any composition.
+    columns (the powers, then the ring seams, the last of which is the
+    closed seam), each at width 2n, where it glues at most Catalan(2n)^2
+    pairs of matchings.  It is checked before anything is composed or
+    closed.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")

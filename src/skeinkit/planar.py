@@ -33,8 +33,12 @@ them; these and the crossing morphisms are memoized in memory with
 
 Closed networks (theta and tetrahedron graphs, drums, rings of
 smoothing columns) are composed from these pieces and closed by the
-Markov trace (``closure``); they serve as the first-principles oracle
-for the closed-form evaluations elsewhere.  The theta and tetrahedron
+Markov trace; they serve as the first-principles oracle for the
+closed-form evaluations elsewhere.  Each network's last seam is closed
+without being built: ``seam_closure(f, g)`` is ``closure(compose(f,
+g))``, but for each pair of matchings it only counts the loops of the
+picture closed at both seams.  ``closure`` and ``close_pair`` stay as
+the reference it is tested against.  The theta and tetrahedron
 networks carry one projector per edge: their vertices are bare turns,
 and each projector is applied on its own cable (``boxed``), since
 every extra copy of an idempotent multiplies the matchings that
@@ -42,7 +46,8 @@ every extra copy of an idempotent multiplies the matchings that
 strands join.  Since the node order is cyclic, ``quarter_turn`` is a
 relabeling: it turns a column of two cables so that columns set side
 by side in a ring stack instead, and ``close_ring`` closes the ring as
-the trace of that stack, at the width of one column.
+the trace of that stack, at the width of one column, its last seam
+closed by ``seam_closure``.
 """
 
 from __future__ import annotations
@@ -433,19 +438,9 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     fb, ft, gt = f.bot, f.top, g.top
     if not f.nums or not g.nums:
         return TLMorphism.zero(fb, gt)
-    f_terms = [n.terms for n in f.nums.values()]
-    g_terms = [n.terms for n in g.nums.values()]
-    lo_f = min(min(t) for t in f_terms)
-    lo_g = min(min(t) for t in g_terms)
-    step = math.gcd(2, *(e - lo_f for t in f_terms for e in t),
-                    *(e - lo_g for t in g_terms for e in t))
-    # each closed loop takes two seam points, and |delta^L|_1 = 2^L
+    # each closed loop takes two seam points
     lmax = ft // 2
-    norm = (sum(abs(c) for t in f_terms for c in t.values())
-            * sum(abs(c) for t in g_terms for c in t.values()))
-    width = (norm << lmax).bit_length() // 8 + 1
-    loop = [_pack(_delta_pow(k).terms, -2 * lmax, step, width)
-            for k in range(lmax + 1)]
+    lo_f, lo_g, step, width, loop = _lattice(f, g, lmax)
     f_side, g_side = _seam_sides(fb, ft, gt)
     packed_f = [(_seam_view(p, *f_side), _pack(n.terms, lo_f, step, width))
                 for p, n in f.nums.items()]
@@ -465,6 +460,29 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     nums, den = _cancel(sums, vec_sum(f.den, g.den), lo_f + lo_g - 2 * lmax,
                         step, width)
     return TLMorphism._raw(fb, gt, nums, den)
+
+
+def _lattice(f: TLMorphism, g: TLMorphism, lmax: int):
+    """One packing for the numerators of f and g, glued into sums that
+    close at most lmax loops: (lo_f, lo_g, step, width, loop).
+
+    Both sides lie on exponents lo + step*i, step 1 or 2; loop[L] packs
+    A^(2*lmax) * delta^L.  Since |delta^L|_1 = 2^L, no coefficient of a
+    sum over all pairs exceeds |f|_1 |g|_1 2^lmax, and the digits of
+    ``width`` bytes hold that and a sign.
+    """
+    f_terms = [n.terms for n in f.nums.values()]
+    g_terms = [n.terms for n in g.nums.values()]
+    lo_f = min(min(t) for t in f_terms)
+    lo_g = min(min(t) for t in g_terms)
+    step = math.gcd(2, *(e - lo_f for t in f_terms for e in t),
+                    *(e - lo_g for t in g_terms for e in t))
+    norm = (sum(abs(c) for t in f_terms for c in t.values())
+            * sum(abs(c) for t in g_terms for c in t.values()))
+    width = (norm << lmax).bit_length() // 8 + 1
+    loop = [_pack(_delta_pow(k).terms, -2 * lmax, step, width)
+            for k in range(lmax + 1)]
+    return lo_f, lo_g, step, width, loop
 
 
 def _cancel(sums: dict, den: dict[int, int], lo: int, step: int,
@@ -562,6 +580,56 @@ def closure(f: TLMorphism) -> RationalFn:
     for pair, num in f.nums.items():
         total = total + num * _delta_pow(close_pair(pair, f.bot))
     return RationalFn._raw(total, f.den).reduce()
+
+
+def seam_closure(f: TLMorphism, g: TLMorphism) -> RationalFn:
+    """closure(compose(f, g)) for f: a -> b and g: b -> a, without the
+    composite.
+
+    Closed at both seams, the picture glues each node of g to one node
+    of f: g's bottom node p to f's top node a+b-1-p, and g's top node t
+    (top position a+b-1-t) to f's bottom node a+b-1-t around the side.
+    Mapped back by x -> a+b-1-x, g's arcs join f's nodes, and a pair of
+    matchings only counts the loops the two sets of arcs close, one walk
+    over f's nodes.  Both sides are packed on one lattice as in
+    ``compose`` (``_lattice``); a closed pair has at most (a+b)/2
+    loops, so each g numerator is multiplied once by every D[L] it may
+    need, the terms of each f matching sum before they are multiplied
+    by its numerator, and one polynomial is read back and reduced over
+    f.den + g.den.
+    """
+    if (f.bot, f.top) != (g.top, g.bot):
+        raise ValueError(f"cannot close a {f.bot} -> {f.top} morphism "
+                         f"against a {g.bot} -> {g.top} one")
+    if not f.nums or not g.nums:
+        return RF_ZERO
+    m = f.bot + f.top
+    lmax = m // 2
+    lo_f, lo_g, step, width, loop = _lattice(f, g, lmax)
+    packed_g = []
+    for p, n in g.nums.items():
+        c2 = _pack(n.terms, lo_g, step, width)
+        packed_g.append(([m - 1 - p[m - 1 - x] for x in range(m)],
+                         [c2 * d for d in loop]))
+    total, first = 0, 0 if m else -1
+    for fp, n in f.nums.items():
+        s = 0
+        for gp, c2 in packed_g:
+            loops = 0
+            seen = bytearray(m)
+            x = first
+            while x >= 0:
+                loops += 1
+                while not seen[x]:
+                    y = fp[x]
+                    seen[x] = seen[y] = 1
+                    x = gp[y]
+                x = seen.find(0, x)
+            s += c2[loops]
+        total += _pack(n.terms, lo_f, step, width) * s
+    num = LaurentPoly.__new__(LaurentPoly)
+    num.terms = _unpack(total, lo_f + lo_g - 2 * lmax, step, width)
+    return RationalFn._raw(num, vec_sum(f.den, g.den)).reduce()
 
 
 def quarter_turn(f: TLMorphism) -> TLMorphism:
@@ -714,12 +782,13 @@ def theta_network(a: int, b: int, c: int) -> RationalFn:
 
     One projector per edge, each on its own cable, with the bare turns
     of the two vertices between them: JW_c, the c -> (a+b) turn, JW_a,
-    JW_b, the (a+b) -> c turn, closed by the trace.  Projectors are
-    idempotent, so this is the fully clasped network.
+    JW_b, the (a+b) -> c turn, closed by the trace at that last seam
+    (``seam_closure``).  Projectors are idempotent, so this is the fully
+    clasped network.
     """
     m = compose(jones_wenzl(c), _turn(a, b, c, "down"))
     m = _clasp(_clasp(m, a, 0, b), b, a, 0)
-    return closure(compose(m, _turn(a, b, c, "up")))
+    return seam_closure(m, _turn(a, b, c, "up"))
 
 
 def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
@@ -729,7 +798,8 @@ def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
     edge, split into cables A (left) and B (right), pass an F-rung that
     turns cable A into D and cable B into C, then merge back into E.
     The vertices are bare turns and each edge carries one projector,
-    placed just before the vertex where the edge ends.
+    placed just before the vertex where the edge ends.  The last turn
+    closes the network at its seam (``seam_closure``).
     """
     m = compose(jones_wenzl(E), _turn(A, B, E, "down"))
     m = _clasp(m, A, 0, B)
@@ -737,7 +807,7 @@ def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
     m = _clasp(_clasp(m, F, D, B), B, D + F, 0)
     m = compose(m, boxed(_turn(F, B, C, "up"), D, 0))
     m = _clasp(_clasp(m, D, 0, C), C, D, 0)
-    return closure(compose(m, _turn(D, C, E, "up")))
+    return seam_closure(m, _turn(D, C, E, "up"))
 
 
 def close_ring(columns: Sequence[TLMorphism]) -> RationalFn:
@@ -747,10 +817,19 @@ def close_ring(columns: Sequence[TLMorphism]) -> RationalFn:
     of each column bends into the left cable of the next, and the last
     wraps around to the first.  Quarter-turned (``quarter_turn``), the
     columns stack in ring order instead, and the Markov trace of the
-    stack closes the ring at the width of one column.  A column closed
-    around its side is the ring of it and the identity on its cables.
+    stack closes the ring at the width of one column: the first r - 1
+    turned columns are composed, and ``seam_closure`` closes the last
+    seam against the last column without building the stack; a single
+    column is closed by ``closure``.  A column closed around its side is
+    the ring of it and the identity on its cables.  A ring needs at
+    least one column.
     """
-    return closure(functools.reduce(compose, map(quarter_turn, columns)))
+    if not columns:
+        raise ValueError("a ring needs at least one column")
+    turned = [quarter_turn(c) for c in columns]
+    if len(turned) == 1:
+        return closure(turned[0])
+    return seam_closure(functools.reduce(compose, turned[:-1]), turned[-1])
 
 
 def drum(n: int, rungs: list[int]) -> RationalFn:

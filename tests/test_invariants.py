@@ -75,6 +75,7 @@ from skeinkit.planar import (
     compose,
     drum,
     jones_wenzl,
+    seam_closure,
     tensor,
     turnback,
 )
@@ -193,6 +194,23 @@ class TestClassicalBracket:
         assert bracket_state_sum(pretzel([8, 8, 8]), max_crossings=24).value
 
 
+def record_glue_widths(monkeypatch):
+    """Patch ``compose`` and ``seam_closure`` to record the width of
+    every glue, the closed last seam included; returns the list."""
+    widths = []
+
+    def spy(glue):
+        def recorded(f, g):
+            widths.append(max(f.bot, f.top, g.top))
+            return glue(f, g)
+        return recorded
+
+    monkeypatch.setattr(invariants, "compose", spy(compose))
+    monkeypatch.setattr(planar, "compose", spy(compose))
+    monkeypatch.setattr(planar, "seam_closure", spy(seam_closure))
+    return widths
+
+
 class TestColoredStateSum:
     def test_color_one_is_classical_on_any_diagram(self):
         # the clasped sum where the diagram lays out as a ring; one that
@@ -237,10 +255,11 @@ class TestColoredStateSum:
         assert colored_state_sum(d, 3).value == colored_bracket_fused(d, 3).value
 
         def refuse(f, g):
-            raise AssertionError("composed past the budget")
+            raise AssertionError("composed or closed past the budget")
 
         monkeypatch.setattr(invariants, "compose", refuse)
         monkeypatch.setattr(planar, "compose", refuse)
+        monkeypatch.setattr(planar, "seam_closure", refuse)
         for counts, pairs in (([1, 1, 1], 6_134_700), ([2, 2, 2], 8_179_600)):
             with pytest.raises(BudgetError, match="max_networks") as exc:
                 colored_state_sum(pretzel(counts), 4)
@@ -260,21 +279,15 @@ class TestColoredStateSum:
     def test_composes_at_width_2n_once_per_power_and_seam(self, counts,
                                                           monkeypatch):
         # n + 1 compositions build the step, one per power up to the
-        # largest count (equal counts share a column), one per ring seam;
-        # each is two cables wide, none as wide as the ring
+        # largest count (equal counts share a column), one per ring seam,
+        # the last seam closed without being built; each glue is two
+        # cables wide, none as wide as the ring
         n = 2
         d = parse_pd(counts) if isinstance(counts, str) else pretzel(counts)
         twists = _ring_layout(d)[0].counts
-        widths = []
-
-        def narrow(f, g):
-            widths.append(max(f.bot, f.top, g.top))
-            return compose(f, g)
-
         jones_wenzl(n)  # built once and memoized; not part of the count
         clear_columns()  # the step and columns are memoized per color
-        monkeypatch.setattr(invariants, "compose", narrow)
-        monkeypatch.setattr(planar, "compose", narrow)
+        widths = record_glue_widths(monkeypatch)
         value = colored_state_sum(d, n).value
         assert len(widths) == (n + 1) + max(twists) + len(twists) - 1
         assert max(widths) == 2 * n
@@ -292,16 +305,9 @@ class TestColoredStateSum:
         seams = len(_ring_layout(d)[0].counts) - 1
         clear_columns()
         colored_state_sum(pretzel(first), n)
-        calls = []
-
-        def counted(f, g):
-            calls.append(1)
-            return compose(f, g)
-
-        monkeypatch.setattr(invariants, "compose", counted)
-        monkeypatch.setattr(planar, "compose", counted)
+        widths = record_glue_widths(monkeypatch)
         value = colored_state_sum(d, n).value
-        assert len(calls) == seams
+        assert widths == [2 * n] * seams
         monkeypatch.undo()
         assert value == colored_bracket_fused(d, n).value
 
@@ -422,8 +428,8 @@ class TestFusedChannels:
         def refuse(*args, **kwargs):
             raise AssertionError("the fused evaluator built a TL network")
 
-        for name in ("jones_wenzl", "compose", "closure", "channel_element",
-                     "close_ring"):
+        for name in ("jones_wenzl", "compose", "closure", "seam_closure",
+                     "channel_element", "close_ring"):
             monkeypatch.setattr(planar, name, refuse)
             if hasattr(invariants, name):
                 monkeypatch.setattr(invariants, name, refuse)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skeinkit.planar as planar_module
+from skeinkit import cli
 from skeinkit.algebra import (
     DELTA,
     ONE,
@@ -52,12 +53,14 @@ from skeinkit.planar import (
     idpair,
     jones_wenzl,
     quarter_turn,
+    seam_closure,
     tensor,
     tet_network,
     theta_network,
     turnback,
     vertex_morphism,
 )
+from skeinkit.invariants import _clasped_column
 
 from clasped_oracle import clasped_tet, clasped_theta
 from plat_oracle import plat_close
@@ -344,6 +347,110 @@ class TestSeamGlue:
             for p2, gv in gs:
                 assert (_seam_glue(fv, gv)
                         == glue_pair(p1, fb, ft, p2, ft, gt)), (p1, p2)
+
+
+@st.composite
+def closable(draw):
+    """f: a -> b and g: b -> a, from ``morphisms``."""
+    b = draw(st.integers(0, 6))
+    a = draw(st.integers(0, 3).map(lambda k: 2 * k + b % 2))
+    sign = draw(st.sampled_from((1, -1)))
+    return (draw(morphisms(a, b, sign)),
+            draw(morphisms(b, a, draw(st.sampled_from((sign, -sign))))))
+
+
+def theta_pieces():
+    """(c -> a+b, a+b -> c) pairs: clasped vertices and bare turns."""
+    out = []
+    for a, b, c in itertools.product(range(4), repeat=3):
+        if a + b + c and admissible(a, b, c):
+            out.append((vertex_morphism(a, b, c, "down"),
+                        vertex_morphism(a, b, c, "up")))
+            out.append((planar_module._turn(a, b, c, "down"),
+                        planar_module._turn(a, b, c, "up")))
+    return out
+
+
+class TestSeamClosure:
+    """``seam_closure(f, g)`` against ``closure(compose(f, g))``."""
+
+    @staticmethod
+    def agree(f, g):
+        got = seam_closure(f, g)
+        assert got == closure(compose(f, g))
+        assert got == seam_closure(g, f)  # the trace is cyclic
+        return got
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_projector_against_itself(self, n):
+        f = jones_wenzl(n)
+        assert self.agree(f, f).to_poly() == delta(n)
+
+    def test_one_matching_sides(self):
+        cap = boxed(TLMorphism.cap(2, 0), 1, 1)
+        cup = boxed(TLMorphism.cup(0, 0), 1, 1)
+        x = crossing_morphism(-1)
+        pairs = [
+            (cap, cup), (cap, compose(jones_wenzl(2), cup)),
+            (compose(jones_wenzl(4), cap), cup),
+            (TLMorphism.hook(3, 1), jones_wenzl(3)),
+            (TLMorphism.hook(4, 0), TLMorphism.hook(4, 2)),
+            (x, crossing_morphism(1)), (x, jones_wenzl(2)),
+            (boxed(x, 1, 0), jones_wenzl(3)),
+            (capnest(3), cupnest(3)), (cupnest(2), capnest(2)),
+        ]
+        for f, g in pairs:
+            self.agree(f, g)
+
+    def test_theta_pieces(self):
+        pieces = theta_pieces()
+        assert any(f.bot != f.top for f, _ in pieces)
+        for f, g in pieces:
+            self.agree(f, g)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_ring_columns(self, n):
+        columns = [quarter_turn(channel_element(n, p)) for p in (0, n)]
+        columns += [quarter_turn(_clasped_column(n, k)) for k in (0, 1)]
+        for f, g in itertools.combinations(columns, 2):
+            self.agree(f, g)
+
+    def test_zero_morphisms(self):
+        f2 = jones_wenzl(2)
+        for f, g in ((TLMorphism.zero(2, 2), f2), (f2, TLMorphism.zero(2, 2)),
+                     (TLMorphism.zero(4, 2), boxed(TLMorphism.cup(0, 0), 1, 1)),
+                     (TLMorphism.zero(0, 0), TLMorphism.zero(0, 0))):
+            assert self.agree(f, g) == RationalFn.from_poly(ZERO)
+
+    def test_empty_seams_close_nothing(self):
+        one = TLMorphism.identity(0)
+        assert self.agree(one, one).to_poly() == ONE
+        assert self.agree(one.scaled(3), one.scaled(-2)).to_poly() == LaurentPoly({0: -6})
+
+    @given(closable())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_closure_of_the_composite(self, fg):
+        self.agree(*fg)
+
+    def test_mismatched_shapes_raise(self):
+        cap = boxed(TLMorphism.cap(2, 0), 1, 1)
+        for f, g in ((TLMorphism.identity(2), TLMorphism.identity(4)),
+                     (cap, cap), (cap, TLMorphism.identity(2))):
+            with pytest.raises(ValueError, match="close"):
+                seam_closure(f, g)
+
+    @pytest.mark.parametrize("suite,check", [
+        ("tl-identities", "theta networks match the closed form"),
+        ("oracle-equivalence", "fused channels match the clasped state sum"),
+    ])
+    def test_the_checks_see_a_wrong_closed_seam(self, suite, check,
+                                                monkeypatch):
+        (run,) = [fn for name, fn in cli._SUITES[suite]() if name == check]
+        assert run()[0]
+        real = planar_module.seam_closure
+        monkeypatch.setattr(planar_module, "seam_closure",
+                            lambda f, g: real(f, g) * rf(DELTA))
+        assert not run()[0]
 
 
 class TestPackedCancellation:
@@ -805,6 +912,10 @@ class TestQuarterTurn:
         for _ in range(3):
             col = self.column(n, rng)
             assert close_ring([col, ff]) == plat_close([col], n, "trace")
+
+    def test_ring_needs_a_column(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            close_ring([])
 
     def test_needs_an_even_square_morphism(self):
         with pytest.raises(ValueError, match="turn"):
