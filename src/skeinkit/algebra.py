@@ -138,7 +138,7 @@ class LaurentPoly:
             for e, c in terms.items():
                 c = operator.index(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[operator.index(e)] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -668,7 +668,8 @@ class QPoly:
     __slots__ = ("terms", "residue_quarters")
 
     def __init__(self, terms: Mapping[int, int], residue_quarters: int = 0):
-        self.terms = {int(e): operator.index(c) for e, c in terms.items() if c}
+        self.terms = {operator.index(e): operator.index(c)
+                      for e, c in terms.items() if c}
         self.residue_quarters = residue_quarters % 4
 
     def is_zero(self) -> bool:

@@ -84,7 +84,7 @@ from .stability import (
 DEFAULT_MAX_STATES = 1 << 20
 DEFAULT_MAX_NETWORKS = 100_000
 
-_RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
+_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)\Z")
 
 
 # -- shared option plumbing ----------------------------------------------------
@@ -114,13 +114,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parse_counts(text: str, flag: str) -> list[int]:
     counts = []
     for i, part in enumerate(text.split(",")):
-        try:
-            counts.append(int(part.strip()))
-        except ValueError:
+        part = part.strip()
+        if re.fullmatch(r"-?[0-9]+", part) is None:
             raise click.BadParameter(
-                f"column {i + 1}: expected an integer, got {part.strip()!r}",
+                f"column {i + 1}: expected an integer, got {part!r}",
                 param_hint=f"'{flag}'",
             )
+        counts.append(int(part))
     return counts
 
 

@@ -14,14 +14,16 @@ is an A-pair (slots (0,1) or (2,3)) in both crossings.  Validation walks
 each region's chain once and records where its two strands enter and
 leave (``LinkDiagram.sides``); the ring layout reads those arcs instead
 of walking the chain again.  A pretzel column of zero crossings is drawn
-as the negative smoothing, two strands and no crossing; when it is the
-first of a run of such columns, its rails record the endpoints of the
-two arcs its strands lie on, and they are the only sides it has.
+as the negative smoothing, two strands and no crossing, so it has no
+sides of its own: the sides of the columns beside it each close on
+themselves, one arc apiece, and the ring layout reads the zero column
+from them.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -58,10 +60,6 @@ class PDSyntaxError(DiagramError):
 
 
 Crossing = tuple[int, int, int, int]
-Endpoint = tuple[int, int]  # (crossing id, slot 0..3)
-# Rails of a zero-crossing region: where its left and right strands attach,
-# as (bottom-left, top-left, bottom-right, top-right) endpoints.
-Rails = tuple[Endpoint, Endpoint, Endpoint, Endpoint]
 # Boundary arcs of a region, (bottom-left, top-left, bottom-right,
 # top-right): the negative smoothing joins bl to tl and br to tr.
 Sides = tuple[int, int, int, int]
@@ -107,15 +105,13 @@ class TwistRegion:
     """A labeled maximal negative twist region.
 
     ``crossings`` lists crossing ids along the stack; ``count`` is the
-    number of crossings (0 means the region is the negative smoothing).
-    ``rails`` records, for a zero region only, the four endpoints its
-    strands attach to, which give its sides.
+    number of crossings (0 means the region is the negative smoothing,
+    a label without sides).
     """
 
     rid: int
     crossings: tuple[int, ...]
     count: int
-    rails: Rails | None = None
 
 
 @dataclass(frozen=True)
@@ -142,8 +138,8 @@ class LinkDiagram:
     (``_is_planar``), so a bracket's exponents lie in one class mod 4.
     ``sides`` is derived when the diagram is validated: it maps each
     region id to the region's boundary arcs ``(bl, tl, br, tr)``, or to
-    None for a zero region without rails.  It takes no part in equality,
-    hashing, repr or JSON.
+    None for a zero region.  It takes no part in equality, hashing, repr
+    or JSON.
     """
 
     crossings: tuple[Crossing, ...]
@@ -154,7 +150,8 @@ class LinkDiagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "crossings", tuple(tuple(int(a) for a in x) for x in self.crossings)
+            self, "crossings",
+            tuple(tuple(operator.index(a) for a in x) for x in self.crossings)
         )
         object.__setattr__(
             self,
@@ -198,34 +195,14 @@ class LinkDiagram:
                     f"region {reg.rid} declares {reg.count} crossings but lists "
                     f"{len(reg.crossings)}"
                 )
-            if reg.count == 0:
-                sides[reg.rid] = self._validate_rails(reg)
-                continue
-            if reg.rails is not None:
-                raise DiagramError(f"region {reg.rid} has rails but also crossings")
             for cid in reg.crossings:
                 if not 0 <= cid < len(self.crossings):
                     raise DiagramError(f"region {reg.rid} references crossing {cid}")
                 if cid in used:
                     raise DiagramError(f"crossing {cid} lies in two twist regions")
                 used.add(cid)
-            sides[reg.rid] = _walk_chain(self.crossings, reg)
+            sides[reg.rid] = _walk_chain(self.crossings, reg) if reg.count else None
         object.__setattr__(self, "sides", sides)
-
-    def _validate_rails(self, reg: TwistRegion) -> Sides | None:
-        if reg.rails is None:
-            return None
-        labels = []
-        for cid, slot in reg.rails:
-            if not (0 <= cid < len(self.crossings) and 0 <= slot <= 3):
-                raise DiagramError(f"region {reg.rid} rails reference ({cid}, {slot})")
-            labels.append(self.crossings[cid][slot])
-        bl, tl, br, tr = labels
-        if bl != tl or br != tr or bl == br:
-            raise DiagramError(
-                f"region {reg.rid} rails must sit on two distinct through-arcs"
-            )
-        return bl, tl, br, tr
 
     @property
     def crossing_count(self) -> int:
@@ -251,9 +228,6 @@ class LinkDiagram:
                         "id": reg.rid,
                         "crossings": list(reg.crossings),
                         "count": reg.count,
-                        "rails": None
-                        if reg.rails is None
-                        else [list(ep) for ep in reg.rails],
                     }
                     for reg in self.twist_regions
                 ],
@@ -264,14 +238,7 @@ class LinkDiagram:
     def from_json(cls, data: str | dict) -> "LinkDiagram":
         obj = json.loads(data) if isinstance(data, str) else data
         regions = tuple(
-            TwistRegion(
-                rid=r["id"],
-                crossings=tuple(r["crossings"]),
-                count=r["count"],
-                rails=None
-                if r.get("rails") is None
-                else tuple((c, s) for c, s in r["rails"]),  # type: ignore[misc]
-            )
+            TwistRegion(rid=r["id"], crossings=tuple(r["crossings"]), count=r["count"])
             for r in obj.get("regions", ())
         )
         return cls(
@@ -337,9 +304,8 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
     Region i carries counts[i] crossings; a zero count means the region is
     the negative smoothing, two strands without a crossing.  All regions
     are labeled 1..r.  The diagram is alternating whenever every count is
-    at least 1.  The first zero region of each cyclic run of them rests on
-    rails: the top-right arc of the region before the run and the top-left
-    arc of the region after it.  The rest of the run has no sides.
+    at least 1.  A zero region has no sides; the column on each side of a
+    run of them has its side there closed into one arc.
     """
     if not counts:
         raise DiagramError("a pretzel needs at least one twist region")
@@ -366,26 +332,6 @@ def pretzel(counts: Sequence[int], name: str | None = None) -> LinkDiagram:
             crossings += _chain(bottom[j], 2 * j + 1, bottom[i], 2 * i + 1, k, nxt)
             nxt += 2 * (k - 1)
         regions.append(TwistRegion(i + 1, tuple(range(first, first + k)), k))
-    # The first zero column of a run lies on the right side arc of the
-    # column before the run and on the left side arc of the column after
-    # it.  By _chain's slot order a right side arc ends at slot 1 of the
-    # column's first crossing and slot 2 of its last, a left one at slots
-    # 0 and 3.  A column of two crossings between zero columns is a ring
-    # of two bigons, and _walk_chain takes its inner arcs for its sides:
-    # the right at slots 3 and 0, the left at 2 and 1.
-    def ring_of_two(c: int) -> bool:
-        return counts[c] == 2 and zero[c - 1] and zero[(c + 1) % r]
-
-    for i in range(r):
-        if zero[i] and not zero[i - 1]:
-            p = (i - 1) % r
-            a = next(a % r for a in range(i + 1, i + r) if not zero[a % r])
-            right = (3, 0) if ring_of_two(p) else (1, 2)
-            left = (2, 1) if ring_of_two(a) else (0, 3)
-            rp, ra = regions[p].crossings, regions[a].crossings
-            regions[i] = replace(regions[i], rails=(
-                (rp[0], right[0]), (rp[-1], right[1]),
-                (ra[0], left[0]), (ra[-1], left[1])))
     label = name if name is not None else "P(" + ",".join(str(k) for k in counts) + ")"
     return LinkDiagram(tuple(crossings), tuple(regions), loops, label)
 
@@ -445,7 +391,7 @@ def _parse_pd_text(text: str) -> tuple[Crossing, ...]:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise PDSyntaxError("expected an arc label", start)

@@ -185,31 +185,20 @@ def bracket_state_sum(
 # -- ring layout detection -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Column:
-    """One twist region with its boundary arcs, (bottom, top) per side."""
+def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int | None, ...]]:
+    """The diagram as a ``Ring``, with the region id of each column, None
+    at a zero column.
 
-    region: TwistRegion
-    left: tuple[int, int]
-    right: tuple[int, int]
-
-
-def _variants(col: _Column):
-    bl, tl = col.left
-    br, tr = col.right
-    yield col
-    yield _Column(col.region, (br, tr), (bl, tl))  # mirrored
-    yield _Column(col.region, (tl, bl), (tr, br))  # upside down
-    yield _Column(col.region, (tr, br), (tl, bl))  # both
-
-
-def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
-    """The diagram as a ``Ring``, with the region id of each column.
-
-    The first column is the lowest-labeled region that is one.  A single
-    region closed around its side is the ring of it and a zero column,
-    which has no region id.  A diagram that does not lay out as a ring
-    raises ``LayoutError``.
+    The columns are the labeled regions with crossings; a zero region is
+    a label only.  A column side that is one arc closing on itself has a
+    zero column beside it.  The columns are walked in runs: a run starts
+    at a closed side, its column turned so that the side is on its left,
+    follows exact side matches to the right up to a closed side, and one
+    zero column follows it.  Each side meets at most one other column, so
+    nothing is searched.  Without a closed side the walk starts at the
+    lowest-labeled column and must come back to it.  The ring is turned
+    so that the lowest-labeled column comes first.  A diagram that does
+    not lay out as a ring raises ``LayoutError``.
     """
     regions = sorted(diagram.twist_regions, key=lambda r: r.rid)
     if not regions:
@@ -222,52 +211,53 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int, ...]]:
             raise LayoutError(
                 f"crossing {cid} is not in any labeled twist region"
             )
-    cols = []
-    for reg in regions:
-        sides = diagram.sides[reg.rid]
-        if sides is None:
-            continue  # a zero region inside a run of them takes no column
-        bl, tl, br, tr = sides
-        cols.append(_Column(reg, (bl, tl), (br, tr)))
+    # each column with its (bottom, top) arcs on the left and on the right
+    cols = [(reg, diagram.sides[reg.rid][:2], diagram.sides[reg.rid][2:])
+            for reg in regions if reg.count]
     if not cols:
         raise LayoutError("every labeled region was smoothed away")
+    # each column by the arcs of each side, with the side across from it
+    beside: dict[tuple[int, int], list] = {}
+    for reg, left, right in cols:
+        for side, across in ((left, right), (right, left)):
+            beside.setdefault((min(side), max(side)), []).append(
+                (reg, side, across))
+    todo = {reg.rid for reg, _, _ in cols}
+    counts: list[int] = []
+    ids: list[int | None] = []
 
-    def layout(order) -> tuple[Ring, tuple[int, ...]]:
-        return (Ring(tuple(c.region.count for c in order), diagram.free_loops),
-                tuple(c.region.rid for c in order))
+    def walk(reg: TwistRegion, right: tuple[int, int]) -> tuple[int, int]:
+        # the run from reg rightwards; returns its last column's right side
+        while True:
+            todo.remove(reg.rid)
+            counts.append(reg.count)
+            ids.append(reg.rid)
+            b, t = right
+            for reg, side, across in beside[min(b, t), max(b, t)]:
+                if reg.rid in todo:
+                    break
+            else:
+                return right
+            # turned so the matched side is on its left, upside down if
+            # its arcs run the other way
+            right = across if side == (b, t) else across[::-1]
 
-    if len(cols) == 1:
-        (bl, tl), (br, tr) = cols[0].left, cols[0].right
-        if bl == br and tl == tr:
-            return layout(cols)
-        if bl == tl and br == tr:
-            reg = cols[0].region
-            return Ring((reg.count, 0), diagram.free_loops), (reg.rid,)
-        raise LayoutError(
-            f"region {cols[0].region.rid} does not close up on its own"
-        )
-
-    def extend(order: list[_Column]) -> bool:
-        if len(order) == len(cols):
-            return order[-1].right == order[0].left
-        placed = {c.region.rid for c in order}
-        want = order[-1].right
-        for col in cols:
-            if col.region.rid in placed:
-                continue
-            for cand in _variants(col):
-                if cand.left == want:
-                    order.append(cand)
-                    if extend(order):
-                        return True
-                    order.pop()
-        return False
-
-    for start in _variants(cols[0]):
-        order = [start]
-        if extend(order):
-            return layout(order)
-    raise LayoutError("labeled regions do not close into a single ring")
+    closes = True  # left sides first: a pretzel's runs keep its order
+    for reg, left, right in cols + [(reg, right, left)
+                                    for reg, left, right in cols]:
+        if left[0] == left[1] and reg.rid in todo:
+            bottom, top = walk(reg, right)
+            closes &= bottom == top
+            counts.append(0)
+            ids.append(None)
+    if not counts:
+        reg, left, right = cols[0]
+        closes = walk(reg, right) == left
+    if todo or not closes:
+        raise LayoutError("labeled regions do not close into a single ring")
+    first = ids.index(cols[0][0].rid)
+    return (Ring(tuple(counts[first:] + counts[:first]), diagram.free_loops),
+            tuple(ids[first:] + ids[:first]))
 
 
 def colored_bracket_fused(
@@ -546,13 +536,15 @@ def predicted_min_degree(diagram: LinkDiagram, n: int) -> int:
 
 
 def channel_probe(diagram: LinkDiagram, n: int, p: int) -> RationalFn:
-    """Probe network value: the lowest-labeled region becomes one channel.
+    """Probe network value: the lowest-labeled region with crossings
+    becomes one channel.
 
     The designated region's crossings are dropped in favor of a single
-    (n, n, 2p) channel with 0 <= p < n; every other region keeps its
+    (n, n, 2p) channel with 0 <= p < n; every other column keeps its
     crossings as the clasped column ff S^k that ``colored_state_sum``
-    builds, which equals ff followed by k negative cabled crossings.
-    ``close_ring`` closes the columns exactly as the diagram's ring does.
+    builds, which equals ff followed by k negative cabled crossings, and
+    a zero column is ff alone.  ``close_ring`` closes the columns exactly
+    as the diagram's ring does.
     """
     if n < 1:
         raise ValueError(f"cable color must be >= 1, got {n}")

@@ -123,6 +123,14 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             P(a_0=2) * Fraction(1, 2)
 
+    def test_non_integer_exponent_raises(self):
+        # exponents live in Z too: 2.5 is refused, not truncated to 2
+        for e in (2.5, Fraction(3, 2), Fraction(2, 1)):
+            with pytest.raises(TypeError):
+                LaurentPoly({e: 1})
+            with pytest.raises(TypeError):
+                QPoly({e: 2})
+
 
 class TestExactDiv:
     def test_trivial_remainder_error(self):

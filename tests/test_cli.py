@@ -132,6 +132,22 @@ class TestBracket:
         assert "--pretzel" in result.output
         assert "column 2" in result.output
 
+    @pytest.mark.parametrize("counts", ["1_0", "٣,2", "2,²"])
+    def test_non_ascii_column_is_refused(self, runner, counts):
+        # int() reads "1_0" as 10 and "٣" as 3
+        result = run(runner, "bracket", "--pretzel", counts)
+        assert result.exit_code == 2
+        assert "--pretzel" in result.output
+        assert "bracket:" not in result.output
+
+    def test_non_integer_arc_label_is_refused(self, runner, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"crossings": [[1.9, 1, 2, 2]], "regions": []}))
+        result = run(runner, "bracket", "--diagram-json", str(path))
+        assert result.exit_code == 1
+        assert "float.json" in result.output
+        assert "bracket:" not in result.output
+
     def test_empty_diagram(self, runner, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(LinkDiagram((), ()).to_json())
@@ -240,6 +256,18 @@ class TestTable:
         assert "--range" in result.output
         assert "empty parameter range 5..3" in result.output
 
+    @pytest.mark.parametrize("text", ["١..٢", "1..٢"])
+    def test_non_ascii_range_is_a_usage_error(self, runner, text):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "8,6,k",
+            "--range", text,
+            "--window", "k+1",
+        )
+        assert result.exit_code == 2
+        assert "expected START..STOP" in result.output
+
     def test_deep_nesting_is_a_usage_error(self, runner):
         result = run(
             runner,
@@ -346,7 +374,7 @@ class TestTable:
         [
             # regions 1 and 2 are smoothed away, leaving no recorded site
             ("0,0,k", 2, 3, lambda k: [0, 0, k]),
-            # region 3 grows back on rails that sat on region 2's corners
+            # region 3 grows back beside region 2's closed side
             ("2,k+1,k", 0, 2, lambda k: [2, k + 1, k]),
         ],
     )

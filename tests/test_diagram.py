@@ -67,6 +67,11 @@ class TestValidation:
         with pytest.raises(DiagramError, match="exactly twice"):
             LinkDiagram(((1, 1, 2, 2), (2, 3, 3, 4)))
 
+    def test_non_integer_arc_label_is_refused(self):
+        # 1.9 is refused, not truncated to arc 1
+        with pytest.raises(TypeError):
+            LinkDiagram.from_json({"crossings": [[1.9, 1, 2, 2]], "regions": []})
+
     def test_crossing_needs_four_labels(self):
         with pytest.raises(DiagramError, match="4 arc labels"):
             LinkDiagram(((1, 2, 3),))  # type: ignore[arg-type]
@@ -97,13 +102,6 @@ class TestValidation:
         with pytest.raises(DiagramError, match="negative-twist bigon"):
             LinkDiagram(crossings, (TwistRegion(1, (0, 1), 2),))
         LinkDiagram(crossings)  # fine without the bogus region
-
-    def test_rails_must_sit_on_two_through_arcs(self):
-        with pytest.raises(DiagramError, match="rails"):
-            LinkDiagram(
-                ((1, 1, 2, 2),),
-                (TwistRegion(1, (), 0, rails=((0, 0), (0, 2), (0, 1), (0, 3))),),
-            )
 
     def test_free_loops_nonnegative(self):
         with pytest.raises(DiagramError, match="free_loops"):
@@ -184,20 +182,21 @@ class TestPretzel:
         assert d.crossing_count == 4
         reg = d.region(2)
         assert reg.count == 0 and reg.crossings == ()
-        assert reg.rails is not None
+        assert d.sides[2] is None
         assert d.free_loops == 0
 
     def test_a_zero_run_rests_on_its_first_column(self):
-        # only the first zero column of a run has rails, and each
+        # the columns beside a run close their sides on it, and each
         # connector inside the run is a free loop
         d = pretzel([3, 0, 0, 0, 2])
-        assert [r.rails is not None for r in d.twist_regions] == [
-            False, True, False, False, False]
+        assert [s is None for s in d.sides.values()] == [
+            False, True, True, True, False]
+        assert_closed_beside_zeros(d)
         assert d.crossing_count == 5 and d.free_loops == 2
         # a run may wrap around the end of the ring
         d = pretzel([0, 2, 0])
-        assert [r.rails is not None for r in d.twist_regions] == [
-            False, False, True]
+        bl, tl, br, tr = d.sides[2]
+        assert bl == tl and br == tr
         assert d.free_loops == 1
 
     def test_all_zero_pretzel_is_unlink(self):
@@ -231,7 +230,7 @@ class TestPretzel:
 
     @pytest.mark.parametrize("counts,builds", [([8, 6, 3], 1), ([2, 0, 3], 1)])
     def test_validations_per_build(self, monkeypatch, counts, builds):
-        # rails are laid from the chain's slot order, so one build each
+        # a zero column adds no validation of its own, so one build each
         built: list[LinkDiagram] = []
         validate = LinkDiagram._validate
 
@@ -299,6 +298,14 @@ class TestParsePD:
         except PDSyntaxError as e:
             err = e
         assert err is not None and err.position == 11
+
+    @pytest.mark.parametrize("text", ["PD[X[1,1,2,²]]", "PD[X[1,1,2,٢]]"])
+    def test_non_ascii_digit_is_refused(self, text):
+        # str.isdigit takes "²", which int() refuses, and "٢", which it
+        # reads as 2
+        with pytest.raises(PDSyntaxError, match="arc label") as exc:
+            parse_pd(text)
+        assert exc.value.position == 11
 
     def test_trailing_input(self):
         with pytest.raises(PDSyntaxError, match="trailing"):
@@ -608,13 +615,10 @@ def reference_chain_boundary(diagram: LinkDiagram, reg: TwistRegion):
 def reference_sides(diagram: LinkDiagram) -> dict:
     out = {}
     for reg in diagram.twist_regions:
+        out[reg.rid] = None
         if reg.count:
             (bl, br), (tl, tr) = reference_chain_boundary(diagram, reg)
             out[reg.rid] = (bl, tl, br, tr)
-        elif reg.rails is None:
-            out[reg.rid] = None
-        else:
-            out[reg.rid] = tuple(diagram.crossings[c][s] for c, s in reg.rails)
     return out
 
 
@@ -624,20 +628,16 @@ def assert_sides(diagram: LinkDiagram) -> None:
     assert dict(back.sides) == reference_sides(back)
 
 
-def assert_rails_on_sides(diagram: LinkDiagram) -> None:
+def assert_closed_beside_zeros(diagram: LinkDiagram) -> None:
+    """In a pretzel, a column's side closes on itself, one arc, exactly
+    where the region beside it has no crossings."""
     regions = diagram.twist_regions
-    r = len(regions)
     for i, reg in enumerate(regions):
-        if reg.rails is None:
+        if not reg.count:
             continue
-        before = next(regions[(i - d) % r] for d in range(1, r + 1)
-                      if regions[(i - d) % r].count)
-        after = next(regions[(i + d) % r] for d in range(1, r + 1)
-                     if regions[(i + d) % r].count)
-        left, _, right, _ = diagram.sides[reg.rid]
-        _, _, br, tr = diagram.sides[before.rid]
-        bl, tl, _, _ = diagram.sides[after.rid]
-        assert left == br == tr and right == bl == tl, reg.rid
+        bl, tl, br, tr = diagram.sides[reg.rid]
+        before, after = regions[i - 1], regions[(i + 1) % len(regions)]
+        assert (bl == tl, br == tr) == (not before.count, not after.count), reg.rid
 
 
 counts_st = st.lists(st.integers(0, 5), min_size=1, max_size=4)
@@ -645,20 +645,49 @@ counts_st = st.lists(st.integers(0, 5), min_size=1, max_size=4)
 
 class TestRecordedSides:
     @given(counts_st)
+    # zero columns at both ends of a run, and columns of two between zero
+    # columns, which the walk reads from their inner arcs
+    @example([2, 0, 3])
+    @example([0, 2])
+    @example([2, 0, 0])
+    @example([0, 2, 0, 3])
+    @example([1, 0, 2, 0])
+    @example([0, 3, 0, 2])
+    @example([2, 0, 2, 0])
     @settings(max_examples=60, deadline=None)
     def test_pretzels(self, counts):
         assert_sides(pretzel(counts))
-        assert_rails_on_sides(pretzel(counts))
+        assert_closed_beside_zeros(pretzel(counts))
 
-    def test_zero_regions_with_and_without_rails(self):
+    def test_zero_regions_have_no_sides(self):
         d = pretzel([2, 0, 3])
-        assert d.region(2).rails is not None and d.sides[2] is not None
-        bl, tl, br, tr = d.sides[2]
-        assert bl == tl and br == tr and bl != br
-        anonymous = pretzel([0])
-        assert anonymous.region(1).rails is None and anonymous.sides[1] is None
-        for diagram in (d, anonymous, pretzel([0, 0, 0])):
+        assert d.sides[2] is None
+        assert d.sides[1][2] == d.sides[1][3] and d.sides[3][0] == d.sides[3][1]
+        assert pretzel([0]).sides[1] is None
+        for diagram in (d, pretzel([0]), pretzel([0, 0, 0])):
             assert_sides(diagram)
+
+    def test_json_of_earlier_versions_loads(self):
+        # earlier versions wrote the arcs beside a zero column as "rails";
+        # they repeated the neighbours' sides, and the key is ignored
+        saved = {"name": "P(3,0,4,0,0,2)", "crossings": [
+            [12, 1, 14, 13], [13, 14, 16, 15], [15, 16, 1, 11], [3, 5, 18, 17],
+            [17, 18, 20, 19], [19, 20, 22, 21], [21, 22, 5, 3], [9, 12, 24, 23],
+            [23, 24, 11, 9]], "free_loops": 1, "regions": [
+            {"id": 1, "crossings": [0, 1, 2], "count": 3, "rails": None},
+            {"id": 2, "crossings": [], "count": 0,
+             "rails": [[0, 1], [2, 2], [3, 0], [6, 3]]},
+            {"id": 3, "crossings": [3, 4, 5, 6], "count": 4, "rails": None},
+            {"id": 4, "crossings": [], "count": 0,
+             "rails": [[3, 1], [6, 2], [7, 0], [8, 3]]},
+            {"id": 5, "crossings": [], "count": 0, "rails": None},
+            {"id": 6, "crossings": [7, 8], "count": 2, "rails": None}]}
+        d = LinkDiagram.from_json(json.dumps(saved))
+        want = pretzel([3, 0, 4, 0, 0, 2])
+        assert d == want and "rails" not in d.to_json()
+        for n in (1, 2, 3):
+            assert (colored_bracket_fused(d, n).value
+                    == colored_bracket_fused(want, n).value)
 
     @given(counts_st, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -672,17 +701,6 @@ class TestRecordedSides:
         rng.shuffle(crossings)
         d = parse_pd(pd_text(LinkDiagram(tuple(crossings))))
         assert_sides(d)
-
-    @pytest.mark.parametrize("counts", [
-        [2, 0, 3], [0, 2], [2, 0, 0], [0, 2, 0, 3], [1, 0, 2, 0], [0, 3, 0, 2],
-        [2, 0, 2, 0],
-    ])
-    def test_rails_sit_on_the_neighbours_sides(self, counts):
-        # a zero column's strands are the right side arc of the column
-        # before its run and the left side arc of the column after it, as
-        # the walk reads them; a column of two between zero columns is a
-        # ring of two bigons, whose sides the walk takes to be inner arcs
-        assert_rails_on_sides(pretzel(counts))
 
     def test_closed_up_region(self):
         assert_sides(parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]"))

@@ -14,6 +14,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -83,9 +84,23 @@ from skeinkit.planar import (
 from plat_oracle import plat_close
 
 HOPF_TRACE = "PD[X[1,4,2,3],X[3,2,4,1]]"
-# two trefoils summed: a planar drawing whose regions do not form a
-# column ring
+TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
+# two trefoils summed: two columns of 3 side by side, their outer sides
+# each closed on itself, the ring (3, 3, 0)
 TREFOIL_SUM = "PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],X[7,10,8,11],X[9,12,10,1],X[11,8,12,9]]"
+# a planar drawing whose regions do not close into a column ring
+SIX_CROSSING = "PD[X[4,2,5,1],X[8,4,9,3],X[12,9,1,10],X[10,5,11,6],X[6,11,7,12],X[2,8,3,7]]"
+
+
+def split_union(*texts):
+    """The PD code of the split union of the given PD codes."""
+    xs, shift = [], 0
+    for text in texts:
+        d = parse_pd(text)
+        xs += ["X[%d,%d,%d,%d]" % tuple(a + shift for a in x)
+               for x in d.crossings]
+        shift += max(d.arcs())
+    return "PD[" + ",".join(xs) + "]"
 
 
 def rf(x):
@@ -218,7 +233,7 @@ class TestColoredStateSum:
         for text in (HOPF_TRACE, "PD[X[1,1,2,2]]"):
             d = parse_pd(text)
             assert colored_state_sum(d, 1).value == brute_bracket(d)
-        d = parse_pd(TREFOIL_SUM)
+        d = parse_pd(SIX_CROSSING)
         assert unreduced_colored_jones(d, 1).value == brute_bracket(d)
         with pytest.raises(LayoutError, match="single ring"):
             colored_state_sum(d, 1)
@@ -782,7 +797,7 @@ class TestRing:
 
     def test_anonymous_zero_columns_lay_out_as_free_loops(self):
         d = pretzel([0, 0, 1])
-        assert _ring_layout(d) == (Ring((0, 1), 1), (1, 3))
+        assert _ring_layout(d) == (Ring((1, 0), 1), (3, None))
         assert (_ring_polynomial(2, (0, 0, 1), 0)
                 == colored_bracket_fused(d, 2).value)
 
@@ -827,6 +842,73 @@ class TestRing:
 
     def test_counts_become_a_tuple(self):
         assert Ring([2, 0], 0) == Ring((2, 0), 0)
+
+
+class TestClosedSides:
+    """A column side that is one arc closing on itself has a zero column
+    beside it, which ``_ring_layout`` reads from the arcs alone."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bare_pd_codes_of_pretzels(self, seed):
+        # 1-4 columns of 0..3 crossings, a crossing and a zero column in
+        # each; the PD code keeps no zero region, its crossings shuffled
+        # and some read from their other under-slot
+        rng = random.Random(seed)
+        shapes = 0
+        for r in range(1, 5):
+            for counts in itertools.product(range(4), repeat=r):
+                if not any(counts) or 0 not in counts:
+                    continue
+                d = pretzel(counts)
+                crossings = [x[2:] + x[:2] if rng.random() < 0.5 else x
+                             for x in d.crossings]
+                rng.shuffle(crossings)
+                text = "PD[" + ",".join("X[%d,%d,%d,%d]" % x
+                                        for x in crossings) + "]"
+                bare = replace(parse_pd(text), free_loops=d.free_loops)
+                _ring_layout(bare)
+                for n in (1, 2, 3):
+                    assert (unreduced_colored_jones(bare, n).value
+                            == unreduced_colored_jones(d, n).value), (counts, n)
+                assert (bracket_state_sum(bare).value
+                        == unreduced_colored_jones(d, 1).value), counts
+                shapes += 1
+        assert shapes == 216
+
+    def test_trefoil_sum_is_a_connected_sum(self):
+        # the bracket is multiplicative under connected sum, over one loop
+        total, trefoil = parse_pd(TREFOIL_SUM), parse_pd(TREFOIL)
+        assert (unreduced_colored_jones(trefoil, 1).value
+                == bracket_state_sum(trefoil).value)
+        assert (unreduced_colored_jones(total, 1).value
+                == bracket_state_sum(total).value)
+        for n in (1, 2, 3):
+            got = unreduced_colored_jones(total, n).value
+            assert (got * delta(n)
+                    == unreduced_colored_jones(trefoil, n).value ** 2), n
+            assert colored_state_sum(total, n).value == got, n
+
+    def test_split_union_is_a_product(self):
+        # two columns each closed on both sides: two runs, two zero columns
+        d = parse_pd(split_union(TREFOIL, TREFOIL))
+        assert _ring_layout(d) == (Ring((3, 0, 3, 0), 0), (1, None, 2, None))
+        trefoil = parse_pd(TREFOIL)
+        assert bracket_state_sum(d).value == bracket_state_sum(trefoil).value ** 2
+        for n in (1, 2, 3):
+            assert (unreduced_colored_jones(d, n).value
+                    == unreduced_colored_jones(trefoil, n).value ** 2), n
+
+    def test_six_crossing_has_no_ring_layout(self):
+        d = parse_pd(SIX_CROSSING)  # parse_pd refuses a code that is not planar
+        with pytest.raises(LayoutError, match="single ring"):
+            _ring_layout(d)
+
+    def test_a_split_union_is_refused_in_one_walk(self):
+        d = parse_pd(split_union(*[TREFOIL] * 10, SIX_CROSSING))
+        start = time.perf_counter()
+        with pytest.raises(LayoutError, match="single ring"):
+            _ring_layout(d)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestHighColorOracle:
@@ -877,7 +959,7 @@ class TestRouting:
             "check_color_stability"])
     def test_no_layout_above_color_one_is_one_search(self, monkeypatch, run):
         # the router's one search raises; nothing is composed
-        d = parse_pd(TREFOIL_SUM)
+        d = parse_pd(SIX_CROSSING)
         searches = []
         layout = invariants._ring_layout
 
@@ -902,7 +984,10 @@ class TestRouting:
         assert _ring_layout(pretzel([2])) == (Ring((2,), 0), (1,))
         assert _ring_layout(pretzel([2, 3, 2])) == (Ring((2, 3, 2), 0),
                                                     (1, 2, 3))
-        assert _ring_layout(parse_pd(HOPF_TRACE)) == (Ring((2, 0), 0), (1,))
+        assert _ring_layout(parse_pd(HOPF_TRACE)) == (Ring((2, 0), 0),
+                                                      (1, None))
+        assert _ring_layout(parse_pd(TREFOIL_SUM)) == (Ring((3, 3, 0), 0),
+                                                       (1, 2, None))
 
 
 class TestReducedWindows:
@@ -1048,6 +1133,14 @@ class TestChannelProbe:
             channel_probe(d, 2, 2)
         with pytest.raises(ValueError, match="channel"):
             channel_probe(d, 2, -1)
+
+    def test_zero_region_is_not_the_target(self):
+        # the target is the lowest-labeled region with crossings, and the
+        # zero column stays in the ring
+        for n in (1, 2, 3):
+            for p in range(n):
+                assert (channel_probe(pretzel([0, 2, 3]), n, p)
+                        == channel_probe(pretzel([2, 0, 3]), n, p)), (n, p)
 
     def test_free_loops_refused(self):
         d = replace(pretzel([1, 1, 1]), free_loops=1)

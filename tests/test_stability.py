@@ -610,9 +610,9 @@ class TestColorStability:
                                   twist_shifts={9: 1})
 
     def test_shifts_need_a_ring_layout(self):
-        # two trefoils summed: their regions do not close into a column ring
-        d = parse_pd("PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],X[7,10,8,11],"
-                     "X[9,12,10,1],X[11,8,12,9]]")
+        # a planar drawing whose regions do not close into a column ring
+        d = parse_pd("PD[X[4,2,5,1],X[8,4,9,3],X[12,9,1,10],X[10,5,11,6],"
+                     "X[6,11,7,12],X[2,8,3,7]]")
         with pytest.raises(LayoutError, match="ring layout"):
             check_color_stability(d, (1, 2), twist_shifts={1: 1})
 
