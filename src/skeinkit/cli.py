@@ -15,6 +15,7 @@ import json
 import random
 import re
 import time
+from dataclasses import replace
 
 import click
 
@@ -43,6 +44,7 @@ from .diagram import (
 from .invariants import (
     AdequacyError,
     BudgetError,
+    LayoutError,
     bracket_state_sum,
     bracket_window,
     channel_probe,
@@ -483,23 +485,27 @@ _TABLE_JOBS = (
     ("columns 2,5,k at index k+1, windows k+1", "2,5,k", "k+1", 1, 5, "k+1", _T4_ROW),
     # row k is the first k+1 coefficients of Euler's product
     ("columns 2,5,k at index k+1, windows k+1, against Euler's product",
-     "2,5,k", "k+1", 8, 18, "k+1", _euler(19)),
+     "2,5,k", "k+1", 8, 18, "k+1", lambda k: _euler(k + 1)),
 )
 
 
+def _table_job(label, family, color, start, stop, window, expected):
+    """A check that each member's window starts ``expected``, or at
+    parameter k ``expected(k)`` when that is a function."""
+    def run():
+        spec = pretzel_family(family, color, start, stop)
+        rows = _window_rows(spec, FamilyExpr.parse(window), DEFAULT_MAX_NETWORKS)
+        for k, cs in rows:
+            row = expected(k) if callable(expected) else expected
+            want = list(row[: len(cs)])
+            if cs != want:
+                return False, f"row {k}: got {cs}, want {want}"
+        return True, f"{len(rows)} rows match"
+
+    return label, run
+
+
 def _suite_paper_tables():
-    def job(label, family, color, start, stop, window, expected):
-        def run():
-            spec = pretzel_family(family, color, start, stop)
-            rows = _window_rows(spec, FamilyExpr.parse(window), DEFAULT_MAX_NETWORKS)
-            for k, cs in rows:
-                want = list(expected[: len(cs)])
-                if cs != want:
-                    return False, f"row {k}: got {cs}, want {want}"
-            return True, f"{len(rows)} rows match"
-
-        return label, run
-
     def color_tails():
         # the window of length n+1 at index n+1 depends on r alone
         # (Armond-Dasbach: the ring's reduced graph is the r-cycle)
@@ -517,8 +523,24 @@ def _suite_paper_tables():
                 rings += 1
         return True, f"{rings} rings of 2..7 columns, colors up to 200"
 
-    return [job(*args) for args in _TABLE_JOBS] + [
+    return [_table_job(*args) for args in _TABLE_JOBS] + [
         ("ring tails at colors up to 200 match their closed forms", color_tails)]
+
+
+def _thetas(colors, span):
+    """A check of theta networks against the closed form, on every
+    admissible triple whose largest color is in ``colors``."""
+    def run():
+        count = 0
+        for a, b, c in itertools.product(range(colors[-1] + 1), repeat=3):
+            if max(a, b, c) not in colors or not admissible(a, b, c):
+                continue
+            if theta_network(a, b, c) != theta(a, b, c):
+                return False, f"failed at {(a, b, c)}"
+            count += 1
+        return True, f"{count} admissible triples with {span}"
+
+    return run
 
 
 def _suite_tl_identities():
@@ -565,16 +587,6 @@ def _suite_tl_identities():
                     return False, f"failed at n={n}, sign {sign:+d}"
         return True, "factor (-1)^n A^(+-(n^2+2n)) for n = 1..4"
 
-    def thetas():
-        count = 0
-        for a, b, c in itertools.product(range(5), repeat=3):
-            if a + b + c == 0 or not admissible(a, b, c):
-                continue
-            if theta_network(a, b, c) != theta(a, b, c):
-                return False, f"failed at {(a, b, c)}"
-            count += 1
-        return True, f"{count} admissible triples with colors <= 4"
-
     def fusion():
         for n in (1, 2):
             ff = tensor(jones_wenzl(n), jones_wenzl(n))
@@ -604,7 +616,8 @@ def _suite_tl_identities():
         ("projector absorption", absorption),
         ("projector closure is the loop value", closures),
         ("cabled curl coefficient", curls),
-        ("theta networks match the closed form", thetas),
+        ("theta networks match the closed form",
+         _thetas(range(1, 5), "colors <= 4")),
         ("fusion completeness", fusion),
         ("cabled crossing expansion", crossing_expansion),
     ]
@@ -744,12 +757,103 @@ def _suite_oracle_equivalence():
     ]
 
 
+def _side_series(n: int, count: int) -> list[int]:
+    """The first ``count`` coefficients of Delta_2n / Delta_n, which is
+    (1 - x^(2n+1)) / (1 - x^(n+1)) as a series in x."""
+    c = [0] * count
+    for i in range(0, count, n + 1):
+        c[i] += 1
+        if i + 2 * n + 1 < count:
+            c[i + 2 * n + 1] -= 1
+    return c
+
+
+_HIGH_COLOR_JOBS = (
+    # tier-1 checks the 2,5,k rows against Euler's product up to index 30
+    # and at 191..193; each member sums at its own precision
+    ("columns 2,5,k at index k+1 up to 201, against Euler's product",
+     "2,5,k", "k+1", 8, 200, "k+1", lambda k: _euler(k + 1)),
+    ("columns 2,5,k at index 191..201, against Euler's product",
+     "2,5,k", "k+1", 190, 200, "k+1", lambda k: _euler(k + 1)),
+    ("columns 2,5,k at index 401..411, against Euler's product",
+     "2,5,k", "k+1", 400, 410, "k+1", lambda k: _euler(k + 1)),
+    # a one-column ring is an unknot with k curls, folded in closed form:
+    # its reduced polynomial is a monomial at every color
+    ("one column at color 201 is a monomial", "k", "201", 3, 5, "5", (1, 0, 0, 0, 0)),
+    # the ring (k, 0) is a column of k crossings closed around its side; at
+    # cable color n = k its reduced polynomial is sum_p Delta_2p mu_p^k / Delta_n
+    ("a column closed around its side at index k+1 is Delta_2n / Delta_n",
+     "k,0", "k+1", 190, 200, "2*k+4", lambda k: _side_series(k, 2 * k + 4)),
+)
+
+_TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
+_TREFOIL_SUM = ("PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],"
+                "X[7,10,8,11],X[9,12,10,1],X[11,8,12,9]]")
+_SIX_CROSSING = ("PD[X[4,2,5,1],X[8,4,9,3],X[12,9,1,10],"
+                 "X[10,5,11,6],X[6,11,7,12],X[2,8,3,7]]")
+
+
+def _suite_high_color():
+    def zero_column_places():
+        # a zero column is folded into a loop wherever it sits in the
+        # ring, so its three places give the same rows
+        families = ("0,5,k", "5,0,k", "5,k,0")
+        rows = [_window_rows(pretzel_family(f, "k+1", 295, 300),
+                             FamilyExpr.parse("10"), DEFAULT_MAX_NETWORKS)
+                for f in families]
+        for family, got in zip(families[1:], rows[1:]):
+            if got != rows[0]:
+                return False, f"{family} gives {got}, 0,5,k gives {rows[0]}"
+        return True, "0,5,k, 5,0,k and 5,k,0 agree at k = 295..300"
+
+    def pd_zero_columns():
+        # a PD code keeps no zero region; the layout reads one from each
+        # column side that closes on itself
+        def pd(crossings):
+            return "PD[" + ",".join("X[%d,%d,%d,%d]" % tuple(x) for x in crossings) + "]"
+
+        # the bracket is multiplicative under connected sum, over one loop
+        for n in (2, 3):
+            total = unreduced_colored_jones(parse_pd(_TREFOIL_SUM), n).value
+            part = unreduced_colored_jones(parse_pd(_TREFOIL), n).value
+            if total * delta(n) != part * part:
+                return False, f"color {n}: the trefoil sum is not the trefoil squared"
+        counts = [0, 2, 0, 3]
+        for i in range(len(counts)):
+            d = pretzel(counts[i:] + counts[:i])
+            bare = replace(parse_pd(pd(d.crossings)), free_loops=d.free_loops)
+            for n in (1, 2, 3):
+                got = unreduced_colored_jones(bare, n).value
+                if got != unreduced_colored_jones(d, n).value:
+                    return False, f"{d.name} drawn as a PD code differs at color {n}"
+        # ten trefoils and a part with no ring layout, side by side
+        crossings, shift = [], 0
+        for text in [_TREFOIL] * 10 + [_SIX_CROSSING]:
+            part = parse_pd(text)
+            crossings += [[a + shift for a in x] for x in part.crossings]
+            shift += max(part.arcs())
+        try:
+            unreduced_colored_jones(parse_pd(pd(crossings)), 2)
+        except LayoutError:
+            return True, ("trefoil sum at colors 2-3, rotations of 0,2,0,3, "
+                          "split union refused")
+        return False, "a split union with a part that is no ring laid out"
+
+    return [_table_job(*args) for args in _HIGH_COLOR_JOBS] + [
+        ("a zero column's place leaves the rows unchanged", zero_column_places),
+        ("theta networks at colors 5 and 6 match the closed form",
+         _thetas(range(5, 7), "a color of 5 or 6")),
+        ("zero columns read from PD codes", pd_zero_columns),
+    ]
+
+
 _SUITES = {
     "paper-tables": _suite_paper_tables,
     "tl-identities": _suite_tl_identities,
     "min-degrees": _suite_min_degrees,
     "rate-theorems": _suite_rate_theorems,
     "oracle-equivalence": _suite_oracle_equivalence,
+    "high-color": _suite_high_color,
 }
 
 

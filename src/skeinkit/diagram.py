@@ -153,6 +153,11 @@ class LinkDiagram:
             self, "crossings",
             tuple(tuple(operator.index(a) for a in x) for x in self.crossings)
         )
+        loops = self.free_loops
+        # operator.index takes True for 1, so a bool is refused first
+        if isinstance(loops, bool) or not hasattr(loops, "__index__"):
+            raise TypeError(f"free_loops must be an int, got {loops!r}")
+        object.__setattr__(self, "free_loops", operator.index(loops))
         object.__setattr__(
             self,
             "twist_regions",

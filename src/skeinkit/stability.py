@@ -18,6 +18,7 @@ records which currency it used; its anchors are ints in it.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -284,7 +285,7 @@ class FamilySpec:
         raw = self.sizes
         if isinstance(raw, Mapping):
             raw = raw.items()
-        pairs = tuple(sorted((int(col), _as_expr(ex)) for col, ex in raw))
+        pairs = tuple(sorted((operator.index(col), _as_expr(ex)) for col, ex in raw))
         object.__setattr__(self, "sizes", pairs)
         object.__setattr__(self, "color", _as_expr(self.color))
         if self.stop < self.start:
@@ -638,7 +639,7 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    colors = tuple(int(c) for c in colors)
+    colors = tuple(operator.index(c) for c in colors)
     if not colors:
         raise ValueError("need at least one color")
     if colors[0] < 1:

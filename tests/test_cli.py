@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 import skeinkit
 from skeinkit import cli
-from skeinkit.algebra import delta, exact_div, substitute_quarter
+from skeinkit.algebra import delta, exact_div, substitute_quarter, theta
 from skeinkit.diagram import (
     LinkDiagram,
     minus_graph,
@@ -146,6 +146,15 @@ class TestBracket:
         result = run(runner, "bracket", "--diagram-json", str(path))
         assert result.exit_code == 1
         assert "float.json" in result.output
+        assert "bracket:" not in result.output
+
+    @pytest.mark.parametrize("loops", [1.5, True])
+    def test_non_integer_free_loops_are_refused(self, runner, tmp_path, loops):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"crossings": [], "regions": [], "free_loops": loops}))
+        result = run(runner, "bracket", "--diagram-json", str(path))
+        assert result.exit_code == 1
+        assert "loops.json" in result.output and "free_loops" in result.output
         assert "bracket:" not in result.output
 
     def test_empty_diagram(self, runner, tmp_path):
@@ -701,6 +710,67 @@ class TestVerify:
             "10 rows match", "10 rows match", "7 rows match", "5 rows match",
             "11 rows match", "18 rings of 2..7 columns, colors up to 200",
         ]
+
+    def test_high_color_suite_passes(self, runner, monkeypatch):
+        # the theta networks at colors 5 and 6 take seconds, so CI runs
+        # them; read here as the closed form, the check still counts its
+        # triples
+        monkeypatch.setattr(cli, "theta_network", theta)
+        result = run(runner, "verify", "--suite", "high-color")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["passed"] is True
+        assert [(c["name"], c["detail"]) for c in doc["checks"]] == [
+            ("columns 2,5,k at index k+1 up to 201, against Euler's product",
+             "193 rows match"),
+            ("columns 2,5,k at index 191..201, against Euler's product",
+             "11 rows match"),
+            ("columns 2,5,k at index 401..411, against Euler's product",
+             "11 rows match"),
+            ("one column at color 201 is a monomial", "3 rows match"),
+            ("a column closed around its side at index k+1 is Delta_2n / Delta_n",
+             "11 rows match"),
+            ("a zero column's place leaves the rows unchanged",
+             "0,5,k, 5,0,k and 5,k,0 agree at k = 295..300"),
+            ("theta networks at colors 5 and 6 match the closed form",
+             "64 admissible triples with a color of 5 or 6"),
+            ("zero columns read from PD codes",
+             "trefoil sum at colors 2-3, rotations of 0,2,0,3, split union refused"),
+        ]
+
+    def test_high_color_suite_fails_on_a_flipped_euler_coefficient(
+            self, runner, monkeypatch):
+        euler = cli._euler
+
+        def flipped(count):
+            c = list(euler(count))
+            if count > 392:
+                c[392] = -c[392]  # 392 = m(3m+1)/2 at m = 16
+            return c
+
+        monkeypatch.setattr(cli, "_euler", flipped)
+        monkeypatch.setattr(cli, "theta_network", theta)
+        result = run(runner, "verify", "--suite", "high-color")
+        assert result.exit_code == 1
+        doc = json.loads(result.stdout)
+        (failed,) = [c for c in doc["checks"] if not c["passed"]]
+        assert "401..411" in failed["name"]
+        assert failed["detail"].startswith("row 400:")
+
+    def test_placement_check_sees_one_place_differ(self, monkeypatch):
+        window_rows = cli._window_rows
+
+        def moved(spec, window, max_networks):
+            rows = window_rows(spec, window, max_networks)
+            if spec.base.counts == (5, 295, 0):
+                rows[-1][1][-1] += 1
+            return rows
+
+        monkeypatch.setattr(cli, "_window_rows", moved)
+        (check,) = [fn for name, fn in cli._SUITES["high-color"]()
+                    if name == "a zero column's place leaves the rows unchanged"]
+        ok, detail = check()
+        assert not ok and detail.startswith("5,k,0 gives")
 
     def test_suite_shares_one_memo_per_color(self, runner, monkeypatch):
         made = []

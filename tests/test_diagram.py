@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(DiagramError, match="free_loops"):
             LinkDiagram((), free_loops=-1)
 
+    @pytest.mark.parametrize("loops", [1.5, True])
+    def test_free_loops_must_be_an_int(self, loops):
+        # operator.index reads True as 1
+        with pytest.raises(TypeError, match="free_loops"):
+            LinkDiagram((), free_loops=loops)
+
 
 # V - E + F = 0 for both: drawings on the torus, not in the plane
 TORUS_CODES = (

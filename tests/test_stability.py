@@ -390,6 +390,11 @@ class TestFamilySpec:
                 FamilySpec(base=base, sizes={col: "k"}, color=2, start=1,
                            stop=2)
 
+    def test_column_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            FamilySpec(base=Ring((2, 3, 2), 0), sizes={2.9: "k"}, color=2,
+                       start=1, stop=2)
+
     def test_parameters_inclusive(self):
         assert list(pretzel_family("1,1", "2", 2, 5).parameters()) == [2, 3, 4, 5]
 
@@ -630,6 +635,11 @@ class TestColorStability:
             check_color_stability(pretzel([2, 3, 2]), (1, 3))
         with pytest.raises(ValueError, match="start at 1"):
             check_color_stability(pretzel([2, 3, 2]), (0, 1))
+
+    def test_colors_must_be_ints(self):
+        # int() would read them as colors 1..2
+        with pytest.raises(TypeError):
+            check_color_stability(pretzel([2, 3, 2]), (1.9, 2.9))
 
     def test_single_color_trivial(self):
         report = check_color_stability(pretzel([2, 3, 2]), (2,))
