@@ -392,25 +392,17 @@ def tail(family_arg, color_arg, range_arg, rate_arg, depth, fmt):
 @main.command()
 @_diagram_options
 @click.option(
-    "--emit",
-    type=click.Choice(("dot",)),
-    default="dot",
-    show_default=True,
-    help="Output format.",
-)
-@click.option(
     "--reduced",
     is_flag=True,
     help="Merge parallel edges of the all-minus state graph.",
 )
-def graph(pretzel_arg, pd_path, json_path, emit, reduced):
+def graph(pretzel_arg, pd_path, json_path, reduced):
     """All-minus state graph of a diagram, as Graphviz DOT.
 
     Vertices are the circles of the all-minus smoothing (isolated
     vertices for crossing-free loops); one edge per crossing joins the
     circles its smoothing touches.
     """
-    del emit  # only one format today; the flag documents the contract
     diagram = _load_diagram(pretzel_arg, pd_path, json_path)
     g = reduced_minus_graph(diagram) if reduced else minus_graph(diagram)
     click.echo(g.to_dot("reduced_minus" if reduced else "minus"))

@@ -92,6 +92,14 @@ class _UnionFind:
         return out
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; ``operator.index`` takes True for 1, so a bool
+    is refused first, as is anything without ``__index__``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return operator.index(value)
+
+
 def _apairs(x: Crossing) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two arc pairs joined by the A-smoothing, each sorted."""
     return (
@@ -151,18 +159,20 @@ class LinkDiagram:
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "crossings",
-            tuple(tuple(operator.index(a) for a in x) for x in self.crossings)
+            tuple(tuple(_as_int(a, "arc label") for a in x) for x in self.crossings)
         )
-        loops = self.free_loops
-        # operator.index takes True for 1, so a bool is refused first
-        if isinstance(loops, bool) or not hasattr(loops, "__index__"):
-            raise TypeError(f"free_loops must be an int, got {loops!r}")
-        object.__setattr__(self, "free_loops", operator.index(loops))
+        object.__setattr__(self, "free_loops", _as_int(self.free_loops, "free_loops"))
         object.__setattr__(
             self,
             "twist_regions",
             tuple(
-                replace(reg, crossings=tuple(reg.crossings)) for reg in self.twist_regions
+                replace(
+                    reg,
+                    crossings=tuple(_as_int(c, f"region {reg.rid} crossing")
+                                    for c in reg.crossings),
+                    count=_as_int(reg.count, f"region {reg.rid} count"),
+                )
+                for reg in self.twist_regions
             ),
         )
         self._validate()

@@ -31,7 +31,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     DELTA,
@@ -433,14 +433,14 @@ def reduced_jones(diagram: LinkDiagram, N: int, *, max_crossings: int = 20,
     return _value(diagram, N, True, max_crossings, max_networks)
 
 
-def family_windows(members: Iterable[Ring | LinkDiagram],
-                   colors: Iterable[int], counts: Sequence[int], *,
+def family_windows(members: Sequence[Ring | LinkDiagram],
+                   colors: Sequence[int], counts: Sequence[int], *,
                    reduced: bool = False,
                    max_networks: int = 100_000) -> Iterator[CoeffList]:
-    """The window of each member in turn, drawn with its color as it is
-    asked for: its lowest ``counts[i]`` coefficients at cable color
-    ``colors[i]`` in A-units, or with ``reduced`` those of its reduced
-    polynomial of index ``colors[i]`` in q-units.
+    """The window of each member in turn, drawn as it is asked for: its
+    lowest ``counts[i]`` coefficients at cable color ``colors[i]`` in
+    A-units, or with ``reduced`` those of its reduced polynomial of index
+    ``colors[i]`` in q-units.
 
     Ring layouts are taken as truncated series with a
     ``series.ColumnMemo`` per run of consecutive members at one color,
@@ -450,27 +450,13 @@ def family_windows(members: Iterable[Ring | LinkDiagram],
     own count needs.  A diagram with no ring layout takes its sweep's
     window at cable color 1, and raises ``LayoutError`` above it.
     """
-    # the colors are read ahead, so each run's largest count is known at
-    # its first member; a color that fails is raised at its own member,
-    # after the members before it
-    members, indices, failed = iter(members), [], None
-    try:
-        for _, index in zip(counts, colors):
-            indices.append(index)
-    except (ValueError, ArithmeticError) as exc:
-        failed = exc
-    for i, (shape, count) in enumerate(zip(members, counts)):
-        if i == len(indices):
-            if failed is None:
-                return
-            raise failed
-        index = indices[i]
-        if i == 0 or indices[i - 1] != index:
+    for i, (shape, index, count) in enumerate(zip(members, colors, counts)):
+        if i == 0 or colors[i - 1] != index:
             end = i + 1
-            while end < len(indices) and indices[end] == index:
+            while end < len(colors) and colors[end] == index:
                 end += 1
+            n = _cable(index, reduced)
             top, memo = max(counts[i:end]), None
-        n = _cable(index, reduced)
         ring = _as_ring(shape, n)
         if ring is None:
             value = _state_sum(shape, n, reduced)

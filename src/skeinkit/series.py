@@ -197,7 +197,8 @@ class Ring:
         object.__setattr__(self, "counts", tuple(self.counts))
         if not self.counts:
             raise ValueError("a ring needs at least one column")
-        if not all(isinstance(k, int) for k in (*self.counts, self.loops)):
+        if not all(isinstance(k, int) and not isinstance(k, bool)
+                   for k in (*self.counts, self.loops)):
             raise TypeError("column twist counts and free loops must be ints")
         if min(self.counts) < 0:
             raise ValueError("column twist counts must be nonnegative")

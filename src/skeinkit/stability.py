@@ -18,13 +18,12 @@ records which currency it used; its anchors are ints in it.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, _as_int
 from .invariants import (
     BudgetError,
     LayoutError,
@@ -268,51 +267,49 @@ def _coerce_rate(rate) -> tuple[Callable[[int], int], str]:
 class FamilySpec:
     """A one-parameter family of rings of twist columns.
 
-    ``base`` is a ``Ring``; ``sizes`` maps column positions 1..r, in ring
-    order, to the column's crossing count as an expression in the
-    parameter, and unlisted columns keep their base size.  ``color`` gives
-    the reduced polynomial index (the cable carries one less strand).
-    The range ``start..stop`` is inclusive.  Every member is a ``Ring``.
+    ``columns`` holds one crossing-count expression in the parameter per
+    column, in ring order; member k is ``Ring`` of their values at k with
+    no free loops, so a column of size 0 at the start of the range grows
+    back.  ``color`` gives the reduced polynomial index (the cable
+    carries one less strand).  The range ``start..stop`` is inclusive.
     """
 
-    base: Ring
-    sizes: tuple[tuple[int, FamilyExpr], ...]
+    columns: tuple[FamilyExpr, ...]
     color: FamilyExpr
     start: int
     stop: int
 
     def __post_init__(self) -> None:
-        raw = self.sizes
-        if isinstance(raw, Mapping):
-            raw = raw.items()
-        pairs = tuple(sorted((operator.index(col), _as_expr(ex)) for col, ex in raw))
-        object.__setattr__(self, "sizes", pairs)
+        columns = tuple(_as_expr(e) for e in self.columns)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "color", _as_expr(self.color))
+        if not columns:
+            raise ValueError("a family needs at least one column")
+        for col, e in enumerate(columns, 1):
+            if e(self.start) < 0:
+                raise ValueError(f"column {col} size {e.text!r} is negative "
+                                 f"at parameter {self.start}")
         if self.stop < self.start:
             raise ValueError(f"empty parameter range {self.start}..{self.stop}")
-        for col, _ in pairs:
-            if not 1 <= col <= len(self.base.counts):
-                raise LayoutError(f"region {col} is not a column of the ring")
 
     def parameters(self) -> range:
         return range(self.start, self.stop + 1)
 
     def member(self, k: int) -> Ring:
-        counts = list(self.base.counts)
-        for col, ex in self.sizes:
-            target = ex(k)
+        counts = tuple(e(k) for e in self.columns)
+        for col, (e, target) in enumerate(zip(self.columns, counts), 1):
             if target < 0:
                 raise MemberError(
-                    f"region {col} size {ex.text!r} evaluates to {target} "
+                    f"region {col} size {e.text!r} evaluates to {target} "
                     f"at parameter {k}",
                     k,
                 )
-            counts[col - 1] = target
-        return replace(self.base, counts=tuple(counts))
+        return Ring(counts, 0)
 
     def member_color(self, k: int) -> int:
+        """The reduced index at parameter k; reduced polynomials start at 2."""
         n = self.color(k)
-        if n < 1:
+        if n < 2:
             raise MemberError(
                 f"color {self.color.text!r} evaluates to {n} at parameter {k}", k
             )
@@ -320,13 +317,14 @@ class FamilySpec:
 
     @property
     def var(self) -> str:
-        """The parameter's name: the first size expression's variable,
+        """The parameter's name: the first column expression's variable,
         then the color's, then "k"."""
-        return next((e.var for _, e in self.sizes if e.var), None) \
+        return next((e.var for e in self.columns if e.var), None) \
             or self.color.var or "k"
 
     def describe(self) -> str:
-        sizes = ", ".join(f"{rid}: {e.text}" for rid, e in self.sizes)
+        sizes = ", ".join(f"{col}: {e.text}"
+                          for col, e in enumerate(self.columns, 1))
         return (
             f"regions {{{sizes}}}; color {self.color.text}; "
             f"{self.var} = {self.start}..{self.stop}"
@@ -337,28 +335,11 @@ def pretzel_family(sizes, color, start: int, stop: int) -> FamilySpec:
     """Family of pretzels, one size expression per column.
 
     ``sizes`` may be a comma-separated string like ``"8,6,k"`` or a sequence
-    of expressions; columns become regions 1..r in order.  Every member is
-    ``Ring(counts, 0)`` of its column sizes, so a column of size 0 at
-    the start of the range grows back, and no diagram is drawn.
+    of expressions; columns become regions 1..r in order.
     """
     if isinstance(sizes, str):
         sizes = [part.strip() for part in sizes.split(",")]
-    exprs = [_as_expr(s) for s in sizes]
-    base_counts = []
-    for i, e in enumerate(exprs):
-        v = e(start)
-        if v < 0:
-            raise ValueError(
-                f"column {i + 1} size {e.text!r} is negative at parameter {start}"
-            )
-        base_counts.append(v)
-    return FamilySpec(
-        base=Ring(base_counts, 0),
-        sizes={i + 1: e for i, e in enumerate(exprs)},
-        color=_as_expr(color),
-        start=start,
-        stop=stop,
-    )
+    return FamilySpec(tuple(sizes), color, start, stop)
 
 
 # --- reports ------------------------------------------------------------
@@ -434,24 +415,28 @@ class TailReport:
         return "\n".join(lines)
 
 
-def _windows(params: Iterable[int], counts: Sequence[int],
+def _windows(params: Sequence[int], counts: Sequence[int],
              member: Callable[[int], Ring | LinkDiagram],
              color: Callable[[int], int], **family) -> list[CoeffList]:
     """``invariants.family_windows`` over ``member(k)`` at ``color(k)``
     for every parameter k, failures named by parameter.
 
-    A ``MemberError`` or ``BudgetError`` passes through unchanged; any
-    other ``ValueError`` or ``ArithmeticError`` becomes a ``MemberError``
-    for the member's parameter.
+    Every member and its color are built, in parameter order, before the
+    first window is taken, so a ``MemberError`` names the first faulty
+    parameter.  A ``BudgetError`` passes through unchanged; any other
+    ``ValueError`` or ``ArithmeticError`` of an evaluation becomes a
+    ``MemberError`` for the member's parameter.
     """
-    params = list(params)
-    windows = family_windows(map(member, params), map(color, params),
-                             counts, **family)
+    members, colors = [], []
+    for k in params:
+        members.append(member(k))
+        colors.append(color(k))
+    windows = family_windows(members, colors, counts, **family)
     out = []
     for k, _ in zip(params, counts):
         try:
             out.append(next(windows))
-        except (MemberError, BudgetError):
+        except BudgetError:
             raise
         except (ValueError, ArithmeticError) as exc:
             raise MemberError(
@@ -476,24 +461,22 @@ def reduced_windows(spec: FamilySpec, counts: Sequence[int], *,
                     max_networks=max_networks)
 
 
-def _window_counts(required: Sequence[int], tail_len: int, depth: int,
-                   members: int) -> list[int]:
-    counts = []
-    for j in range(members):
-        need = 1
-        if j >= 1:
-            need = max(need, required[j - 1])
-        if j < len(required):
-            need = max(need, required[j])
-        if j == members - 1:
-            need = max(need, tail_len)
-        counts.append(need + depth)
-    return counts
+def _report(family: str, rate_text: str, params: Sequence[int],
+            step_params: Sequence[int], required: Sequence[int],
+            tail_len: int, depth: int, member: Callable[[int], Ring],
+            color: Callable[[int], int], **options) -> TailReport:
+    """Check step i, between members i and i+1, to ``required[i]``
+    coefficients, and cut the last member's window to ``tail_len``.
 
-
-def _assemble_report(family: str, rate_text: str, params: Sequence[int],
-                     step_params: Sequence[int], required: Sequence[int],
-                     windows: Sequence[CoeffList], tail_len: int) -> TailReport:
+    Each member's window reaches ``depth`` past the longest of its steps
+    and, for the last member, the tail.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    counts = [max([1, *required[max(0, j - 1):j + 1]]) + depth
+              for j in range(len(params))]
+    counts[-1] = max(counts[-1], tail_len + depth)
+    windows = _windows(params, counts, member, color, **options)
     # one family's windows share their units; each is normalized once
     normed = [normalize(w).coeffs for w in windows]
     steps = []
@@ -501,21 +484,18 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
         lhs, rhs = normed[i], normed[i + 1]
         cap = min(len(lhs), len(rhs))
         agree = _common_prefix(lhs, rhs)
-        ok = req <= cap and agree >= req
         show = min(max(req, agree + 1), cap)
         steps.append(
             StepCheck(
                 parameter=step_params[i],
                 required=req,
                 verified=agree,
-                passed=ok,
+                passed=req <= cap and agree >= req,
                 left=lhs[:show],
                 right=rhs[:show],
             )
         )
-    last = normed[-1]
-    cut = max(0, min(tail_len, len(last)))
-    tail = CoeffList(last[:cut], windows[-1].units, 0, True)
+    cut = max(0, min(tail_len, len(normed[-1])))
     return TailReport(
         family=family,
         units=windows[-1].units,
@@ -523,7 +503,7 @@ def _assemble_report(family: str, rate_text: str, params: Sequence[int],
         parameters=tuple(params),
         anchors=tuple(str(w.anchor) for w in windows),
         steps=tuple(steps),
-        tail=tail,
+        tail=CoeffList(normed[-1][:cut], windows[-1].units, 0, True),
         passed=all(s.passed for s in steps),
     )
 
@@ -538,23 +518,17 @@ def family_tail(spec: FamilySpec, rate, *, depth: int = 2) -> TailReport:
     there; per-step results carry the measured agreement depth, so a failed
     claim still yields a full report.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     rate_fn, rate_text = _coerce_rate(rate)
     params = list(spec.parameters())
     required = [max(0, rate_fn(k)) for k in params[:-1]]
-    tail_len = max(0, rate_fn(params[-1]))
-    counts = _window_counts(required, tail_len, depth, len(params))
-    windows = reduced_windows(spec, counts)
-    return _assemble_report(
-        spec.describe(), rate_text, params, params[:-1], required, windows,
-        tail_len,
-    )
+    return _report(spec.describe(), rate_text, params, params[:-1], required,
+                   max(0, rate_fn(params[-1])), depth, spec.member,
+                   spec.member_color, reduced=True)
 
 
 def _varied_min(spec: FamilySpec, earlier: int, later: int) -> int | None:
-    """Smallest later-member size among regions that changed over the step."""
-    sizes = [ex(later) for _, ex in spec.sizes if ex(later) != ex(earlier)]
+    """Smallest later-member size among columns that changed over the step."""
+    sizes = [e(later) for e in spec.columns if e(later) != e(earlier)]
     return min(sizes) if sizes else None
 
 
@@ -567,8 +541,6 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
     4n(m-1)+4, with n the later member's cable color and m the smallest
     region size that changed over the step (4m at n = 1).
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     params = list(spec.parameters())
     rate_fn, rate_text = (None, default_text) if rate is None else _coerce_rate(rate)
     required = []
@@ -579,13 +551,8 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         n = cable(later)
         m = _varied_min(spec, earlier, later)
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
-    tail_len = required[-1] if required else 1
-    counts = _window_counts(required, tail_len, depth, len(params))
-    windows = _windows(params, counts, spec.member, cable)
-    return _assemble_report(
-        spec.describe(), rate_text, params, params[1:], required, windows,
-        tail_len,
-    )
+    return _report(spec.describe(), rate_text, params, params[1:], required,
+                   required[-1] if required else 1, depth, spec.member, cable)
 
 
 def check_bracket_rate(spec: FamilySpec, *, rate=None,
@@ -608,23 +575,13 @@ def check_colored_rate(spec: FamilySpec, *, rate=None,
     size at the later member; a custom rate is evaluated at the later
     member as well.  Reduced windows in q-units are ``family_tail``'s.
     """
-
-    def cable(k: int) -> int:
-        n = spec.member_color(k) - 1
-        if n < 1:
-            raise MemberError(
-                f"colored checks need color at least 2, got {n + 1} "
-                f"at parameter {k}",
-                k,
-            )
-        return n
-
-    return _step_rate_report(spec, rate, depth, "4*n*(min(k_i)-1)+4", cable)
+    return _step_rate_report(spec, rate, depth, "4*n*(min(k_i)-1)+4",
+                             lambda k: spec.member_color(k) - 1)
 
 
 def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
                           twist_shifts: Mapping[int, int] | None = None,
-                          diagonal: bool = False, depth: int = 2) -> TailReport:
+                          depth: int = 2) -> TailReport:
     """Agreement of cabled bracket windows across consecutive colors.
 
     Plain mode compares the same diagram at colors n-1 and n to 4n A-terms.
@@ -634,12 +591,8 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
     (accumulating down the chain), added to the counts of the ring's
     columns.  Every shifted region must keep at least one crossing at
     every color, so a region of 0 crossings is never shifted.
-    ``diagonal`` reverses the direction so sizes grow with the color, one
-    shift step per color, defaulting to +1 per region.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    colors = tuple(operator.index(c) for c in colors)
+    colors = tuple(_as_int(c, "color") for c in colors)
     if not colors:
         raise ValueError("need at least one color")
     if colors[0] < 1:
@@ -648,13 +601,10 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
         raise ValueError("colors must be consecutive ascending")
     labels = [reg.rid for reg in diagram.twist_regions]
     shifts = dict(twist_shifts) if twist_shifts else {}
-    if diagonal and not shifts:
-        shifts = {rid: 1 for rid in labels}
     unknown = sorted(set(shifts) - set(labels))
     if unknown:
         raise ValueError(f"unknown region id {unknown[0]} in twist shifts")
-    mults = {c: i if diagonal else len(colors) - 1 - i
-             for i, c in enumerate(colors)}
+    mults = {c: len(colors) - 1 - i for i, c in enumerate(colors)}
     # Every target is checked before any member is built.  One color
     # shifts nothing, so a shifted region has a crossing, hence a column.
     for c, mult in mults.items():
@@ -678,15 +628,10 @@ def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,
         members[c] = replace(ring, counts=tuple(counts))
 
     required = [4 * c for c in colors[1:]]
-    tail_len = required[-1] if required else 1
-    counts = _window_counts(required, tail_len, depth, len(colors))
-    windows = _windows(colors, counts, members.__getitem__,
-                       lambda c: c)
     parts = [diagram.name or "diagram", f"colors {colors[0]}..{colors[-1]}"]
     if shifts:
         body = ", ".join(f"{rid}: {shifts[rid]}" for rid in sorted(shifts))
-        parts.append(("diagonal shifts {" if diagonal else "shifts {") + body + "}")
-    return _assemble_report(
-        "; ".join(parts), "4*n", colors, colors[1:], required, windows,
-        tail_len,
-    )
+        parts.append("shifts {" + body + "}")
+    return _report("; ".join(parts), "4*n", colors, colors[1:], required,
+                   required[-1] if required else 1, depth,
+                   members.__getitem__, lambda c: c)

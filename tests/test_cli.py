@@ -140,6 +140,47 @@ class TestBracket:
         assert "--pretzel" in result.output
         assert "bracket:" not in result.output
 
+    @pytest.mark.parametrize("rotations", [
+        ("0,0,2,2", "0,2,2,0", "2,2,0,0", "2,0,0,2"),
+        ("0,2,0,3", "2,0,3,0", "0,3,0,2", "3,0,2,0"),
+    ])
+    def test_rotated_zero_columns_print_one_bracket(self, runner, rotations):
+        # every cyclic rotation of the counts draws the same diagram up to
+        # planar isotopy
+        outputs = {run(runner, "bracket", "--pretzel", counts).output
+                   for counts in rotations}
+        assert len(outputs) == 1
+        assert "bracket:" in outputs.pop()
+
+    def test_trefoil_sum_pd_file(self, runner, tmp_path):
+        path = tmp_path / "sum.pd"
+        path.write_text("PD[X[1,4,2,5],X[3,6,4,7],X[5,2,6,3],"
+                        "X[7,10,8,11],X[9,12,10,1],X[11,8,12,9]]")
+        result = run(runner, "bracket", "--pd", str(path))
+        assert result.exit_code == 0
+        assert "min degree: -12" in result.output.splitlines()
+
+    def test_bool_arc_label_is_refused(self, runner, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(
+            {"crossings": [[1, 4, 2, 5], [3, 6, 4, True], [5, 2, 6, 3]],
+             "regions": []}))
+        result = run(runner, "bracket", "--diagram-json", str(path))
+        assert result.exit_code == 1
+        assert "bool.json" in result.output and "arc label" in result.output
+        assert "bracket:" not in result.output
+
+    @pytest.mark.parametrize("count", [1.0, True])
+    def test_non_integer_region_count_is_refused(self, runner, tmp_path, count):
+        doc = json.loads(pretzel([1, 1, 1]).to_json())
+        doc["regions"][0]["count"] = count
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(doc))
+        result = run(runner, "bracket", "--diagram-json", str(path))
+        assert result.exit_code == 1
+        assert "count.json" in result.output and "region 1 count" in result.output
+        assert "bracket:" not in result.output
+
     def test_non_integer_arc_label_is_refused(self, runner, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(json.dumps({"crossings": [[1.9, 1, 2, 2]], "regions": []}))
@@ -377,6 +418,18 @@ class TestTable:
         assert result.exit_code == 1
         assert "parameter 1" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_first_faulty_color_is_named(self, runner):
+        result = run(
+            runner,
+            "table",
+            "--pretzel-family", "2,3,k",
+            "--color", "3-k",
+            "--range", "1..3",
+            "--window", "3",
+        )
+        assert result.exit_code == 1
+        assert "evaluates to 1 at parameter 2" in result.output
 
     @pytest.mark.parametrize(
         "family,start,stop,members",
@@ -679,6 +732,11 @@ class TestGraph:
         assert "does not draw a planar diagram" in result.output
         assert "graph minus" not in result.output
 
+    def test_zero_columns_draw_a_graph(self, runner):
+        result = run(runner, "graph", "--pretzel", "0,2,0,3")
+        assert result.exit_code == 0
+        assert result.output.startswith("graph minus {")
+
     def test_unknown_emit_format_rejected(self, runner):
         result = run(runner, "graph", "--pretzel", "2,2,2", "--emit", "svg")
         assert result.exit_code == 2
@@ -762,7 +820,7 @@ class TestVerify:
 
         def moved(spec, window, max_networks):
             rows = window_rows(spec, window, max_networks)
-            if spec.base.counts == (5, 295, 0):
+            if [e.text for e in spec.columns] == ["5", "k", "0"]:
                 rows[-1][1][-1] += 1
             return rows
 

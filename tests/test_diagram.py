@@ -113,6 +113,18 @@ class TestValidation:
         with pytest.raises(TypeError, match="free_loops"):
             LinkDiagram((), free_loops=loops)
 
+    def test_arc_label_must_not_be_a_bool(self):
+        # operator.index reads True as arc 1
+        with pytest.raises(TypeError, match="arc label must be an int, got True"):
+            LinkDiagram(((1, 4, 2, 5), (3, 6, 4, True), (5, 2, 6, 3)))
+
+    @pytest.mark.parametrize("count", [1.0, True])
+    def test_region_count_must_be_an_int(self, count):
+        d = pretzel([1, 1, 1])
+        regions = (replace(d.twist_regions[0], count=count), *d.twist_regions[1:])
+        with pytest.raises(TypeError, match="region 1 count must be an int"):
+            LinkDiagram(d.crossings, regions)
+
 
 # V - E + F = 0 for both: drawings on the torus, not in the plane
 TORUS_CODES = (

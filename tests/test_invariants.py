@@ -835,7 +835,9 @@ class TestRing:
 
     @pytest.mark.parametrize("args", [((2.0, 3, 1), 0),
                                       ((2, 3), 1.0),
-                                      (("2",), 0)])
+                                      (("2",), 0),
+                                      ((2, True), 0),
+                                      ((2,), False)])
     def test_non_int_counts_and_loops_refused(self, args):
         with pytest.raises(TypeError, match="must be ints"):
             Ring(*args)

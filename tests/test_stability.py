@@ -5,6 +5,7 @@ on every probed family the measured stable prefix lands precisely on the
 theorem's rate, so ``verified == required`` is asserted where that held.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from skeinkit.diagram import DiagramError, parse_pd, pretzel
 from skeinkit.invariants import (
     BudgetError,
+    ColumnMemo,
     LayoutError,
     Ring,
     reduced_jones,
@@ -369,6 +371,12 @@ class TestFamilySpec:
             spec.member_color(1)
         assert exc.value.parameter == 1
 
+    def test_color_starts_at_index_2(self):
+        spec = pretzel_family("2,3,2", "k", 1, 4)
+        with pytest.raises(MemberError, match="evaluates to 1") as exc:
+            spec.member_color(1)
+        assert exc.value.parameter == 1
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="empty parameter range"):
             pretzel_family("8,6,k", "2", 5, 3)
@@ -377,23 +385,19 @@ class TestFamilySpec:
         text = pretzel_family("8,6,k", "2", 1, 10).describe()
         assert "3: k" in text and "color 2" in text and "1..10" in text
 
-    def test_mapping_and_int_inputs(self):
-        base = Ring((2, 3, 2), 0)
-        spec = FamilySpec(base=base, sizes={3: "k"}, color=2, start=2, stop=4)
+    def test_a_family_is_its_columns(self):
+        spec = FamilySpec(("2", 3, FamilyExpr.parse("k")), 2, 2, 4)
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "columns", "color", "start", "stop"]
         assert spec.member(4) == Ring((2, 3, 4), 0)
         assert spec.member_color(3) == 2
+        assert spec.describe() == "regions {1: 2, 2: 3, 3: k}; color 2; k = 2..4"
 
-    def test_sizes_must_name_a_column(self):
-        base = Ring((3,), 0)
-        for col in (0, 2):
-            with pytest.raises(LayoutError, match="not a column"):
-                FamilySpec(base=base, sizes={col: "k"}, color=2, start=1,
-                           stop=2)
-
-    def test_column_must_be_an_int(self):
-        with pytest.raises(TypeError):
-            FamilySpec(base=Ring((2, 3, 2), 0), sizes={2.9: "k"}, color=2,
-                       start=1, stop=2)
+    def test_columns_are_checked_at_construction(self):
+        with pytest.raises(ValueError, match="column 2 size '1-k' is negative"):
+            FamilySpec(("3", "1-k"), "2", 2, 4)
+        with pytest.raises(ValueError, match="at least one column"):
+            FamilySpec((), "2", 2, 4)
 
     def test_parameters_inclusive(self):
         assert list(pretzel_family("1,1", "2", 2, 5).parameters()) == [2, 3, 4, 5]
@@ -516,12 +520,40 @@ class TestReducedWindows:
         assert not isinstance(exc.value, MemberError)
 
     def test_first_failing_member_is_named(self):
-        # a size fails at k = 3 and the color at k = 6: the colors are
-        # read ahead of the members, and the first failure is still named
+        # a size fails at k = 3 and the color at k = 5: members and
+        # colors are built in parameter order, so the first is named
         spec = pretzel_family("8,6,5-2*k", "6-k", 1, 6)
         with pytest.raises(MemberError) as exc:
             reduced_windows(spec, [2] * 6)
         assert exc.value.parameter == 3
+
+    def test_member_fault_comes_before_any_window(self, monkeypatch):
+        # the size fails at k = 5; no memo is made, so no weight is
+        # built for the members before it
+        made = []
+        init = ColumnMemo.__init__
+
+        def counting(self, n, digits):
+            made.append(n)
+            init(self, n, digits)
+
+        monkeypatch.setattr(ColumnMemo, "__init__", counting)
+        spec = pretzel_family("2,3,9-2*k", "3", 1, 6)
+        with pytest.raises(MemberError) as exc:
+            reduced_windows(spec, [4] * 6)
+        assert exc.value.parameter == 5
+        assert made == []
+
+    def test_input_fault_is_named_past_a_budget_refusal(self):
+        # member 1 alone would be refused by the budget, but the color
+        # fails at k = 2 and every member is built first
+        color = "3-k+399*(2-k)"
+        with pytest.raises(BudgetError):
+            reduced_windows(pretzel_family("2,2,k", color, 1, 1), [160000])
+        spec = pretzel_family("2,2,k", color, 1, 2)
+        with pytest.raises(MemberError) as exc:
+            reduced_windows(spec, [160000, 160000])
+        assert exc.value.parameter == 2
 
     def test_value_error_names_the_member(self):
         spec = pretzel_family("8,6,k", "2", 1, 3)
@@ -621,14 +653,13 @@ class TestColorStability:
         with pytest.raises(LayoutError, match="ring layout"):
             check_color_stability(d, (1, 2), twist_shifts={1: 1})
 
-    @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("rid", [1, 2])
-    def test_zero_region_is_never_shifted(self, rid, diagonal):
+    def test_zero_region_is_never_shifted(self, rid):
         # one color shifts nothing, so a zero region keeps no crossing
         # there; the refusal comes before any member is built
         with pytest.raises(ValueError, match="at least one crossing"):
             check_color_stability(pretzel([0, 0, 1]), (1, 2),
-                                  twist_shifts={rid: 1}, diagonal=diagonal)
+                                  twist_shifts={rid: 1})
 
     def test_colors_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
@@ -641,17 +672,15 @@ class TestColorStability:
         with pytest.raises(TypeError):
             check_color_stability(pretzel([2, 3, 2]), (1.9, 2.9))
 
+    def test_bool_color_is_refused(self):
+        # operator.index would read True as color 1
+        with pytest.raises(TypeError, match="color must be an int, got True"):
+            check_color_stability(pretzel([2, 3, 2]), (True, 2))
+
     def test_single_color_trivial(self):
         report = check_color_stability(pretzel([2, 3, 2]), (2,))
         assert report.passed
         assert report.steps == ()
-
-    def test_diagonal_family(self):
-        report = check_color_stability(pretzel([2, 3, 2]), (2, 3), diagonal=True)
-        assert report.passed
-        assert report.steps[0].required == 12
-        assert report.steps[0].verified == 12
-        assert "diagonal" in report.family
 
     def test_matching_reduced_minus_graphs_share_a_window(self):
         a = bracket_window([2, 2, 2], 2, 24)
