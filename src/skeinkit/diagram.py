@@ -584,20 +584,12 @@ def apply_state(diagram: LinkDiagram, state: State | Mapping[int, int]) -> int:
     for cid in assignment:
         if not 0 <= cid < c:
             raise DiagramError(f"state assigns missing crossing {cid}")
-    index = {a: i for i, a in enumerate(diagram.arcs())}
-    parent = list(range(len(index)))
-    circles = len(index) + diagram.free_loops
-    for cid, slots in enumerate(diagram.crossings):
-        s0, s1, s2, s3 = (index[a] for a in slots)
+    uf = _UnionFind()
+    circles = len(diagram.arcs()) + diagram.free_loops
+    for cid, (s0, s1, s2, s3) in enumerate(diagram.crossings):
         plus = assignment[cid] == +1
         for x, y in ((s0, s1), (s2, s3)) if plus else ((s0, s3), (s1, s2)):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x != y:
-                parent[x] = y
-                circles -= 1
+            circles -= uf.union(x, y)
     return circles
 
 

@@ -383,8 +383,8 @@ def _cable(index: int, reduced: bool) -> int:
     return index - reduced
 
 
-def _state_sum(diagram: LinkDiagram, n: int, reduced: bool, *,
-               max_crossings: int = 20) -> LaurentPoly | QPoly:
+def _state_sum(diagram: LinkDiagram, n: int,
+               reduced: bool) -> LaurentPoly | QPoly:
     """The color-n bracket of a diagram without a ring layout: its loop
     factors when it has no crossings, else the frontier sweep, which
     ``_as_ring`` lets through at color 1 only.  With ``reduced``, over
@@ -392,21 +392,20 @@ def _state_sum(diagram: LinkDiagram, n: int, reduced: bool, *,
     if diagram.crossing_count == 0:
         value = delta(n) ** diagram.free_loops
     else:
-        value = bracket_state_sum(diagram, max_crossings=max_crossings).value
+        value = bracket_state_sum(diagram).value
     return substitute_quarter(exact_div(value, delta(n))) if reduced else value
 
 
 def _value(shape: Ring | LinkDiagram, index: int, reduced: bool,
-           max_crossings: int, max_networks: int) -> LaurentPoly | QPoly:
+           max_networks: int) -> LaurentPoly | QPoly:
     n = _cable(index, reduced)
     ring = _as_ring(shape, n)
     if ring is None:
-        return _state_sum(shape, n, reduced, max_crossings=max_crossings)
+        return _state_sum(shape, n, reduced)
     return ring_polynomial(ring, n, reduced=reduced, max_networks=max_networks)
 
 
 def unreduced_colored_jones(diagram: LinkDiagram, n: int, *,
-                            max_crossings: int = 20,
                             max_networks: int = 100_000) -> BracketValue:
     """Bracket of the diagram with every component cabled by color n.
 
@@ -416,11 +415,10 @@ def unreduced_colored_jones(diagram: LinkDiagram, n: int, *,
     layout routes through the fused path; one without takes the frontier
     sweep at n = 1 and raises ``LayoutError`` above it.
     """
-    return BracketValue(_value(diagram, n, False, max_crossings,
-                               max_networks))
+    return BracketValue(_value(diagram, n, False, max_networks))
 
 
-def reduced_jones(diagram: LinkDiagram, N: int, *, max_crossings: int = 20,
+def reduced_jones(diagram: LinkDiagram, N: int, *,
                   max_networks: int = 100_000) -> QPoly:
     """The reduced polynomial indexed N >= 2: cable color N-1, one loop
     factor divided out, exponents read in the quarter-power variable.
@@ -430,7 +428,7 @@ def reduced_jones(diagram: LinkDiagram, N: int, *, max_crossings: int = 20,
     ring layout takes the loop factor out inside its series; only a
     diagram without one divides by delta(n).
     """
-    return _value(diagram, N, True, max_crossings, max_networks)
+    return _value(diagram, N, True, max_networks)
 
 
 def family_windows(members: Sequence[Ring | LinkDiagram],

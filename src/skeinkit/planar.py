@@ -283,52 +283,25 @@ class TLMorphism:
 
     @classmethod
     def hook(cls, n: int, i: int) -> "TLMorphism":
-        """The cup-cap generator e_i on n strands (0-indexed position)."""
+        """The cup-cap generator e_i on n strands (0-indexed position):
+        the identity on two strands, turned a quarter turn."""
         if not 0 <= i <= n - 2:
             raise ValueError(f"hook position {i} out of range for {n} strands")
-        pair = [-1] * (2 * n)
-        pair[i], pair[i + 1] = i + 1, i
-        ti, tj = 2 * n - 1 - i, 2 * n - 2 - i
-        pair[ti], pair[tj] = tj, ti
-        for k in range(n):
-            if k in (i, i + 1):
-                continue
-            pair[k] = 2 * n - 1 - k
-            pair[2 * n - 1 - k] = k
-        return cls._raw(n, n, {tuple(pair): ONE}, {})
+        return boxed(quarter_turn(cls.identity(2)), i, n - i - 2)
 
     @classmethod
     def cap(cls, n: int, i: int) -> "TLMorphism":
         """n -> n-2, joining bottom points i, i+1."""
-        if n < 2 or not 0 <= i <= n - 2:
+        if not 0 <= i <= n - 2:
             raise ValueError(f"cap position {i} out of range for {n} strands")
-        pair = [-1] * (2 * n - 2)
-        pair[i], pair[i + 1] = i + 1, i
-        pos = 0
-        for k in range(n):
-            if k in (i, i + 1):
-                continue
-            t = n + (n - 2 - 1 - pos)
-            pair[k] = t
-            pair[t] = k
-            pos += 1
-        return cls._raw(n, n - 2, {tuple(pair): ONE}, {})
+        return boxed(capnest(1), i, n - i - 2)
 
     @classmethod
     def cup(cls, n: int, i: int) -> "TLMorphism":
         """n -> n+2, inserting a new nested arc at top position i."""
         if not 0 <= i <= n:
             raise ValueError(f"cup position {i} out of range for {n} strands")
-        m = n + 2
-        pair = [-1] * (n + m)
-        ti, tj = n + (m - 1 - i), n + (m - 2 - i)
-        pair[ti], pair[tj] = tj, ti
-        for k in range(n):
-            t = k if k < i else k + 2
-            tt = n + (m - 1 - t)
-            pair[k] = tt
-            pair[tt] = k
-        return cls._raw(n, m, {tuple(pair): ONE}, {})
+        return boxed(cupnest(1), i, n - i)
 
     # -- views --------------------------------------------------------
 
@@ -676,36 +649,12 @@ def jones_wenzl(n: int) -> TLMorphism:
 
 def capnest(m: int) -> TLMorphism:
     """2m -> 0, m nested caps."""
-    pair = tuple(2 * m - 1 - i for i in range(2 * m))
-    return TLMorphism._raw(2 * m, 0, {pair: ONE}, {})
+    return TLMorphism._raw(2 * m, 0, {idpair(m): ONE}, {})
 
 
 def cupnest(m: int) -> TLMorphism:
     """0 -> 2m, m nested cups."""
-    pair = tuple(2 * m - 1 - i for i in range(2 * m))
-    return TLMorphism._raw(0, 2 * m, {pair: ONE}, {})
-
-
-@dataclass(frozen=True)
-class TrivalentVertex:
-    """An admissible colored vertex with its internal strand counts."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if not admissible(self.a, self.b, self.c):
-            raise AdmissibilityError(
-                f"({self.a}, {self.b}, {self.c}) is not an admissible triple"
-            )
-
-    @property
-    def internal(self) -> tuple[int, int, int]:
-        x = (self.a + self.b - self.c) // 2
-        y = (self.a + self.c - self.b) // 2
-        z = (self.b + self.c - self.a) // 2
-        return x, y, z
+    return TLMorphism._raw(0, 2 * m, {idpair(m): ONE}, {})
 
 
 def _turn(a: int, b: int, c: int, orientation: str) -> TLMorphism:
@@ -713,7 +662,9 @@ def _turn(a: int, b: int, c: int, orientation: str) -> TLMorphism:
 
     "up" is the (a+b) -> c morphism, "down" the c -> (a+b) mirror.
     """
-    x, y, z = TrivalentVertex(a, b, c).internal
+    if not admissible(a, b, c):
+        raise AdmissibilityError(f"({a}, {b}, {c}) is not an admissible triple")
+    x, y, z = (a + b - c) // 2, (a + c - b) // 2, (b + c - a) // 2
     if orientation == "up":
         return boxed(capnest(x), y, z)
     if orientation == "down":
@@ -916,20 +867,9 @@ def turnback(n: int, i: int) -> TLMorphism:
 
     A 2n -> 2n morphism: i strands pass straight through on each outer
     side while the inner 2(n-i) turn back as nested bends, top and
-    bottom.  turnback(n, n) is the identity.  No projectors attached.
+    bottom: the identity on those strands turned a quarter turn.
+    turnback(n, n) is the identity.  No projectors attached.
     """
     if not 0 <= i <= n:
         raise ValueError(f"turnback needs 0 <= i <= n, got i={i}, n={n}")
-    w = 2 * n
-    partner = [0] * (2 * w)
-    for s in range(i):
-        # through strands: bottom position s <-> top position s
-        for a, b in ((s, 2 * w - 1 - s), (w - 1 - s, w + s)):
-            partner[a], partner[b] = b, a
-    for t in range(n - i):
-        # nested bends between positions i+t and w-1-i-t, both sides
-        lo, hi = i + t, w - 1 - i - t
-        partner[lo], partner[hi] = hi, lo
-        top_lo, top_hi = 2 * w - 1 - lo, 2 * w - 1 - hi
-        partner[top_lo], partner[top_hi] = top_hi, top_lo
-    return TLMorphism(w, w, {tuple(partner): ONE})
+    return boxed(quarter_turn(TLMorphism.identity(2 * (n - i))), i, i)

@@ -247,7 +247,8 @@ def _as_expr(x) -> FamilyExpr:
         return x
     if isinstance(x, str):
         return FamilyExpr.parse(x)
-    if isinstance(x, int):
+    # a bool is an int, but True is no crossing count, color or rate
+    if isinstance(x, int) and not isinstance(x, bool):
         return FamilyExpr(text=str(x), var=None, ast=("num", x))
     raise TypeError(f"cannot use {x!r} as a family expression")
 

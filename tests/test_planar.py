@@ -96,6 +96,44 @@ class TestMatching:
             Matching(2, 2, (1, 0))
 
 
+class TestGenerators:
+    # (bot, top, pair) of each generator; hook(3, 1), cap(4, 1) and
+    # cup(2, 1) share one pair, so the shape is pinned with it
+    @pytest.mark.parametrize("make, args, want", [
+        (TLMorphism.hook, (2, 0), (2, 2, (1, 0, 3, 2))),
+        (TLMorphism.hook, (3, 1), (3, 3, (5, 2, 1, 4, 3, 0))),
+        (TLMorphism.hook, (4, 0), (4, 4, (1, 0, 5, 4, 3, 2, 7, 6))),
+        (TLMorphism.hook, (4, 2), (4, 4, (7, 6, 3, 2, 5, 4, 1, 0))),
+        (TLMorphism.cap, (2, 0), (2, 0, (1, 0))),
+        (TLMorphism.cap, (3, 1), (3, 1, (3, 2, 1, 0))),
+        (TLMorphism.cap, (4, 1), (4, 2, (5, 2, 1, 4, 3, 0))),
+        (TLMorphism.cup, (0, 0), (0, 2, (1, 0))),
+        (TLMorphism.cup, (2, 0), (2, 4, (3, 2, 1, 0, 5, 4))),
+        (TLMorphism.cup, (2, 1), (2, 4, (5, 2, 1, 4, 3, 0))),
+        (turnback, (0, 0), (0, 0, ())),
+        (turnback, (1, 0), (2, 2, (1, 0, 3, 2))),
+        (turnback, (2, 0), (4, 4, (3, 2, 1, 0, 7, 6, 5, 4))),
+        (turnback, (2, 1), (4, 4, (7, 2, 1, 4, 3, 6, 5, 0))),
+        (turnback, (3, 1),
+         (6, 6, (11, 4, 3, 2, 1, 6, 5, 10, 9, 8, 7, 0))),
+    ])
+    def test_generator_matchings(self, make, args, want):
+        m = make(*args)
+        bot, top, pair = want
+        assert (m.bot, m.top, m.nums, m.den) == (bot, top, {pair: ONE}, {})
+
+    @pytest.mark.parametrize("make, args, message", [
+        (TLMorphism.hook, (3, 2), "hook position 2 out of range for 3 strands"),
+        (TLMorphism.cap, (1, 0), "cap position 0 out of range for 1 strands"),
+        (TLMorphism.cup, (2, 3), "cup position 3 out of range for 2 strands"),
+        (turnback, (2, 3), "turnback needs 0 <= i <= n, got i=3, n=2"),
+    ])
+    def test_out_of_range_is_refused(self, make, args, message):
+        with pytest.raises(ValueError) as exc:
+            make(*args)
+        assert str(exc.value) == message
+
+
 # -- composition, tensor, closure -------------------------------------
 
 

@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skeinkit
 from skeinkit import invariants, series
 from skeinkit.algebra import (
     ExactDivisionError,
@@ -586,3 +587,13 @@ def test_modules_use_what_they_import():
                     for elt in node.value.elts}
         unused = sorted(set(imported) - used - exported)
         assert not unused, [f"{path.name}:{imported[n]}: {n}" for n in unused]
+
+
+def test_package_exports_what_it_imports():
+    # the package __init__ imports only to re-export: every name it
+    # imports is in __all__, and every name in __all__ is bound
+    tree = ast.parse(pathlib.Path(skeinkit.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == set(skeinkit.__all__)
+    assert [n for n in skeinkit.__all__ if not hasattr(skeinkit, n)] == []

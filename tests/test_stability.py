@@ -402,6 +402,15 @@ class TestFamilySpec:
     def test_parameters_inclusive(self):
         assert list(pretzel_family("1,1", "2", 2, 5).parameters()) == [2, 3, 4, 5]
 
+    def test_bool_column_is_refused(self):
+        # a bool is an int: True would read as a column of one crossing
+        with pytest.raises(TypeError, match="cannot use True"):
+            pretzel_family([2, True], 2, 1, 2)
+
+    def test_bool_color_is_refused(self):
+        with pytest.raises(TypeError, match="cannot use True"):
+            pretzel_family([2, 5, "k"], True, 1, 2)
+
 
 class TestFamilyTail:
     def test_first_table_family(self):
@@ -479,6 +488,11 @@ class TestFamilyTail:
         spec = pretzel_family("8,6,k", "2", 1, 4)
         report = family_tail(spec, lambda k: k + 1)
         assert report.passed
+
+    def test_bool_rate_is_refused(self):
+        spec = pretzel_family("8,6,k", "2", 1, 2)
+        with pytest.raises(TypeError, match="cannot use False"):
+            family_tail(spec, False)
 
     def test_depth_validates(self):
         with pytest.raises(ValueError):
