@@ -84,24 +84,28 @@ def _pack(terms: Mapping[int, int], lo: int, step: int, width: int) -> int:
             - int.from_bytes(b"".join(neg), "little"))
 
 
-def _unpack(packed: int, lo: int, step: int, width: int) -> dict[int, int]:
-    """The term dict of a packed int, read back as signed digits.
+def _unpack_digits(packed: int, count: int, width: int) -> list[int]:
+    """The lowest ``count`` digits of a packed int, zeros included, read
+    back as signed digits.
 
-    Inverse of ``_pack`` for every coefficient c with |c| < 2^(8*width-1).
-    Adding half a digit to every digit makes each one nonnegative, so
-    the coefficients read back without borrows.
+    Inverse of ``_pack`` for every coefficient c with |c| < 2^(8*width-1)
+    and no term at digit ``count`` or beyond.  Adding half a digit to
+    every digit makes each one nonnegative, so the coefficients read back
+    without borrows.
     """
-    # a top digit k leaves |packed| > 2^(8*width*k - 1)
-    count = packed.bit_length() // (8 * width) + 1
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
     raw = (packed + offset).to_bytes(width * count, "little")
-    out: dict[int, int] = {}
-    for i in range(count):
-        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
-        if c:
-            out[lo + i * step] = c
-    return out
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _unpack(packed: int, lo: int, step: int, width: int) -> dict[int, int]:
+    """The term dict of a packed int (see ``_unpack_digits``)."""
+    # a top digit k leaves |packed| > 2^(8*width*k - 1)
+    count = packed.bit_length() // (8 * width) + 1
+    digits = _unpack_digits(packed, count, width)
+    return {lo + i * step: c for i, c in enumerate(digits) if c}
 
 
 def _kronecker_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

@@ -250,19 +250,10 @@ class TLMorphism:
 
     __slots__ = ("bot", "top", "nums", "den")
 
-    def __init__(self, bot: int, top: int, terms=None):
+    def __init__(self, bot: int, top: int, nums: dict, den: dict[int, int]):
         if (bot + top) % 2:
             raise ValueError(f"odd total boundary {bot}+{top}")
-        self.bot = bot
-        self.top = top
-        self.nums: dict = {}
-        self.den: dict[int, int] = {}
-        for pair, c in (terms or {}).items():
-            c = c if isinstance(c, RationalFn) else RationalFn(c)
-            self.den, lift, lift_c = common_den(self.den, c.den_vec)
-            self.nums = {p: n * lift for p, n in self.nums.items()}
-            if not c.is_zero():
-                self.nums[pair] = c.num * lift_c
+        self.bot, self.top, self.nums, self.den = bot, top, nums, den
         self._strip()
 
     @classmethod
@@ -275,6 +266,8 @@ class TLMorphism:
 
     @classmethod
     def identity(cls, n: int) -> "TLMorphism":
+        if n < 0:
+            raise ValueError(f"identity width {n} is negative")
         return cls._raw(n, n, {idpair(n): ONE}, {})
 
     @classmethod
@@ -537,6 +530,8 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 
 def boxed(g: TLMorphism, left: int, right: int) -> TLMorphism:
     """g with identity wires added on both sides."""
+    if min(left, right) < 0:
+        raise ValueError(f"boxed width {min(left, right)} is negative")
     out = g
     if left:
         out = tensor(TLMorphism.identity(left), out)

@@ -9,31 +9,31 @@ theta_q).  This module imports only ``algebra``: ``invariants`` routes a
 diagram to its ring layout here, or to a state sum when it has none.
 
 The series.  Put x = A^4.  Then [k]! = A^(-k(k-1)) F_k(x) with F_k(x) =
-prod_{j<=k} (1 - x^j) / (1 - x), so a ratio of quantum factorials is
-+-A^s prod_j (1 - x^j)^w_j, a power series over Z of which only the
-factors with j < M matter modulo x^M.  Every channel weight is such a
-series and a twist monomial is a digit shift, so ``_ring_digits`` takes
-the ring sum modulo x^M above its nominal lowest exponent with no common
-denominator and no division, and never computes a term that starts at
-digit M or beyond; dividing by delta(n) is one multiplication by (-1)^n
-A^(2n) F_n / F_(n+1).  The sum is evaluated as Python ints at X =
-2^(8*width), masked after every product (x^i -> X^i is a ring map from
-Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound sum_q
-|delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of the truncated series.
-Digit 0 is the bracket's lowest coefficient: a ring of two or more
-columns is a reduced alternating diagram, hence adequate, so its
-coefficient at the nominal lowest exponent is +-1 (Armond, "The head and
-tail conjecture for alternating knots", AGT 2013).  A sum whose digit 0
-vanishes signals a convention bug, and raises.
+prod_{j<=k} (1 - x^j) / (1 - x), so a ratio of quantum factorials is +-A^s
+prod_j (1 - x^j)^w_j, a power series over Z of which only the factors with
+j < M matter modulo x^M.  Every channel weight is such a series and a
+twist monomial is a digit shift, so ``_ring_digits`` takes the ring sum
+modulo x^M above its nominal lowest exponent with no common denominator
+and no division, and never computes a term that starts at digit M or
+beyond.  The loop factor delta(n)^loops is (-1)^(n loops) A^(-2n loops)
+(1 + x + ... + x^n)^loops, one more series, so dividing by delta(n) is
+one multiplication by (1 - x) / (1 - x^(n+1)).  The sum is evaluated as
+Python ints at X = 2^(8*width), masked after every product (x^i -> X^i is
+a ring map from Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound
+|delta(n)^loops|_1 sum_q |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of
+the truncated series.  Digit 0 is the bracket's lowest coefficient: a ring
+of two or more columns is a reduced alternating diagram, hence adequate,
+so its coefficient at the nominal lowest exponent is +-1 (Armond, "The
+head and tail conjecture for alternating knots", AGT 2013).  A sum whose
+digit 0 vanishes signals a convention bug, and raises.
 
 Two precisions.  A ``ColumnMemo`` holds one color at one precision, its
-digits: its weights, the plan of exits, the budget count, the L1 bound,
-the digit width and the packed column sums are all taken modulo x^digits.
-A sum takes its products at its own precision, at most the memo's: the
-digits its window needs (``ring_window``), or the top of its span plus two
-(``ring_polynomial``).  Truncation modulo x^M commutes with products, and
-the L1 norm of a truncation is at most that of a longer one, so the
-memo's digit width holds every shorter sum.
+digits: its series, the plan, the budget count, the L1 bound and the
+digit width are all taken modulo x^digits.  A sum takes its products at
+its own precision, at most the memo's: the digits its window needs
+(``ring_window``), or the top of its span plus two (``ring_polynomial``).
+No coefficient of a product passes the product of its factors' L1 norms,
+so the memo's width holds each product before it is masked to the sum's.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
@@ -47,18 +47,19 @@ ring, its exits would cancel far into its nominal bottom.
 
 The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
 only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
-it for one color at one precision: the channels' twist monomials; per
-column its channels below the exit's reach m keyed by (q, k, m), and
-their packed sum keyed by (q, k, m, width); each symmetric tet/theta part
-keyed by (a, b); and each c[q][p] with its L1 norm and its packings by
-width, keyed by (q, p).  ``invariants.family_windows`` makes one per run
-of members at one color, at the precision of the run's largest window,
-so a member rebuilds only the columns whose count changed.  A full
-polynomial makes its own, unless it runs inside ``shared_memos()``: there
-each color keeps the memo of its longest span so far, which serves every
-shorter one, and a longer span replaces it; ``skein verify`` keeps them
-for one suite.  No memo outlives its family or its block, so nothing it
-holds goes stale and no weight is held after it.
+it for one color at one precision: the channels' twist monomials; one
+record per column keyed by (q, k, m), its channels below the exit's
+reach m with their L1 bound and packed sums by width; each symmetric
+tet/theta part keyed by (a, b); and with its L1 norm and packings by
+width each c[q][p], keyed by (q, p), and each loop factor, keyed by its
+loops.  ``invariants.family_windows`` makes one per run of members at
+one color, at the precision of the run's largest window, so a member
+rebuilds only the columns whose count changed.  A full polynomial makes
+its own, unless it runs inside ``shared_memos()``: there each color
+keeps the memo of its longest span so far, which serves every shorter
+one, and a longer span replaces it; ``skein verify`` keeps them for one
+suite.  No memo outlives its family or its block, so nothing it holds
+goes stale and no weight is held after it.
 
 What is walked.  Exit q of a ring of r >= 2 nonzero columns starts r
 q(q+1)/2 - q digits above exit 0, whatever the counts (``_plan``), so the
@@ -83,16 +84,16 @@ import contextlib
 import contextvars
 import functools
 import itertools
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import (
     ExactDivisionError,
     LaurentPoly,
     QPoly,
-    _pack,
-    _unpack,
+    _unpack_digits,
     substitute_quarter,
 )
 
@@ -347,8 +348,11 @@ def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
 
 
 def _pack_series(c: list[int], width: int) -> int:
-    # sum of c[i] * X^i at X = 2^(8*width)
-    return _pack(dict(enumerate(c)), 0, 1, width)
+    # sum of c[i] * X^i at X = 2^(8*width), each |c[i]| < X/2 offset by X/2
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(x + half).to_bytes(width, "little") for x in c])
+    offset = half.to_bytes(width, "little") * len(c)
+    return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
 
 
 def _ones(length: int, width: int) -> int:
@@ -385,11 +389,29 @@ def _least(n: int, q: int, k: int) -> int:
 # -- the column memo and the ring sum ---------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
+class ColumnRecord:
+    """A column on exit q below its reach: its terms, each (digit offset,
+    negated, channel p), then their L1 bound and packed sums by width."""
+
+    q: int
+    terms: list[tuple[int, bool, int]]
+    norm: int | None = None
+    packs: dict[int, int] = field(default_factory=dict)
+
+
+def _packed(held: tuple[list[int], int, dict], width: int) -> int:
+    # a held series (see ``ColumnMemo._held``) packed at one width
+    series, _, packs = held
+    if width not in packs:
+        packs[width] = _pack_series(series, width)
+    return packs[width]
+
+
 class ColumnMemo:
-    """The column factors of ring sums at color ``n``, modulo x^digits for
-    its one precision ``digits``, kept for one run of members, so a member
-    rebuilds only the columns whose count changed (what it holds, and under
-    which keys, is in the module docstring)."""
+    """The column and loop factors of ring sums at color ``n`` modulo
+    x^digits, for one run of members at its one precision ``digits`` (what
+    it holds, and under which keys, is in the module docstring)."""
 
     def __init__(self, n: int, digits: int) -> None:
         if n < 0:
@@ -397,22 +419,21 @@ class ColumnMemo:
         self.n = n
         self.digits = digits
         self._mus = [_twist(n, p) for p in range(n + 1)]
-        self._terms: dict = {}
-        self._packed: dict = {}
+        self._columns: dict = {}
         self._symmetric: dict = {}
-        self._channels: dict = {}
+        self._series: dict = {}
 
-    def terms(self, q: int, k: int, m: int) -> list[tuple[int, bool, int]]:
-        """The column's terms that start below digit ``m`` of its lowest
-        exponent, each (digit offset, negated, channel p).
+    def column(self, q: int, k: int, m: int) -> ColumnRecord:
+        """The record of a column of k crossings on exit q below digit
+        ``m``, made on first use.
 
         The walk starts at the lowest channel (see ``_least``) and moves
         away from it, and the offsets never fall along it, so it stops at
         the first channel that starts at digit ``m`` or beyond.  No weight
         is built.
         """
-        key = q, k, m
-        if key not in self._terms:
+        record = self._columns.get((q, k, m))
+        if record is None:
             n, least = self.n, _least(self.n, q, k)
             terms = []
             for p in range(n, -1, -1) if k > 0 else range(n + 1):
@@ -421,22 +442,36 @@ class ColumnMemo:
                 if off >= m:
                     break
                 terms.append((off, s < 0 and k % 2 == 1, p))
-            self._terms[key] = terms
-        return self._terms[key]
+            record = self._columns[q, k, m] = ColumnRecord(q, terms)
+        return record
 
-    def norm(self, q: int, k: int, m: int) -> int:
-        """The L1 bound of the column's terms below digit ``m``."""
-        return sum(self._channel(q, p)[1] for _, _, p in self.terms(q, k, m))
+    def bound(self, record: ColumnRecord) -> int:
+        """The L1 bound of the record's terms, summed on first need."""
+        if record.norm is None:
+            record.norm = sum(self._held((record.q, p))[1]
+                              for _, _, p in record.terms)
+        return record.norm
 
-    def _channel(self, q: int, p: int) -> tuple[list[int], int, dict]:
-        # c[q][p], its L1 norm and its packings by width (members of one
-        # run mostly share their digit width, so each weight is packed
-        # about once per run), built on first use
-        chan = self._channels.get((q, p))
-        if chan is None:
-            w = self.weight(q, p)
-            chan = self._channels[q, p] = w, sum(map(abs, w)), {}
-        return chan
+    def pack(self, record: ColumnRecord, width: int) -> int:
+        """The record's terms summed at X = 2^(8*width), once per width."""
+        packs = record.packs
+        if width not in packs:
+            digit, acc = 8 * width, 0
+            for off, neg, p in record.terms:
+                c = _packed(self._held((record.q, p)), width) << (digit * off)
+                acc = acc - c if neg else acc + c
+            packs[width] = acc
+        return packs[width]
+
+    def _held(self, key) -> tuple[list[int], int, dict[int, int]]:
+        # c[q][p] at key (q, p), or the loop factor at key loops, with its
+        # L1 norm and packings by width (members of one run mostly share
+        # their width, so each is packed about once per run), built once
+        held = self._series.get(key)
+        if held is None:
+            f = self.weight(*key) if type(key) is tuple else self.loop(key)
+            held = self._series[key] = f, sum(map(abs, f)), {}
+        return held
 
     def weight(self, q: int, p: int) -> list[int]:
         """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
@@ -455,20 +490,16 @@ class ColumnMemo:
         _over(c, 1)
         return c
 
-    def packed(self, q: int, k: int, m: int, width: int) -> int:
-        """The column's terms below digit ``m``, summed at X = 2^(8*width)."""
-        key = q, k, m, width
-        if key not in self._packed:
-            digit = 8 * width
-            acc = 0
-            for off, neg, p in self.terms(q, k, m):
-                w, _, packs = self._channel(q, p)
-                if width not in packs:
-                    packs[width] = _pack_series(w, width)
-                c = packs[width] << (digit * off)
-                acc = acc - c if neg else acc + c
-            self._packed[key] = acc
-        return self._packed[key]
+    def loop(self, loops: int) -> list[int]:
+        """(1 + x + ... + x^n)^loops modulo x^digits, for loops >= -1:
+        delta(n)^loops is (-1)^(n loops) A^(-2n loops) times it, each
+        delta(n) a (1 - x^(n+1)) / (1 - x)."""
+        f = [1] + [0] * (self.digits - 1)
+        up, down = (self.n + 1, 1) if loops >= 0 else (1, self.n + 1)
+        for _ in range(abs(loops)):
+            _times(f, up)
+            _over(f, down)
+        return f
 
 
 def _fold(n: int, twists: Sequence[int], loops: int):
@@ -504,13 +535,14 @@ def _span(n: int, twists: Sequence[int], loops: int) -> tuple[int, int]:
     return low - 2 * n * loops, top + 2 * n * loops
 
 
-def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
-          max_networks: int) -> list[tuple[int, int, int, int]]:
-    """The exits that start below the memo's precision, each (q, at, m,
-    length): exit q starts ``at`` digits above exit 0, reaches m = digits
-    - at, and its delta(2q) has ``length`` digits below m.  Past
-    ``max_networks`` column terms planned, ``BudgetError`` is raised
-    before any weight is built.
+def _plan(memo: ColumnMemo, exits, columns: Sequence[int], max_networks: int
+          ) -> list[tuple[int, int, int, list[ColumnRecord]]]:
+    """The exits that start below the memo's precision, each (q, at,
+    length, records): exit q starts ``at`` digits above exit 0, its
+    delta(2q) has ``length`` digits below the exit's reach m = digits -
+    at, and ``records`` are its columns' below m.  Past ``max_networks``
+    column terms planned, ``BudgetError`` is raised before any weight is
+    built.
 
     Exit q of a ring of r >= 2 nonzero columns starts at(q) = r q(q+1)/2 -
     q, whatever the counts, and at(q+1) - at(q) = r(q+1) - 1 >= 1, so the
@@ -529,9 +561,9 @@ def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
         m = memo.digits - at
         if m <= 0:
             break
-        plan.append((q, at, m, min(2 * q + 1, m)))
-        for k in columns:
-            terms += len(memo.terms(q, k, m))
+        records = [memo.column(q, k, m) for k in columns]
+        plan.append((q, at, min(2 * q + 1, m), records))
+        terms += sum(len(record.terms) for record in records)
         if terms > max_networks:
             raise BudgetError(
                 f"at least {terms} fusion column terms exceed the "
@@ -541,74 +573,43 @@ def _plan(memo: ColumnMemo, exits, columns: Sequence[int],
 
 
 def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
-                 max_networks: int, need: int) -> tuple[int, dict[int, int]]:
+                 max_networks: int, need: int) -> tuple[int, list[int]]:
     """The fused bracket at the memo's color times delta(n)^loops (loops
     >= -1) modulo x^need above its nominal lowest A-exponent: that
-    exponent, and the nonzero digits by position.  Digit 0 is the bracket's
-    lowest coefficient; ``ExactDivisionError`` is raised when it vanishes.
+    exponent, and its ``need`` digits.  Digit 0 is the bracket's lowest
+    coefficient; ``ExactDivisionError`` is raised when it vanishes.
 
     ``need`` is at most the memo's precision, at which the plan, the
-    budget count, the L1 bound, the digit width and the columns' packed
-    sums are taken (see "Two precisions" in the module docstring).
+    budget count, the L1 bound, the digit width and the packed series are
+    taken (see "Two precisions" in the module docstring).
     """
     n = memo.n
     exits, columns, loops, (curl, sign) = _fold(n, twists, loops)
     plan = _plan(memo, exits, columns, max_networks)
-    bound = 0
-    for q, at, m, length in plan:
-        norm = length
-        for k in columns:
-            norm *= memo.norm(q, k, m)
-        bound += norm
-    bound *= _loop_norm(n, loops, memo.digits)
+    loop = memo._held(loops)
+    bound = loop[1] * sum(length * math.prod(map(memo.bound, records))
+                          for _, _, length, records in plan)
     width = bound.bit_length() // 8 + 1
     total = 0
-    for q, at, m, length in plan:
+    for _, at, length, records in plan:
         if at >= need:
             break
-        cut = min(m, need - at)  # the exit's reach at ``need``
+        cut = need - at  # the exit's reach at ``need``
         prod = _ones(min(length, cut), width)
-        for k in columns:
-            column = memo.packed(q, k, m, width)
-            if cut < m:  # only a sum shorter than the memo cuts
-                column = _mask(column, cut, width)
-            prod = _mask(prod * column, cut, width)
+        for record in records:
+            prod = _mask(prod * memo.pack(record, width), cut, width)
         total += prod << (8 * width * at)
-    total = _loop_power(_mask(total, need, width), n, loops, need, width)
-    out = _unpack(total, 0, 1, width) if total else {}
-    if 0 not in out:
+    total = _mask(total * _packed(loop, width), need, width)
+    out = _unpack_digits(total, need, width)
+    if not out[0]:
         raise ExactDivisionError(
             "fused bracket vanishes at its nominal lowest exponent; this "
             "signals a convention bug upstream: the ring sum of "
             f"{len(twists)} columns at color {n} has no digit 0"
         )
     if sign * (-1) ** (n * loops % 2) < 0:
-        out = {i: -c for i, c in out.items()}
+        out = [-c for c in out]
     return _exit_low(n, exits[0], columns) + curl - 2 * n * loops, out
-
-
-def _loop_norm(n: int, loops: int, digits: int) -> int:
-    # |(1 + x + ... + x^n)^loops|_1 modulo x^digits, or a bound for it
-    if loops >= 0:
-        return (n + 1) ** loops
-    # (1 - x) / (1 - x^(n+1)): two terms per n+1 digits
-    return 2 * (-(-digits // (n + 1)))
-
-
-def _loop_power(t: int, n: int, loops: int, digits: int, width: int) -> int:
-    # t * (1 + x + ... + x^n)^loops modulo x^digits, packed (loops >= -1)
-    digit = 8 * width
-    for _ in range(loops):
-        t = _mask(t * _ones(min(n + 1, digits), width), digits, width)
-    if loops < 0:
-        # times (1 - x), then over (1 - x^(n+1)), which is times
-        # (1 + x^j)(1 + x^2j)(1 + x^4j)... for j = n + 1
-        t = _mask(t - (t << digit), digits, width)
-        j = n + 1
-        while j < digits:
-            t = _mask(t + (t << (digit * j)), digits, width)
-            j *= 2
-    return t
 
 
 # the memos, by color, that full polynomials share inside ``shared_memos``
@@ -649,13 +650,13 @@ def _ring_polynomial(n: int, twists: Sequence[int], loops: int, *,
         if shared is not None:
             shared[n] = memo
     low, out = _ring_digits(memo, twists, loops, max_networks, span + 2)
-    if max(out, default=0) >= span:
+    if any(out[span:]):
         raise ExactDivisionError(
             "fused bracket is not a Laurent polynomial; this signals a "
             f"convention bug upstream: the ring sum of {len(twists)} columns "
             f"at color {n} has a coefficient past the top of its span"
         )
-    return LaurentPoly({low + 4 * i: c for i, c in out.items()})
+    return LaurentPoly({low + 4 * i: c for i, c in enumerate(out) if c})
 
 
 # -- entry points -------------------------------------------------------------------
@@ -697,9 +698,7 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
     low, out = _ring_digits(memo, ring.counts, ring.loops - reduced,
                             max_networks, need)
     if reduced:
-        # one residue class mod 4: substitute_quarter reads A^low as
-        # q^(low//4)
-        coeffs = (out.get(i, 0) for i in range(count))
-        return CoeffList(tuple(coeffs), "q", low // 4)
-    coeffs = (0 if i % 4 else out.get(i // 4, 0) for i in range(count))
+        # one residue class mod 4: substitute_quarter reads A^low as q^(low//4)
+        return CoeffList(tuple(out[:count]), "q", low // 4)
+    coeffs = (0 if i % 4 else out[i // 4] for i in range(count))
     return CoeffList(tuple(coeffs), "A", low)

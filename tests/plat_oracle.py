@@ -42,7 +42,7 @@ def plat_cups(r, n):
         # node index for top position p is w-1-p
         na, nb = w - 1 - a, w - 1 - b
         partner[na], partner[nb] = nb, na
-    return TLMorphism(0, w, {tuple(partner): ONE})
+    return TLMorphism(0, w, {tuple(partner): ONE}, {})
 
 
 def plat_caps(r, n):
@@ -51,7 +51,7 @@ def plat_caps(r, n):
     partner = [0] * w
     for a, b in _plat_pairs(r, n):
         partner[a], partner[b] = b, a
-    return TLMorphism(w, 0, {tuple(partner): ONE})
+    return TLMorphism(w, 0, {tuple(partner): ONE}, {})
 
 
 def plat_close(columns, n, style="ring"):

@@ -617,7 +617,7 @@ class TestChannelWalk:
             for m in ms:
                 # distinct channels, each below m with its own offset and
                 # sign, as many as the channels below m: the same set
-                got = memo.terms(q, k, m)
+                got = memo.column(q, k, m).terms
                 if not (len({p for _, _, p in got}) == len(got)
                         == bisect.bisect_left(offsets, m)
                         and all(off == (exps[p] - least) // 4 < m

@@ -133,6 +133,22 @@ class TestGenerators:
             make(*args)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("make, args, message", [
+        (boxed, (TLMorphism.identity(2), 0, -1), "boxed width -1 is negative"),
+        (boxed, (TLMorphism.identity(2), -1, 0), "boxed width -1 is negative"),
+        (TLMorphism.identity, (-1,), "identity width -1 is negative"),
+    ])
+    def test_negative_width_is_refused(self, make, args, message):
+        with pytest.raises(ValueError) as exc:
+            make(*args)
+        assert str(exc.value) == message
+
+    def test_constructor_takes_numerators_over_a_denominator(self):
+        m = TLMorphism(2, 0, {(1, 0): ONE}, {})
+        assert m == TLMorphism.cap(2, 0)
+        with pytest.raises(ValueError, match="odd total boundary 2\\+1"):
+            TLMorphism(2, 1, {}, {})
+
 
 # -- composition, tensor, closure -------------------------------------
 

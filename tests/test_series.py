@@ -244,13 +244,13 @@ class TestExitPlan:
         # the published 2,5,k row at index 201: at(11) = 187 and at(12) =
         # 222, so exits 0..11 of 201 start below its 201 digits
         walked = set()
-        terms = ColumnMemo.terms
+        column = ColumnMemo.column
 
         def spy(self, q, k, m):
             walked.add(q)
-            return terms(self, q, k, m)
+            return column(self, q, k, m)
 
-        monkeypatch.setattr(ColumnMemo, "terms", spy)
+        monkeypatch.setattr(ColumnMemo, "column", spy)
         w = reduced_window(Ring((2, 5, 200), 0), 201, 201)
         assert walked == set(range(12))
         assert list(normalize(w).coeffs) == euler(201)
@@ -415,6 +415,64 @@ class TestColumnMemo:
         reduced_windows(spec, [k + 1 for k in range(1, 13)])
         assert {n for n, _, _, _ in built} == set(range(1, 13))
         assert all(digits == n + 1 for n, _, _, digits in built)
+
+    def test_a_member_rebuilds_only_the_columns_whose_count_changed(
+            self, monkeypatch):
+        # one run at color 2: a record is made once per (q, k, m), those of
+        # the columns of 2 and 5 crossings all with the first member, and
+        # each later member makes only those of its own count k, if new;
+        # each record is packed once per width
+        made, members, keys = [], [], []
+        ring_digits, column = series._ring_digits, ColumnMemo.column
+        init = series.ColumnRecord.__init__
+
+        class Packs(dict):
+            def __setitem__(self, width, packed):
+                assert width not in self
+                super().__setitem__(width, packed)
+
+        def member(memo, twists, *args):
+            members.append(tuple(twists))
+            return ring_digits(memo, twists, *args)
+
+        def walk(self, q, k, m):
+            keys.append((q, k, m))
+            return column(self, q, k, m)
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.packs = Packs()
+            made.append((members[-1], keys[-1], self))
+
+        monkeypatch.setattr(series, "_ring_digits", member)
+        monkeypatch.setattr(ColumnMemo, "column", walk)
+        monkeypatch.setattr(series.ColumnRecord, "__init__", record)
+        reduced_windows(pretzel_family("2,5,k", "3", 1, 8), [9] * 8)
+        assert members == [(2, 5, k) for k in range(1, 9)]
+        made_keys = [key for _, key, _ in made]
+        assert len(made_keys) == len(set(made_keys)) == len(set(keys))
+        counts = {}
+        for ring, (_, k, _), rec in made:
+            counts.setdefault(ring, set()).add(k)
+            assert rec.packs
+        assert counts == {(2, 5, 1): {1, 2, 5},
+                          **{(2, 5, k): {k} for k in (3, 4, 6, 7, 8)}}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_loop_factor_is_a_power_of_delta(self, n):
+        # read in x = A^4 from its bottom, up to the sign (-1)^(n loops)
+        # that ``_ring_digits`` applies; its inverse times 1 + ... + x^n
+        # is 1
+        for digits in (1, n + 1, 3 * n + 2):
+            memo = ColumnMemo(n, digits)
+            for loops in range(4):
+                want = delta(n) ** loops
+                low = want.min_degree()
+                assert memo.loop(loops) == [
+                    (-1) ** (n * loops) * want.coeff(low + 4 * i)
+                    for i in range(digits)], (digits, loops)
+            f, one = memo.loop(-1), [1] + [0] * (digits - 1)
+            assert [sum(f[max(0, i - n):i + 1]) for i in range(digits)] == one
 
     def test_column_terms_are_kept_per_reach(self):
         # shrinking the second column of (0, k) at color 4 moves exit
