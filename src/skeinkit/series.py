@@ -29,11 +29,12 @@ digit 0 vanishes signals a convention bug, and raises.
 
 Two precisions.  A ``ColumnMemo`` holds one color at one precision, its
 digits: its series, the plan, the budget count, the L1 bound and the
-digit width are all taken modulo x^digits.  A sum takes its products at
-its own precision, at most the memo's: the digits its window needs
-(``ring_window``), or the top of its span plus two (``ring_polynomial``).
-No coefficient of a product passes the product of its factors' L1 norms,
-so the memo's width holds each product before it is masked to the sum's.
+digit width are taken modulo x^digits, and a column's packed sum modulo
+X^m at its exit's reach m.  A sum takes its products at its own precision,
+at most the memo's: the digits its window needs (``ring_window``), or the
+top of its span plus two (``ring_polynomial``).  No coefficient of a
+product passes the product of its factors' L1 norms, so the memo's width
+holds each product before it is masked to the sum's.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
@@ -45,21 +46,21 @@ of one column of k crossings is an unknot with k curls: it is one loop
 times the curl monomial twist_0^k = ((-1)^n A^(n^2+2n))^k.  Summed as a
 ring, its exits would cancel far into its nominal bottom.
 
-The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends
-only on the color, the exit q and its count k, so a ``ColumnMemo`` keeps
-it for one color at one precision: the channels' twist monomials; one
-record per column keyed by (q, k, m), its channels below the exit's
-reach m with their L1 bound and packed sums by width; each symmetric
-tet/theta part keyed by (a, b); and with its L1 norm and packings by
-width each c[q][p], keyed by (q, p), and each loop factor, keyed by its
-loops.  ``invariants.family_windows`` makes one per run of members at
-one color, at the precision of the run's largest window, so a member
-rebuilds only the columns whose count changed.  A full polynomial makes
-its own, unless it runs inside ``shared_memos()``: there each color
+The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends only
+on the color, the exit q and its count k, so a ``ColumnMemo`` keeps, for
+one color at one precision, one ``ColumnRecord`` per column key (q, k,
+m): its channels below the exit's reach m, their L1 bound and its packed
+sums by width.  Each c[q][p], keyed by (q, p), and each loop factor, keyed
+by its loops, is a ``SeriesRecord``: the series, its L1 norm and its
+packings by width; the symmetric tet/theta part of c[q][p] is kept once
+per pair (a, b).  ``invariants.family_windows`` makes one memo per run of
+members at one color, at the precision of the run's largest window, so a
+member rebuilds only the columns whose count changed.  A full polynomial
+makes its own, unless it runs inside ``shared_memos()``: there each color
 keeps the memo of its longest span so far, which serves every shorter
 one, and a longer span replaces it; ``skein verify`` keeps them for one
-suite.  No memo outlives its family or its block, so nothing it holds
-goes stale and no weight is held after it.
+suite.  No memo outlives its family or its block, so nothing it holds goes
+stale and no weight is held after it.
 
 What is walked.  Exit q of a ring of r >= 2 nonzero columns starts r
 q(q+1)/2 - q digits above exit 0, whatever the counts (``_plan``), so the
@@ -93,6 +94,7 @@ from .algebra import (
     ExactDivisionError,
     LaurentPoly,
     QPoly,
+    _pack,
     _unpack_digits,
     substitute_quarter,
 )
@@ -347,19 +349,6 @@ def _symmetric(n: int, a: int, b: int, digits: int) -> list[int]:
     return total
 
 
-def _pack_series(c: list[int], width: int) -> int:
-    # sum of c[i] * X^i at X = 2^(8*width), each |c[i]| < X/2 offset by X/2
-    half = 1 << (8 * width - 1)
-    raw = b"".join([(x + half).to_bytes(width, "little") for x in c])
-    offset = half.to_bytes(width, "little") * len(c)
-    return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
-
-
-def _ones(length: int, width: int) -> int:
-    # 1 + X + ... + X^(length-1), a loop value delta(m) with length m + 1
-    return int.from_bytes((1).to_bytes(width, "little") * length, "little")
-
-
 def _mask(t: int, digits: int, width: int) -> int:
     # the representative of t modulo X^digits nearest 0
     top = 1 << (8 * width * digits)
@@ -391,21 +380,31 @@ def _least(n: int, q: int, k: int) -> int:
 
 @dataclass(eq=False, slots=True)
 class ColumnRecord:
-    """A column on exit q below its reach: its terms, each (digit offset,
+    """A column on exit q below its reach m: its terms, each (digit offset,
     negated, channel p), then their L1 bound and packed sums by width."""
 
     q: int
+    m: int
     terms: list[tuple[int, bool, int]]
     norm: int | None = None
     packs: dict[int, int] = field(default_factory=dict)
 
 
-def _packed(held: tuple[list[int], int, dict], width: int) -> int:
-    # a held series (see ``ColumnMemo._held``) packed at one width
-    series, _, packs = held
-    if width not in packs:
-        packs[width] = _pack_series(series, width)
-    return packs[width]
+class SeriesRecord:
+    """A weight or a loop factor modulo x^digits, its L1 norm and its
+    packings by width (a run mostly keeps one width, so about one each)."""
+
+    __slots__ = ("coeffs", "norm", "packs")
+
+    def __init__(self, coeffs: list[int]) -> None:
+        self.coeffs, self.norm, self.packs = coeffs, sum(map(abs, coeffs)), {}
+
+    def pack(self, width: int) -> int:
+        """The series at X = 2^(8*width), packed on first need."""
+        packs = self.packs
+        if width not in packs:
+            packs[width] = _pack(dict(enumerate(self.coeffs)), 0, 1, width)
+        return packs[width]
 
 
 class ColumnMemo:
@@ -421,7 +420,8 @@ class ColumnMemo:
         self._mus = [_twist(n, p) for p in range(n + 1)]
         self._columns: dict = {}
         self._symmetric: dict = {}
-        self._series: dict = {}
+        self._channels: dict = {}
+        self._loops: dict = {}
 
     def column(self, q: int, k: int, m: int) -> ColumnRecord:
         """The record of a column of k crossings on exit q below digit
@@ -442,36 +442,32 @@ class ColumnMemo:
                 if off >= m:
                     break
                 terms.append((off, s < 0 and k % 2 == 1, p))
-            record = self._columns[q, k, m] = ColumnRecord(q, terms)
+            record = self._columns[q, k, m] = ColumnRecord(q, m, terms)
         return record
 
     def bound(self, record: ColumnRecord) -> int:
         """The L1 bound of the record's terms, summed on first need."""
         if record.norm is None:
-            record.norm = sum(self._held((record.q, p))[1]
+            record.norm = sum(self._channel(record.q, p).norm
                               for _, _, p in record.terms)
         return record.norm
 
     def pack(self, record: ColumnRecord, width: int) -> int:
-        """The record's terms summed at X = 2^(8*width), once per width."""
+        """The record's terms at X = 2^(8*width) modulo X^m, once per width."""
         packs = record.packs
         if width not in packs:
             digit, acc = 8 * width, 0
             for off, neg, p in record.terms:
-                c = _packed(self._held((record.q, p)), width) << (digit * off)
+                c = self._channel(record.q, p).pack(width) << (digit * off)
                 acc = acc - c if neg else acc + c
-            packs[width] = acc
+            packs[width] = _mask(acc, record.m, width)
         return packs[width]
 
-    def _held(self, key) -> tuple[list[int], int, dict[int, int]]:
-        # c[q][p] at key (q, p), or the loop factor at key loops, with its
-        # L1 norm and packings by width (members of one run mostly share
-        # their width, so each is packed about once per run), built once
-        held = self._series.get(key)
-        if held is None:
-            f = self.weight(*key) if type(key) is tuple else self.loop(key)
-            held = self._series[key] = f, sum(map(abs, f)), {}
-        return held
+    def _channel(self, q: int, p: int) -> SeriesRecord:
+        # c[q][p], built on first use
+        if (q, p) not in self._channels:
+            self._channels[q, p] = SeriesRecord(self.weight(q, p))
+        return self._channels[q, p]
 
     def weight(self, q: int, p: int) -> list[int]:
         """c[q][p] = delta(2p) tet / (theta_p theta_q) modulo x^digits above
@@ -490,16 +486,19 @@ class ColumnMemo:
         _over(c, 1)
         return c
 
-    def loop(self, loops: int) -> list[int]:
-        """(1 + x + ... + x^n)^loops modulo x^digits, for loops >= -1:
-        delta(n)^loops is (-1)^(n loops) A^(-2n loops) times it, each
-        delta(n) a (1 - x^(n+1)) / (1 - x)."""
-        f = [1] + [0] * (self.digits - 1)
-        up, down = (self.n + 1, 1) if loops >= 0 else (1, self.n + 1)
-        for _ in range(abs(loops)):
-            _times(f, up)
-            _over(f, down)
-        return f
+    def loop_factor(self, loops: int) -> SeriesRecord:
+        """(1 + x + ... + x^n)^loops modulo x^digits, for loops >= -1,
+        built on first use: delta(n)^loops is (-1)^(n loops) A^(-2n loops)
+        times it, each delta(n) a (1 - x^(n+1)) / (1 - x)."""
+        held = self._loops.get(loops)
+        if held is None:
+            f = [1] + [0] * (self.digits - 1)
+            up, down = (self.n + 1, 1) if loops >= 0 else (1, self.n + 1)
+            for _ in range(abs(loops)):
+                _times(f, up)
+                _over(f, down)
+            held = self._loops[loops] = SeriesRecord(f)
+        return held
 
 
 def _fold(n: int, twists: Sequence[int], loops: int):
@@ -579,27 +578,26 @@ def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
     exponent, and its ``need`` digits.  Digit 0 is the bracket's lowest
     coefficient; ``ExactDivisionError`` is raised when it vanishes.
 
-    ``need`` is at most the memo's precision, at which the plan, the
-    budget count, the L1 bound, the digit width and the packed series are
-    taken (see "Two precisions" in the module docstring).
+    ``need`` is at most the memo's precision (see "Two precisions" in the
+    module docstring).
     """
     n = memo.n
     exits, columns, loops, (curl, sign) = _fold(n, twists, loops)
     plan = _plan(memo, exits, columns, max_networks)
-    loop = memo._held(loops)
-    bound = loop[1] * sum(length * math.prod(map(memo.bound, records))
+    loop = memo.loop_factor(loops)
+    bound = loop.norm * sum(length * math.prod(map(memo.bound, records))
                           for _, _, length, records in plan)
     width = bound.bit_length() // 8 + 1
-    total = 0
+    one, total = (1).to_bytes(width, "little"), 0  # delta(2q) is all ones
     for _, at, length, records in plan:
         if at >= need:
             break
         cut = need - at  # the exit's reach at ``need``
-        prod = _ones(min(length, cut), width)
+        prod = int.from_bytes(one * min(length, cut), "little")
         for record in records:
             prod = _mask(prod * memo.pack(record, width), cut, width)
         total += prod << (8 * width * at)
-    total = _mask(total * _packed(loop, width), need, width)
+    total = _mask(total * loop.pack(width), need, width)
     out = _unpack_digits(total, need, width)
     if not out[0]:
         raise ExactDivisionError(

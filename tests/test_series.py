@@ -25,6 +25,7 @@ from skeinkit import invariants, series
 from skeinkit.algebra import (
     ExactDivisionError,
     LaurentPoly,
+    _unpack_digits,
     delta,
     exact_div,
     substitute_quarter,
@@ -458,6 +459,25 @@ class TestColumnMemo:
         assert counts == {(2, 5, 1): {1, 2, 5},
                           **{(2, 5, k): {k} for k in (3, 4, 6, 7, 8)}}
 
+    def test_a_column_is_packed_below_its_reach(self):
+        # exit q of the published 2,5,k row at color 200 reaches m = 201 -
+        # at(q) digits; each column is packed to those m digits, not 201
+        memo = ColumnMemo(200, 201)
+        plan = series._plan(memo, range(201), (2, 5, 200), 10**6)
+        assert [rs[0].m for *_, rs in plan] == [
+            201 - (3 * q * (q + 1) // 2 - q) for q in range(12)]
+        for _, _, _, records in plan:
+            for record in records:
+                width = memo.bound(record).bit_length() // 8 + 1
+                want = [0] * record.m
+                for off, neg, p in record.terms:
+                    w = memo.weight(record.q, p)[:record.m - off]
+                    for i, c in enumerate(w):
+                        want[off + i] += -c if neg else c
+                packed = memo.pack(record, width)
+                assert abs(packed) < 1 << (8 * width * record.m - 1)
+                assert _unpack_digits(packed, record.m, width) == want
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_loop_factor_is_a_power_of_delta(self, n):
         # read in x = A^4 from its bottom, up to the sign (-1)^(n loops)
@@ -468,10 +488,10 @@ class TestColumnMemo:
             for loops in range(4):
                 want = delta(n) ** loops
                 low = want.min_degree()
-                assert memo.loop(loops) == [
+                assert memo.loop_factor(loops).coeffs == [
                     (-1) ** (n * loops) * want.coeff(low + 4 * i)
                     for i in range(digits)], (digits, loops)
-            f, one = memo.loop(-1), [1] + [0] * (digits - 1)
+            f, one = memo.loop_factor(-1).coeffs, [1] + [0] * (digits - 1)
             assert [sum(f[max(0, i - n):i + 1]) for i in range(digits)] == one
 
     def test_column_terms_are_kept_per_reach(self):
