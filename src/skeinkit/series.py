@@ -15,20 +15,22 @@ j < M matter modulo x^M.  Every channel weight is such a series and a
 twist monomial is a digit shift, so ``_ring_digits`` takes the ring sum
 modulo x^M above its nominal lowest exponent with no common denominator
 and no division, and never computes a term that starts at digit M or
-beyond.  The loop factor delta(n)^loops is (-1)^(n loops) A^(-2n loops)
-(1 + x + ... + x^n)^loops, one more series, so dividing by delta(n) is
-one multiplication by (1 - x) / (1 - x^(n+1)).  The sum is evaluated as
-Python ints at X = 2^(8*width), masked after every product (x^i -> X^i is
-a ring map from Z[x]/(x^M) onto Z/X^M), with the width sized by the L1 bound
-|delta(n)^loops|_1 sum_q |delta(2q)|_1 prod_columns sum_p |c[q][p]|_1 of
-the truncated series.  Digit 0 is the bracket's lowest coefficient: a ring
-of two or more columns is a reduced alternating diagram, hence adequate,
-so its coefficient at the nominal lowest exponent is +-1 (Armond, "The
-head and tail conjecture for alternating knots", AGT 2013).  A sum whose
-digit 0 vanishes signals a convention bug, and raises.
+beyond.  The sum is evaluated as Python ints at X = 2^(8*width), masked
+after every product (x^i -> X^i is a ring map from Z[x]/(x^M) onto
+Z/X^M), with the width sized by the L1 bound sum_q |delta(2q)|_1
+prod_columns sum_p |c[q][p]|_1 of the truncated series.  The loop factor
+delta(n)^loops is (-1)^(n loops) A^(-2n loops) (1 + x + ... + x^n)^loops,
+and 1 + x + ... + x^n is (1 - x^(n+1)) / (1 - x), so it is taken on the
+decoded digits with the weights' own steps: per loop one ``_times`` and
+one ``_over``, the two swapped to divide one delta(n) out.  Digit 0 is
+the bracket's lowest coefficient: a ring of two or more columns is a
+reduced alternating diagram, hence adequate, so its coefficient at the
+nominal lowest exponent is +-1 (Armond, "The head and tail conjecture for
+alternating knots", AGT 2013).  A sum whose digit 0 vanishes signals a
+convention bug, and raises.
 
 Two precisions.  A ``ColumnMemo`` holds one color at one precision, its
-digits: its series, the plan, the budget count, the L1 bound and the
+digits: its weights, the plan, the budget count, the L1 bound and the
 digit width are taken modulo x^digits, and a column's packed sum modulo
 X^m at its exit's reach m.  A sum takes its products at its own precision,
 at most the memo's: the digits its window needs (``ring_window``), or the
@@ -50,17 +52,17 @@ The column memo.  A column's factor sum_p c[q][p] * twist_p^k depends only
 on the color, the exit q and its count k, so a ``ColumnMemo`` keeps, for
 one color at one precision, one ``ColumnRecord`` per column key (q, k,
 m): its channels below the exit's reach m, their L1 bound and its packed
-sums by width.  Each c[q][p], keyed by (q, p), and each loop factor, keyed
-by its loops, is a ``SeriesRecord``: the series, its L1 norm and its
-packings by width; the symmetric tet/theta part of c[q][p] is kept once
-per pair (a, b).  ``invariants.family_windows`` makes one memo per run of
-members at one color, at the precision of the run's largest window, so a
-member rebuilds only the columns whose count changed.  A full polynomial
-makes its own, unless it runs inside ``shared_memos()``: there each color
-keeps the memo of its longest span so far, which serves every shorter
-one, and a longer span replaces it; ``skein verify`` keeps them for one
-suite.  No memo outlives its family or its block, so nothing it holds goes
-stale and no weight is held after it.
+sums by width.  Each c[q][p], keyed by (q, p), is a ``SeriesRecord``: the
+series, its L1 norm and its packings by width; the symmetric tet/theta
+part of c[q][p] is kept once per pair (a, b).
+``invariants.family_windows`` makes one memo per run of members at one
+color, at the precision of the run's largest window, so a member rebuilds
+only the columns whose count changed.  A full polynomial makes its own,
+unless it runs inside ``shared_memos()``: there each color keeps the memo
+of its longest span so far, which serves every shorter one, and a longer
+span replaces it; ``skein verify`` keeps them for one suite.  No memo
+outlives its family or its block, so nothing it holds goes stale and no
+weight is held after it.
 
 What is walked.  Exit q of a ring of r >= 2 nonzero columns starts r
 q(q+1)/2 - q digits above exit 0, whatever the counts (``_plan``), so the
@@ -391,8 +393,8 @@ class ColumnRecord:
 
 
 class SeriesRecord:
-    """A weight or a loop factor modulo x^digits, its L1 norm and its
-    packings by width (a run mostly keeps one width, so about one each)."""
+    """A weight c[q][p] modulo x^digits, its L1 norm and its packings by
+    width (a run mostly keeps one width, so about one each)."""
 
     __slots__ = ("coeffs", "norm", "packs")
 
@@ -408,20 +410,25 @@ class SeriesRecord:
 
 
 class ColumnMemo:
-    """The column and loop factors of ring sums at color ``n`` modulo
-    x^digits, for one run of members at its one precision ``digits`` (what
-    it holds, and under which keys, is in the module docstring)."""
+    """The column factors of ring sums at color ``n`` modulo x^digits,
+    for one run of members at its one precision ``digits`` (what it
+    holds, and under which keys, is in the module docstring)."""
 
     def __init__(self, n: int, digits: int) -> None:
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (n, digits)):
+            raise TypeError("color and precision must be ints, got "
+                            f"{n!r} and {digits!r}")
         if n < 0:
             raise ValueError(f"color must be nonnegative, got {n}")
+        if digits < 1:
+            raise ValueError(f"precision must be positive, got {digits}")
         self.n = n
         self.digits = digits
         self._mus = [_twist(n, p) for p in range(n + 1)]
         self._columns: dict = {}
         self._symmetric: dict = {}
         self._channels: dict = {}
-        self._loops: dict = {}
 
     def column(self, q: int, k: int, m: int) -> ColumnRecord:
         """The record of a column of k crossings on exit q below digit
@@ -485,20 +492,6 @@ class ColumnMemo:
         _times(c, 2 * p + 1)
         _over(c, 1)
         return c
-
-    def loop_factor(self, loops: int) -> SeriesRecord:
-        """(1 + x + ... + x^n)^loops modulo x^digits, for loops >= -1,
-        built on first use: delta(n)^loops is (-1)^(n loops) A^(-2n loops)
-        times it, each delta(n) a (1 - x^(n+1)) / (1 - x)."""
-        held = self._loops.get(loops)
-        if held is None:
-            f = [1] + [0] * (self.digits - 1)
-            up, down = (self.n + 1, 1) if loops >= 0 else (1, self.n + 1)
-            for _ in range(abs(loops)):
-                _times(f, up)
-                _over(f, down)
-            held = self._loops[loops] = SeriesRecord(f)
-        return held
 
 
 def _fold(n: int, twists: Sequence[int], loops: int):
@@ -584,9 +577,8 @@ def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
     n = memo.n
     exits, columns, loops, (curl, sign) = _fold(n, twists, loops)
     plan = _plan(memo, exits, columns, max_networks)
-    loop = memo.loop_factor(loops)
-    bound = loop.norm * sum(length * math.prod(map(memo.bound, records))
-                          for _, _, length, records in plan)
+    bound = sum(length * math.prod(map(memo.bound, records))
+                for _, _, length, records in plan)
     width = bound.bit_length() // 8 + 1
     one, total = (1).to_bytes(width, "little"), 0  # delta(2q) is all ones
     for _, at, length, records in plan:
@@ -597,8 +589,12 @@ def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
         for record in records:
             prod = _mask(prod * memo.pack(record, width), cut, width)
         total += prod << (8 * width * at)
-    total = _mask(total * loop.pack(width), need, width)
     out = _unpack_digits(total, need, width)
+    # times (1 + x + ... + x^n)^loops, each factor (1 - x^(n+1)) / (1 - x)
+    up, down = (n + 1, 1) if loops >= 0 else (1, n + 1)
+    for _ in range(abs(loops)):
+        _times(out, up)
+        _over(out, down)
     if not out[0]:
         raise ExactDivisionError(
             "fused bracket vanishes at its nominal lowest exponent; this "
@@ -663,8 +659,8 @@ def _ring_polynomial(n: int, twists: Sequence[int], loops: int, *,
 def ring_polynomial(ring: Ring, n: int, *, reduced: bool = False,
                     max_networks: int = 100_000) -> LaurentPoly | QPoly:
     """The fused bracket of ``ring`` at color n, whole; with ``reduced``,
-    its reduced polynomial of index n + 1, the loop factor taken out
-    inside the series and the exponents read in q."""
+    its reduced polynomial of index n + 1, one delta(n) divided out of
+    the ring sum's digits and the exponents read in q."""
     poly = _ring_polynomial(n, ring.counts, ring.loops - reduced,
                             max_networks=max_networks)
     return substitute_quarter(poly) if reduced else poly
@@ -687,6 +683,8 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
     not pass the memo's.  Its digit 0 is the bracket's lowest coefficient
     (see the module docstring), so the window is read off from there.
     """
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise TypeError(f"window length must be an int, got {count!r}")
     if count < 0:
         raise ValueError("window length must be nonnegative")
     need = _window_digits(count, reduced)

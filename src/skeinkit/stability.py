@@ -284,6 +284,8 @@ class FamilySpec:
         columns = tuple(_as_expr(e) for e in self.columns)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "color", _as_expr(self.color))
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not columns:
             raise ValueError("a family needs at least one column")
         for col, e in enumerate(columns, 1):
@@ -472,6 +474,7 @@ def _report(family: str, rate_text: str, params: Sequence[int],
     Each member's window reaches ``depth`` past the longest of its steps
     and, for the last member, the tail.
     """
+    depth = _as_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     counts = [max([1, *required[max(0, j - 1):j + 1]]) + depth

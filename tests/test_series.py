@@ -269,6 +269,23 @@ class TestExitPlan:
         with pytest.raises(ValueError, match="needs 5 digits"):
             ring_window(ring, ColumnMemo(2, 4), 5, reduced=True)
 
+    @pytest.mark.parametrize("error, match, call", [
+        (TypeError, "must be ints", lambda: ColumnMemo(2, 2.5)),
+        (TypeError, "must be ints", lambda: ColumnMemo(True, 3)),
+        (TypeError, "must be ints", lambda: ColumnMemo(2.0, 3)),
+        (ValueError, "precision must be positive", lambda: ColumnMemo(2, 0)),
+        (TypeError, "window length must be an int",
+         lambda: ring_window(Ring((2, 3, 1), 0), ColumnMemo(2, 4), True)),
+        (TypeError, "window length must be an int",
+         lambda: ring_window(Ring((2, 3, 1), 0), ColumnMemo(2, 4), 2.5,
+                             reduced=True)),
+    ])
+    def test_a_memo_or_count_is_checked_where_it_arrives(
+            self, error, match, call):
+        # each is refused where it arrives, not by the first window
+        with pytest.raises(error, match=match):
+            call()
+
     @pytest.mark.parametrize("reduced", [False, True])
     def test_a_negative_count_is_refused(self, reduced):
         # as window_from_bracket and window_from_reduced refuse it
@@ -480,19 +497,23 @@ class TestColumnMemo:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_loop_factor_is_a_power_of_delta(self, n):
-        # read in x = A^4 from its bottom, up to the sign (-1)^(n loops)
-        # that ``_ring_digits`` applies; its inverse times 1 + ... + x^n
-        # is 1
-        for digits in (1, n + 1, 3 * n + 2):
-            memo = ColumnMemo(n, digits)
+        # delta(n)^loops is taken on the decoded digits at the sum's own
+        # precision: whole, reduced (one loop divided out), and in windows
+        # read from a memo wider than the window
+        for counts in ((2, 3, 1), (1, 2), (3,), (2, 0)):
+            bare = ring_polynomial(Ring(counts, 0), n)
             for loops in range(4):
-                want = delta(n) ** loops
-                low = want.min_degree()
-                assert memo.loop_factor(loops).coeffs == [
-                    (-1) ** (n * loops) * want.coeff(low + 4 * i)
-                    for i in range(digits)], (digits, loops)
-            f, one = memo.loop_factor(-1).coeffs, [1] + [0] * (digits - 1)
-            assert [sum(f[max(0, i - n):i + 1]) for i in range(digits)] == one
+                ring = Ring(counts, loops)
+                whole = ring_polynomial(ring, n)
+                assert whole == bare * delta(n) ** loops, (counts, loops)
+                reduced = ring_polynomial(ring, n, reduced=True)
+                assert reduced == substitute_quarter(exact_div(whole, delta(n)))
+                memo = ColumnMemo(n, 3 * n + 2)
+                for count in (1, n, 2 * n + 1):
+                    assert ring_window(ring, memo, count, reduced=True) == (
+                        window_from_reduced(reduced, count))
+                    assert ring_window(ring, memo, 4 * count) == (
+                        window_from_bracket(whole, 4 * count))
 
     def test_column_terms_are_kept_per_reach(self):
         # shrinking the second column of (0, k) at color 4 moves exit

@@ -411,6 +411,25 @@ class TestFamilySpec:
         with pytest.raises(TypeError, match="cannot use True"):
             pretzel_family([2, 5, "k"], True, 1, 2)
 
+    @pytest.mark.parametrize("name, call", [
+        ("start", lambda: pretzel_family("2,3,k", 3, 1.5, 3)),
+        ("start", lambda: pretzel_family("2,3,k", 3, True, 3)),
+        ("stop", lambda: pretzel_family("2,3,k", 3, 1, 3.0)),
+        ("depth", lambda: family_tail(pretzel_family("2,3,k", 3, 1, 3),
+                                      "k+1", depth=True)),
+        ("depth", lambda: family_tail(pretzel_family("2,3,k", 3, 1, 3),
+                                      "k+1", depth=1.5)),
+        ("depth", lambda: check_bracket_rate(pretzel_family("2,3,k", 2, 1, 3),
+                                             depth=1.5)),
+        ("depth", lambda: check_colored_rate(pretzel_family("2,3,k", 2, 1, 3),
+                                             depth=True)),
+    ])
+    def test_a_range_bound_or_depth_must_be_an_int(self, name, call):
+        # a float bound would build, describe itself and die in range();
+        # True would read as 1
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            call()
+
 
 class TestFamilyTail:
     def test_first_table_family(self):
