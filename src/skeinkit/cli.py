@@ -48,7 +48,6 @@ from .invariants import (
     bracket_state_sum,
     bracket_window,
     channel_probe,
-    colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
     reduced_window,
@@ -73,7 +72,6 @@ from .stability import (
     FamilyExpr,
     MemberError,
     WindowError,
-    check_bracket_rate,
     check_color_stability,
     check_colored_rate,
     family_tail,
@@ -678,11 +676,11 @@ def _suite_rate_theorems():
         )
 
     def one_column():
-        report = check_bracket_rate(pretzel_family("8,6,k", 2, 2, 5))
+        report = check_colored_rate(pretzel_family("8,6,k", 2, 2, 5))
         return report.passed, steps_detail(report)
 
     def two_columns():
-        report = check_bracket_rate(pretzel_family("k,k,2", 2, 2, 5))
+        report = check_colored_rate(pretzel_family("k,k,2", 2, 2, 5))
         return report.passed, steps_detail(report)
 
     def colored_rate():
@@ -723,7 +721,8 @@ def _suite_oracle_equivalence():
         def one(counts):
             d = pretzel(counts)
             for n in (1, 2):
-                if colored_bracket_fused(d, n).value != colored_state_sum(d, n).value:
+                if (unreduced_colored_jones(d, n).value
+                        != colored_state_sum(d, n).value):
                     return f"{list(counts)} at n={n}"
             return None
 
@@ -739,7 +738,7 @@ def _suite_oracle_equivalence():
         )
         for counts in shapes:
             d = pretzel(counts)
-            if colored_bracket_fused(d, 1).value != bracket_state_sum(d).value:
+            if unreduced_colored_jones(d, 1).value != bracket_state_sum(d).value:
                 return False, f"disagreement at {counts}"
         return True, f"{len(shapes)} pretzels up to 20 crossings"
 

@@ -43,7 +43,6 @@ __all__ = [
     "is_minus_adequate",
     "is_adequate",
     "is_alternating",
-    "relabel_arcs",
 ]
 
 
@@ -655,18 +654,3 @@ def is_alternating(diagram: LinkDiagram) -> bool:
         for slot, a in enumerate(x):
             slots_of.setdefault(a, []).append(slot)
     return all(s0 % 2 != s1 % 2 for s0, s1 in slots_of.values())
-
-
-# -- arc relabeling ------------------------------------------------------------
-
-
-def relabel_arcs(diagram: LinkDiagram, mapping: Mapping[int, int]) -> LinkDiagram:
-    """Apply an injective arc relabeling; labels not mapped stay put."""
-    arcs = diagram.arcs()
-    image = {mapping.get(a, a) for a in arcs}
-    if len(image) != len(arcs):
-        raise DiagramError("arc relabeling is not injective")
-    crossings = tuple(
-        tuple(mapping.get(a, a) for a in x) for x in diagram.crossings
-    )
-    return replace(diagram, crossings=crossings)

@@ -10,16 +10,16 @@ Three independent routes to the same exact values:
   step morphism per color, a power of it per column, and the ring closed
   as the Markov trace of the quarter-turned columns stacked in ring
   order.
-* ``colored_bracket_fused``: the twist-region fast path, the closed-form
-  ring sum of ``series`` over the diagram's ``Ring`` (its column twist
-  counts and free loops, all the path reads of it).  The Temperley-Lieb
-  networks here only check it.
+* the twist-region fast path, the closed-form ring sum of ``series`` over
+  the diagram's ``Ring`` (its column twist counts and free loops, all the
+  path reads of it).  The Temperley-Lieb networks here only check it.
 
 The routers ``unreduced_colored_jones``, ``reduced_jones``,
 ``bracket_window``, ``reduced_window`` and ``family_windows`` send a
-diagram with a ring layout to the series engine.  One without has a
-value at color 1 only, from the frontier sweep (or, without crossings,
-its loop factors at any color); above color 1 it raises ``LayoutError``.
+diagram with a ring layout to the series engine, the fast path.  One
+without has a value at color 1 only, from the frontier sweep (or, without
+crossings, its loop factors at any color); above color 1 it raises
+``LayoutError``.
 Beside them sit the closed-form minimum-degree
 predictors, and ``channel_probe``, the value of the network that
 replaces one region by a single colored channel.
@@ -260,22 +260,6 @@ def _ring_layout(diagram: LinkDiagram) -> tuple[Ring, tuple[int | None, ...]]:
             tuple(ids[first:] + ids[:first]))
 
 
-def colored_bracket_fused(
-    diagram: LinkDiagram, n: int, *, max_networks: int = 100_000
-) -> BracketValue:
-    """Color-n bracket with every twist region fused into channels: the
-    ring sum of the diagram's ring layout, taken as a truncated power
-    series in A^4 to the top of its span (``series.ring_polynomial``).
-    The budget counts the column terms this builds, about r * (n+1)^2.
-    """
-    if n < 1:
-        raise ValueError(f"cable color must be >= 1, got {n}")
-    if diagram.crossing_count == 0:
-        return BracketValue(delta(n) ** diagram.free_loops)
-    ring, _ = _ring_layout(diagram)
-    return BracketValue(ring_polynomial(ring, n, max_networks=max_networks))
-
-
 # -- oracle: the colored state sum ----------------------------------------------
 
 
@@ -412,8 +396,11 @@ def unreduced_colored_jones(diagram: LinkDiagram, n: int, *,
     The value is one representative of the invariant: the framing
     monomial is deliberately left uncorrected, so consumers must only
     rely on normalized coefficient windows.  A diagram with a ring
-    layout routes through the fused path; one without takes the frontier
-    sweep at n = 1 and raises ``LayoutError`` above it.
+    layout routes through the fused path, the ring sum taken as a
+    truncated power series in A^4 to the top of its span
+    (``series.ring_polynomial``), whose budget counts the column terms it
+    builds, about r * (n+1)^2; one without takes the frontier sweep at
+    n = 1 and raises ``LayoutError`` above it.
     """
     return BracketValue(_value(diagram, n, False, max_networks))
 

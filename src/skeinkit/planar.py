@@ -31,18 +31,17 @@ the Wenzl recursion, and the trivalent vertex morphisms built from
 them; these and the crossing morphisms are memoized in memory with
 ``functools.cache``.
 
-Closed networks (theta and tetrahedron graphs, drums, rings of
-smoothing columns) are composed from these pieces and closed by the
-Markov trace; they serve as the first-principles oracle for the
-closed-form evaluations elsewhere.  Each network's last seam is closed
-without being built: ``seam_closure(f, g)`` is ``closure(compose(f,
-g))``, but for each pair of matchings it only counts the loops of the
-picture closed at both seams.  ``closure`` and ``close_pair`` stay as
-the reference it is tested against.  The theta and tetrahedron
-networks carry one projector per edge: their vertices are bare turns,
-and each projector is applied on its own cable (``boxed``), since
-every extra copy of an idempotent multiplies the matchings that
-``compose`` glues.  A closed network's value depends only on how its
+Closed networks (theta graphs and rings of smoothing columns) are
+composed from these pieces and closed by the Markov trace; they serve
+as the first-principles oracle for the closed-form evaluations
+elsewhere.  Each network's last seam is closed without being built:
+``seam_closure(f, g)`` is ``closure(compose(f, g))``, but for each pair
+of matchings it only counts the loops of the picture closed at both
+seams.  ``closure`` and ``close_pair`` stay as the reference it is
+tested against.  The theta network carries one projector per edge: its
+vertices are bare turns, and each projector is applied on its own cable
+(``boxed``), since every extra copy of an idempotent multiplies the
+matchings that ``compose`` glues.  A closed network's value depends only on how its
 strands join.  Since the node order is cyclic, ``quarter_turn`` is a
 relabeling: it turns a column of two cables so that columns set side
 by side in a ring stack instead, and ``close_ring`` closes the ring as
@@ -737,25 +736,6 @@ def theta_network(a: int, b: int, c: int) -> RationalFn:
     return seam_closure(m, _turn(a, b, c, "up"))
 
 
-def tet_network(A: int, B: int, E: int, C: int, D: int, F: int) -> RationalFn:
-    """Tetrahedron network with vertices (A,B,E), (B,C,F), (C,D,E), (D,A,F).
-
-    Opposite edge pairs are (A,C), (B,D), (E,F).  Built as: open the E
-    edge, split into cables A (left) and B (right), pass an F-rung that
-    turns cable A into D and cable B into C, then merge back into E.
-    The vertices are bare turns and each edge carries one projector,
-    placed just before the vertex where the edge ends.  The last turn
-    closes the network at its seam (``seam_closure``).
-    """
-    m = compose(jones_wenzl(E), _turn(A, B, E, "down"))
-    m = _clasp(m, A, 0, B)
-    m = compose(m, boxed(_turn(D, F, A, "down"), 0, B))
-    m = _clasp(_clasp(m, F, D, B), B, D + F, 0)
-    m = compose(m, boxed(_turn(F, B, C, "up"), D, 0))
-    m = _clasp(_clasp(m, D, 0, C), C, D, 0)
-    return seam_closure(m, _turn(D, C, E, "up"))
-
-
 def close_ring(columns: Sequence[TLMorphism]) -> RationalFn:
     """Close 2n -> 2n columns into a network and evaluate it.
 
@@ -776,29 +756,6 @@ def close_ring(columns: Sequence[TLMorphism]) -> RationalFn:
     if len(turned) == 1:
         return closure(turned[0])
     return seam_closure(functools.reduce(compose, turned[:-1]), turned[-1])
-
-
-def drum(n: int, rungs: list[int]) -> RationalFn:
-    """Closed pretzel-shaped network: an n-colored cycle pair with rungs.
-
-    Two concentric n-cables joined by r vertical rungs of even colors
-    2p_i, one per column, closed cyclically by ``close_ring``; 2r
-    trivalent vertices in all.  A single positive rung pinches the
-    cycle pair into a dumbbell, which a clasp kills, so the value is
-    0; all rungs colored 0 leave two disjoint clasped cycles, value
-    delta(n)^2.  Odd or inadmissible rung colors raise
-    ``AdmissibilityError``; the rung list must be nonempty.
-    """
-    if not rungs:
-        raise ValueError("drum needs at least one rung")
-    ps = []
-    for c in rungs:
-        if c % 2:
-            raise AdmissibilityError(f"rung color {c} is odd")
-        if not admissible(n, n, c):
-            raise AdmissibilityError(f"(n, n, {c}) inadmissible for n={n}")
-        ps.append(c // 2)
-    return close_ring([channel_element(n, p) for p in ps])
 
 
 @functools.cache

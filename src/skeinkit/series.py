@@ -30,13 +30,15 @@ alternating knots", AGT 2013).  A sum whose digit 0 vanishes signals a
 convention bug, and raises.
 
 Two precisions.  A ``ColumnMemo`` holds one color at one precision, its
-digits: its weights, the plan, the budget count, the L1 bound and the
-digit width are taken modulo x^digits, and a column's packed sum modulo
-X^m at its exit's reach m.  A sum takes its products at its own precision,
-at most the memo's: the digits its window needs (``ring_window``), or the
-top of its span plus two (``ring_polynomial``).  No coefficient of a
-product passes the product of its factors' L1 norms, so the memo's width
-holds each product before it is masked to the sum's.
+digits: its weights, the plan and the budget count are taken modulo
+x^digits, and a column's packed sum modulo X^m at its exit's reach m.  A
+sum takes its products at its own precision, at most the memo's: the
+digits its window needs (``ring_window``), or the top of its span plus
+two (``ring_polynomial``).  Its L1 bound, and so its digit width, is
+summed over the exits that start below that precision, the only ones it
+reads.  No coefficient of a product passes the product of its factors'
+L1 norms, so that width holds each product before it is masked to the
+sum's.
 
 Zero columns and curls.  A column of 0 crossings is the identity on its
 two cables, so by fusion sum_p c[q][p] is delta(n) at exit 0 and vanishes
@@ -160,10 +162,17 @@ class CoeffList:
             raise WindowError(f"unknown grading units {self.units!r}")
 
 
-def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
-    """The lowest ``count`` A-coefficients, zeros included, anchor recorded."""
+def _window_length(count: int) -> None:
+    # a window's length is an int, not a bool, and nonnegative
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise TypeError(f"window length must be an int, got {count!r}")
     if count < 0:
         raise ValueError("window length must be nonnegative")
+
+
+def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
+    """The lowest ``count`` A-coefficients, zeros included, anchor recorded."""
+    _window_length(count)
     if poly.is_zero():
         raise WindowError("zero polynomial has no coefficient window")
     m = poly.min_degree()
@@ -175,8 +184,7 @@ def window_from_bracket(poly: LaurentPoly, count: int) -> CoeffList:
 def window_from_reduced(qp: QPoly, count: int) -> CoeffList:
     """The lowest ``count`` coefficients of a reduced polynomial, stepping
     by one along the integer q-lattice, anchor recorded."""
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
+    _window_length(count)
     if qp.is_zero():
         raise WindowError("zero polynomial has no coefficient window")
     return CoeffList(tuple(qp.coeffs_from_bottom(count)), "q",
@@ -576,14 +584,14 @@ def _ring_digits(memo: ColumnMemo, twists: Sequence[int], loops: int,
     """
     n = memo.n
     exits, columns, loops, (curl, sign) = _fold(n, twists, loops)
-    plan = _plan(memo, exits, columns, max_networks)
+    # the exits that start below ``need``, the only ones the sum reads
+    plan = [e for e in _plan(memo, exits, columns, max_networks)
+            if e[1] < need]
     bound = sum(length * math.prod(map(memo.bound, records))
                 for _, _, length, records in plan)
     width = bound.bit_length() // 8 + 1
     one, total = (1).to_bytes(width, "little"), 0  # delta(2q) is all ones
     for _, at, length, records in plan:
-        if at >= need:
-            break
         cut = need - at  # the exit's reach at ``need``
         prod = int.from_bytes(one * min(length, cut), "little")
         for record in records:
@@ -683,10 +691,7 @@ def ring_window(ring: Ring, memo: ColumnMemo, count: int, *,
     not pass the memo's.  Its digit 0 is the bracket's lowest coefficient
     (see the module docstring), so the window is read off from there.
     """
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise TypeError(f"window length must be an int, got {count!r}")
-    if count < 0:
-        raise ValueError("window length must be nonnegative")
+    _window_length(count)
     need = _window_digits(count, reduced)
     if need > memo.digits:
         raise ValueError(f"a window of {count} needs {need} digits; the "

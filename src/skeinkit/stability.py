@@ -48,7 +48,6 @@ __all__ = [
     "StepCheck",
     "TailReport",
     "WindowError",
-    "check_bracket_rate",
     "check_color_stability",
     "check_colored_rate",
     "family_tail",
@@ -56,7 +55,6 @@ __all__ = [
     "normalize",
     "pretzel_family",
     "reduced_windows",
-    "stable_prefix",
     "window_from_bracket",
     "window_from_reduced",
 ]
@@ -101,15 +99,6 @@ def n_equivalent(p1: CoeffList, p2: CoeffList, n: int) -> bool:
     if n == 0:
         return True
     return normalize(p1).coeffs[:n] == normalize(p2).coeffs[:n]
-
-
-def stable_prefix(p1: CoeffList, p2: CoeffList) -> int:
-    """Largest n with the windows n-equivalent, capped by the shorter window."""
-    if p1.units != p2.units:
-        raise WindowError(f"grading units differ: {p1.units!r} vs {p2.units!r}")
-    if not p1.coeffs or not p2.coeffs:
-        return 0
-    return _common_prefix(normalize(p1).coeffs, normalize(p2).coeffs)
 
 
 def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
@@ -536,17 +525,24 @@ def _varied_min(spec: FamilySpec, earlier: int, later: int) -> int | None:
     return min(sizes) if sizes else None
 
 
-def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
-                      cable: Callable[[int], int]) -> TailReport:
-    """Stepwise A-unit agreement of the members' cabled bracket windows.
+def check_colored_rate(spec: FamilySpec, *, rate=None,
+                       depth: int = 2) -> TailReport:
+    """Stepwise colored agreement in A-units for a twist family.
 
-    ``cable(k)`` is the cable color of member k.  A custom rate is
-    evaluated at the later member of each step; the default claim is
-    4n(m-1)+4, with n the later member's cable color and m the smallest
-    region size that changed over the step (4m at n = 1).
+    The members are raw cabled brackets at cable color n, one below the
+    family's index (the classical bracket at index 2).  The default claim
+    is 4n(k-1)+4, with n the later member's cable color and k the
+    smallest region size that changed over the step, at the later member
+    (4k at n = 1); a custom rate is evaluated at the later member as
+    well.  Reduced windows in q-units are ``family_tail``'s.
     """
     params = list(spec.parameters())
-    rate_fn, rate_text = (None, default_text) if rate is None else _coerce_rate(rate)
+    rate_fn, rate_text = ((None, "4*n*(min(k_i)-1)+4") if rate is None
+                          else _coerce_rate(rate))
+
+    def cable(k: int) -> int:
+        return spec.member_color(k) - 1
+
     required = []
     for earlier, later in zip(params, params[1:]):
         if rate_fn is not None:
@@ -557,30 +553,6 @@ def _step_rate_report(spec: FamilySpec, rate, depth: int, default_text: str,
         required.append(max(0, 4 * n * (m - 1) + 4) if m is not None else 0)
     return _report(spec.describe(), rate_text, params, params[1:], required,
                    required[-1] if required else 1, depth, spec.member, cable)
-
-
-def check_bracket_rate(spec: FamilySpec, *, rate=None,
-                       depth: int = 2) -> TailReport:
-    """Stepwise bracket agreement in A-units for a twist family.
-
-    The default claim is four times the smallest changed region size at the
-    later member of each step; a custom rate is evaluated at the later
-    member as well.
-    """
-    return _step_rate_report(spec, rate, depth, "4*min(k_i)", lambda k: 1)
-
-
-def check_colored_rate(spec: FamilySpec, *, rate=None,
-                       depth: int = 2) -> TailReport:
-    """Stepwise colored agreement in A-units for a twist family.
-
-    The members are raw cabled brackets, and the default claim is
-    4n(k-1)+4 with n the cable color and k the smallest changed region
-    size at the later member; a custom rate is evaluated at the later
-    member as well.  Reduced windows in q-units are ``family_tail``'s.
-    """
-    return _step_rate_report(spec, rate, depth, "4*n*(min(k_i)-1)+4",
-                             lambda k: spec.member_color(k) - 1)
 
 
 def check_color_stability(diagram: LinkDiagram, colors: Sequence[int], *,

@@ -2,7 +2,7 @@
 
 Every vertex here is ``vertex_morphism``, which carries a projector on
 each of its three legs, so every edge meets two or three projectors.
-``planar.theta_network`` and ``planar.tet_network`` put one projector
+``planar.theta_network`` and ``helpers.tet_network`` put one projector
 on each edge instead, with bare turns at the vertices; projectors are
 idempotent, so the values agree, and the tests compare the two.
 """
@@ -17,7 +17,7 @@ def clasped_theta(a, b, c):
 
 
 def clasped_tet(A, B, E, C, D, F):
-    """The tetrahedron of ``planar.tet_network`` from clasped vertices."""
+    """The tetrahedron of ``helpers.tet_network`` from clasped vertices."""
     m = compose(jones_wenzl(E), vertex_morphism(A, B, E, "down"))
     m = compose(m, boxed(vertex_morphism(D, F, A, "down"), 0, B))
     m = compose(m, boxed(vertex_morphism(F, B, C, "up"), D, 0))

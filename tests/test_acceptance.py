@@ -13,7 +13,9 @@ from skeinkit.algebra import LaurentPoly, RationalFn, delta, min_degree, theta, 
 from skeinkit.cli import main as cli_main
 from skeinkit.diagram import pretzel
 from skeinkit.invariants import reduced_jones
-from skeinkit.stability import normalize, stable_prefix, window_from_reduced
+from skeinkit.stability import normalize, window_from_reduced
+
+from helpers import stable_prefix
 
 # published coefficient tables; every shorter row is a prefix of the last one
 T1 = (1, -1, 3, -4, 6, -8, 10, -11, 13, -13, 14)

@@ -17,7 +17,6 @@ from skeinkit import (
     State,
     TwistRegion,
     apply_state,
-    colored_bracket_fused,
     is_adequate,
     is_minus_adequate,
     minus_graph,
@@ -25,8 +24,10 @@ from skeinkit import (
     plus_graph,
     pretzel,
     reduced_minus_graph,
-    relabel_arcs,
+    unreduced_colored_jones,
 )
+
+from helpers import relabel_arcs
 
 UNKNOT = LinkDiagram((), free_loops=1)
 
@@ -704,8 +705,8 @@ class TestRecordedSides:
         want = pretzel([3, 0, 4, 0, 0, 2])
         assert d == want and "rails" not in d.to_json()
         for n in (1, 2, 3):
-            assert (colored_bracket_fused(d, n).value
-                    == colored_bracket_fused(want, n).value)
+            assert (unreduced_colored_jones(d, n).value
+                    == unreduced_colored_jones(want, n).value)
 
     @given(counts_st, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -759,7 +760,7 @@ class TestRecordedSides:
                 1 for d in built for reg in d.twist_regions if reg.count
             )
             walks.clear()
-            colored_bracket_fused(member, 2)
+            unreduced_colored_jones(member, 2)
             assert walks == []
 
     @pytest.mark.parametrize(

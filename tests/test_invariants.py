@@ -55,13 +55,13 @@ from skeinkit.invariants import (
     _ring_layout,
     bracket_state_sum,
     channel_probe,
-    colored_bracket_fused,
     colored_state_sum,
     predicted_min_degree,
     reduced_jones,
     reduced_window,
     unreduced_colored_jones,
 )
+from skeinkit.cli import _run_check, _suite_oracle_equivalence
 from skeinkit.stability import check_color_stability
 from skeinkit.series import (
     ColumnMemo,
@@ -74,13 +74,13 @@ from skeinkit.planar import (
     channel_element,
     close_ring,
     compose,
-    drum,
     jones_wenzl,
     seam_closure,
     tensor,
     turnback,
 )
 
+from helpers import drum
 from plat_oracle import plat_close
 
 HOPF_TRACE = "PD[X[1,4,2,3],X[3,2,4,1]]"
@@ -134,6 +134,14 @@ def schoolbook_ring(diagram, n):
             prod = prod * col
         total = total + prod
     return total.reduce().to_poly()
+
+
+def ring_bracket(diagram, n):
+    """The fused route's value, ``unreduced_colored_jones``, of a diagram
+    that must have a ring layout: without one, color 1 takes the frontier
+    sweep, and a comparison with the sweep would compare it with itself."""
+    _ring_layout(diagram)  # raises LayoutError
+    return unreduced_colored_jones(diagram, n).value
 
 
 def clear_weights():
@@ -267,7 +275,7 @@ class TestColoredStateSum:
         # cap; 3 and 4 times 1430^2 for [1, 1, 1] and [2, 2, 2] at color 4,
         # refused before anything is composed
         d = pretzel([3, 3, 3])
-        assert colored_state_sum(d, 3).value == colored_bracket_fused(d, 3).value
+        assert colored_state_sum(d, 3).value == unreduced_colored_jones(d, 3).value
 
         def refuse(f, g):
             raise AssertionError("composed or closed past the budget")
@@ -307,7 +315,7 @@ class TestColoredStateSum:
         assert len(widths) == (n + 1) + max(twists) + len(twists) - 1
         assert max(widths) == 2 * n
         monkeypatch.undo()
-        assert value == colored_bracket_fused(d, n).value
+        assert value == unreduced_colored_jones(d, n).value
 
     @pytest.mark.parametrize("first,second", [
         ([2, 0, 3], [3, 1, 2, 2]), ([1, 3, 1, 3], [3, 3]), ([2, 2], HOPF_TRACE),
@@ -324,7 +332,7 @@ class TestColoredStateSum:
         value = colored_state_sum(d, n).value
         assert widths == [2 * n] * seams
         monkeypatch.undo()
-        assert value == colored_bracket_fused(d, n).value
+        assert value == unreduced_colored_jones(d, n).value
 
     def test_unlabeled_crossing_is_refused_above_color_one(self):
         d = pretzel([1, 1, 1])
@@ -364,8 +372,7 @@ class TestFusedChannels:
     )
     def test_agrees_with_classical_bracket(self, counts):
         d = pretzel(counts)
-        fused = colored_bracket_fused(d, 1).value
-        assert fused == bracket_state_sum(d).value
+        assert ring_bracket(d, 1) == bracket_state_sum(d).value
 
     @pytest.mark.parametrize(
         "counts", [[0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 0, 0, 2], [0, 2, 0, 0]]
@@ -373,27 +380,27 @@ class TestFusedChannels:
     def test_regions_smoothed_away_leave_no_column(self, counts):
         d = pretzel(counts)
         assert any(d.sides[reg.rid] is None for reg in d.twist_regions)
-        fused = {n: colored_bracket_fused(d, n).value for n in (1, 2, 3)}
+        fused = {n: ring_bracket(d, n) for n in (1, 2, 3)}
         assert fused[1] == bracket_state_sum(d).value
         for n in (1, 2, 3):
             assert fused[n] == colored_state_sum(d, n).value
 
     def test_agrees_with_classical_bracket_on_trace_drawing(self):
         d = parse_pd(HOPF_TRACE)
-        assert colored_bracket_fused(d, 1).value == bracket_state_sum(d).value
+        assert ring_bracket(d, 1) == bracket_state_sum(d).value
 
     @pytest.mark.parametrize(
         "counts", [[1, 1], [2, 1], [1, 1, 1], [2, 2, 2], [2, 0, 2], [3, 2, 1]]
     )
     def test_agrees_with_colored_state_sum(self, counts):
         d = pretzel(counts)
-        assert colored_bracket_fused(d, 2).value == colored_state_sum(d, 2).value
+        assert unreduced_colored_jones(d, 2).value == colored_state_sum(d, 2).value
 
     def test_agrees_with_colored_state_sum_color_three(self):
         for counts in ([1, 1], [2, 1]):
             d = pretzel(counts)
             assert (
-                colored_bracket_fused(d, 3).value
+                unreduced_colored_jones(d, 3).value
                 == colored_state_sum(d, 3).value
             )
 
@@ -402,11 +409,11 @@ class TestFusedChannels:
     )
     def test_agrees_with_colored_state_sum_color_three_rings(self, counts):
         d = pretzel(counts)
-        assert colored_state_sum(d, 3).value == colored_bracket_fused(d, 3).value
+        assert colored_state_sum(d, 3).value == unreduced_colored_jones(d, 3).value
 
     def test_trace_drawing_higher_color(self):
         d = parse_pd(HOPF_TRACE)
-        assert colored_bracket_fused(d, 2).value == colored_state_sum(d, 2).value
+        assert unreduced_colored_jones(d, 2).value == colored_state_sum(d, 2).value
 
     @pytest.mark.parametrize(
         "counts,n",
@@ -433,11 +440,11 @@ class TestFusedChannels:
                 w = w * twist_coeff(n, n, 2 * p) ** k
             columns = [channel_element(n, p) for p in ps]
             total = total + w * close_ring(columns)
-        assert total.reduce().to_poly() == colored_bracket_fused(d, n).value
+        assert total.reduce().to_poly() == unreduced_colored_jones(d, n).value
 
     def test_needs_no_temperley_lieb_network(self, monkeypatch):
         ring, trace = pretzel([2, 3, 1]), parse_pd(HOPF_TRACE)
-        want = [colored_bracket_fused(d, n).value
+        want = [unreduced_colored_jones(d, n).value
                 for d in (ring, trace) for n in (2, 3)]
 
         def refuse(*args, **kwargs):
@@ -449,7 +456,7 @@ class TestFusedChannels:
             if hasattr(invariants, name):
                 monkeypatch.setattr(invariants, name, refuse)
         clear_weights()
-        got = [colored_bracket_fused(d, n).value
+        got = [unreduced_colored_jones(d, n).value
                for d in (ring, trace) for n in (2, 3)]
         assert got == want
 
@@ -458,7 +465,7 @@ class TestFusedChannels:
         # color builds one tetrahedral term list per unordered pair
         clear_weights()
         for k in (1, 2, 3):
-            colored_bracket_fused(pretzel([2, 1, k]), 3)
+            unreduced_colored_jones(pretzel([2, 1, k]), 3)
         assert _tet_terms.cache_info().misses == 10  # pairs of channels 0..3
 
     @pytest.mark.parametrize("n", range(1, 30))
@@ -472,7 +479,7 @@ class TestFusedChannels:
 
     def test_needs_no_gcd_or_reduction(self, monkeypatch):
         diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), parse_pd(HOPF_TRACE))
-        want = [colored_bracket_fused(d, n).value
+        want = [unreduced_colored_jones(d, n).value
                 for d in diagrams for n in range(2, 6)]
 
         def refuse(*args, **kwargs):
@@ -480,14 +487,14 @@ class TestFusedChannels:
 
         monkeypatch.setattr(RationalFn, "reduce", refuse)
         clear_weights()
-        got = [colored_bracket_fused(d, n).value
+        got = [unreduced_colored_jones(d, n).value
                for d in diagrams for n in range(2, 6)]
         assert got == want
 
     def test_ring_path_divides_by_no_schoolbook_loop(self, monkeypatch):
         diagrams = (pretzel([2, 3, 1]), pretzel([1, 1]), pretzel([4, 2, 2, 3]),
                     pretzel([0, 0, 2]), parse_pd(HOPF_TRACE))
-        want = [(colored_bracket_fused(d, n).value, reduced_jones(d, n + 1))
+        want = [(unreduced_colored_jones(d, n).value, reduced_jones(d, n + 1))
                 for d in diagrams for n in range(1, 6)]
 
         def refuse(*args, **kwargs):
@@ -497,7 +504,7 @@ class TestFusedChannels:
             monkeypatch.setattr(algebra, name, refuse)
             monkeypatch.setattr(invariants, name, refuse, raising=False)
         clear_weights()
-        got = [(colored_bracket_fused(d, n).value, reduced_jones(d, n + 1))
+        got = [(unreduced_colored_jones(d, n).value, reduced_jones(d, n + 1))
                for d in diagrams for n in range(1, 6)]
         assert got == want
 
@@ -506,13 +513,13 @@ class TestFusedChannels:
     @settings(max_examples=40, deadline=None)
     def test_packed_ring_matches_schoolbook(self, counts, n):
         d = pretzel(counts)
-        assert colored_bracket_fused(d, n).value == schoolbook_ring(d, n)
+        assert unreduced_colored_jones(d, n).value == schoolbook_ring(d, n)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_packed_ring_matches_schoolbook_color_locked(self, k):
         # the published 2,5,k family at index k+1, i.e. color k
         d = pretzel([2, 5, k])
-        assert colored_bracket_fused(d, k).value == schoolbook_ring(d, k)
+        assert unreduced_colored_jones(d, k).value == schoolbook_ring(d, k)
 
     def test_digits_hold_the_sum_at_its_l1_bound(self, monkeypatch):
         # Channel 1's weight the constant c at its nominal exponent, and
@@ -528,9 +535,28 @@ class TestFusedChannels:
                 return [c if p == 1 else 0] + [0] * (self.digits - 1)
 
             monkeypatch.setattr(ColumnMemo, "weight", weight)
-            got = colored_bracket_fused(d, 1).value
+            got = unreduced_colored_jones(d, 1).value
             low = got.min_degree()
             assert got == LaurentPoly({low + 4 * i: c * c for i in range(4)})
+
+    def test_oracle_checks_fail_on_a_flipped_weight(self, monkeypatch):
+        # both ``skein verify --suite oracle-equivalence`` checks read the
+        # fused route through ``unreduced_colored_jones``; a weight c[1][0]
+        # of the wrong sign must fail each of them, as the suite runs them
+        checks = _suite_oracle_equivalence()
+        assert [_run_check(*c)["detail"] for c in checks] == [
+            "27 pretzels, n <= 2", "7 pretzels up to 20 crossings"]
+        weight = ColumnMemo.weight
+
+        def flipped(self, q, p):
+            w = weight(self, q, p)
+            return [-c for c in w] if (q, p) == (1, 0) else w
+
+        monkeypatch.setattr(ColumnMemo, "weight", flipped)
+        # the top-digit check raises first, at color 1; had the classical
+        # check fallen back to the sweep, it would compare the sweep with
+        # itself and pass
+        assert [_run_check(*c)["passed"] for c in checks] == [False, False]
 
     def test_table_off_by_one_is_a_convention_bug(self, monkeypatch):
         # one step factor of the tetrahedral sum off by one: the weights
@@ -546,13 +572,13 @@ class TestFusedChannels:
         clear_weights()
         try:
             with pytest.raises(ExactDivisionError, match="convention bug"):
-                colored_bracket_fused(pretzel([2, 3, 1]), 2)
+                unreduced_colored_jones(pretzel([2, 3, 1]), 2)
         finally:
             clear_weights()
 
     def test_fusion_budget(self):
         with pytest.raises(BudgetError, match="fusion"):
-            colored_bracket_fused(pretzel([1, 1, 1]), 3, max_networks=10)
+            unreduced_colored_jones(pretzel([1, 1, 1]), 3, max_networks=10)
 
     @pytest.mark.parametrize("counts,N", [([1] * 20, 3), ([2] * 7, 6)])
     def test_fusion_budget_accepts_cheap_wide_rings(self, counts, N):
@@ -564,8 +590,8 @@ class TestFusedChannels:
         d = pretzel([1, 1])
         loops = replace(d, free_loops=2)
         assert (
-            colored_bracket_fused(loops, 2).value
-            == colored_bracket_fused(d, 2).value * delta(2) ** 2
+            unreduced_colored_jones(loops, 2).value
+            == unreduced_colored_jones(d, 2).value * delta(2) ** 2
         )
 
     @pytest.mark.parametrize("length", [1, 2, 5, 12])
@@ -586,7 +612,7 @@ class TestFusedChannels:
         d = pretzel(counts)
         with pytest.raises(LayoutError, match="smoothed away"):
             _ring_layout(d)
-        assert colored_bracket_fused(d, 2).value == delta(2) ** d.free_loops
+        assert unreduced_colored_jones(d, 2).value == delta(2) ** d.free_loops
 
 
 def twist_exponents(n):
@@ -792,14 +818,14 @@ class TestRing:
         want = bracket_state_sum(d, max_crossings=30).value
         assert _ring_polynomial(1, counts, 0) == want
         for n in (2, 3):
-            want = colored_bracket_fused(d, n).value
+            want = unreduced_colored_jones(d, n).value
             assert _ring_polynomial(n, counts, 0) == want
 
     def test_anonymous_zero_columns_lay_out_as_free_loops(self):
         d = pretzel([0, 0, 1])
         assert _ring_layout(d) == (Ring((1, 0), 1), (3, None))
         assert (_ring_polynomial(2, (0, 0, 1), 0)
-                == colored_bracket_fused(d, 2).value)
+                == unreduced_colored_jones(d, 2).value)
 
     def test_every_small_pretzel_lays_out(self):
         # 1-4 columns of 0..3 crossings, at least one crossing in all
@@ -808,11 +834,11 @@ class TestRing:
                 if not any(counts):
                     continue
                 d = pretzel(counts)
-                got = colored_bracket_fused(d, 1).value
+                got = ring_bracket(d, 1)
                 assert got == _ring_polynomial(1, counts, 0), counts
                 assert got == bracket_state_sum(d).value, counts
                 if 0 in counts:
-                    assert (colored_bracket_fused(d, 2)
+                    assert (unreduced_colored_jones(d, 2)
                             == colored_state_sum(d, 2)), counts
 
     @pytest.mark.parametrize("counts", [(0, 0, 2, 2), (0, 2, 0, 3),
@@ -822,7 +848,7 @@ class TestRing:
         for i in range(1, len(counts)):
             d = pretzel(counts[i:] + counts[:i])
             assert bracket_state_sum(d).value == want
-            assert colored_bracket_fused(d, 1).value == want
+            assert ring_bracket(d, 1) == want
 
     @pytest.mark.parametrize("args,match", [
         (((), 0), "at least one column"),
@@ -926,14 +952,14 @@ class TestHighColorOracle:
         m = (n + 1) ** 2
         want = exact_div(LaurentPoly({2 * m: 1, -2 * m: -1}),
                          LaurentPoly({2: 1, -2: -1}))
-        assert colored_bracket_fused(pretzel([1, 1]), n).value == want
+        assert unreduced_colored_jones(pretzel([1, 1]), n).value == want
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("k", [1, 2])
     def test_kinked_unknot_is_a_framed_loop(self, n, k):
         # each kink multiplies the loop value by (-1)^n A^(n(n+2))
         want = LaurentPoly.monomial(k * n * (n + 2), (-1) ** (n * k)) * delta(n)
-        assert colored_bracket_fused(pretzel([k]), n).value == want
+        assert unreduced_colored_jones(pretzel([k]), n).value == want
 
 
 class TestRouting:

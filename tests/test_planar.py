@@ -49,13 +49,11 @@ from skeinkit.planar import (
     compose,
     crossing_morphism,
     cupnest,
-    drum,
     idpair,
     jones_wenzl,
     quarter_turn,
     seam_closure,
     tensor,
-    tet_network,
     theta_network,
     turnback,
     vertex_morphism,
@@ -63,6 +61,7 @@ from skeinkit.planar import (
 from skeinkit.invariants import _clasped_column
 
 from clasped_oracle import clasped_tet, clasped_theta
+from helpers import drum, tet_network
 from plat_oracle import plat_close
 
 

@@ -25,6 +25,7 @@ from skeinkit import invariants, series
 from skeinkit.algebra import (
     ExactDivisionError,
     LaurentPoly,
+    QPoly,
     _unpack_digits,
     delta,
     exact_div,
@@ -54,7 +55,6 @@ from skeinkit.series import (
     window_from_reduced,
 )
 from skeinkit.stability import (
-    check_bracket_rate,
     check_color_stability,
     check_colored_rate,
     family_tail,
@@ -279,10 +279,19 @@ class TestExitPlan:
         (TypeError, "window length must be an int",
          lambda: ring_window(Ring((2, 3, 1), 0), ColumnMemo(2, 4), 2.5,
                              reduced=True)),
+        (TypeError, "window length must be an int",
+         lambda: window_from_bracket(LaurentPoly({0: 1, 4: 2}), True)),
+        (TypeError, "window length must be an int",
+         lambda: window_from_bracket(LaurentPoly({0: 1, 4: 2}), 2.5)),
+        (TypeError, "window length must be an int",
+         lambda: window_from_reduced(QPoly({0: 1, 1: 2}), True)),
+        (TypeError, "window length must be an int",
+         lambda: window_from_reduced(QPoly({0: 1, 1: 2}), 2.5)),
     ])
     def test_a_memo_or_count_is_checked_where_it_arrives(
             self, error, match, call):
-        # each is refused where it arrives, not by the first window
+        # each is refused where it arrives, not by the first window; a
+        # window reader took True as 1, and 2.5 died in range()
         with pytest.raises(error, match=match):
             call()
 
@@ -364,6 +373,25 @@ class TestDigitWidth:
             want = [0] * 32
             want[::4] = (c * c * x for x in (1, 1, 1, 5, 2, 3, 2, 1))
             assert got == tuple(want)
+
+
+    def test_width_is_sized_by_the_exits_the_sum_reads(self, monkeypatch):
+        # ColumnMemo(30, 200) plans 12 exits of the ring (2, 5, 7), which
+        # start at digits 0, 2, 7, 15, ..., 187.  A sum of 10 digits reads
+        # exits 0..2 alone: their L1 bound fits 4 bytes, where all 12
+        # exits' bound would take 7.
+        widths = []
+
+        def spy(total, digits, width):
+            widths.append(width)
+            return _unpack_digits(total, digits, width)
+
+        monkeypatch.setattr(series, "_unpack_digits", spy)
+        got = series._ring_digits(ColumnMemo(30, 200), (2, 5, 7), 0,
+                                  100_000, 10)
+        assert widths == [4]
+        assert got == series._ring_digits(ColumnMemo(30, 10), (2, 5, 7), 0,
+                                          100_000, 10)
 
 
 class TestColumnMemo:
@@ -572,7 +600,7 @@ class TestConsumers:
         monkeypatch.setattr(invariants, "_state_sum", refuse)
         assert reduced_windows(pretzel_family("8,6,k", "2", 1, 4), [2, 3, 4, 5])
         assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
-        assert check_bracket_rate(pretzel_family("8,6,k", "2", 2, 5)).passed
+        assert check_colored_rate(pretzel_family("8,6,k", "2", 2, 5)).passed
         assert check_color_stability(pretzel([2, 3, 2]), (1, 2, 3)).passed
         for name, check in _suite_rate_theorems():
             assert check()[0], name
@@ -586,7 +614,7 @@ class TestConsumers:
         assert reduced_windows(spec, [2, 3, 4, 5])
         assert family_tail(pretzel_family("8,6,k", "2", 1, 4), "k+1").passed
         assert check_colored_rate(pretzel_family("2,2,k", "3", 2, 4)).passed
-        assert check_bracket_rate(pretzel_family("k,k,2", "2", 0, 3)).passed
+        assert check_colored_rate(pretzel_family("k,k,2", "2", 0, 3)).passed
 
     @pytest.mark.parametrize("fn,index", [(bracket_window, 1),
                                           (reduced_window, 2)])

@@ -30,7 +30,6 @@ from skeinkit.stability import (
     FamilySpec,
     MemberError,
     WindowError,
-    check_bracket_rate,
     check_color_stability,
     check_colored_rate,
     family_tail,
@@ -38,10 +37,11 @@ from skeinkit.stability import (
     normalize,
     pretzel_family,
     reduced_windows,
-    stable_prefix,
     window_from_bracket,
     window_from_reduced,
 )
+
+from helpers import stable_prefix
 
 
 def reduced_window(counts, color, length):
@@ -419,7 +419,7 @@ class TestFamilySpec:
                                       "k+1", depth=True)),
         ("depth", lambda: family_tail(pretzel_family("2,3,k", 3, 1, 3),
                                       "k+1", depth=1.5)),
-        ("depth", lambda: check_bracket_rate(pretzel_family("2,3,k", 2, 1, 3),
+        ("depth", lambda: check_colored_rate(pretzel_family("2,3,k", 2, 1, 3),
                                              depth=1.5)),
         ("depth", lambda: check_colored_rate(pretzel_family("2,3,k", 2, 1, 3),
                                              depth=True)),
@@ -598,7 +598,7 @@ class TestReducedWindows:
 
 class TestBracketRate:
     def test_marked_region_rate(self):
-        report = check_bracket_rate(pretzel_family("8,6,k", "2", 2, 5))
+        report = check_colored_rate(pretzel_family("8,6,k", "2", 2, 5))
         assert report.passed
         assert report.units == "A"
         assert [s.required for s in report.steps] == [12, 16, 20]
@@ -606,13 +606,13 @@ class TestBracketRate:
         assert all(s.verified == s.required for s in report.steps)
 
     def test_simultaneous_decrement_rate(self):
-        report = check_bracket_rate(pretzel_family("k,k,2", "2", 1, 5))
+        report = check_colored_rate(pretzel_family("k,k,2", "2", 1, 5))
         assert report.passed
         assert [s.required for s in report.steps] == [8, 12, 16, 20]
         assert all(s.verified == s.required for s in report.steps)
 
     def test_inflated_rate_fails(self):
-        report = check_bracket_rate(
+        report = check_colored_rate(
             pretzel_family("8,6,k", "2", 2, 5), rate="4*k+5"
         )
         assert not report.passed
@@ -620,12 +620,12 @@ class TestBracketRate:
         assert all(s.verified == 4 * s.parameter for s in report.steps)
 
     def test_constant_step_is_vacuous(self):
-        report = check_bracket_rate(pretzel_family("2,3,2", "2", 1, 3))
+        report = check_colored_rate(pretzel_family("2,3,2", "2", 1, 3))
         assert report.passed
         assert all(s.required == 0 for s in report.steps)
 
     def test_custom_rate_evaluated_at_later_member(self):
-        report = check_bracket_rate(
+        report = check_colored_rate(
             pretzel_family("8,6,k", "2", 2, 4), rate="4*k"
         )
         assert [s.required for s in report.steps] == [12, 16]
@@ -739,7 +739,7 @@ class TestReports:
         assert data["tail"]["normalized"] is True
 
     def test_json_matches_dataclass(self):
-        report = check_bracket_rate(pretzel_family("8,6,k", "2", 2, 4))
+        report = check_colored_rate(pretzel_family("8,6,k", "2", 2, 4))
         data = json.loads(report.to_json())
         for step, raw in zip(report.steps, data["steps"]):
             assert raw["required"] == step.required
